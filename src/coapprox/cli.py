@@ -37,13 +37,18 @@ class ProblemFile:
     options: dict
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are bools, not 1 and 0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_entry(value, where: str) -> Q:
     if isinstance(value, str):
         try:
             return parse_rational(value)
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return Q(value)
     raise ValidationError(f"{where}: expected a rational string, got {value!r}")
 
@@ -62,12 +67,12 @@ def load_problem(path: str) -> ProblemFile:
             doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int literal over the digit limit
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError("problem file: top level must be an object")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValidationError("n: expected a positive integer")
     raw_basis = doc.get("basis")
     if not isinstance(raw_basis, list) or not raw_basis:
@@ -203,9 +208,9 @@ def _solve_options(problem: ProblemFile, args) -> dict:
         "grid_radius": None,
         "grid_step": None,
     }
-    if not isinstance(out["trials"], int) or out["trials"] < 1:
+    if not _is_int(out["trials"]) or out["trials"] < 1:
         raise ValidationError("options.trials: expected a positive integer")
-    if not isinstance(out["seed"], int):
+    if not _is_int(out["seed"]):
         raise ValidationError("options.seed: expected an integer")
     if "grid_radius" in opts:
         out["grid_radius"] = _parse_entry(opts["grid_radius"], "options.grid_radius")

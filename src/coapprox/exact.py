@@ -34,9 +34,15 @@ def parse_rational(text: str) -> Q:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValidationError(f"not a rational literal: {text!r}")
-    if "/" in s and int(s.split("/")[1]) == 0:
-        raise ValidationError(f"zero denominator: {text!r}")
-    return Q(s)
+    try:
+        value = Q(s)
+    except ZeroDivisionError:
+        raise ValidationError(f"zero denominator: {text!r}") from None
+    except ValueError:  # Python's limit on int-string conversion
+        raise ValidationError(
+            f"rational literal of {len(s)} characters exceeds the integer digit limit"
+        ) from None
+    return value
 
 
 def format_rational(x: Q) -> str:

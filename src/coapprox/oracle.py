@@ -12,16 +12,21 @@ inequality.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import CapacityError, DimensionError, ValidationError
 from .exact import Q, Vec, is_zero, l1_norm, minimize_1d_l1, solve_linear, vec_sub
 from .subspace import SubspaceBasis
 
 BRUTE_FORCE_MAX_M = 3
+BRUTE_FORCE_MAX_POINTS = 10**6
 _RANDOM_NUMERATOR = 8
 _RANDOM_DENOMINATOR = 6
+_GRID_RANDOM_NUMERATOR = 60
+_GRID_RANDOM_DENOMINATOR = 8
 
 
 def bj_orthogonal_l1(y: Vec, z: Vec) -> bool:
@@ -143,6 +148,16 @@ def _edge_probes(basis: SubspaceBasis) -> tuple[Vec, ...]:
     return tuple(probes)
 
 
+def _random_betas(m: int, trials: int, seed: int, numerator: int, denominator: int):
+    """`trials` seeded random rational betas, drawn lazily."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        yield tuple(
+            Q(rng.randint(-numerator, numerator), rng.randint(1, denominator))
+            for _ in range(m)
+        )
+
+
 def _probe_set(basis: SubspaceBasis) -> tuple[Vec, ...]:
     probes = tuple(_sweep_betas(basis.m))
     if basis.m <= BRUTE_FORCE_MAX_M:
@@ -171,25 +186,14 @@ def verify_best_coapprox(
             return VerificationVerdict(
                 False, _refute_from_bj_failure(basis, b, alpha, beta), seed, trials
             )
-    rng = random.Random(seed)
-    for _ in range(trials):
-        beta = tuple(
-            Q(
-                rng.randint(-_RANDOM_NUMERATOR, _RANDOM_NUMERATOR),
-                rng.randint(1, _RANDOM_DENOMINATOR),
-            )
-            for _ in range(basis.m)
-        )
+    for beta in _random_betas(
+        basis.m, trials, seed, _RANDOM_NUMERATOR, _RANDOM_DENOMINATOR
+    ):
         if _fails_at(basis, residual, beta):
             return VerificationVerdict(
                 False, _refute_from_bj_failure(basis, b, alpha, beta), seed, trials
             )
     return VerificationVerdict(True, None, seed, trials)
-
-
-def _passes_probes(basis: SubspaceBasis, b: Vec, alpha: Vec, probes) -> bool:
-    residual = vec_sub(b, basis.combine(alpha))
-    return not any(_fails_at(basis, residual, beta) for beta in probes)
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,33 @@ class BruteForceResult:
     grid_points: int
     trials: int
     seed: int
+
+
+def _sign_patterns(int_rows, betas) -> tuple[tuple[int, ...], ...]:
+    """Distinct sign patterns of A.beta over the probes, in first-seen order.
+
+    `int_rows` is A scaled to ints by a positive factor, and each beta is
+    scaled to ints by its own, so the signs are exact.  A pattern and
+    its negation give the same orthogonality test, so each is stored with
+    its first nonzero sign positive; the zero pattern always passes and
+    is dropped.
+    """
+    seen: dict[tuple[int, ...], None] = {}
+    for beta in betas:
+        den = math.lcm(*(x.denominator for x in beta))
+        int_beta = [x.numerator * (den // x.denominator) for x in beta]
+        images = [sum(map(mul, row, int_beta)) for row in int_rows]
+        signs = tuple((y > 0) - (y < 0) for y in images)
+        lead = next((s for s in signs if s), 0)
+        if lead:
+            seen.setdefault(tuple(lead * s for s in signs), None)
+    return tuple(seen)
+
+
+def _fails(z: list[int], abs_z: list[int], check) -> bool:
+    """The l1 Birkhoff-James test of bj_orthogonal_l1, on one sign pattern."""
+    signs, off = check
+    return abs(sum(map(mul, signs, z))) > sum(map(mul, off, abs_z))
 
 
 def brute_force_existence(
@@ -214,51 +245,80 @@ def brute_force_existence(
 
     Ground-truth corroboration at desk scale: when the solver reports
     that no best coapproximation exists, no grid point may pass.  The
-    small-integer sweep alone can be fooled by thin violation cones
-    (refuting directions may need large coordinates), so grid points
-    that survive it are optionally re-checked against `trials` seeded
-    random rational betas.  Guarded at m <= 3 because the grid is
-    exponential in m.
+    grid is every alpha with coordinates -r, -r + t, ... up to r.  A
+    grid point is a candidate when b - A.alpha passes the orthogonality
+    test at every probe beta of the deterministic sweep and, when
+    `trials` is positive, at `trials` seeded random rational betas (the
+    sweep alone can be fooled by thin violation cones).
+
+    The test at beta depends on beta only through the sign pattern of
+    A.beta, so the probes are reduced once per call to their distinct
+    patterns.  The grid, b and A are scaled by one common denominator,
+    which makes every residual a vector of ints; the test is unchanged
+    by a positive scale, so each decision stays exact.  The pattern that
+    failed last is tried first, which cannot change a verdict because a
+    candidate must pass them all.
+
+    Guarded at m <= 3 and BRUTE_FORCE_MAX_POINTS grid points, both
+    checked before any scanning; a negative radius or a non-positive
+    step is rejected.
     """
-    if basis.m > BRUTE_FORCE_MAX_M:
+    m = basis.m
+    if m > BRUTE_FORCE_MAX_M:
         raise CapacityError(f"brute force capped at m <= {BRUTE_FORCE_MAX_M}")
-    if grid_step <= 0:
-        raise ValidationError("grid_step must be positive")
     radius = Q(grid_radius)
     step = Q(grid_step)
-    ticks = []
-    t = -radius
-    while t <= radius:
-        ticks.append(t)
-        t += step
-    probes = _probe_set(basis)
+    if step <= 0:
+        raise ValidationError("grid_step must be positive")
+    if radius < 0:
+        raise ValidationError("grid_radius must be non-negative")
+    per_axis = math.floor(2 * radius / step) + 1
+    if per_axis**m > BRUTE_FORCE_MAX_POINTS:
+        raise CapacityError(
+            f"brute-force grid capped at {BRUTE_FORCE_MAX_POINTS} points"
+        )
+    if len(b) != basis.n:
+        raise DimensionError("brute_force_existence dimension mismatch")
+
+    ticks = [-radius + k * step for k in range(per_axis)]
+    entries = itertools.chain((radius, step), b, *basis.matrix)
+    scale = math.lcm(*(x.denominator for x in entries))
+    int_rows = [[int(a * scale) for a in row] for row in basis.matrix]
+    int_cols = list(zip(*int_rows))
+    int_ticks = [int(t * scale) for t in ticks]
+    int_b = [int(x * scale * scale) for x in b]  # residuals come out scaled by scale**2
+    inner_step = [a * int(step * scale) for a in int_cols[-1]]
+
+    betas = _probe_set(basis) + tuple(
+        _random_betas(m, trials, seed, _GRID_RANDOM_NUMERATOR, _GRID_RANDOM_DENOMINATOR)
+    )
+    checks = [
+        (signs, tuple(1 - abs(s) for s in signs))
+        for signs in _sign_patterns(int_rows, betas)
+    ]
+
     candidates = []
-    count = 0
-    for alpha in itertools.product(ticks, repeat=basis.m):
-        count += 1
-        if not _passes_probes(basis, b, alpha, probes):
-            continue
-        if trials and not _passes_random(basis, b, alpha, trials, seed):
-            continue
-        candidates.append(alpha)
+    last = 0
+    for outer in itertools.product(range(per_axis), repeat=m - 1):
+        z = list(int_b)
+        for j, k in enumerate(outer + (0,)):
+            z = [zi - a * int_ticks[k] for zi, a in zip(z, int_cols[j])]
+        for k in range(per_axis):
+            if k:
+                z = [zi - d for zi, d in zip(z, inner_step)]
+            abs_z = list(map(abs, z))
+            if _fails(z, abs_z, checks[last]):
+                continue
+            for idx, check in enumerate(checks):
+                if _fails(z, abs_z, check):
+                    last = idx
+                    break
+            else:
+                candidates.append(tuple(ticks[i] for i in outer) + (ticks[k],))
     return BruteForceResult(
         exists=bool(candidates),
         candidates=tuple(candidates),
-        grid_points=count,
+        grid_points=per_axis**m,
         trials=trials,
         seed=seed,
     )
-
-
-def _passes_random(
-    basis: SubspaceBasis, b: Vec, alpha: Vec, trials: int, seed: int
-) -> bool:
-    residual = vec_sub(b, basis.combine(alpha))
-    rng = random.Random(seed)
-    for _ in range(trials):
-        beta = tuple(
-            Q(rng.randint(-60, 60), rng.randint(1, 8)) for _ in range(basis.m)
-        )
-        if _fails_at(basis, residual, beta):
-            return False
-    return True

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -202,3 +203,55 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["co_chebyshev"] is True
+
+
+def test_grid_point_cap_exits_3(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "solve", "--input", str(PROBLEMS / "span3_l16.json"),
+        "--grid-radius", "100", "--grid-step", "1/100",
+    )
+    assert code == 3
+    assert "grid" in err
+    assert time.perf_counter() - start < 10.0
+
+
+def test_negative_grid_radius_exits_2(capsys):
+    code, _, err = run_cli(
+        capsys, "solve", "--input", str(PROBLEMS / "span3_l16.json"),
+        "--grid-radius", "-1", "--grid-step", "1/2",
+    )
+    assert code == 2
+    assert "grid_radius" in err
+
+
+@pytest.mark.parametrize(
+    "patch, field",
+    [
+        ({"n": True, "basis": [["1"]]}, "n"),
+        ({"options": {"trials": True}}, "options.trials"),
+        ({"options": {"seed": False}}, "options.seed"),
+    ],
+)
+def test_bools_are_not_integers(tmp_path, capsys, patch, field):
+    doc = {"n": 2, "basis": [["1", "0"]], "targets": [["1", "1"]]}
+    doc.update(patch)
+    f = tmp_path / "bool.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capsys, "solve", "--input", str(f))
+    assert code == 2
+    assert err.split(": ")[1] == field
+
+
+def test_literal_over_int_digit_limit_exits_2(tmp_path, capsys):
+    f = tmp_path / "long.json"
+    f.write_text(
+        json.dumps({"n": 2, "basis": [["1" * 5000, "1"]]}), encoding="utf-8"
+    )
+    code, _, err = run_cli(capsys, "analyze", "--input", str(f))
+    assert code == 2
+    assert "basis[1][1]" in err
+    f.write_text('{"n": 2, "basis": [[' + "1" * 5000 + ', 1]]}', encoding="utf-8")
+    code, _, err = run_cli(capsys, "analyze", "--input", str(f))
+    assert code == 2
+    assert "invalid JSON" in err

@@ -1,11 +1,15 @@
+import itertools
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
 
 from coapprox import (
     ALL_REALS,
+    BruteForceResult,
     CapacityError,
+    DimensionError,
     ValidationError,
     bj_orthogonal_l1,
     brute_force_existence,
@@ -14,6 +18,7 @@ from coapprox import (
     vec,
     verify_best_coapprox,
 )
+from coapprox import oracle
 from coapprox.exact import vec_sub
 from coapprox.instances import random_basis, random_vector
 from tests.conftest import column_basis
@@ -118,3 +123,79 @@ class TestBruteForce:
     def test_step_validated(self, span3_l16):
         with pytest.raises(ValidationError):
             brute_force_existence(span3_l16, B1, Q(1), Q(0))
+
+    def test_target_length_checked(self, span3_l16):
+        with pytest.raises(DimensionError):
+            brute_force_existence(span3_l16, B1[:5], Q(1), Q(1))
+
+    def test_negative_radius_rejected(self, span3_l16):
+        with pytest.raises(ValidationError):
+            brute_force_existence(span3_l16, B1, Q(-1, 2), Q(1, 2))
+
+    def test_point_cap_checked_before_scanning(self, span3_l16):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            brute_force_existence(span3_l16, B1, Q(10**9), Q(1, 10**9))
+        assert time.perf_counter() - start < 1.0
+        assert 101**3 > oracle.BRUTE_FORCE_MAX_POINTS  # 101 ticks per axis below
+        with pytest.raises(CapacityError):
+            brute_force_existence(span3_l16, B1, Q(100), Q(2))
+
+
+def _reference_scan(basis, b, radius, step, trials=0, seed=0):
+    """The per-probe scan: bj_orthogonal_l1 in Fractions at every
+    (grid point, probe) pair, with the random betas redrawn per point."""
+    ticks = []
+    t = -radius
+    while t <= radius:
+        ticks.append(t)
+        t += step
+    probes = oracle._probe_set(basis)
+    candidates = []
+    count = 0
+    for alpha in itertools.product(ticks, repeat=basis.m):
+        count += 1
+        residual = vec_sub(b, basis.combine(alpha))
+        if not all(bj_orthogonal_l1(basis.combine(beta), residual) for beta in probes):
+            continue
+        rng = random.Random(seed)
+        randoms = [
+            tuple(Q(rng.randint(-60, 60), rng.randint(1, 8)) for _ in range(basis.m))
+            for _ in range(trials)
+        ]
+        if not all(bj_orthogonal_l1(basis.combine(beta), residual) for beta in randoms):
+            continue
+        candidates.append(alpha)
+    return BruteForceResult(bool(candidates), tuple(candidates), count, trials, seed)
+
+
+def _unit_probes(basis):
+    return tuple(tuple(Q(int(i == j)) for j in range(basis.m)) for i in range(basis.m))
+
+
+@pytest.mark.parametrize("weak_probes", [False, True])
+def test_brute_force_matches_reference_scan(monkeypatch, weak_probes):
+    if weak_probes:  # with unit-vector probes only, the random betas decide
+        monkeypatch.setattr(oracle, "_probe_set", _unit_probes)
+    rng = random.Random(2024)
+    grids = {
+        1: [(Q(5), Q(1, 2)), (Q(1, 3), Q(1, 2)), (Q(7, 3), Q(2, 5)), (Q(0), Q(1))],
+        2: [(Q(2), Q(1, 2)), (Q(1, 3), Q(1, 2)), (Q(3, 2), Q(2, 3))],
+        3: [(Q(1), Q(1, 2)), (Q(1, 3), Q(1, 2)), (Q(1), Q(2, 3))],
+    }
+    nonempty = 0
+    for case in range(60):
+        m = 1 + case % 3
+        n = rng.randint(m + 1, 6)
+        basis = random_basis(rng, n, m, zero_rows=min(rng.choice((0, 0, 1)), n - m))
+        radius, step = rng.choice(grids[m])
+        if case % 4 == 0:  # a member of the subspace on the grid: a sure candidate
+            b = basis.combine(tuple(-radius + step * rng.randint(0, 1) for _ in range(m)))
+        else:
+            b = random_vector(rng, n)
+        trials = rng.choice((0, 0, 5, 15))
+        seed = rng.randint(0, 9)
+        got = brute_force_existence(basis, b, radius, step, trials=trials, seed=seed)
+        assert got == _reference_scan(basis, b, radius, step, trials, seed), case
+        nonempty += bool(got.candidates)
+    assert nonempty >= 10
