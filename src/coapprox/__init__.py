@@ -34,9 +34,9 @@ from .exact import (
     minimize_1d_l1,
     parse_rational,
     solve_linear,
-    solve_minimax_lp,
     vec,
 )
+from .lp import solve_minimax_lp
 from .norming import (
     Arrangement,
     NormingSet,

@@ -15,7 +15,7 @@ from . import __version__
 from .classify import classify
 from .errors import CoapproxError, EmptyZeroSetError, ValidationError
 from .exact import Q, Vec, format_rational, l1_norm, parse_rational
-from .oracle import BRUTE_FORCE_MAX_M, brute_force_existence, verify_best_coapprox
+from .oracle import BRUTE_FORCE_MAX_M, brute_force_existence, check_grid, verify_best_coapprox
 from .solver import (
     OutcomeKind,
     PreparedBasis,
@@ -160,7 +160,7 @@ def cmd_norming_set(problem: ProblemFile) -> dict:
     norming = pb.norming
     report = _envelope("norming-set", pb)
     report["reduced_dimension"] = pb.reduced.basis.n
-    report["hyperplanes"] = [_fmt_vec(nu) for nu in _arrangement(pb).normals]
+    report["hyperplanes"] = [_fmt_vec(nu) for nu in pb.arrangement.normals]
     report["q"] = norming.span_dim
     report["system_basis"] = [_ambient_signs(pb, x) for x in norming.system_basis]
     report["representatives"] = [
@@ -171,25 +171,13 @@ def cmd_norming_set(problem: ProblemFile) -> dict:
     ]
     report["cells"] = [
         {"signs": _sign_list(c.signs), "witness": _fmt_vec(c.witness)}
-        for c in _cells(pb)
+        for c in pb.cells
     ]
     tags = ["sign-cell-enumeration", "staircase-span-basis"]
     if pb.profile.zero_set:
         tags.insert(0, "sigma-reduction")
     report["rationale"] = tags
     return report
-
-
-def _arrangement(pb: PreparedBasis):
-    from .norming import build_arrangement
-
-    return build_arrangement(pb.reduced, pb.profile)
-
-
-def _cells(pb: PreparedBasis):
-    from .norming import enumerate_cells
-
-    return enumerate_cells(_arrangement(pb))
 
 
 def _solve_options(problem: ProblemFile, args) -> dict:
@@ -216,6 +204,7 @@ def _solve_options(problem: ProblemFile, args) -> dict:
         out["grid_radius"] = _parse_entry(opts["grid_radius"], "options.grid_radius")
     if "grid_step" in opts:
         out["grid_step"] = _parse_entry(opts["grid_step"], "options.grid_step")
+    check_grid(out["grid_radius"], out["grid_step"])
     return out
 
 

@@ -1,5 +1,5 @@
-"""Exact rational scalars, vectors, matrices and the two small
-optimization kernels everything else is built on.
+"""Exact rational scalars, vectors and matrices, the one Gauss-Jordan
+elimination routine and the 1-d l1 minimizer everything else is built on.
 
 No floating point is used anywhere: existence decisions downstream
 (sign cells, ranks, system consistency) are discontinuous in the data,
@@ -21,8 +21,6 @@ Vec = tuple[Q, ...]
 Mat = tuple[Vec, ...]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-MINIMAX_MAX_ROWS = 64
 
 
 def parse_rational(text: str) -> Q:
@@ -47,7 +45,10 @@ def parse_rational(text: str) -> Q:
 
 def format_rational(x: Q) -> str:
     """Inverse of parse_rational; '13' or '-3/7', always lowest terms."""
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:  # Python's limit on int-string conversion
+        raise CapacityError("a report value exceeds the integer digit limit") from None
 
 
 def vec(items: Iterable) -> Vec:
@@ -63,10 +64,6 @@ def vec(items: Iterable) -> Vec:
 
 def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(r) for r in rows)
-
-
-def zero_vec(n: int) -> Vec:
-    return (Q(0),) * n
 
 
 def is_zero(v: Vec) -> bool:
@@ -93,36 +90,52 @@ def vec_scale(c: Q, v: Vec) -> Vec:
     return tuple(c * x for x in v)
 
 
-def mat_vec(rows: Mat, x: Vec) -> Vec:
-    return tuple(dot(r, x) for r in rows)
-
-
 def transpose(rows: Mat) -> Mat:
     return tuple(zip(*rows)) if rows else ()
 
 
-def rank(rows: Sequence[Vec]) -> int:
-    """Exact rank by Gaussian elimination (entries coerced to Fraction)."""
-    work = [[Q(x) for x in r] for r in rows]
+def _gauss_jordan(work: list[list[Q]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination in place on the first `ncols` columns
+    (later columns ride along); return the pivot columns.  Row i ends as
+    the only row nonzero in pivot column i.  Rows are not scaled: row i is
+    the reduced row echelon row times its pivot entry."""
     nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    r = 0
+    pivots: list[int] = []
     for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         piv = next((i for i in range(r, nrows) if work[i][c] != 0), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
         pv = work[r][c]
-        for i in range(r + 1, nrows):
+        for i in range(nrows):
             f = work[i][c]
-            if f == 0:
-                continue
-            ratio = f / pv
-            work[i] = [a - ratio * b for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+            if i != r and f != 0:
+                f /= pv
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    return pivots
+
+
+def rank(rows: Sequence[Vec]) -> int:
+    """Exact rank (entries coerced to Fraction), eliminated along the
+    shorter side: a tall matrix is reduced as its transpose."""
+    if rows and len(rows) > len(rows[0]):
+        rows = transpose(rows)
+    work = [[Q(x) for x in r] for r in rows]
+    return len(_gauss_jordan(work, len(work[0]) if work else 0))
+
+
+def first_basis(vectors: Sequence[Vec]) -> list[int]:
+    """Indices of the vectors that greedy in-order independence keeps:
+    each one is kept iff it is outside the span of those before it.
+
+    These are the pivot columns of the matrix whose columns are `vectors`.
+    """
+    work = [[Q(x) for x in r] for r in transpose(vectors)]
+    return _gauss_jordan(work, len(vectors))
 
 
 def integerize(v: Vec) -> Vec:
@@ -169,29 +182,12 @@ def solve_linear(rows: Mat, rhs: Vec) -> LinearSystemResult:
     if len(rhs) != nrows:
         raise ValidationError("right-hand side length does not match row count")
     aug = [[Q(x) for x in r] + [Q(b)] for r, b in zip(rows, rhs)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return LinearSystemResult(SystemStatus.NO_SOLUTION, None, ())
+    pivot_cols = _gauss_jordan(aug, ncols)
+    if any(aug[i][ncols] != 0 for i in range(len(pivot_cols), nrows)):
+        return LinearSystemResult(SystemStatus.NO_SOLUTION, None, ())
     solution = [Q(0)] * ncols
     for i, c in enumerate(pivot_cols):
-        solution[c] = aug[i][ncols]
+        solution[c] = aug[i][ncols] / aug[i][c]
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     if not free_cols:
         return LinearSystemResult(SystemStatus.UNIQUE, tuple(solution), ())
@@ -200,7 +196,7 @@ def solve_linear(rows: Mat, rhs: Vec) -> LinearSystemResult:
         v = [Q(0)] * ncols
         v[fc] = Q(1)
         for i, c in enumerate(pivot_cols):
-            v[c] = -aug[i][fc]
+            v[c] = -aug[i][fc] / aug[i][c]
         null_basis.append(tuple(v))
     return LinearSystemResult(SystemStatus.AFFINE_FAMILY, tuple(solution), tuple(null_basis))
 
@@ -256,35 +252,3 @@ def minimize_1d_l1(y: Vec, z: Vec):
             break
     value = sum((abs(yi + lo * zi) for yi, zi in zip(y, z)), Q(0))
     return value, Interval(lo, hi)
-
-
-def solve_minimax_lp(rows: Mat, rhs: Vec) -> tuple[Q, Vec]:
-    """min over x of max_p |rhs_p - rows_p . x|, exactly.
-
-    Returns (t_star, x_star) with x_star attaining t_star.  The problem
-    is always feasible and bounded below by 0.  Guarded at
-    MINIMAX_MAX_ROWS rows; this is a desk-scale kernel.
-    """
-    from .lp import LpStatus, lp_min
-
-    nrows = len(rows)
-    if nrows == 0 or not rows[0]:
-        raise ValidationError("minimax needs at least one row and one column")
-    if nrows > MINIMAX_MAX_ROWS:
-        raise CapacityError(f"minimax kernel capped at {MINIMAX_MAX_ROWS} rows, got {nrows}")
-    m = len(rows[0])
-    if len(rhs) != nrows:
-        raise ValidationError("minimax rhs length does not match row count")
-    # Variables (x, t); minimize t subject to +-(rows.x - rhs) <= t.
-    cost = zero_vec(m) + (Q(1),)
-    a_ub = []
-    b_ub = []
-    for row, b in zip(rows, rhs):
-        a_ub.append(tuple(row) + (Q(-1),))
-        b_ub.append(b)
-        a_ub.append(tuple(-x for x in row) + (Q(-1),))
-        b_ub.append(-b)
-    res = lp_min(cost, tuple(a_ub), tuple(b_ub))
-    if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
-        raise ValidationError(f"minimax LP unexpectedly {res.status.value}")
-    return res.value, res.x[:m]

@@ -5,6 +5,7 @@ variables are split into positive parts internally.  Bland's pivoting
 rule guarantees termination, and all arithmetic is over Fraction, so the
 reported optimum and optimizer are exact.  Intended for the desk-scale
 problems this package produces (tens of rows, < ~20 columns).
+`solve_minimax_lp` poses the exact l-infinity fit of a linear system on it.
 """
 from __future__ import annotations
 
@@ -12,7 +13,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction as Q
 
+from .errors import CapacityError, ValidationError
+
 Vec = tuple[Q, ...]
+
+MINIMAX_MAX_ROWS = 64
 
 
 class LpStatus(Enum):
@@ -164,3 +169,33 @@ def lp_max(cost, a_ub, b_ub, a_eq=(), b_eq=()) -> LpResult:
     if res.status is not LpStatus.OPTIMAL:
         return res
     return LpResult(LpStatus.OPTIMAL, res.x, -res.value)
+
+
+def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec) -> tuple[Q, Vec]:
+    """min over x of max_p |rhs_p - rows_p . x|, exactly.
+
+    Returns (t_star, x_star) with x_star attaining t_star.  The problem
+    is always feasible and bounded below by 0.  Guarded at
+    MINIMAX_MAX_ROWS rows; this is a desk-scale kernel.
+    """
+    nrows = len(rows)
+    if nrows == 0 or not rows[0]:
+        raise ValidationError("minimax needs at least one row and one column")
+    if nrows > MINIMAX_MAX_ROWS:
+        raise CapacityError(f"minimax kernel capped at {MINIMAX_MAX_ROWS} rows, got {nrows}")
+    m = len(rows[0])
+    if len(rhs) != nrows:
+        raise ValidationError("minimax rhs length does not match row count")
+    # Variables (x, t); minimize t subject to +-(rows.x - rhs) <= t.
+    cost = (Q(0),) * m + (Q(1),)
+    a_ub = []
+    b_ub = []
+    for row, b in zip(rows, rhs):
+        a_ub.append(tuple(row) + (Q(-1),))
+        b_ub.append(b)
+        a_ub.append(tuple(-x for x in row) + (Q(-1),))
+        b_ub.append(-b)
+    res = lp_min(cost, tuple(a_ub), tuple(b_ub))
+    if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
+        raise ValidationError(f"minimax LP unexpectedly {res.status.value}")
+    return res.value, res.x[:m]

@@ -16,10 +16,9 @@ hyperplane list) first, completed greedily in lexicographic cell order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CapacityError, InternalInconsistencyError
-from .exact import Q, Vec, dot, integerize, rank
+from .exact import Q, Vec, dot, first_basis, integerize, rank
 from .lp import LpStatus, lp_max
 from .subspace import ComponentProfile, ReducedInstance
 
@@ -166,25 +165,6 @@ def _staircase_patterns(r: int):
         yield tuple([1] * (r - j) + [-1] * j)
 
 
-class _SpanTracker:
-    """Incremental exact rank via row reduction."""
-
-    def __init__(self) -> None:
-        self.reduced_rows: list[list[Fraction]] = []
-
-    def try_add(self, v) -> bool:
-        row = [Q(x) for x in v]
-        for pivot_row in self.reduced_rows:
-            j = next(k for k, x in enumerate(pivot_row) if x != 0)
-            if row[j] != 0:
-                f = row[j] / pivot_row[j]
-                row = [a - f * b for a, b in zip(row, pivot_row)]
-        if all(x == 0 for x in row):
-            return False
-        self.reduced_rows.append(row)
-        return True
-
-
 def minimal_norming_set(
     arr: Arrangement, cells: tuple[SignCell, ...], reduced: ReducedInstance
 ) -> NormingSet:
@@ -201,18 +181,10 @@ def minimal_norming_set(
         reps.append(x)
 
     by_signs = {cell.signs: idx for idx, cell in enumerate(cells)}
-    tracker = _SpanTracker()
-    basis: list[SignVec] = []
-    basis_cells: list[int] = []
-    for pattern in _staircase_patterns(arr.r):
-        idx = by_signs.get(pattern)
-        if idx is not None and tracker.try_add(reps[idx]):
-            basis.append(reps[idx])
-            basis_cells.append(idx)
-    for idx, x in enumerate(reps):
-        if tracker.try_add(x):
-            basis.append(x)
-            basis_cells.append(idx)
+    staircase = [by_signs[p] for p in _staircase_patterns(arr.r) if p in by_signs]
+    candidates = staircase + list(range(len(reps)))
+    basis_cells = [candidates[p] for p in first_basis([reps[i] for i in candidates])]
+    basis = [reps[i] for i in basis_cells]
     span_dim = len(basis)
     if span_dim != rank(reps):  # pragma: no cover
         raise InternalInconsistencyError("span basis extraction lost rank")

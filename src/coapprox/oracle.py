@@ -232,6 +232,14 @@ def _fails(z: list[int], abs_z: list[int], check) -> bool:
     return abs(sum(map(mul, signs, z))) > sum(map(mul, off, abs_z))
 
 
+def check_grid(radius: Q | None, step: Q | None) -> None:
+    """Reject a negative grid radius or a non-positive step (None: unset)."""
+    if step is not None and step <= 0:
+        raise ValidationError("grid_step must be positive")
+    if radius is not None and radius < 0:
+        raise ValidationError("grid_radius must be non-negative")
+
+
 def brute_force_existence(
     basis: SubspaceBasis,
     b: Vec,
@@ -268,10 +276,7 @@ def brute_force_existence(
         raise CapacityError(f"brute force capped at m <= {BRUTE_FORCE_MAX_M}")
     radius = Q(grid_radius)
     step = Q(grid_step)
-    if step <= 0:
-        raise ValidationError("grid_step must be positive")
-    if radius < 0:
-        raise ValidationError("grid_radius must be non-negative")
+    check_grid(radius, step)
     per_axis = math.floor(2 * radius / step) + 1
     if per_axis**m > BRUTE_FORCE_MAX_POINTS:
         raise CapacityError(

@@ -43,13 +43,14 @@ from .exact import (
     l1_norm,
     rank,
     solve_linear,
-    solve_minimax_lp,
     vec_add,
     vec_scale,
 )
-from .lp import LpStatus, lp_min
+from .lp import LpStatus, lp_min, solve_minimax_lp
 from .norming import (
+    Arrangement,
     NormingSet,
+    SignCell,
     build_arrangement,
     enumerate_cells,
     minimal_norming_set,
@@ -69,7 +70,8 @@ class PreparedBasis:
     """A validated basis plus lazily-built analysis artifacts.
 
     Everything here depends only on the subspace (profile, reduction,
-    arrangement, norming set), so one instance can serve many targets.
+    arrangement, cells, norming set), so one instance can serve many
+    targets; each artifact is built here, once, on first access.
     """
 
     def __init__(self, basis: SubspaceBasis):
@@ -84,10 +86,16 @@ class PreparedBasis:
         return reduce_sigma(self.basis, self.profile)
 
     @cached_property
+    def arrangement(self) -> Arrangement:
+        return build_arrangement(self.reduced, self.profile)
+
+    @cached_property
+    def cells(self) -> tuple[SignCell, ...]:
+        return enumerate_cells(self.arrangement)
+
+    @cached_property
     def norming(self) -> NormingSet:
-        arr = build_arrangement(self.reduced, self.profile)
-        cells = enumerate_cells(arr)
-        norming = minimal_norming_set(arr, cells, self.reduced)
+        norming = minimal_norming_set(self.arrangement, self.cells, self.reduced)
         if not (self.basis.m <= norming.span_dim <= self.profile.d):
             raise InternalInconsistencyError("rank sandwich m <= q <= d violated")
         return norming
@@ -172,24 +180,20 @@ def _unique(basis: SubspaceBasis, alpha: Vec) -> CoapproxOutcome:
     )
 
 
-def solve_empty_zero_set(basis: SubspaceBasis, norming: NormingSet, b: Vec) -> CoapproxOutcome:
+def solve_empty_zero_set(pb: PreparedBasis, b: Vec) -> CoapproxOutcome:
     """Equality-system solve for a basis whose zero set is empty."""
-    if any(is_zero(row) for row in basis.matrix):
+    if pb.profile.zero_set:
         raise DimensionError("solve_empty_zero_set requires an empty zero set")
-    if len(b) != basis.n:
+    if len(b) != pb.basis.n:
         raise DimensionError("target length does not match ambient dimension")
-    rows = tuple(
-        tuple(norming_dot(x, col) for col in basis.columns) for x in norming.system_basis
-    )
-    rhs = tuple(norming_dot(x, b) for x in norming.system_basis)
-    res = solve_linear(rows, rhs)
+    res = solve_linear(pb.system_rows, pb.system_rhs(b))
     if res.status is SystemStatus.NO_SOLUTION:
         return _not_exists()
     if res.status is SystemStatus.AFFINE_FAMILY:
         raise InternalInconsistencyError(
             "underdetermined system contradicts uniqueness on empty zero set"
         )
-    return _unique(basis, res.solution)
+    return _unique(pb.basis, res.solution)
 
 
 def lex_extreme_alpha(
@@ -252,7 +256,7 @@ def solve_general(
     if membership.status is SystemStatus.UNIQUE:
         return _unique(basis, membership.solution)
     if not pb.profile.zero_set:
-        return solve_empty_zero_set(basis, pb.norming, b)
+        return solve_empty_zero_set(pb, b)
 
     reduced = pb.reduced
     slack = sum((abs(b[i]) for i in pb.profile.zero_set), Q(0))

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from coapprox import norming, solver
 from coapprox.cli import main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -255,3 +259,67 @@ def test_literal_over_int_digit_limit_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", "--input", str(f))
     assert code == 2
     assert "invalid JSON" in err
+
+
+# Digest of every command's exit code and output on every sample problem,
+# hashed exactly as perfbench/smoke.py does; any report change moves it.
+GOLDEN_DIGEST = "523caa7d753c7b94dc25c9031bc23c832daab6a24e3a8cbd3ef3cb865e6c20b3"
+
+
+def test_reports_match_golden_digest():
+    overall = hashlib.sha256()
+    for path in sorted(PROBLEMS.glob("*.json")):
+        for command in ("analyze", "norming-set", "solve", "classify", "threshold"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--input", str(path)])
+            overall.update(f"exit={code}\n{out.getvalue()}{err.getvalue()}".encode() + b"\0")
+    assert overall.hexdigest() == GOLDEN_DIGEST
+
+
+def test_norming_set_builds_each_artefact_once(capsys, monkeypatch):
+    calls = {"build_arrangement": 0, "enumerate_cells": 0}
+    for name in calls:
+        original = getattr(norming, name)
+
+        def counted(*args, _name=name, _fn=original):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(norming, name, counted)
+        monkeypatch.setattr(solver, name, counted)
+    run_json(capsys, "norming-set", "--input", str(PROBLEMS / "span3_l16.json"))
+    assert calls == {"build_arrangement": 1, "enumerate_cells": 1}
+
+
+@pytest.mark.parametrize("name", ["line_l12_polytope.json", "pair_l15_cochebyshev.json"])
+@pytest.mark.parametrize(
+    "radius, step, field",
+    [("-3", "0", "grid_step"), ("-3", "1/2", "grid_radius"), ("1", "0", "grid_step")],
+)
+def test_bad_grid_options_exit_2_without_a_not_exists_target(
+    capsys, name, radius, step, field
+):
+    code, out, err = run_cli(
+        capsys, "solve", "--input", str(PROBLEMS / name),
+        "--grid-radius", radius, "--grid-step", step,
+    )
+    assert code == 2 and out == ""
+    assert field in err
+
+
+def test_report_value_over_int_digit_limit_exits_3(tmp_path):
+    f = tmp_path / "huge.json"
+    f.write_text(
+        json.dumps({"n": 2, "basis": [["1/" + "7" * 4000, "0"]],
+                    "targets": [["7" * 4000, "1"]]}),
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "coapprox.cli", "solve", "--input", str(f)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert "digit limit" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -19,7 +19,7 @@ from coapprox import (
     solve_minimax_lp,
     vec,
 )
-from coapprox.exact import integerize, rank
+from coapprox.exact import first_basis, integerize, rank
 
 small_fraction = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -189,3 +189,23 @@ def test_integerize_positive_direction():
 def test_rank_small_cases():
     assert rank(mat([(1, 2), (2, 4)])) == 1
     assert rank(mat([(1, 0), (0, 1), (1, 1)])) == 2
+
+
+def _greedy_basis(vectors):
+    """Reference: keep each vector that raises the rank of those kept."""
+    kept = []
+    for i, v in enumerate(vectors):
+        if rank([vectors[j] for j in kept] + [v]) > len(kept):
+            kept.append(i)
+    return kept
+
+
+def test_first_basis_matches_greedy_rank_loop():
+    rng = random.Random(3)
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        pool = [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(rng.randint(1, 4))]
+        pool.append((0,) * k)
+        vectors = [rng.choice(pool) for _ in range(rng.randint(0, 9))]
+        assert first_basis(vectors) == _greedy_basis(vectors)
+    assert first_basis([(0, 0), (1, 2), (2, 4), (1, 2), (0, 1)]) == [1, 4]

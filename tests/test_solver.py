@@ -42,28 +42,26 @@ class TestEmptyZeroSet:
 
     def test_unique_solution(self, span3_l16):
         pb = prepare(span3_l16)
-        out = solve_empty_zero_set(span3_l16, pb.norming, B2)
+        out = solve_empty_zero_set(pb, B2)
         assert out.kind is OutcomeKind.UNIQUE
         assert out.coefficients == (Q(1, 7), Q(-3, 7), Q(1))
         assert out.vector == vec((2, 3, 0, 0, -2, 6))
 
     def test_not_exists(self, span3_l16):
         pb = prepare(span3_l16)
-        out = solve_empty_zero_set(span3_l16, pb.norming, B1)
+        out = solve_empty_zero_set(pb, B1)
         assert out.kind is OutcomeKind.NOT_EXISTS
 
     def test_subspace_member(self, span3_l16):
         pb = prepare(span3_l16)
-        out = solve_empty_zero_set(span3_l16, pb.norming, span3_l16.columns[0])
+        out = solve_empty_zero_set(pb, span3_l16.columns[0])
         assert out.kind is OutcomeKind.UNIQUE
         assert out.coefficients == (Q(1), Q(0), Q(0))
 
     def test_rejects_zero_rows(self, pair_l17_coproximinal):
         pb = prepare(pair_l17_coproximinal)
         with pytest.raises(DimensionError):
-            solve_empty_zero_set(
-                pair_l17_coproximinal, pb.norming, vec([1] * 7)
-            )
+            solve_empty_zero_set(pb, vec([1] * 7))
 
 
 class TestSolveGeneral:
@@ -75,7 +73,7 @@ class TestSolveGeneral:
             basis = random_basis(rng, n, m)
             pb = prepare(basis)
             b = random_vector(rng, n)
-            direct = solve_empty_zero_set(basis, pb.norming, b)
+            direct = solve_empty_zero_set(pb, b)
             general = solve_general(basis, pb.profile, b, prepared=pb)
             assert direct == general
 
