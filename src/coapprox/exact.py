@@ -1,9 +1,11 @@
 """Exact rational scalars, vectors and matrices, the one Gauss-Jordan
-elimination routine and the 1-d l1 minimizer everything else is built on.
+elimination routine, the scaling of rational rows to coprime ints, and
+the 1-d l1 minimizer everything else is built on.
 
 No floating point is used anywhere: existence decisions downstream
 (sign cells, ranks, system consistency) are discontinuous in the data,
-so every quantity is a `fractions.Fraction`.
+so every quantity is a `fractions.Fraction`, or a row of Python ints
+up to a known positive scale.
 """
 from __future__ import annotations
 
@@ -138,21 +140,36 @@ def first_basis(vectors: Sequence[Vec]) -> list[int]:
     return _gauss_jordan(work, len(vectors))
 
 
+def content(ints: Sequence[int]) -> int:
+    """gcd of the entries, 0 for a zero list.  A pairwise loop that stops
+    at 1: `math.gcd(*ints)` would first copy the whole list."""
+    g = 0
+    for k in ints:
+        if k:
+            g = math.gcd(g, k)
+            if g == 1:
+                break
+    return g
+
+
+def primitive_ints(values: Iterable) -> list[int]:
+    """The int or Fraction entries times the positive rational that makes
+    them coprime integers (a zero list stays zero)."""
+    values = list(values)
+    denom_lcm = 1
+    for x in values:
+        denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
+    ints = [x.numerator * (denom_lcm // x.denominator) for x in values]
+    g = content(ints)
+    return [k // g for k in ints] if g > 1 else ints
+
+
 def integerize(v: Vec) -> Vec:
     """Scale by the positive rational that makes entries coprime integers.
 
     The direction of the vector is preserved (no sign flip).
     """
-    if is_zero(v):
-        return v
-    denom_lcm = 1
-    for x in v:
-        denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in v]
-    g = 0
-    for k in ints:
-        g = math.gcd(g, k)
-    return tuple(Q(k // g) for k in ints)
+    return tuple(Q(k) for k in primitive_ints(v))
 
 
 class SystemStatus(Enum):

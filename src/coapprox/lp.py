@@ -2,8 +2,10 @@
 
 Variables are free rationals; every constraint is `a . x <= b`.  Free
 variables are split into positive parts internally.  Bland's pivoting
-rule guarantees termination, and all arithmetic is over Fraction, so the
-reported optimum and optimizer are exact.  Intended for the desk-scale
+rule guarantees termination.  The tableau is fraction-free: each row is
+Python ints up to a positive scale, every pivot decision is a sign test
+or a cross-multiplied comparison, and Fractions are built only for the
+reported optimum and optimizer, which are exact.  Intended for the desk-scale
 problems this package produces (tens of rows, < ~20 columns).
 `solve_minimax_lp` poses the exact l-infinity fit of a linear system on it.
 """
@@ -14,6 +16,7 @@ from enum import Enum
 from fractions import Fraction as Q
 
 from .errors import CapacityError, ValidationError
+from .exact import content, primitive_ints
 
 Vec = tuple[Q, ...]
 
@@ -33,15 +36,23 @@ class LpResult:
     value: Q | None
 
 
+def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
+    """p*row - row[c]*prow over the content gcd, with p = prow[c] > 0:
+    clears column c and keeps the row's scale positive."""
+    p, f = prow[c], row[c]
+    out = [p * a - f * b for a, b in zip(row, prow)]
+    g = content(out)
+    return [a // g for a in out] if g > 1 else out
+
+
 def lp_min(cost, a_ub, b_ub, a_eq=(), b_eq=()) -> LpResult:
     """Minimize cost . x subject to a_ub . x <= b_ub and a_eq . x == b_eq."""
-    rows = [list(r) for r in a_ub]
-    rhs = list(b_ub)
+    # Each row is scaled to coprime ints; a leading 1 makes entry 0 the scale.
+    rows = [primitive_ints((1, *r, b)) for r, b in zip(a_ub, b_ub)]
     for r, b in zip(a_eq, b_eq):
-        rows.append(list(r))
-        rhs.append(b)
-        rows.append([-x for x in r])
-        rhs.append(-b)
+        row = primitive_ints((1, *r, b))
+        rows.append(row)
+        rows.append([row[0]] + [-k for k in row[1:]])
     n = len(cost)
     if not rows:
         if all(c == 0 for c in cost):
@@ -50,115 +61,95 @@ def lp_min(cost, a_ub, b_ub, a_eq=(), b_eq=()) -> LpResult:
 
     nrows = len(rows)
     # Columns: u_0..u_{n-1}, v_0..v_{n-1} (x = u - v), slack per row,
-    # then one artificial per negative-rhs row.
+    # then one artificial per negative-rhs row, then the rhs.  Row i of
+    # the tableau is ints whose true value is tableau[i] / tableau[i][basis[i]]
+    # (a positive scale); row nrows is the objective, up to a positive scale.
     nsplit = 2 * n
-    nslack = nrows
-    neg_rows = [i for i in range(nrows) if rhs[i] < 0]
-    nart = len(neg_rows)
-    ncols = nsplit + nslack + nart
-    art_col = {}
-    for k, i in enumerate(neg_rows):
-        art_col[i] = nsplit + nslack + k
+    nstruct = nsplit + nrows
+    neg_rows = [i for i in range(nrows) if rows[i][-1] < 0]
+    ncols = nstruct + len(neg_rows)
+    art_col = {i: nstruct + k for k, i in enumerate(neg_rows)}
 
-    tableau: list[list[Q]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
-    for i in range(nrows):
-        sign = Q(-1) if i in art_col else Q(1)
-        row = [Q(0)] * (ncols + 1)
+    for i, (scale, *ints, rhs) in enumerate(rows):
+        sign = -1 if i in art_col else 1
+        row = [0] * (ncols + 1)
         for j in range(n):
-            row[j] = sign * rows[i][j]
-            row[n + j] = -sign * rows[i][j]
-        row[nsplit + i] = sign
+            row[j] = sign * ints[j]
+            row[n + j] = -sign * ints[j]
+        row[nsplit + i] = sign * scale
         if i in art_col:
-            row[art_col[i]] = Q(1)
+            row[art_col[i]] = scale
             basis.append(art_col[i])
         else:
             basis.append(nsplit + i)
-        row[ncols] = sign * rhs[i]
+        row[ncols] = sign * rhs
         tableau.append(row)
 
-    def reduced_costs(costvec):
-        obj = list(costvec) + [Q(0)]
+    def set_objective(costvec):
+        obj = costvec + [0]
         for i, bcol in enumerate(basis):
-            cb = costvec[bcol]
-            if cb != 0:
-                row = tableau[i]
-                for j in range(ncols + 1):
-                    if row[j] != 0:
-                        obj[j] -= cb * row[j]
-        return obj
+            if obj[bcol]:
+                obj = _eliminate(obj, tableau[i], bcol)
+        tableau[nrows:] = [obj]
 
     def pivot(r, c):
-        row = tableau[r]
-        pv = row[c]
-        tableau[r] = [x / pv for x in row]
+        if tableau[r][c] < 0:  # only when pivoting an artificial out
+            tableau[r] = [-a for a in tableau[r]]
         prow = tableau[r]
-        for i in range(nrows):
-            if i != r:
-                f = tableau[i][c]
-                if f != 0:
-                    tableau[i] = [a - f * b for a, b in zip(tableau[i], prow)]
+        for i, row in enumerate(tableau):
+            if i != r and row[c]:
+                tableau[i] = _eliminate(row, prow, c)
         basis[r] = c
 
-    def run_simplex(obj, allowed_cols):
+    def run_simplex(allowed_cols):
         while True:
-            enter = -1
-            for j in allowed_cols:
-                if obj[j] < 0:
-                    enter = j
-                    break
+            obj = tableau[nrows]
+            enter = next((j for j in allowed_cols if obj[j] < 0), -1)
             if enter < 0:
                 return True
             leave = -1
-            best = None
             for i in range(nrows):
-                coef = tableau[i][enter]
+                row = tableau[i]
+                coef = row[enter]
                 if coef > 0:
-                    ratio = tableau[i][ncols] / coef
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        best = ratio
+                    if leave < 0:
+                        leave = i
+                        continue
+                    # rhs/coef against the best ratio, cross-multiplied.
+                    best = tableau[leave]
+                    diff = row[ncols] * best[enter] - best[ncols] * coef
+                    if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
                 return False
-            f = obj[enter]
             pivot(leave, enter)
-            prow = tableau[leave]
-            for j in range(ncols + 1):
-                if prow[j] != 0:
-                    obj[j] -= f * prow[j]
 
-    if nart:
-        phase1_cost = [Q(0)] * ncols
-        for i in neg_rows:
-            phase1_cost[art_col[i]] = Q(1)
-        obj = reduced_costs(phase1_cost)
-        run_simplex(obj, range(ncols))
-        if -obj[ncols] != 0:
+    if neg_rows:
+        phase1_cost = [0] * ncols
+        for col in art_col.values():
+            phase1_cost[col] = 1
+        set_objective(phase1_cost)
+        run_simplex(range(ncols))
+        if tableau[nrows][ncols] != 0:
             return LpResult(LpStatus.INFEASIBLE, None, None)
         # Pivot any artificial still basic (at zero) out on a structural
         # column; a row with none is redundant and can stay as-is.
-        art_cols = set(art_col.values())
         for i in range(nrows):
-            if basis[i] in art_cols:
-                c = next(
-                    (j for j in range(nsplit + nslack) if tableau[i][j] != 0),
-                    None,
-                )
+            if basis[i] >= nstruct:
+                c = next((j for j in range(nstruct) if tableau[i][j] != 0), None)
                 if c is not None:
                     pivot(i, c)
 
-    structural = range(nsplit + nslack)
-    phase2_cost = [Q(0)] * ncols
-    for j in range(n):
-        phase2_cost[j] = cost[j]
-        phase2_cost[n + j] = -cost[j]
-    obj = reduced_costs(phase2_cost)
-    if not run_simplex(obj, structural):
+    cost_ints = primitive_ints(cost)
+    set_objective(cost_ints + [-k for k in cost_ints] + [0] * (ncols - nsplit))
+    if not run_simplex(range(nstruct)):
         return LpResult(LpStatus.UNBOUNDED, None, None)
 
     values = [Q(0)] * ncols
     for i, bcol in enumerate(basis):
-        values[bcol] = tableau[i][ncols]
+        values[bcol] = Q(tableau[i][ncols], tableau[i][bcol])
     x = tuple(values[j] - values[n + j] for j in range(n))
     opt = sum((c * v for c, v in zip(cost, x)), Q(0))
     return LpResult(LpStatus.OPTIMAL, x, opt)

@@ -15,6 +15,7 @@ hyperplane list) first, completed greedily in lexicographic cell order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import CapacityError, InternalInconsistencyError
@@ -23,6 +24,9 @@ from .lp import LpStatus, lp_max
 from .subspace import ComponentProfile, ReducedInstance
 
 MAX_HYPERPLANES = 20
+# Cap on cell_pair_bound(r, m): it admits every m <= 3 arrangement within
+# MAX_HYPERPLANES (at most 191 pairs) and any m when r <= 9.
+MAX_CELL_PAIRS = 256
 
 SignVec = tuple[int, ...]
 
@@ -131,6 +135,12 @@ def _max_min_margin(normals, signs, m):
     return res.value, res.x[:m]
 
 
+def cell_pair_bound(r: int, m: int) -> int:
+    """Most antipodal cell pairs that r distinct central hyperplanes in
+    R^m can cut: sum_{k<m} C(r-1, k), reached in general position."""
+    return sum(math.comb(r - 1, k) for k in range(m))
+
+
 def enumerate_cells(arr: Arrangement) -> tuple[SignCell, ...]:
     """All nonempty open cells, one per antipodal pair, in lexicographic
     sign order (+1 before -1, hyperplane 0 fixed to +1).
@@ -144,19 +154,26 @@ def enumerate_cells(arr: Arrangement) -> tuple[SignCell, ...]:
         raise CapacityError(
             f"cell enumeration capped at {MAX_HYPERPLANES} hyperplanes, got {arr.r}"
         )
+    bound = cell_pair_bound(arr.r, arr.m)
+    if bound > MAX_CELL_PAIRS:
+        raise CapacityError(
+            f"cell enumeration capped at {MAX_CELL_PAIRS} cell pairs; "
+            f"{arr.r} hyperplanes in R^{arr.m} may cut {bound}"
+        )
     cells: list[SignCell] = []
-
-    def descend(signs: list[int]) -> None:
+    # Depth first, +1 before -1.  A loop, not a recursive closure: a
+    # closure that calls itself is a reference cycle, which would keep
+    # every enumeration's cells alive until the cyclic collector runs.
+    stack = [[1]]
+    while stack:
+        signs = stack.pop()
         margin, beta = _max_min_margin(arr.normals[: len(signs)], signs, arr.m)
         if margin <= 0:
-            return
+            continue
         if len(signs) == arr.r:
             cells.append(SignCell(signs=tuple(signs), witness=beta))
-            return
-        for nxt in (1, -1):
-            descend(signs + [nxt])
-
-    descend([1])
+        else:
+            stack += (signs + [-1], signs + [1])
     return tuple(cells)
 
 

@@ -2,12 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coapprox import norming, solver
 from coapprox.cli import main
@@ -323,3 +327,130 @@ def test_report_value_over_int_digit_limit_exits_3(tmp_path):
     assert proc.returncode == 3
     assert "digit limit" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_norming_set_work_counts(capsys, monkeypatch):
+    # Exact work on the worked fixture: a kernel change that runs more
+    # margin LPs, or finds other cells, fails here without any timing.
+    calls = {"lp_max": 0}
+    original = norming.lp_max
+
+    def counted(*args):
+        calls["lp_max"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(norming, "lp_max", counted)
+    report = run_json(capsys, "norming-set", "--input", str(PROBLEMS / "span3_l16.json"))
+    assert (calls["lp_max"], len(report["cells"])) == (15, 7)
+
+
+@pytest.mark.parametrize("m", [4, 10])
+def test_cell_pair_cap_exits_3_at_once(tmp_path, capsys, m):
+    # Refused before any LP.  Uncapped, the m = 4 basis (19 hyperplanes,
+    # bound 988) has 943 cells found by 7885 margin LPs; the m = 10 one
+    # (20 hyperplanes) may cut 262144 cell pairs.
+    rng = random.Random(m)
+    doc = {"n": 20, "basis": [[str(rng.randint(-3, 3)) for _ in range(20)] for _ in range(m)]}
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classify", "--input", str(f))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "cell pairs" in err
+
+
+_GOOD_ENTRY = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 3)),
+    st.integers(-3, 3),
+)
+_BAD_VALUE = st.one_of(
+    st.sampled_from(["1/0", "1.5", "1e3", "1/-2", "", "x", "--1", "9" * 5000]),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_FAULTS = ("n", "entry", "ragged", "dependent", "oversized", "targets", "options",
+           "top-level", "text")
+
+
+@st.composite
+def problem_documents(draw):
+    """JSON text of a small problem file: valid, or (half the time) with one fault."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, min(n, 3)))
+    vector = st.lists(_GOOD_ENTRY, min_size=n, max_size=n)
+    doc = {
+        "n": n,
+        "basis": draw(st.lists(vector, min_size=m, max_size=m)),
+        "targets": draw(st.lists(vector, min_size=1, max_size=2)),
+        "options": {"trials": draw(st.integers(1, 3)), "seed": draw(st.integers(0, 3)),
+                    "grid_radius": draw(st.sampled_from(["0", "1", "1/2"])),
+                    "grid_step": draw(st.sampled_from(["1", "1/2"]))},
+    }
+    if n > m and draw(st.booleans()):  # a zero set, for threshold
+        for vec in doc["basis"]:
+            vec[-1] = "0"
+    fault = draw(st.one_of(st.none(), st.sampled_from(_FAULTS)))
+    if fault == "n":
+        doc["n"] = draw(st.sampled_from([True, False, 0, -1, "3", 2.0, None]))
+    elif fault == "entry":
+        vec = doc["basis"][draw(st.integers(0, m - 1))]
+        vec[draw(st.integers(0, n - 1))] = draw(_BAD_VALUE)
+    elif fault == "ragged":
+        vec = doc["basis"][draw(st.integers(0, m - 1))]
+        if draw(st.booleans()):
+            vec.append("1")
+        else:
+            vec.pop()
+    elif fault == "dependent":
+        doc["basis"].append(list(doc["basis"][0]))
+    elif fault == "oversized":
+        # Rows (1, k, k^2, ...) are pairwise non-proportional: r = n hyperplanes.
+        n, m = draw(st.sampled_from([(21, 2), (24, 3), (14, 4), (12, 10)]))
+        doc["n"] = n
+        doc["basis"] = [[str(k**j) for k in range(1, n + 1)] for j in range(m)]
+        doc["targets"] = [["1"] * n]
+    elif fault == "targets":
+        doc["targets"] = draw(st.one_of(
+            st.sampled_from([[], None]),
+            _BAD_VALUE,
+            st.lists(_BAD_VALUE, min_size=1, max_size=2),
+            st.builds(lambda name, v: [{"name": name, "vector": v}],
+                      st.one_of(st.text(max_size=2), _BAD_VALUE), _BAD_VALUE),
+        ))
+    elif fault == "options":
+        doc["options"] = draw(st.one_of(
+            _BAD_VALUE,
+            st.dictionaries(
+                st.sampled_from(["trials", "seed", "grid_radius", "grid_step"]),
+                st.one_of(_BAD_VALUE, st.sampled_from(["-1", "0", -1, 0])),
+                min_size=1,
+            ),
+        ))
+    elif fault == "top-level":
+        return json.dumps(draw(st.one_of(_BAD_VALUE, st.just([doc]))))
+    elif fault == "text":
+        return draw(st.sampled_from(["", "{", '{"n": 2,', "[1, 2", "nul", '{"n": NaN}']))
+    return json.dumps(doc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(text=problem_documents(),
+       command=st.sampled_from(["analyze", "norming-set", "solve", "classify", "threshold"]))
+def test_cli_survives_generated_documents(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.json"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--input", str(path)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["command"] == command
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith(f"coapprox {command}: ")

@@ -10,11 +10,12 @@ from coapprox import (
     enumerate_cells,
     mat,
     minimal_norming_set,
+    norming,
     reduce_sigma,
     validate_basis,
 )
 from coapprox.instances import random_basis, random_invertible, recombine
-from coapprox.norming import norming_dot
+from coapprox.norming import MAX_CELL_PAIRS, MAX_HYPERPLANES, cell_pair_bound, norming_dot
 from tests.conftest import column_basis
 
 EXPECTED_SPAN_BASIS = (
@@ -23,6 +24,11 @@ EXPECTED_SPAN_BASIS = (
     (1, 1, -1, -1, -1, 1),
     (1, -1, -1, -1, -1, -1),
 )
+
+
+def arrangement_of(basis):
+    profile = build_profile(basis)
+    return build_arrangement(reduce_sigma(basis, profile), profile)
 
 
 def analyzed(basis):
@@ -90,6 +96,34 @@ class TestEnumerateCells:
         arr = build_arrangement(reduced, profile)
         assert arr.r == 21
         with pytest.raises(CapacityError):
+            enumerate_cells(arr)
+
+    def test_twenty_hyperplanes_are_admitted(self):
+        # MAX_HYPERPLANES is inclusive: r = 20 lines in the plane give 20 pairs.
+        basis = validate_basis(mat([(1, k) for k in range(20)]))
+        _, _, arr, cells, _ = analyzed(basis)
+        assert arr.r == MAX_HYPERPLANES == 20
+        assert len(cells) == cell_pair_bound(20, 2) == 20
+
+    def test_cell_pair_bound(self, span3_l16):
+        assert [cell_pair_bound(7, 3), cell_pair_bound(20, 3)] == [22, 191]
+        assert cell_pair_bound(9, 12) == 2**8  # m >= r: every sign pattern
+        # Reached in general position, as by the worked fixture.
+        _, _, arr, cells, _ = analyzed(span3_l16)
+        assert len(cells) == cell_pair_bound(arr.r, arr.m) == 7
+
+    @pytest.mark.parametrize("m, r", [(4, 13), (10, 12)])
+    def test_cell_pair_guard_runs_no_lp(self, monkeypatch, m, r):
+        # Rows (1, k, k^2, ...) are pairwise non-proportional: r classes.
+        basis = validate_basis(mat([[k**j for j in range(m)] for k in range(1, r + 1)]))
+        arr = arrangement_of(basis)
+        assert arr.r == r and cell_pair_bound(r, m) > MAX_CELL_PAIRS
+
+        def no_lp(*args):
+            raise AssertionError("margin LP run before the capacity check")
+
+        monkeypatch.setattr(norming, "lp_max", no_lp)
+        with pytest.raises(CapacityError, match="cell pairs"):
             enumerate_cells(arr)
 
     def test_agrees_with_exhaustive_pattern_sampling(self):
