@@ -7,6 +7,7 @@ coordinate indices in reports are 1-based.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -316,6 +317,7 @@ def cmd_threshold(problem: ProblemFile) -> dict:
     return report
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coapprox",

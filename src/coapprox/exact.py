@@ -1,6 +1,7 @@
-"""Exact rational scalars, vectors and matrices, the one Gauss-Jordan
-elimination routine, the scaling of rational rows to coprime ints, and
-the 1-d l1 minimizer everything else is built on.
+"""Exact rational scalars, vectors and matrices, the scaling of rational
+rows to coprime ints, the one fraction-free row operation (`eliminate`)
+that both Gauss-Jordan elimination and the simplex tableau in `lp.py`
+are built on, and the 1-d l1 minimizer.
 
 No floating point is used anywhere: existence decisions downstream
 (sign cells, ranks, system consistency) are discontinuous in the data,
@@ -76,10 +77,6 @@ def l1_norm(v: Vec) -> Q:
     return sum((abs(x) for x in v), Q(0))
 
 
-def dot(u: Vec, v: Vec) -> Q:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Q(0))
-
-
 def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
@@ -94,50 +91,6 @@ def vec_scale(c: Q, v: Vec) -> Vec:
 
 def transpose(rows: Mat) -> Mat:
     return tuple(zip(*rows)) if rows else ()
-
-
-def _gauss_jordan(work: list[list[Q]], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination in place on the first `ncols` columns
-    (later columns ride along); return the pivot columns.  Row i ends as
-    the only row nonzero in pivot column i.  Rows are not scaled: row i is
-    the reduced row echelon row times its pivot entry."""
-    nrows = len(work)
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][c]
-        for i in range(nrows):
-            f = work[i][c]
-            if i != r and f != 0:
-                f /= pv
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-    return pivots
-
-
-def rank(rows: Sequence[Vec]) -> int:
-    """Exact rank (entries coerced to Fraction), eliminated along the
-    shorter side: a tall matrix is reduced as its transpose."""
-    if rows and len(rows) > len(rows[0]):
-        rows = transpose(rows)
-    work = [[Q(x) for x in r] for r in rows]
-    return len(_gauss_jordan(work, len(work[0]) if work else 0))
-
-
-def first_basis(vectors: Sequence[Vec]) -> list[int]:
-    """Indices of the vectors that greedy in-order independence keeps:
-    each one is kept iff it is outside the span of those before it.
-
-    These are the pivot columns of the matrix whose columns are `vectors`.
-    """
-    work = [[Q(x) for x in r] for r in transpose(vectors)]
-    return _gauss_jordan(work, len(vectors))
 
 
 def content(ints: Sequence[int]) -> int:
@@ -164,6 +117,59 @@ def primitive_ints(values: Iterable) -> list[int]:
     return [k // g for k in ints] if g > 1 else ints
 
 
+def eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
+    """p*row - row[c]*prow over the content gcd, with p = prow[c] > 0:
+    clears column c and keeps the row's scale positive."""
+    p, f = prow[c], row[c]
+    out = [p * a - f * b for a, b in zip(row, prow)]
+    g = content(out)
+    return [a // g for a in out] if g > 1 else out
+
+
+def _gauss_jordan(work: list[list[int]], ncols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination in place on int rows, over
+    the first `ncols` columns (later columns ride along); return the pivot
+    columns.  Row i ends as the only row nonzero in pivot column i, and is
+    the reduced row echelon row times its pivot entry, which is positive."""
+    nrows = len(work)
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        if work[r][c] < 0:
+            work[r] = [-a for a in work[r]]
+        prow = work[r]
+        for i in range(nrows):
+            if i != r and work[i][c]:
+                work[i] = eliminate(work[i], prow, c)
+        pivots.append(c)
+    return pivots
+
+
+def rank(rows: Sequence[Vec]) -> int:
+    """Exact rank (int or Fraction entries), eliminated along the
+    shorter side: a tall matrix is reduced as its transpose."""
+    if rows and len(rows) > len(rows[0]):
+        rows = transpose(rows)
+    work = [primitive_ints(r) for r in rows]
+    return len(_gauss_jordan(work, len(work[0]) if work else 0))
+
+
+def first_basis(vectors: Sequence[Vec]) -> list[int]:
+    """Indices of the vectors that greedy in-order independence keeps:
+    each one is kept iff it is outside the span of those before it.
+
+    These are the pivot columns of the matrix whose columns are `vectors`.
+    """
+    work = [primitive_ints(r) for r in transpose(vectors)]
+    return _gauss_jordan(work, len(vectors))
+
+
 def integerize(v: Vec) -> Vec:
     """Scale by the positive rational that makes entries coprime integers.
 
@@ -186,7 +192,7 @@ class LinearSystemResult:
 
 
 def solve_linear(rows: Mat, rhs: Vec) -> LinearSystemResult:
-    """Solve rows·x = rhs exactly by Gauss-Jordan elimination.
+    """Solve rows·x = rhs exactly by fraction-free Gauss-Jordan elimination.
 
     Inconsistency is a status, not an error.  For AFFINE_FAMILY the
     particular solution has zeros on the free coordinates and the
@@ -198,13 +204,13 @@ def solve_linear(rows: Mat, rhs: Vec) -> LinearSystemResult:
     ncols = len(rows[0])
     if len(rhs) != nrows:
         raise ValidationError("right-hand side length does not match row count")
-    aug = [[Q(x) for x in r] + [Q(b)] for r, b in zip(rows, rhs)]
+    aug = [primitive_ints((*r, b)) for r, b in zip(rows, rhs)]
     pivot_cols = _gauss_jordan(aug, ncols)
     if any(aug[i][ncols] != 0 for i in range(len(pivot_cols), nrows)):
         return LinearSystemResult(SystemStatus.NO_SOLUTION, None, ())
     solution = [Q(0)] * ncols
     for i, c in enumerate(pivot_cols):
-        solution[c] = aug[i][ncols] / aug[i][c]
+        solution[c] = Q(aug[i][ncols], aug[i][c])
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     if not free_cols:
         return LinearSystemResult(SystemStatus.UNIQUE, tuple(solution), ())
@@ -213,7 +219,7 @@ def solve_linear(rows: Mat, rhs: Vec) -> LinearSystemResult:
         v = [Q(0)] * ncols
         v[fc] = Q(1)
         for i, c in enumerate(pivot_cols):
-            v[c] = -aug[i][fc] / aug[i][c]
+            v[c] = Q(-aug[i][fc], aug[i][c])
         null_basis.append(tuple(v))
     return LinearSystemResult(SystemStatus.AFFINE_FAMILY, tuple(solution), tuple(null_basis))
 

@@ -3,10 +3,12 @@
 Variables are free rationals; every constraint is `a . x <= b`.  Free
 variables are split into positive parts internally.  Bland's pivoting
 rule guarantees termination.  The tableau is fraction-free: each row is
-Python ints up to a positive scale, every pivot decision is a sign test
-or a cross-multiplied comparison, and Fractions are built only for the
-reported optimum and optimizer, which are exact.  Intended for the desk-scale
-problems this package produces (tens of rows, < ~20 columns).
+Python ints up to a positive scale, every pivot is the row operation
+`exact.eliminate` that Gauss-Jordan elimination also uses, every pivot
+decision is a sign test or a cross-multiplied comparison, and Fractions
+are built only for the reported optimum and optimizer, which are exact.
+Intended for the desk-scale problems this package produces (tens of
+rows, < ~20 columns).
 `solve_minimax_lp` poses the exact l-infinity fit of a linear system on it.
 """
 from __future__ import annotations
@@ -16,7 +18,7 @@ from enum import Enum
 from fractions import Fraction as Q
 
 from .errors import CapacityError, ValidationError
-from .exact import content, primitive_ints
+from .exact import eliminate, primitive_ints
 
 Vec = tuple[Q, ...]
 
@@ -34,15 +36,6 @@ class LpResult:
     status: LpStatus
     x: Vec | None
     value: Q | None
-
-
-def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
-    """p*row - row[c]*prow over the content gcd, with p = prow[c] > 0:
-    clears column c and keeps the row's scale positive."""
-    p, f = prow[c], row[c]
-    out = [p * a - f * b for a, b in zip(row, prow)]
-    g = content(out)
-    return [a // g for a in out] if g > 1 else out
 
 
 def lp_min(cost, a_ub, b_ub, a_eq=(), b_eq=()) -> LpResult:
@@ -91,7 +84,7 @@ def lp_min(cost, a_ub, b_ub, a_eq=(), b_eq=()) -> LpResult:
         obj = costvec + [0]
         for i, bcol in enumerate(basis):
             if obj[bcol]:
-                obj = _eliminate(obj, tableau[i], bcol)
+                obj = eliminate(obj, tableau[i], bcol)
         tableau[nrows:] = [obj]
 
     def pivot(r, c):
@@ -100,7 +93,7 @@ def lp_min(cost, a_ub, b_ub, a_eq=(), b_eq=()) -> LpResult:
         prow = tableau[r]
         for i, row in enumerate(tableau):
             if i != r and row[c]:
-                tableau[i] = _eliminate(row, prow, c)
+                tableau[i] = eliminate(row, prow, c)
         basis[r] = c
 
     def run_simplex(allowed_cols):

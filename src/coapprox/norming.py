@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapacityError, InternalInconsistencyError
-from .exact import Q, Vec, dot, first_basis, integerize, rank
+from .exact import Q, Vec, first_basis, integerize, rank
 from .lp import LpStatus, lp_max
 from .subspace import ComponentProfile, ReducedInstance
 
@@ -214,5 +214,5 @@ def minimal_norming_set(
 
 
 def norming_dot(x: SignVec, v: Vec) -> Q:
-    """Pairing of a sign vector with a rational vector of equal length."""
-    return dot(tuple(Q(s) for s in x), v)
+    """Pairing of a sign vector with a rational vector: a signed sum."""
+    return sum((vi if s > 0 else -vi for s, vi in zip(x, v, strict=True) if s), Q(0))

@@ -8,6 +8,10 @@ checked against a deterministic sweep (small integer coefficient
 vectors plus exact edge-direction probes) and seeded random rationals;
 a failure is converted into an exact counterexample to the defining
 inequality.
+
+The test at a probe beta depends on beta only through the sign pattern
+of A.beta, so the verifier and the brute-force grid both reduce their
+probes to sign patterns and run one integer test (`_fails`) per pattern.
 """
 from __future__ import annotations
 
@@ -18,7 +22,8 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import CapacityError, DimensionError, ValidationError
-from .exact import Q, Vec, is_zero, l1_norm, minimize_1d_l1, solve_linear, vec_sub
+from .exact import (Q, Vec, is_zero, l1_norm, minimize_1d_l1, primitive_ints,
+                    solve_linear, vec_sub)
 from .subspace import SubspaceBasis
 
 BRUTE_FORCE_MAX_M = 3
@@ -83,14 +88,6 @@ def _refute_from_bj_failure(
     if lhs <= rhs:  # pragma: no cover
         raise ValidationError("constructed counterexample does not violate")
     return Counterexample(beta=beta_hat, lhs=lhs, rhs=rhs)
-
-
-def _sweep_betas(m: int):
-    return itertools.product((Q(-2), Q(-1), Q(0), Q(1), Q(2)), repeat=m)
-
-
-def _fails_at(basis: SubspaceBasis, residual: Vec, beta: Vec) -> bool:
-    return not bj_orthogonal_l1(basis.combine(beta), residual)
 
 
 def _cross(u: Vec, v: Vec) -> Vec:
@@ -159,7 +156,7 @@ def _random_betas(m: int, trials: int, seed: int, numerator: int, denominator: i
 
 
 def _probe_set(basis: SubspaceBasis) -> tuple[Vec, ...]:
-    probes = tuple(_sweep_betas(basis.m))
+    probes = tuple(itertools.product((Q(-2), Q(-1), Q(0), Q(1), Q(2)), repeat=basis.m))
     if basis.m <= BRUTE_FORCE_MAX_M:
         probes += _edge_probes(basis)
     return probes
@@ -170,26 +167,26 @@ def verify_best_coapprox(
 ) -> VerificationVerdict:
     """Confirm or refute that A.alpha is a best coapproximation to b.
 
-    Runs the deterministic checks (beta in {-2..2}^m plus the edge
-    probes), then `trials` seeded random rational betas.  Any
-    orthogonality failure is returned as an exact counterexample;
-    refutations found deterministically are reproducible without the
-    seed.
+    Checks the deterministic probes (beta in {-2..2}^m plus the edge
+    probes), then `trials` seeded random rational betas, as one exact
+    integer test per distinct sign pattern on b - A.alpha scaled to ints.
+    The first failing pattern is that of the first failing probe, whose
+    beta is returned as an exact counterexample; refutations found
+    deterministically are reproducible without the seed.
     """
     if trials < 1:
         raise ValidationError("verify_best_coapprox needs trials >= 1")
     if len(b) != basis.n or len(alpha) != basis.m:
         raise DimensionError("verify_best_coapprox dimension mismatch")
-    residual = vec_sub(b, basis.combine(alpha))
-    for beta in _probe_set(basis):
-        if _fails_at(basis, residual, beta):
-            return VerificationVerdict(
-                False, _refute_from_bj_failure(basis, b, alpha, beta), seed, trials
-            )
-    for beta in _random_betas(
-        basis.m, trials, seed, _RANDOM_NUMERATOR, _RANDOM_DENOMINATOR
-    ):
-        if _fails_at(basis, residual, beta):
+    betas = itertools.chain(
+        _probe_set(basis),
+        _random_betas(basis.m, trials, seed, _RANDOM_NUMERATOR, _RANDOM_DENOMINATOR),
+    )
+    patterns = _sign_patterns([primitive_ints(row) for row in basis.matrix], betas)
+    z = primitive_ints(vec_sub(b, basis.combine(alpha)))
+    abs_z = list(map(abs, z))
+    for check, beta in patterns.items():
+        if _fails(z, abs_z, check):
             return VerificationVerdict(
                 False, _refute_from_bj_failure(basis, b, alpha, beta), seed, trials
             )
@@ -205,16 +202,18 @@ class BruteForceResult:
     seed: int
 
 
-def _sign_patterns(int_rows, betas) -> tuple[tuple[int, ...], ...]:
-    """Distinct sign patterns of A.beta over the probes, in first-seen order.
+def _sign_patterns(int_rows, betas) -> dict[tuple, Vec]:
+    """Distinct sign patterns of A.beta over the probes, in first-seen
+    order, each as the check `_fails` takes (the signs and the mask of
+    zero signs) mapped to the first beta that produced it.
 
-    `int_rows` is A scaled to ints by a positive factor, and each beta is
-    scaled to ints by its own, so the signs are exact.  A pattern and
-    its negation give the same orthogonality test, so each is stored with
-    its first nonzero sign positive; the zero pattern always passes and
-    is dropped.
+    Each row of `int_rows` is the row of A scaled to ints by a positive
+    factor, and each beta is scaled to ints by its own, so the signs are
+    exact.  A pattern and its negation give the same orthogonality test,
+    so each is stored with its first nonzero sign positive; the zero
+    pattern always passes and is dropped.
     """
-    seen: dict[tuple[int, ...], None] = {}
+    seen: dict[tuple, Vec] = {}
     for beta in betas:
         den = math.lcm(*(x.denominator for x in beta))
         int_beta = [x.numerator * (den // x.denominator) for x in beta]
@@ -222,8 +221,9 @@ def _sign_patterns(int_rows, betas) -> tuple[tuple[int, ...], ...]:
         signs = tuple((y > 0) - (y < 0) for y in images)
         lead = next((s for s in signs if s), 0)
         if lead:
-            seen.setdefault(tuple(lead * s for s in signs), None)
-    return tuple(seen)
+            signs = tuple(lead * s for s in signs)
+            seen.setdefault((signs, tuple(1 - abs(s) for s in signs)), beta)
+    return seen
 
 
 def _fails(z: list[int], abs_z: list[int], check) -> bool:
@@ -297,10 +297,7 @@ def brute_force_existence(
     betas = _probe_set(basis) + tuple(
         _random_betas(m, trials, seed, _GRID_RANDOM_NUMERATOR, _GRID_RANDOM_DENOMINATOR)
     )
-    checks = [
-        (signs, tuple(1 - abs(s) for s in signs))
-        for signs in _sign_patterns(int_rows, betas)
-    ]
+    checks = list(_sign_patterns(int_rows, betas))
 
     candidates = []
     last = 0

@@ -344,6 +344,25 @@ def test_norming_set_work_counts(capsys, monkeypatch):
     assert (calls["lp_max"], len(report["cells"])) == (15, 7)
 
 
+@pytest.mark.parametrize(
+    "name, expected",
+    [("pair_l17_coproximinal.json", (1, 3, 6)), ("line_l12_polytope.json", (1, 3, 3))],
+)
+def test_solve_work_counts(capsys, monkeypatch, name, expected):
+    # Exact per-target solve work: minimax LPs, lex_extreme_alpha calls
+    # and the lex LPs they run, counted at the names the solver calls.
+    calls = {"solve_minimax_lp": 0, "lex_extreme_alpha": 0, "lp_min": 0}
+    for fn_name in calls:
+
+        def counted(*args, _fn=getattr(solver, fn_name), _name=fn_name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(solver, fn_name, counted)
+    run_json(capsys, "solve", "--input", str(PROBLEMS / name))
+    assert tuple(calls.values()) == expected
+
+
 @pytest.mark.parametrize("m", [4, 10])
 def test_cell_pair_cap_exits_3_at_once(tmp_path, capsys, m):
     # Refused before any LP.  Uncapped, the m = 4 basis (19 hyperplanes,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from coapprox import (
     ALL_REALS,
     CapacityError,
+    LinearSystemResult,
     SystemStatus,
     ValidationError,
     format_rational,
@@ -19,7 +20,7 @@ from coapprox import (
     solve_minimax_lp,
     vec,
 )
-from coapprox.exact import first_basis, integerize, rank
+from coapprox.exact import first_basis, integerize, rank, transpose
 
 small_fraction = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -209,3 +210,86 @@ def test_first_basis_matches_greedy_rank_loop():
         vectors = [rng.choice(pool) for _ in range(rng.randint(0, 9))]
         assert first_basis(vectors) == _greedy_basis(vectors)
     assert first_basis([(0, 0), (1, 2), (2, 4), (1, 2), (0, 1)]) == [1, 4]
+
+
+def _reference_gauss_jordan(work, ncols):
+    """The Fraction Gauss-Jordan loop: each row cleared by a divided multiple."""
+    nrows = len(work)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        pv = work[r][c]
+        for i in range(nrows):
+            f = work[i][c]
+            if i != r and f != 0:
+                f /= pv
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    return pivots
+
+
+def _reference_rank(rows):
+    if rows and len(rows) > len(rows[0]):
+        rows = transpose(rows)
+    work = [[Q(x) for x in r] for r in rows]
+    return len(_reference_gauss_jordan(work, len(work[0]) if work else 0))
+
+
+def _reference_first_basis(vectors):
+    work = [[Q(x) for x in r] for r in transpose(vectors)]
+    return _reference_gauss_jordan(work, len(vectors))
+
+
+def _reference_solve_linear(rows, rhs):
+    nrows, ncols = len(rows), len(rows[0])
+    aug = [[Q(x) for x in r] + [Q(b)] for r, b in zip(rows, rhs)]
+    pivot_cols = _reference_gauss_jordan(aug, ncols)
+    if any(aug[i][ncols] != 0 for i in range(len(pivot_cols), nrows)):
+        return LinearSystemResult(SystemStatus.NO_SOLUTION, None, ())
+    solution = [Q(0)] * ncols
+    for i, c in enumerate(pivot_cols):
+        solution[c] = aug[i][ncols] / aug[i][c]
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    if not free_cols:
+        return LinearSystemResult(SystemStatus.UNIQUE, tuple(solution), ())
+    null_basis = []
+    for fc in free_cols:
+        v = [Q(0)] * ncols
+        v[fc] = Q(1)
+        for i, c in enumerate(pivot_cols):
+            v[c] = -aug[i][fc] / aug[i][c]
+        null_basis.append(tuple(v))
+    return LinearSystemResult(SystemStatus.AFFINE_FAMILY, tuple(solution), tuple(null_basis))
+
+
+def test_elimination_matches_fraction_reference():
+    # Random rational systems in which some rows (rhs included, or not)
+    # combine earlier ones, so every status and rank deficit occurs.
+    rng = random.Random(2000)
+    seen = set()
+    for _ in range(1000):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 5)
+        rows, rhs = [], []
+        for i in range(nrows):
+            if i and rng.random() < 0.4:
+                coeffs = [Q(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(i)]
+                rows.append(tuple(sum((c * r[j] for c, r in zip(coeffs, rows)), Q(0))
+                                  for j in range(ncols)))
+                consistent = sum((c * b for c, b in zip(coeffs, rhs)), Q(0))
+                rhs.append(consistent if rng.random() < 0.7 else consistent + 1)
+            else:
+                rows.append(tuple(Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(ncols)))
+                rhs.append(Q(rng.randint(-5, 5), rng.randint(1, 6)))
+        rows, rhs = tuple(rows), tuple(rhs)
+        assert rank(rows) == _reference_rank(rows)
+        assert first_basis(rows) == _reference_first_basis(rows)
+        got = solve_linear(rows, rhs)
+        assert got == _reference_solve_linear(rows, rhs)
+        seen.add(got.status)
+    assert seen == set(SystemStatus)

@@ -10,11 +10,15 @@ from coapprox import (
     BruteForceResult,
     CapacityError,
     DimensionError,
+    OutcomeKind,
     ValidationError,
+    VerificationVerdict,
     bj_orthogonal_l1,
     brute_force_existence,
     l1_norm,
     minimize_1d_l1,
+    prepare,
+    solve_general,
     vec,
     verify_best_coapprox,
 )
@@ -199,3 +203,48 @@ def test_brute_force_matches_reference_scan(monkeypatch, weak_probes):
         assert got == _reference_scan(basis, b, radius, step, trials, seed), case
         nonempty += bool(got.candidates)
     assert nonempty >= 10
+
+
+def _reference_verify(basis, b, alpha, trials=200, seed=0):
+    """The per-probe verifier: bj_orthogonal_l1 in Fractions at each probe
+    in turn, then at each seeded random beta; the first failure refutes."""
+    residual = vec_sub(b, basis.combine(alpha))
+    rng = random.Random(seed)
+    randoms = (
+        tuple(Q(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(basis.m))
+        for _ in range(trials)
+    )
+    for beta in itertools.chain(oracle._probe_set(basis), randoms):
+        if not bj_orthogonal_l1(basis.combine(beta), residual):
+            return VerificationVerdict(
+                False, oracle._refute_from_bj_failure(basis, b, alpha, beta), seed, trials
+            )
+    return VerificationVerdict(True, None, seed, trials)
+
+
+@pytest.mark.parametrize("weak_probes", [False, True])
+def test_verify_matches_reference_verifier(monkeypatch, weak_probes):
+    # Solver alphas (mostly confirmed) and random alphas (mostly refuted),
+    # m = 1..4, every trial count: equal verdicts, counterexample included.
+    if weak_probes:  # with no deterministic probes, the random betas decide
+        monkeypatch.setattr(oracle, "_probe_set", lambda basis: ())
+    rng = random.Random(1310)
+    refuted = confirmed = from_solver = 0
+    for case in range(240):
+        m = 1 + case % 4
+        n = rng.randint(m + 1, 6)
+        basis = random_basis(rng, n, m, zero_rows=min(rng.choice((0, 0, 1, 2)), n - m))
+        b = random_vector(rng, n)
+        trials = (1, 5, 60, 200)[case // 8 % 4]
+        seed = rng.randint(0, 99)
+        alpha = tuple(Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(m))
+        if case // 4 % 2 == 0:
+            out = solve_general(basis, None, b, prepared=prepare(basis))
+            if out.kind is not OutcomeKind.NOT_EXISTS:
+                alpha = out.chosen_alpha
+                from_solver += 1
+        got = verify_best_coapprox(basis, b, alpha, trials=trials, seed=seed)
+        assert got == _reference_verify(basis, b, alpha, trials, seed), case
+        confirmed += got.confirmed
+        refuted += not got.confirmed
+    assert refuted >= 100 and confirmed >= 50 and from_solver >= 50
