@@ -5,6 +5,10 @@ the span of its (reduced) norming set has dimension m, and solutions
 are always unique exactly when in addition the zero set is empty: any
 zero coordinate lets targets supported there have either no solution or
 a whole polytope of them.
+
+That span dimension q always equals d, the number of component classes,
+so the classification reads the row profile alone, with no sign cell
+and no LP: coproximinal iff d == m.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ def classify(basis: SubspaceBasis, *, prepared: PreparedBasis | None = None) -> 
     Rationale tags, in order of application:
       full-space                 m == n, every target is its own solution
       sigma-reduction            zero-set coordinates dropped first
-      q-equals-m / q-exceeds-m   norming-span rank comparison
+      q-equals-m / q-exceeds-m   q = d, the class count, against m
       empty-zero-set-uniqueness  solutions are unique when they exist
       zero-fiber-multiplicity    some target has many solutions
     """
@@ -51,7 +55,7 @@ def classify(basis: SubspaceBasis, *, prepared: PreparedBasis | None = None) -> 
     tags: list[str] = []
     if profile.zero_set:
         tags.append("sigma-reduction")
-    q = pb.norming.span_dim
+    q = pb.q
     coproximinal = q == basis.m
     tags.append("q-equals-m" if coproximinal else "q-exceeds-m")
     if coproximinal:

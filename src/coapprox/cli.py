@@ -215,7 +215,7 @@ def cmd_solve(problem: ProblemFile, args) -> dict:
     opts = _solve_options(problem, args)
     pb = prepare(problem.basis)
     report = _envelope("solve", pb)
-    report["q"] = pb.norming.span_dim
+    report["q"] = pb.q
     report["seed"] = opts["seed"]
     report["trials"] = opts["trials"]
     results = []

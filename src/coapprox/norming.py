@@ -8,10 +8,12 @@ coordinates.  Those sign vectors, as +- pairs, form the unique minimal
 norming set; a subspace functional with coefficients strictly inside a
 cell attains its norm exactly at that cell's pair.
 
-Equality systems downstream only need a basis of the span of the sign
-vectors, so a canonical ordered basis is extracted as well: the
-realizable "staircase" patterns (minus signs on a growing suffix of the
-hyperplane list) first, completed greedily in lexicographic cell order.
+The sign vectors span dimension q = r, the hyperplane count, since each
+hyperplane is a wall between two cells that differ in its sign alone;
+so q needs no enumeration.  A canonical ordered basis of the span is
+extracted as well: the realizable "staircase" patterns (minus signs on a
+growing suffix of the hyperplane list) first, completed greedily in
+lexicographic cell order.
 """
 from __future__ import annotations
 
@@ -141,6 +143,20 @@ def cell_pair_bound(r: int, m: int) -> int:
     return sum(math.comb(r - 1, k) for k in range(m))
 
 
+def check_cell_capacity(r: int, m: int) -> None:
+    """Refuse, before any LP, r hyperplanes in R^m too many to enumerate."""
+    if r > MAX_HYPERPLANES:
+        raise CapacityError(
+            f"cell enumeration capped at {MAX_HYPERPLANES} hyperplanes, got {r}"
+        )
+    bound = cell_pair_bound(r, m)
+    if bound > MAX_CELL_PAIRS:
+        raise CapacityError(
+            f"cell enumeration capped at {MAX_CELL_PAIRS} cell pairs; "
+            f"{r} hyperplanes in R^{m} may cut {bound}"
+        )
+
+
 def enumerate_cells(arr: Arrangement) -> tuple[SignCell, ...]:
     """All nonempty open cells, one per antipodal pair, in lexicographic
     sign order (+1 before -1, hyperplane 0 fixed to +1).
@@ -150,16 +166,7 @@ def enumerate_cells(arr: Arrangement) -> tuple[SignCell, ...]:
     the work is proportional to the number of nonempty cells rather than
     2^r.
     """
-    if arr.r > MAX_HYPERPLANES:
-        raise CapacityError(
-            f"cell enumeration capped at {MAX_HYPERPLANES} hyperplanes, got {arr.r}"
-        )
-    bound = cell_pair_bound(arr.r, arr.m)
-    if bound > MAX_CELL_PAIRS:
-        raise CapacityError(
-            f"cell enumeration capped at {MAX_CELL_PAIRS} cell pairs; "
-            f"{arr.r} hyperplanes in R^{arr.m} may cut {bound}"
-        )
+    check_cell_capacity(arr.r, arr.m)
     cells: list[SignCell] = []
     # Depth first, +1 before -1.  A loop, not a recursive closure: a
     # closure that calls itself is a reference cycle, which would keep

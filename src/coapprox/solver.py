@@ -1,13 +1,14 @@
 """Best-coapproximation solver for subspaces of l1^n.
 
-Empty zero set: a coefficient vector alpha solves the problem iff it
-satisfies one linear equation per norming-set pair,
-
-    sum_j alpha_j * (x . a_j) = x . b        for every sign vector x,
-
-and a basis of the sign-vector span carries the same information, so the
-assembled system is square-ish, exact, and either inconsistent (no best
-coapproximation) or uniquely solvable.
+Empty zero set: a coefficient vector alpha solves the problem iff
+x . (b - A alpha) = 0 for every norming-set sign vector x.  Such an x is
+s_c * o_i on the coordinates i of class c, o_i the sign of coordinate
+i's constant, and the class signs s span R^d (q = d), so the equations
+hold iff every class sum  sum_{i in c} o_i * (b - A alpha)_i  vanishes.
+Those d rows come from the row profile alone, with no cell enumeration.
+Row c is a positive multiple of the representative's row, so the system
+has rank m and is either inconsistent (no best coapproximation) or
+uniquely solvable.
 
 Non-empty zero set Z: dropping the Z coordinates leaves a zero-set-free
 problem, and the mass the target carries on Z acts as slack.  alpha is a
@@ -52,6 +53,7 @@ from .norming import (
     NormingSet,
     SignCell,
     build_arrangement,
+    check_cell_capacity,
     enumerate_cells,
     minimal_norming_set,
     norming_dot,
@@ -72,6 +74,11 @@ class PreparedBasis:
     Everything here depends only on the subspace (profile, reduction,
     arrangement, cells, norming set), so one instance can serve many
     targets; each artifact is built here, once, on first access.
+
+    `q` and the class-sum rows come from the profile alone.  Only
+    `cells`, `norming` and the rows built on them enumerate sign cells:
+    `norming-set` reports the cells, and the zero-set polytope needs one
+    inequality per cell.
     """
 
     def __init__(self, basis: SubspaceBasis):
@@ -93,16 +100,41 @@ class PreparedBasis:
     def cells(self) -> tuple[SignCell, ...]:
         return enumerate_cells(self.arrangement)
 
+    @property
+    def q(self) -> int:
+        """Span dimension of the norming set, which is always d.  Refused,
+        as enumeration would refuse it, on an arrangement over the caps."""
+        check_cell_capacity(self.profile.d, self.basis.m)
+        return self.profile.d
+
     @cached_property
     def norming(self) -> NormingSet:
         norming = minimal_norming_set(self.arrangement, self.cells, self.reduced)
-        if not (self.basis.m <= norming.span_dim <= self.profile.d):
-            raise InternalInconsistencyError("rank sandwich m <= q <= d violated")
+        if norming.span_dim != self.profile.d:
+            raise InternalInconsistencyError("norming span dimension q != d")
         return norming
 
     @cached_property
+    def class_rows(self) -> Mat:
+        """Class-sum rows, one per component class: sum_{i in c} o_i A_i,
+        which is (sum_{i in c} |const_i|) times the representative's row."""
+        out = []
+        for cls in self.profile.classes:
+            weight = sum(abs(c) for _, c in cls.members)
+            out.append(tuple(weight * x for x in self.basis.matrix[cls.representative]))
+        return tuple(out)
+
+    def class_rhs(self, b: Vec) -> Vec:
+        """sum_{i in c} o_i b_i per class, o_i the sign of const_i."""
+        return tuple(
+            sum((b[i] if c > 0 else -b[i] for i, c in cls.members), Q(0))
+            for cls in self.profile.classes
+        )
+
+    @cached_property
     def system_rows(self) -> Mat:
-        """Equality rows, one per system-basis sign vector.
+        """Equality rows, one per system-basis sign vector: the paper's
+        assembled system, equivalent to the class-sum rows.
 
         Reduced coordinates throughout (identical to ambient ones when
         the zero set is empty); same for the rhs helpers below.
@@ -181,12 +213,14 @@ def _unique(basis: SubspaceBasis, alpha: Vec) -> CoapproxOutcome:
 
 
 def solve_empty_zero_set(pb: PreparedBasis, b: Vec) -> CoapproxOutcome:
-    """Equality-system solve for a basis whose zero set is empty."""
+    """Equality-system solve for a basis whose zero set is empty, on the
+    class-sum rows: no cell enumeration."""
     if pb.profile.zero_set:
         raise DimensionError("solve_empty_zero_set requires an empty zero set")
     if len(b) != pb.basis.n:
         raise DimensionError("target length does not match ambient dimension")
-    res = solve_linear(pb.system_rows, pb.system_rhs(b))
+    check_cell_capacity(pb.profile.d, pb.basis.m)  # the same caps as enumeration
+    res = solve_linear(pb.class_rows, pb.class_rhs(b))
     if res.status is SystemStatus.NO_SOLUTION:
         return _not_exists()
     if res.status is SystemStatus.AFFINE_FAMILY:

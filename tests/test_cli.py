@@ -329,9 +329,9 @@ def test_report_value_over_int_digit_limit_exits_3(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_norming_set_work_counts(capsys, monkeypatch):
-    # Exact work on the worked fixture: a kernel change that runs more
-    # margin LPs, or finds other cells, fails here without any timing.
+@pytest.fixture
+def margin_lps(monkeypatch):
+    """Calls through coapprox.norming.lp_max: the cell margin LPs."""
     calls = {"lp_max": 0}
     original = norming.lp_max
 
@@ -340,8 +340,41 @@ def test_norming_set_work_counts(capsys, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(norming, "lp_max", counted)
+    return calls
+
+
+def test_norming_set_work_counts(capsys, margin_lps):
+    # Exact work on the worked fixture: a kernel change that runs more
+    # margin LPs, or finds other cells, fails here without any timing.
     report = run_json(capsys, "norming-set", "--input", str(PROBLEMS / "span3_l16.json"))
-    assert (calls["lp_max"], len(report["cells"])) == (15, 7)
+    assert (margin_lps["lp_max"], len(report["cells"])) == (15, 7)
+
+
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.name)
+def test_classify_runs_no_margin_lp(capsys, margin_lps, path):
+    # q = d is read from the row profile: no sign cell is enumerated.
+    run_json(capsys, "classify", "--input", str(path))
+    assert margin_lps["lp_max"] == 0
+
+
+@pytest.mark.parametrize(
+    "command, name, expected",
+    [
+        # The empty-zero-set solve runs on the class-sum rows.
+        ("solve", "pair_l15_cochebyshev.json", 0),
+        ("solve", "span3_l16.json", 0),
+        # The zero-set polytope needs every cell: one inequality each.
+        ("solve", "line_l12_polytope.json", 1),
+        ("solve", "pair_l17_coproximinal.json", 3),
+        ("solve", "span3_l17_threshold.json", 15),
+        ("threshold", "line_l12_polytope.json", 1),
+        ("threshold", "pair_l17_coproximinal.json", 3),
+        ("threshold", "span3_l17_threshold.json", 15),
+    ],
+)
+def test_margin_lp_counts(capsys, margin_lps, command, name, expected):
+    run_json(capsys, command, "--input", str(PROBLEMS / name))
+    assert margin_lps["lp_max"] == expected
 
 
 @pytest.mark.parametrize(
@@ -376,6 +409,20 @@ def test_cell_pair_cap_exits_3_at_once(tmp_path, capsys, m):
     code, out, err = run_cli(capsys, "classify", "--input", str(f))
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
+    assert "cell pairs" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "norming-set"])
+def test_cell_pair_cap_exits_3_for_every_cell_reader(tmp_path, capsys, margin_lps, command):
+    # The m = 4 basis of test_cell_pair_cap_exits_3_at_once, with a target:
+    # solve refuses it before reading q, as norming-set and classify do.
+    rng = random.Random(4)
+    doc = {"n": 20, "basis": [[str(rng.randint(-3, 3)) for _ in range(20)] for _ in range(4)],
+           "targets": [["1"] * 20]}
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--input", str(f))
+    assert (code, out, margin_lps["lp_max"]) == (3, "", 0)
     assert "cell pairs" in err
 
 

@@ -11,6 +11,7 @@ from coapprox import (
     mat,
     minimal_norming_set,
     norming,
+    prepare,
     reduce_sigma,
     validate_basis,
 )
@@ -210,3 +211,54 @@ class TestMinimalNormingSet:
             basis = random_basis(rng, n, m)
             _, _, _, _, norming = analyzed(basis)
             assert len(norming.pairs()) == len(norming.representatives)
+
+
+def _through_one_line(rng):
+    """m = 3: three to five planes through the line x = y = 0, plus one
+    or two rows off it, in a random basis of the same subspace."""
+    rows = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (2, 1, 0)][: rng.randint(3, 5)]
+    rows += [(0, 0, 1), (1, 2, 3)][: rng.randint(1, 2)]
+    rng.shuffle(rows)
+    return recombine(validate_basis(mat(rows)), random_invertible(rng, 3))
+
+
+def _lines_in_plane(rng):
+    """m = 2: up to 20 distinct lines, the most MAX_HYPERPLANES admits."""
+    slopes = rng.sample(range(-30, 31), rng.randint(2, 20))
+    return validate_basis(mat([(1, k) for k in slopes]))
+
+
+def _with_duplicates(rng):
+    """Proportional copies (negative constants too) of a random basis's rows."""
+    m = rng.randint(1, 4)
+    basis = random_basis(rng, rng.randint(m, m + 3), m, lo=-2, hi=2)
+    rows = list(basis.matrix)
+    for _ in range(rng.randint(1, 4)):
+        c = Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        rows.append(tuple(c * x for x in rng.choice(basis.matrix)))
+    rng.shuffle(rows)
+    return validate_basis(mat(rows))
+
+
+def _with_zero_rows(rng):
+    n = rng.randint(3, 8)
+    m = rng.randint(1, min(4, n - 1))
+    return random_basis(rng, n, m, zero_rows=rng.randint(1, n - m))
+
+
+def _generic(rng):
+    n = rng.randint(2, 8)
+    m = rng.randint(1, min(4, n))
+    return random_basis(rng, n, m, lo=-2, hi=2)
+
+
+@pytest.mark.parametrize(
+    "make", [_through_one_line, _lines_in_plane, _with_duplicates, _with_zero_rows, _generic]
+)
+def test_span_dim_equals_class_count(make):
+    # q = d: each class hyperplane is a wall between two cells that differ
+    # in its sign alone.  Enumeration must agree, degenerate cases included.
+    rng = random.Random(make.__name__)
+    for _ in range(40):
+        pb = prepare(make(rng))
+        assert pb.norming.span_dim == pb.profile.d == pb.q

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
 from coapprox import (
+    CapacityError,
     DimensionError,
     EmptyZeroSetError,
     NoCoapproximationError,
@@ -12,11 +14,13 @@ from coapprox import (
     build_profile,
     existence_threshold,
     l1_norm,
+    mat,
     prepare,
     projection_map,
     solve_empty_zero_set,
     solve_general,
     solve_linear,
+    validate_basis,
     vec,
 )
 from coapprox.exact import vec_sub
@@ -62,6 +66,56 @@ class TestEmptyZeroSet:
         pb = prepare(pair_l17_coproximinal)
         with pytest.raises(DimensionError):
             solve_empty_zero_set(pb, vec([1] * 7))
+
+    def test_class_sum_rows_match_assembled_system(self):
+        # The class-sum solve against the paper's assembled norming system
+        # as reference: same status and same solution.  Targets per
+        # basis: random, in the subspace, and off it by a vector whose
+        # signed class sums vanish (unique whenever a class has two rows).
+        rng = random.Random(1085)
+        statuses = Counter()
+        for _ in range(260):
+            n = rng.randint(1, 8)
+            m = rng.randint(1, min(4, n))
+            basis = random_basis(rng, n, m, lo=-2, hi=2)
+            pb = prepare(basis)
+            member = basis.combine(random_vector(rng, m))
+            off = list(member)
+            for cls in pb.profile.classes:
+                if len(cls.members) > 1:
+                    (i, ci), (j, cj) = cls.members[:2]
+                    t = Q(rng.randint(1, 5))
+                    off[i] += t if ci > 0 else -t
+                    off[j] -= t if cj > 0 else -t
+            targets = (random_vector(rng, n), random_vector(rng, n), member, tuple(off))
+            for b in targets:
+                ref = solve_linear(pb.system_rows, pb.system_rhs(b))
+                out = solve_empty_zero_set(pb, b)
+                statuses[ref.status] += 1
+                if ref.status is SystemStatus.UNIQUE:
+                    assert out.kind is OutcomeKind.UNIQUE
+                    assert out.coefficients == ref.solution
+                else:
+                    assert ref.status is SystemStatus.NO_SOLUTION
+                    assert out.kind is OutcomeKind.NOT_EXISTS
+        assert sum(statuses.values()) >= 1000
+        assert statuses[SystemStatus.UNIQUE] >= 200
+        assert statuses[SystemStatus.NO_SOLUTION] >= 200
+
+    def test_keeps_the_cell_enumeration_caps(self):
+        # 21 lines in the plane exceed MAX_HYPERPLANES: the class-sum solve
+        # enumerates nothing but applies the same caps as enumeration.
+        basis = validate_basis(mat([(1, k) for k in range(21)]))
+        with pytest.raises(CapacityError, match="21"):
+            solve_general(basis, None, (Q(1),) + (Q(0),) * 20)
+
+    def test_class_sum_rows(self, span3_l16):
+        # Class c's row is (sum of |constants|) times its representative's
+        # row: coordinates 1 and 5 form a class with constants 1 and -1,
+        # coordinates 2 and 6 one with constants 1 and 2.
+        pb = prepare(span3_l16)
+        assert pb.class_rows == ((8, -2, 2), (6, 9, 12), (1, 5, 2), (-1, 2, 1))
+        assert pb.class_rhs(B1) == (Q(-4), Q(8), Q(3), Q(4))
 
 
 class TestSolveGeneral:
