@@ -75,4 +75,22 @@ from .subspace import (
     validate_basis,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ClassificationReport", "classify",
+    "CapacityError", "CoapproxError", "DimensionError", "EmptyZeroSetError",
+    "InternalInconsistencyError", "NoCoapproximationError", "PreconditionError",
+    "RankDeficientError", "ValidationError", "ZeroSubspaceError",
+    "ALL_REALS", "Interval", "LinearSystemResult", "Q", "SystemStatus",
+    "format_rational", "l1_norm", "mat", "minimize_1d_l1", "parse_rational",
+    "solve_linear", "vec",
+    "solve_minimax_lp",
+    "Arrangement", "NormingSet", "SignCell", "build_arrangement",
+    "enumerate_cells", "minimal_norming_set",
+    "BruteForceResult", "VerificationVerdict", "bj_orthogonal_l1",
+    "brute_force_existence", "verify_best_coapprox",
+    "CoapproxOutcome", "ExistenceThreshold", "OutcomeKind",
+    "PolytopeConstraints", "PreparedBasis", "Projection", "existence_threshold",
+    "prepare", "projection_map", "solve_empty_zero_set", "solve_general",
+    "ComponentProfile", "ReducedInstance", "SubspaceBasis", "apply_rho",
+    "build_profile", "reduce_sigma", "validate_basis",
+]

@@ -12,6 +12,9 @@ inequality.
 The test at a probe beta depends on beta only through the sign pattern
 of A.beta, so the verifier and the brute-force grid both reduce their
 probes to sign patterns and run one integer test (`_fails`) per pattern.
+The grid decides most patterns a whole grid line at a time: along a line
+the test passes on one exact integer interval of the line's ticks, and
+only the ticks left in every interval are tested point by point.
 """
 from __future__ import annotations
 
@@ -109,8 +112,10 @@ def _edge_probes(basis: SubspaceBasis) -> tuple[Vec, ...]:
     rays (a cross product of two row normals, or a row perpendicular for
     m = 2) and stepping off it with a small solve that prescribes the
     two incident signs.  Arrangements where three or more distinct row
-    hyperplanes share a line can still hide cells from these probes;
-    the random supplement covers those.
+    hyperplanes share a line can still hide cells from these probes.
+    The verifier's random supplement (200 trials by default) usually
+    finds those; the CLI's brute-force grid runs with trials = 0 and has
+    no such cover (complete deterministic probes are ROADMAP item 2).
     """
     rows = [r for r in basis.matrix if not is_zero(r)]
     m = basis.m
@@ -263,9 +268,16 @@ def brute_force_existence(
     A.beta, so the probes are reduced once per call to their distinct
     patterns.  The grid, b and A are scaled by one common denominator,
     which makes every residual a vector of ints; the test is unchanged
-    by a positive scale, so each decision stays exact.  The pattern that
-    failed last is tried first, which cannot change a verdict because a
-    candidate must pass them all.
+    by a positive scale, so each decision stays exact.
+
+    The grid is scanned one line along the last axis at a time.  On a
+    line the residual is z0 - k*d, so a pattern whose zero signs all sit
+    where d is 0 passes on one integer interval of k, found with one
+    dot product and floor divisions.  The intersection of those
+    intervals holds the line's survivors; only they are tested against
+    the remaining patterns, the one that failed last first (which cannot
+    change a verdict, because a candidate must pass them all).  The
+    candidates and their order are those of a pointwise scan.
 
     Guarded at m <= 3 and BRUTE_FORCE_MAX_POINTS grid points, both
     checked before any scanning; a negative radius or a non-positive
@@ -297,19 +309,43 @@ def brute_force_existence(
     betas = _probe_set(basis) + tuple(
         _random_betas(m, trials, seed, _GRID_RANDOM_NUMERATOR, _GRID_RANDOM_DENOMINATOR)
     )
-    checks = list(_sign_patterns(int_rows, betas))
+    # Along a line z(k) = z0 - k*inner_step.  A check with no zero sign
+    # where inner_step is nonzero sees a constant off-support mass C and a
+    # signed sum S0 - k*S1; it is stored with S1 >= 0, as negating its
+    # signs leaves the test unchanged.  The other checks go pointwise.
+    affine = []
+    checks = []
+    for signs, off in _sign_patterns(int_rows, betas):
+        if any(o and d for o, d in zip(off, inner_step)):
+            checks.append((signs, off))
+            continue
+        s1 = sum(map(mul, signs, inner_step))
+        if s1 < 0:
+            signs, s1 = tuple(-s for s in signs), -s1
+        affine.append((signs, off, s1))
 
     candidates = []
     last = 0
     for outer in itertools.product(range(per_axis), repeat=m - 1):
-        z = list(int_b)
+        z0 = list(int_b)
         for j, k in enumerate(outer + (0,)):
-            z = [zi - a * int_ticks[k] for zi, a in zip(z, int_cols[j])]
-        for k in range(per_axis):
-            if k:
-                z = [zi - d for zi, d in zip(z, inner_step)]
+            z0 = [zi - a * int_ticks[k] for zi, a in zip(z0, int_cols[j])]
+        abs_z0 = list(map(abs, z0))
+        lo, hi = 0, per_axis - 1
+        for signs, off, s1 in affine:
+            s0 = sum(map(mul, signs, z0))
+            c = sum(map(mul, off, abs_z0))
+            if s1:  # S0 - C <= k*S1 <= S0 + C
+                lo = max(lo, -((c - s0) // s1))
+                hi = min(hi, (s0 + c) // s1)
+            elif abs(s0) > c:
+                hi = -1
+            if lo > hi:
+                break
+        for k in range(lo, hi + 1):
+            z = [zi - k * d for zi, d in zip(z0, inner_step)]
             abs_z = list(map(abs, z))
-            if _fails(z, abs_z, checks[last]):
+            if checks and _fails(z, abs_z, checks[last]):
                 continue
             for idx, check in enumerate(checks):
                 if _fails(z, abs_z, check):

@@ -520,3 +520,41 @@ def test_cli_survives_generated_documents(text, command):
         assert err.getvalue() == "" and json.loads(out.getvalue())["command"] == command
     else:
         assert out.getvalue() == "" and err.getvalue().startswith(f"coapprox {command}: ")
+
+
+THRESHOLD_FILE = str(PROBLEMS / "span3_l17_threshold.json")
+
+
+def _threshold_script(*argv):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "threshold_dichotomy.py"
+    return subprocess.run(
+        [sys.executable, str(script), *argv], capture_output=True, text=True
+    )
+
+
+def test_threshold_script_traces_the_dichotomy():
+    proc = _threshold_script("--input", THRESHOLD_FILE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "b1-extended: delta0 = 41/21",
+        "  mass delta0 - step = 4079/2100: not-exists",
+        "  mass delta0 = 41/21: unique",
+        "  mass delta0 + step = 4121/2100: polytope",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--input", THRESHOLD_FILE, "--step", "abc"), "not a rational literal"),
+        (("--input", THRESHOLD_FILE, "--step", "0"), "step must be positive"),
+        (("--input", THRESHOLD_FILE, "--step=-1/2"), "step must be positive"),
+        (("--input", "no-such-problem.json"), "cannot read"),
+    ],
+)
+def test_threshold_script_errors_exit_2_without_traceback(argv, message):
+    proc = _threshold_script(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert message in proc.stderr

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as Q
@@ -203,6 +204,109 @@ def test_brute_force_matches_reference_scan(monkeypatch, weak_probes):
         assert got == _reference_scan(basis, b, radius, step, trials, seed), case
         nonempty += bool(got.candidates)
     assert nonempty >= 10
+
+
+def _pointwise_scan(basis, b, radius, step, trials=0, seed=0):
+    """The integer scan that tests every grid point against every
+    sign-pattern check in turn, kept as it was before grid lines were
+    decided by intervals."""
+    m = basis.m
+    per_axis = math.floor(2 * radius / step) + 1
+    ticks = [-radius + k * step for k in range(per_axis)]
+    entries = itertools.chain((radius, step), b, *basis.matrix)
+    scale = math.lcm(*(x.denominator for x in entries))
+    int_rows = [[int(a * scale) for a in row] for row in basis.matrix]
+    int_cols = list(zip(*int_rows))
+    int_ticks = [int(t * scale) for t in ticks]
+    int_b = [int(x * scale * scale) for x in b]  # residuals come out scaled by scale**2
+    inner_step = [a * int(step * scale) for a in int_cols[-1]]
+
+    betas = oracle._probe_set(basis) + tuple(
+        oracle._random_betas(
+            m, trials, seed, oracle._GRID_RANDOM_NUMERATOR, oracle._GRID_RANDOM_DENOMINATOR
+        )
+    )
+    checks = list(oracle._sign_patterns(int_rows, betas))
+
+    candidates = []
+    last = 0
+    for outer in itertools.product(range(per_axis), repeat=m - 1):
+        z = list(int_b)
+        for j, k in enumerate(outer + (0,)):
+            z = [zi - a * int_ticks[k] for zi, a in zip(z, int_cols[j])]
+        for k in range(per_axis):
+            if k:
+                z = [zi - d for zi, d in zip(z, inner_step)]
+            abs_z = list(map(abs, z))
+            if oracle._fails(z, abs_z, checks[last]):
+                continue
+            for idx, check in enumerate(checks):
+                if oracle._fails(z, abs_z, check):
+                    last = idx
+                    break
+            else:
+                candidates.append(tuple(ticks[i] for i in outer) + (ticks[k],))
+    return BruteForceResult(
+        exists=bool(candidates),
+        candidates=tuple(candidates),
+        grid_points=per_axis**m,
+        trials=trials,
+        seed=seed,
+    )
+
+
+@pytest.mark.parametrize("weak_probes", [False, True])
+def test_brute_force_matches_pointwise_scan_on_long_lines(monkeypatch, weak_probes):
+    # 11 to 41 ticks per axis, on and off the integer lattice; zero rows
+    # give checks whose pass interval has a positive slab width, and
+    # on-grid members put candidates at the ends of intervals.  The full
+    # probe set makes a check with zero signs redundant beside its
+    # refinements; unit-vector probes alone make such checks decide.
+    if weak_probes:
+        monkeypatch.setattr(oracle, "_probe_set", _unit_probes)
+    rng = random.Random(707)
+    short = [(Q(5, 2), Q(1, 2)), (Q(7, 3), Q(1, 3)), (Q(5), Q(1, 2))]  # 11, 15, 21
+    long = short + [(Q(5), Q(1, 4)), (Q(7, 3), Q(2, 5)), (Q(10, 3), Q(1, 6))]
+    grids = {1: long, 2: long, 3: short}  # the pointwise scan is slow at 41**3
+    nonempty = 0
+    for case in range(300):
+        m = 1 + case % 3
+        n = rng.randint(m + 1, 6)
+        basis = random_basis(rng, n, m, zero_rows=min(rng.choice((0, 1, 2)), n - m))
+        radius, step = rng.choice(grids[m])
+        per_axis = math.floor(2 * radius / step) + 1
+        if case % 4 == 0:
+            b = basis.combine(
+                tuple(-radius + step * rng.randrange(per_axis) for _ in range(m))
+            )
+        else:
+            b = random_vector(rng, n)
+        trials = rng.choice((0, 5, 15))
+        seed = rng.randint(0, 9)
+        got = brute_force_existence(basis, b, radius, step, trials=trials, seed=seed)
+        assert got == _pointwise_scan(basis, b, radius, step, trials, seed), case
+        nonempty += bool(got.candidates)
+    assert nonempty >= 50
+
+
+@pytest.mark.parametrize("radius, most_calls", [(Q(5), 21**2), (Q(20), 81**2)])
+def test_brute_force_tests_at_most_one_point_per_line(
+    monkeypatch, span3_l16, radius, most_calls
+):
+    # The pointwise scan calls _fails 9288 times at radius 5 and 531754
+    # times at radius 20; interval pruning leaves at most one per grid line.
+    calls = 0
+    fails = oracle._fails
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return fails(*args)
+
+    monkeypatch.setattr(oracle, "_fails", counted)
+    res = brute_force_existence(span3_l16, B1, radius, Q(1, 2))
+    assert not res.exists
+    assert calls <= most_calls
 
 
 def _reference_verify(basis, b, alpha, trials=200, seed=0):
