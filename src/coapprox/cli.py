@@ -16,7 +16,8 @@ from . import __version__
 from .classify import classify
 from .errors import CoapproxError, EmptyZeroSetError, ValidationError
 from .exact import Q, Vec, format_rational, l1_norm, parse_rational
-from .oracle import BRUTE_FORCE_MAX_M, brute_force_existence, check_grid, verify_best_coapprox
+from .oracle import (BRUTE_FORCE_MAX_M, brute_force_existence, check_grid,
+                     check_probe_capacity, verify_best_coapprox)
 from .solver import (
     OutcomeKind,
     PreparedBasis,
@@ -206,6 +207,7 @@ def _solve_options(problem: ProblemFile, args) -> dict:
     if "grid_step" in opts:
         out["grid_step"] = _parse_entry(opts["grid_step"], "options.grid_step")
     check_grid(out["grid_radius"], out["grid_step"])
+    check_probe_capacity(problem.basis.m, out["trials"])
     return out
 
 

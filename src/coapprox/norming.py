@@ -72,13 +72,11 @@ class NormingSet:
     """representatives[i] is the sign vector of cells[i] (reduced
     coordinates, first entry +1); as +- pairs these are exactly the
     minimal norming set.  system_basis is the canonical ordered basis of
-    their span (size span_dim); basis_cells maps its entries back to
-    cell positions."""
+    their span (size span_dim)."""
 
     representatives: tuple[SignVec, ...]
     span_dim: int
     system_basis: tuple[SignVec, ...]
-    basis_cells: tuple[int, ...]
 
     def pairs(self) -> frozenset[frozenset[SignVec]]:
         """Basis-invariant view: the set of antipodal pairs."""
@@ -207,8 +205,7 @@ def minimal_norming_set(
     by_signs = {cell.signs: idx for idx, cell in enumerate(cells)}
     staircase = [by_signs[p] for p in _staircase_patterns(arr.r) if p in by_signs]
     candidates = staircase + list(range(len(reps)))
-    basis_cells = [candidates[p] for p in first_basis([reps[i] for i in candidates])]
-    basis = [reps[i] for i in basis_cells]
+    basis = [reps[candidates[p]] for p in first_basis([reps[i] for i in candidates])]
     span_dim = len(basis)
     if span_dim != rank(reps):  # pragma: no cover
         raise InternalInconsistencyError("span basis extraction lost rank")
@@ -216,7 +213,6 @@ def minimal_norming_set(
         representatives=tuple(reps),
         span_dim=span_dim,
         system_basis=tuple(basis),
-        basis_cells=tuple(basis_cells),
     )
 
 

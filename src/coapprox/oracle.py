@@ -167,6 +167,12 @@ def _probe_set(basis: SubspaceBasis) -> tuple[Vec, ...]:
     return probes
 
 
+def check_probe_capacity(m: int, trials: int) -> None:
+    """Refuse more than BRUTE_FORCE_MAX_POINTS probes: the 5^m sweep plus trials."""
+    if 5**m + trials > BRUTE_FORCE_MAX_POINTS:
+        raise CapacityError(f"verifier capped at {BRUTE_FORCE_MAX_POINTS} probes (5^m + trials)")
+
+
 def verify_best_coapprox(
     basis: SubspaceBasis, b: Vec, alpha: Vec, trials: int = 200, seed: int = 0
 ) -> VerificationVerdict:
@@ -177,12 +183,14 @@ def verify_best_coapprox(
     integer test per distinct sign pattern on b - A.alpha scaled to ints.
     The first failing pattern is that of the first failing probe, whose
     beta is returned as an exact counterexample; refutations found
-    deterministically are reproducible without the seed.
+    deterministically are reproducible without the seed.  Refused
+    (CapacityError) beyond BRUTE_FORCE_MAX_POINTS probes.
     """
     if trials < 1:
         raise ValidationError("verify_best_coapprox needs trials >= 1")
     if len(b) != basis.n or len(alpha) != basis.m:
         raise DimensionError("verify_best_coapprox dimension mismatch")
+    check_probe_capacity(basis.m, trials)
     betas = itertools.chain(
         _probe_set(basis),
         _random_betas(basis.m, trials, seed, _RANDOM_NUMERATOR, _RANDOM_DENOMINATOR),

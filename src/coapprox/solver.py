@@ -19,9 +19,12 @@ reduced basis
 
 which reduces to the equality system when the slack vanishes and to
 "every alpha with ||A alpha||_1 <= ||b||_1" when the reduced target is
-zero.  The feasible set is a polytope; its lexicographically extreme
-points (in subspace-vector order) make the reported outcome canonical
-and independent of the particular basis supplied.
+zero.  The minimax value delta0 of the left side decides the outcome:
+below it the set is empty; above it the set holds a ball around the
+minimax optimizer, so it is a full-dimensional polytope; at it the set
+is the optimal face, a point or a polytope.  Lexicographically extreme
+points (in subspace-vector order) tell these apart and pick a witness
+independent of the particular basis supplied.
 """
 from __future__ import annotations
 
@@ -40,9 +43,9 @@ from .exact import (
     Q,
     SystemStatus,
     Vec,
-    is_zero,
+    first_basis,
     l1_norm,
-    rank,
+    rank,  # unused here; perfbench/tracer.py wraps coapprox.solver.rank
     solve_linear,
     vec_add,
     vec_scale,
@@ -238,39 +241,27 @@ def lex_extreme_alpha(
     Lexicographic order is taken on the subspace element A.alpha
     coordinate by coordinate (direction +1 minimizes, -1 maximizes), so
     the resulting point is a property of the subspace and target alone.
-    The point is found by at most m tiny LPs, pinning one independent
-    coordinate functional per step.
+    Only the rows of A that `first_basis` keeps are optimized, one LP
+    each, each optimum pinned as an equality for the next.  The m-th LP
+    has a unique optimizer, on the line its m - 1 independent equalities
+    fix, so that optimizer is the point.
     """
-    m = basis.m
-    a_ub = []
-    b_ub = []
+    a_ub: list[Vec] = []
+    b_ub: list[Q] = []
     for row, rv in zip(constraints.rows, constraints.rhs):
-        a_ub.append(row)
-        b_ub.append(rv + constraints.slack)
-        a_ub.append(tuple(-x for x in row))
-        b_ub.append(constraints.slack - rv)
+        a_ub += [row, tuple(-x for x in row)]
+        b_ub += [rv + constraints.slack, constraints.slack - rv]
     a_eq: list[Vec] = []
     b_eq: list[Q] = []
-    pinned: list[Vec] = []
-    for arow in basis.matrix:
-        if is_zero(arow):
-            continue
-        if rank(pinned + [arow]) == len(pinned):
-            continue
+    for i in first_basis(basis.matrix):
+        arow = basis.matrix[i]
         cost = tuple(Q(direction) * x for x in arow)
         res = lp_min(cost, tuple(a_ub), tuple(b_ub), tuple(a_eq), tuple(b_eq))
         if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
             raise InternalInconsistencyError("lex support LP must be solvable")
-        value = sum((ar * x for ar, x in zip(arow, res.x)), Q(0))
         a_eq.append(arow)
-        b_eq.append(value)
-        pinned.append(arow)
-        if len(pinned) == m:
-            break
-    res = solve_linear(tuple(pinned), tuple(b_eq))
-    if res.status is not SystemStatus.UNIQUE:  # pragma: no cover
-        raise InternalInconsistencyError("lex extreme point not pinned down")
-    return res.solution
+        b_eq.append(sum((ar * x for ar, x in zip(arow, res.x)), Q(0)))
+    return res.x
 
 
 def solve_general(
@@ -279,9 +270,12 @@ def solve_general(
 ) -> CoapproxOutcome:
     """Decide existence and compute best coapproximation(s) to b.
 
-    Delegates to the equality system when the zero set is empty;
-    otherwise builds the slack-feasibility polytope over all norming-set
-    pairs of the reduced basis.
+    Delegates to the equality system when the zero set is empty.
+    Otherwise the slack (zero-set mass) is compared with delta0: below it
+    nothing exists; above it the polytope holds a ball around the minimax
+    optimizer, so it is full-dimensional, and only its witness (the
+    lex-smallest point of the optimal face) is searched for; at it a
+    second lex search, the other way, tells a point from a polytope.
     """
     pb = prepared if prepared is not None else prepare(basis)
     if len(b) != basis.n:
@@ -292,23 +286,19 @@ def solve_general(
     if not pb.profile.zero_set:
         return solve_empty_zero_set(pb, b)
 
-    reduced = pb.reduced
     slack = sum((abs(b[i]) for i in pb.profile.zero_set), Q(0))
     rows = pb.feasibility_rows
-    rhs = pb.feasibility_rhs(reduced.sigma(b))
+    rhs = pb.feasibility_rhs(pb.reduced.sigma(b))
     t_star, _ = solve_minimax_lp(rows, rhs)
     if t_star > slack:
         return _not_exists()
-    constraints = PolytopeConstraints(rows=rows, rhs=rhs, slack=slack)
-    lo = lex_extreme_alpha(basis, constraints, +1)
-    hi = lex_extreme_alpha(basis, constraints, -1)
-    if lo == hi:
-        return _unique(basis, lo)
     tight = PolytopeConstraints(rows=rows, rhs=rhs, slack=t_star)
     witness = lex_extreme_alpha(basis, tight, +1)
+    if slack == t_star and witness == lex_extreme_alpha(basis, tight, -1):
+        return _unique(basis, witness)
     return CoapproxOutcome(
         kind=OutcomeKind.POLYTOPE,
-        constraints=constraints,
+        constraints=PolytopeConstraints(rows=rows, rhs=rhs, slack=slack),
         witness=witness,
         vector=basis.combine(witness),
     )

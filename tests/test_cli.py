@@ -379,7 +379,7 @@ def test_margin_lp_counts(capsys, margin_lps, command, name, expected):
 
 @pytest.mark.parametrize(
     "name, expected",
-    [("pair_l17_coproximinal.json", (1, 3, 6)), ("line_l12_polytope.json", (1, 3, 3))],
+    [("pair_l17_coproximinal.json", (1, 1, 2)), ("line_l12_polytope.json", (1, 1, 1))],
 )
 def test_solve_work_counts(capsys, monkeypatch, name, expected):
     # Exact per-target solve work: minimax LPs, lex_extreme_alpha calls
@@ -394,6 +394,35 @@ def test_solve_work_counts(capsys, monkeypatch, name, expected):
         monkeypatch.setattr(solver, fn_name, counted)
     run_json(capsys, "solve", "--input", str(PROBLEMS / name))
     assert tuple(calls.values()) == expected
+
+
+def test_verifier_probe_cap_exits_3_at_once(tmp_path, capsys, monkeypatch):
+    # m = 9: the identity plus a row proportional to the first passes the
+    # cell caps, but its member target would have the verifier sweep
+    # 5^9 probes (more than 8 s per target uncapped).  Refused before
+    # any solve.
+    monkeypatch.setattr("coapprox.cli.solve_general", None)
+    n, m = 10, 9
+    basis = [["1" if i == j or (j == 0 and i == n - 1) else "0" for i in range(n)]
+             for j in range(m)]
+    f = tmp_path / "m9.json"
+    f.write_text(json.dumps({"n": n, "basis": basis, "targets": [["1"] * n]}),
+                 encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "solve", "--input", str(f))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "probes" in err
+
+
+def test_verifier_trials_cap_exits_3_at_once(capsys, monkeypatch):
+    monkeypatch.setattr("coapprox.cli.solve_general", None)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "solve", "--input",
+                             str(PROBLEMS / "pair_l15_cochebyshev.json"), "--trials", "1000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "probes" in err
 
 
 @pytest.mark.parametrize("m", [4, 10])

@@ -91,6 +91,23 @@ class TestVerifyBestCoapprox:
             v2 = verify_best_coapprox(basis, minus_b, minus_alpha, trials=40, seed=6)
             assert v1.confirmed == v2.confirmed
 
+    @pytest.mark.parametrize("m, trials, admitted", [
+        (8, 200, True), (8, 10**6 - 5**8, True), (8, 10**6 - 5**8 + 1, False),
+        (9, 1, False), (1, 10**6, False),
+    ])
+    def test_probe_cap(self, m, trials, admitted):
+        # The 5^m sweep plus the random trials may not exceed 10^6 probes.
+        if admitted:
+            oracle.check_probe_capacity(m, trials)
+        else:
+            with pytest.raises(CapacityError, match="probes"):
+                oracle.check_probe_capacity(m, trials)
+
+    def test_probe_cap_refuses_before_any_probe(self, span3_l16, monkeypatch):
+        monkeypatch.setattr(oracle, "_sign_patterns", None)
+        with pytest.raises(CapacityError):
+            verify_best_coapprox(span3_l16, B2, ALPHA2, trials=10**6)
+
     def test_trials_validated(self, span3_l16):
         with pytest.raises(ValidationError):
             verify_best_coapprox(span3_l16, B2, ALPHA2, trials=0)

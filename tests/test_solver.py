@@ -23,9 +23,11 @@ from coapprox import (
     validate_basis,
     vec,
 )
-from coapprox.exact import vec_sub
-from coapprox.instances import random_basis, random_vector
-from coapprox.solver import lex_extreme_alpha
+from coapprox import solver
+from coapprox.exact import is_zero, rank, vec_sub
+from coapprox.instances import random_basis, random_invertible, random_vector, recombine
+from coapprox.lp import LpStatus, lp_min, solve_minimax_lp
+from coapprox.solver import PolytopeConstraints, lex_extreme_alpha
 from tests.conftest import column_basis
 
 B1 = vec((1, 2, 3, 4, 5, 6))
@@ -261,6 +263,22 @@ class TestExistenceThreshold:
             out = solve_general(basis, pb.profile, y, prepared=pb)
             assert out.kind in kinds
 
+    @pytest.mark.parametrize("offset, kind, lex_searches", [
+        (Q(-1, 100), OutcomeKind.NOT_EXISTS, 0),
+        (Q(0), OutcomeKind.UNIQUE, 2),
+        (Q(1, 100), OutcomeKind.POLYTOPE, 1),
+    ])
+    def test_lex_searches_per_target(self, monkeypatch, offset, kind, lex_searches):
+        # None below delta0; at delta0 one each way tells a point from a
+        # polytope; above it the polytope is full-dimensional, and only
+        # the witness is searched for.
+        calls = []
+        monkeypatch.setattr(solver, "lex_extreme_alpha",
+                            lambda *args: calls.append(args) or lex_extreme_alpha(*args))
+        basis = column_basis(*THRESHOLD_BASIS_COLUMNS)
+        out = solve_general(basis, None, vec((1, 2, 3, 4, 5, 6)) + (Q(41, 21) + offset,))
+        assert (out.kind, len(calls)) == (kind, lex_searches)
+
 
 class TestProjection:
     def test_worked_fixture(self, span3_l16):
@@ -313,3 +331,178 @@ def test_lex_extreme_points_bound_the_polytope():
 def test_membership_solver_consistency(span3_l16):
     res = solve_linear(span3_l16.matrix, B2)
     assert res.status is SystemStatus.NO_SOLUTION
+
+
+def _reference_lex_extreme_alpha(basis, constraints, direction):
+    """The lex search before pinned rows came from one elimination: a
+    rank test per row of A, then a closing solve on the pinned rows."""
+    a_ub, b_ub = [], []
+    for row, rv in zip(constraints.rows, constraints.rhs):
+        a_ub += [row, tuple(-x for x in row)]
+        b_ub += [rv + constraints.slack, constraints.slack - rv]
+    pinned, values = [], []
+    for arow in basis.matrix:
+        if is_zero(arow) or rank(pinned + [arow]) == len(pinned):
+            continue
+        cost = tuple(Q(direction) * x for x in arow)
+        res = lp_min(cost, tuple(a_ub), tuple(b_ub), tuple(pinned), tuple(values))
+        assert res.status is LpStatus.OPTIMAL
+        pinned.append(arow)
+        values.append(sum((ar * x for ar, x in zip(arow, res.x)), Q(0)))
+        if len(pinned) == basis.m:
+            break
+    res = solve_linear(tuple(pinned), tuple(values))
+    assert res.status is SystemStatus.UNIQUE
+    return res.solution
+
+
+def _reference_solve(pb, b):
+    """The zero-set solve before it read delta0: lex-smallest and
+    lex-largest points at the slack, and a third lex search for the
+    witness on the optimal face.  Returns the outcome's fields."""
+    basis = pb.basis
+    membership = solve_linear(basis.matrix, b)
+    if membership.status is SystemStatus.UNIQUE:
+        alpha = membership.solution
+        return ("unique", alpha, None, basis.combine(alpha), None)
+    slack = sum((abs(b[i]) for i in pb.profile.zero_set), Q(0))
+    rows = pb.feasibility_rows
+    rhs = pb.feasibility_rhs(pb.reduced.sigma(b))
+    t_star, _ = solve_minimax_lp(rows, rhs)
+    if t_star > slack:
+        return ("not-exists", None, None, None, None)
+    constraints = PolytopeConstraints(rows=rows, rhs=rhs, slack=slack)
+    lo = _reference_lex_extreme_alpha(basis, constraints, +1)
+    hi = _reference_lex_extreme_alpha(basis, constraints, -1)
+    if lo == hi:
+        return ("unique", lo, None, basis.combine(lo), None)
+    tight = PolytopeConstraints(rows=rows, rhs=rhs, slack=t_star)
+    witness = _reference_lex_extreme_alpha(basis, tight, +1)
+    return ("polytope", None, witness, basis.combine(witness), (rows, rhs, slack))
+
+
+def _fields(out):
+    # Fields, not outcomes: dataclass == is false across module copies.
+    c = out.constraints
+    return (out.kind.value, out.coefficients, out.witness, out.vector,
+            None if c is None else (c.rows, c.rhs, c.slack))
+
+
+# Zero-set instances (basis rows, target) whose optimal face at slack =
+# delta0 is a polytope.  Random draws rarely give one (about 1 in 200
+# with entries in [-1, 1]), so transformed copies of these seed the case.
+FACE_POLYTOPES = (
+    (((1, -1, 0), (0, -1, 0), (0, 0, 0), (0, 1, -1), (-1, -1, -1)),
+     (0, -1, Q(2, 3), 1, 0)),
+    (((0, 0, 0), (0, 0, 0), (0, 1, -1), (1, -1, -1), (-1, 0, 1), (1, -1, -1), (1, 1, 0)),
+     (Q(2, 3), 0, -1, 0, -1, 1, 1)),
+)
+
+
+def _zero_set_instances(rng, count):
+    """`count` (basis, target) pairs with a non-empty zero set: random
+    bases with m = 1..4, every third with a row added proportional to
+    another, then each FACE_POLYTOPES instance under a random coordinate
+    permutation, change of basis, target scale and subspace shift."""
+    out = []
+    for k in range(count):
+        # LP work grows fast with m and the reduced row count: keep both small.
+        m = 4 if k % 80 == 0 else rng.choice((1, 1, 2, 2, 2, 3))
+        kept = m + (1 if m > 2 else rng.randint(1, 2))
+        n = kept + rng.randint(1, 2)
+        basis = random_basis(rng, n, m, lo=-2, hi=2, zero_rows=n - kept)
+        if k % 3 == 0:
+            rows = list(basis.matrix)
+            source = rng.choice([r for r in rows if not is_zero(r)])
+            rows.insert(rng.randint(0, n), tuple(rng.choice((-2, -1, 1, 2)) * x for x in source))
+            basis = validate_basis(rows)
+        zero_target = rng.randrange(8) == 0
+        out.append((basis, (Q(0),) * basis.n if zero_target else random_vector(rng, basis.n, -3, 3)))
+    for rows, b in FACE_POLYTOPES:
+        for _ in range(4):
+            perm = list(range(len(rows)))
+            rng.shuffle(perm)
+            basis = validate_basis(mat([rows[i] for i in perm]))
+            basis = recombine(basis, random_invertible(rng, basis.m))
+            shift = basis.combine(random_vector(rng, basis.m, -2, 2))
+            scale = Q(rng.randint(1, 6), rng.randint(1, 3))
+            out.append((basis, tuple(scale * b[i] + s for i, s in zip(perm, shift))))
+    return out
+
+
+def _with_slack(rng, pb, b, slack):
+    """b with its zero-set coordinates replaced by a mass of `slack`,
+    on one or two of them, with random signs."""
+    out = list(b)
+    zero_set = pb.profile.zero_set
+    for i in zero_set:
+        out[i] = Q(0)
+    first = rng.choice(zero_set)
+    part = slack * rng.choice((Q(0), Q(1, 3), Q(1))) if len(zero_set) > 1 else Q(0)
+    out[first] = rng.choice((-1, 1)) * (slack - part)
+    out[rng.choice([i for i in zero_set if i != first] or [first])] += part
+    return tuple(out)
+
+
+def _slack_cases(rng, pb, b):
+    """(target, slack, delta0): slack in {0, delta0/2, delta0, 3/2 delta0}
+    when delta0 > 0, else 0 and one positive mass."""
+    t_star, _ = solve_minimax_lp(pb.feasibility_rows, pb.feasibility_rhs(pb.reduced.sigma(b)))
+    if t_star:
+        slacks = (Q(0), t_star / 2, t_star, 3 * t_star / 2)
+    else:
+        slacks = (Q(0), Q(rng.randint(1, 9), rng.randint(1, 3)))
+    return [(_with_slack(rng, pb, b, slack), slack, t_star) for slack in slacks]
+
+
+def test_zero_set_solve_matches_three_lex_reference(monkeypatch):
+    # Against the solve that ignored delta0: equal fields on every
+    # target, and the lex searches each case needs (none below delta0
+    # or for a member, one above it, two at it).
+    lex_calls = Counter()
+
+    def counted(*args):
+        lex_calls["calls"] += 1
+        return lex_extreme_alpha(*args)
+
+    monkeypatch.setattr(solver, "lex_extreme_alpha", counted)
+    rng = random.Random(2240)
+    cases = Counter()
+    for basis, b in _zero_set_instances(rng, 400):
+        pb = prepare(basis)
+        zero_reduced = is_zero(pb.reduced.sigma(b))
+        for target, slack, t_star in _slack_cases(rng, pb, b):
+            lex_calls.clear()
+            out = solve_general(basis, None, target, prepared=pb)
+            assert _fields(out) == _reference_solve(pb, target), (basis.matrix, target)
+            member = solve_linear(basis.matrix, target).status is SystemStatus.UNIQUE
+            where = "member" if member else ("below", "at", "above")[(slack > t_star) - (slack < t_star) + 1]
+            cases[out.kind.value, where] += 1
+            cases["zero reduced target"] += zero_reduced
+            expected = {"member": 0, "below": 0, "at": 2, "above": 1}[where]
+            assert lex_calls["calls"] == expected, (where, out.kind)
+    assert sum(n for key, n in cases.items() if isinstance(key, tuple)) >= 1000
+    assert set(cases) <= {("not-exists", "below"), ("unique", "at"), ("polytope", "at"),
+                          ("polytope", "above"), ("unique", "member"), "zero reduced target"}
+    assert cases["not-exists", "below"] >= 200
+    assert cases["unique", "at"] >= 200
+    assert cases["polytope", "at"] >= 5
+    assert cases["polytope", "above"] >= 200
+    assert cases["zero reduced target"] >= 20
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_lex_extreme_alpha_matches_rank_loop_reference(direction):
+    rng = random.Random(731 + direction)
+    checked = 0
+    for basis, b in _zero_set_instances(rng, 60):
+        pb = prepare(basis)
+        rhs = pb.feasibility_rhs(pb.reduced.sigma(b))
+        t_star, _ = solve_minimax_lp(pb.feasibility_rows, rhs)
+        for slack in (t_star, t_star + Q(rng.randint(1, 4), 3)):
+            constraints = PolytopeConstraints(pb.feasibility_rows, rhs, slack)
+            got = lex_extreme_alpha(basis, constraints, direction)
+            assert got == _reference_lex_extreme_alpha(basis, constraints, direction)
+            assert constraints.satisfied_by(got)
+            checked += 1
+    assert checked >= 130
