@@ -184,14 +184,9 @@ def cmd_norming_set(problem: ProblemFile) -> dict:
 
 def _solve_options(problem: ProblemFile, args) -> dict:
     opts = dict(problem.options)
-    if args.trials is not None:
-        opts["trials"] = args.trials
-    if args.seed is not None:
-        opts["seed"] = args.seed
-    if args.grid_radius is not None:
-        opts["grid_radius"] = args.grid_radius
-    if args.grid_step is not None:
-        opts["grid_step"] = args.grid_step
+    for key in ("trials", "seed", "grid_radius", "grid_step"):  # flags override the file
+        if getattr(args, key) is not None:
+            opts[key] = getattr(args, key)
     out = {
         "trials": opts.get("trials", DEFAULT_TRIALS),
         "seed": opts.get("seed", DEFAULT_SEED),
@@ -331,10 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="problem file (JSON)")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--grid-radius", dest="grid_radius", default=None)
-        p.add_argument("--grid-step", dest="grid_step", default=None)
+        if name == "solve":
+            p.add_argument("--trials", type=int, default=None)
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--grid-radius", dest="grid_radius", default=None)
+            p.add_argument("--grid-step", dest="grid_step", default=None)
     return parser
 
 

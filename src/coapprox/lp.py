@@ -8,7 +8,8 @@ Python ints up to a positive scale, every pivot is the row operation
 decision is a sign test or a cross-multiplied comparison, and Fractions
 are built only for the reported optimum and optimizer, which are exact.
 Intended for the desk-scale problems this package produces (tens of
-rows, < ~20 columns).
+rows, < ~20 columns).  `lp_min` also minimizes a sequence of costs
+lexicographically, face by face, in one tableau (Isermann 1982).
 `solve_minimax_lp` poses the exact l-infinity fit of a linear system on it.
 """
 from __future__ import annotations
@@ -38,17 +39,19 @@ class LpResult:
     value: Q | None
 
 
-def lp_min(cost, a_ub, b_ub, a_eq=(), b_eq=()) -> LpResult:
-    """Minimize cost . x subject to a_ub . x <= b_ub and a_eq . x == b_eq."""
+def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
+    """Minimize cost . x subject to a_ub . x <= b_ub, then each cost in
+    `then` over the optimal face of those before it; value is cost . x.
+
+    A later cost enters only columns whose reduced cost was zero at the
+    previous optimum: one with a positive reduced cost is zero at every
+    optimal point, so the rest describe exactly the optimal face.
+    """
     # Each row is scaled to coprime ints; a leading 1 makes entry 0 the scale.
     rows = [primitive_ints((1, *r, b)) for r, b in zip(a_ub, b_ub)]
-    for r, b in zip(a_eq, b_eq):
-        row = primitive_ints((1, *r, b))
-        rows.append(row)
-        rows.append([row[0]] + [-k for k in row[1:]])
     n = len(cost)
     if not rows:
-        if all(c == 0 for c in cost):
+        if all(c == 0 for v in (cost, *then) for c in v):
             return LpResult(LpStatus.OPTIMAL, (Q(0),) * n, Q(0))
         return LpResult(LpStatus.UNBOUNDED, None, None)
 
@@ -135,10 +138,13 @@ def lp_min(cost, a_ub, b_ub, a_eq=(), b_eq=()) -> LpResult:
                 if c is not None:
                     pivot(i, c)
 
-    cost_ints = primitive_ints(cost)
-    set_objective(cost_ints + [-k for k in cost_ints] + [0] * (ncols - nsplit))
-    if not run_simplex(range(nstruct)):
-        return LpResult(LpStatus.UNBOUNDED, None, None)
+    allowed = range(nstruct)
+    for c in (cost, *then):
+        c_ints = primitive_ints(c)
+        set_objective(c_ints + [-a for a in c_ints] + [0] * (ncols - nsplit))
+        if not run_simplex(allowed):
+            return LpResult(LpStatus.UNBOUNDED, None, None)
+        allowed = [j for j in allowed if tableau[nrows][j] == 0]
 
     values = [Q(0)] * ncols
     for i, bcol in enumerate(basis):
@@ -148,8 +154,8 @@ def lp_min(cost, a_ub, b_ub, a_eq=(), b_eq=()) -> LpResult:
     return LpResult(LpStatus.OPTIMAL, x, opt)
 
 
-def lp_max(cost, a_ub, b_ub, a_eq=(), b_eq=()) -> LpResult:
-    res = lp_min(tuple(-c for c in cost), a_ub, b_ub, a_eq, b_eq)
+def lp_max(cost, a_ub, b_ub) -> LpResult:
+    res = lp_min(tuple(-c for c in cost), a_ub, b_ub)
     if res.status is not LpStatus.OPTIMAL:
         return res
     return LpResult(LpStatus.OPTIMAL, res.x, -res.value)

@@ -287,9 +287,9 @@ def brute_force_existence(
     change a verdict, because a candidate must pass them all).  The
     candidates and their order are those of a pointwise scan.
 
-    Guarded at m <= 3 and BRUTE_FORCE_MAX_POINTS grid points, both
-    checked before any scanning; a negative radius or a non-positive
-    step is rejected.
+    Guarded at m <= 3, BRUTE_FORCE_MAX_POINTS grid points and the
+    verifier's probe cap, all checked before any probe is built; a
+    negative radius or a non-positive step is rejected.
     """
     m = basis.m
     if m > BRUTE_FORCE_MAX_M:
@@ -302,6 +302,7 @@ def brute_force_existence(
         raise CapacityError(
             f"brute-force grid capped at {BRUTE_FORCE_MAX_POINTS} points"
         )
+    check_probe_capacity(m, trials)
     if len(b) != basis.n:
         raise DimensionError("brute_force_existence dimension mismatch")
 

@@ -43,7 +43,6 @@ from .exact import (
     Q,
     SystemStatus,
     Vec,
-    first_basis,
     l1_norm,
     rank,  # unused here; perfbench/tracer.py wraps coapprox.solver.rank
     solve_linear,
@@ -241,26 +240,21 @@ def lex_extreme_alpha(
     Lexicographic order is taken on the subspace element A.alpha
     coordinate by coordinate (direction +1 minimizes, -1 maximizes), so
     the resulting point is a property of the subspace and target alone.
-    Only the rows of A that `first_basis` keeps are optimized, one LP
-    each, each optimum pinned as an equality for the next.  The m-th LP
-    has a unique optimizer, on the line its m - 1 independent equalities
-    fix, so that optimizer is the point.
+    One LP minimizes direction * (row i of A) . alpha for every row in
+    order, each over the optimal face of the rows before it.  The rows
+    of A span R^m, so the last face is one point.
     """
     a_ub: list[Vec] = []
     b_ub: list[Q] = []
     for row, rv in zip(constraints.rows, constraints.rhs):
         a_ub += [row, tuple(-x for x in row)]
         b_ub += [rv + constraints.slack, constraints.slack - rv]
-    a_eq: list[Vec] = []
-    b_eq: list[Q] = []
-    for i in first_basis(basis.matrix):
-        arow = basis.matrix[i]
-        cost = tuple(Q(direction) * x for x in arow)
-        res = lp_min(cost, tuple(a_ub), tuple(b_ub), tuple(a_eq), tuple(b_eq))
-        if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
-            raise InternalInconsistencyError("lex support LP must be solvable")
-        a_eq.append(arow)
-        b_eq.append(sum((ar * x for ar, x in zip(arow, res.x)), Q(0)))
+    costs = [tuple(Q(direction) * x for x in row) for row in basis.matrix]
+    # `then` goes positionally: perfbench/tracer.py sizes this call by
+    # binding its arguments to lp_min's old (cost, a_ub, b_ub, a_eq, b_eq).
+    res = lp_min(costs[0], tuple(a_ub), tuple(b_ub), costs[1:])
+    if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
+        raise InternalInconsistencyError("lex support LP must be solvable")
     return res.x
 
 

@@ -312,6 +312,17 @@ def test_bad_grid_options_exit_2_without_a_not_exists_target(
     assert field in err
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--seed", "--grid-radius", "--grid-step"])
+@pytest.mark.parametrize("command", ["analyze", "norming-set", "classify", "threshold"])
+def test_solve_options_are_refused_by_other_commands(capsys, command, flag):
+    # Only solve reads the oracle's settings; elsewhere they are usage errors.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(PROBLEMS / "span3_l16.json"), flag, "5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert flag in captured.err
+
+
 def test_report_value_over_int_digit_limit_exits_3(tmp_path):
     f = tmp_path / "huge.json"
     f.write_text(
@@ -379,7 +390,7 @@ def test_margin_lp_counts(capsys, margin_lps, command, name, expected):
 
 @pytest.mark.parametrize(
     "name, expected",
-    [("pair_l17_coproximinal.json", (1, 1, 2)), ("line_l12_polytope.json", (1, 1, 1))],
+    [("pair_l17_coproximinal.json", (1, 1, 1)), ("line_l12_polytope.json", (1, 1, 1))],
 )
 def test_solve_work_counts(capsys, monkeypatch, name, expected):
     # Exact per-target solve work: minimax LPs, lex_extreme_alpha calls

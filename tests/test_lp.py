@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 from scipy.optimize import linprog
 
+from coapprox.exact import rank
 from coapprox.lp import LpResult, LpStatus, lp_max, lp_min
 
 
@@ -28,12 +29,11 @@ def test_unbounded():
 
 
 def test_equality_constraints():
+    # x0 + x1 == 3 as the pair x0 + x1 <= 3, -x0 - x1 <= -3.
     res = lp_min(
         (Q(1), Q(0)),
-        ((Q(-1), Q(0)),),
-        (Q(5),),
-        a_eq=((Q(1), Q(1)),),
-        b_eq=(Q(3),),
+        ((Q(-1), Q(0)), (Q(1), Q(1)), (Q(-1), Q(-1))),
+        (Q(5), Q(3), Q(-3)),
     )
     assert res.status is LpStatus.OPTIMAL
     assert res.value == -5
@@ -257,6 +257,16 @@ def _as_ints(data):
     return ints(cost), tuple(map(ints, a_ub)), ints(b_ub), tuple(map(ints, a_eq)), ints(b_eq)
 
 
+def _folded(data):
+    """The kernel's arguments for `data`: each equality r . x == b becomes
+    the rows (r, b) and (-r, -b), after the inequality rows and in order,
+    as the kernel appended them when it took equalities itself."""
+    cost, a_ub, b_ub, a_eq, b_eq = data
+    a_pairs = tuple(tuple(s * x for x in r) for r in a_eq for s in (1, -1))
+    b_pairs = tuple(s * b for b in b_eq for s in (1, -1))
+    return cost, a_ub + a_pairs, b_ub + b_pairs
+
+
 def test_integer_tableau_matches_fraction_reference():
     rng = random.Random(20261018)
     statuses = {s: 0 for s in LpStatus}
@@ -264,13 +274,102 @@ def test_integer_tableau_matches_fraction_reference():
     for _ in range(2000):
         data = _random_lp(rng)
         want = reference_lp_min(*data)
-        got = lp_min(*data)
+        got = lp_min(*_folded(data))
         assert (got.status, got.x, got.value) == (want.status, want.x, want.value), data
         statuses[want.status] += 1
         ints = _as_ints(data)
         if ints is not None:
-            got = lp_min(*ints)
+            got = lp_min(*_folded(ints))
             assert (got.status, got.x, got.value) == (want.status, want.x, want.value), ints
             int_runs += 1
     assert min(statuses.values()) >= 200, statuses
     assert int_runs >= 200
+
+
+def _dot(c, x):
+    return sum((a * b for a, b in zip(c, x)), Q(0))
+
+
+def reference_lex_min(costs, a_ub, b_ub):
+    """Lexicographic minimum by one lp_min per cost, each stage's optimum
+    pinned as two inequality rows for the next: (status, x)."""
+    a_ub, b_ub = list(a_ub), list(b_ub)
+    for c in costs:
+        res = lp_min(c, tuple(a_ub), tuple(b_ub))
+        if res.status is not LpStatus.OPTIMAL:
+            return res.status, None
+        v = _dot(c, res.x)
+        a_ub += [c, tuple(-a for a in c)]
+        b_ub += [v, -v]
+    return LpStatus.OPTIMAL, res.x
+
+
+def _random_lex_lp(rng):
+    """A small LP and 1-3 costs: zero and proportional costs, tied and
+    degenerate rows, row-free and infeasible LPs, and boxes on a subset
+    of the coordinates, so a later cost may be unbounded on a bounded
+    first face."""
+    n = rng.randint(1, 4)
+
+    def entry():
+        return Q(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+    a_ub, b_ub = [], []
+    if rng.random() >= 0.08:
+        for _ in range(rng.randint(1, 6)):
+            a_ub.append(tuple(entry() for _ in range(n)))
+            b_ub.append(Q(0) if rng.random() < 0.3 else entry() + 1)  # rhs 0: degenerate
+        if rng.random() < 0.3:  # a scaled copy: ratio-test ties
+            k = rng.randrange(len(a_ub))
+            f = Q(rng.randint(1, 3), rng.choice((1, 2)))
+            a_ub.append(tuple(f * a for a in a_ub[k]))
+            b_ub.append(f * b_ub[k])
+        boxed = [j for j in range(n) if rng.random() < 0.7]
+        for j in boxed:
+            for s in (1, -1):
+                a_ub.append(tuple(Q(s * (i == j)) for i in range(n)))
+                b_ub.append(Q(rng.randint(0, 2)))
+    else:
+        boxed = []
+    costs = []
+    for _ in range(rng.randint(1, 3)):
+        u = rng.random()
+        if u < 0.15:
+            costs.append((Q(0),) * n)
+        elif u < 0.3 and costs:
+            f = Q(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+            costs.append(tuple(f * a for a in rng.choice(costs)))
+        elif u < 0.6 and boxed:  # bounded along the box
+            costs.append(tuple(entry() if i in boxed else Q(0) for i in range(n)))
+        else:
+            costs.append(tuple(entry() for _ in range(n)))
+    return costs, tuple(a_ub), tuple(b_ub)
+
+
+def test_lexicographic_costs_match_sequential_pinned_reference():
+    rng = random.Random(9)
+    statuses = {s: 0 for s in LpStatus}
+    cases = {"moved": 0, "spanning": 0, "row_free": 0, "later_unbounded": 0}
+    for _ in range(1200):
+        costs, a_ub, b_ub = _random_lex_lp(rng)
+        want_status, want_x = reference_lex_min(costs, a_ub, b_ub)
+        got = lp_min(costs[0], a_ub, b_ub, costs[1:])
+        data = (costs, a_ub, b_ub)
+        assert got.status is want_status, data
+        statuses[want_status] += 1
+        cases["row_free"] += not a_ub
+        first = lp_min(costs[0], a_ub, b_ub)
+        if want_status is LpStatus.UNBOUNDED and first.status is LpStatus.OPTIMAL:
+            cases["later_unbounded"] += 1
+        if want_status is not LpStatus.OPTIMAL:
+            assert got.x is None and got.value is None
+            continue
+        assert got.value == _dot(costs[0], got.x)
+        assert [_dot(c, got.x) for c in costs] == [_dot(c, want_x) for c in costs], data
+        assert all(_dot(r, got.x) <= b for r, b in zip(a_ub, b_ub)), data
+        if rank(costs) == len(costs[0]):
+            assert got.x == want_x, data
+            cases["spanning"] += 1
+        cases["moved"] += got.x != first.x
+    assert min(statuses.values()) >= 100, statuses
+    assert min(cases.values()) >= 30, cases

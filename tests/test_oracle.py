@@ -163,6 +163,28 @@ class TestBruteForce:
         with pytest.raises(CapacityError):
             brute_force_existence(span3_l16, B1, Q(100), Q(2))
 
+    def test_trials_cap_checked_before_any_probe(self, monkeypatch):
+        # A one-point grid: only the random trials make the probe list long.
+        monkeypatch.setattr(oracle, "_sign_patterns", None)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="probes"):
+            brute_force_existence(column_basis((1, 0)), vec((3, 1)), Q(0), Q(1), trials=10**7)
+        assert time.perf_counter() - start < 1.0
+
+    def test_trials_cap_admits_the_verifier_limit(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(basis):
+            raise Reached
+
+        monkeypatch.setattr(oracle, "_probe_set", reached)
+        basis = column_basis((1, 0))  # m = 1: the sweep is 5 probes
+        with pytest.raises(Reached):
+            brute_force_existence(basis, vec((3, 1)), Q(0), Q(1), trials=10**6 - 5)
+        with pytest.raises(CapacityError, match="probes"):
+            brute_force_existence(basis, vec((3, 1)), Q(0), Q(1), trials=10**6 - 5 + 1)
+
 
 def _reference_scan(basis, b, radius, step, trials=0, seed=0):
     """The per-probe scan: bj_orthogonal_l1 in Fractions at every

@@ -345,7 +345,10 @@ def _reference_lex_extreme_alpha(basis, constraints, direction):
         if is_zero(arow) or rank(pinned + [arow]) == len(pinned):
             continue
         cost = tuple(Q(direction) * x for x in arow)
-        res = lp_min(cost, tuple(a_ub), tuple(b_ub), tuple(pinned), tuple(values))
+        # Each pinned row r . alpha == v as the pair r . alpha <= v, -r . alpha <= -v.
+        pin_a = [tuple(s * x for x in r) for r in pinned for s in (1, -1)]
+        pin_b = [s * v for v in values for s in (1, -1)]
+        res = lp_min(cost, tuple(a_ub + pin_a), tuple(b_ub + pin_b))
         assert res.status is LpStatus.OPTIMAL
         pinned.append(arow)
         values.append(sum((ar * x for ar, x in zip(arow, res.x)), Q(0)))
