@@ -10,8 +10,11 @@ a failure is converted into an exact counterexample to the defining
 inequality.
 
 The test at a probe beta depends on beta only through the sign pattern
-of A.beta, so the verifier and the brute-force grid both reduce their
-probes to sign patterns and run one integer test (`_fails`) per pattern.
+of A.beta, which a positive scale of beta leaves alone.  So every probe
+is an int vector (a positive multiple of the rational probe it stands
+for), each probe direction is reduced to its sign pattern once, and the
+verifier and the brute-force grid run one integer test (`_fails`) per
+pattern.
 The grid decides most patterns a whole grid line at a time: along a line
 the test passes on one exact integer interval of the line's ticks, and
 only the ticks left in every interval are tested point by point.
@@ -26,7 +29,7 @@ from operator import mul
 
 from .errors import CapacityError, DimensionError, ValidationError
 from .exact import (Q, Vec, is_zero, l1_norm, minimize_1d_l1, primitive_ints,
-                    solve_linear, vec_sub)
+                    solve_linear, vec_sub)  # solve_linear: perfbench/tracer.py wraps it
 from .subspace import SubspaceBasis
 
 BRUTE_FORCE_MAX_M = 3
@@ -41,7 +44,8 @@ def bj_orthogonal_l1(y: Vec, z: Vec) -> bool:
     """Exact l1 Birkhoff-James orthogonality test: y perp z.
 
     Equivalent to 0 lying in the minimizer interval of
-    t -> ||y + t*z||_1.
+    t -> ||y + t*z||_1.  The oracle runs `_fails`; this is the library's
+    rational reference (perfbench/tracer.py counts its calls).
     """
     if len(y) != len(z):
         raise DimensionError("orthogonality test needs vectors of equal length")
@@ -93,17 +97,31 @@ def _refute_from_bj_failure(
     return Counterexample(beta=beta_hat, lhs=lhs, rhs=rhs)
 
 
-def _cross(u: Vec, v: Vec) -> Vec:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def _edge_probes(basis: SubspaceBasis) -> tuple[Vec, ...]:
-    """Deterministic probe directions reaching every sign cell of a
-    simple row arrangement (m <= 3).
+def _particular(incident, signs) -> tuple[int, list[int]]:
+    """(det, N) with N/det the solution of incident.x = signs that
+    solve_linear gives: Cramer's rule on its pivot columns (the first
+    column where a row is nonzero, then the first later column with a
+    nonzero 2x2 minor), 0 on the free coordinate."""
+    p, s = incident[0], signs[0]
+    c1 = next(c for c, col in enumerate(zip(*incident)) if any(col))
+    n = [0] * len(p)
+    if len(incident) == 1:
+        n[c1] = s
+        return p[c1], n
+    q, t = incident[1], signs[1]
+    det, c2 = next((p[c1] * q[c] - p[c] * q[c1], c) for c in range(c1 + 1, len(p))
+                   if p[c1] * q[c] != p[c] * q[c1])
+    n[c1], n[c2] = s * q[c2] - t * p[c2], t * p[c1] - s * q[c1]
+    return det, n
+
+
+def _edge_probes(basis: SubspaceBasis) -> tuple[tuple[int, ...], ...]:
+    """Deterministic int probes reaching every sign cell of a simple row
+    arrangement (m <= 3).
 
     Whether the orthogonality check fails at beta depends only on the
     signs of the row functionals there, and a violating open cell always
@@ -116,52 +134,50 @@ def _edge_probes(basis: SubspaceBasis) -> tuple[Vec, ...]:
     The verifier's random supplement (200 trials by default) usually
     finds those; the CLI's brute-force grid runs with trials = 0 and has
     no such cover (complete deterministic probes are ROADMAP item 2).
+
+    Everything is computed in ints on the nonzero rows R = L.A, with L
+    the lcm of A's denominators.  The rational probe ray.(1 + a/b).u + d,
+    with edge u = U/L^(m-1), step d = L.N/det and a/b the largest
+    |r.d|/|r.u| over the rows r, is stored times b.L^(m-1).|det| > 0.
     """
-    rows = [r for r in basis.matrix if not is_zero(r)]
     m = basis.m
-    probes: list[Vec] = []
-    for r in rows:
-        probes.append(r)
-        probes.append(tuple(-x for x in r))
-    if m == 2:
-        edges = [((-r[1], r[0]), (r,)) for r in rows]
-    elif m == 3:
-        edges = []
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                u = _cross(rows[i], rows[j])
-                if not is_zero(u):
-                    edges.append((u, (rows[i], rows[j])))
-    else:
-        edges = []
+    scale = math.lcm(*(x.denominator for row in basis.matrix for x in row))
+    lm = scale**m
+    rows = [tuple(x.numerator * (scale // x.denominator) for x in r)
+            for r in basis.matrix if not is_zero(r)]
+    probes = [p for r in rows for p in (r, tuple(-x for x in r))]
+    edges = [((-r[1], r[0]), (r,)) for r in rows] if m == 2 else []
+    if m == 3:
+        edges = [(u, rs) for rs in itertools.combinations(rows, 2) if any(u := _cross(*rs))]
     for u, incident in edges:
-        for signs in itertools.product((Q(1), Q(-1)), repeat=len(incident)):
-            res = solve_linear(tuple(incident), signs)
-            d = res.solution
-            needed = [Q(0)]
+        for signs in itertools.product((1, -1), repeat=len(incident)):
+            det, n = _particular(incident, signs)
+            a, b = 0, 1
             for r in rows:
-                ru = sum((a * b for a, b in zip(r, u)), Q(0))
-                if ru != 0:
-                    rd = sum((a * b for a, b in zip(r, d)), Q(0))
-                    needed.append(abs(rd) / abs(ru))
-            scale = max(needed) + 1
-            for ray in (1, -1):
-                probes.append(tuple(ray * scale * uu + dd for uu, dd in zip(u, d)))
+                ru = abs(sum(map(mul, r, u)))
+                if ru:
+                    num, den = abs(sum(map(mul, r, n))) * lm, abs(det) * ru
+                    if num * b > a * den:
+                        a, b = num, den
+            far, near = (a + b) * abs(det), b * lm if det > 0 else -b * lm
+            for ray in (far, -far):
+                probes.append(tuple(ray * uu + near * nn for uu, nn in zip(u, n)))
     return tuple(probes)
 
 
 def _random_betas(m: int, trials: int, seed: int, numerator: int, denominator: int):
-    """`trials` seeded random rational betas, drawn lazily."""
+    """`trials` seeded random rational betas p/q, drawn lazily, each
+    yielded as the int vector p_i.(lcm(q)/q_i)."""
     rng = random.Random(seed)
     for _ in range(trials):
-        yield tuple(
-            Q(rng.randint(-numerator, numerator), rng.randint(1, denominator))
-            for _ in range(m)
-        )
+        draws = [(rng.randint(-numerator, numerator), rng.randint(1, denominator))
+                 for _ in range(m)]
+        den = math.lcm(*(q for _, q in draws))
+        yield tuple(p * (den // q) for p, q in draws)
 
 
-def _probe_set(basis: SubspaceBasis) -> tuple[Vec, ...]:
-    probes = tuple(itertools.product((Q(-2), Q(-1), Q(0), Q(1), Q(2)), repeat=basis.m))
+def _probe_set(basis: SubspaceBasis) -> tuple[tuple[int, ...], ...]:
+    probes = tuple(itertools.product(range(-2, 3), repeat=basis.m))
     if basis.m <= BRUTE_FORCE_MAX_M:
         probes += _edge_probes(basis)
     return probes
@@ -183,7 +199,10 @@ def verify_best_coapprox(
     integer test per distinct sign pattern on b - A.alpha scaled to ints.
     The first failing pattern is that of the first failing probe, whose
     beta is returned as an exact counterexample; refutations found
-    deterministically are reproducible without the seed.  Refused
+    deterministically are reproducible without the seed.  The betas are
+    int probes: scaling beta by c != 0 scales y and the minimizing
+    interval of t -> ||y + t*z||_1 by c, so the counterexample (built
+    from beta/step) is that of the rational probe.  Refused
     (CapacityError) beyond BRUTE_FORCE_MAX_POINTS probes.
     """
     if trials < 1:
@@ -201,7 +220,7 @@ def verify_best_coapprox(
     for check, beta in patterns.items():
         if _fails(z, abs_z, check):
             return VerificationVerdict(
-                False, _refute_from_bj_failure(basis, b, alpha, beta), seed, trials
+                False, _refute_from_bj_failure(basis, b, alpha, tuple(map(Q, beta))), seed, trials
             )
     return VerificationVerdict(True, None, seed, trials)
 
@@ -215,22 +234,26 @@ class BruteForceResult:
     seed: int
 
 
-def _sign_patterns(int_rows, betas) -> dict[tuple, Vec]:
-    """Distinct sign patterns of A.beta over the probes, in first-seen
-    order, each as the check `_fails` takes (the signs and the mask of
-    zero signs) mapped to the first beta that produced it.
+def _sign_patterns(int_rows, betas) -> dict[tuple, tuple[int, ...]]:
+    """Distinct sign patterns of A.beta over the int probes, in
+    first-seen order, each as the check `_fails` takes (the signs and the
+    mask of zero signs) mapped to the first beta that produced it.
 
     Each row of `int_rows` is the row of A scaled to ints by a positive
-    factor, and each beta is scaled to ints by its own, so the signs are
-    exact.  A pattern and its negation give the same orthogonality test,
-    so each is stored with its first nonzero sign positive; the zero
-    pattern always passes and is dropped.
+    factor, so the signs are exact.  A pattern and its negation give the
+    same orthogonality test, so each is stored with its first nonzero
+    sign positive; the zero pattern always passes and is dropped.  A zero
+    beta, or one whose primitive direction up to sign was seen (so its
+    pattern was too), is skipped before any product.
     """
-    seen: dict[tuple, Vec] = {}
+    seen: dict[tuple, tuple[int, ...]] = {}
+    directions = set()
     for beta in betas:
-        den = math.lcm(*(x.denominator for x in beta))
-        int_beta = [x.numerator * (den // x.denominator) for x in beta]
-        images = [sum(map(mul, row, int_beta)) for row in int_rows]
+        g = math.gcd(*beta)
+        if not g or (d := tuple(x // g for x in beta)) in directions:
+            continue
+        directions.update((d, tuple(-x for x in d)))
+        images = [sum(map(mul, row, beta)) for row in int_rows]
         signs = tuple((y > 0) - (y < 0) for y in images)
         lead = next((s for s in signs if s), 0)
         if lead:

@@ -1,8 +1,10 @@
 import itertools
 import math
+import operator
 import random
 import time
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -23,10 +25,14 @@ from coapprox import (
     vec,
     verify_best_coapprox,
 )
-from coapprox import oracle
-from coapprox.exact import vec_sub
+from coapprox import exact, oracle
+from coapprox.cli import load_problem
+from coapprox.exact import primitive_ints, rank, solve_linear, vec_sub
 from coapprox.instances import random_basis, random_vector
+from coapprox.subspace import validate_basis
 from tests.conftest import column_basis
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 B1 = vec((1, 2, 3, 4, 5, 6))
 B2 = vec((5, 4, 0, 0, 1, 5))
@@ -214,7 +220,7 @@ def _reference_scan(basis, b, radius, step, trials=0, seed=0):
 
 
 def _unit_probes(basis):
-    return tuple(tuple(Q(int(i == j)) for j in range(basis.m)) for i in range(basis.m))
+    return tuple(tuple(int(i == j) for j in range(basis.m)) for i in range(basis.m))
 
 
 @pytest.mark.parametrize("weak_probes", [False, True])
@@ -391,3 +397,224 @@ def test_verify_matches_reference_verifier(monkeypatch, weak_probes):
         confirmed += got.confirmed
         refuted += not got.confirmed
     assert refuted >= 100 and confirmed >= 50 and from_solver >= 50
+
+
+# The oracle's probes before they were built in ints: rational edge probes
+# from a Fraction solve, rational random draws, and the pattern map over
+# rational betas.  They are the references for the int probes.
+def _fraction_edge_probes(basis):
+    rows = [r for r in basis.matrix if any(r)]
+    probes = []
+    for r in rows:
+        probes.append(r)
+        probes.append(tuple(-x for x in r))
+    if basis.m == 2:
+        edges = [((-r[1], r[0]), (r,)) for r in rows]
+    elif basis.m == 3:
+        edges = []
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                (a0, a1, a2), (b0, b1, b2) = rows[i], rows[j]
+                u = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+                if any(u):
+                    edges.append((u, (rows[i], rows[j])))
+    else:
+        edges = []
+    for u, incident in edges:
+        for signs in itertools.product((Q(1), Q(-1)), repeat=len(incident)):
+            d = solve_linear(tuple(incident), signs).solution
+            needed = [Q(0)]
+            for r in rows:
+                ru = sum((a * b for a, b in zip(r, u)), Q(0))
+                if ru != 0:
+                    rd = sum((a * b for a, b in zip(r, d)), Q(0))
+                    needed.append(abs(rd) / abs(ru))
+            scale = max(needed) + 1
+            for ray in (1, -1):
+                probes.append(tuple(ray * scale * uu + dd for uu, dd in zip(u, d)))
+    return tuple(probes)
+
+
+def _fraction_probe_set(basis):
+    probes = tuple(itertools.product((Q(-2), Q(-1), Q(0), Q(1), Q(2)), repeat=basis.m))
+    if basis.m <= oracle.BRUTE_FORCE_MAX_M:
+        probes += _fraction_edge_probes(basis)
+    return probes
+
+
+def _fraction_random_betas(m, trials, seed, numerator, denominator):
+    rng = random.Random(seed)
+    for _ in range(trials):
+        yield tuple(
+            Q(rng.randint(-numerator, numerator), rng.randint(1, denominator))
+            for _ in range(m)
+        )
+
+
+def _fraction_sign_patterns(int_rows, betas):
+    seen = {}
+    for beta in betas:
+        den = math.lcm(*(x.denominator for x in beta))
+        int_beta = [x.numerator * (den // x.denominator) for x in beta]
+        images = [sum(map(operator.mul, row, int_beta)) for row in int_rows]
+        signs = tuple((y > 0) - (y < 0) for y in images)
+        lead = next((s for s in signs if s), 0)
+        if lead:
+            signs = tuple(lead * s for s in signs)
+            seen.setdefault((signs, tuple(1 - abs(s) for s in signs)), beta)
+    return seen
+
+
+def _positive_multiple(got, ref):
+    """got == c * ref for some rational c > 0 (any c when both are zero)."""
+    ratios = {Q(g) / r for g, r in zip(got, ref) if r}
+    zeros_agree = all((g == 0) == (r == 0) for g, r in zip(got, ref))
+    return len(got) == len(ref) and zeros_agree and len(ratios) <= 1 and all(c > 0 for c in ratios)
+
+
+def _awkward_basis(rng, m):
+    """A rank-m basis mixing the degenerate shapes the edge probes meet:
+    zero rows, proportional rows, for m = 3 several planes through one
+    line, and entries with mixed denominators."""
+    while True:
+        rows = [
+            tuple(Q(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6))) for _ in range(m))
+            for _ in range(rng.randint(m, m + 2))
+        ]
+        if rng.random() < 0.4:
+            rows.append((Q(0),) * m)
+        if rng.random() < 0.5:
+            c = Q(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))
+            rows.append(tuple(c * x for x in rng.choice(rows)))
+        if m == 3 and rng.random() < 0.5:  # rows in the pencil of two rows
+            p, q = rng.sample(rows, 2)
+            for _ in range(rng.randint(1, 3)):
+                a, b = Q(rng.randint(-3, 3), rng.randint(1, 3)), Q(rng.randint(-3, 3))
+                rows.append(tuple(a * x + b * y for x, y in zip(p, q)))
+        rng.shuffle(rows)
+        if rank(rows) == m:
+            return validate_basis(tuple(rows))
+
+
+def _line(v):
+    """The primitive int direction of v, up to sign."""
+    d = tuple(primitive_ints(v))
+    return max(d, tuple(-x for x in d))
+
+
+def test_int_probes_are_positive_multiples_of_fraction_probes():
+    rng = random.Random(4040)
+    shared_lines = 0
+    for case in range(1200):
+        m = 1 + case % 3
+        basis = _awkward_basis(rng, m) if case % 4 else random_basis(rng, m + 2, m)
+        got, ref = oracle._probe_set(basis), _fraction_probe_set(basis)
+        assert len(got) == len(ref), case
+        for k, (probe, reference) in enumerate(zip(got, ref)):
+            assert all(type(x) is int for x in probe), (case, k)
+            assert _positive_multiple(probe, reference), (case, k)
+        if m == 3:  # two pairs of distinct planes on one line: three planes share it
+            planes = {_line(row) for row in basis.matrix if any(row)}
+            lines = [_line(oracle._cross(p, q)) for p, q in itertools.combinations(planes, 2)]
+            shared_lines += len(set(lines)) < len(lines)
+    assert shared_lines >= 100
+
+
+@pytest.mark.parametrize("m, trials, seed, numerator, denominator", [
+    (1, 200, 0, 8, 6), (2, 200, 3, 8, 6), (3, 200, 9, 60, 8), (3, 50, 1, 1, 1), (4, 40, 7, 5, 12),
+])
+def test_int_random_betas_are_positive_multiples(m, trials, seed, numerator, denominator):
+    got = list(oracle._random_betas(m, trials, seed, numerator, denominator))
+    ref = list(_fraction_random_betas(m, trials, seed, numerator, denominator))
+    assert len(got) == len(ref) == trials
+    assert all(all(type(x) is int for x in beta) for beta in got)
+    assert all(_positive_multiple(beta, reference) for beta, reference in zip(got, ref))
+
+
+class _CountedRow(list):
+    """A row of ints that counts how often it is read in full."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_sign_pattern_map_matches_fraction_map():
+    # The verifier's probes and random betas (trials 1, 5, 200) over rows
+    # scaled one by one, and the grid's probes over rows scaled by one
+    # common denominator: equal keys in equal order, and each stored
+    # beta a positive multiple of the reference's.  A beta is turned into
+    # products only when its direction, up to sign, is new.
+    rng = random.Random(5151)
+    deduped = 0
+    for case in range(240):
+        m = 1 + case % 3
+        basis = _awkward_basis(rng, m)
+        if case % 4 == 3:
+            scale = math.lcm(*(x.denominator for row in basis.matrix for x in row))
+            int_rows = [[int(x * scale) for x in row] for row in basis.matrix]
+            got_betas, ref_betas = oracle._probe_set(basis), _fraction_probe_set(basis)
+        else:
+            trials, seed = (1, 5, 200)[case % 4], rng.randint(0, 99)
+            int_rows = [primitive_ints(row) for row in basis.matrix]
+            got_betas = oracle._probe_set(basis) + tuple(oracle._random_betas(
+                m, trials, seed, oracle._RANDOM_NUMERATOR, oracle._RANDOM_DENOMINATOR))
+            ref_betas = _fraction_probe_set(basis) + tuple(_fraction_random_betas(
+                m, trials, seed, oracle._RANDOM_NUMERATOR, oracle._RANDOM_DENOMINATOR))
+        counted = [_CountedRow(row) for row in int_rows]
+        got = oracle._sign_patterns(counted, got_betas)
+        ref = _fraction_sign_patterns(int_rows, ref_betas)
+        assert list(got) == list(ref), case
+        assert all(_positive_multiple(got[key], ref[key]) for key in ref), case
+        directions = {_line(beta) for beta in got_betas if any(beta)}
+        assert counted[0].reads == len(directions), case
+        sweep = {_line(beta) for beta in got_betas[:5**m] if any(beta)}
+        later = [_line(beta) for beta in got_betas[5**m:] if any(beta)]
+        deduped += len(set(later) - sweep) < len(later)  # a skip past the sweep
+    assert deduped >= 200
+
+
+def test_counterexample_invariant_under_rescaled_beta():
+    # Scaling beta by c != 0 scales y = A.beta and the minimizing interval
+    # of t -> ||y + t*z||_1 by c; the step is the interval's point nearest
+    # 0, so beta/step, and with it the counterexample, does not move.
+    # Negative c included: the stored beta's sign is not what keeps it.
+    rng = random.Random(6262)
+    checked = 0
+    for case in range(300):
+        m = rng.randint(1, 3)
+        n = rng.randint(m + 1, 6)
+        basis = random_basis(rng, n, m, zero_rows=min(rng.choice((0, 1)), n - m))
+        b = random_vector(rng, n)
+        alpha = tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m))
+        beta = tuple(Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m))
+        if bj_orthogonal_l1(basis.combine(beta), vec_sub(b, basis.combine(alpha))):
+            continue
+        expected = oracle._refute_from_bj_failure(basis, b, alpha, beta)
+        for c in (Q(3), Q(1, 7), Q(22, 5), Q(-1), Q(-5, 2)):
+            scaled = tuple(c * x for x in beta)
+            assert oracle._refute_from_bj_failure(basis, b, alpha, scaled) == expected, case
+        checked += 1
+    assert checked >= 200
+
+
+def test_oracle_builds_probes_without_a_fraction_solve(monkeypatch):
+    # Every problem file's basis (all have m <= 3) through the verifier and
+    # the grid, with the rational solve made to raise.
+    def refuse(*args):
+        raise AssertionError("the oracle called solve_linear")
+
+    monkeypatch.setattr(oracle, "solve_linear", refuse)
+    monkeypatch.setattr(exact, "solve_linear", refuse)
+    files = sorted(PROBLEMS.glob("*.json"))
+    assert len(files) >= 6
+    for path in files:
+        problem = load_problem(str(path))
+        basis = problem.basis
+        assert basis.m <= oracle.BRUTE_FORCE_MAX_M
+        targets = [b for _, b in problem.targets] + [tuple(Q(k) for k in range(basis.n))]
+        for b in targets:
+            verify_best_coapprox(basis, b, (Q(0),) * basis.m, trials=200)
+            brute_force_existence(basis, b, Q(1), Q(1, 2), trials=5)
