@@ -43,6 +43,7 @@ from .norming import (
     SignCell,
     build_arrangement,
     enumerate_cells,
+    margin_witness,
     minimal_norming_set,
 )
 from .oracle import (
@@ -85,7 +86,7 @@ __all__ = [
     "solve_linear", "vec",
     "solve_minimax_lp",
     "Arrangement", "NormingSet", "SignCell", "build_arrangement",
-    "enumerate_cells", "minimal_norming_set",
+    "enumerate_cells", "margin_witness", "minimal_norming_set",
     "BruteForceResult", "VerificationVerdict", "bj_orthogonal_l1",
     "brute_force_existence", "verify_best_coapprox",
     "CoapproxOutcome", "ExistenceThreshold", "OutcomeKind",

@@ -16,6 +16,7 @@ from . import __version__
 from .classify import classify
 from .errors import CoapproxError, EmptyZeroSetError, ValidationError
 from .exact import Q, Vec, format_rational, l1_norm, parse_rational
+from .norming import margin_witness
 from .oracle import (BRUTE_FORCE_MAX_M, brute_force_existence, check_grid,
                      check_probe_capacity, verify_best_coapprox)
 from .solver import (
@@ -172,7 +173,7 @@ def cmd_norming_set(problem: ProblemFile) -> dict:
         _sign_list(x) for x in norming.representatives
     ]
     report["cells"] = [
-        {"signs": _sign_list(c.signs), "witness": _fmt_vec(c.witness)}
+        {"signs": _sign_list(c.signs), "witness": _fmt_vec(margin_witness(pb.arrangement, c))}
         for c in pb.cells
     ]
     tags = ["sign-cell-enumeration", "staircase-span-basis"]

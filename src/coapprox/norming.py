@@ -2,26 +2,31 @@
 
 Each nonzero component class contributes one hyperplane through the
 origin of coefficient space R^m.  The open sign cells of that central
-arrangement are enumerated exactly (one representative per antipodal
-pair), and each cell is translated into a +-1 sign vector on the
-coordinates.  Those sign vectors, as +- pairs, form the unique minimal
-norming set; a subspace functional with coefficients strictly inside a
-cell attains its norm exactly at that cell's pair.
+arrangement are enumerated exactly, in ints and without an LP, by
+deletion-restriction (one representative per antipodal pair, each with
+an int interior point), and each cell is translated into a +-1 sign
+vector on the coordinates.  Those sign vectors, as +- pairs, form the
+unique minimal norming set; a subspace functional with coefficients
+strictly inside a cell attains its norm exactly at that cell's pair.
 
 The sign vectors span dimension q = r, the hyperplane count, since each
 hyperplane is a wall between two cells that differ in its sign alone;
 so q needs no enumeration.  A canonical ordered basis of the span is
 extracted as well: the realizable "staircase" patterns (minus signs on a
 growing suffix of the hyperplane list) first, completed greedily in
-lexicographic cell order.
+lexicographic cell order.  The witness the `norming-set` report prints
+for a cell is its max-min-margin point, one LP per reported cell
+(`margin_witness`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, mul, sub
 
 from .errors import CapacityError, InternalInconsistencyError
-from .exact import Q, Vec, first_basis, integerize, rank
+from .exact import Q, Vec, first_basis, integerize, primitive_ints
+from .exact import rank  # unused here; perfbench/tracer.py wraps coapprox.norming.rank
 from .lp import LpStatus, lp_max
 from .subspace import ComponentProfile, ReducedInstance
 
@@ -58,13 +63,13 @@ class Arrangement:
 class SignCell:
     """One antipodal pair of nonempty open cells, sign +1 on hyperplane 0.
 
-    The witness satisfies signs[t] * (normals[t] . witness) > 0 strictly
-    for every t; it maximizes the smallest signed margin over the unit
-    box, which is what the exact emptiness test optimizes anyway.
+    The witness is an int point strictly inside the cell:
+    signs[t] * (normals[t] . witness) > 0 for every t.  The report's
+    witness is `margin_witness(arr, cell)` instead.
     """
 
     signs: SignVec
-    witness: Vec
+    witness: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -109,32 +114,6 @@ def build_arrangement(reduced: ReducedInstance, profile: ComponentProfile) -> Ar
     )
 
 
-def _max_min_margin(normals, signs, m):
-    """Largest s with signs[t]*(normals[t].beta) >= s on the unit box.
-
-    The optimum is > 0 exactly when the (partial) open cell is nonempty,
-    and the optimizer is then a strict interior witness.
-    """
-    a_ub = []
-    b_ub = []
-    for sign, normal in zip(signs, normals):
-        a_ub.append(tuple(-sign * x for x in normal) + (Q(1),))
-        b_ub.append(Q(0))
-    for j in range(m):
-        unit = [Q(0)] * (m + 1)
-        unit[j] = Q(1)
-        a_ub.append(tuple(unit))
-        b_ub.append(Q(1))
-        unit[j] = Q(-1)
-        a_ub.append(tuple(unit))
-        b_ub.append(Q(1))
-    cost = (Q(0),) * m + (Q(1),)
-    res = lp_max(cost, tuple(a_ub), tuple(b_ub))
-    if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
-        raise InternalInconsistencyError("margin LP must be feasible and bounded")
-    return res.value, res.x[:m]
-
-
 def cell_pair_bound(r: int, m: int) -> int:
     """Most antipodal cell pairs that r distinct central hyperplanes in
     R^m can cut: sum_{k<m} C(r-1, k), reached in general position."""
@@ -142,7 +121,7 @@ def cell_pair_bound(r: int, m: int) -> int:
 
 
 def check_cell_capacity(r: int, m: int) -> None:
-    """Refuse, before any LP, r hyperplanes in R^m too many to enumerate."""
+    """Refuse, before any work, r hyperplanes in R^m too many to enumerate."""
     if r > MAX_HYPERPLANES:
         raise CapacityError(
             f"cell enumeration capped at {MAX_HYPERPLANES} hyperplanes, got {r}"
@@ -155,31 +134,83 @@ def check_cell_capacity(r: int, m: int) -> None:
         )
 
 
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def _half_cells(normals: list[tuple[int, ...]], m: int) -> list[tuple[SignVec, tuple]]:
+    """Open cells of pairwise non-proportional nonzero int normals in
+    Z^m, those with sign +1 on normals[0] (one per antipodal pair), each
+    with an int point strictly inside.
+
+    Deletion-restriction: H_k cuts exactly the cells whose signs are
+    topes of the restriction {H_j cap H_k : j < k}, an arrangement in
+    R^(m-1) enumerated recursively in the int kernel basis
+    h_p.e_j - h_j.e_p of H_k.  A cut cell with interior point x on H_k
+    becomes K.x + h and K.x - h, K = 1 + max_j |n_j . h|: since
+    |n_j . x| >= 1, the earlier signs survive.  An uncut cell keeps its
+    point w and takes the sign of h . w, which is nonzero.  The
+    restriction has fewer hyperplanes in a lower dimension, so its cells
+    stay within the caller's cell_pair_bound.
+    """
+    if not normals:
+        return [((), (0,) * m)]
+    cells = [((1,), normals[0])]
+    for k in range(1, len(normals)):
+        h, earlier = normals[k], normals[:k]
+        p = next(j for j, x in enumerate(h) if x)
+        others = [j for j in range(m) if j != p]
+        restricted = [tuple(h[p] * n[j] - h[j] * n[p] for j in others) for n in earlier]
+        cut = {}
+        if all(map(any, restricted)):  # else H_k repeats an earlier plane
+            canon = (tuple(primitive_ints(v)) for v in restricted)
+            distinct = list(dict.fromkeys(max(v, tuple(-x for x in v)) for v in canon))
+            scale = 1 + max(abs(_dot(n, h)) for n in earlier)
+            for _, y in _half_cells(distinct, m - 1):
+                x = [0] * m
+                for j, yj in zip(others, y):
+                    x[j] = h[p] * yj
+                x[p] = -_dot((h[j] for j in others), y)
+                if _dot(earlier[0], x) < 0:
+                    x = [-xj for xj in x]
+                signs = tuple(1 if _dot(n, x) > 0 else -1 for n in earlier)
+                cut[signs] = tuple(scale * xj for xj in x)
+        grown = []
+        for signs, w in cells:
+            x = cut.get(signs)
+            if x is None:
+                grown.append((signs + (1 if _dot(h, w) > 0 else -1,), w))
+            else:
+                grown.append((signs + (1,), tuple(map(add, x, h))))
+                grown.append((signs + (-1,), tuple(map(sub, x, h))))
+        cells = grown
+    return cells
+
+
 def enumerate_cells(arr: Arrangement) -> tuple[SignCell, ...]:
     """All nonempty open cells, one per antipodal pair, in lexicographic
-    sign order (+1 before -1, hyperplane 0 fixed to +1).
-
-    Emptiness is decided exactly by the margin LP; whole sign-pattern
-    subtrees are pruned as soon as a prefix is already infeasible, so
-    the work is proportional to the number of nonempty cells rather than
-    2^r.
+    sign order (+1 before -1, hyperplane 0 fixed to +1), each with an int
+    point strictly inside.  Exact, in ints, with no LP: the work grows
+    with the cells found, not with 2^r.
     """
     check_cell_capacity(arr.r, arr.m)
-    cells: list[SignCell] = []
-    # Depth first, +1 before -1.  A loop, not a recursive closure: a
-    # closure that calls itself is a reference cycle, which would keep
-    # every enumeration's cells alive until the cyclic collector runs.
-    stack = [[1]]
-    while stack:
-        signs = stack.pop()
-        margin, beta = _max_min_margin(arr.normals[: len(signs)], signs, arr.m)
-        if margin <= 0:
-            continue
-        if len(signs) == arr.r:
-            cells.append(SignCell(signs=tuple(signs), witness=beta))
-        else:
-            stack += (signs + [-1], signs + [1])
-    return tuple(cells)
+    normals = [tuple(primitive_ints(nu)) for nu in arr.normals]
+    cells = sorted(_half_cells(normals, arr.m), key=lambda c: [-s for s in c[0]])
+    return tuple(SignCell(signs=signs, witness=w) for signs, w in cells)
+
+
+def margin_witness(arr: Arrangement, cell: SignCell) -> Vec:
+    """The point of the cell maximizing its smallest signed margin
+    signs[t] * (normals[t] . beta) over the unit box: the witness the
+    norming-set report prints.  One exact LP.
+    """
+    m = arr.m
+    a_ub = [tuple(-s * x for x in nu) + (Q(1),) for s, nu in zip(cell.signs, arr.normals)]
+    a_ub += [tuple(s * (i == j) for i in range(m + 1)) for j in range(m) for s in (1, -1)]
+    res = lp_max((0,) * m + (1,), tuple(a_ub), (0,) * arr.r + (1,) * (2 * m))
+    if res.status is not LpStatus.OPTIMAL or res.value <= 0:  # pragma: no cover
+        raise InternalInconsistencyError("margin LP must find the cell nonempty")
+    return res.x[:m]
 
 
 def _staircase_patterns(r: int):
@@ -206,12 +237,9 @@ def minimal_norming_set(
     staircase = [by_signs[p] for p in _staircase_patterns(arr.r) if p in by_signs]
     candidates = staircase + list(range(len(reps)))
     basis = [reps[candidates[p]] for p in first_basis([reps[i] for i in candidates])]
-    span_dim = len(basis)
-    if span_dim != rank(reps):  # pragma: no cover
-        raise InternalInconsistencyError("span basis extraction lost rank")
     return NormingSet(
         representatives=tuple(reps),
-        span_dim=span_dim,
+        span_dim=len(basis),
         system_basis=tuple(basis),
     )
 

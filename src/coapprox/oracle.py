@@ -133,7 +133,7 @@ def _edge_probes(basis: SubspaceBasis) -> tuple[tuple[int, ...], ...]:
     hyperplanes share a line can still hide cells from these probes.
     The verifier's random supplement (200 trials by default) usually
     finds those; the CLI's brute-force grid runs with trials = 0 and has
-    no such cover (complete deterministic probes are ROADMAP item 2).
+    no such cover (complete deterministic probes are ROADMAP item 3).
 
     Everything is computed in ints on the nonzero rows R = L.A, with L
     the lcm of A's denominators.  The rational probe ray.(1 + a/b).u + d,
@@ -195,7 +195,8 @@ def verify_best_coapprox(
     """Confirm or refute that A.alpha is a best coapproximation to b.
 
     Checks the deterministic probes (beta in {-2..2}^m plus the edge
-    probes), then `trials` seeded random rational betas, as one exact
+    probes), then `trials` seeded random rational betas (none when
+    m = 1, where the probes already cover every direction), as one exact
     integer test per distinct sign pattern on b - A.alpha scaled to ints.
     The first failing pattern is that of the first failing probe, whose
     beta is returned as an exact counterexample; refutations found
@@ -210,9 +211,12 @@ def verify_best_coapprox(
     if len(b) != basis.n or len(alpha) != basis.m:
         raise DimensionError("verify_best_coapprox dimension mismatch")
     check_probe_capacity(basis.m, trials)
+    probes = _probe_set(basis)
+    # In R^1 every nonzero beta has the direction of a nonzero probe up to
+    # sign, so random draws could add no sign pattern there.
+    draws = 0 if basis.m == 1 and any(map(any, probes)) else trials
     betas = itertools.chain(
-        _probe_set(basis),
-        _random_betas(basis.m, trials, seed, _RANDOM_NUMERATOR, _RANDOM_DENOMINATOR),
+        probes, _random_betas(basis.m, draws, seed, _RANDOM_NUMERATOR, _RANDOM_DENOMINATOR)
     )
     patterns = _sign_patterns([primitive_ints(row) for row in basis.matrix], betas)
     z = primitive_ints(vec_sub(b, basis.combine(alpha)))

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 import subprocess
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coapprox import norming, solver
+from coapprox import mat, norming, solver
 from coapprox.cli import main
+from coapprox.exact import rank
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -281,6 +283,52 @@ def test_reports_match_golden_digest():
     assert overall.hexdigest() == GOLDEN_DIGEST
 
 
+def _non_simple_rows(rng, m):
+    """3..7 pairwise non-proportional int rows in [-2, 2]^m of rank m
+    (for m >= 3, some m of them dependent: planes sharing a line), plus
+    two proportional copies with constants in {-2, -1, 2}, shuffled."""
+    while True:
+        rows = []
+        r = rng.randint(m + 1, 7)
+        while len(rows) < r:
+            v = tuple(rng.randint(-2, 2) for _ in range(m))
+            if any(v) and all(rank(mat([v, w])) == 2 for w in rows):
+                rows.append(v)
+        if rank(mat(rows)) != m:
+            continue
+        if m > 2 and all(rank(mat(c)) == m for c in itertools.combinations(rows, m)):
+            continue
+        for _ in range(2):
+            c = rng.choice((-2, -1, 2))
+            rows.append(tuple(c * x for x in rng.choice(rows[:r])))
+        rng.shuffle(rows)
+        return rows
+
+
+# sha256 over the norming-set reports of 60 seeded non-simple subspaces
+# (m = 2, 3, 4 in turn).  Computed on the LP prefix-tree enumerator, which
+# found the cells and their reported witnesses before the deletion-
+# restriction enumeration replaced it; the reports must not move.
+NON_SIMPLE_NORMING_DIGEST = "0a26f8ab638bfa117f8784f0b7163833ad9eb591b258696a5b4a03618ce258dc"
+
+
+def test_non_simple_norming_set_reports_match_digest(tmp_path):
+    rng = random.Random(2026)
+    overall = hashlib.sha256()
+    for k in range(60):
+        m = 2 + k % 3
+        rows = _non_simple_rows(rng, m)
+        f = tmp_path / f"s{k}.json"
+        f.write_text(json.dumps(
+            {"n": len(rows), "basis": [[str(row[j]) for row in rows] for j in range(m)]}
+        ), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["norming-set", "--input", str(f)])
+        overall.update(f"exit={code}\n{out.getvalue()}{err.getvalue()}".encode() + b"\0")
+    assert overall.hexdigest() == NON_SIMPLE_NORMING_DIGEST
+
+
 def test_norming_set_builds_each_artefact_once(capsys, monkeypatch):
     calls = {"build_arrangement": 0, "enumerate_cells": 0}
     for name in calls:
@@ -357,8 +405,10 @@ def margin_lps(monkeypatch):
 def test_norming_set_work_counts(capsys, margin_lps):
     # Exact work on the worked fixture: a kernel change that runs more
     # margin LPs, or finds other cells, fails here without any timing.
+    # Cells are enumerated without an LP; each reported cell's margin
+    # witness costs one.
     report = run_json(capsys, "norming-set", "--input", str(PROBLEMS / "span3_l16.json"))
-    assert (margin_lps["lp_max"], len(report["cells"])) == (15, 7)
+    assert (margin_lps["lp_max"], len(report["cells"])) == (7, 7)
 
 
 @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.name)
@@ -374,13 +424,14 @@ def test_classify_runs_no_margin_lp(capsys, margin_lps, path):
         # The empty-zero-set solve runs on the class-sum rows.
         ("solve", "pair_l15_cochebyshev.json", 0),
         ("solve", "span3_l16.json", 0),
-        # The zero-set polytope needs every cell: one inequality each.
-        ("solve", "line_l12_polytope.json", 1),
-        ("solve", "pair_l17_coproximinal.json", 3),
-        ("solve", "span3_l17_threshold.json", 15),
-        ("threshold", "line_l12_polytope.json", 1),
-        ("threshold", "pair_l17_coproximinal.json", 3),
-        ("threshold", "span3_l17_threshold.json", 15),
+        # The zero-set polytope needs every cell's signs, one inequality
+        # each, and no LP finds them.
+        ("solve", "line_l12_polytope.json", 0),
+        ("solve", "pair_l17_coproximinal.json", 0),
+        ("solve", "span3_l17_threshold.json", 0),
+        ("threshold", "line_l12_polytope.json", 0),
+        ("threshold", "pair_l17_coproximinal.json", 0),
+        ("threshold", "span3_l17_threshold.json", 0),
     ],
 )
 def test_margin_lp_counts(capsys, margin_lps, command, name, expected):
@@ -438,9 +489,9 @@ def test_verifier_trials_cap_exits_3_at_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("m", [4, 10])
 def test_cell_pair_cap_exits_3_at_once(tmp_path, capsys, m):
-    # Refused before any LP.  Uncapped, the m = 4 basis (19 hyperplanes,
-    # bound 988) has 943 cells found by 7885 margin LPs; the m = 10 one
-    # (20 hyperplanes) may cut 262144 cell pairs.
+    # Refused before any work.  Uncapped, the m = 4 basis (19 hyperplanes,
+    # bound 988) has 943 cells; the m = 10 one (20 hyperplanes) may cut
+    # 262144 cell pairs.
     rng = random.Random(m)
     doc = {"n": 20, "basis": [[str(rng.randint(-3, 3)) for _ in range(20)] for _ in range(m)]}
     f = tmp_path / "wide.json"

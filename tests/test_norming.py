@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -8,6 +9,7 @@ from coapprox import (
     build_arrangement,
     build_profile,
     enumerate_cells,
+    lp,
     mat,
     minimal_norming_set,
     norming,
@@ -15,6 +17,7 @@ from coapprox import (
     reduce_sigma,
     validate_basis,
 )
+from coapprox.exact import rank
 from coapprox.instances import random_basis, random_invertible, recombine
 from coapprox.norming import MAX_CELL_PAIRS, MAX_HYPERPLANES, cell_pair_bound, norming_dot
 from tests.conftest import column_basis
@@ -120,10 +123,11 @@ class TestEnumerateCells:
         arr = arrangement_of(basis)
         assert arr.r == r and cell_pair_bound(r, m) > MAX_CELL_PAIRS
 
-        def no_lp(*args):
-            raise AssertionError("margin LP run before the capacity check")
+        def no_work(*args):
+            raise AssertionError("cells enumerated before the capacity check")
 
-        monkeypatch.setattr(norming, "lp_max", no_lp)
+        monkeypatch.setattr(norming, "lp_max", no_work)
+        monkeypatch.setattr(norming, "_half_cells", no_work)
         with pytest.raises(CapacityError, match="cell pairs"):
             enumerate_cells(arr)
 
@@ -262,3 +266,136 @@ def test_span_dim_equals_class_count(make):
     for _ in range(40):
         pb = prepare(make(rng))
         assert pb.norming.span_dim == pb.profile.d == pb.q
+
+
+# ------------------------------------------- reference cell enumeration
+#
+# The LP prefix-tree enumerator that `enumerate_cells` replaced, kept as
+# the differential reference: depth first, +1 before -1, a prefix pruned
+# as soon as its max-min-margin LP reads <= 0, and each leaf's LP
+# optimizer kept as the witness.
+
+
+def _reference_max_min_margin(normals, signs, m):
+    a_ub = []
+    b_ub = []
+    for sign, normal in zip(signs, normals):
+        a_ub.append(tuple(-sign * x for x in normal) + (Q(1),))
+        b_ub.append(Q(0))
+    for j in range(m):
+        unit = [Q(0)] * (m + 1)
+        unit[j] = Q(1)
+        a_ub.append(tuple(unit))
+        b_ub.append(Q(1))
+        unit[j] = Q(-1)
+        a_ub.append(tuple(unit))
+        b_ub.append(Q(1))
+    res = lp.lp_max((Q(0),) * m + (Q(1),), tuple(a_ub), tuple(b_ub))
+    assert res.status is lp.LpStatus.OPTIMAL
+    return res.value, res.x[:m]
+
+
+def _reference_enumerate_cells(arr):
+    cells = []
+    stack = [[1]]
+    while stack:
+        signs = stack.pop()
+        margin, beta = _reference_max_min_margin(arr.normals[: len(signs)], signs, arr.m)
+        if margin <= 0:
+            continue
+        if len(signs) == arr.r:
+            cells.append((tuple(signs), beta))
+        else:
+            stack += (signs + [-1], signs + [1])
+    return cells
+
+
+def _largest_admitted_r(m):
+    return max(r for r in range(1, 13) if cell_pair_bound(r, m) <= MAX_CELL_PAIRS)
+
+
+# m per seed, cycling: the reference's LPs grow fast with m, so m = 4
+# and 5 are rarer than m = 2 and 3.
+_DIFFERENTIAL_M = (1, 2, 3, 4, 5, 2, 3, 4, 2, 3)
+
+
+def _differential_basis(rng, i):
+    """Seeded bases in three kinds: entries in [-2, 2] as in the
+    perfbench `arrangement` workload; pencils a.u + b.v of two rows
+    (m >= 3: three or more planes through one (m-2)-flat); wider entries
+    with proportional copies of negative constant.  Most have at most
+    m + 2 hyperplanes (m + 1 for m >= 4); one block in twenty has up to
+    the most the caps admit for m <= 3 (12 hyperplanes) and up to m + 4
+    for m >= 4."""
+    m = _DIFFERENTIAL_M[i % 10]
+    kind = i // 10 % 3
+    top = m + 2 if m <= 3 else m + 1
+    if i // 10 % 20 == 0:
+        top = _largest_admitted_r(m) if m <= 3 else m + 4
+    while True:
+        r = rng.randint(m, top)
+        if kind == 0:
+            rows = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(r)]
+        elif kind == 1:
+            rows = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(max(2, m, r - 3))]
+            u, v = rng.sample(rows, 2)
+            while len(rows) < r + 2:
+                a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                rows.append(tuple(a * x + b * y for x, y in zip(u, v)))
+        else:
+            rows = [tuple(rng.randint(-6, 6) for _ in range(m)) for _ in range(r)]
+            rows.append(tuple(-2 * x for x in rng.choice(rows)))
+        rows = [row for row in rows if any(row)]
+        if len(rows) >= m and rank(mat(rows)) == m:
+            rng.shuffle(rows)
+            basis = validate_basis(mat(rows))
+            if arrangement_of(basis).r <= top:
+                return basis
+
+
+def _has_three_planes_through_a_flat(arr):
+    # Some restriction then has proportional normals.
+    return arr.m >= 3 and any(
+        rank(list(triple)) == 2 for triple in itertools.combinations(arr.normals, 3)
+    )
+
+
+def test_cells_match_the_lp_prefix_tree_reference():
+    rng = random.Random(1975)
+    non_simple = 0
+    for i in range(1000):
+        arr = arrangement_of(_differential_basis(rng, i))
+        reference = _reference_enumerate_cells(arr)
+        cells = enumerate_cells(arr)
+        assert [c.signs for c in cells] == [signs for signs, _ in reference]
+        for cell, (_, beta) in zip(cells, reference):
+            assert type(cell.witness) is tuple and len(cell.witness) == arr.m
+            assert all(type(x) is int for x in cell.witness)
+            for sign, normal in zip(cell.signs, arr.normals):
+                assert sign * sum(nu * w for nu, w in zip(normal, cell.witness)) > 0
+            assert norming.margin_witness(arr, cell) == beta
+        non_simple += _has_three_planes_through_a_flat(arr)
+    assert non_simple >= 100
+
+
+def test_repeated_plane_cuts_nothing():
+    # An Arrangement built by hand may repeat a plane (build_arrangement
+    # never does): the repeat cuts no cell, as in the reference.
+    normals = mat([(1, -1, 0), (0, 1, 1), (1, 1, 1), (-2, 2, 0), (2, 1, 1)])
+    arr = norming.Arrangement(normals=normals, class_of_coord=(0, 1, 2, 3, 4),
+                              orientation=(1,) * 5, m=3)
+    cells = enumerate_cells(arr)
+    assert [c.signs for c in cells] == [signs for signs, _ in _reference_enumerate_cells(arr)]
+    assert all(c.signs[3] == -c.signs[0] for c in cells)
+
+
+def test_enumerate_cells_runs_no_lp(monkeypatch, span3_l16):
+    def no_lp(*args):
+        raise AssertionError("margin LP run by the cell enumeration")
+
+    monkeypatch.setattr(norming, "lp_max", no_lp)
+    rng = random.Random(11)
+    for make in (_through_one_line, _lines_in_plane, _with_duplicates, _generic):
+        for _ in range(10):
+            assert enumerate_cells(arrangement_of(make(rng)))
+    assert len(enumerate_cells(arrangement_of(span3_l16))) == 7

@@ -618,3 +618,65 @@ def test_oracle_builds_probes_without_a_fraction_solve(monkeypatch):
         for b in targets:
             verify_best_coapprox(basis, b, (Q(0),) * basis.m, trials=200)
             brute_force_existence(basis, b, Q(1), Q(1, 2), trials=5)
+
+
+def _verify_with_draws(basis, b, alpha, trials, seed):
+    """The verifier as it was before m = 1 skipped its random betas: the
+    pattern map over the probes and all `trials` draws."""
+    betas = itertools.chain(
+        oracle._probe_set(basis),
+        oracle._random_betas(
+            basis.m, trials, seed, oracle._RANDOM_NUMERATOR, oracle._RANDOM_DENOMINATOR
+        ),
+    )
+    patterns = oracle._sign_patterns([primitive_ints(row) for row in basis.matrix], betas)
+    z = primitive_ints(vec_sub(b, basis.combine(alpha)))
+    abs_z = list(map(abs, z))
+    for check, beta in patterns.items():
+        if oracle._fails(z, abs_z, check):
+            return VerificationVerdict(
+                False,
+                oracle._refute_from_bj_failure(basis, b, alpha, tuple(map(Q, beta))),
+                seed,
+                trials,
+            )
+    return VerificationVerdict(True, None, seed, trials)
+
+
+def test_m1_verifier_draws_no_random_beta(monkeypatch):
+    # m = 1: every nonzero beta is a multiple of a swept probe, so the
+    # draws cannot change the verdict or the counterexample.  Solver
+    # alphas (confirmed) and perturbed ones (mostly refuted), zero rows
+    # and proportional rows included.
+    draws, asked = [], []
+    original = oracle._random_betas
+
+    def counted(*args):
+        asked.append(args[1])
+        for beta in original(*args):
+            draws.append(beta)
+            yield beta
+
+    rng = random.Random(101)
+    confirmed = refuted = 0
+    for case in range(200):
+        n = rng.randint(2, 7)
+        basis = random_basis(rng, n, 1, zero_rows=rng.choice((0, 0, 1)))
+        b = random_vector(rng, n)
+        trials = rng.choice((1, 7, 200))
+        seed = rng.randint(0, 99)
+        out = solve_general(basis, None, b, prepared=prepare(basis))
+        if out.kind is OutcomeKind.NOT_EXISTS:
+            continue
+        alpha = out.chosen_alpha
+        for a in (alpha, (alpha[0] + Q(rng.randint(-4, 4) or 1, rng.randint(1, 5)),)):
+            expected = _verify_with_draws(basis, b, a, trials, seed)
+            monkeypatch.setattr(oracle, "_random_betas", counted)
+            got = verify_best_coapprox(basis, b, a, trials=trials, seed=seed)
+            monkeypatch.setattr(oracle, "_random_betas", original)
+            assert got == expected, case
+            assert (got.seed, got.trials) == (seed, trials)
+            confirmed += got.confirmed
+            refuted += not got.confirmed
+    assert draws == [] and len(asked) == confirmed + refuted and set(asked) == {0}
+    assert confirmed >= 100 and refuted >= 50
