@@ -138,7 +138,7 @@ def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
-def _half_cells(normals: list[tuple[int, ...]], m: int) -> list[tuple[SignVec, tuple]]:
+def half_cells(normals: list[tuple[int, ...]], m: int) -> list[tuple[SignVec, tuple]]:
     """Open cells of pairwise non-proportional nonzero int normals in
     Z^m, those with sign +1 on normals[0] (one per antipodal pair), each
     with an int point strictly inside.
@@ -166,7 +166,7 @@ def _half_cells(normals: list[tuple[int, ...]], m: int) -> list[tuple[SignVec, t
             canon = (tuple(primitive_ints(v)) for v in restricted)
             distinct = list(dict.fromkeys(max(v, tuple(-x for x in v)) for v in canon))
             scale = 1 + max(abs(_dot(n, h)) for n in earlier)
-            for _, y in _half_cells(distinct, m - 1):
+            for _, y in half_cells(distinct, m - 1):
                 x = [0] * m
                 for j, yj in zip(others, y):
                     x[j] = h[p] * yj
@@ -195,7 +195,7 @@ def enumerate_cells(arr: Arrangement) -> tuple[SignCell, ...]:
     """
     check_cell_capacity(arr.r, arr.m)
     normals = [tuple(primitive_ints(nu)) for nu in arr.normals]
-    cells = sorted(_half_cells(normals, arr.m), key=lambda c: [-s for s in c[0]])
+    cells = sorted(half_cells(normals, arr.m), key=lambda c: [-s for s in c[0]])
     return tuple(SignCell(signs=signs, witness=w) for signs, w in cells)
 
 

@@ -3,41 +3,42 @@
 Nothing here reuses the norming-set construction.  The only tools are
 the definition itself and the classical l1 Birkhoff-James criterion:
 y is orthogonal to z iff |sum over supp(y) of sign(y_i) z_i| is at most
-the mass of z on the complement of supp(y).  A claimed solution is
-checked against a deterministic sweep (small integer coefficient
-vectors plus exact edge-direction probes) and seeded random rationals;
-a failure is converted into an exact counterexample to the defining
-inequality.
+the mass of z on the complement of supp(y).  A.alpha is a best
+coapproximation to b iff A.beta is orthogonal to z = b - A.alpha for
+every beta; a failure is converted into an exact counterexample to the
+defining inequality.
 
-The test at a probe beta depends on beta only through the sign pattern
-of A.beta, which a positive scale of beta leaves alone.  So every probe
-is an int vector (a positive multiple of the rational probe it stands
-for), each probe direction is reduced to its sign pattern once, and the
-verifier and the brute-force grid run one integer test (`_fails`) per
-pattern.
-The grid decides most patterns a whole grid line at a time: along a line
-the test passes on one exact integer interval of the line's ticks, and
-only the ticks left in every interval are tested point by point.
+The test at beta depends on beta only through the sign pattern of
+A.beta, and the topes (open cells) of A's row arrangement decide every
+lower face too: around a face point the arrangement is central, so the
+topes next to it come in pairs that agree off the face's zero rows Z0
+and are opposite on Z0; if S is the face's signed sum and C the mass of
+z on A's zero rows, the two tope tests |S +- (signed sum on Z0)| <= C
+give |S| <= C, which implies the face's test.  So one int beta strictly
+inside each tope pair is a complete probe set, and a "confirmed"
+verdict is a proof.  The topes come from `norming.half_cells` run on
+A's nonzero rows reduced to primitive ints and merged up to sign: no
+profile, sigma-reduction, class or LP.
+
+The brute-force grid takes the same patterns.  A tope pattern is zero
+only on A's zero rows, where the residual is b, so each test is a slab
+in alpha and a grid line passes on one exact integer interval.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from operator import mul
 
 from .errors import CapacityError, DimensionError, ValidationError
-from .exact import (Q, Vec, is_zero, l1_norm, minimize_1d_l1, primitive_ints,
+from .exact import (Q, Vec, l1_norm, minimize_1d_l1, primitive_ints,
                     solve_linear, vec_sub)  # solve_linear: perfbench/tracer.py wraps it
+from .norming import check_cell_capacity, half_cells
 from .subspace import SubspaceBasis
 
 BRUTE_FORCE_MAX_M = 3
 BRUTE_FORCE_MAX_POINTS = 10**6
-_RANDOM_NUMERATOR = 8
-_RANDOM_DENOMINATOR = 6
-_GRID_RANDOM_NUMERATOR = 60
-_GRID_RANDOM_DENOMINATOR = 8
 
 
 def bj_orthogonal_l1(y: Vec, z: Vec) -> bool:
@@ -97,96 +98,47 @@ def _refute_from_bj_failure(
     return Counterexample(beta=beta_hat, lhs=lhs, rhs=rhs)
 
 
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
-def _particular(incident, signs) -> tuple[int, list[int]]:
-    """(det, N) with N/det the solution of incident.x = signs that
-    solve_linear gives: Cramer's rule on its pivot columns (the first
-    column where a row is nonzero, then the first later column with a
-    nonzero 2x2 minor), 0 on the free coordinate."""
-    p, s = incident[0], signs[0]
-    c1 = next(c for c, col in enumerate(zip(*incident)) if any(col))
-    n = [0] * len(p)
-    if len(incident) == 1:
-        n[c1] = s
-        return p[c1], n
-    q, t = incident[1], signs[1]
-    det, c2 = next((p[c1] * q[c] - p[c] * q[c1], c) for c in range(c1 + 1, len(p))
-                   if p[c1] * q[c] != p[c] * q[c1])
-    n[c1], n[c2] = s * q[c2] - t * p[c2], t * p[c1] - s * q[c1]
-    return det, n
-
-
-def _edge_probes(basis: SubspaceBasis) -> tuple[tuple[int, ...], ...]:
-    """Deterministic int probes reaching every sign cell of a simple row
-    arrangement (m <= 3).
-
-    Whether the orthogonality check fails at beta depends only on the
-    signs of the row functionals there, and a violating open cell always
-    exists when the claim is false.  Each cell of a simple central
-    arrangement is entered exactly by walking far along one of its edge
-    rays (a cross product of two row normals, or a row perpendicular for
-    m = 2) and stepping off it with a small solve that prescribes the
-    two incident signs.  Arrangements where three or more distinct row
-    hyperplanes share a line can still hide cells from these probes.
-    The verifier's random supplement (200 trials by default) usually
-    finds those; the CLI's brute-force grid runs with trials = 0 and has
-    no such cover (complete deterministic probes are ROADMAP item 3).
-
-    Everything is computed in ints on the nonzero rows R = L.A, with L
-    the lcm of A's denominators.  The rational probe ray.(1 + a/b).u + d,
-    with edge u = U/L^(m-1), step d = L.N/det and a/b the largest
-    |r.d|/|r.u| over the rows r, is stored times b.L^(m-1).|det| > 0.
-    """
-    m = basis.m
-    scale = math.lcm(*(x.denominator for row in basis.matrix for x in row))
-    lm = scale**m
-    rows = [tuple(x.numerator * (scale // x.denominator) for x in r)
-            for r in basis.matrix if not is_zero(r)]
-    probes = [p for r in rows for p in (r, tuple(-x for x in r))]
-    edges = [((-r[1], r[0]), (r,)) for r in rows] if m == 2 else []
-    if m == 3:
-        edges = [(u, rs) for rs in itertools.combinations(rows, 2) if any(u := _cross(*rs))]
-    for u, incident in edges:
-        for signs in itertools.product((1, -1), repeat=len(incident)):
-            det, n = _particular(incident, signs)
-            a, b = 0, 1
-            for r in rows:
-                ru = abs(sum(map(mul, r, u)))
-                if ru:
-                    num, den = abs(sum(map(mul, r, n))) * lm, abs(det) * ru
-                    if num * b > a * den:
-                        a, b = num, den
-            far, near = (a + b) * abs(det), b * lm if det > 0 else -b * lm
-            for ray in (far, -far):
-                probes.append(tuple(ray * uu + near * nn for uu, nn in zip(u, n)))
-    return tuple(probes)
-
-
-def _random_betas(m: int, trials: int, seed: int, numerator: int, denominator: int):
-    """`trials` seeded random rational betas p/q, drawn lazily, each
-    yielded as the int vector p_i.(lcm(q)/q_i)."""
-    rng = random.Random(seed)
-    for _ in range(trials):
-        draws = [(rng.randint(-numerator, numerator), rng.randint(1, denominator))
-                 for _ in range(m)]
-        den = math.lcm(*(q for _, q in draws))
-        yield tuple(p * (den // q) for p, q in draws)
-
-
-def _probe_set(basis: SubspaceBasis) -> tuple[tuple[int, ...], ...]:
-    probes = tuple(itertools.product(range(-2, 3), repeat=basis.m))
-    if basis.m <= BRUTE_FORCE_MAX_M:
-        probes += _edge_probes(basis)
-    return probes
-
-
 def check_probe_capacity(m: int, trials: int) -> None:
-    """Refuse more than BRUTE_FORCE_MAX_POINTS probes: the 5^m sweep plus trials."""
+    """Refuse m and trials beyond the oracle's input cap, 5^m + trials at
+    most BRUTE_FORCE_MAX_POINTS.  No probe is swept or drawn; the cap
+    keeps bounding what a caller may ask for (m <= 8, and trials below
+    10^6)."""
     if 5**m + trials > BRUTE_FORCE_MAX_POINTS:
         raise CapacityError(f"verifier capped at {BRUTE_FORCE_MAX_POINTS} probes (5^m + trials)")
+
+
+def _sign_patterns(basis: SubspaceBasis) -> dict[tuple, tuple[int, ...]]:
+    """The sign pattern of A.beta on each tope pair of A's row
+    arrangement, as the check `_fails` takes (the signs and the mask of
+    zero signs), mapped to an int beta strictly inside the tope.
+
+    The nonzero rows, reduced to primitive ints, are merged up to sign
+    into the distinct row hyperplanes; each row takes its plane's tope
+    sign times its orientation, and A's zero rows take sign 0.  Refused
+    (CapacityError) by the cell caps on those planes before any
+    enumeration.
+    """
+    planes: dict[tuple[int, ...], int] = {}
+    where = []  # per row: (plane index, orientation), or None on a zero row
+    for row in basis.matrix:
+        v = tuple(primitive_ints(row))
+        if not any(v):
+            where.append(None)
+            continue
+        normal = max(v, tuple(-x for x in v))
+        where.append((planes.setdefault(normal, len(planes)), 1 if normal == v else -1))
+    check_cell_capacity(len(planes), basis.m)
+    off = tuple(int(w is None) for w in where)
+    return {
+        (tuple(w[1] * tope[w[0]] if w else 0 for w in where), off): witness
+        for tope, witness in half_cells(list(planes), basis.m)
+    }
+
+
+def _fails(z: list[int], abs_z: list[int], check) -> bool:
+    """The l1 Birkhoff-James test of bj_orthogonal_l1, on one sign pattern."""
+    signs, off = check
+    return abs(sum(map(mul, signs, z))) > sum(map(mul, off, abs_z))
 
 
 def verify_best_coapprox(
@@ -194,31 +146,22 @@ def verify_best_coapprox(
 ) -> VerificationVerdict:
     """Confirm or refute that A.alpha is a best coapproximation to b.
 
-    Checks the deterministic probes (beta in {-2..2}^m plus the edge
-    probes), then `trials` seeded random rational betas (none when
-    m = 1, where the probes already cover every direction), as one exact
-    integer test per distinct sign pattern on b - A.alpha scaled to ints.
-    The first failing pattern is that of the first failing probe, whose
-    beta is returned as an exact counterexample; refutations found
-    deterministically are reproducible without the seed.  The betas are
-    int probes: scaling beta by c != 0 scales y and the minimizing
-    interval of t -> ||y + t*z||_1 by c, so the counterexample (built
-    from beta/step) is that of the rational probe.  Refused
-    (CapacityError) beyond BRUTE_FORCE_MAX_POINTS probes.
+    Runs one exact integer test per tope pair of A's row arrangement, on
+    b - A.alpha scaled to ints; the topes decide every beta, so a
+    "confirmed" verdict is a proof.  The first failing tope's int
+    witness beta is returned as an exact counterexample: scaling beta by
+    c != 0 scales y and the minimizing interval of t -> ||y + t*z||_1 by
+    c, so the counterexample (built from beta/step) does not depend on
+    the witness's scale.  `trials` and `seed` are validated and echoed
+    but draw nothing.  Refused (CapacityError) beyond check_probe_capacity
+    and the cell caps on A's distinct row hyperplanes.
     """
     if trials < 1:
         raise ValidationError("verify_best_coapprox needs trials >= 1")
     if len(b) != basis.n or len(alpha) != basis.m:
         raise DimensionError("verify_best_coapprox dimension mismatch")
     check_probe_capacity(basis.m, trials)
-    probes = _probe_set(basis)
-    # In R^1 every nonzero beta has the direction of a nonzero probe up to
-    # sign, so random draws could add no sign pattern there.
-    draws = 0 if basis.m == 1 and any(map(any, probes)) else trials
-    betas = itertools.chain(
-        probes, _random_betas(basis.m, draws, seed, _RANDOM_NUMERATOR, _RANDOM_DENOMINATOR)
-    )
-    patterns = _sign_patterns([primitive_ints(row) for row in basis.matrix], betas)
+    patterns = _sign_patterns(basis)
     z = primitive_ints(vec_sub(b, basis.combine(alpha)))
     abs_z = list(map(abs, z))
     for check, beta in patterns.items():
@@ -236,40 +179,6 @@ class BruteForceResult:
     grid_points: int
     trials: int
     seed: int
-
-
-def _sign_patterns(int_rows, betas) -> dict[tuple, tuple[int, ...]]:
-    """Distinct sign patterns of A.beta over the int probes, in
-    first-seen order, each as the check `_fails` takes (the signs and the
-    mask of zero signs) mapped to the first beta that produced it.
-
-    Each row of `int_rows` is the row of A scaled to ints by a positive
-    factor, so the signs are exact.  A pattern and its negation give the
-    same orthogonality test, so each is stored with its first nonzero
-    sign positive; the zero pattern always passes and is dropped.  A zero
-    beta, or one whose primitive direction up to sign was seen (so its
-    pattern was too), is skipped before any product.
-    """
-    seen: dict[tuple, tuple[int, ...]] = {}
-    directions = set()
-    for beta in betas:
-        g = math.gcd(*beta)
-        if not g or (d := tuple(x // g for x in beta)) in directions:
-            continue
-        directions.update((d, tuple(-x for x in d)))
-        images = [sum(map(mul, row, beta)) for row in int_rows]
-        signs = tuple((y > 0) - (y < 0) for y in images)
-        lead = next((s for s in signs if s), 0)
-        if lead:
-            signs = tuple(lead * s for s in signs)
-            seen.setdefault((signs, tuple(1 - abs(s) for s in signs)), beta)
-    return seen
-
-
-def _fails(z: list[int], abs_z: list[int], check) -> bool:
-    """The l1 Birkhoff-James test of bj_orthogonal_l1, on one sign pattern."""
-    signs, off = check
-    return abs(sum(map(mul, signs, z))) > sum(map(mul, off, abs_z))
 
 
 def check_grid(radius: Q | None, step: Q | None) -> None:
@@ -295,28 +204,24 @@ def brute_force_existence(
     that no best coapproximation exists, no grid point may pass.  The
     grid is every alpha with coordinates -r, -r + t, ... up to r.  A
     grid point is a candidate when b - A.alpha passes the orthogonality
-    test at every probe beta of the deterministic sweep and, when
-    `trials` is positive, at `trials` seeded random rational betas (the
-    sweep alone can be fooled by thin violation cones).
+    test at every tope pair of A's row arrangement, which decides it at
+    every beta: the candidates are exactly the grid's best
+    coapproximations.  `trials` and `seed` are checked and echoed but
+    draw nothing.
 
-    The test at beta depends on beta only through the sign pattern of
-    A.beta, so the probes are reduced once per call to their distinct
-    patterns.  The grid, b and A are scaled by one common denominator,
-    which makes every residual a vector of ints; the test is unchanged
-    by a positive scale, so each decision stays exact.
+    A tope pattern sigma is zero only on A's zero rows Z, where the
+    residual is b.  So its test is the slab
+    |sigma.b - (sigma.A).alpha| <= sum over Z of |b_i|, with sigma.A and
+    the width constant over the grid.  The grid, b and A are scaled by
+    one common denominator, which makes every quantity an int and each
+    decision exact.  The grid is scanned one line along the last axis at
+    a time: on a line each slab holds one integer interval of ticks,
+    found with one (m-1)-term dot product and floor divisions, and the
+    line's candidates are the intersection, in grid order.
 
-    The grid is scanned one line along the last axis at a time.  On a
-    line the residual is z0 - k*d, so a pattern whose zero signs all sit
-    where d is 0 passes on one integer interval of k, found with one
-    dot product and floor divisions.  The intersection of those
-    intervals holds the line's survivors; only they are tested against
-    the remaining patterns, the one that failed last first (which cannot
-    change a verdict, because a candidate must pass them all).  The
-    candidates and their order are those of a pointwise scan.
-
-    Guarded at m <= 3, BRUTE_FORCE_MAX_POINTS grid points and the
-    verifier's probe cap, all checked before any probe is built; a
-    negative radius or a non-positive step is rejected.
+    Guarded at m <= 3, BRUTE_FORCE_MAX_POINTS grid points,
+    check_probe_capacity and the cell caps, all checked before any tope
+    is enumerated; a negative radius or a non-positive step is rejected.
     """
     m = basis.m
     if m > BRUTE_FORCE_MAX_M:
@@ -332,63 +237,43 @@ def brute_force_existence(
     check_probe_capacity(m, trials)
     if len(b) != basis.n:
         raise DimensionError("brute_force_existence dimension mismatch")
+    patterns = _sign_patterns(basis)
 
     ticks = [-radius + k * step for k in range(per_axis)]
     entries = itertools.chain((radius, step), b, *basis.matrix)
     scale = math.lcm(*(x.denominator for x in entries))
-    int_rows = [[int(a * scale) for a in row] for row in basis.matrix]
-    int_cols = list(zip(*int_rows))
+    int_cols = [[int(a * scale) for a in col] for col in zip(*basis.matrix)]
     int_ticks = [int(t * scale) for t in ticks]
     int_b = [int(x * scale * scale) for x in b]  # residuals come out scaled by scale**2
-    inner_step = [a * int(step * scale) for a in int_cols[-1]]
+    width = sum(abs(x) for x, row in zip(int_b, basis.matrix) if not any(row))
 
-    betas = _probe_set(basis) + tuple(
-        _random_betas(m, trials, seed, _GRID_RANDOM_NUMERATOR, _GRID_RANDOM_DENOMINATOR)
-    )
-    # Along a line z(k) = z0 - k*inner_step.  A check with no zero sign
-    # where inner_step is nonzero sees a constant off-support mass C and a
-    # signed sum S0 - k*S1; it is stored with S1 >= 0, as negating its
-    # signs leaves the test unchanged.  The other checks go pointwise.
-    affine = []
-    checks = []
-    for signs, off in _sign_patterns(int_rows, betas):
-        if any(o and d for o, d in zip(off, inner_step)):
-            checks.append((signs, off))
-            continue
-        s1 = sum(map(mul, signs, inner_step))
+    # On the line through the outer ticks, sigma.z = s0 - k*s1 with
+    # s0 = c - g.(outer ticks); stored with s1 >= 0, as negating sigma
+    # leaves the test unchanged.
+    slabs = []
+    for signs, _ in patterns:
+        g = [sum(map(mul, signs, col)) for col in int_cols]
+        s1 = g[-1] * int(step * scale)
+        c = sum(map(mul, signs, int_b)) - g[-1] * int_ticks[0]
         if s1 < 0:
-            signs, s1 = tuple(-s for s in signs), -s1
-        affine.append((signs, off, s1))
+            g, s1, c = [-x for x in g], -s1, -c
+        slabs.append((g[:-1], c, s1))
 
     candidates = []
-    last = 0
     for outer in itertools.product(range(per_axis), repeat=m - 1):
-        z0 = list(int_b)
-        for j, k in enumerate(outer + (0,)):
-            z0 = [zi - a * int_ticks[k] for zi, a in zip(z0, int_cols[j])]
-        abs_z0 = list(map(abs, z0))
+        at = [int_ticks[k] for k in outer]
         lo, hi = 0, per_axis - 1
-        for signs, off, s1 in affine:
-            s0 = sum(map(mul, signs, z0))
-            c = sum(map(mul, off, abs_z0))
-            if s1:  # S0 - C <= k*S1 <= S0 + C
-                lo = max(lo, -((c - s0) // s1))
-                hi = min(hi, (s0 + c) // s1)
-            elif abs(s0) > c:
+        for g, c, s1 in slabs:
+            s0 = c - sum(map(mul, g, at))
+            if s1:  # s0 - width <= k*s1 <= s0 + width
+                lo = max(lo, -((width - s0) // s1))
+                hi = min(hi, (s0 + width) // s1)
+            elif abs(s0) > width:
                 hi = -1
             if lo > hi:
                 break
-        for k in range(lo, hi + 1):
-            z = [zi - k * d for zi, d in zip(z0, inner_step)]
-            abs_z = list(map(abs, z))
-            if checks and _fails(z, abs_z, checks[last]):
-                continue
-            for idx, check in enumerate(checks):
-                if _fails(z, abs_z, check):
-                    last = idx
-                    break
-            else:
-                candidates.append(tuple(ticks[i] for i in outer) + (ticks[k],))
+        head = tuple(ticks[i] for i in outer)
+        candidates.extend(head + (ticks[k],) for k in range(lo, hi + 1))
     return BruteForceResult(
         exists=bool(candidates),
         candidates=tuple(candidates),

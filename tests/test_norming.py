@@ -127,7 +127,7 @@ class TestEnumerateCells:
             raise AssertionError("cells enumerated before the capacity check")
 
         monkeypatch.setattr(norming, "lp_max", no_work)
-        monkeypatch.setattr(norming, "_half_cells", no_work)
+        monkeypatch.setattr(norming, "half_cells", no_work)
         with pytest.raises(CapacityError, match="cell pairs"):
             enumerate_cells(arr)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import operator
@@ -10,6 +11,7 @@ import pytest
 
 from coapprox import (
     ALL_REALS,
+    Arrangement,
     BruteForceResult,
     CapacityError,
     DimensionError,
@@ -19,18 +21,21 @@ from coapprox import (
     bj_orthogonal_l1,
     brute_force_existence,
     l1_norm,
+    mat,
     minimize_1d_l1,
     prepare,
     solve_general,
     vec,
     verify_best_coapprox,
 )
-from coapprox import exact, oracle
+from coapprox import exact, norming, oracle
 from coapprox.cli import load_problem
 from coapprox.exact import primitive_ints, rank, solve_linear, vec_sub
 from coapprox.instances import random_basis, random_vector
+from coapprox.norming import cell_pair_bound
 from coapprox.subspace import validate_basis
 from tests.conftest import column_basis
+from tests.test_norming import _reference_enumerate_cells
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -184,49 +189,255 @@ class TestBruteForce:
         def reached(basis):
             raise Reached
 
-        monkeypatch.setattr(oracle, "_probe_set", reached)
-        basis = column_basis((1, 0))  # m = 1: the sweep is 5 probes
+        monkeypatch.setattr(oracle, "_sign_patterns", reached)
+        basis = column_basis((1, 0))  # m = 1: the cap counts 5 + trials
         with pytest.raises(Reached):
             brute_force_existence(basis, vec((3, 1)), Q(0), Q(1), trials=10**6 - 5)
         with pytest.raises(CapacityError, match="probes"):
             brute_force_existence(basis, vec((3, 1)), Q(0), Q(1), trials=10**6 - 5 + 1)
 
 
+# ------------------------------------------------- legacy probe reference
+#
+# The oracle's probes before they were one witness per tope pair: the
+# 5^m sweep, the int edge probes (m <= 3) and seeded int random betas,
+# reduced to their distinct sign patterns.  They are the reference the
+# tope probes must refute at least as often as, and the rational
+# versions further down pin them to the oracle they replaced.
+
+_RANDOM_NUMERATOR, _RANDOM_DENOMINATOR = 8, 6  # the verifier's draws
+_GRID_RANDOM_NUMERATOR, _GRID_RANDOM_DENOMINATOR = 60, 8  # the grid's draws
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _particular(incident, signs):
+    """(det, N) with N/det the solution of incident.x = signs that
+    solve_linear gives: Cramer's rule on its pivot columns (the first
+    column where a row is nonzero, then the first later column with a
+    nonzero 2x2 minor), 0 on the free coordinate."""
+    p, s = incident[0], signs[0]
+    c1 = next(c for c, col in enumerate(zip(*incident)) if any(col))
+    n = [0] * len(p)
+    if len(incident) == 1:
+        n[c1] = s
+        return p[c1], n
+    q, t = incident[1], signs[1]
+    det, c2 = next((p[c1] * q[c] - p[c] * q[c1], c) for c in range(c1 + 1, len(p))
+                   if p[c1] * q[c] != p[c] * q[c1])
+    n[c1], n[c2] = s * q[c2] - t * p[c2], t * p[c1] - s * q[c1]
+    return det, n
+
+
+def _edge_probes(basis):
+    """Int probes entering each cell of a simple row arrangement (m <= 3)
+    far along one of its edge rays, stepping off it with a solve that
+    prescribes the incident signs.  On the rows R = L.A, the rational
+    probe ray.(1 + a/b).u + d (edge u = U/L^(m-1), step d = L.N/det, a/b
+    the largest |r.d|/|r.u|) is stored times b.L^(m-1).|det| > 0."""
+    m = basis.m
+    scale = math.lcm(*(x.denominator for row in basis.matrix for x in row))
+    lm = scale**m
+    rows = [tuple(x.numerator * (scale // x.denominator) for x in r)
+            for r in basis.matrix if any(r)]
+    probes = [p for r in rows for p in (r, tuple(-x for x in r))]
+    edges = [((-r[1], r[0]), (r,)) for r in rows] if m == 2 else []
+    if m == 3:
+        edges = [(u, rs) for rs in itertools.combinations(rows, 2) if any(u := _cross(*rs))]
+    for u, incident in edges:
+        for signs in itertools.product((1, -1), repeat=len(incident)):
+            det, n = _particular(incident, signs)
+            a, b = 0, 1
+            for r in rows:
+                ru = abs(sum(map(operator.mul, r, u)))
+                if ru:
+                    num, den = abs(sum(map(operator.mul, r, n))) * lm, abs(det) * ru
+                    if num * b > a * den:
+                        a, b = num, den
+            far, near = (a + b) * abs(det), b * lm if det > 0 else -b * lm
+            for ray in (far, -far):
+                probes.append(tuple(ray * uu + near * nn for uu, nn in zip(u, n)))
+    return tuple(probes)
+
+
+def _legacy_probe_set(basis):
+    probes = tuple(itertools.product(range(-2, 3), repeat=basis.m))
+    if basis.m <= oracle.BRUTE_FORCE_MAX_M:
+        probes += _edge_probes(basis)
+    return probes
+
+
+def _random_betas(m, trials, seed, numerator, denominator):
+    """`trials` seeded random rational betas p/q, each as the int vector
+    p_i.(lcm(q)/q_i)."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        draws = [(rng.randint(-numerator, numerator), rng.randint(1, denominator))
+                 for _ in range(m)]
+        den = math.lcm(*(q for _, q in draws))
+        yield tuple(p * (den // q) for p, q in draws)
+
+
+def _legacy_sign_patterns(int_rows, betas):
+    """Distinct sign patterns of A.beta over int betas, first nonzero
+    sign +1, in first-seen order, each mapped to its first beta."""
+    seen = {}
+    for beta in betas:
+        images = [sum(map(operator.mul, row, beta)) for row in int_rows]
+        signs = tuple((y > 0) - (y < 0) for y in images)
+        lead = next((s for s in signs if s), 0)
+        if lead:
+            signs = tuple(lead * s for s in signs)
+            seen.setdefault((signs, tuple(1 - abs(s) for s in signs)), beta)
+    return seen
+
+
+def _legacy_verify(basis, b, alpha, trials=200, seed=0):
+    """The sweep + edge + random verifier: first failing pattern refutes."""
+    betas = itertools.chain(_legacy_probe_set(basis), _random_betas(
+        basis.m, trials, seed, _RANDOM_NUMERATOR, _RANDOM_DENOMINATOR))
+    patterns = _legacy_sign_patterns([primitive_ints(row) for row in basis.matrix], betas)
+    z = primitive_ints(vec_sub(b, basis.combine(alpha)))
+    abs_z = list(map(abs, z))
+    for check, beta in patterns.items():
+        if oracle._fails(z, abs_z, check):
+            return VerificationVerdict(
+                False, oracle._refute_from_bj_failure(basis, b, alpha, tuple(map(Q, beta))),
+                seed, trials)
+    return VerificationVerdict(True, None, seed, trials)
+
+
+def _pointwise_scan(basis, b, radius, step, checks, trials=0, seed=0):
+    """The grid scanned point by point in ints: a candidate passes every
+    check in `checks` (keys of a pattern map) at its residual."""
+    m = basis.m
+    per_axis = math.floor(2 * radius / step) + 1
+    ticks = [-radius + k * step for k in range(per_axis)]
+    entries = itertools.chain((radius, step), b, *basis.matrix)
+    scale = math.lcm(*(x.denominator for x in entries))
+    int_cols = list(zip(*([int(a * scale) for a in row] for row in basis.matrix)))
+    int_ticks = [int(t * scale) for t in ticks]
+    int_b = [int(x * scale * scale) for x in b]  # residuals come out scaled by scale**2
+    candidates = []
+    last = 0  # the check that failed last is tried first
+    for alpha in itertools.product(range(per_axis), repeat=m):
+        z = list(int_b)
+        for j, k in enumerate(alpha):
+            z = [zi - a * int_ticks[k] for zi, a in zip(z, int_cols[j])]
+        abs_z = list(map(abs, z))
+        if oracle._fails(z, abs_z, checks[last]):
+            continue
+        failing = next((i for i, c in enumerate(checks) if oracle._fails(z, abs_z, c)), None)
+        if failing is None:
+            candidates.append(tuple(ticks[k] for k in alpha))
+        else:
+            last = failing
+    return BruteForceResult(bool(candidates), tuple(candidates), per_axis**m, trials, seed)
+
+
+def _legacy_grid(basis, b, radius, step, trials=0, seed=0):
+    """The grid as it was: the legacy probes plus the grid's random betas,
+    every point tested against every pattern."""
+    scale = math.lcm(*(x.denominator for x in itertools.chain((radius, step), b, *basis.matrix)))
+    int_rows = [[int(a * scale) for a in row] for row in basis.matrix]
+    betas = _legacy_probe_set(basis) + tuple(_random_betas(
+        basis.m, trials, seed, _GRID_RANDOM_NUMERATOR, _GRID_RANDOM_DENOMINATOR))
+    checks = list(_legacy_sign_patterns(int_rows, betas))
+    return _pointwise_scan(basis, b, radius, step, checks, trials, seed)
+
+
+# ------------------------------------------------------ basis generators
+
+
+def _awkward_basis(rng, m):
+    """A rank-m basis mixing the degenerate shapes the old edge probes
+    met: zero rows, proportional rows, for m = 3 several planes through
+    one line, and entries with mixed denominators."""
+    while True:
+        rows = [
+            tuple(Q(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6))) for _ in range(m))
+            for _ in range(rng.randint(m, m + 2))
+        ]
+        if rng.random() < 0.4:
+            rows.append((Q(0),) * m)
+        if rng.random() < 0.5:
+            c = Q(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))
+            rows.append(tuple(c * x for x in rng.choice(rows)))
+        if m == 3 and rng.random() < 0.5:  # rows in the pencil of two rows
+            p, q = rng.sample(rows, 2)
+            for _ in range(rng.randint(1, 3)):
+                a, b = Q(rng.randint(-3, 3), rng.randint(1, 3)), Q(rng.randint(-3, 3))
+                rows.append(tuple(a * x + b * y for x, y in zip(p, q)))
+        rng.shuffle(rows)
+        if rank(rows) == m:
+            return validate_basis(tuple(rows))
+
+
+def _line_sharing_basis(rng):
+    """m = 3: three to five planes through one random line (rows a.u + b.v
+    of two rows u, v), up to two rows off it and up to one zero row."""
+    while True:
+        u, v = ([Q(rng.randint(-3, 3)) for _ in range(3)] for _ in range(2))
+        rows = []
+        while len(rows) < rng.randint(3, 5):
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append(tuple(a * x + b * y for x, y in zip(u, v)))
+        rows += [tuple(Q(rng.randint(-3, 3)) for _ in range(3)) for _ in range(rng.randint(1, 2))]
+        rows += [(Q(0),) * 3] * rng.randint(0, 1)
+        rng.shuffle(rows)
+        if rank(rows) == 3 and _three_planes_through_a_flat(rows):
+            return validate_basis(tuple(rows))
+
+
+def _line(v):
+    """The primitive int direction of v, up to sign."""
+    d = tuple(primitive_ints(v))
+    return max(d, tuple(-x for x in d))
+
+
+def _planes(rows):
+    return list(dict.fromkeys(_line(row) for row in rows if any(row)))
+
+
+def _three_planes_through_a_flat(rows):
+    return any(rank(list(t)) == 2 for t in itertools.combinations(_planes(rows), 3))
+
+
+def _basis_for(rng, m, degenerate):
+    if degenerate:
+        return _awkward_basis(rng, m)
+    n = rng.randint(m + 1, 6)
+    return random_basis(rng, n, m, zero_rows=min(rng.choice((0, 0, 1, 2)), n - m))
+
+
+# ----------------------------------------------- the tope-probe contract
+
+
 def _reference_scan(basis, b, radius, step, trials=0, seed=0):
-    """The per-probe scan: bj_orthogonal_l1 in Fractions at every
-    (grid point, probe) pair, with the random betas redrawn per point."""
+    """bj_orthogonal_l1 in Fractions at every (grid point, tope witness)
+    pair, the witnesses taken from the LP prefix-tree enumeration."""
     ticks = []
     t = -radius
     while t <= radius:
         ticks.append(t)
         t += step
-    probes = oracle._probe_set(basis)
+    witnesses = [beta for _, beta in _lp_reference_topes(basis)]
     candidates = []
     count = 0
     for alpha in itertools.product(ticks, repeat=basis.m):
         count += 1
         residual = vec_sub(b, basis.combine(alpha))
-        if not all(bj_orthogonal_l1(basis.combine(beta), residual) for beta in probes):
-            continue
-        rng = random.Random(seed)
-        randoms = [
-            tuple(Q(rng.randint(-60, 60), rng.randint(1, 8)) for _ in range(basis.m))
-            for _ in range(trials)
-        ]
-        if not all(bj_orthogonal_l1(basis.combine(beta), residual) for beta in randoms):
-            continue
-        candidates.append(alpha)
+        if all(bj_orthogonal_l1(basis.combine(beta), residual) for beta in witnesses):
+            candidates.append(alpha)
     return BruteForceResult(bool(candidates), tuple(candidates), count, trials, seed)
 
 
-def _unit_probes(basis):
-    return tuple(tuple(int(i == j) for j in range(basis.m)) for i in range(basis.m))
-
-
-@pytest.mark.parametrize("weak_probes", [False, True])
-def test_brute_force_matches_reference_scan(monkeypatch, weak_probes):
-    if weak_probes:  # with unit-vector probes only, the random betas decide
-        monkeypatch.setattr(oracle, "_probe_set", _unit_probes)
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_brute_force_matches_reference_scan(degenerate):
+    # Random bases, and degenerate ones (zero, proportional and
+    # line-sharing rows, mixed denominators); trials echoed, never drawn.
     rng = random.Random(2024)
     grids = {
         1: [(Q(5), Q(1, 2)), (Q(1, 3), Q(1, 2)), (Q(7, 3), Q(2, 5)), (Q(0), Q(1))],
@@ -236,13 +447,12 @@ def test_brute_force_matches_reference_scan(monkeypatch, weak_probes):
     nonempty = 0
     for case in range(60):
         m = 1 + case % 3
-        n = rng.randint(m + 1, 6)
-        basis = random_basis(rng, n, m, zero_rows=min(rng.choice((0, 0, 1)), n - m))
+        basis = _basis_for(rng, m, degenerate)
         radius, step = rng.choice(grids[m])
         if case % 4 == 0:  # a member of the subspace on the grid: a sure candidate
             b = basis.combine(tuple(-radius + step * rng.randint(0, 1) for _ in range(m)))
         else:
-            b = random_vector(rng, n)
+            b = random_vector(rng, basis.n)
         trials = rng.choice((0, 0, 5, 15))
         seed = rng.randint(0, 9)
         got = brute_force_existence(basis, b, radius, step, trials=trials, seed=seed)
@@ -251,64 +461,12 @@ def test_brute_force_matches_reference_scan(monkeypatch, weak_probes):
     assert nonempty >= 10
 
 
-def _pointwise_scan(basis, b, radius, step, trials=0, seed=0):
-    """The integer scan that tests every grid point against every
-    sign-pattern check in turn, kept as it was before grid lines were
-    decided by intervals."""
-    m = basis.m
-    per_axis = math.floor(2 * radius / step) + 1
-    ticks = [-radius + k * step for k in range(per_axis)]
-    entries = itertools.chain((radius, step), b, *basis.matrix)
-    scale = math.lcm(*(x.denominator for x in entries))
-    int_rows = [[int(a * scale) for a in row] for row in basis.matrix]
-    int_cols = list(zip(*int_rows))
-    int_ticks = [int(t * scale) for t in ticks]
-    int_b = [int(x * scale * scale) for x in b]  # residuals come out scaled by scale**2
-    inner_step = [a * int(step * scale) for a in int_cols[-1]]
-
-    betas = oracle._probe_set(basis) + tuple(
-        oracle._random_betas(
-            m, trials, seed, oracle._GRID_RANDOM_NUMERATOR, oracle._GRID_RANDOM_DENOMINATOR
-        )
-    )
-    checks = list(oracle._sign_patterns(int_rows, betas))
-
-    candidates = []
-    last = 0
-    for outer in itertools.product(range(per_axis), repeat=m - 1):
-        z = list(int_b)
-        for j, k in enumerate(outer + (0,)):
-            z = [zi - a * int_ticks[k] for zi, a in zip(z, int_cols[j])]
-        for k in range(per_axis):
-            if k:
-                z = [zi - d for zi, d in zip(z, inner_step)]
-            abs_z = list(map(abs, z))
-            if oracle._fails(z, abs_z, checks[last]):
-                continue
-            for idx, check in enumerate(checks):
-                if oracle._fails(z, abs_z, check):
-                    last = idx
-                    break
-            else:
-                candidates.append(tuple(ticks[i] for i in outer) + (ticks[k],))
-    return BruteForceResult(
-        exists=bool(candidates),
-        candidates=tuple(candidates),
-        grid_points=per_axis**m,
-        trials=trials,
-        seed=seed,
-    )
-
-
-@pytest.mark.parametrize("weak_probes", [False, True])
-def test_brute_force_matches_pointwise_scan_on_long_lines(monkeypatch, weak_probes):
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_brute_force_matches_pointwise_scan_on_long_lines(degenerate):
     # 11 to 41 ticks per axis, on and off the integer lattice; zero rows
-    # give checks whose pass interval has a positive slab width, and
-    # on-grid members put candidates at the ends of intervals.  The full
-    # probe set makes a check with zero signs redundant beside its
-    # refinements; unit-vector probes alone make such checks decide.
-    if weak_probes:
-        monkeypatch.setattr(oracle, "_probe_set", _unit_probes)
+    # give slabs of positive width, and on-grid members put candidates at
+    # the ends of intervals.  The pointwise scan tests every grid point
+    # against every tope pattern.
     rng = random.Random(707)
     short = [(Q(5, 2), Q(1, 2)), (Q(7, 3), Q(1, 3)), (Q(5), Q(1, 2))]  # 11, 15, 21
     long = short + [(Q(5), Q(1, 4)), (Q(7, 3), Q(2, 5)), (Q(10, 3), Q(1, 6))]
@@ -316,8 +474,11 @@ def test_brute_force_matches_pointwise_scan_on_long_lines(monkeypatch, weak_prob
     nonempty = 0
     for case in range(300):
         m = 1 + case % 3
-        n = rng.randint(m + 1, 6)
-        basis = random_basis(rng, n, m, zero_rows=min(rng.choice((0, 1, 2)), n - m))
+        if degenerate:
+            basis = _awkward_basis(rng, m)
+        else:
+            n = rng.randint(m + 1, 6)
+            basis = random_basis(rng, n, m, zero_rows=min(rng.choice((0, 1, 2)), n - m))
         radius, step = rng.choice(grids[m])
         per_axis = math.floor(2 * radius / step) + 1
         if case % 4 == 0:
@@ -325,11 +486,12 @@ def test_brute_force_matches_pointwise_scan_on_long_lines(monkeypatch, weak_prob
                 tuple(-radius + step * rng.randrange(per_axis) for _ in range(m))
             )
         else:
-            b = random_vector(rng, n)
+            b = random_vector(rng, basis.n)
         trials = rng.choice((0, 5, 15))
         seed = rng.randint(0, 9)
         got = brute_force_existence(basis, b, radius, step, trials=trials, seed=seed)
-        assert got == _pointwise_scan(basis, b, radius, step, trials, seed), case
+        checks = list(oracle._sign_patterns(basis))
+        assert got == _pointwise_scan(basis, b, radius, step, checks, trials, seed), case
         nonempty += bool(got.candidates)
     assert nonempty >= 50
 
@@ -339,7 +501,8 @@ def test_brute_force_tests_at_most_one_point_per_line(
     monkeypatch, span3_l16, radius, most_calls
 ):
     # The pointwise scan calls _fails 9288 times at radius 5 and 531754
-    # times at radius 20; interval pruning leaves at most one per grid line.
+    # times at radius 20.  Every tope test is a slab, so no grid point is
+    # tested on its own.
     calls = 0
     fails = oracle._fails
 
@@ -351,19 +514,15 @@ def test_brute_force_tests_at_most_one_point_per_line(
     monkeypatch.setattr(oracle, "_fails", counted)
     res = brute_force_existence(span3_l16, B1, radius, Q(1, 2))
     assert not res.exists
-    assert calls <= most_calls
+    assert calls == 0 <= most_calls
 
 
 def _reference_verify(basis, b, alpha, trials=200, seed=0):
-    """The per-probe verifier: bj_orthogonal_l1 in Fractions at each probe
-    in turn, then at each seeded random beta; the first failure refutes."""
+    """bj_orthogonal_l1 in Fractions at each of the oracle's tope
+    witnesses in turn; the first failure refutes."""
     residual = vec_sub(b, basis.combine(alpha))
-    rng = random.Random(seed)
-    randoms = (
-        tuple(Q(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(basis.m))
-        for _ in range(trials)
-    )
-    for beta in itertools.chain(oracle._probe_set(basis), randoms):
+    for witness in oracle._sign_patterns(basis).values():
+        beta = tuple(map(Q, witness))
         if not bj_orthogonal_l1(basis.combine(beta), residual):
             return VerificationVerdict(
                 False, oracle._refute_from_bj_failure(basis, b, alpha, beta), seed, trials
@@ -371,19 +530,17 @@ def _reference_verify(basis, b, alpha, trials=200, seed=0):
     return VerificationVerdict(True, None, seed, trials)
 
 
-@pytest.mark.parametrize("weak_probes", [False, True])
-def test_verify_matches_reference_verifier(monkeypatch, weak_probes):
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_verify_matches_reference_verifier(degenerate):
     # Solver alphas (mostly confirmed) and random alphas (mostly refuted),
-    # m = 1..4, every trial count: equal verdicts, counterexample included.
-    if weak_probes:  # with no deterministic probes, the random betas decide
-        monkeypatch.setattr(oracle, "_probe_set", lambda basis: ())
+    # on random bases (m = 1..4) and degenerate ones (m = 1..3), every
+    # trial count: equal verdicts, counterexample included.
     rng = random.Random(1310)
     refuted = confirmed = from_solver = 0
     for case in range(240):
-        m = 1 + case % 4
-        n = rng.randint(m + 1, 6)
-        basis = random_basis(rng, n, m, zero_rows=min(rng.choice((0, 0, 1, 2)), n - m))
-        b = random_vector(rng, n)
+        m = 1 + case % (3 if degenerate else 4)
+        basis = _basis_for(rng, m, degenerate)
+        b = random_vector(rng, basis.n)
         trials = (1, 5, 60, 200)[case // 8 % 4]
         seed = rng.randint(0, 99)
         alpha = tuple(Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(m))
@@ -399,9 +556,239 @@ def test_verify_matches_reference_verifier(monkeypatch, weak_probes):
     assert refuted >= 100 and confirmed >= 50 and from_solver >= 50
 
 
-# The oracle's probes before they were built in ints: rational edge probes
-# from a Fraction solve, rational random draws, and the pattern map over
-# rational betas.  They are the references for the int probes.
+def test_sign_pattern_map_matches_fraction_map():
+    # Each pattern is the sign vector of A.beta at its own witness,
+    # computed in Fractions, with zero signs exactly on A's zero rows; no
+    # two patterns are equal up to sign.
+    rng = random.Random(5151)
+    for case in range(240):
+        m = 1 + case % 4
+        basis = _awkward_basis(rng, m) if m < 4 else _basis_for(rng, m, False)
+        zero_rows = tuple(int(not any(row)) for row in basis.matrix)
+        patterns = oracle._sign_patterns(basis)
+        pairs = set()
+        for (signs, off), witness in patterns.items():
+            assert all(type(x) is int for x in witness) and len(witness) == m, case
+            image = basis.combine(tuple(map(Q, witness)))
+            assert signs == tuple((y > 0) - (y < 0) for y in image), case
+            assert off == zero_rows, case
+            pairs.add(max(signs, tuple(-s for s in signs)))
+        assert len(pairs) == len(patterns), case
+
+
+
+
+def test_m1_verifier_draws_no_random_beta(monkeypatch):
+    # m = 1 has one tope pair, so the verifier runs one test: A.alpha is
+    # a best coapproximation iff |sum sign(a_i) z_i| <= sum over zero rows
+    # of |z_i|.  Solver alphas (confirmed) and perturbed ones (mostly
+    # refuted), zero rows and proportional rows included; no random
+    # number generator is made, and trials and seed are only echoed.
+    rng = random.Random(101)
+
+    def no_draw(*args):
+        raise AssertionError("the verifier made a random number generator")
+
+    monkeypatch.setattr(random, "Random", no_draw)
+    confirmed = refuted = 0
+    for case in range(200):
+        n = rng.randint(2, 7)
+        basis = random_basis(rng, n, 1, zero_rows=rng.choice((0, 0, 1)))
+        b = random_vector(rng, n)
+        trials = rng.choice((1, 7, 200))
+        seed = rng.randint(0, 99)
+        out = solve_general(basis, None, b, prepared=prepare(basis))
+        if out.kind is OutcomeKind.NOT_EXISTS:
+            continue
+        assert len(oracle._sign_patterns(basis)) == 1
+        alpha = out.chosen_alpha
+        for a in (alpha, (alpha[0] + Q(rng.randint(-4, 4) or 1, rng.randint(1, 5)),)):
+            z = vec_sub(b, basis.combine(a))
+            signed = sum(((row[0] > 0) - (row[0] < 0)) * zi for row, zi in zip(basis.matrix, z))
+            mass = sum(abs(zi) for row, zi in zip(basis.matrix, z) if not row[0])
+            got = verify_best_coapprox(basis, b, a, trials=trials, seed=seed)
+            assert got.confirmed == (abs(signed) <= mass), case
+            plain = verify_best_coapprox(basis, b, a, trials=1, seed=0)
+            assert got == dataclasses.replace(plain, seed=seed, trials=trials), case
+            confirmed += got.confirmed
+            refuted += not got.confirmed
+    assert confirmed >= 100 and refuted >= 50
+
+
+def _lp_reference_topes(basis):
+    """(row sign pattern, Fraction witness) per tope pair of A's row
+    arrangement, from the LP prefix-tree enumeration kept in
+    tests/test_norming.py.  Its planes are the nonzero rows divided by
+    the absolute value of their first nonzero entry, merged when equal
+    up to sign: no primitive ints and no call into the oracle."""
+    planes, where = [], []
+    for row in basis.matrix:
+        lead = next((x for x in row if x), None)
+        if lead is None:
+            where.append(None)
+            continue
+        orientation = 1 if lead > 0 else -1
+        plane = tuple(orientation * x / abs(lead) for x in row)
+        if plane not in planes:
+            planes.append(plane)
+        where.append((planes.index(plane), orientation))
+    arr = Arrangement(normals=tuple(planes), class_of_coord=tuple(range(len(planes))),
+                      orientation=(1,) * len(planes), m=basis.m)
+    return [(tuple(w[1] * signs[w[0]] if w else 0 for w in where), beta)
+            for signs, beta in _reference_enumerate_cells(arr)]
+
+
+def _pair(signs):
+    return frozenset({signs, tuple(-s for s in signs)})
+
+
+def _pencil_basis(rng, m):
+    """One to three rows in the pencil of two rows (for m >= 3, three or
+    more planes through one (m-2)-flat), a proportional row of either
+    sign and up to two zero rows."""
+    while True:
+        rows = [tuple(Q(rng.randint(-3, 3)) for _ in range(m)) for _ in range(m)]
+        u, v = rows[0], rows[-1]
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append(tuple(a * x + b * y for x, y in zip(u, v)))
+        rows.append(tuple(Q(rng.choice((-2, 3)), 2) * x for x in rng.choice(rows)))
+        rows += [(Q(0),) * m] * rng.randint(0, 2)
+        rng.shuffle(rows)
+        if rank(rows) == m:
+            return validate_basis(tuple(rows))
+
+
+def test_patterns_are_the_topes_of_the_lp_reference():
+    # The verifier's distinct patterns, as +- pairs, are exactly the topes
+    # the LP prefix tree finds, and no more than cell_pair_bound of the
+    # distinct row hyperplanes: pencils through one flat, proportional
+    # and zero rows, mixed denominators and random bases, m = 1..4.
+    rng = random.Random(4747)
+    pencils = 0
+    for case in range(240):
+        m = 1 + case % 4
+        kind = case // 4 % 3
+        if kind == 0:
+            basis = _pencil_basis(rng, m)
+        elif kind == 1 and m < 4:
+            basis = _awkward_basis(rng, m)
+        else:  # the reference's LPs grow fast with the rows at m = 4
+            n = rng.randint(m + 1, m + (4 if m < 4 else 2))
+            basis = random_basis(rng, n, m, zero_rows=rng.randint(0, 1))
+        patterns = oracle._sign_patterns(basis)
+        reference = _lp_reference_topes(basis)
+        assert {_pair(s) for s, _ in patterns} == {_pair(s) for s, _ in reference}, case
+        r = len(_planes(basis.matrix))
+        assert len(patterns) == len(reference) <= cell_pair_bound(r, m), case
+        pencils += _three_planes_through_a_flat(basis.matrix)
+    assert pencils >= 40
+
+
+def test_cell_caps_refuse_before_any_enumeration(monkeypatch):
+    # Refused on A's distinct row hyperplanes (zero and proportional rows
+    # merged) before any tope is enumerated: 13 planes in R^4 may cut 299
+    # pairs, over MAX_CELL_PAIRS; 21 lines in R^2 exceed MAX_HYPERPLANES.
+    # The probe cap still comes first, and trials still count in it.
+    def no_work(*args):
+        raise AssertionError("topes enumerated before the capacity check")
+
+    monkeypatch.setattr(oracle, "half_cells", no_work)
+    over_pairs = [[k**j for j in range(4)] for k in range(1, 14)]
+    over_pairs += [[2 * x for x in over_pairs[0]], [0] * 4]
+    over_planes = [[1, k] for k in range(21)] + [[-1, -5], [0, 0]]
+    for rows, match in ((over_pairs, "cell pairs"), (over_planes, "hyperplanes")):
+        basis = validate_basis(mat(rows))
+        b, alpha = (Q(1),) * basis.n, (Q(0),) * basis.m
+        with pytest.raises(CapacityError, match=match):
+            verify_best_coapprox(basis, b, alpha)
+        if basis.m <= oracle.BRUTE_FORCE_MAX_M:
+            with pytest.raises(CapacityError, match=match):
+                brute_force_existence(basis, b, Q(0), Q(1), trials=5)
+        with pytest.raises(CapacityError, match="probes"):
+            verify_best_coapprox(basis, b, alpha, trials=10**6)
+    # At the caps (20 lines in the plane, 20 pairs) the topes are built.
+    monkeypatch.setattr(oracle, "half_cells", norming.half_cells)
+    basis = validate_basis(mat([[1, k] for k in range(20)]))
+    assert len(oracle._sign_patterns(basis)) == 20
+
+
+def _is_refutation(basis, b, alpha, verdict):
+    """The counterexample, recomputed in Fractions, breaks the definition."""
+    ce = verdict.counterexample
+    point = basis.combine(ce.beta)
+    lhs = l1_norm(vec_sub(point, basis.combine(alpha)))
+    rhs = l1_norm(vec_sub(point, b))
+    return (lhs, rhs) == (ce.lhs, ce.rhs) and lhs > rhs
+
+
+_DIFFERENTIAL_GRIDS = {
+    1: [(Q(3), Q(1, 2)), (Q(5, 3), Q(1, 3))],
+    2: [(Q(2), Q(1, 2)), (Q(1), Q(1, 3))],
+    3: [(Q(1), Q(1, 2)), (Q(2, 3), Q(1, 3))],
+}
+
+
+def test_tope_probes_refute_whatever_the_legacy_probes_refute():
+    # 3000 seeded (basis, b, alpha), m = 1..3: random, degenerate and, for
+    # m = 3, line-sharing bases (three or more planes through one line,
+    # the cells the old edge probes could miss); alphas from the solver,
+    # the solver's perturbed and random.  Every legacy refutation is a
+    # new one, every new counterexample breaks the definition in
+    # Fractions, and every solver alpha is confirmed.  On every tenth
+    # case the grid's candidates are a subset of the legacy grid's, and
+    # each legacy candidate the new grid drops is refuted.
+    rng = random.Random(1947)
+    legacy_refuted = shared_line = solver = nonempty = 0
+    for case in range(3000):
+        m = 1 + case % 3
+        kind = case // 3 % 5
+        if m == 3 and kind < 2:
+            basis = _line_sharing_basis(rng)
+            shared_line += 1
+        else:
+            basis = _basis_for(rng, m, kind % 2)
+        b = random_vector(rng, basis.n)
+        alpha = tuple(Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(m))
+        if case // 3 % 3 == 0:
+            out = solve_general(basis, None, b, prepared=prepare(basis))
+            if out.kind is not OutcomeKind.NOT_EXISTS:
+                alpha = out.chosen_alpha
+                solver += 1
+                assert verify_best_coapprox(basis, b, alpha).confirmed, case
+                if case % 2:  # a near-solution, off by a small step in one coordinate
+                    j = rng.randrange(m)
+                    alpha = alpha[:j] + (alpha[j] + Q(rng.choice((-1, 1)), rng.randint(2, 40)),)
+                    alpha += out.chosen_alpha[j + 1:]
+        trials, seed = rng.choice((1, 5, 60)), rng.randint(0, 99)
+        legacy = _legacy_verify(basis, b, alpha, trials, seed)
+        new = verify_best_coapprox(basis, b, alpha, trials=trials, seed=seed)
+        assert (new.seed, new.trials) == (seed, trials)
+        if not legacy.confirmed:
+            legacy_refuted += 1
+            assert not new.confirmed, case
+        if not new.confirmed:
+            assert _is_refutation(basis, b, alpha, new), case
+        if case % 10 == 0:
+            radius, step = rng.choice(_DIFFERENTIAL_GRIDS[m])
+            if case % 20 == 0:  # a grid member: a sure candidate
+                per_axis = math.floor(2 * radius / step) + 1
+                b = basis.combine(
+                    tuple(-radius + step * rng.randrange(per_axis) for _ in range(m)))
+            got = brute_force_existence(basis, b, radius, step, trials=trials, seed=seed)
+            ref = _legacy_grid(basis, b, radius, step, trials, seed)
+            assert set(got.candidates) <= set(ref.candidates), case
+            for point in set(ref.candidates) - set(got.candidates):
+                assert not verify_best_coapprox(basis, b, point).confirmed, case
+            assert all(verify_best_coapprox(basis, b, p).confirmed for p in got.candidates)
+            nonempty += bool(got.candidates)
+    assert shared_line >= 300 and solver >= 500 and legacy_refuted >= 1000 and nonempty >= 100
+
+
+# The legacy int probes are pinned to the rational probes of the oracle
+# they reproduce: rational edge probes from a Fraction solve, rational
+# random draws.  The differential test above compares against exactly
+# that oracle.
 def _fraction_edge_probes(basis):
     rows = [r for r in basis.matrix if any(r)]
     probes = []
@@ -451,55 +838,11 @@ def _fraction_random_betas(m, trials, seed, numerator, denominator):
         )
 
 
-def _fraction_sign_patterns(int_rows, betas):
-    seen = {}
-    for beta in betas:
-        den = math.lcm(*(x.denominator for x in beta))
-        int_beta = [x.numerator * (den // x.denominator) for x in beta]
-        images = [sum(map(operator.mul, row, int_beta)) for row in int_rows]
-        signs = tuple((y > 0) - (y < 0) for y in images)
-        lead = next((s for s in signs if s), 0)
-        if lead:
-            signs = tuple(lead * s for s in signs)
-            seen.setdefault((signs, tuple(1 - abs(s) for s in signs)), beta)
-    return seen
-
-
 def _positive_multiple(got, ref):
     """got == c * ref for some rational c > 0 (any c when both are zero)."""
     ratios = {Q(g) / r for g, r in zip(got, ref) if r}
     zeros_agree = all((g == 0) == (r == 0) for g, r in zip(got, ref))
     return len(got) == len(ref) and zeros_agree and len(ratios) <= 1 and all(c > 0 for c in ratios)
-
-
-def _awkward_basis(rng, m):
-    """A rank-m basis mixing the degenerate shapes the edge probes meet:
-    zero rows, proportional rows, for m = 3 several planes through one
-    line, and entries with mixed denominators."""
-    while True:
-        rows = [
-            tuple(Q(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6))) for _ in range(m))
-            for _ in range(rng.randint(m, m + 2))
-        ]
-        if rng.random() < 0.4:
-            rows.append((Q(0),) * m)
-        if rng.random() < 0.5:
-            c = Q(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))
-            rows.append(tuple(c * x for x in rng.choice(rows)))
-        if m == 3 and rng.random() < 0.5:  # rows in the pencil of two rows
-            p, q = rng.sample(rows, 2)
-            for _ in range(rng.randint(1, 3)):
-                a, b = Q(rng.randint(-3, 3), rng.randint(1, 3)), Q(rng.randint(-3, 3))
-                rows.append(tuple(a * x + b * y for x, y in zip(p, q)))
-        rng.shuffle(rows)
-        if rank(rows) == m:
-            return validate_basis(tuple(rows))
-
-
-def _line(v):
-    """The primitive int direction of v, up to sign."""
-    d = tuple(primitive_ints(v))
-    return max(d, tuple(-x for x in d))
 
 
 def test_int_probes_are_positive_multiples_of_fraction_probes():
@@ -508,14 +851,14 @@ def test_int_probes_are_positive_multiples_of_fraction_probes():
     for case in range(1200):
         m = 1 + case % 3
         basis = _awkward_basis(rng, m) if case % 4 else random_basis(rng, m + 2, m)
-        got, ref = oracle._probe_set(basis), _fraction_probe_set(basis)
+        got, ref = _legacy_probe_set(basis), _fraction_probe_set(basis)
         assert len(got) == len(ref), case
         for k, (probe, reference) in enumerate(zip(got, ref)):
             assert all(type(x) is int for x in probe), (case, k)
             assert _positive_multiple(probe, reference), (case, k)
         if m == 3:  # two pairs of distinct planes on one line: three planes share it
-            planes = {_line(row) for row in basis.matrix if any(row)}
-            lines = [_line(oracle._cross(p, q)) for p, q in itertools.combinations(planes, 2)]
+            planes = _planes(basis.matrix)
+            lines = [_line(_cross(p, q)) for p, q in itertools.combinations(planes, 2)]
             shared_lines += len(set(lines)) < len(lines)
     assert shared_lines >= 100
 
@@ -524,56 +867,11 @@ def test_int_probes_are_positive_multiples_of_fraction_probes():
     (1, 200, 0, 8, 6), (2, 200, 3, 8, 6), (3, 200, 9, 60, 8), (3, 50, 1, 1, 1), (4, 40, 7, 5, 12),
 ])
 def test_int_random_betas_are_positive_multiples(m, trials, seed, numerator, denominator):
-    got = list(oracle._random_betas(m, trials, seed, numerator, denominator))
+    got = list(_random_betas(m, trials, seed, numerator, denominator))
     ref = list(_fraction_random_betas(m, trials, seed, numerator, denominator))
     assert len(got) == len(ref) == trials
     assert all(all(type(x) is int for x in beta) for beta in got)
     assert all(_positive_multiple(beta, reference) for beta, reference in zip(got, ref))
-
-
-class _CountedRow(list):
-    """A row of ints that counts how often it is read in full."""
-
-    reads = 0
-
-    def __iter__(self):
-        self.reads += 1
-        return super().__iter__()
-
-
-def test_sign_pattern_map_matches_fraction_map():
-    # The verifier's probes and random betas (trials 1, 5, 200) over rows
-    # scaled one by one, and the grid's probes over rows scaled by one
-    # common denominator: equal keys in equal order, and each stored
-    # beta a positive multiple of the reference's.  A beta is turned into
-    # products only when its direction, up to sign, is new.
-    rng = random.Random(5151)
-    deduped = 0
-    for case in range(240):
-        m = 1 + case % 3
-        basis = _awkward_basis(rng, m)
-        if case % 4 == 3:
-            scale = math.lcm(*(x.denominator for row in basis.matrix for x in row))
-            int_rows = [[int(x * scale) for x in row] for row in basis.matrix]
-            got_betas, ref_betas = oracle._probe_set(basis), _fraction_probe_set(basis)
-        else:
-            trials, seed = (1, 5, 200)[case % 4], rng.randint(0, 99)
-            int_rows = [primitive_ints(row) for row in basis.matrix]
-            got_betas = oracle._probe_set(basis) + tuple(oracle._random_betas(
-                m, trials, seed, oracle._RANDOM_NUMERATOR, oracle._RANDOM_DENOMINATOR))
-            ref_betas = _fraction_probe_set(basis) + tuple(_fraction_random_betas(
-                m, trials, seed, oracle._RANDOM_NUMERATOR, oracle._RANDOM_DENOMINATOR))
-        counted = [_CountedRow(row) for row in int_rows]
-        got = oracle._sign_patterns(counted, got_betas)
-        ref = _fraction_sign_patterns(int_rows, ref_betas)
-        assert list(got) == list(ref), case
-        assert all(_positive_multiple(got[key], ref[key]) for key in ref), case
-        directions = {_line(beta) for beta in got_betas if any(beta)}
-        assert counted[0].reads == len(directions), case
-        sweep = {_line(beta) for beta in got_betas[:5**m] if any(beta)}
-        later = [_line(beta) for beta in got_betas[5**m:] if any(beta)]
-        deduped += len(set(later) - sweep) < len(later)  # a skip past the sweep
-    assert deduped >= 200
 
 
 def test_counterexample_invariant_under_rescaled_beta():
@@ -618,65 +916,3 @@ def test_oracle_builds_probes_without_a_fraction_solve(monkeypatch):
         for b in targets:
             verify_best_coapprox(basis, b, (Q(0),) * basis.m, trials=200)
             brute_force_existence(basis, b, Q(1), Q(1, 2), trials=5)
-
-
-def _verify_with_draws(basis, b, alpha, trials, seed):
-    """The verifier as it was before m = 1 skipped its random betas: the
-    pattern map over the probes and all `trials` draws."""
-    betas = itertools.chain(
-        oracle._probe_set(basis),
-        oracle._random_betas(
-            basis.m, trials, seed, oracle._RANDOM_NUMERATOR, oracle._RANDOM_DENOMINATOR
-        ),
-    )
-    patterns = oracle._sign_patterns([primitive_ints(row) for row in basis.matrix], betas)
-    z = primitive_ints(vec_sub(b, basis.combine(alpha)))
-    abs_z = list(map(abs, z))
-    for check, beta in patterns.items():
-        if oracle._fails(z, abs_z, check):
-            return VerificationVerdict(
-                False,
-                oracle._refute_from_bj_failure(basis, b, alpha, tuple(map(Q, beta))),
-                seed,
-                trials,
-            )
-    return VerificationVerdict(True, None, seed, trials)
-
-
-def test_m1_verifier_draws_no_random_beta(monkeypatch):
-    # m = 1: every nonzero beta is a multiple of a swept probe, so the
-    # draws cannot change the verdict or the counterexample.  Solver
-    # alphas (confirmed) and perturbed ones (mostly refuted), zero rows
-    # and proportional rows included.
-    draws, asked = [], []
-    original = oracle._random_betas
-
-    def counted(*args):
-        asked.append(args[1])
-        for beta in original(*args):
-            draws.append(beta)
-            yield beta
-
-    rng = random.Random(101)
-    confirmed = refuted = 0
-    for case in range(200):
-        n = rng.randint(2, 7)
-        basis = random_basis(rng, n, 1, zero_rows=rng.choice((0, 0, 1)))
-        b = random_vector(rng, n)
-        trials = rng.choice((1, 7, 200))
-        seed = rng.randint(0, 99)
-        out = solve_general(basis, None, b, prepared=prepare(basis))
-        if out.kind is OutcomeKind.NOT_EXISTS:
-            continue
-        alpha = out.chosen_alpha
-        for a in (alpha, (alpha[0] + Q(rng.randint(-4, 4) or 1, rng.randint(1, 5)),)):
-            expected = _verify_with_draws(basis, b, a, trials, seed)
-            monkeypatch.setattr(oracle, "_random_betas", counted)
-            got = verify_best_coapprox(basis, b, a, trials=trials, seed=seed)
-            monkeypatch.setattr(oracle, "_random_betas", original)
-            assert got == expected, case
-            assert (got.seed, got.trials) == (seed, trials)
-            confirmed += got.confirmed
-            refuted += not got.confirmed
-    assert draws == [] and len(asked) == confirmed + refuted and set(asked) == {0}
-    assert confirmed >= 100 and refuted >= 50
