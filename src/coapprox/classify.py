@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInconsistencyError
 from .solver import PreparedBasis, prepare
 from .subspace import SubspaceBasis
 
@@ -41,40 +40,24 @@ def classify(basis: SubspaceBasis, *, prepared: PreparedBasis | None = None) -> 
       zero-fiber-multiplicity    some target has many solutions
     """
     pb = prepared if prepared is not None else prepare(basis)
-    profile = pb.profile
+    zero_set = pb.profile.zero_set
     if basis.m == basis.n:
-        return ClassificationReport(
-            coproximinal=True,
-            co_chebyshev=True,
-            m=basis.m,
-            q=basis.m,
-            d=profile.d,
-            zero_set_size=0,
-            rationale=("full-space",),
-        )
-    tags: list[str] = []
-    if profile.zero_set:
-        tags.append("sigma-reduction")
-    q = pb.q
-    coproximinal = q == basis.m
-    tags.append("q-equals-m" if coproximinal else "q-exceeds-m")
-    if coproximinal:
-        if profile.zero_set:
-            co_chebyshev = False
-            tags.append("zero-fiber-multiplicity")
-        else:
-            co_chebyshev = True
-            tags.append("empty-zero-set-uniqueness")
+        q, tags = basis.m, ["full-space"]
     else:
-        co_chebyshev = False
-    if co_chebyshev and not coproximinal:  # pragma: no cover
-        raise InternalInconsistencyError("co-Chebyshev requires coproximinal")
+        q = pb.q
+        tags = ["sigma-reduction"] if zero_set else []
+        if q == basis.m:
+            tags.append("q-equals-m")
+            tags.append("zero-fiber-multiplicity" if zero_set else "empty-zero-set-uniqueness")
+        else:
+            tags.append("q-exceeds-m")
+    coproximinal = q == basis.m
     return ClassificationReport(
         coproximinal=coproximinal,
-        co_chebyshev=co_chebyshev,
+        co_chebyshev=coproximinal and not zero_set,
         m=basis.m,
         q=q,
-        d=profile.d,
-        zero_set_size=len(profile.zero_set),
+        d=pb.profile.d,
+        zero_set_size=len(zero_set),
         rationale=tuple(tags),
     )

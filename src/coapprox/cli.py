@@ -184,6 +184,8 @@ def cmd_norming_set(problem: ProblemFile) -> dict:
 
 
 def _solve_options(problem: ProblemFile, args) -> dict:
+    """The solve options, flags over the file.  `trials` and `seed` are
+    validated, capped and echoed here alone: the oracle takes neither."""
     opts = dict(problem.options)
     for key in ("trials", "seed", "grid_radius", "grid_step"):  # flags override the file
         if getattr(args, key) is not None:
@@ -248,13 +250,11 @@ def cmd_solve(problem: ProblemFile, args) -> dict:
             entry["vector"] = _fmt_vec(outcome.vector)
             projection = projection_map(problem.basis, b, outcome)
             entry["projection_image"] = _fmt_vec(projection.image_of_target)
-            verdict = verify_best_coapprox(
-                problem.basis, b, alpha, trials=opts["trials"], seed=opts["seed"]
-            )
+            verdict = verify_best_coapprox(problem.basis, b, alpha)
             oracle_entry = {
                 "verdict": "confirmed" if verdict.confirmed else "refuted",
-                "seed": verdict.seed,
-                "trials": verdict.trials,
+                "seed": opts["seed"],
+                "trials": opts["trials"],
             }
             if verdict.counterexample is not None:  # pragma: no cover
                 oracle_entry["counterexample"] = {

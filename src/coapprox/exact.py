@@ -69,10 +69,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def is_zero(v: Vec) -> bool:
-    return all(x == 0 for x in v)
-
-
 def l1_norm(v: Vec) -> Q:
     return sum((abs(x) for x in v), Q(0))
 

@@ -76,8 +76,6 @@ class Counterexample:
 class VerificationVerdict:
     confirmed: bool
     counterexample: Counterexample | None
-    seed: int
-    trials: int
 
 
 def _refute_from_bj_failure(
@@ -99,10 +97,10 @@ def _refute_from_bj_failure(
 
 
 def check_probe_capacity(m: int, trials: int) -> None:
-    """Refuse m and trials beyond the oracle's input cap, 5^m + trials at
-    most BRUTE_FORCE_MAX_POINTS.  No probe is swept or drawn; the cap
-    keeps bounding what a caller may ask for (m <= 8, and trials below
-    10^6)."""
+    """Refuse m and trials beyond `solve`'s option cap, 5^m + trials at
+    most BRUTE_FORCE_MAX_POINTS (m <= 8, and trials below 10^6).  Only
+    the CLI runs it, which keeps its exit codes; the verifier and the
+    grid sweep and draw nothing, and the cell caps bound their work."""
     if 5**m + trials > BRUTE_FORCE_MAX_POINTS:
         raise CapacityError(f"verifier capped at {BRUTE_FORCE_MAX_POINTS} probes (5^m + trials)")
 
@@ -141,9 +139,7 @@ def _fails(z: list[int], abs_z: list[int], check) -> bool:
     return abs(sum(map(mul, signs, z))) > sum(map(mul, off, abs_z))
 
 
-def verify_best_coapprox(
-    basis: SubspaceBasis, b: Vec, alpha: Vec, trials: int = 200, seed: int = 0
-) -> VerificationVerdict:
+def verify_best_coapprox(basis: SubspaceBasis, b: Vec, alpha: Vec) -> VerificationVerdict:
     """Confirm or refute that A.alpha is a best coapproximation to b.
 
     Runs one exact integer test per tope pair of A's row arrangement, on
@@ -152,24 +148,20 @@ def verify_best_coapprox(
     witness beta is returned as an exact counterexample: scaling beta by
     c != 0 scales y and the minimizing interval of t -> ||y + t*z||_1 by
     c, so the counterexample (built from beta/step) does not depend on
-    the witness's scale.  `trials` and `seed` are validated and echoed
-    but draw nothing.  Refused (CapacityError) beyond check_probe_capacity
-    and the cell caps on A's distinct row hyperplanes.
+    the witness's scale.  Refused (CapacityError) by the cell caps on
+    A's distinct row hyperplanes before any tope is enumerated.
     """
-    if trials < 1:
-        raise ValidationError("verify_best_coapprox needs trials >= 1")
     if len(b) != basis.n or len(alpha) != basis.m:
         raise DimensionError("verify_best_coapprox dimension mismatch")
-    check_probe_capacity(basis.m, trials)
     patterns = _sign_patterns(basis)
     z = primitive_ints(vec_sub(b, basis.combine(alpha)))
     abs_z = list(map(abs, z))
     for check, beta in patterns.items():
         if _fails(z, abs_z, check):
             return VerificationVerdict(
-                False, _refute_from_bj_failure(basis, b, alpha, tuple(map(Q, beta))), seed, trials
+                False, _refute_from_bj_failure(basis, b, alpha, tuple(map(Q, beta)))
             )
-    return VerificationVerdict(True, None, seed, trials)
+    return VerificationVerdict(True, None)
 
 
 @dataclass(frozen=True)
@@ -177,8 +169,6 @@ class BruteForceResult:
     exists: bool
     candidates: tuple[Vec, ...]
     grid_points: int
-    trials: int
-    seed: int
 
 
 def check_grid(radius: Q | None, step: Q | None) -> None:
@@ -190,13 +180,7 @@ def check_grid(radius: Q | None, step: Q | None) -> None:
 
 
 def brute_force_existence(
-    basis: SubspaceBasis,
-    b: Vec,
-    grid_radius: Q,
-    grid_step: Q,
-    *,
-    trials: int = 0,
-    seed: int = 0,
+    basis: SubspaceBasis, b: Vec, grid_radius: Q, grid_step: Q
 ) -> BruteForceResult:
     """Grid scan for coefficient vectors passing the orthogonality checks.
 
@@ -206,8 +190,7 @@ def brute_force_existence(
     grid point is a candidate when b - A.alpha passes the orthogonality
     test at every tope pair of A's row arrangement, which decides it at
     every beta: the candidates are exactly the grid's best
-    coapproximations.  `trials` and `seed` are checked and echoed but
-    draw nothing.
+    coapproximations.
 
     A tope pattern sigma is zero only on A's zero rows Z, where the
     residual is b.  So its test is the slab
@@ -219,9 +202,9 @@ def brute_force_existence(
     found with one (m-1)-term dot product and floor divisions, and the
     line's candidates are the intersection, in grid order.
 
-    Guarded at m <= 3, BRUTE_FORCE_MAX_POINTS grid points,
-    check_probe_capacity and the cell caps, all checked before any tope
-    is enumerated; a negative radius or a non-positive step is rejected.
+    Guarded at m <= 3, BRUTE_FORCE_MAX_POINTS grid points and the cell
+    caps, all checked before any tope is enumerated; a negative radius or
+    a non-positive step is rejected.
     """
     m = basis.m
     if m > BRUTE_FORCE_MAX_M:
@@ -234,7 +217,6 @@ def brute_force_existence(
         raise CapacityError(
             f"brute-force grid capped at {BRUTE_FORCE_MAX_POINTS} points"
         )
-    check_probe_capacity(m, trials)
     if len(b) != basis.n:
         raise DimensionError("brute_force_existence dimension mismatch")
     patterns = _sign_patterns(basis)
@@ -278,6 +260,4 @@ def brute_force_existence(
         exists=bool(candidates),
         candidates=tuple(candidates),
         grid_points=per_axis**m,
-        trials=trials,
-        seed=seed,
     )

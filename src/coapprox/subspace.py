@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionError, RankDeficientError, ZeroSubspaceError
-from .exact import Mat, Q, Vec, is_zero, rank
+from .exact import Mat, Q, Vec, primitive_ints, rank
 
 
 @dataclass(frozen=True)
@@ -87,36 +87,34 @@ def validate_basis(matrix: Mat) -> SubspaceBasis:
 def build_profile(basis: SubspaceBasis) -> ComponentProfile:
     """Group rows into proportionality classes and collect the zero set.
 
-    The representative of each class is its smallest row index and has
-    constant 1; the constant stored for any member is exact.
+    Each row is keyed by its primitive int form, merged up to sign, so a
+    row finds its class in one dict lookup.  The representative of each
+    class is its smallest row index and has constant 1; the constant
+    stored for any member is exact.
     """
-    reps: list[int] = []
-    members: list[list[tuple[int, Q]]] = []
+    classes: dict[tuple[int, ...], tuple[int, list[tuple[int, Q]]]] = {}
     zero_set: list[int] = []
     rows = basis.matrix
     for i, row in enumerate(rows):
-        if is_zero(row):
+        v = tuple(primitive_ints(row))
+        if not any(v):
             zero_set.append(i)
             continue
-        placed = False
-        for c_idx, rep in enumerate(reps):
-            rep_row = rows[rep]
-            j0 = next(j for j, x in enumerate(rep_row) if x != 0)
-            if row[j0] == 0:
-                continue
-            c = row[j0] / rep_row[j0]
-            if all(row[j] == c * rep_row[j] for j in range(basis.m)):
-                members[c_idx].append((i, c))
-                placed = True
-                break
-        if not placed:
-            reps.append(i)
-            members.append([(i, Q(1))])
-    classes = tuple(
-        ComponentClass(representative=rep, members=tuple(mem))
-        for rep, mem in zip(reps, members)
+        key = max(v, tuple(-x for x in v))
+        found = classes.get(key)
+        if found is None:  # a new class; members divide at its first nonzero column
+            classes[key] = (next(j for j, x in enumerate(v) if x), [(i, Q(1))])
+        else:
+            j0, members = found
+            members.append((i, row[j0] / rows[members[0][0]][j0]))
+    return ComponentProfile(
+        classes=tuple(
+            ComponentClass(representative=members[0][0], members=tuple(members))
+            for _, members in classes.values()
+        ),
+        zero_set=tuple(zero_set),
+        d=len(classes),
     )
-    return ComponentProfile(classes=classes, zero_set=tuple(zero_set), d=len(classes))
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ def test_criterion_5_oracle_agreement():
             if brute_force_existence(basis, b, Q(5), Q(1, 2)).exists:
                 disagreements += 1
         else:
-            verdict = verify_best_coapprox(basis, b, out.chosen_alpha, trials=200, seed=0)
+            verdict = verify_best_coapprox(basis, b, out.chosen_alpha)
             if not verdict.confirmed:
                 disagreements += 1
     elapsed = time.perf_counter() - start
@@ -237,7 +237,7 @@ def test_criterion_8_zero_set_multiplicity():
             second = lex_extreme_alpha(basis, out.constraints, -1)
             ok = second != out.witness
             for alpha in (out.witness, second):
-                verdict = verify_best_coapprox(basis, b, alpha, trials=60, seed=8)
+                verdict = verify_best_coapprox(basis, b, alpha)
                 ok = ok and verdict.confirmed
         if not ok:
             failures += 1

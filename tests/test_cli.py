@@ -458,6 +458,22 @@ def test_solve_work_counts(capsys, monkeypatch, name, expected):
     assert tuple(calls.values()) == expected
 
 
+@pytest.mark.parametrize("flags, echoed", [((), (7, 3)), (("--trials", "9", "--seed", "4"), (9, 4))])
+def test_solve_echoes_trials_and_seed(tmp_path, capsys, flags, echoed):
+    # The file's options, or the flags over them, appear at the top and in
+    # every target's oracle entry; the golden digest covers 200/0 only.
+    doc = json.loads((PROBLEMS / "pair_l15_cochebyshev.json").read_text(encoding="utf-8"))
+    doc["targets"] += [["1", "1", "2", "4", "-2"], ["0", "2", "-3", "1", "1"]]
+    doc["options"] = {"trials": 7, "seed": 3}
+    f = tmp_path / "options.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    report = run_json(capsys, "solve", "--input", str(f), *flags)
+    oracles = [t["oracle"] for t in report["targets"]]
+    assert len(oracles) == 3
+    for entry in [report] + oracles:
+        assert (entry["trials"], entry["seed"]) == echoed
+
+
 def test_verifier_probe_cap_exits_3_at_once(tmp_path, capsys, monkeypatch):
     # m = 9: the identity plus a row proportional to the first passes the
     # cell caps, but its member target would have the verifier sweep

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import operator
@@ -67,14 +66,12 @@ class TestBjOrthogonality:
 
 class TestVerifyBestCoapprox:
     def test_confirms_true_solution(self, span3_l16):
-        verdict = verify_best_coapprox(span3_l16, B2, ALPHA2, trials=100, seed=4)
+        verdict = verify_best_coapprox(span3_l16, B2, ALPHA2)
         assert verdict.confirmed
         assert verdict.counterexample is None
 
     def test_refutes_zero_claim(self, span3_l16):
-        verdict = verify_best_coapprox(
-            span3_l16, B2, (Q(0), Q(0), Q(0)), trials=10, seed=4
-        )
+        verdict = verify_best_coapprox(span3_l16, B2, (Q(0), Q(0), Q(0)))
         assert not verdict.confirmed
         ce = verdict.counterexample
         assert ce.lhs > ce.rhs
@@ -85,7 +82,7 @@ class TestVerifyBestCoapprox:
 
     def test_member_confirmed(self, span3_l16):
         b = span3_l16.combine((Q(2), Q(0), Q(-1)))
-        verdict = verify_best_coapprox(span3_l16, b, (Q(2), Q(0), Q(-1)), trials=5)
+        verdict = verify_best_coapprox(span3_l16, b, (Q(2), Q(0), Q(-1)))
         assert verdict.confirmed
 
     def test_negation_symmetry(self):
@@ -98,8 +95,8 @@ class TestVerifyBestCoapprox:
             alpha = tuple(Q(rng.randint(-3, 3)) for _ in range(m))
             minus_b = tuple(-x for x in b)
             minus_alpha = tuple(-x for x in alpha)
-            v1 = verify_best_coapprox(basis, b, alpha, trials=40, seed=6)
-            v2 = verify_best_coapprox(basis, minus_b, minus_alpha, trials=40, seed=6)
+            v1 = verify_best_coapprox(basis, b, alpha)
+            v2 = verify_best_coapprox(basis, minus_b, minus_alpha)
             assert v1.confirmed == v2.confirmed
 
     @pytest.mark.parametrize("m, trials, admitted", [
@@ -107,21 +104,12 @@ class TestVerifyBestCoapprox:
         (9, 1, False), (1, 10**6, False),
     ])
     def test_probe_cap(self, m, trials, admitted):
-        # The 5^m sweep plus the random trials may not exceed 10^6 probes.
+        # solve's option cap: 5^m plus the trials may not exceed 10^6.
         if admitted:
             oracle.check_probe_capacity(m, trials)
         else:
             with pytest.raises(CapacityError, match="probes"):
                 oracle.check_probe_capacity(m, trials)
-
-    def test_probe_cap_refuses_before_any_probe(self, span3_l16, monkeypatch):
-        monkeypatch.setattr(oracle, "_sign_patterns", None)
-        with pytest.raises(CapacityError):
-            verify_best_coapprox(span3_l16, B2, ALPHA2, trials=10**6)
-
-    def test_trials_validated(self, span3_l16):
-        with pytest.raises(ValidationError):
-            verify_best_coapprox(span3_l16, B2, ALPHA2, trials=0)
 
 
 class TestBruteForce:
@@ -173,28 +161,6 @@ class TestBruteForce:
         assert 101**3 > oracle.BRUTE_FORCE_MAX_POINTS  # 101 ticks per axis below
         with pytest.raises(CapacityError):
             brute_force_existence(span3_l16, B1, Q(100), Q(2))
-
-    def test_trials_cap_checked_before_any_probe(self, monkeypatch):
-        # A one-point grid: only the random trials make the probe list long.
-        monkeypatch.setattr(oracle, "_sign_patterns", None)
-        start = time.perf_counter()
-        with pytest.raises(CapacityError, match="probes"):
-            brute_force_existence(column_basis((1, 0)), vec((3, 1)), Q(0), Q(1), trials=10**7)
-        assert time.perf_counter() - start < 1.0
-
-    def test_trials_cap_admits_the_verifier_limit(self, monkeypatch):
-        class Reached(Exception):
-            pass
-
-        def reached(basis):
-            raise Reached
-
-        monkeypatch.setattr(oracle, "_sign_patterns", reached)
-        basis = column_basis((1, 0))  # m = 1: the cap counts 5 + trials
-        with pytest.raises(Reached):
-            brute_force_existence(basis, vec((3, 1)), Q(0), Q(1), trials=10**6 - 5)
-        with pytest.raises(CapacityError, match="probes"):
-            brute_force_existence(basis, vec((3, 1)), Q(0), Q(1), trials=10**6 - 5 + 1)
 
 
 # ------------------------------------------------- legacy probe reference
@@ -304,12 +270,11 @@ def _legacy_verify(basis, b, alpha, trials=200, seed=0):
     for check, beta in patterns.items():
         if oracle._fails(z, abs_z, check):
             return VerificationVerdict(
-                False, oracle._refute_from_bj_failure(basis, b, alpha, tuple(map(Q, beta))),
-                seed, trials)
-    return VerificationVerdict(True, None, seed, trials)
+                False, oracle._refute_from_bj_failure(basis, b, alpha, tuple(map(Q, beta))))
+    return VerificationVerdict(True, None)
 
 
-def _pointwise_scan(basis, b, radius, step, checks, trials=0, seed=0):
+def _pointwise_scan(basis, b, radius, step, checks):
     """The grid scanned point by point in ints: a candidate passes every
     check in `checks` (keys of a pattern map) at its residual."""
     m = basis.m
@@ -334,7 +299,7 @@ def _pointwise_scan(basis, b, radius, step, checks, trials=0, seed=0):
             candidates.append(tuple(ticks[k] for k in alpha))
         else:
             last = failing
-    return BruteForceResult(bool(candidates), tuple(candidates), per_axis**m, trials, seed)
+    return BruteForceResult(bool(candidates), tuple(candidates), per_axis**m)
 
 
 def _legacy_grid(basis, b, radius, step, trials=0, seed=0):
@@ -345,7 +310,7 @@ def _legacy_grid(basis, b, radius, step, trials=0, seed=0):
     betas = _legacy_probe_set(basis) + tuple(_random_betas(
         basis.m, trials, seed, _GRID_RANDOM_NUMERATOR, _GRID_RANDOM_DENOMINATOR))
     checks = list(_legacy_sign_patterns(int_rows, betas))
-    return _pointwise_scan(basis, b, radius, step, checks, trials, seed)
+    return _pointwise_scan(basis, b, radius, step, checks)
 
 
 # ------------------------------------------------------ basis generators
@@ -415,7 +380,7 @@ def _basis_for(rng, m, degenerate):
 # ----------------------------------------------- the tope-probe contract
 
 
-def _reference_scan(basis, b, radius, step, trials=0, seed=0):
+def _reference_scan(basis, b, radius, step):
     """bj_orthogonal_l1 in Fractions at every (grid point, tope witness)
     pair, the witnesses taken from the LP prefix-tree enumeration."""
     ticks = []
@@ -431,13 +396,13 @@ def _reference_scan(basis, b, radius, step, trials=0, seed=0):
         residual = vec_sub(b, basis.combine(alpha))
         if all(bj_orthogonal_l1(basis.combine(beta), residual) for beta in witnesses):
             candidates.append(alpha)
-    return BruteForceResult(bool(candidates), tuple(candidates), count, trials, seed)
+    return BruteForceResult(bool(candidates), tuple(candidates), count)
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_brute_force_matches_reference_scan(degenerate):
     # Random bases, and degenerate ones (zero, proportional and
-    # line-sharing rows, mixed denominators); trials echoed, never drawn.
+    # line-sharing rows, mixed denominators).
     rng = random.Random(2024)
     grids = {
         1: [(Q(5), Q(1, 2)), (Q(1, 3), Q(1, 2)), (Q(7, 3), Q(2, 5)), (Q(0), Q(1))],
@@ -453,10 +418,8 @@ def test_brute_force_matches_reference_scan(degenerate):
             b = basis.combine(tuple(-radius + step * rng.randint(0, 1) for _ in range(m)))
         else:
             b = random_vector(rng, basis.n)
-        trials = rng.choice((0, 0, 5, 15))
-        seed = rng.randint(0, 9)
-        got = brute_force_existence(basis, b, radius, step, trials=trials, seed=seed)
-        assert got == _reference_scan(basis, b, radius, step, trials, seed), case
+        got = brute_force_existence(basis, b, radius, step)
+        assert got == _reference_scan(basis, b, radius, step), case
         nonempty += bool(got.candidates)
     assert nonempty >= 10
 
@@ -487,11 +450,9 @@ def test_brute_force_matches_pointwise_scan_on_long_lines(degenerate):
             )
         else:
             b = random_vector(rng, basis.n)
-        trials = rng.choice((0, 5, 15))
-        seed = rng.randint(0, 9)
-        got = brute_force_existence(basis, b, radius, step, trials=trials, seed=seed)
+        got = brute_force_existence(basis, b, radius, step)
         checks = list(oracle._sign_patterns(basis))
-        assert got == _pointwise_scan(basis, b, radius, step, checks, trials, seed), case
+        assert got == _pointwise_scan(basis, b, radius, step, checks), case
         nonempty += bool(got.candidates)
     assert nonempty >= 50
 
@@ -517,40 +478,36 @@ def test_brute_force_tests_at_most_one_point_per_line(
     assert calls == 0 <= most_calls
 
 
-def _reference_verify(basis, b, alpha, trials=200, seed=0):
+def _reference_verify(basis, b, alpha):
     """bj_orthogonal_l1 in Fractions at each of the oracle's tope
     witnesses in turn; the first failure refutes."""
     residual = vec_sub(b, basis.combine(alpha))
     for witness in oracle._sign_patterns(basis).values():
         beta = tuple(map(Q, witness))
         if not bj_orthogonal_l1(basis.combine(beta), residual):
-            return VerificationVerdict(
-                False, oracle._refute_from_bj_failure(basis, b, alpha, beta), seed, trials
-            )
-    return VerificationVerdict(True, None, seed, trials)
+            return VerificationVerdict(False, oracle._refute_from_bj_failure(basis, b, alpha, beta))
+    return VerificationVerdict(True, None)
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_verify_matches_reference_verifier(degenerate):
     # Solver alphas (mostly confirmed) and random alphas (mostly refuted),
-    # on random bases (m = 1..4) and degenerate ones (m = 1..3), every
-    # trial count: equal verdicts, counterexample included.
+    # on random bases (m = 1..4) and degenerate ones (m = 1..3): equal
+    # verdicts, counterexample included.
     rng = random.Random(1310)
     refuted = confirmed = from_solver = 0
     for case in range(240):
         m = 1 + case % (3 if degenerate else 4)
         basis = _basis_for(rng, m, degenerate)
         b = random_vector(rng, basis.n)
-        trials = (1, 5, 60, 200)[case // 8 % 4]
-        seed = rng.randint(0, 99)
         alpha = tuple(Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(m))
         if case // 4 % 2 == 0:
             out = solve_general(basis, None, b, prepared=prepare(basis))
             if out.kind is not OutcomeKind.NOT_EXISTS:
                 alpha = out.chosen_alpha
                 from_solver += 1
-        got = verify_best_coapprox(basis, b, alpha, trials=trials, seed=seed)
-        assert got == _reference_verify(basis, b, alpha, trials, seed), case
+        got = verify_best_coapprox(basis, b, alpha)
+        assert got == _reference_verify(basis, b, alpha), case
         confirmed += got.confirmed
         refuted += not got.confirmed
     assert refuted >= 100 and confirmed >= 50 and from_solver >= 50
@@ -583,7 +540,7 @@ def test_m1_verifier_draws_no_random_beta(monkeypatch):
     # a best coapproximation iff |sum sign(a_i) z_i| <= sum over zero rows
     # of |z_i|.  Solver alphas (confirmed) and perturbed ones (mostly
     # refuted), zero rows and proportional rows included; no random
-    # number generator is made, and trials and seed are only echoed.
+    # number generator is made.
     rng = random.Random(101)
 
     def no_draw(*args):
@@ -595,8 +552,6 @@ def test_m1_verifier_draws_no_random_beta(monkeypatch):
         n = rng.randint(2, 7)
         basis = random_basis(rng, n, 1, zero_rows=rng.choice((0, 0, 1)))
         b = random_vector(rng, n)
-        trials = rng.choice((1, 7, 200))
-        seed = rng.randint(0, 99)
         out = solve_general(basis, None, b, prepared=prepare(basis))
         if out.kind is OutcomeKind.NOT_EXISTS:
             continue
@@ -606,10 +561,8 @@ def test_m1_verifier_draws_no_random_beta(monkeypatch):
             z = vec_sub(b, basis.combine(a))
             signed = sum(((row[0] > 0) - (row[0] < 0)) * zi for row, zi in zip(basis.matrix, z))
             mass = sum(abs(zi) for row, zi in zip(basis.matrix, z) if not row[0])
-            got = verify_best_coapprox(basis, b, a, trials=trials, seed=seed)
+            got = verify_best_coapprox(basis, b, a)
             assert got.confirmed == (abs(signed) <= mass), case
-            plain = verify_best_coapprox(basis, b, a, trials=1, seed=0)
-            assert got == dataclasses.replace(plain, seed=seed, trials=trials), case
             confirmed += got.confirmed
             refuted += not got.confirmed
     assert confirmed >= 100 and refuted >= 50
@@ -689,7 +642,6 @@ def test_cell_caps_refuse_before_any_enumeration(monkeypatch):
     # Refused on A's distinct row hyperplanes (zero and proportional rows
     # merged) before any tope is enumerated: 13 planes in R^4 may cut 299
     # pairs, over MAX_CELL_PAIRS; 21 lines in R^2 exceed MAX_HYPERPLANES.
-    # The probe cap still comes first, and trials still count in it.
     def no_work(*args):
         raise AssertionError("topes enumerated before the capacity check")
 
@@ -704,9 +656,7 @@ def test_cell_caps_refuse_before_any_enumeration(monkeypatch):
             verify_best_coapprox(basis, b, alpha)
         if basis.m <= oracle.BRUTE_FORCE_MAX_M:
             with pytest.raises(CapacityError, match=match):
-                brute_force_existence(basis, b, Q(0), Q(1), trials=5)
-        with pytest.raises(CapacityError, match="probes"):
-            verify_best_coapprox(basis, b, alpha, trials=10**6)
+                brute_force_existence(basis, b, Q(0), Q(1))
     # At the caps (20 lines in the plane, 20 pairs) the topes are built.
     monkeypatch.setattr(oracle, "half_cells", norming.half_cells)
     basis = validate_basis(mat([[1, k] for k in range(20)]))
@@ -762,8 +712,7 @@ def test_tope_probes_refute_whatever_the_legacy_probes_refute():
                     alpha += out.chosen_alpha[j + 1:]
         trials, seed = rng.choice((1, 5, 60)), rng.randint(0, 99)
         legacy = _legacy_verify(basis, b, alpha, trials, seed)
-        new = verify_best_coapprox(basis, b, alpha, trials=trials, seed=seed)
-        assert (new.seed, new.trials) == (seed, trials)
+        new = verify_best_coapprox(basis, b, alpha)
         if not legacy.confirmed:
             legacy_refuted += 1
             assert not new.confirmed, case
@@ -775,7 +724,7 @@ def test_tope_probes_refute_whatever_the_legacy_probes_refute():
                 per_axis = math.floor(2 * radius / step) + 1
                 b = basis.combine(
                     tuple(-radius + step * rng.randrange(per_axis) for _ in range(m)))
-            got = brute_force_existence(basis, b, radius, step, trials=trials, seed=seed)
+            got = brute_force_existence(basis, b, radius, step)
             ref = _legacy_grid(basis, b, radius, step, trials, seed)
             assert set(got.candidates) <= set(ref.candidates), case
             for point in set(ref.candidates) - set(got.candidates):
@@ -914,5 +863,5 @@ def test_oracle_builds_probes_without_a_fraction_solve(monkeypatch):
         assert basis.m <= oracle.BRUTE_FORCE_MAX_M
         targets = [b for _, b in problem.targets] + [tuple(Q(k) for k in range(basis.n))]
         for b in targets:
-            verify_best_coapprox(basis, b, (Q(0),) * basis.m, trials=200)
-            brute_force_existence(basis, b, Q(1), Q(1, 2), trials=5)
+            verify_best_coapprox(basis, b, (Q(0),) * basis.m)
+            brute_force_existence(basis, b, Q(1), Q(1, 2))

@@ -24,7 +24,7 @@ from coapprox import (
     vec,
 )
 from coapprox import solver
-from coapprox.exact import is_zero, rank, vec_sub
+from coapprox.exact import rank, vec_sub
 from coapprox.instances import random_basis, random_invertible, random_vector, recombine
 from coapprox.lp import LpStatus, lp_min, solve_minimax_lp
 from coapprox.solver import PolytopeConstraints, lex_extreme_alpha
@@ -342,7 +342,7 @@ def _reference_lex_extreme_alpha(basis, constraints, direction):
         b_ub += [rv + constraints.slack, constraints.slack - rv]
     pinned, values = [], []
     for arow in basis.matrix:
-        if is_zero(arow) or rank(pinned + [arow]) == len(pinned):
+        if not any(arow) or rank(pinned + [arow]) == len(pinned):
             continue
         cost = tuple(Q(direction) * x for x in arow)
         # Each pinned row r . alpha == v as the pair r . alpha <= v, -r . alpha <= -v.
@@ -416,7 +416,7 @@ def _zero_set_instances(rng, count):
         basis = random_basis(rng, n, m, lo=-2, hi=2, zero_rows=n - kept)
         if k % 3 == 0:
             rows = list(basis.matrix)
-            source = rng.choice([r for r in rows if not is_zero(r)])
+            source = rng.choice([r for r in rows if any(r)])
             rows.insert(rng.randint(0, n), tuple(rng.choice((-2, -1, 1, 2)) * x for x in source))
             basis = validate_basis(rows)
         zero_target = rng.randrange(8) == 0
@@ -473,7 +473,7 @@ def test_zero_set_solve_matches_three_lex_reference(monkeypatch):
     cases = Counter()
     for basis, b in _zero_set_instances(rng, 400):
         pb = prepare(basis)
-        zero_reduced = is_zero(pb.reduced.sigma(b))
+        zero_reduced = not any(pb.reduced.sigma(b))
         for target, slack, t_star in _slack_cases(rng, pb, b):
             lex_calls.clear()
             out = solve_general(basis, None, target, prepared=pb)

@@ -14,6 +14,7 @@ from coapprox import (
     validate_basis,
     vec,
 )
+from coapprox.exact import rank
 from coapprox.instances import random_basis, random_invertible, random_vector, recombine
 from tests.conftest import column_basis
 
@@ -121,6 +122,53 @@ def test_profile_is_basis_invariant():
         assert p1.zero_set == p2.zero_set
         assert p1.partition() == p2.partition()
         assert p1.d == p2.d
+
+
+def _scan_profile(basis):
+    """The profile by scanning every earlier class: a row joins the first
+    class whose representative it is an exact multiple of."""
+    classes, zero_set = [], []
+    for i, row in enumerate(basis.matrix):
+        if not any(row):
+            zero_set.append(i)
+            continue
+        for members in classes:
+            rep = basis.matrix[members[0][0]]
+            j0 = next(j for j, x in enumerate(rep) if x)
+            c = row[j0] / rep[j0]
+            if c and all(x == c * r for x, r in zip(row, rep)):
+                members.append((i, c))
+                break
+        else:
+            classes.append([(i, Q(1))])
+    return [tuple(members) for members in classes], tuple(zero_set)
+
+
+def test_profile_matches_scan_reference():
+    # Proportional rows of either sign with mixed denominators, zero rows
+    # and random rows: the same classes, representatives, member order
+    # and exact constants as the scan.
+    rng = random.Random(3131)
+    merged = 0
+    for case in range(400):
+        m = rng.randint(1, 4)
+        rows = [tuple(Q(rng.randint(-4, 4), rng.choice((1, 2, 3, 6))) for _ in range(m))
+                for _ in range(rng.randint(m, m + 3))]
+        for _ in range(rng.randint(0, 4)):
+            c = Q(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
+            rows.append(tuple(c * x for x in rng.choice(rows)))
+        rows += [(Q(0),) * m] * rng.randint(0, 2)
+        rng.shuffle(rows)
+        if rank(rows) < m:
+            continue
+        basis = validate_basis(tuple(rows))
+        profile = build_profile(basis)
+        classes, zero_set = _scan_profile(basis)
+        assert [cls.members for cls in profile.classes] == classes, case
+        assert [cls.representative for cls in profile.classes] == [c[0][0] for c in classes]
+        assert (profile.zero_set, profile.d) == (zero_set, len(classes)), case
+        merged += profile.d < basis.n - len(zero_set)
+    assert merged >= 150
 
 
 def test_rho_sigma_identities():
