@@ -24,7 +24,9 @@ below it the set is empty; above it the set holds a ball around the
 minimax optimizer, so it is a full-dimensional polytope; at it the set
 is the optimal face, a point or a polytope.  Lexicographically extreme
 points (in subspace-vector order) tell these apart and pick a witness
-independent of the particular basis supplied.
+independent of the particular basis supplied.  delta0 and its optimizer
+depend only on sigma(b), so all targets on one fiber (same entries off
+Z, any mass on Z) share one minimax solve, PreparedBasis.fiber_minimax.
 """
 from __future__ import annotations
 
@@ -81,10 +83,13 @@ class PreparedBasis:
     `cells`, `norming` and the rows built on them enumerate sign cells:
     `norming-set` reports the cells, and the zero-set polytope needs one
     inequality per cell.
+    `fiber_minimax` keeps the last fiber's minimax solve in one slot, so
+    memory stays bounded and each new fiber is solved afresh.
     """
 
     def __init__(self, basis: SubspaceBasis):
         self.basis = basis
+        self._fiber: tuple = (None,)
 
     @cached_property
     def profile(self) -> ComponentProfile:
@@ -161,6 +166,14 @@ class PreparedBasis:
 
     def feasibility_rhs(self, b_reduced: Vec) -> Vec:
         return tuple(norming_dot(x, b_reduced) for x in self.norming.representatives)
+
+    def fiber_minimax(self, b: Vec) -> tuple[Vec, Q, Vec]:
+        """(rhs, delta0, alpha) of the minimax LP on the fiber of b."""
+        key, slot = self.reduced.sigma(b), self._fiber
+        if slot[0] != key:  # a new fiber replaces the slot in one assignment
+            rhs = self.feasibility_rhs(key)
+            slot = self._fiber = (key, rhs, *solve_minimax_lp(self.feasibility_rows, rhs))
+        return slot[1:]
 
 
 def prepare(basis: SubspaceBasis) -> PreparedBasis:
@@ -272,6 +285,8 @@ def solve_general(
     second lex search, the other way, tells a point from a polytope.
     """
     pb = prepared if prepared is not None else prepare(basis)
+    if pb.basis is not basis and pb.basis != basis:  # identity first: the common case
+        raise DimensionError("prepared basis does not match the basis")
     if len(b) != basis.n:
         raise DimensionError("target length does not match ambient dimension")
     membership = solve_linear(basis.matrix, b)
@@ -282,8 +297,7 @@ def solve_general(
 
     slack = sum((abs(b[i]) for i in pb.profile.zero_set), Q(0))
     rows = pb.feasibility_rows
-    rhs = pb.feasibility_rhs(pb.reduced.sigma(b))
-    t_star, _ = solve_minimax_lp(rows, rhs)
+    rhs, t_star, _ = pb.fiber_minimax(b)
     if t_star > slack:
         return _not_exists()
     tight = PolytopeConstraints(rows=rows, rhs=rhs, slack=t_star)
@@ -312,12 +326,13 @@ def existence_threshold(
     prepared: PreparedBasis | None = None,
 ) -> ExistenceThreshold:
     pb = prepared if prepared is not None else prepare(basis)
+    if pb.basis is not basis and pb.basis != basis:  # identity first: the common case
+        raise DimensionError("prepared basis does not match the basis")
     if len(b) != basis.n:
         raise DimensionError("target length does not match ambient dimension")
     if not pb.profile.zero_set:
         raise EmptyZeroSetError("threshold is defined only for non-empty zero sets")
-    rhs = pb.feasibility_rhs(pb.reduced.sigma(b))
-    delta0, alpha = solve_minimax_lp(pb.feasibility_rows, rhs)
+    _, delta0, alpha = pb.fiber_minimax(b)
     rho_mass = l1_norm(apply_rho(b, pb.profile))
     if delta0 > rho_mass:  # pragma: no cover
         raise InternalInconsistencyError("threshold exceeds the rho-mass upper bound")

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -639,15 +640,33 @@ def _threshold_script(*argv):
     )
 
 
+THRESHOLD_SCRIPT_OUTPUT = (
+    "b1-extended: delta0 = 41/21\n"
+    "  mass delta0 - step = 4079/2100: not-exists\n"
+    "  mass delta0 = 41/21: unique\n"
+    "  mass delta0 + step = 4121/2100: polytope\n"
+)
+
+
 def test_threshold_script_traces_the_dichotomy():
     proc = _threshold_script("--input", THRESHOLD_FILE)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "b1-extended: delta0 = 41/21",
-        "  mass delta0 - step = 4079/2100: not-exists",
-        "  mass delta0 = 41/21: unique",
-        "  mass delta0 + step = 4121/2100: polytope",
-    ]
+    assert proc.stdout == THRESHOLD_SCRIPT_OUTPUT
+
+
+def test_threshold_script_runs_one_minimax_lp_per_target(monkeypatch):
+    # The script's four calls per target share one fiber, so one LP.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "threshold_dichotomy.py"
+    spec = importlib.util.spec_from_file_location("threshold_dichotomy", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    calls = []
+    lp = solver.solve_minimax_lp
+    monkeypatch.setattr(solver, "solve_minimax_lp", lambda *args: calls.append(args) or lp(*args))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert module.main(["--input", THRESHOLD_FILE]) == 0
+    assert (out.getvalue(), len(calls)) == (THRESHOLD_SCRIPT_OUTPUT, 1)
 
 
 @pytest.mark.parametrize(

@@ -280,6 +280,63 @@ class TestExistenceThreshold:
         assert (out.kind, len(calls)) == (kind, lex_searches)
 
 
+def _count_minimax(monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver, "solve_minimax_lp",
+                        lambda *args: calls.append(args) or solve_minimax_lp(*args))
+    return calls
+
+
+class TestFiberMinimax:
+    """One minimax LP per fiber: the prepared basis keeps the last
+    fiber's delta0, optimizer and rhs, and only the last."""
+
+    B = vec((1, 2, 3, 4, 5, 6))  # off the zero set; delta0 = 41/21
+
+    def test_solve_then_threshold_run_one_lp(self, monkeypatch):
+        calls = _count_minimax(monkeypatch)
+        basis = column_basis(*THRESHOLD_BASIS_COLUMNS)
+        pb = prepare(basis)
+        b = self.B + (Q(41, 21),)
+        out = solve_general(basis, None, b, prepared=pb)
+        th = existence_threshold(basis, None, b, prepared=pb)
+        assert (out.kind, th.delta0, len(calls)) == (OutcomeKind.UNIQUE, Q(41, 21), 1)
+
+    def test_masses_on_one_fiber_run_one_lp(self, monkeypatch):
+        calls = _count_minimax(monkeypatch)
+        basis = column_basis(*THRESHOLD_BASIS_COLUMNS)
+        pb = prepare(basis)
+        kinds = []
+        for offset in (Q(-1, 100), Q(0), Q(1, 100)):
+            b = self.B + (Q(41, 21) + offset,)
+            kinds.append(solve_general(basis, None, b, prepared=pb).kind)
+            assert existence_threshold(basis, None, b, prepared=pb).delta0 == Q(41, 21)
+        assert kinds == [OutcomeKind.NOT_EXISTS, OutcomeKind.UNIQUE, OutcomeKind.POLYTOPE]
+        assert len(calls) == 1
+
+    def test_a_new_fiber_replaces_the_slot(self, monkeypatch):
+        calls = _count_minimax(monkeypatch)
+        basis = column_basis(*THRESHOLD_BASIS_COLUMNS)
+        pb = prepare(basis)
+        fiber_a = self.B + (Q(3),)
+        fiber_b = vec((1, 2, 3, 4, 5, 7)) + (Q(3),)
+        deltas = [existence_threshold(basis, None, b, prepared=pb).delta0
+                  for b in (fiber_a, fiber_b, fiber_a)]
+        assert deltas[0] == deltas[2] == Q(41, 21) != deltas[1]
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("call", [solve_general, existence_threshold])
+    def test_refuses_a_basis_prepared_for_another_subspace(self, call):
+        basis = column_basis(*THRESHOLD_BASIS_COLUMNS)
+        other = column_basis(*THRESHOLD_BASIS_COLUMNS[:2], (1, 4, 2, 1, -1, 9, 0))
+        b = self.B + (Q(3),)
+        with pytest.raises(DimensionError, match="prepared basis"):
+            call(basis, None, b, prepared=prepare(other))
+        # An equal basis built separately is the same subspace.
+        same = column_basis(*THRESHOLD_BASIS_COLUMNS)
+        assert call(basis, None, b, prepared=prepare(same)) == call(basis, None, b)
+
+
 class TestProjection:
     def test_worked_fixture(self, span3_l16):
         pb = prepare(span3_l16)
@@ -509,3 +566,38 @@ def test_lex_extreme_alpha_matches_rank_loop_reference(direction):
             assert constraints.satisfied_by(got)
             checked += 1
     assert checked >= 130
+
+
+def test_shared_fiber_slot_matches_fresh_prepare(monkeypatch):
+    # One prepared basis per subspace, its fibers interleaved: targets
+    # equal off Z with different Z mass, and targets one off-Z coordinate
+    # apart.  Every call equals the same call on a fresh prepare(basis),
+    # and the shared basis solves one LP per change of fiber.
+    calls = _count_minimax(monkeypatch)
+    rng = random.Random(1414)
+    seen = Counter()
+    for basis, b in _zero_set_instances(rng, 170):
+        pb = prepare(basis)
+        nudged = list(b)
+        off_z = [i for i in range(basis.n) if i not in pb.profile.zero_set]
+        nudged[rng.choice(off_z)] += rng.choice((-1, 1))
+        cases = _slack_cases(rng, pb, b) + _slack_cases(rng, pb, tuple(nudged))
+        rng.shuffle(cases)
+        previous = None
+        for target, _, _ in cases:
+            before = len(calls)
+            if rng.random() < 0.5:
+                out = solve_general(basis, None, target, prepared=pb)
+                th = existence_threshold(basis, None, target, prepared=pb)
+            else:
+                th = existence_threshold(basis, None, target, prepared=pb)
+                out = solve_general(basis, None, target, prepared=pb)
+            fiber = pb.reduced.sigma(target)
+            assert len(calls) - before == (fiber != previous)
+            seen["new fiber" if fiber != previous else "same fiber"] += 1
+            previous = fiber
+            assert out == solve_general(basis, None, target, prepared=prepare(basis))
+            assert th == existence_threshold(basis, None, target, prepared=prepare(basis))
+            seen[out.kind] += 1
+    assert seen["new fiber"] + seen["same fiber"] >= 1000
+    assert min(seen.values()) >= 100, seen
