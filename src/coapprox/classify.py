@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .solver import PreparedBasis, prepare
+from .solver import PreparedBasis, prepared_for
 from .subspace import SubspaceBasis
 
 
@@ -39,7 +39,7 @@ def classify(basis: SubspaceBasis, *, prepared: PreparedBasis | None = None) -> 
       empty-zero-set-uniqueness  solutions are unique when they exist
       zero-fiber-multiplicity    some target has many solutions
     """
-    pb = prepared if prepared is not None else prepare(basis)
+    pb = prepared_for(basis, prepared)
     zero_set = pb.profile.zero_set
     if basis.m == basis.n:
         q, tags = basis.m, ["full-space"]

@@ -24,9 +24,11 @@ below it the set is empty; above it the set holds a ball around the
 minimax optimizer, so it is a full-dimensional polytope; at it the set
 is the optimal face, a point or a polytope.  Lexicographically extreme
 points (in subspace-vector order) tell these apart and pick a witness
-independent of the particular basis supplied.  delta0 and its optimizer
-depend only on sigma(b), so all targets on one fiber (same entries off
-Z, any mass on Z) share one minimax solve, PreparedBasis.fiber_minimax.
+independent of the particular basis supplied; each search starts at
+the minimax optimizer, which is feasible, so it runs no phase 1.
+delta0 and its optimizer depend only on sigma(b), so all targets on one
+fiber (same entries off Z, any mass on Z) share one minimax solve,
+PreparedBasis.fiber_minimax.
 """
 from __future__ import annotations
 
@@ -180,6 +182,14 @@ def prepare(basis: SubspaceBasis) -> PreparedBasis:
     return PreparedBasis(basis)
 
 
+def prepared_for(basis: SubspaceBasis, prepared: PreparedBasis | None) -> PreparedBasis:
+    """`prepared`, or a fresh prepare(basis); refused if built for another basis."""
+    pb = prepared if prepared is not None else prepare(basis)
+    if pb.basis is not basis and pb.basis != basis:  # identity first: the common case
+        raise DimensionError("prepared basis does not match the basis")
+    return pb
+
+
 class OutcomeKind(Enum):
     NOT_EXISTS = "not-exists"
     UNIQUE = "unique"
@@ -246,7 +256,7 @@ def solve_empty_zero_set(pb: PreparedBasis, b: Vec) -> CoapproxOutcome:
 
 
 def lex_extreme_alpha(
-    basis: SubspaceBasis, constraints: PolytopeConstraints, direction: int
+    basis: SubspaceBasis, constraints: PolytopeConstraints, direction: int, start: Vec
 ) -> Vec:
     """Coefficients of the lexicographically extreme feasible vector.
 
@@ -255,20 +265,24 @@ def lex_extreme_alpha(
     the resulting point is a property of the subspace and target alone.
     One LP minimizes direction * (row i of A) . alpha for every row in
     order, each over the optimal face of the rows before it.  The rows
-    of A span R^m, so the last face is one point.
+    of A span R^m, so the last face is one point, whatever the start.
+    The LP is posed in y = alpha - start for a feasible `start`, so every
+    rhs is >= 0 and the simplex starts at y = 0 with no phase 1.
     """
-    a_ub: list[Vec] = []
-    b_ub: list[Q] = []
+    a_ub, b_ub = [], []
     for row, rv in zip(constraints.rows, constraints.rhs):
+        gap = rv - sum((r * a for r, a in zip(row, start)), Q(0))
         a_ub += [row, tuple(-x for x in row)]
-        b_ub += [rv + constraints.slack, constraints.slack - rv]
+        b_ub += [constraints.slack + gap, constraints.slack - gap]
+    if any(v < 0 for v in b_ub):
+        raise InternalInconsistencyError("lex search start is not feasible")
     costs = [tuple(Q(direction) * x for x in row) for row in basis.matrix]
     # `then` goes positionally: perfbench/tracer.py sizes this call by
     # binding its arguments to lp_min's old (cost, a_ub, b_ub, a_eq, b_eq).
     res = lp_min(costs[0], tuple(a_ub), tuple(b_ub), costs[1:])
     if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
         raise InternalInconsistencyError("lex support LP must be solvable")
-    return res.x
+    return vec_add(start, res.x)
 
 
 def solve_general(
@@ -284,9 +298,7 @@ def solve_general(
     lex-smallest point of the optimal face) is searched for; at it a
     second lex search, the other way, tells a point from a polytope.
     """
-    pb = prepared if prepared is not None else prepare(basis)
-    if pb.basis is not basis and pb.basis != basis:  # identity first: the common case
-        raise DimensionError("prepared basis does not match the basis")
+    pb = prepared_for(basis, prepared)
     if len(b) != basis.n:
         raise DimensionError("target length does not match ambient dimension")
     membership = solve_linear(basis.matrix, b)
@@ -297,12 +309,12 @@ def solve_general(
 
     slack = sum((abs(b[i]) for i in pb.profile.zero_set), Q(0))
     rows = pb.feasibility_rows
-    rhs, t_star, _ = pb.fiber_minimax(b)
+    rhs, t_star, alpha = pb.fiber_minimax(b)
     if t_star > slack:
         return _not_exists()
     tight = PolytopeConstraints(rows=rows, rhs=rhs, slack=t_star)
-    witness = lex_extreme_alpha(basis, tight, +1)
-    if slack == t_star and witness == lex_extreme_alpha(basis, tight, -1):
+    witness = lex_extreme_alpha(basis, tight, +1, alpha)
+    if slack == t_star and witness == lex_extreme_alpha(basis, tight, -1, alpha):
         return _unique(basis, witness)
     return CoapproxOutcome(
         kind=OutcomeKind.POLYTOPE,
@@ -325,9 +337,7 @@ def existence_threshold(
     basis: SubspaceBasis, profile: ComponentProfile | None, b: Vec, *,
     prepared: PreparedBasis | None = None,
 ) -> ExistenceThreshold:
-    pb = prepared if prepared is not None else prepare(basis)
-    if pb.basis is not basis and pb.basis != basis:  # identity first: the common case
-        raise DimensionError("prepared basis does not match the basis")
+    pb = prepared_for(basis, prepared)
     if len(b) != basis.n:
         raise DimensionError("target length does not match ambient dimension")
     if not pb.profile.zero_set:

@@ -234,7 +234,7 @@ def test_criterion_8_zero_set_multiplicity():
         out = solve_general(basis, pb.profile, b, prepared=pb)
         ok = out.kind is OutcomeKind.POLYTOPE
         if ok:
-            second = lex_extreme_alpha(basis, out.constraints, -1)
+            second = lex_extreme_alpha(basis, out.constraints, -1, out.witness)
             ok = second != out.witness
             for alpha in (out.witness, second):
                 verdict = verify_best_coapprox(basis, b, alpha)

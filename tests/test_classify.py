@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as Q
 
+import pytest
+
 from coapprox import (
+    DimensionError,
     OutcomeKind,
     classify,
     prepare,
@@ -39,6 +42,16 @@ def test_pair_l15_cochebyshev(pair_l15_cochebyshev):
     assert report.coproximinal
     assert report.co_chebyshev
     assert report.zero_set_size == 0
+
+
+def test_refuses_a_basis_prepared_for_another_subspace(pair_l15_cochebyshev,
+                                                        pair_l17_not_coproximinal):
+    # Unguarded, this answered for the other subspace: not coproximinal,
+    # with a zero set of size 2.
+    with pytest.raises(DimensionError, match="prepared basis"):
+        classify(pair_l15_cochebyshev, prepared=prepare(pair_l17_not_coproximinal))
+    same = column_basis((1, 1, 2, 4, -2), (1, 2, 2, 4, -4))
+    assert classify(pair_l15_cochebyshev, prepared=prepare(same)) == classify(same)
 
 
 def test_full_space_shortcut():
@@ -115,7 +128,7 @@ def test_zero_set_coproximinal_has_multiple_solutions():
         b[pb.profile.zero_set[0]] = Q(rng.randint(1, 5))
         out = solve_general(basis, pb.profile, tuple(b), prepared=pb)
         assert out.kind is OutcomeKind.POLYTOPE
-        other = lex_extreme_alpha(basis, out.constraints, -1)
+        other = lex_extreme_alpha(basis, out.constraints, -1, out.witness)
         assert other != out.witness
         for alpha in (out.witness, other):
             verdict = verify_best_coapprox(basis, tuple(b), alpha)

@@ -8,6 +8,7 @@ from coapprox import (
     CapacityError,
     DimensionError,
     EmptyZeroSetError,
+    InternalInconsistencyError,
     NoCoapproximationError,
     OutcomeKind,
     SystemStatus,
@@ -380,8 +381,8 @@ class TestProjection:
 def test_lex_extreme_points_bound_the_polytope():
     basis = column_basis((1, 0))
     out = solve_general(basis, None, vec((3, 1)))
-    lo = lex_extreme_alpha(basis, out.constraints, +1)
-    hi = lex_extreme_alpha(basis, out.constraints, -1)
+    lo = lex_extreme_alpha(basis, out.constraints, +1, out.witness)
+    hi = lex_extreme_alpha(basis, out.constraints, -1, out.witness)
     assert (lo, hi) == ((Q(2),), (Q(4),))
 
 
@@ -558,14 +559,64 @@ def test_lex_extreme_alpha_matches_rank_loop_reference(direction):
     for basis, b in _zero_set_instances(rng, 60):
         pb = prepare(basis)
         rhs = pb.feasibility_rhs(pb.reduced.sigma(b))
-        t_star, _ = solve_minimax_lp(pb.feasibility_rows, rhs)
+        t_star, alpha_star = solve_minimax_lp(pb.feasibility_rows, rhs)
         for slack in (t_star, t_star + Q(rng.randint(1, 4), 3)):
             constraints = PolytopeConstraints(pb.feasibility_rows, rhs, slack)
-            got = lex_extreme_alpha(basis, constraints, direction)
+            got = lex_extreme_alpha(basis, constraints, direction, alpha_star)
             assert got == _reference_lex_extreme_alpha(basis, constraints, direction)
             assert constraints.satisfied_by(got)
             checked += 1
     assert checked >= 130
+
+
+def test_lex_lps_start_feasible_with_no_phase_1(monkeypatch):
+    # lp_min builds an artificial column, and runs phase 1, for each
+    # negative rhs; started at the minimax optimizer, no lex LP has one.
+    rhs_seen = []
+
+    def recorded(cost, a_ub, b_ub, then=()):
+        rhs_seen.append(b_ub)
+        return lp_min(cost, a_ub, b_ub, then)
+
+    monkeypatch.setattr(solver, "lp_min", recorded)
+    rng = random.Random(3306)
+    for basis, b in _zero_set_instances(rng, 400):
+        pb = prepare(basis)
+        for target, _, _ in _slack_cases(rng, pb, b):
+            solve_general(basis, None, target, prepared=pb)
+    assert len(rhs_seen) >= 1000
+    assert all(v >= 0 for b_ub in rhs_seen for v in b_ub)
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_lex_extreme_alpha_is_independent_of_its_start(direction):
+    # The rows of A span R^m, so the lex-extreme point is unique: the
+    # minimax optimizer, the point itself and their midpoint all reach it.
+    rng = random.Random(5150 + direction)
+    checked = 0
+    for basis, b in _zero_set_instances(rng, 60):
+        pb = prepare(basis)
+        rhs = pb.feasibility_rhs(pb.reduced.sigma(b))
+        t_star, alpha_star = solve_minimax_lp(pb.feasibility_rows, rhs)
+        for slack in (t_star, t_star + Q(rng.randint(1, 4), 3)):
+            constraints = PolytopeConstraints(pb.feasibility_rows, rhs, slack)
+            ref = _reference_lex_extreme_alpha(basis, constraints, direction)
+            mid = tuple((a + r) / 2 for a, r in zip(alpha_star, ref))
+            for start in (alpha_star, ref, mid):
+                assert lex_extreme_alpha(basis, constraints, direction, start) == ref
+            checked += 1
+    assert checked >= 130
+
+
+def test_lex_extreme_alpha_refuses_an_infeasible_start(monkeypatch):
+    basis = column_basis((1, 0))
+    out = solve_general(basis, None, vec((3, 1)))  # feasible alpha: [2, 4]
+    calls = []
+    monkeypatch.setattr(solver, "lp_min", lambda *args: calls.append(args))
+    for start in ((Q(1),), (Q(9, 2),)):
+        with pytest.raises(InternalInconsistencyError, match="start is not feasible"):
+            lex_extreme_alpha(basis, out.constraints, +1, start)
+    assert calls == []
 
 
 def test_shared_fiber_slot_matches_fresh_prepare(monkeypatch):
