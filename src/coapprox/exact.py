@@ -1,12 +1,12 @@
 """Exact rational scalars, vectors and matrices, the scaling of rational
-rows to coprime ints, the one fraction-free row operation (`eliminate`)
+rows to ints, the one fraction-free elimination step (`bareiss_pivot`)
 that both Gauss-Jordan elimination and the simplex tableau in `lp.py`
 are built on, and the 1-d l1 minimizer.
 
 No floating point is used anywhere: existence decisions downstream
 (sign cells, ranks, system consistency) are discontinuous in the data,
-so every quantity is a `fractions.Fraction`, or a row of Python ints
-up to a known positive scale.
+so every quantity is a `fractions.Fraction`, or Python ints over one
+known positive denominator, which a Bareiss step divides out exactly.
 """
 from __future__ import annotations
 
@@ -89,46 +89,54 @@ def transpose(rows: Mat) -> Mat:
     return tuple(zip(*rows)) if rows else ()
 
 
-def content(ints: Sequence[int]) -> int:
-    """gcd of the entries, 0 for a zero list.  A pairwise loop that stops
-    at 1: `math.gcd(*ints)` would first copy the whole list."""
-    g = 0
-    for k in ints:
-        if k:
-            g = math.gcd(g, k)
-            if g == 1:
-                break
-    return g
+def scaled_ints(values: Sequence) -> tuple[int, list[int]]:
+    """(d, values * d), d the lcm of the denominators: 1 for a row of ints."""
+    if all(type(x) is int for x in values):
+        return 1, list(values)
+    d = math.lcm(*[x.denominator for x in values])
+    return d, [x.numerator * (d // x.denominator) for x in values]
 
 
-def primitive_ints(values: Iterable) -> list[int]:
+def primitive_ints(values: Sequence) -> list[int]:
     """The int or Fraction entries times the positive rational that makes
     them coprime integers (a zero list stays zero)."""
-    values = list(values)
-    denom_lcm = 1
-    for x in values:
-        denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
-    ints = [x.numerator * (denom_lcm // x.denominator) for x in values]
-    g = content(ints)
+    ints = scaled_ints(values)[1]
+    g = math.gcd(*ints)
     return [k // g for k in ints] if g > 1 else ints
 
 
-def eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
-    """p*row - row[c]*prow over the content gcd, with p = prow[c] > 0:
-    clears column c and keeps the row's scale positive."""
-    p, f = prow[c], row[c]
-    out = [p * a - f * b for a, b in zip(row, prow)]
-    g = content(out)
-    return [a // g for a in out] if g > 1 else out
+def bareiss_pivot(rows: list[list[int]], r: int, c: int, den: int) -> int:
+    """One fraction-free (Bareiss) pivot on rows[r][c], in place: the rows
+    are ints over one denominator `den` > 0, the determinant of the pivot
+    block so far.  Row r is negated if its entry is negative; then, with
+    p = rows[r][c], every other row, a zero in column c or not, becomes
+    (p*row - row[c]*rows[r]) / den, which is exact since every entry is a
+    minor of the starting rows (Bareiss, Math. Comp. 22, 1968).  Returns
+    p, the new denominator, which each pivot row has in its pivot column.
+    """
+    prow = rows[r]
+    if prow[c] < 0:
+        rows[r] = prow = [-a for a in prow]
+    p = prow[c]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            rows[i] = [(p * a - f * b) // den for a, b in zip(row, prow)]
+        elif p != den:
+            rows[i] = [p * a // den for a in row]
+    return p
 
 
 def _gauss_jordan(work: list[list[int]], ncols: int) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination in place on int rows, over
-    the first `ncols` columns (later columns ride along); return the pivot
-    columns.  Row i ends as the only row nonzero in pivot column i, and is
-    the reduced row echelon row times its pivot entry, which is positive."""
+    """Gauss-Jordan elimination in place on int rows by Bareiss pivots,
+    over the first `ncols` columns (later columns ride along); return the
+    pivot columns.  Row i ends as the only row nonzero in pivot column i:
+    the reduced row echelon row times the final denominator, its entry."""
     nrows = len(work)
     pivots: list[int] = []
+    den = 1
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -137,12 +145,7 @@ def _gauss_jordan(work: list[list[int]], ncols: int) -> list[int]:
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        if work[r][c] < 0:
-            work[r] = [-a for a in work[r]]
-        prow = work[r]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                work[i] = eliminate(work[i], prow, c)
+        den = bareiss_pivot(work, r, c, den)
         pivots.append(c)
     return pivots
 
@@ -164,14 +167,6 @@ def first_basis(vectors: Sequence[Vec]) -> list[int]:
     """
     work = [primitive_ints(r) for r in transpose(vectors)]
     return _gauss_jordan(work, len(vectors))
-
-
-def integerize(v: Vec) -> Vec:
-    """Scale by the positive rational that makes entries coprime integers.
-
-    The direction of the vector is preserved (no sign flip).
-    """
-    return tuple(Q(k) for k in primitive_ints(v))
 
 
 class SystemStatus(Enum):

@@ -2,26 +2,28 @@
 
 Variables are free rationals; every constraint is `a . x <= b`.  Free
 variables are split into positive parts internally.  Bland's pivoting
-rule guarantees termination.  The tableau is fraction-free: each row is
-Python ints up to a positive scale, every pivot is the row operation
-`exact.eliminate` that Gauss-Jordan elimination also uses, every pivot
-decision is a sign test or a cross-multiplied comparison, and Fractions
-are built only for the reported optimum and optimizer, which are exact.
-Intended for the desk-scale problems this package produces (tens of
-rows, < ~20 columns).  `lp_min` also minimizes a sequence of costs
-lexicographically, face by face, in one tableau (Isermann 1982).
-`solve_minimax_lp` poses the exact l-infinity fit of a linear system on it.
+rule guarantees termination.  The tableau is fraction-free, ints over one
+common denominator: each row, times the lcm of its denominators (a row
+of ints as it is), gets a slack of coefficient 1, and an artificial of
+coefficient 1 if its rhs is negative, so the starting basis is the
+identity and the denominator 1; every pivot is `exact.bareiss_pivot`, as
+in Gauss-Jordan elimination.  Phase 1 weights each artificial by
+lcm(scales) / its row's scale: a multiple of the artificials' sum in the
+rows' own units.  Pivot decisions are sign tests and cross-multiplied
+comparisons, which no positive scaling of rows or variables changes, and
+Fractions are built only for the reported optimum and optimizer, which
+are exact.  `lp_min` also minimizes a sequence of costs lexicographically,
+face by face, in one tableau (Isermann 1982).  `solve_minimax_lp` poses
+the exact l-infinity fit of a linear system on it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction as Q
 
 from .errors import CapacityError, ValidationError
-from .exact import eliminate, primitive_ints
-
-Vec = tuple[Q, ...]
+from .exact import Q, Vec, bareiss_pivot, primitive_ints, scaled_ints
 
 MINIMAX_MAX_ROWS = 64
 
@@ -47,56 +49,41 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
     previous optimum: one with a positive reduced cost is zero at every
     optimal point, so the rest describe exactly the optimal face.
     """
-    # Each row is scaled to coprime ints; a leading 1 makes entry 0 the scale.
-    rows = [primitive_ints((1, *r, b)) for r, b in zip(a_ub, b_ub)]
     n = len(cost)
-    if not rows:
-        if all(c == 0 for v in (cost, *then) for c in v):
-            return LpResult(LpStatus.OPTIMAL, (Q(0),) * n, Q(0))
-        return LpResult(LpStatus.UNBOUNDED, None, None)
-
+    rows = [scaled_ints((*r, b)) for r, b in zip(a_ub, b_ub)]
     nrows = len(rows)
-    # Columns: u_0..u_{n-1}, v_0..v_{n-1} (x = u - v), slack per row,
-    # then one artificial per negative-rhs row, then the rhs.  Row i of
-    # the tableau is ints whose true value is tableau[i] / tableau[i][basis[i]]
-    # (a positive scale); row nrows is the objective, up to a positive scale.
+    # Columns: u_0..u_{n-1}, v_0..v_{n-1} (x = u - v), slack per row, one
+    # artificial per negative-rhs row, the rhs.  The true tableau is
+    # tableau / den; row nrows holds the objective's reduced costs.
     nsplit = 2 * n
     nstruct = nsplit + nrows
-    neg_rows = [i for i in range(nrows) if rows[i][-1] < 0]
+    neg_rows = [i for i, (_, ints) in enumerate(rows) if ints[n] < 0]
     ncols = nstruct + len(neg_rows)
     art_col = {i: nstruct + k for k, i in enumerate(neg_rows)}
 
     tableau: list[list[int]] = []
     basis: list[int] = []
-    for i, (scale, *ints, rhs) in enumerate(rows):
-        sign = -1 if i in art_col else 1
-        row = [0] * (ncols + 1)
-        for j in range(n):
-            row[j] = sign * ints[j]
-            row[n + j] = -sign * ints[j]
-        row[nsplit + i] = sign * scale
-        if i in art_col:
-            row[art_col[i]] = scale
-            basis.append(art_col[i])
-        else:
-            basis.append(nsplit + i)
-        row[ncols] = sign * rhs
+    for i, (_, ints) in enumerate(rows):
+        sign = -1 if i in art_col else 1  # so an artificial starts at -b > 0
+        u = [sign * a for a in ints]
+        row = u[:n] + [-a for a in u[:n]] + [0] * (ncols - nsplit) + [u[n]]
+        row[nsplit + i] = sign
+        basis.append(art_col.get(i, nsplit + i))
+        row[basis[i]] = 1
         tableau.append(row)
+    den = 1
 
     def set_objective(costvec):
-        obj = costvec + [0]
+        obj = [den * c for c in costvec] + [0]
         for i, bcol in enumerate(basis):
-            if obj[bcol]:
-                obj = eliminate(obj, tableau[i], bcol)
+            f = costvec[bcol]
+            if f:
+                obj = [a - f * b for a, b in zip(obj, tableau[i])]
         tableau[nrows:] = [obj]
 
     def pivot(r, c):
-        if tableau[r][c] < 0:  # only when pivoting an artificial out
-            tableau[r] = [-a for a in tableau[r]]
-        prow = tableau[r]
-        for i, row in enumerate(tableau):
-            if i != r and row[c]:
-                tableau[i] = eliminate(row, prow, c)
+        nonlocal den
+        den = bareiss_pivot(tableau, r, c, den)
         basis[r] = c
 
     def run_simplex(allowed_cols):
@@ -123,10 +110,8 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
             pivot(leave, enter)
 
     if neg_rows:
-        phase1_cost = [0] * ncols
-        for col in art_col.values():
-            phase1_cost[col] = 1
-        set_objective(phase1_cost)
+        weight = math.lcm(*(rows[i][0] for i in neg_rows))
+        set_objective([0] * nstruct + [weight // rows[i][0] for i in neg_rows])
         run_simplex(range(ncols))
         if tableau[nrows][ncols] != 0:
             return LpResult(LpStatus.INFEASIBLE, None, None)
@@ -146,10 +131,8 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
             return LpResult(LpStatus.UNBOUNDED, None, None)
         allowed = [j for j in allowed if tableau[nrows][j] == 0]
 
-    values = [Q(0)] * ncols
-    for i, bcol in enumerate(basis):
-        values[bcol] = Q(tableau[i][ncols], tableau[i][bcol])
-    x = tuple(values[j] - values[n + j] for j in range(n))
+    basic = dict(zip(basis, (row[ncols] for row in tableau)))
+    x = tuple(Q(basic.get(j, 0) - basic.get(n + j, 0), den) for j in range(n))
     opt = sum((c * v for c, v in zip(cost, x)), Q(0))
     return LpResult(LpStatus.OPTIMAL, x, opt)
 
@@ -176,15 +159,13 @@ def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec) -> tuple[Q, Vec]:
     m = len(rows[0])
     if len(rhs) != nrows:
         raise ValidationError("minimax rhs length does not match row count")
-    # Variables (x, t); minimize t subject to +-(rows.x - rhs) <= t.
-    cost = (Q(0),) * m + (Q(1),)
-    a_ub = []
-    b_ub = []
+    # Variables (x, t); minimize t subject to +-(rows.x - rhs) <= t.  The
+    # rows go in as given: lp_min scales each by its own denominators,
+    # where one common denominator would inflate every entry.
+    cost, a_ub, b_ub = (0,) * m + (1,), [], []
     for row, b in zip(rows, rhs):
-        a_ub.append(tuple(row) + (Q(-1),))
-        b_ub.append(b)
-        a_ub.append(tuple(-x for x in row) + (Q(-1),))
-        b_ub.append(-b)
+        a_ub += [(*row, -1), (*(-x for x in row), -1)]
+        b_ub += [b, -b]
     res = lp_min(cost, tuple(a_ub), tuple(b_ub))
     if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
         raise ValidationError(f"minimax LP unexpectedly {res.status.value}")

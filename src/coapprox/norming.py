@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from operator import add, mul, sub
 
 from .errors import CapacityError, InternalInconsistencyError
-from .exact import Q, Vec, first_basis, integerize, primitive_ints
+from .exact import Q, Vec, first_basis, primitive_ints
 from .exact import rank  # unused here; perfbench/tracer.py wraps coapprox.norming.rank
 from .lp import LpStatus, lp_max
 from .subspace import ComponentProfile, ReducedInstance
@@ -42,14 +42,15 @@ SignVec = tuple[int, ...]
 class Arrangement:
     """Distinct row hyperplanes of a reduced (zero-set-free) basis.
 
-    normals[t] is a coprime-integer positive multiple of the class
-    representative's row, so the sign of `normals[t] . beta` equals the
-    sign the representative coordinate's functional takes at beta.
+    normals[t] is a tuple of coprime ints, a positive multiple of the
+    class representative's row, so the sign of `normals[t] . beta` equals
+    the sign the representative coordinate's functional takes at beta;
+    cell enumeration and the margin LPs take them as they are.
     orientation[i] is the sign of coordinate i's proportionality
     constant relative to its class representative.
     """
 
-    normals: tuple[Vec, ...]
+    normals: tuple[tuple[int, ...], ...]
     class_of_coord: tuple[int, ...]
     orientation: tuple[int, ...]
     m: int
@@ -99,7 +100,7 @@ def build_arrangement(reduced: ReducedInstance, profile: ComponentProfile) -> Ar
     normals = []
     for cls in profile.classes:
         rep_row = rows[pos_of_original[cls.representative]]
-        normals.append(integerize(rep_row))
+        normals.append(tuple(primitive_ints(rep_row)))
     class_of = []
     orientation = []
     for orig in reduced.kept_indices:
@@ -194,8 +195,7 @@ def enumerate_cells(arr: Arrangement) -> tuple[SignCell, ...]:
     with the cells found, not with 2^r.
     """
     check_cell_capacity(arr.r, arr.m)
-    normals = [tuple(primitive_ints(nu)) for nu in arr.normals]
-    cells = sorted(half_cells(normals, arr.m), key=lambda c: [-s for s in c[0]])
+    cells = sorted(half_cells(list(arr.normals), arr.m), key=lambda c: [-s for s in c[0]])
     return tuple(SignCell(signs=signs, witness=w) for signs, w in cells)
 
 
@@ -205,7 +205,7 @@ def margin_witness(arr: Arrangement, cell: SignCell) -> Vec:
     norming-set report prints.  One exact LP.
     """
     m = arr.m
-    a_ub = [tuple(-s * x for x in nu) + (Q(1),) for s, nu in zip(cell.signs, arr.normals)]
+    a_ub = [(*(-s * x for x in nu), 1) for s, nu in zip(cell.signs, arr.normals)]
     a_ub += [tuple(s * (i == j) for i in range(m + 1)) for j in range(m) for s in (1, -1)]
     res = lp_max((0,) * m + (1,), tuple(a_ub), (0,) * arr.r + (1,) * (2 * m))
     if res.status is not LpStatus.OPTIMAL or res.value <= 0:  # pragma: no cover

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import mul
 
 from .errors import (
     DimensionError,
@@ -48,7 +49,9 @@ from .exact import (
     SystemStatus,
     Vec,
     l1_norm,
+    primitive_ints,
     rank,  # unused here; perfbench/tracer.py wraps coapprox.solver.rank
+    scaled_ints,
     solve_linear,
     vec_add,
     vec_scale,
@@ -163,6 +166,10 @@ class PreparedBasis:
             for x in self.norming.representatives
         )
 
+    @cached_property
+    def lex_forms(self) -> tuple:
+        return lex_forms(self.feasibility_rows, self.basis.matrix)
+
     def system_rhs(self, b_reduced: Vec) -> Vec:
         return tuple(norming_dot(x, b_reduced) for x in self.norming.system_basis)
 
@@ -255,8 +262,18 @@ def solve_empty_zero_set(pb: PreparedBasis, b: Vec) -> CoapproxOutcome:
     return _unique(pb.basis, res.solution)
 
 
+def lex_forms(rows: Mat, matrix: Mat) -> tuple:
+    """(scales, a_ub, costs), the int rows of a lex search: a_ub[2i] is
+    row i times scales[i], the lcm of its denominators, a_ub[2i+1] its
+    negation, and costs are the matrix rows as coprime ints."""
+    scaled = [scaled_ints(row) for row in rows]
+    a_ub = tuple(tuple(s * x for x in ints) for _, ints in scaled for s in (1, -1))
+    return [d for d, _ in scaled], a_ub, [tuple(primitive_ints(row)) for row in matrix]
+
+
 def lex_extreme_alpha(
-    basis: SubspaceBasis, constraints: PolytopeConstraints, direction: int, start: Vec
+    basis: SubspaceBasis, constraints: PolytopeConstraints, direction: int, start: Vec,
+    forms: tuple | None = None,
 ) -> Vec:
     """Coefficients of the lexicographically extreme feasible vector.
 
@@ -266,23 +283,30 @@ def lex_extreme_alpha(
     One LP minimizes direction * (row i of A) . alpha for every row in
     order, each over the optimal face of the rows before it.  The rows
     of A span R^m, so the last face is one point, whatever the start.
-    The LP is posed in y = alpha - start for a feasible `start`, so every
-    rhs is >= 0 and the simplex starts at y = 0 with no phase 1.
+    The LP is posed in ints, in y = den * (alpha - start) for a feasible
+    `start`, den a common denominator of start, rhs and slack, so every
+    rhs is >= 0 and the simplex starts at y = 0 with no phase 1.  No
+    positive scaling of a row or cost moves a pivot or the point.
+    `forms` is lex_forms(constraints.rows, basis.matrix), built once by
+    a PreparedBasis.
     """
-    a_ub, b_ub = [], []
-    for row, rv in zip(constraints.rows, constraints.rhs):
-        gap = rv - sum((r * a for r, a in zip(row, start)), Q(0))
-        a_ub += [row, tuple(-x for x in row)]
-        b_ub += [constraints.slack + gap, constraints.slack - gap]
+    scales, a_ub, costs = forms or lex_forms(constraints.rows, basis.matrix)
+    k = len(constraints.rhs)
+    den, ints = scaled_ints([constraints.slack, *constraints.rhs, *start])
+    s0, x0 = ints[0], ints[k + 1:]
+    b_ub = []
+    for scale, rv, row in zip(scales, ints[1:k + 1], a_ub[::2]):
+        gap = scale * rv - sum(map(mul, row, x0))
+        b_ub += [scale * s0 + gap, scale * s0 - gap]
     if any(v < 0 for v in b_ub):
         raise InternalInconsistencyError("lex search start is not feasible")
-    costs = [tuple(Q(direction) * x for x in row) for row in basis.matrix]
+    costs = [tuple(direction * x for x in c) for c in costs]
     # `then` goes positionally: perfbench/tracer.py sizes this call by
     # binding its arguments to lp_min's old (cost, a_ub, b_ub, a_eq, b_eq).
-    res = lp_min(costs[0], tuple(a_ub), tuple(b_ub), costs[1:])
+    res = lp_min(costs[0], a_ub, tuple(b_ub), costs[1:])
     if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
         raise InternalInconsistencyError("lex support LP must be solvable")
-    return vec_add(start, res.x)
+    return tuple((a + y) / den for a, y in zip(x0, res.x))
 
 
 def solve_general(
@@ -313,8 +337,8 @@ def solve_general(
     if t_star > slack:
         return _not_exists()
     tight = PolytopeConstraints(rows=rows, rhs=rhs, slack=t_star)
-    witness = lex_extreme_alpha(basis, tight, +1, alpha)
-    if slack == t_star and witness == lex_extreme_alpha(basis, tight, -1, alpha):
+    witness = lex_extreme_alpha(basis, tight, +1, alpha, pb.lex_forms)
+    if slack == t_star and witness == lex_extreme_alpha(basis, tight, -1, alpha, pb.lex_forms):
         return _unique(basis, witness)
     return CoapproxOutcome(
         kind=OutcomeKind.POLYTOPE,

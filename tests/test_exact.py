@@ -20,7 +20,7 @@ from coapprox import (
     solve_minimax_lp,
     vec,
 )
-from coapprox.exact import first_basis, integerize, rank, transpose
+from coapprox.exact import first_basis, rank, transpose
 
 small_fraction = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -182,11 +182,6 @@ class TestMinimaxLp:
                 assert worst >= t_star
 
 
-def test_integerize_positive_direction():
-    assert integerize(vec(("-4", "1", "-1"))) == (Q(-4), Q(1), Q(-1))
-    assert integerize(vec(("4/3", "2", "8/3"))) == (Q(2), Q(3), Q(4))
-
-
 def test_rank_small_cases():
     assert rank(mat([(1, 2), (2, 4)])) == 1
     assert rank(mat([(1, 0), (0, 1), (1, 1)])) == 2
@@ -268,13 +263,13 @@ def _reference_solve_linear(rows, rhs):
     return LinearSystemResult(SystemStatus.AFFINE_FAMILY, tuple(solution), tuple(null_basis))
 
 
-def test_elimination_matches_fraction_reference():
-    # Random rational systems in which some rows (rhs included, or not)
-    # combine earlier ones, so every status and rank deficit occurs.
-    rng = random.Random(2000)
+def _check_elimination_against_reference(rng, count, shapes, entry):
+    """Random rational systems in which some rows (rhs included, or not)
+    combine earlier ones, so every status and rank deficit occurs: rank,
+    first_basis and solve_linear against the Fraction references."""
     seen = set()
-    for _ in range(1000):
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 5)
+    for _ in range(count):
+        nrows, ncols = shapes()
         rows, rhs = [], []
         for i in range(nrows):
             if i and rng.random() < 0.4:
@@ -284,8 +279,8 @@ def test_elimination_matches_fraction_reference():
                 consistent = sum((c * b for c, b in zip(coeffs, rhs)), Q(0))
                 rhs.append(consistent if rng.random() < 0.7 else consistent + 1)
             else:
-                rows.append(tuple(Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(ncols)))
-                rhs.append(Q(rng.randint(-5, 5), rng.randint(1, 6)))
+                rows.append(tuple(entry() for _ in range(ncols)))
+                rhs.append(entry())
         rows, rhs = tuple(rows), tuple(rhs)
         assert rank(rows) == _reference_rank(rows)
         assert first_basis(rows) == _reference_first_basis(rows)
@@ -293,3 +288,23 @@ def test_elimination_matches_fraction_reference():
         assert got == _reference_solve_linear(rows, rhs)
         seen.add(got.status)
     assert seen == set(SystemStatus)
+
+
+def test_elimination_matches_fraction_reference():
+    rng = random.Random(2000)
+    _check_elimination_against_reference(
+        rng, 1000, lambda: (rng.randint(1, 6), rng.randint(1, 5)),
+        lambda: Q(rng.randint(-5, 5), rng.randint(1, 6)))
+
+
+def test_elimination_matches_fraction_reference_on_large_entries():
+    # Numerators and denominators of 10-12 digits, a quarter of them 0, up
+    # to 64 rows: the Bareiss minors grow to hundreds of digits, so a
+    # division that were not exact would show as a wrong rank, basis or
+    # solution.
+    rng = random.Random(2001)
+    _check_elimination_against_reference(
+        rng, 150, lambda: (64, rng.randint(2, 3)) if rng.random() < 0.1 else (
+            rng.randint(1, 8), rng.randint(1, 6)),
+        lambda: Q(0) if rng.random() < 0.25 else Q(rng.randint(-10**12, 10**12),
+                                                  rng.randint(10**10, 10**11)))

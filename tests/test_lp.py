@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 from scipy.optimize import linprog
 
 from coapprox.exact import rank
-from coapprox.lp import LpResult, LpStatus, lp_max, lp_min
+from coapprox.lp import MINIMAX_MAX_ROWS, LpResult, LpStatus, lp_max, lp_min, solve_minimax_lp
 
 
 def test_box_maximum():
@@ -290,12 +290,12 @@ def _dot(c, x):
     return sum((a * b for a, b in zip(c, x)), Q(0))
 
 
-def reference_lex_min(costs, a_ub, b_ub):
-    """Lexicographic minimum by one lp_min per cost, each stage's optimum
-    pinned as two inequality rows for the next: (status, x)."""
+def reference_lex_min(costs, a_ub, b_ub, solve=lp_min):
+    """Lexicographic minimum by one LP per cost (`solve`), each stage's
+    optimum pinned as two inequality rows for the next: (status, x)."""
     a_ub, b_ub = list(a_ub), list(b_ub)
     for c in costs:
-        res = lp_min(c, tuple(a_ub), tuple(b_ub))
+        res = solve(c, tuple(a_ub), tuple(b_ub))
         if res.status is not LpStatus.OPTIMAL:
             return res.status, None
         v = _dot(c, res.x)
@@ -373,3 +373,46 @@ def test_lexicographic_costs_match_sequential_pinned_reference():
         cases["moved"] += got.x != first.x
     assert min(statuses.values()) >= 100, statuses
     assert min(cases.values()) >= 30, cases
+
+
+def _large(rng):
+    """A rational with a 10-13 digit numerator and an 11 digit denominator."""
+    return Q(rng.randint(-10**12, 10**12), rng.randint(10**10, 10**11))
+
+
+def _pairs(rows, rhs, *last):
+    """Rows (row, *last) and (-row, *last) with rhs b and -b: |row . x - b|."""
+    a_ub = tuple((*(s * x for x in row), *last) for row in rows for s in (1, -1))
+    return a_ub, tuple(s * b for b in rhs for s in (1, -1))
+
+
+def test_integer_tableau_matches_fraction_reference_at_the_caps():
+    # Large entries up to the minimax cap: the Bareiss minors reach
+    # hundreds of digits, so a division that were not exact would floor
+    # silently and move the optimum.  Minimax LPs (min t subject to
+    # |row . x - b| <= t) have a negative rhs in every pair, so phase 1
+    # runs; lex LPs (|row . x - b| <= slack, spanning costs) also take
+    # `then` costs, against the stages pinned one by one on the reference.
+    rng = random.Random(6401)
+    for p, m in ((MINIMAX_MAX_ROWS, 1), (16, 3), (12, 2), (8, 3), (6, 2), (4, 1)):
+        rows = [tuple(_large(rng) for _ in range(m)) for _ in range(p)]
+        rhs = [_large(rng) for _ in range(p)]
+        cost = (Q(0),) * m + (Q(1),)
+        a_ub, b_ub = _pairs(rows, rhs, Q(-1))
+        want = reference_lp_min(cost, a_ub, b_ub)
+        got = lp_min(cost, a_ub, b_ub)
+        assert (got.status, got.x, got.value) == (want.status, want.x, want.value), (p, m)
+        assert solve_minimax_lp(rows, rhs) == (want.value, want.x[:m])
+        if p > 16:
+            continue
+        a_ub, b_ub = _pairs(rows, rhs)
+        # Between delta0 and the largest |b|: full-dimensional, and the
+        # rhs slack - |b| of some row is negative.
+        slack = (want.value + max(map(abs, rhs))) / 2
+        b_ub = tuple(b + slack for b in b_ub)
+        costs = [tuple(_large(rng) for _ in range(m)) for _ in range(m)]
+        assert rank(costs) == m
+        assert any(b < 0 for b in b_ub)
+        got = lp_min(costs[0], a_ub, b_ub, costs[1:])
+        assert got.status is LpStatus.OPTIMAL
+        assert got.x == reference_lex_min(costs, a_ub, b_ub, solve=reference_lp_min)[1], (p, m)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -62,6 +63,36 @@ class TestArrangement:
         basis = column_basis((3, 3, 3))
         _, _, arr, _, _ = analyzed(basis)
         assert arr.r == 1
+
+    def test_normals_are_coprime_ints_along_class_rows(self):
+        # Each normal is a tuple of coprime ints, a positive multiple of its
+        # class representative's row, whatever the rows' denominators.
+        fixed = validate_basis(mat([(-4, 1, -1), ("4/3", 2, "8/3"), (0, 0, 1), ("-2/3", -1, "-4/3")]))
+        assert arrangement_of(fixed).normals[:2] == ((-4, 1, -1), (2, 3, 4))
+        rng = random.Random(77)
+        bases = [fixed]
+        for _ in range(40):
+            m = rng.randint(1, 3)
+            basis = random_basis(rng, rng.randint(m + 1, 6), m, lo=-3, hi=3)
+            change = tuple(tuple(Q(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(m))
+                           for _ in range(m))
+            if rank(change) == m:
+                basis = recombine(basis, change)
+            scales = [Q(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 6)) for _ in basis.matrix]
+            bases.append(validate_basis(tuple(tuple(s * x for x in row)
+                                              for s, row in zip(scales, basis.matrix))))
+        for basis in bases:
+            profile = build_profile(basis)
+            reduced = reduce_sigma(basis, profile)
+            arr = build_arrangement(reduced, profile)
+            for cls, normal in zip(profile.classes, arr.normals):
+                assert all(type(x) is int for x in normal)
+                assert math.gcd(*normal) == 1
+                rep = basis.matrix[cls.representative]
+                k = next(j for j, x in enumerate(rep) if x)
+                factor = normal[k] / rep[k]
+                assert factor > 0
+                assert normal == tuple(factor * x for x in rep)
 
 
 class TestEnumerateCells:

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction as Q
@@ -24,10 +25,10 @@ from coapprox import (
     validate_basis,
     vec,
 )
-from coapprox import solver
+from coapprox import norming, solver
 from coapprox.exact import rank, vec_sub
 from coapprox.instances import random_basis, random_invertible, random_vector, recombine
-from coapprox.lp import LpStatus, lp_min, solve_minimax_lp
+from coapprox.lp import LpStatus, lp_max, lp_min, solve_minimax_lp
 from coapprox.solver import PolytopeConstraints, lex_extreme_alpha
 from tests.conftest import column_basis
 
@@ -586,6 +587,68 @@ def test_lex_lps_start_feasible_with_no_phase_1(monkeypatch):
             solve_general(basis, None, target, prepared=pb)
     assert len(rhs_seen) >= 1000
     assert all(v >= 0 for b_ub in rhs_seen for v in b_ub)
+
+
+def test_lex_and_margin_lps_reach_the_kernel_in_ints(monkeypatch):
+    # The lex LPs (from PreparedBasis's int rows) and the margin LPs (from
+    # the int normals) are built in ints: every entry of every cost, row,
+    # rhs and `then` cost that lp_min and lp_max receive is an int.
+    seen = []
+
+    def recorder(kernel):
+        def recorded(cost, a_ub, b_ub, *then):
+            seen.append([*cost, *(x for row in a_ub for x in row), *b_ub,
+                         *(x for c in (then[0] if then else ()) for x in c)])
+            return kernel(cost, a_ub, b_ub, *then)
+        return recorded
+
+    monkeypatch.setattr(solver, "lp_min", recorder(lp_min))
+    monkeypatch.setattr(norming, "lp_max", recorder(lp_max))
+    rng = random.Random(4040)
+    for basis, b in _zero_set_instances(rng, 150):
+        pb = prepare(basis)
+        for target, _, _ in _slack_cases(rng, pb, b):
+            solve_general(basis, None, target, prepared=pb)
+    lex_lps = len(seen)
+    for _ in range(30):  # zero-set-free bases with rational rows: norming-set cells
+        m = rng.randint(1, 3)
+        basis = recombine(random_basis(rng, rng.randint(m + 1, 6), m, lo=-3, hi=3),
+                          random_invertible(rng, m))
+        scales = [Q(rng.randint(1, 5), rng.randint(1, 7)) for _ in basis.matrix]
+        pb = prepare(validate_basis(tuple(tuple(s * x for x in row)
+                                          for s, row in zip(scales, basis.matrix))))
+        for cell in pb.cells:
+            norming.margin_witness(pb.arrangement, cell)
+    assert lex_lps >= 300 and len(seen) - lex_lps >= 100
+    assert all(type(x) is int for entries in seen for x in entries)
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_lex_extreme_alpha_over_coprime_denominators(direction):
+    # start, rhs and slack with pairwise coprime denominators 7, 3 and 5,
+    # on rows with denominator 2: the LP in y = den * (alpha - start)
+    # clears them all and returns the reference point.
+    rng = random.Random(7350 + direction)
+    checked = 0
+    while checked < 30:
+        m = rng.randint(1, 3)
+        basis = random_basis(rng, m + 2, m, lo=-3, hi=3)
+        rows = tuple(tuple(Q(rng.randint(-5, 5), 2) for _ in range(m)) for _ in range(m + 2))
+        if rank(rows) < m:
+            continue
+        start = tuple(Q(7 * rng.randint(-3, 3) + rng.randint(1, 6), 7) for _ in range(m))
+        at_start = [sum((r * a for r, a in zip(row, start)), Q(0)) for row in rows]
+        rhs = tuple(Q(3 * (math.floor(v) + rng.randint(-1, 1)) + rng.randint(1, 2), 3)
+                    for v in at_start)
+        gap = max(abs(rv - v) for rv, v in zip(rhs, at_start))
+        slack = Q(5 * math.ceil(gap) + rng.randint(1, 4), 5)
+        assert {a.denominator for a in start} == {7} and {v.denominator for v in rhs} == {3}
+        assert slack.denominator == 5
+        constraints = PolytopeConstraints(rows, rhs, slack)
+        got = lex_extreme_alpha(basis, constraints, direction, start)
+        assert got == _reference_lex_extreme_alpha(basis, constraints, direction)
+        assert constraints.satisfied_by(got)
+        checked += 1
 
 
 @pytest.mark.parametrize("direction", [+1, -1])
