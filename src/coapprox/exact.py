@@ -23,7 +23,7 @@ Q = Fraction
 Vec = tuple[Q, ...]
 Mat = tuple[Vec, ...]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)  # no other script's digits
 
 
 def parse_rational(text: str) -> Q:

@@ -1,24 +1,26 @@
-"""Small exact linear programming kernel (two-phase simplex, Bland's rule).
+"""Small exact linear programming kernel (one-phase simplex, Bland's rule).
 
-Variables are free rationals; every constraint is `a . x <= b`.  Free
-variables are split into positive parts internally.  Bland's pivoting
-rule guarantees termination.  The tableau is fraction-free, ints over one
-common denominator: each row, times the lcm of its denominators (a row
-of ints as it is), gets a slack of coefficient 1, and an artificial of
-coefficient 1 if its rhs is negative, so the starting basis is the
-identity and the denominator 1; every pivot is `exact.bareiss_pivot`, as
-in Gauss-Jordan elimination.  Phase 1 weights each artificial by
-lcm(scales) / its row's scale: a multiple of the artificials' sum in the
-rows' own units.  Pivot decisions are sign tests and cross-multiplied
-comparisons, which no positive scaling of rows or variables changes, and
-Fractions are built only for the reported optimum and optimizer, which
-are exact.  `lp_min` also minimizes a sequence of costs lexicographically,
-face by face, in one tableau (Isermann 1982).  `solve_minimax_lp` poses
-the exact l-infinity fit of a linear system on it.
+Variables are free rationals; every constraint is `a . x <= b` with
+`b >= 0`, so the origin is feasible and the slack basis is a starting
+vertex: there is no phase 1, and a negative rhs is refused before any
+pivot.  Each caller poses its LP at a feasible point it knows (the
+minimax LP at alpha = 0 with t = max|rhs|, a lex LP at the minimax
+optimizer, a margin LP at the origin).  Free variables are split into
+positive parts internally.  Bland's pivoting rule guarantees
+termination.  The tableau is fraction-free, ints over one common
+denominator: each row, times the lcm of its denominators (a row of ints
+as it is), gets a slack of coefficient 1, so the starting basis is the
+identity and the denominator 1; every pivot is `exact.bareiss_pivot`,
+as in Gauss-Jordan elimination.  Pivot decisions are sign tests and
+cross-multiplied comparisons, which no positive scaling of rows or
+variables changes, and Fractions are built only for the reported
+optimum and optimizer, which are exact.  `lp_min` also minimizes a
+sequence of costs lexicographically, face by face, in one tableau
+(Isermann 1982).  `solve_minimax_lp` poses the exact l-infinity fit of a
+linear system on it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,7 +32,6 @@ MINIMAX_MAX_ROWS = 64
 
 class LpStatus(Enum):
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
 
 
@@ -44,49 +45,32 @@ class LpResult:
 def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
     """Minimize cost . x subject to a_ub . x <= b_ub, then each cost in
     `then` over the optimal face of those before it; value is cost . x.
+    Every b_ub must be >= 0: the simplex starts at x = 0.
 
     A later cost enters only columns whose reduced cost was zero at the
     previous optimum: one with a positive reduced cost is zero at every
     optimal point, so the rest describe exactly the optimal face.
     """
+    if any(b < 0 for b in b_ub):
+        raise ValidationError("lp_min needs every b_ub >= 0, so that x = 0 is feasible")
     n = len(cost)
-    rows = [scaled_ints((*r, b)) for r, b in zip(a_ub, b_ub)]
-    nrows = len(rows)
-    # Columns: u_0..u_{n-1}, v_0..v_{n-1} (x = u - v), slack per row, one
-    # artificial per negative-rhs row, the rhs.  The true tableau is
-    # tableau / den; row nrows holds the objective's reduced costs.
+    nrows = len(a_ub)
+    # Columns: u_0..u_{n-1}, v_0..v_{n-1} (x = u - v), slack per row, the
+    # rhs.  The true tableau is tableau / den; row nrows holds the
+    # objective's reduced costs.
     nsplit = 2 * n
-    nstruct = nsplit + nrows
-    neg_rows = [i for i, (_, ints) in enumerate(rows) if ints[n] < 0]
-    ncols = nstruct + len(neg_rows)
-    art_col = {i: nstruct + k for k, i in enumerate(neg_rows)}
-
+    ncols = nsplit + nrows
     tableau: list[list[int]] = []
-    basis: list[int] = []
-    for i, (_, ints) in enumerate(rows):
-        sign = -1 if i in art_col else 1  # so an artificial starts at -b > 0
-        u = [sign * a for a in ints]
-        row = u[:n] + [-a for a in u[:n]] + [0] * (ncols - nsplit) + [u[n]]
-        row[nsplit + i] = sign
-        basis.append(art_col.get(i, nsplit + i))
-        row[basis[i]] = 1
+    for i, (r, b) in enumerate(zip(a_ub, b_ub)):
+        u = scaled_ints((*r, b))[1]
+        row = u[:n] + [-a for a in u[:n]] + [0] * nrows + [u[n]]
+        row[nsplit + i] = 1
         tableau.append(row)
+    basis = list(range(nsplit, ncols))
     den = 1
 
-    def set_objective(costvec):
-        obj = [den * c for c in costvec] + [0]
-        for i, bcol in enumerate(basis):
-            f = costvec[bcol]
-            if f:
-                obj = [a - f * b for a, b in zip(obj, tableau[i])]
-        tableau[nrows:] = [obj]
-
-    def pivot(r, c):
-        nonlocal den
-        den = bareiss_pivot(tableau, r, c, den)
-        basis[r] = c
-
     def run_simplex(allowed_cols):
+        nonlocal den
         while True:
             obj = tableau[nrows]
             enter = next((j for j in allowed_cols if obj[j] < 0), -1)
@@ -107,26 +91,19 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
                         leave = i
             if leave < 0:
                 return False
-            pivot(leave, enter)
+            den = bareiss_pivot(tableau, leave, enter, den)
+            basis[leave] = enter
 
-    if neg_rows:
-        weight = math.lcm(*(rows[i][0] for i in neg_rows))
-        set_objective([0] * nstruct + [weight // rows[i][0] for i in neg_rows])
-        run_simplex(range(ncols))
-        if tableau[nrows][ncols] != 0:
-            return LpResult(LpStatus.INFEASIBLE, None, None)
-        # Pivot any artificial still basic (at zero) out on a structural
-        # column; a row with none is redundant and can stay as-is.
-        for i in range(nrows):
-            if basis[i] >= nstruct:
-                c = next((j for j in range(nstruct) if tableau[i][j] != 0), None)
-                if c is not None:
-                    pivot(i, c)
-
-    allowed = range(nstruct)
+    allowed = range(ncols)
     for c in (cost, *then):
         c_ints = primitive_ints(c)
-        set_objective(c_ints + [-a for a in c_ints] + [0] * (ncols - nsplit))
+        costvec = c_ints + [-a for a in c_ints] + [0] * nrows
+        obj = [den * a for a in costvec] + [0]
+        for i, bcol in enumerate(basis):
+            f = costvec[bcol]
+            if f:
+                obj = [a - f * b for a, b in zip(obj, tableau[i])]
+        tableau[nrows:] = [obj]
         if not run_simplex(allowed):
             return LpResult(LpStatus.UNBOUNDED, None, None)
         allowed = [j for j in allowed if tableau[nrows][j] == 0]
@@ -159,14 +136,17 @@ def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec) -> tuple[Q, Vec]:
     m = len(rows[0])
     if len(rhs) != nrows:
         raise ValidationError("minimax rhs length does not match row count")
-    # Variables (x, t); minimize t subject to +-(rows.x - rhs) <= t.  The
-    # rows go in as given: lp_min scales each by its own denominators,
-    # where one common denominator would inflate every entry.
+    # Variables (x, t') with t = top + t', top = max|rhs|; minimize t'
+    # subject to +-(rows.x - rhs) <= top + t'.  Every rhs top +- b is >= 0,
+    # so x = 0, t' = 0 is the feasible start.  The rows go in as given:
+    # lp_min scales each by its own denominators, where one common
+    # denominator would inflate every entry.
+    top = max(map(abs, rhs))
     cost, a_ub, b_ub = (0,) * m + (1,), [], []
     for row, b in zip(rows, rhs):
         a_ub += [(*row, -1), (*(-x for x in row), -1)]
-        b_ub += [b, -b]
+        b_ub += [top + b, top - b]
     res = lp_min(cost, tuple(a_ub), tuple(b_ub))
     if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
         raise ValidationError(f"minimax LP unexpectedly {res.status.value}")
-    return res.value, res.x[:m]
+    return top + res.value, res.x[:m]

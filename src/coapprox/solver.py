@@ -25,7 +25,8 @@ minimax optimizer, so it is a full-dimensional polytope; at it the set
 is the optimal face, a point or a polytope.  Lexicographically extreme
 points (in subspace-vector order) tell these apart and pick a witness
 independent of the particular basis supplied; each search starts at
-the minimax optimizer, which is feasible, so it runs no phase 1.
+the minimax optimizer, which is feasible, as the one-phase LP kernel
+needs.
 delta0 and its optimizer depend only on sigma(b), so all targets on one
 fiber (same entries off Z, any mass on Z) share one minimax solve,
 PreparedBasis.fiber_minimax.
@@ -285,7 +286,7 @@ def lex_extreme_alpha(
     of A span R^m, so the last face is one point, whatever the start.
     The LP is posed in ints, in y = den * (alpha - start) for a feasible
     `start`, den a common denominator of start, rhs and slack, so every
-    rhs is >= 0 and the simplex starts at y = 0 with no phase 1.  No
+    rhs is >= 0, as lp_min requires, and the simplex starts at y = 0.  No
     positive scaling of a row or cost moves a pivot or the point.
     `forms` is lex_forms(constraints.rows, basis.matrix), built once by
     a PreparedBasis.
@@ -397,7 +398,6 @@ class Projection:
 def projection_map(basis: SubspaceBasis, b: Vec, outcome: CoapproxOutcome) -> Projection:
     if outcome.kind is OutcomeKind.NOT_EXISTS:
         raise NoCoapproximationError("no best coapproximation, so no norm-one projection")
-    alpha = outcome.chosen_alpha
     return Projection(
-        basis=basis, target=b, alpha=alpha, image_of_target=basis.combine(alpha)
+        basis=basis, target=b, alpha=outcome.chosen_alpha, image_of_target=outcome.vector
     )

@@ -254,6 +254,24 @@ def test_bools_are_not_integers(tmp_path, capsys, patch, field):
     assert err.split(": ")[1] == field
 
 
+@pytest.mark.parametrize(
+    "patch, field",
+    [
+        ({"basis": [["1", "0"], ["\u0663", "1"]]}, "basis[2][1]"),
+        ({"targets": [["1", "\uff11\uff12"]]}, "targets[1][2]"),
+    ],
+)
+def test_non_ascii_digits_exit_2(tmp_path, capsys, patch, field):
+    doc = {"n": 2, "basis": [["1", "0"]], "targets": [["1", "1"]]}
+    doc.update(patch)
+    f = tmp_path / "digits.json"
+    f.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", "--input", str(f))
+    assert (code, out) == (2, "")
+    assert err.split(": ")[1] == field
+    assert "not a rational literal" in err
+
+
 def test_literal_over_int_digit_limit_exits_2(tmp_path, capsys):
     f = tmp_path / "long.json"
     f.write_text(

@@ -38,6 +38,12 @@ class TestRationalText:
         with pytest.raises(ValidationError):
             parse_rational(bad)
 
+    @pytest.mark.parametrize("bad", ["\u0663", "\uff11\uff12", "1/\u0662", "-\u0967"])
+    def test_reject_digits_of_other_scripts(self, bad):
+        # The grammar's digits are 0-9; Fraction alone would read these.
+        with pytest.raises(ValidationError, match="not a rational literal"):
+            parse_rational(bad)
+
     @given(small_fraction)
     def test_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction as Q
 
+import pytest
 from scipy.optimize import linprog
 
-from coapprox.exact import rank
+from coapprox import lp
+from coapprox.errors import ValidationError
+from coapprox.exact import bareiss_pivot, rank
 from coapprox.lp import MINIMAX_MAX_ROWS, LpResult, LpStatus, lp_max, lp_min, solve_minimax_lp
+from tests.conftest import INFEASIBLE, dot, general_lp_min
 
 
 def test_box_maximum():
@@ -19,8 +23,8 @@ def test_box_maximum():
 
 
 def test_infeasible():
-    res = lp_min((Q(1),), ((Q(1),), (Q(-1),)), (Q(-1), Q(-1)))
-    assert res.status is LpStatus.INFEASIBLE
+    res = general_lp_min((Q(1),), ((Q(1),), (Q(-1),)), (Q(-1), Q(-1)))
+    assert res.status is INFEASIBLE
 
 
 def test_unbounded():
@@ -30,7 +34,7 @@ def test_unbounded():
 
 def test_equality_constraints():
     # x0 + x1 == 3 as the pair x0 + x1 <= 3, -x0 - x1 <= -3.
-    res = lp_min(
+    res = general_lp_min(
         (Q(1), Q(0)),
         ((Q(-1), Q(0)), (Q(1), Q(1)), (Q(-1), Q(-1))),
         (Q(5), Q(3), Q(-3)),
@@ -42,7 +46,7 @@ def test_equality_constraints():
 
 def test_degenerate_negative_rhs():
     # x >= 2 and x >= 1 expressed as -x <= -2, -x <= -1; minimize x.
-    res = lp_min((Q(1),), ((Q(-1),), (Q(-1),)), (Q(-2), Q(-1)))
+    res = general_lp_min((Q(1),), ((Q(-1),), (Q(-1),)), (Q(-2), Q(-1)))
     assert res.status is LpStatus.OPTIMAL
     assert res.value == 2
 
@@ -67,7 +71,7 @@ def test_matches_scipy_on_random_bounded_problems():
             a_ub.append(tuple(unit))
             b_ub.append(Q(5))
         cost = tuple(Q(rng.randint(-3, 3)) for _ in range(n))
-        res = lp_min(cost, tuple(a_ub), tuple(b_ub))
+        res = general_lp_min(cost, tuple(a_ub), tuple(b_ub))
         ref = linprog(
             [float(c) for c in cost],
             A_ub=[[float(x) for x in row] for row in a_ub],
@@ -75,7 +79,7 @@ def test_matches_scipy_on_random_bounded_problems():
             bounds=[(None, None)] * n,
             method="highs",
         )
-        if res.status is LpStatus.INFEASIBLE:
+        if res.status is INFEASIBLE:
             assert ref.status == 2
             continue
         assert res.status is LpStatus.OPTIMAL
@@ -90,8 +94,9 @@ def test_matches_scipy_on_random_bounded_problems():
 
 def reference_lp_min(cost, a_ub, b_ub, a_eq=(), b_eq=()):
     """The Fraction-tableau two-phase simplex (Bland's rule) that the
-    integer tableau replaced, kept verbatim as the reference: same
-    pivots, so the same (status, x, value) on every input."""
+    integer tableau replaced, kept verbatim as the reference: on an LP
+    with every rhs >= 0 it runs no phase 1, so it makes lp_min's pivots
+    and gives the same (status, x, value)."""
     rows = [list(r) for r in a_ub]
     rhs = list(b_ub)
     for r, b in zip(a_eq, b_eq):
@@ -189,7 +194,7 @@ def reference_lp_min(cost, a_ub, b_ub, a_eq=(), b_eq=()):
         obj = reduced_costs(phase1_cost)
         run_simplex(obj, range(ncols))
         if -obj[ncols] != 0:
-            return LpResult(LpStatus.INFEASIBLE, None, None)
+            return LpResult(INFEASIBLE, None, None)
         art_cols = set(art_col.values())
         for i in range(nrows):
             if basis[i] in art_cols:
@@ -267,30 +272,43 @@ def _folded(data):
     return cost, a_ub + a_pairs, b_ub + b_pairs
 
 
+def _matches_reference(cost, a_ub, b_ub, want):
+    """lp_min against the reference's `want`.  Where every rhs is >= 0,
+    pivot for pivot: the same (status, x, value), and True.  Elsewhere
+    lp_min refuses the LP, and general_lp_min, by two one-phase LPs,
+    finds the reference's status and optimum at a feasible point (not
+    always the reference's vertex, where the optimal face is not one)."""
+    if all(b >= 0 for b in b_ub):
+        got = lp_min(cost, a_ub, b_ub)
+        assert (got.status, got.x, got.value) == (want.status, want.x, want.value)
+        return True
+    with pytest.raises(ValidationError):
+        lp_min(cost, a_ub, b_ub)
+    got = general_lp_min(cost, a_ub, b_ub)
+    assert (got.status, got.value) == (want.status, want.value)
+    if got.status is LpStatus.OPTIMAL:
+        assert all(dot(r, got.x) <= b for r, b in zip(a_ub, b_ub))
+    return False
+
+
 def test_integer_tableau_matches_fraction_reference():
     rng = random.Random(20261018)
-    statuses = {s: 0 for s in LpStatus}
-    int_runs = 0
+    statuses = {s: 0 for s in (*LpStatus, INFEASIBLE)}
+    int_runs = exact_runs = 0
     for _ in range(2000):
         data = _random_lp(rng)
         want = reference_lp_min(*data)
-        got = lp_min(*_folded(data))
-        assert (got.status, got.x, got.value) == (want.status, want.x, want.value), data
+        exact_runs += _matches_reference(*_folded(data), want)
         statuses[want.status] += 1
         ints = _as_ints(data)
         if ints is not None:
-            got = lp_min(*_folded(ints))
-            assert (got.status, got.x, got.value) == (want.status, want.x, want.value), ints
+            _matches_reference(*_folded(ints), want)
             int_runs += 1
     assert min(statuses.values()) >= 200, statuses
-    assert int_runs >= 200
+    assert int_runs >= 200 and exact_runs >= 200
 
 
-def _dot(c, x):
-    return sum((a * b for a, b in zip(c, x)), Q(0))
-
-
-def reference_lex_min(costs, a_ub, b_ub, solve=lp_min):
+def reference_lex_min(costs, a_ub, b_ub, solve=general_lp_min):
     """Lexicographic minimum by one LP per cost (`solve`), each stage's
     optimum pinned as two inequality rows for the next: (status, x)."""
     a_ub, b_ub = list(a_ub), list(b_ub)
@@ -298,7 +316,7 @@ def reference_lex_min(costs, a_ub, b_ub, solve=lp_min):
         res = solve(c, tuple(a_ub), tuple(b_ub))
         if res.status is not LpStatus.OPTIMAL:
             return res.status, None
-        v = _dot(c, res.x)
+        v = dot(c, res.x)
         a_ub += [c, tuple(-a for a in c)]
         b_ub += [v, -v]
     return LpStatus.OPTIMAL, res.x
@@ -348,25 +366,25 @@ def _random_lex_lp(rng):
 
 def test_lexicographic_costs_match_sequential_pinned_reference():
     rng = random.Random(9)
-    statuses = {s: 0 for s in LpStatus}
+    statuses = {s: 0 for s in (*LpStatus, INFEASIBLE)}
     cases = {"moved": 0, "spanning": 0, "row_free": 0, "later_unbounded": 0}
     for _ in range(1200):
         costs, a_ub, b_ub = _random_lex_lp(rng)
         want_status, want_x = reference_lex_min(costs, a_ub, b_ub)
-        got = lp_min(costs[0], a_ub, b_ub, costs[1:])
+        got = general_lp_min(costs[0], a_ub, b_ub, costs[1:])
         data = (costs, a_ub, b_ub)
         assert got.status is want_status, data
         statuses[want_status] += 1
         cases["row_free"] += not a_ub
-        first = lp_min(costs[0], a_ub, b_ub)
+        first = general_lp_min(costs[0], a_ub, b_ub)
         if want_status is LpStatus.UNBOUNDED and first.status is LpStatus.OPTIMAL:
             cases["later_unbounded"] += 1
         if want_status is not LpStatus.OPTIMAL:
             assert got.x is None and got.value is None
             continue
-        assert got.value == _dot(costs[0], got.x)
-        assert [_dot(c, got.x) for c in costs] == [_dot(c, want_x) for c in costs], data
-        assert all(_dot(r, got.x) <= b for r, b in zip(a_ub, b_ub)), data
+        assert got.value == dot(costs[0], got.x)
+        assert [dot(c, got.x) for c in costs] == [dot(c, want_x) for c in costs], data
+        assert all(dot(r, got.x) <= b for r, b in zip(a_ub, b_ub)), data
         if rank(costs) == len(costs[0]):
             assert got.x == want_x, data
             cases["spanning"] += 1
@@ -390,9 +408,12 @@ def test_integer_tableau_matches_fraction_reference_at_the_caps():
     # Large entries up to the minimax cap: the Bareiss minors reach
     # hundreds of digits, so a division that were not exact would floor
     # silently and move the optimum.  Minimax LPs (min t subject to
-    # |row . x - b| <= t) have a negative rhs in every pair, so phase 1
-    # runs; lex LPs (|row . x - b| <= slack, spanning costs) also take
-    # `then` costs, against the stages pinned one by one on the reference.
+    # |row . x - b| <= t) have a negative rhs in every pair, so the
+    # reference runs phase 1 and general_lp_min its auxiliary LP; posed
+    # as solve_minimax_lp poses them, at t = top + t', every rhs is >= 0
+    # and lp_min makes the reference's pivots.  Lex LPs (|row . x - b| <=
+    # slack, spanning costs) also take `then` costs, against the stages
+    # pinned one by one on the reference.
     rng = random.Random(6401)
     for p, m in ((MINIMAX_MAX_ROWS, 1), (16, 3), (12, 2), (8, 3), (6, 2), (4, 1)):
         rows = [tuple(_large(rng) for _ in range(m)) for _ in range(p)]
@@ -400,9 +421,15 @@ def test_integer_tableau_matches_fraction_reference_at_the_caps():
         cost = (Q(0),) * m + (Q(1),)
         a_ub, b_ub = _pairs(rows, rhs, Q(-1))
         want = reference_lp_min(cost, a_ub, b_ub)
-        got = lp_min(cost, a_ub, b_ub)
+        got = general_lp_min(cost, a_ub, b_ub)
         assert (got.status, got.x, got.value) == (want.status, want.x, want.value), (p, m)
         assert solve_minimax_lp(rows, rhs) == (want.value, want.x[:m])
+        top = max(map(abs, rhs))
+        shifted = tuple(top + b for b in b_ub)
+        ref = reference_lp_min(cost, a_ub, shifted)
+        got = lp_min(cost, a_ub, shifted)
+        assert (got.status, got.x, got.value) == (ref.status, ref.x, ref.value), (p, m)
+        assert top + got.value == want.value
         if p > 16:
             continue
         a_ub, b_ub = _pairs(rows, rhs)
@@ -413,6 +440,74 @@ def test_integer_tableau_matches_fraction_reference_at_the_caps():
         costs = [tuple(_large(rng) for _ in range(m)) for _ in range(m)]
         assert rank(costs) == m
         assert any(b < 0 for b in b_ub)
-        got = lp_min(costs[0], a_ub, b_ub, costs[1:])
+        got = general_lp_min(costs[0], a_ub, b_ub, costs[1:])
         assert got.status is LpStatus.OPTIMAL
         assert got.x == reference_lex_min(costs, a_ub, b_ub, solve=reference_lp_min)[1], (p, m)
+
+
+def test_lp_min_refuses_a_negative_rhs_before_any_pivot(monkeypatch):
+    pivots = []
+
+    def counted(*args):
+        pivots.append(args[1:3])
+        return bareiss_pivot(*args)
+
+    monkeypatch.setattr(lp, "bareiss_pivot", counted)
+    assert lp_min((1,), ((-1,), (1,)), (2, 3)).value == -2
+    assert pivots
+    pivots.clear()
+    for b_ub in ((-2, 3), (2, Q(-1, 3)), (-1, -1)):
+        with pytest.raises(ValidationError, match="b_ub >= 0"):
+            lp_min((1,), ((-1,), (1,)), b_ub, [(-1,)])
+    assert pivots == []
+
+
+def _face_is_a_point(rows, rhs, t_star, alpha):
+    """True iff alpha is the only x with |row . x - b| <= t_star: every
+    coordinate of y = x - alpha has min and max 0 on the face, posed at
+    y = 0 (every rhs >= 0 as alpha attains t_star)."""
+    a_ub, b_ub = [], []
+    for row, b in zip(rows, rhs):
+        gap = b - dot(row, alpha)
+        a_ub += [row, tuple(-x for x in row)]
+        b_ub += [t_star + gap, t_star - gap]
+    m = len(alpha)
+    for j in range(m):
+        for s in (1, -1):
+            res = lp_min(tuple(s * (i == j) for i in range(m)), tuple(a_ub), tuple(b_ub))
+            if res.status is not LpStatus.OPTIMAL or res.value != 0:
+                return False
+    return True
+
+
+def test_minimax_matches_two_phase_reference_on_the_unshifted_lp():
+    # solve_minimax_lp starts at t = max|rhs|; the reference solves
+    # min t subject to |row . x - b| <= t as posed, by phase 1 from
+    # artificials.  delta0 is unique, so it agrees; the optimizers agree
+    # wherever the optimal face is one point.  A zero column or fewer
+    # rows than columns makes a face that is not one.  The reference
+    # takes about 2 s at 33 rows and 10 s at MINIMAX_MAX_ROWS, so the
+    # draws stop at 33 rows; the cap is the first case of the test at the
+    # caps above.
+    rng = random.Random(6464)
+    faces = {"point": 0, "not_a_point": 0}
+    for p in [rng.choice((1, 2, 3, 5, 9, 17)) for _ in range(30)] + [33]:
+        m = rng.randint(1, 3)
+        rows = [[_large(rng) for _ in range(m)] for _ in range(p)]
+        if m > 1 and rng.random() < 0.3:
+            j = rng.randrange(m)
+            for row in rows:
+                row[j] = Q(0)
+        rows = [tuple(row) for row in rows]
+        rhs = [_large(rng) for _ in range(p)]
+        a_ub, b_ub = _pairs(rows, rhs, Q(-1))
+        want = reference_lp_min((Q(0),) * m + (Q(1),), a_ub, b_ub)
+        t_star, alpha = solve_minimax_lp(rows, rhs)
+        assert t_star == want.value, (p, m)
+        assert max(abs(b - dot(row, alpha)) for row, b in zip(rows, rhs)) == t_star
+        if _face_is_a_point(rows, rhs, t_star, want.x[:m]):
+            assert alpha == want.x[:m], (p, m)
+            faces["point"] += 1
+        else:
+            faces["not_a_point"] += 1
+    assert min(faces.values()) >= 8, faces

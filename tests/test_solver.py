@@ -30,7 +30,7 @@ from coapprox.exact import rank, vec_sub
 from coapprox.instances import random_basis, random_invertible, random_vector, recombine
 from coapprox.lp import LpStatus, lp_max, lp_min, solve_minimax_lp
 from coapprox.solver import PolytopeConstraints, lex_extreme_alpha
-from tests.conftest import column_basis
+from tests.conftest import column_basis, general_lp_min
 
 B1 = vec((1, 2, 3, 4, 5, 6))
 B2 = vec((5, 4, 0, 0, 1, 5))
@@ -366,6 +366,16 @@ class TestProjection:
         with pytest.raises(NoCoapproximationError):
             projection_map(span3_l16, B1, out)
 
+    def test_image_is_the_outcome_vector(self):
+        # The solve's own A . alpha, unique or polytope witness, with no
+        # second combine.
+        basis = column_basis((1, 0))
+        for b in (vec((1, 0)), vec((3, 1))):
+            out = solve_general(basis, None, b)
+            proj = projection_map(basis, b, out)
+            assert proj.image_of_target is out.vector
+            assert proj.image_of_target == basis.combine(out.chosen_alpha)
+
     def test_norm_one_property(self, span3_l16):
         pb = prepare(span3_l16)
         out = solve_general(span3_l16, pb.profile, B2, prepared=pb)
@@ -407,7 +417,7 @@ def _reference_lex_extreme_alpha(basis, constraints, direction):
         # Each pinned row r . alpha == v as the pair r . alpha <= v, -r . alpha <= -v.
         pin_a = [tuple(s * x for x in r) for r in pinned for s in (1, -1)]
         pin_b = [s * v for v in values for s in (1, -1)]
-        res = lp_min(cost, tuple(a_ub + pin_a), tuple(b_ub + pin_b))
+        res = general_lp_min(cost, tuple(a_ub + pin_a), tuple(b_ub + pin_b))
         assert res.status is LpStatus.OPTIMAL
         pinned.append(arow)
         values.append(sum((ar * x for ar, x in zip(arow, res.x)), Q(0)))
@@ -571,8 +581,8 @@ def test_lex_extreme_alpha_matches_rank_loop_reference(direction):
 
 
 def test_lex_lps_start_feasible_with_no_phase_1(monkeypatch):
-    # lp_min builds an artificial column, and runs phase 1, for each
-    # negative rhs; started at the minimax optimizer, no lex LP has one.
+    # lp_min has no phase 1 and refuses a negative rhs; started at the
+    # minimax optimizer, no lex LP has one.
     rhs_seen = []
 
     def recorded(cost, a_ub, b_ub, then=()):
