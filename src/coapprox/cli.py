@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import __version__
 from .classify import classify
 from .errors import CoapproxError, EmptyZeroSetError, ValidationError
-from .exact import Q, Vec, format_rational, l1_norm, parse_rational
+from .exact import Q, Vec, format_rational, parse_rational
 from .norming import margin_witness
 from .oracle import (BRUTE_FORCE_MAX_M, brute_force_existence, check_grid,
                      check_probe_capacity, verify_best_coapprox)
@@ -27,7 +27,7 @@ from .solver import (
     projection_map,
     solve_general,
 )
-from .subspace import SubspaceBasis, apply_rho, validate_basis
+from .subspace import SubspaceBasis, validate_basis
 
 DEFAULT_TRIALS = 200
 DEFAULT_SEED = 0
@@ -300,14 +300,13 @@ def cmd_threshold(problem: ProblemFile) -> dict:
     results = []
     for name, b in problem.targets:
         th = existence_threshold(problem.basis, pb.profile, b, prepared=pb)
-        rho_mass = l1_norm(apply_rho(b, pb.profile))
         results.append(
             {
                 "name": name,
                 "delta0": format_rational(th.delta0),
                 "minimizing_alpha": _fmt_vec(th.minimizing_alpha),
-                "rho_mass": format_rational(rho_mass),
-                "bound_ok": th.delta0 <= rho_mass,
+                "rho_mass": format_rational(th.rho_mass),
+                "bound_ok": th.delta0 <= th.rho_mass,
             }
         )
     report["targets"] = results

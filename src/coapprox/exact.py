@@ -30,9 +30,9 @@ def parse_rational(text: str) -> Q:
     """Parse the strict text form: optional sign, integer, optional '/den'.
 
     Rejects floats, exponents and zero denominators; this is the grammar
-    used verbatim in all JSON I/O.
+    used verbatim in all JSON I/O.  Only ASCII whitespace is stripped.
     """
-    s = text.strip()
+    s = text.strip(" \t\n\r\f\v")
     if not _RATIONAL_RE.match(s):
         raise ValidationError(f"not a rational literal: {text!r}")
     try:

@@ -1,28 +1,30 @@
 """Small exact linear programming kernel (one-phase simplex, Bland's rule).
 
-Variables are free rationals; every constraint is `a . x <= b` with
-`b >= 0`, so the origin is feasible and the slack basis is a starting
-vertex: there is no phase 1, and a negative rhs is refused before any
-pivot.  Each caller poses its LP at a feasible point it knows (the
-minimax LP at alpha = 0 with t = max|rhs|, a lex LP at the minimax
-optimizer, a margin LP at the origin).  Free variables are split into
-positive parts internally.  Bland's pivoting rule guarantees
-termination.  The tableau is fraction-free, ints over one common
-denominator: each row, times the lcm of its denominators (a row of ints
-as it is), gets a slack of coefficient 1, so the starting basis is the
-identity and the denominator 1; every pivot is `exact.bareiss_pivot`,
-as in Gauss-Jordan elimination.  Pivot decisions are sign tests and
+Variables are free rationals, split into positive parts u - v; every
+constraint is `a . x <= b` with `b >= 0`, so the origin is feasible and
+the slacks are a starting basis: there is no phase 1, and a negative rhs
+is refused before any pivot.  Each caller poses its LP at a feasible
+point it knows (the minimax LP at alpha = 0 with t = max|rhs|, a lex LP
+at the minimax optimizer, a margin LP at the origin).  The tableau is
+fraction-free, ints over one common denominator (each row times the lcm
+of its denominators), and condensed: a basic variable's column is the
+denominator times a unit vector, so only the nonbasic columns are kept,
+at first the u and v columns (Edmonds 1967; Avis, lrs, 2000).  Every
+pivot is `exact.bareiss_pivot`, the full tableau's pivot restricted to
+those columns, so every division stays exact; the entering column then
+takes the leaving variable's.  Pivot decisions are sign tests and
 cross-multiplied comparisons, which no positive scaling of rows or
-variables changes, and Fractions are built only for the reported
-optimum and optimizer, which are exact.  `lp_min` also minimizes a
-sequence of costs lexicographically, face by face, in one tableau
-(Isermann 1982).  `solve_minimax_lp` poses the exact l-infinity fit of a
-linear system on it.
+variables changes; Bland's rule on the variable labels guarantees
+termination.  Fractions are built only for the reported optimum and
+optimizer.  `lp_min` also minimizes a sequence of costs
+lexicographically, face by face, in one tableau (Isermann 1982).
+`solve_minimax_lp` poses the exact l-infinity fit of a linear system on it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 
 from .errors import CapacityError, ValidationError
 from .exact import Q, Vec, bareiss_pivot, primitive_ints, scaled_ints
@@ -55,25 +57,26 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
         raise ValidationError("lp_min needs every b_ub >= 0, so that x = 0 is feasible")
     n = len(cost)
     nrows = len(a_ub)
-    # Columns: u_0..u_{n-1}, v_0..v_{n-1} (x = u - v), slack per row, the
-    # rhs.  The true tableau is tableau / den; row nrows holds the
-    # objective's reduced costs.
+    # Labels: u_0..u_{n-1}, v_0..v_{n-1} (x = u - v), a slack per row.  Column
+    # k holds variable nonbasic[k], the last one the rhs; the true tableau
+    # is tableau / den, and row nrows holds the reduced costs.
     nsplit = 2 * n
-    ncols = nsplit + nrows
     tableau: list[list[int]] = []
-    for i, (r, b) in enumerate(zip(a_ub, b_ub)):
+    for r, b in zip(a_ub, b_ub):
         u = scaled_ints((*r, b))[1]
-        row = u[:n] + [-a for a in u[:n]] + [0] * nrows + [u[n]]
-        row[nsplit + i] = 1
-        tableau.append(row)
-    basis = list(range(nsplit, ncols))
+        tableau.append(u[:n] + [-a for a in u[:n]] + [u[n]])
+    nonbasic = list(range(nsplit))
+    basis = list(range(nsplit, nsplit + nrows))
     den = 1
 
-    def run_simplex(allowed_cols):
+    def run_simplex(allowed):
         nonlocal den
         while True:
             obj = tableau[nrows]
-            enter = next((j for j in allowed_cols if obj[j] < 0), -1)
+            enter, label = -1, nsplit + nrows
+            for k, j in enumerate(nonbasic):
+                if j < label and allowed[j] and obj[k] < 0:
+                    enter, label = k, j
             if enter < 0:
                 return True
             leave = -1
@@ -86,19 +89,24 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
                         continue
                     # rhs/coef against the best ratio, cross-multiplied.
                     best = tableau[leave]
-                    diff = row[ncols] * best[enter] - best[ncols] * coef
+                    diff = row[nsplit] * best[enter] - best[nsplit] * coef
                     if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
                 return False
+            # The leaving variable's column: -old column, old den in row leave.
+            col = [-row[enter] for row in tableau]
+            col[leave] = den
             den = bareiss_pivot(tableau, leave, enter, den)
-            basis[leave] = enter
+            for row, a in zip(tableau, col):
+                row[enter] = a
+            nonbasic[enter], basis[leave] = basis[leave], label
 
-    allowed = range(ncols)
+    allowed = [True] * (nsplit + nrows)
     for c in (cost, *then):
         c_ints = primitive_ints(c)
         costvec = c_ints + [-a for a in c_ints] + [0] * nrows
-        obj = [den * a for a in costvec] + [0]
+        obj = [den * costvec[j] for j in nonbasic] + [0]
         for i, bcol in enumerate(basis):
             f = costvec[bcol]
             if f:
@@ -106,12 +114,15 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
         tableau[nrows:] = [obj]
         if not run_simplex(allowed):
             return LpResult(LpStatus.UNBOUNDED, None, None)
-        allowed = [j for j in allowed if tableau[nrows][j] == 0]
+        for j, a in zip(nonbasic, tableau[nrows]):
+            if a:
+                allowed[j] = False
 
-    basic = dict(zip(basis, (row[ncols] for row in tableau)))
-    x = tuple(Q(basic.get(j, 0) - basic.get(n + j, 0), den) for j in range(n))
-    opt = sum((c * v for c, v in zip(cost, x)), Q(0))
-    return LpResult(LpStatus.OPTIMAL, x, opt)
+    basic = dict(zip(basis, (row[nsplit] for row in tableau)))
+    diffs = [basic.get(j, 0) - basic.get(n + j, 0) for j in range(n)]
+    cden, c_ints = scaled_ints(cost)
+    value = Q(sum(map(mul, c_ints, diffs)), cden * den)
+    return LpResult(LpStatus.OPTIMAL, tuple(Q(d, den) for d in diffs), value)
 
 
 def lp_max(cost, a_ub, b_ub) -> LpResult:

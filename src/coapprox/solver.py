@@ -49,7 +49,6 @@ from .exact import (
     Q,
     SystemStatus,
     Vec,
-    l1_norm,
     primitive_ints,
     rank,  # unused here; perfbench/tracer.py wraps coapprox.solver.rank
     scaled_ints,
@@ -72,7 +71,6 @@ from .subspace import (
     ComponentProfile,
     ReducedInstance,
     SubspaceBasis,
-    apply_rho,
     build_profile,
     reduce_sigma,
 )
@@ -356,6 +354,7 @@ class ExistenceThreshold:
 
     delta0: Q
     minimizing_alpha: Vec
+    rho_mass: Q  # ||rho(b)||_1, the mass off the zero set: delta0 <= rho_mass
 
 
 def existence_threshold(
@@ -368,10 +367,11 @@ def existence_threshold(
     if not pb.profile.zero_set:
         raise EmptyZeroSetError("threshold is defined only for non-empty zero sets")
     _, delta0, alpha = pb.fiber_minimax(b)
-    rho_mass = l1_norm(apply_rho(b, pb.profile))
+    den, kept = scaled_ints(pb.reduced.sigma(b))
+    rho_mass = Q(sum(map(abs, kept)), den)
     if delta0 > rho_mass:  # pragma: no cover
         raise InternalInconsistencyError("threshold exceeds the rho-mass upper bound")
-    return ExistenceThreshold(delta0=delta0, minimizing_alpha=alpha)
+    return ExistenceThreshold(delta0=delta0, minimizing_alpha=alpha, rho_mass=rho_mass)
 
 
 @dataclass(frozen=True)

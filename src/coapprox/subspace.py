@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .errors import DimensionError, RankDeficientError, ZeroSubspaceError
-from .exact import Mat, Q, Vec, primitive_ints, rank
+from .exact import Mat, Q, Vec, primitive_ints, rank, scaled_ints
 
 
 @dataclass(frozen=True)
@@ -33,12 +34,21 @@ class SubspaceBasis:
     def columns(self) -> tuple[Vec, ...]:
         return tuple(zip(*self.matrix))
 
+    @cached_property
+    def _int_matrix(self) -> tuple[int, list[list[int]]]:
+        """(den, rows): matrix == rows / den, den the lcm of all denominators."""
+        den, flat = scaled_ints([x for row in self.matrix for x in row])
+        return den, [flat[i:i + self.m] for i in range(0, len(flat), self.m)]
+
     def combine(self, coeffs: Vec) -> Vec:
-        """The subspace element with the given coefficients."""
-        return tuple(
-            sum((row[j] * coeffs[j] for j in range(self.m)), Q(0))
-            for row in self.matrix
-        )
+        """The subspace element with the given (int or Fraction)
+        coefficients, summed in ints: one Fraction per entry."""
+        if len(coeffs) != self.m:
+            raise DimensionError("combine needs one coefficient per basis vector")
+        den, rows = self._int_matrix
+        cden, c = scaled_ints(coeffs)
+        den *= cden
+        return tuple(Q(sum(map(mul, row, c)), den) for row in rows)
 
 
 @dataclass(frozen=True)

@@ -259,6 +259,10 @@ def test_bools_are_not_integers(tmp_path, capsys, patch, field):
     [
         ({"basis": [["1", "0"], ["\u0663", "1"]]}, "basis[2][1]"),
         ({"targets": [["1", "\uff11\uff12"]]}, "targets[1][2]"),
+        # Whitespace beyond ASCII around a literal is not stripped either.
+        ({"basis": [["1", "0"], ["\u20033", "1"]]}, "basis[2][1]"),
+        ({"targets": [["\xa05", "1"]]}, "targets[1][1]"),
+        ({"basis": [["\x1c3", "0"]]}, "basis[1][1]"),
     ],
 )
 def test_non_ascii_digits_exit_2(tmp_path, capsys, patch, field):

@@ -28,10 +28,17 @@ small_fraction = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 class TestRationalText:
     @pytest.mark.parametrize(
         "text,value",
-        [("13", Q(13)), ("-3/7", Q(-3, 7)), ("0", Q(0)), ("+2/4", Q(1, 2))],
+        [("13", Q(13)), ("-3/7", Q(-3, 7)), ("0", Q(0)), ("+2/4", Q(1, 2)),
+         (" 3 ", Q(3)), ("\t-3/7\n", Q(-3, 7)), ("\r\f\v5 ", Q(5))],
     )
     def test_parse(self, text, value):
         assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("bad", ["\u20033", "\xa05", "\x1c3", "3\u3000", "-1/2\x1f", "\u2028 7"])
+    def test_reject_whitespace_beyond_ascii(self, bad):
+        # str.strip() would take these; only " \t\n\r\f\v" may surround a literal.
+        with pytest.raises(ValidationError, match="not a rational literal"):
+            parse_rational(bad)
 
     @pytest.mark.parametrize("bad", ["1/0", "1.5", "1e3", "1/-2", "", "a", "3 / 7"])
     def test_reject(self, bad):

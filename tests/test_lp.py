@@ -92,11 +92,12 @@ def test_matches_scipy_on_random_bounded_problems():
     assert checked > 60
 
 
-def reference_lp_min(cost, a_ub, b_ub, a_eq=(), b_eq=()):
+def reference_lp_min(cost, a_ub, b_ub, a_eq=(), b_eq=(), pivots=None):
     """The Fraction-tableau two-phase simplex (Bland's rule) that the
     integer tableau replaced, kept verbatim as the reference: on an LP
     with every rhs >= 0 it runs no phase 1, so it makes lp_min's pivots
-    and gives the same (status, x, value)."""
+    and gives the same (status, x, value).  Each pivot (row, column) is
+    appended to the list `pivots`, if one is given."""
     rows = [list(r) for r in a_ub]
     rhs = list(b_ub)
     for r, b in zip(a_eq, b_eq):
@@ -149,6 +150,8 @@ def reference_lp_min(cost, a_ub, b_ub, a_eq=(), b_eq=()):
         return obj
 
     def pivot(r, c):
+        if pivots is not None:
+            pivots.append((r, c))
         row = tableau[r]
         pv = row[c]
         tableau[r] = [x / pv for x in row]
@@ -272,15 +275,32 @@ def _folded(data):
     return cost, a_ub + a_pairs, b_ub + b_pairs
 
 
-def _matches_reference(cost, a_ub, b_ub, want):
+@pytest.fixture
+def lp_pivots(monkeypatch):
+    """The (row, column) of every bareiss_pivot that lp_min makes."""
+    pivots = []
+
+    def counted(*args):
+        pivots.append(args[1:3])
+        return bareiss_pivot(*args)
+
+    monkeypatch.setattr(lp, "bareiss_pivot", counted)
+    return pivots
+
+
+def _matches_reference(cost, a_ub, b_ub, want, want_pivots, lp_pivots):
     """lp_min against the reference's `want`.  Where every rhs is >= 0,
-    pivot for pivot: the same (status, x, value), and True.  Elsewhere
-    lp_min refuses the LP, and general_lp_min, by two one-phase LPs,
-    finds the reference's status and optimum at a feasible point (not
-    always the reference's vertex, where the optimal face is not one)."""
+    pivot for pivot: the same (status, x, value) after as many pivots as
+    the reference made (`want_pivots`; `lp_pivots` counts lp_min's), and
+    True.  Elsewhere lp_min refuses the LP, and general_lp_min, by two
+    one-phase LPs, finds the reference's status and optimum at a feasible
+    point (not always the reference's vertex, where the optimal face is
+    not one)."""
     if all(b >= 0 for b in b_ub):
+        lp_pivots.clear()
         got = lp_min(cost, a_ub, b_ub)
         assert (got.status, got.x, got.value) == (want.status, want.x, want.value)
+        assert len(lp_pivots) == want_pivots
         return True
     with pytest.raises(ValidationError):
         lp_min(cost, a_ub, b_ub)
@@ -291,18 +311,19 @@ def _matches_reference(cost, a_ub, b_ub, want):
     return False
 
 
-def test_integer_tableau_matches_fraction_reference():
+def test_integer_tableau_matches_fraction_reference(lp_pivots):
     rng = random.Random(20261018)
     statuses = {s: 0 for s in (*LpStatus, INFEASIBLE)}
     int_runs = exact_runs = 0
     for _ in range(2000):
         data = _random_lp(rng)
-        want = reference_lp_min(*data)
-        exact_runs += _matches_reference(*_folded(data), want)
+        pivots = []
+        want = reference_lp_min(*data, pivots=pivots)
+        exact_runs += _matches_reference(*_folded(data), want, len(pivots), lp_pivots)
         statuses[want.status] += 1
         ints = _as_ints(data)
         if ints is not None:
-            _matches_reference(*_folded(ints), want)
+            _matches_reference(*_folded(ints), want, len(pivots), lp_pivots)
             int_runs += 1
     assert min(statuses.values()) >= 200, statuses
     assert int_runs >= 200 and exact_runs >= 200
@@ -404,7 +425,7 @@ def _pairs(rows, rhs, *last):
     return a_ub, tuple(s * b for b in rhs for s in (1, -1))
 
 
-def test_integer_tableau_matches_fraction_reference_at_the_caps():
+def test_integer_tableau_matches_fraction_reference_at_the_caps(lp_pivots):
     # Large entries up to the minimax cap: the Bareiss minors reach
     # hundreds of digits, so a division that were not exact would floor
     # silently and move the optimum.  Minimax LPs (min t subject to
@@ -426,9 +447,12 @@ def test_integer_tableau_matches_fraction_reference_at_the_caps():
         assert solve_minimax_lp(rows, rhs) == (want.value, want.x[:m])
         top = max(map(abs, rhs))
         shifted = tuple(top + b for b in b_ub)
-        ref = reference_lp_min(cost, a_ub, shifted)
+        pivots = []
+        ref = reference_lp_min(cost, a_ub, shifted, pivots=pivots)
+        lp_pivots.clear()
         got = lp_min(cost, a_ub, shifted)
         assert (got.status, got.x, got.value) == (ref.status, ref.x, ref.value), (p, m)
+        assert len(lp_pivots) == len(pivots) > 0, (p, m)
         assert top + got.value == want.value
         if p > 16:
             continue
@@ -445,21 +469,14 @@ def test_integer_tableau_matches_fraction_reference_at_the_caps():
         assert got.x == reference_lex_min(costs, a_ub, b_ub, solve=reference_lp_min)[1], (p, m)
 
 
-def test_lp_min_refuses_a_negative_rhs_before_any_pivot(monkeypatch):
-    pivots = []
-
-    def counted(*args):
-        pivots.append(args[1:3])
-        return bareiss_pivot(*args)
-
-    monkeypatch.setattr(lp, "bareiss_pivot", counted)
+def test_lp_min_refuses_a_negative_rhs_before_any_pivot(lp_pivots):
     assert lp_min((1,), ((-1,), (1,)), (2, 3)).value == -2
-    assert pivots
-    pivots.clear()
+    assert lp_pivots
+    lp_pivots.clear()
     for b_ub in ((-2, 3), (2, Q(-1, 3)), (-1, -1)):
         with pytest.raises(ValidationError, match="b_ub >= 0"):
             lp_min((1,), ((-1,), (1,)), b_ub, [(-1,)])
-    assert pivots == []
+    assert lp_pivots == []
 
 
 def _face_is_a_point(rows, rhs, t_star, alpha):

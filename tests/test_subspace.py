@@ -6,8 +6,10 @@ import pytest
 from coapprox import (
     DimensionError,
     RankDeficientError,
+    SubspaceBasis,
     apply_rho,
     build_profile,
+    existence_threshold,
     l1_norm,
     mat,
     reduce_sigma,
@@ -186,3 +188,47 @@ def test_rho_sigma_identities():
         assert reduced.sigma(rho_v) == reduced.sigma(v)
         assert l1_norm(rho_v) <= l1_norm(v)
         assert l1_norm(reduced.sigma(v)) <= l1_norm(v)
+
+
+def _entry(rng, kind):
+    """An int, a Fraction or either (`kind` "mixed"); one in five has a
+    10-13 digit numerator and, as a Fraction, an 11 digit denominator."""
+    big = rng.random() < 0.2
+    num = rng.randint(-10**12, 10**12) if big else rng.randint(-6, 6)
+    if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+        return num
+    return Q(num, rng.randint(10**10, 10**11) if big else rng.randint(1, 9))
+
+
+def test_combine_matches_fraction_sums():
+    # combine sums in ints over one common denominator; the oracle reads
+    # it too, so this differential test is what guards it.
+    rng = random.Random(1818)
+    for _ in range(400):
+        kind = rng.choice(("int", "fraction", "mixed"))
+        n = rng.randint(1, 7)
+        m = rng.randint(1, n)
+        rows = [[_entry(rng, kind) for _ in range(m)] for _ in range(n)]
+        for i in rng.sample(range(n), rng.randint(0, n - 1)):
+            rows[i] = [0 if kind == "int" else Q(0)] * m
+        basis = SubspaceBasis(n=n, m=m, matrix=tuple(map(tuple, rows)))
+        ckind = rng.choice(("int", "fraction", "mixed"))
+        for coeffs in ((0,) * m, tuple(_entry(rng, ckind) for _ in range(m))):
+            got = basis.combine(coeffs)
+            want = tuple(sum((row[j] * coeffs[j] for j in range(m)), Q(0)) for row in rows)
+            assert got == want, (rows, coeffs)
+            assert all(type(x) is Q for x in got)
+        with pytest.raises(DimensionError):
+            basis.combine((1,) * (m + 1))
+
+
+def test_threshold_rho_mass_is_the_l1_norm_of_rho():
+    rng = random.Random(1819)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        m = rng.randint(1, min(3, n - 1))
+        basis = random_basis(rng, n, m, zero_rows=rng.randint(1, n - m))
+        b = tuple(Q(_entry(rng, "mixed")) for _ in range(n))
+        th = existence_threshold(basis, None, b)
+        assert th.rho_mass == l1_norm(apply_rho(b, build_profile(basis)))
+        assert th.delta0 <= th.rho_mass
