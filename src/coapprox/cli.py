@@ -348,15 +348,18 @@ def main(argv=None) -> int:
             report = cmd_classify(problem)
         else:
             report = cmd_threshold(problem)
+        text = json.dumps(report, indent=2)
+        if args.output:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise ValidationError(f"cannot write {args.output}: {exc}") from None
+        else:
+            print(text)
     except CoapproxError as exc:
         print(f"coapprox {args.command}: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
-    text = json.dumps(report, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return 0
 
 

@@ -1,14 +1,14 @@
 """Best-coapproximation solver for subspaces of l1^n.
 
-Empty zero set: a coefficient vector alpha solves the problem iff
-x . (b - A alpha) = 0 for every norming-set sign vector x.  Such an x is
-s_c * o_i on the coordinates i of class c, o_i the sign of coordinate
-i's constant, and the class signs s span R^d (q = d), so the equations
-hold iff every class sum  sum_{i in c} o_i * (b - A alpha)_i  vanishes.
-Those d rows come from the row profile alone, with no cell enumeration.
-Row c is a positive multiple of the representative's row, so the system
-has rank m and is either inconsistent (no best coapproximation) or
-uniquely solvable.
+No mass on the zero set (so always when it is empty): alpha solves the
+problem iff x . (b - A alpha) = 0 for every norming-set sign vector x.
+Such an x is s_c * o_i on the coordinates i of class c, o_i the sign of
+coordinate i's constant, and the class signs s span R^d (q = d), so the
+equations hold iff every class sum  sum_{i in c} o_i * (b - A alpha)_i
+vanishes.  Those d rows come from the row profile alone, with no cell
+enumeration.  Row c is a positive multiple of the representative's row,
+so the system has rank m and is either inconsistent (no best
+coapproximation) or uniquely solvable, at alpha0 for a member A alpha0.
 
 Non-empty zero set Z: dropping the Z coordinates leaves a zero-set-free
 problem, and the mass the target carries on Z acts as slack.  alpha is a
@@ -17,7 +17,7 @@ reduced basis
 
     | x . (sigma(b) - sigma(A) alpha) |  <=  sum_{i in Z} |b_i|,
 
-which reduces to the equality system when the slack vanishes and to
+which is the equality system above when the slack vanishes, and
 "every alpha with ||A alpha||_1 <= ||b||_1" when the reduced target is
 zero.  The minimax value delta0 of the left side decides the outcome:
 below it the set is empty; above it the set holds a ball around the
@@ -244,12 +244,12 @@ def _unique(basis: SubspaceBasis, alpha: Vec) -> CoapproxOutcome:
 
 
 def solve_empty_zero_set(pb: PreparedBasis, b: Vec) -> CoapproxOutcome:
-    """Equality-system solve for a basis whose zero set is empty, on the
-    class-sum rows: no cell enumeration."""
-    if pb.profile.zero_set:
-        raise DimensionError("solve_empty_zero_set requires an empty zero set")
+    """Class-sum equality solve for a target with no mass on the zero set
+    (every target when that set is empty): no cell enumeration."""
     if len(b) != pb.basis.n:
         raise DimensionError("target length does not match ambient dimension")
+    if any(b[i] for i in pb.profile.zero_set):
+        raise DimensionError("solve_empty_zero_set requires no target mass on the zero set")
     check_cell_capacity(pb.profile.d, pb.basis.m)  # the same caps as enumeration
     res = solve_linear(pb.class_rows, pb.class_rhs(b))
     if res.status is SystemStatus.NO_SOLUTION:
@@ -314,23 +314,19 @@ def solve_general(
 ) -> CoapproxOutcome:
     """Decide existence and compute best coapproximation(s) to b.
 
-    Delegates to the equality system when the zero set is empty.
-    Otherwise the slack (zero-set mass) is compared with delta0: below it
-    nothing exists; above it the polytope holds a ball around the minimax
-    optimizer, so it is full-dimensional, and only its witness (the
-    lex-smallest point of the optimal face) is searched for; at it a
-    second lex search, the other way, tells a point from a polytope.
+    At slack 0 (no mass of b on the zero set) the equality system decides.
+    Otherwise the slack is compared with delta0: below it nothing exists;
+    above it the polytope holds a ball around the minimax optimizer, so
+    it is full-dimensional, and only its witness (the lex-smallest point
+    of the optimal face) is searched for; at it a second lex search, the
+    other way, tells a point from a polytope.
     """
     pb = prepared_for(basis, prepared)
     if len(b) != basis.n:
         raise DimensionError("target length does not match ambient dimension")
-    membership = solve_linear(basis.matrix, b)
-    if membership.status is SystemStatus.UNIQUE:
-        return _unique(basis, membership.solution)
-    if not pb.profile.zero_set:
-        return solve_empty_zero_set(pb, b)
-
     slack = sum((abs(b[i]) for i in pb.profile.zero_set), Q(0))
+    if not slack:
+        return solve_empty_zero_set(pb, b)
     rows = pb.feasibility_rows
     rhs, t_star, alpha = pb.fiber_minimax(b)
     if t_star > slack:

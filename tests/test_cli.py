@@ -556,6 +556,46 @@ def test_cell_pair_cap_exits_3_for_every_cell_reader(tmp_path, capsys, margin_lp
     assert "cell pairs" in err
 
 
+def _moment_curve_problem(tmp_path, target):
+    # Rows (1, k, k^2) for k = 0..12 and one zero row: n = 14, m = 3, 13
+    # hyperplanes cutting 79 cell pairs, within the cell caps but over
+    # the minimax kernel's 64 rows.
+    doc = {"n": 14,
+           "basis": [[str(k ** p) for k in range(13)] + ["0"] for p in range(3)],
+           "targets": [{"name": "t", "vector": [str(x) for x in target]}]}
+    f = tmp_path / "moment.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    return str(f)
+
+
+def test_zero_slack_target_on_a_wide_zero_set_basis_is_solved(tmp_path, capsys):
+    # e1 has no mass on the zero row, so the class-sum system answers it
+    # (it is not a member: not-exists) and the minimax cap never applies.
+    f = _moment_curve_problem(tmp_path, [1] + [0] * 13)
+    report = run_json(capsys, "solve", "--input", f, "--grid-radius", "2", "--grid-step", "1")
+    (entry,) = report["targets"]
+    assert entry["outcome"] == "not-exists"
+    assert entry["brute_force"] == {"exists": False, "grid_points": 125}
+
+
+def test_zero_set_mass_on_a_wide_basis_hits_the_minimax_cap(tmp_path, capsys):
+    f = _moment_curve_problem(tmp_path, [1] + [0] * 12 + [1])
+    code, out, err = run_cli(capsys, "solve", "--input", f)
+    assert (code, out) == (3, "")
+    assert "minimax kernel capped at 64 rows" in err
+
+
+@pytest.mark.parametrize("where", ["missing-dir/out.json", "."], ids=["missing-dir", "directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, where):
+    # A missing directory, or a directory given as the output file.
+    path = str(tmp_path / where)
+    code, out, err = run_cli(capsys, "classify", "--input", str(PROBLEMS / "span3_l16.json"),
+                             "--output", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"coapprox classify: cannot write {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 _GOOD_ENTRY = st.one_of(
     st.integers(-3, 3).map(str),
     st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 3)),

@@ -109,9 +109,11 @@ class TestEmptyZeroSet:
     def test_keeps_the_cell_enumeration_caps(self):
         # 21 lines in the plane exceed MAX_HYPERPLANES: the class-sum solve
         # enumerates nothing but applies the same caps as enumeration.
+        # A member target is refused too: it has no path of its own.
         basis = validate_basis(mat([(1, k) for k in range(21)]))
-        with pytest.raises(CapacityError, match="21"):
-            solve_general(basis, None, (Q(1),) + (Q(0),) * 20)
+        for b in ((Q(1),) + (Q(0),) * 20, basis.combine((1, 2))):
+            with pytest.raises(CapacityError, match="21"):
+                solve_general(basis, None, b)
 
     def test_class_sum_rows(self, span3_l16):
         # Class c's row is (sum of |constants|) times its representative's
@@ -529,30 +531,39 @@ def _slack_cases(rng, pb, b):
 
 def test_zero_set_solve_matches_three_lex_reference(monkeypatch):
     # Against the solve that ignored delta0: equal fields on every
-    # target, and the lex searches each case needs (none below delta0
-    # or for a member, one above it, two at it).
-    lex_calls = Counter()
+    # target, and the lex searches each case needs (none below delta0,
+    # one above it, two at it).  A target with no zero-set mass, members
+    # included, goes to the class-sum system: no minimax LP, no lex
+    # search, and no cell enumeration on a fresh prepare.
+    calls = Counter()
 
-    def counted(*args):
-        lex_calls["calls"] += 1
-        return lex_extreme_alpha(*args)
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
 
-    monkeypatch.setattr(solver, "lex_extreme_alpha", counted)
+    monkeypatch.setattr(solver, "lex_extreme_alpha", counted("lex", lex_extreme_alpha))
+    monkeypatch.setattr(solver, "solve_minimax_lp", counted("minimax", solve_minimax_lp))
     rng = random.Random(2240)
     cases = Counter()
     for basis, b in _zero_set_instances(rng, 400):
         pb = prepare(basis)
         zero_reduced = not any(pb.reduced.sigma(b))
         for target, slack, t_star in _slack_cases(rng, pb, b):
-            lex_calls.clear()
-            out = solve_general(basis, None, target, prepared=pb)
+            calls.clear()
+            used = prepare(basis) if slack == 0 else pb
+            out = solve_general(basis, None, target, prepared=used)
             assert _fields(out) == _reference_solve(pb, target), (basis.matrix, target)
             member = solve_linear(basis.matrix, target).status is SystemStatus.UNIQUE
             where = "member" if member else ("below", "at", "above")[(slack > t_star) - (slack < t_star) + 1]
             cases[out.kind.value, where] += 1
             cases["zero reduced target"] += zero_reduced
-            expected = {"member": 0, "below": 0, "at": 2, "above": 1}[where]
-            assert lex_calls["calls"] == expected, (where, out.kind)
+            expected = 0 if slack == 0 else {"below": 0, "at": 2, "above": 1}[where]
+            assert calls["lex"] == expected, (where, out.kind)
+            if slack == 0:
+                assert calls["minimax"] == 0, (where, out.kind)
+                assert "cells" not in used.__dict__
     assert sum(n for key, n in cases.items() if isinstance(key, tuple)) >= 1000
     assert set(cases) <= {("not-exists", "below"), ("unique", "at"), ("polytope", "at"),
                           ("polytope", "above"), ("unique", "member"), "zero reduced target"}
@@ -591,7 +602,7 @@ def test_lex_lps_start_feasible_with_no_phase_1(monkeypatch):
 
     monkeypatch.setattr(solver, "lp_min", recorded)
     rng = random.Random(3306)
-    for basis, b in _zero_set_instances(rng, 400):
+    for basis, b in _zero_set_instances(rng, 500):
         pb = prepare(basis)
         for target, _, _ in _slack_cases(rng, pb, b):
             solve_general(basis, None, target, prepared=pb)
