@@ -185,7 +185,8 @@ def cmd_norming_set(problem: ProblemFile) -> dict:
 
 def _solve_options(problem: ProblemFile, args) -> dict:
     """The solve options, flags over the file.  `trials` and `seed` are
-    validated, capped and echoed here alone: the oracle takes neither."""
+    validated, capped and echoed here alone: the oracle takes neither.
+    The grid options come both or neither."""
     opts = dict(problem.options)
     for key in ("trials", "seed", "grid_radius", "grid_step"):  # flags override the file
         if getattr(args, key) is not None:
@@ -205,6 +206,9 @@ def _solve_options(problem: ProblemFile, args) -> dict:
     if "grid_step" in opts:
         out["grid_step"] = _parse_entry(opts["grid_step"], "options.grid_step")
     check_grid(out["grid_radius"], out["grid_step"])
+    for have, missing in (("grid_radius", "grid_step"), ("grid_step", "grid_radius")):
+        if out[missing] is None and out[have] is not None:
+            raise ValidationError(f"options.{missing}: required with {have}")
     check_probe_capacity(problem.basis.m, out["trials"])
     return out
 
@@ -224,11 +228,7 @@ def cmd_solve(problem: ProblemFile, args) -> dict:
         entry: dict = {"name": name, "outcome": outcome.kind.value}
         if outcome.kind is OutcomeKind.NOT_EXISTS:
             entry["rationale"] = _existence_tags(pb)
-            if (
-                opts["grid_radius"] is not None
-                and opts["grid_step"] is not None
-                and problem.basis.m <= BRUTE_FORCE_MAX_M
-            ):
+            if opts["grid_radius"] is not None and problem.basis.m <= BRUTE_FORCE_MAX_M:
                 bf = brute_force_existence(
                     problem.basis, b, opts["grid_radius"], opts["grid_step"]
                 )

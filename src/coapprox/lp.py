@@ -16,7 +16,8 @@ takes the leaving variable's.  Pivot decisions are sign tests and
 cross-multiplied comparisons, which no positive scaling of rows or
 variables changes; Bland's rule on the variable labels guarantees
 termination.  Fractions are built only for the reported optimum and
-optimizer.  `lp_min` also minimizes a sequence of costs
+optimizer.  The row duals are the final objective row's slack entries,
+read with no extra pivot.  `lp_min` also minimizes a sequence of costs
 lexicographically, face by face, in one tableau (Isermann 1982).
 `solve_minimax_lp` poses the exact l-infinity fit of a linear system on it.
 """
@@ -42,6 +43,10 @@ class LpResult:
     status: LpStatus
     x: Vec | None
     value: Q | None
+    # Ints y >= 0 with, for one d > 0, sum y_i a_i = -d cost and
+    # sum y_i b_i = -d value: the row duals times d.  None with `then`
+    # and from lp_max.
+    duals: tuple[int, ...] | None = None
 
 
 def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
@@ -62,8 +67,10 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
     # is tableau / den, and row nrows holds the reduced costs.
     nsplit = 2 * n
     tableau: list[list[int]] = []
+    scales = []  # each row's lcm, which its dual is read in
     for r, b in zip(a_ub, b_ub):
-        u = scaled_ints((*r, b))[1]
+        lcm, u = scaled_ints((*r, b))
+        scales.append(lcm)
         tableau.append(u[:n] + [-a for a in u[:n]] + [u[n]])
     nonbasic = list(range(nsplit))
     basis = list(range(nsplit, nsplit + nrows))
@@ -122,7 +129,11 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
     diffs = [basic.get(j, 0) - basic.get(n + j, 0) for j in range(n)]
     cden, c_ints = scaled_ints(cost)
     value = Q(sum(map(mul, c_ints, diffs)), cden * den)
-    return LpResult(LpStatus.OPTIMAL, tuple(Q(d, den) for d in diffs), value)
+    duals = None
+    if not then:  # a basic slack's dual is 0
+        reduced = dict(zip(nonbasic, tableau[nrows]))
+        duals = tuple(reduced.get(nsplit + i, 0) * s for i, s in enumerate(scales))
+    return LpResult(LpStatus.OPTIMAL, tuple(Q(d, den) for d in diffs), value, duals)
 
 
 def lp_max(cost, a_ub, b_ub) -> LpResult:
@@ -132,12 +143,16 @@ def lp_max(cost, a_ub, b_ub) -> LpResult:
     return LpResult(LpStatus.OPTIMAL, res.x, -res.value)
 
 
-def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec) -> tuple[Q, Vec]:
+def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, multipliers: bool = False) -> tuple:
     """min over x of max_p |rhs_p - rows_p . x|, exactly.
 
     Returns (t_star, x_star) with x_star attaining t_star.  The problem
     is always feasible and bounded below by 0.  Guarded at
     MINIMAX_MAX_ROWS rows; this is a desk-scale kernel.
+
+    With `multipliers`, also the ints lam_p = q_p - p_p, the duals of the
+    rows +-(rows_p . x - rhs_p) <= t times one d > 0: sum lam_p rows_p = 0
+    and -sum lam_p rhs_p = d t_star >= t_star sum |lam_p|.
     """
     nrows = len(rows)
     if nrows == 0 or not rows[0]:
@@ -160,4 +175,5 @@ def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec) -> tuple[Q, Vec]:
     res = lp_min(cost, tuple(a_ub), tuple(b_ub))
     if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
         raise ValidationError(f"minimax LP unexpectedly {res.status.value}")
-    return top + res.value, res.x[:m]
+    y, opt = res.duals, (top + res.value, res.x[:m])
+    return (*opt, tuple(q - p for q, p in zip(y[::2], y[1::2]))) if multipliers else opt

@@ -22,7 +22,9 @@ profile, sigma-reduction, class or LP.
 
 The brute-force grid takes the same patterns.  A tope pattern is zero
 only on A's zero rows, where the residual is b, so each test is a slab
-in alpha and a grid line passes on one exact integer interval.
+in alpha.  Disjoint slabs are proved so by an int-checked Farkas
+certificate from the minimax LP over them, with no grid point scanned;
+otherwise a grid line passes on one exact integer interval.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from operator import mul
 from .errors import CapacityError, DimensionError, ValidationError
 from .exact import (Q, Vec, l1_norm, minimize_1d_l1, primitive_ints,
                     solve_linear, vec_sub)  # solve_linear: perfbench/tracer.py wraps it
+from .lp import MINIMAX_MAX_ROWS, solve_minimax_lp
 from .norming import check_cell_capacity, half_cells
 from .subspace import SubspaceBasis
 
@@ -179,6 +182,15 @@ def check_grid(radius: Q | None, step: Q | None) -> None:
         raise ValidationError("grid_radius must be non-negative")
 
 
+def check_certificate(rows, rhs, width, lam) -> bool:
+    """True iff lam proves that no alpha has |rhs_p - rows_p . alpha| <=
+    width for all p: sum lam_p rows_p = 0 and |sum lam_p rhs_p| > width *
+    sum |lam_p| (Farkas), by int dot products alone."""
+    return len(lam) == len(rows) == len(rhs) and not any(
+        sum(map(mul, lam, col)) for col in zip(*rows)
+    ) and abs(sum(map(mul, lam, rhs))) > width * sum(map(abs, lam))
+
+
 def brute_force_existence(
     basis: SubspaceBasis, b: Vec, grid_radius: Q, grid_step: Q
 ) -> BruteForceResult:
@@ -197,10 +209,13 @@ def brute_force_existence(
     |sigma.b - (sigma.A).alpha| <= sum over Z of |b_i|, with sigma.A and
     the width constant over the grid.  The grid, b and A are scaled by
     one common denominator, which makes every quantity an int and each
-    decision exact.  The grid is scanned one line along the last axis at
-    a time: on a line each slab holds one integer interval of ticks,
-    found with one (m-1)-term dot product and floor divisions, and the
-    line's candidates are the intersection, in grid order.
+    decision exact.  With at most MINIMAX_MAX_ROWS tope pairs, a minimax
+    LP's multipliers accepted by `check_certificate` prove that no alpha
+    lies in every slab, and no grid is built.  Otherwise the grid is
+    scanned one line along the last axis at a time: on a line each slab
+    holds one integer interval of ticks, found with one (m-1)-term dot
+    product and floor divisions, and the line's candidates are the
+    intersection, in grid order.
 
     Guarded at m <= 3, BRUTE_FORCE_MAX_POINTS grid points and the cell
     caps, all checked before any tope is enumerated; a negative radius or
@@ -221,22 +236,27 @@ def brute_force_existence(
         raise DimensionError("brute_force_existence dimension mismatch")
     patterns = _sign_patterns(basis)
 
-    ticks = [-radius + k * step for k in range(per_axis)]
     entries = itertools.chain((radius, step), b, *basis.matrix)
     scale = math.lcm(*(x.denominator for x in entries))
     int_cols = [[int(a * scale) for a in col] for col in zip(*basis.matrix)]
-    int_ticks = [int(t * scale) for t in ticks]
     int_b = [int(x * scale * scale) for x in b]  # residuals come out scaled by scale**2
     width = sum(abs(x) for x, row in zip(int_b, basis.matrix) if not any(row))
+    rows = [[sum(map(mul, signs, col)) for col in int_cols] for signs, _ in patterns]
+    rhs = [sum(map(mul, signs, int_b)) for signs, _ in patterns]
+    if len(rows) <= MINIMAX_MAX_ROWS:
+        lam = solve_minimax_lp(rows, rhs, multipliers=True)[2]
+        if check_certificate(rows, rhs, width, lam):
+            return BruteForceResult(exists=False, candidates=(), grid_points=per_axis**m)
 
+    ticks = [-radius + k * step for k in range(per_axis)]
+    int_ticks = [int(t * scale) for t in ticks]
     # On the line through the outer ticks, sigma.z = s0 - k*s1 with
     # s0 = c - g.(outer ticks); stored with s1 >= 0, as negating sigma
     # leaves the test unchanged.
     slabs = []
-    for signs, _ in patterns:
-        g = [sum(map(mul, signs, col)) for col in int_cols]
+    for g, c in zip(rows, rhs):
         s1 = g[-1] * int(step * scale)
-        c = sum(map(mul, signs, int_b)) - g[-1] * int_ticks[0]
+        c -= g[-1] * int_ticks[0]
         if s1 < 0:
             g, s1, c = [-x for x in g], -s1, -c
         slabs.append((g[:-1], c, s1))

@@ -237,6 +237,28 @@ def test_negative_grid_radius_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "have, missing", [("grid_radius", "grid_step"), ("grid_step", "grid_radius")]
+)
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_a_lone_grid_option_exits_2_naming_the_other(tmp_path, capsys, source, have, missing):
+    # span3_l16.json without its options: b1 is not-exists, and a lone
+    # grid option, by flag or in the file, is refused instead of dropping
+    # the corroboration.  The other option from the other source completes it.
+    doc = json.loads((PROBLEMS / "span3_l16.json").read_text(encoding="utf-8"))
+    values = {"grid_radius": "5", "grid_step": "1/2"}
+    doc["options"] = {have: values[have]} if source == "file" else {}
+    f = tmp_path / "lone.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    flag = ["--" + have.replace("_", "-"), values[have]] if source == "flag" else []
+    code, out, err = run_cli(capsys, "solve", "--input", str(f), *flag)
+    assert (code, out) == (2, "")
+    assert f"options.{missing}: required with {have}" in err
+    other = ["--" + missing.replace("_", "-"), values[missing]]
+    report = run_json(capsys, "solve", "--input", str(f), *flag, *other)
+    assert report["targets"][0]["brute_force"] == {"exists": False, "grid_points": 9261}
+
+
+@pytest.mark.parametrize(
     "patch, field",
     [
         ({"n": True, "basis": [["1"]]}, "n"),

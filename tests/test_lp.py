@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as Q
 
@@ -528,3 +529,59 @@ def test_minimax_matches_two_phase_reference_on_the_unshifted_lp():
         else:
             faces["not_a_point"] += 1
     assert min(faces.values()) >= 8, faces
+
+
+def _check_duals(cost, a_ub, b_ub, res):
+    """res.duals prove res.value optimal, exactly: y >= 0, y_i = 0 on a
+    row with slack at res.x, and for one d > 0, sum y_i a_i = -d cost and
+    sum y_i b_i = -d value.  True if some row is tight at res.x with a
+    zero dual (a degenerate vertex)."""
+    y = res.duals
+    assert len(y) == len(a_ub) and all(type(v) is int and v >= 0 for v in y)
+    gaps = [b - dot(r, res.x) for r, b in zip(a_ub, b_ub)]
+    assert all(v == 0 for v, gap in zip(y, gaps) if gap > 0)
+    combo = [sum(v * r[j] for v, r in zip(y, a_ub)) for j in range(len(cost))]
+    lead = next((j for j, c in enumerate(cost) if c), None)
+    d = Q(0) if lead is None else -Q(combo[lead]) / cost[lead]
+    assert lead is None or d > 0
+    assert combo == [-d * c for c in cost]
+    assert sum(v * b for v, b in zip(y, b_ub)) == -d * res.value
+    return any(v == 0 and gap == 0 for v, gap in zip(y, gaps))
+
+
+def test_duals_certify_the_optimum():
+    # The draws of the Fraction-reference tests above: the 2000 small LPs
+    # (ratio-test ties and, as ints, the same LPs) and the LPs at the caps,
+    # MINIMAX_MAX_ROWS minimax rows among them.  The duals are read in the
+    # rows as given, each row's lcm scaling undone by lp_min.
+    rng = random.Random(20261018)
+    optimal = degenerate = 0
+    for _ in range(2000):
+        data = _random_lp(rng)
+        ints = _as_ints(data)
+        for cost, a_ub, b_ub in [_folded(data)] + ([_folded(ints)] if ints else []):
+            if any(b < 0 for b in b_ub):
+                continue
+            res = lp_min(cost, a_ub, b_ub)
+            if res.status is LpStatus.OPTIMAL:
+                optimal += 1
+                degenerate += _check_duals(cost, a_ub, b_ub, res)
+    assert optimal >= 200 and degenerate >= 50, (optimal, degenerate)
+    rng = random.Random(6401)
+    for p, m in ((MINIMAX_MAX_ROWS, 1), (16, 3), (12, 2), (8, 3), (6, 2), (4, 1)):
+        rows = [tuple(_large(rng) for _ in range(m)) for _ in range(p)]
+        rhs = [_large(rng) for _ in range(p)]
+        cost = (Q(0),) * m + (Q(1),)
+        a_ub, b_ub = _pairs(rows, rhs, Q(-1))
+        top = max(map(abs, rhs))
+        shifted = tuple(top + b for b in b_ub)
+        _check_duals(cost, a_ub, shifted, lp_min(cost, a_ub, shifted))
+        # The minimax multipliers: sum lam_p rows_p = 0 and, as t_star is
+        # attained, -sum lam_p rhs_p = t_star * sum |lam_p| exactly.
+        t_star, alpha, lam = solve_minimax_lp(rows, rhs, multipliers=True)
+        assert (t_star, alpha) == solve_minimax_lp(rows, rhs)
+        assert all(sum(x * row[j] for x, row in zip(lam, rows)) == 0 for j in range(m))
+        assert -sum(map(operator.mul, lam, rhs)) == t_star * sum(map(abs, lam)) > 0
+        if p <= 16:  # the draws of the lex stage, kept in step
+            [_large(rng) for _ in range(m * m)]
+    assert lp_min((1, 1), ((1, 0), (0, 1)), (1, 1), [(1, 0)]).duals is None

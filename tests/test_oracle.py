@@ -865,3 +865,108 @@ def test_oracle_builds_probes_without_a_fraction_solve(monkeypatch):
         for b in targets:
             verify_best_coapprox(basis, b, (Q(0),) * basis.m)
             brute_force_existence(basis, b, Q(1), Q(1, 2))
+
+
+# ------------------------------------------------- not-exists certificates
+
+
+def _certified(monkeypatch, basis, b, radius=Q(5), step=Q(1, 2)):
+    """brute_force_existence with every check_certificate call recorded as
+    (rows, rhs, width, lam, accepted)."""
+    calls = []
+    check = oracle.check_certificate
+
+    def recorded(rows, rhs, width, lam):
+        calls.append((rows, rhs, width, lam, check(rows, rhs, width, lam)))
+        return calls[-1][-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "check_certificate", recorded)
+        return brute_force_existence(basis, b, radius, step), calls
+
+
+def _forced_scan(monkeypatch, basis, b, radius=Q(5), step=Q(1, 2)):
+    """brute_force_existence with every certificate refused: the scan."""
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "check_certificate", lambda *args: False)
+        return brute_force_existence(basis, b, radius, step)
+
+
+def test_every_not_exists_of_the_criterion_5_stream_is_certified(monkeypatch):
+    # The first 300 instances of criterion 5's stream: each not-exists
+    # target's slabs get one accepted certificate, so no grid line is
+    # scanned, and the scan, forced, finds no candidate either.
+    rng = random.Random(505)
+    by_m = {1: 0, 2: 0, 3: 0}
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        m = rng.randint(1, min(3, n - 1))
+        zero_rows = min(rng.choice((0, 0, 0, 1, 2)), n - m)
+        basis = random_basis(rng, n, m, zero_rows=zero_rows)
+        b = random_vector(rng, n)
+        if solve_general(basis, None, b).kind is not OutcomeKind.NOT_EXISTS:
+            continue
+        got, calls = _certified(monkeypatch, basis, b)
+        assert [c[-1] for c in calls] == [True]
+        assert got == BruteForceResult(False, (), 21**m)
+        assert _forced_scan(monkeypatch, basis, b) == got
+        by_m[m] += 1
+    assert by_m[2] >= 30 and by_m[3] >= 30, by_m
+
+
+def test_corrupted_certificates_are_rejected(monkeypatch, span3_l16):
+    # B1 on the worked basis, and on it with a zero row (slabs of width
+    # |b| on that row).  Flipping a multiplier's sign, dropping a pattern
+    # with a nonzero multiplier, or moving b so that the slabs meet breaks
+    # the certificate.
+    wide = validate_basis(tuple(span3_l16.matrix) + ((Q(0),) * 3,))
+    for basis, b in ((span3_l16, B1), (wide, B1 + (Q(1, 3),))):
+        _, [(rows, rhs, width, lam, accepted)] = _certified(monkeypatch, basis, b)
+        assert accepted and all(isinstance(x, int) for x in (*lam, *rhs, width, *rows[0]))
+        assert (width > 0) is (basis is wide)
+        assert oracle.check_certificate(rows, rhs, width, [3 * x for x in lam])
+        support = [p for p, x in enumerate(lam) if x]
+        assert support
+        for p in support:
+            flipped = [-x if q == p else x for q, x in enumerate(lam)]
+            assert not oracle.check_certificate(rows, rhs, width, flipped)
+            drop = [q for q in range(len(lam)) if q != p]
+            assert not oracle.check_certificate(
+                [rows[q] for q in drop], [rhs[q] for q in drop], width, [lam[q] for q in drop])
+        assert not oracle.check_certificate(rows[1:], rhs[1:], width, lam)
+        assert not oracle.check_certificate(rows, rhs, width, [0] * len(lam))
+        # Moved onto a common point of the slabs: b = A alpha is a member.
+        member = basis.combine((Q(1, 3), Q(-2), Q(1, 2)))
+        _, [(_, moved, _, _, accepted)] = _certified(monkeypatch, basis, member)
+        assert not accepted and not oracle.check_certificate(rows, moved, width, lam)
+    # Off the grid, the member has no candidate: the scan, not a
+    # certificate, says so.
+    member = span3_l16.combine((Q(1, 3), Q(-2), Q(1, 2)))
+    got, _ = _certified(monkeypatch, span3_l16, member)
+    assert got == BruteForceResult(False, (), 21**3)
+    assert _forced_scan(monkeypatch, span3_l16, member) == got
+    # |r - x|, |y|, |x + y| <= 1 meet iff r <= 3: b moved step by step
+    # onto the slabs, the same multipliers stop at r = 3.
+    rows, lam = [[1, 0], [0, 1], [1, 1]], [1, 1, -1]
+    for r in range(6, -1, -1):
+        assert oracle.check_certificate(rows, [r, 0, 0], 1, lam) is (r > 3)
+
+
+def test_over_the_minimax_cap_the_grid_is_scanned(monkeypatch):
+    # Rows (1, k, k^2), k = 0..12, and a zero row: 79 tope pairs, over the
+    # minimax kernel's 64 rows, so no certificate is sought and the scan
+    # decides, matching the pointwise scan.
+    basis = validate_basis(mat([[1, k, k * k] for k in range(13)] + [[0, 0, 0]]))
+    checks = list(oracle._sign_patterns(basis))
+    assert len(checks) == 79 > oracle.MINIMAX_MAX_ROWS
+
+    def refuse(*args):
+        raise AssertionError("a certificate was sought over the minimax cap")
+
+    monkeypatch.setattr(oracle, "check_certificate", refuse)
+    radius, step = Q(2), Q(1)
+    for b in ((Q(1),) + (Q(0),) * 13, basis.combine((Q(1), Q(-1), Q(0)))):
+        got = brute_force_existence(basis, b, radius, step)
+        assert got == _pointwise_scan(basis, b, radius, step, checks)
+    assert not brute_force_existence(basis, (Q(1),) + (Q(0),) * 13, radius, step).exists
+    assert got.exists
