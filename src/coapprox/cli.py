@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 from . import __version__
 from .classify import classify
-from .errors import CoapproxError, EmptyZeroSetError, ValidationError
+from .errors import CapacityError, CoapproxError, EmptyZeroSetError, ValidationError
 from .exact import Q, Vec, format_rational, parse_rational
 from .norming import margin_witness
-from .oracle import (BRUTE_FORCE_MAX_M, brute_force_existence, check_grid,
-                     check_probe_capacity, verify_best_coapprox)
+from .oracle import BRUTE_FORCE_MAX_M, brute_force_existence, check_grid, verify_best_coapprox
 from .solver import (
     OutcomeKind,
     PreparedBasis,
@@ -30,6 +29,7 @@ from .solver import (
 from .subspace import SubspaceBasis, validate_basis
 
 DEFAULT_TRIALS = 200
+MAX_TRIALS = 10**6 - 5  # trials drive no work; the cap only bounds the echoed value
 DEFAULT_SEED = 0
 
 
@@ -209,7 +209,8 @@ def _solve_options(problem: ProblemFile, args) -> dict:
     for have, missing in (("grid_radius", "grid_step"), ("grid_step", "grid_radius")):
         if out[missing] is None and out[have] is not None:
             raise ValidationError(f"options.{missing}: required with {have}")
-    check_probe_capacity(problem.basis.m, out["trials"])
+    if out["trials"] > MAX_TRIALS:
+        raise CapacityError(f"options.trials: capped at {MAX_TRIALS}, got {out['trials']}")
     return out
 
 

@@ -30,7 +30,8 @@ from operator import mul
 from .errors import CapacityError, ValidationError
 from .exact import Q, Vec, bareiss_pivot, primitive_ints, scaled_ints
 
-MINIMAX_MAX_ROWS = 64
+# The cell-pair cap, shared with norming: a minimax LP has one row per pair.
+MAX_CELL_PAIRS = 256
 
 
 class LpStatus(Enum):
@@ -148,7 +149,7 @@ def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, multipliers: bool = False)
 
     Returns (t_star, x_star) with x_star attaining t_star.  The problem
     is always feasible and bounded below by 0.  Guarded at
-    MINIMAX_MAX_ROWS rows; this is a desk-scale kernel.
+    MAX_CELL_PAIRS rows: every caller passes one row per cell pair.
 
     With `multipliers`, also the ints lam_p = q_p - p_p, the duals of the
     rows +-(rows_p . x - rhs_p) <= t times one d > 0: sum lam_p rows_p = 0
@@ -157,8 +158,8 @@ def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, multipliers: bool = False)
     nrows = len(rows)
     if nrows == 0 or not rows[0]:
         raise ValidationError("minimax needs at least one row and one column")
-    if nrows > MINIMAX_MAX_ROWS:
-        raise CapacityError(f"minimax kernel capped at {MINIMAX_MAX_ROWS} rows, got {nrows}")
+    if nrows > MAX_CELL_PAIRS:
+        raise CapacityError(f"minimax kernel capped at {MAX_CELL_PAIRS} rows, got {nrows}")
     m = len(rows[0])
     if len(rhs) != nrows:
         raise ValidationError("minimax rhs length does not match row count")

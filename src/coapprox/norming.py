@@ -27,13 +27,12 @@ from operator import add, mul, sub
 from .errors import CapacityError, InternalInconsistencyError
 from .exact import Q, Vec, first_basis, primitive_ints
 from .exact import rank  # unused here; perfbench/tracer.py wraps coapprox.norming.rank
-from .lp import LpStatus, lp_max
+from .lp import MAX_CELL_PAIRS, LpStatus, lp_max
 from .subspace import ComponentProfile, ReducedInstance
 
 MAX_HYPERPLANES = 20
-# Cap on cell_pair_bound(r, m): it admits every m <= 3 arrangement within
-# MAX_HYPERPLANES (at most 191 pairs) and any m when r <= 9.
-MAX_CELL_PAIRS = 256
+# MAX_CELL_PAIRS caps cell_pair_bound(r, m): it admits every m <= 3
+# arrangement within MAX_HYPERPLANES (at most 191 pairs) and any m when r <= 9.
 
 SignVec = tuple[int, ...]
 

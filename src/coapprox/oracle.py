@@ -36,7 +36,7 @@ from operator import mul
 from .errors import CapacityError, DimensionError, ValidationError
 from .exact import (Q, Vec, l1_norm, minimize_1d_l1, primitive_ints,
                     solve_linear, vec_sub)  # solve_linear: perfbench/tracer.py wraps it
-from .lp import MINIMAX_MAX_ROWS, solve_minimax_lp
+from .lp import solve_minimax_lp
 from .norming import check_cell_capacity, half_cells
 from .subspace import SubspaceBasis
 
@@ -97,15 +97,6 @@ def _refute_from_bj_failure(
     if lhs <= rhs:  # pragma: no cover
         raise ValidationError("constructed counterexample does not violate")
     return Counterexample(beta=beta_hat, lhs=lhs, rhs=rhs)
-
-
-def check_probe_capacity(m: int, trials: int) -> None:
-    """Refuse m and trials beyond `solve`'s option cap, 5^m + trials at
-    most BRUTE_FORCE_MAX_POINTS (m <= 8, and trials below 10^6).  Only
-    the CLI runs it, which keeps its exit codes; the verifier and the
-    grid sweep and draw nothing, and the cell caps bound their work."""
-    if 5**m + trials > BRUTE_FORCE_MAX_POINTS:
-        raise CapacityError(f"verifier capped at {BRUTE_FORCE_MAX_POINTS} probes (5^m + trials)")
 
 
 def _sign_patterns(basis: SubspaceBasis) -> dict[tuple, tuple[int, ...]]:
@@ -209,13 +200,14 @@ def brute_force_existence(
     |sigma.b - (sigma.A).alpha| <= sum over Z of |b_i|, with sigma.A and
     the width constant over the grid.  The grid, b and A are scaled by
     one common denominator, which makes every quantity an int and each
-    decision exact.  With at most MINIMAX_MAX_ROWS tope pairs, a minimax
-    LP's multipliers accepted by `check_certificate` prove that no alpha
-    lies in every slab, and no grid is built.  Otherwise the grid is
-    scanned one line along the last axis at a time: on a line each slab
-    holds one integer interval of ticks, found with one (m-1)-term dot
-    product and floor divisions, and the line's candidates are the
-    intersection, in grid order.
+    decision exact.  First, a minimax LP over the slabs (one row per tope
+    pair, within the cell caps) gives multipliers; when
+    `check_certificate` accepts them, no alpha lies in every slab and no
+    grid is built.  Otherwise the slabs meet, and the grid is scanned one
+    line along the last axis at a time: on a line each slab holds one
+    integer interval of ticks, found with one (m-1)-term dot product and
+    floor divisions, and the line's candidates are the intersection, in
+    grid order.
 
     Guarded at m <= 3, BRUTE_FORCE_MAX_POINTS grid points and the cell
     caps, all checked before any tope is enumerated; a negative radius or
@@ -243,10 +235,9 @@ def brute_force_existence(
     width = sum(abs(x) for x, row in zip(int_b, basis.matrix) if not any(row))
     rows = [[sum(map(mul, signs, col)) for col in int_cols] for signs, _ in patterns]
     rhs = [sum(map(mul, signs, int_b)) for signs, _ in patterns]
-    if len(rows) <= MINIMAX_MAX_ROWS:
-        lam = solve_minimax_lp(rows, rhs, multipliers=True)[2]
-        if check_certificate(rows, rhs, width, lam):
-            return BruteForceResult(exists=False, candidates=(), grid_points=per_axis**m)
+    lam = solve_minimax_lp(rows, rhs, multipliers=True)[2]
+    if check_certificate(rows, rhs, width, lam):
+        return BruteForceResult(exists=False, candidates=(), grid_points=per_axis**m)
 
     ticks = [-radius + k * step for k in range(per_axis)]
     int_ticks = [int(t * scale) for t in ticks]

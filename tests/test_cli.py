@@ -9,13 +9,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coapprox import mat, norming, solver
+from coapprox import mat, norming, oracle, solver
 from coapprox.cli import main
 from coapprox.exact import rank
 
@@ -66,6 +67,22 @@ def test_norming_set_worked_fixture(capsys):
     ]
     assert len(report["representatives"]) == 7
     assert len(report["cells"]) == 7
+
+
+def test_a_segment_face_witness_is_pinned(capsys):
+    # Cell (+, +, +) of pair_l17_not_coproximinal, planes (1, -1), (2, 1)
+    # and (1, 0): in the unit box its smallest margin is at most b1 <= 1,
+    # and it is 1 on the whole segment b1 = 1, -1 <= b2 <= 0.  The printed
+    # witness is the vertex the margin LP's pivots reach, so a pivot change
+    # that moves it fails here.
+    report = run_json(capsys, "norming-set", "--input",
+                      str(PROBLEMS / "pair_l17_not_coproximinal.json"))
+    normals = [tuple(map(int, h)) for h in report["hyperplanes"]]
+    assert normals == [(1, -1), (2, 1), (1, 0)]
+    assert report["cells"][0] == {"signs": [1, 1, 1], "witness": ["1", "0"]}
+    for k in range(5):
+        beta = (1, Fraction(-k, 4))
+        assert min(a * beta[0] + b * beta[1] for a, b in normals) == 1
 
 
 def test_solve_worked_fixture(capsys):
@@ -519,11 +536,46 @@ def test_solve_echoes_trials_and_seed(tmp_path, capsys, flags, echoed):
         assert (entry["trials"], entry["seed"]) == echoed
 
 
+def test_m_9_within_the_cell_caps_is_answered_and_confirmed(tmp_path, capsys):
+    # m = 9: the identity plus a row proportional to the first, 9 planes
+    # cutting 256 pairs, at the cell caps.  The verifier runs one probe per
+    # tope pair, so no cap on m applies.
+    n, m = 10, 9
+    basis = [["1" if i == j or (j == 0 and i == n - 1) else "0" for i in range(n)]
+             for j in range(m)]
+    f = tmp_path / "m9.json"
+    f.write_text(json.dumps({"n": n, "basis": basis, "targets": [["1"] * n]}),
+                 encoding="utf-8")
+    start = time.perf_counter()
+    (entry,) = run_json(capsys, "solve", "--input", str(f))["targets"]
+    assert time.perf_counter() - start < 2.0
+    assert entry["outcome"] == "unique" and entry["coefficients"] == ["1"] * m
+    assert entry["oracle"]["verdict"] == "confirmed"
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("trials, code", [(10**6 - 5, 0), (10**6 - 4, 3)])
+def test_trials_cap(tmp_path, capsys, monkeypatch, source, trials, code):
+    # Trials drive no work, so the cap bounds the echoed value alone, at any
+    # m; it is checked before any target is solved.
+    doc = json.loads((PROBLEMS / "pair_l15_cochebyshev.json").read_text(encoding="utf-8"))
+    doc["options"] = {"trials": trials} if source == "file" else {}
+    f = tmp_path / "trials.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    flags = ("--trials", str(trials)) if source == "flag" else ()
+    if code:
+        monkeypatch.setattr("coapprox.cli.solve_general", None)
+    got, out, err = run_cli(capsys, "solve", "--input", str(f), *flags)
+    assert got == code, err
+    if code:
+        assert out == "" and f"options.trials: capped at {10**6 - 5}, got {trials}" in err
+    else:
+        assert json.loads(out)["trials"] == trials
+
+
 def test_verifier_probe_cap_exits_3_at_once(tmp_path, capsys, monkeypatch):
-    # m = 9: the identity plus a row proportional to the first passes the
-    # cell caps, but its member target would have the verifier sweep
-    # 5^9 probes (more than 8 s per target uncapped).  Refused before
-    # any solve.
+    # The m = 9 basis above: m itself is not capped, but trials over the
+    # cap are refused before any solve, at any m.
     monkeypatch.setattr("coapprox.cli.solve_general", None)
     n, m = 10, 9
     basis = [["1" if i == j or (j == 0 and i == n - 1) else "0" for i in range(n)]
@@ -532,10 +584,10 @@ def test_verifier_probe_cap_exits_3_at_once(tmp_path, capsys, monkeypatch):
     f.write_text(json.dumps({"n": n, "basis": basis, "targets": [["1"] * n]}),
                  encoding="utf-8")
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "solve", "--input", str(f))
+    code, out, err = run_cli(capsys, "solve", "--input", str(f), "--trials", str(10**6 - 4))
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    assert "probes" in err
+    assert "options.trials" in err
 
 
 def test_verifier_trials_cap_exits_3_at_once(capsys, monkeypatch):
@@ -545,7 +597,7 @@ def test_verifier_trials_cap_exits_3_at_once(capsys, monkeypatch):
                              str(PROBLEMS / "pair_l15_cochebyshev.json"), "--trials", "1000000")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    assert "probes" in err
+    assert "options.trials" in err
 
 
 @pytest.mark.parametrize("m", [4, 10])
@@ -578,13 +630,15 @@ def test_cell_pair_cap_exits_3_for_every_cell_reader(tmp_path, capsys, margin_lp
     assert "cell pairs" in err
 
 
-def _moment_curve_problem(tmp_path, target):
-    # Rows (1, k, k^2) for k = 0..12 and one zero row: n = 14, m = 3, 13
-    # hyperplanes cutting 79 cell pairs, within the cell caps but over
-    # the minimax kernel's 64 rows.
-    doc = {"n": 14,
-           "basis": [[str(k ** p) for k in range(13)] + ["0"] for p in range(3)],
-           "targets": [{"name": "t", "vector": [str(x) for x in target]}]}
+def _moment_curve_problem(tmp_path, targets, nodes=range(13)):
+    # Rows (1, x, x^2) over the nodes and one zero row: 13 nodes give n = 14,
+    # m = 3 and 13 hyperplanes cutting 79 cell pairs; 20 nodes cut 191, the
+    # most that any m = 3 basis within the cell caps may.
+    nodes = list(nodes)
+    doc = {"n": len(nodes) + 1,
+           "basis": [[str(x ** p) for x in nodes] + ["0"] for p in range(3)],
+           "targets": [{"name": f"t{k}", "vector": [str(x) for x in t]}
+                       for k, t in enumerate(targets)]}
     f = tmp_path / "moment.json"
     f.write_text(json.dumps(doc), encoding="utf-8")
     return str(f)
@@ -592,19 +646,49 @@ def _moment_curve_problem(tmp_path, target):
 
 def test_zero_slack_target_on_a_wide_zero_set_basis_is_solved(tmp_path, capsys):
     # e1 has no mass on the zero row, so the class-sum system answers it
-    # (it is not a member: not-exists) and the minimax cap never applies.
-    f = _moment_curve_problem(tmp_path, [1] + [0] * 13)
+    # (it is not a member: not-exists) and the solver runs no minimax LP.
+    f = _moment_curve_problem(tmp_path, [[1] + [0] * 13])
     report = run_json(capsys, "solve", "--input", f, "--grid-radius", "2", "--grid-step", "1")
     (entry,) = report["targets"]
     assert entry["outcome"] == "not-exists"
     assert entry["brute_force"] == {"exists": False, "grid_points": 125}
 
 
-def test_zero_set_mass_on_a_wide_basis_hits_the_minimax_cap(tmp_path, capsys):
-    f = _moment_curve_problem(tmp_path, [1] + [0] * 12 + [1])
-    code, out, err = run_cli(capsys, "solve", "--input", f)
-    assert (code, out) == (3, "")
-    assert "minimax kernel capped at 64 rows" in err
+def test_zero_set_mass_on_a_wide_basis_is_answered_and_confirmed(tmp_path, capsys):
+    # 79 minimax rows, one per norming pair: within the cell caps.
+    f = _moment_curve_problem(tmp_path, [[1] + [0] * 12 + [1]])
+    (entry,) = run_json(capsys, "solve", "--input", f)["targets"]
+    assert entry["outcome"] == "unique" and entry["coefficients"] == ["0", "0", "0"]
+    assert entry["oracle"]["verdict"] == "confirmed"
+
+
+@pytest.mark.parametrize("digits", [1, 10])
+def test_solve_at_the_cell_caps_is_bounded(tmp_path, capsys, monkeypatch, digits):
+    # 20 nodes, small or of 10 digits, cut 191 cell pairs: every minimax LP
+    # and the grid's certificate LP have 191 rows.  The first target, with
+    # mass on the zero row, is answered and confirmed; the second is
+    # not-exists, and one accepted certificate settles its grid call.
+    # About 0.3 s (small nodes) and 0.6 s (10-digit nodes) on 2 vCPUs.
+    nodes = range(20)
+    if digits == 10:
+        nodes = sorted(random.Random(20).sample(range(10**9, 10**10), 20))
+    targets = [[1] + [0] * 19 + [1], [3, -1] + [0] * 18 + ["1/2"]]
+    f = _moment_curve_problem(tmp_path, targets, nodes)
+    check, accepted = oracle.check_certificate, []
+
+    def recorded(*args):
+        accepted.append(check(*args))
+        return accepted[-1]
+
+    monkeypatch.setattr(oracle, "check_certificate", recorded)
+    start = time.perf_counter()
+    report = run_json(capsys, "solve", "--input", f, "--grid-radius", "5", "--grid-step", "1/2")
+    assert time.perf_counter() - start < 5.0
+    answered, refused = report["targets"]
+    assert (answered["outcome"], answered["oracle"]["verdict"]) == ("unique", "confirmed")
+    assert refused["outcome"] == "not-exists"
+    assert refused["brute_force"] == {"exists": False, "grid_points": 21**3}
+    assert accepted == [True]
 
 
 @pytest.mark.parametrize("where", ["missing-dir/out.json", "."], ids=["missing-dir", "directory"])

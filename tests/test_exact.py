@@ -169,9 +169,11 @@ class TestMinimaxLp:
         assert t == 1 and alpha == (Q(0),)
 
     def test_capacity_guard(self):
-        rows = mat([(1,)] * 65)
-        with pytest.raises(CapacityError):
-            solve_minimax_lp(rows, vec([0] * 65))
+        # The cell-pair cap: no caller passes more rows than cell pairs.
+        with pytest.raises(CapacityError, match="capped at 256 rows, got 257"):
+            solve_minimax_lp(mat([(1,)] * 257), vec([0] * 257))
+        t, alpha = solve_minimax_lp(mat([(1,)] * 256), vec(range(256)))
+        assert t == Q(255, 2) and alpha == (Q(255, 2),)
 
     def test_random_optimality(self):
         rng = random.Random(3)

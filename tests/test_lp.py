@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 from coapprox import lp
 from coapprox.errors import ValidationError
 from coapprox.exact import bareiss_pivot, rank
-from coapprox.lp import MINIMAX_MAX_ROWS, LpResult, LpStatus, lp_max, lp_min, solve_minimax_lp
+from coapprox.lp import MAX_CELL_PAIRS, LpResult, LpStatus, lp_max, lp_min, solve_minimax_lp
 from tests.conftest import INFEASIBLE, dot, general_lp_min
 
 
@@ -427,9 +427,12 @@ def _pairs(rows, rhs, *last):
 
 
 def test_integer_tableau_matches_fraction_reference_at_the_caps(lp_pivots):
-    # Large entries up to the minimax cap: the Bareiss minors reach
+    # Large entries up to 64 minimax rows: the Bareiss minors reach
     # hundreds of digits, so a division that were not exact would floor
-    # silently and move the optimum.  Minimax LPs (min t subject to
+    # silently and move the optimum.  The draw stops at 64 rows, below the
+    # cell-pair cap on minimax rows, because the Fraction reference takes
+    # seconds at 64 rows and minutes at 256; test_duals_certify_the_optimum
+    # runs the integer kernel alone at the cap.  Minimax LPs (min t subject to
     # |row . x - b| <= t) have a negative rhs in every pair, so the
     # reference runs phase 1 and general_lp_min its auxiliary LP; posed
     # as solve_minimax_lp poses them, at t = top + t', every rhs is >= 0
@@ -437,7 +440,7 @@ def test_integer_tableau_matches_fraction_reference_at_the_caps(lp_pivots):
     # slack, spanning costs) also take `then` costs, against the stages
     # pinned one by one on the reference.
     rng = random.Random(6401)
-    for p, m in ((MINIMAX_MAX_ROWS, 1), (16, 3), (12, 2), (8, 3), (6, 2), (4, 1)):
+    for p, m in ((64, 1), (16, 3), (12, 2), (8, 3), (6, 2), (4, 1)):
         rows = [tuple(_large(rng) for _ in range(m)) for _ in range(p)]
         rhs = [_large(rng) for _ in range(p)]
         cost = (Q(0),) * m + (Q(1),)
@@ -504,9 +507,8 @@ def test_minimax_matches_two_phase_reference_on_the_unshifted_lp():
     # artificials.  delta0 is unique, so it agrees; the optimizers agree
     # wherever the optimal face is one point.  A zero column or fewer
     # rows than columns makes a face that is not one.  The reference
-    # takes about 2 s at 33 rows and 10 s at MINIMAX_MAX_ROWS, so the
-    # draws stop at 33 rows; the cap is the first case of the test at the
-    # caps above.
+    # takes about 2 s at 33 rows and 10 s at 64, so the draws stop at 33
+    # rows; 64 rows is the first case of the test at the caps above.
     rng = random.Random(6464)
     faces = {"point": 0, "not_a_point": 0}
     for p in [rng.choice((1, 2, 3, 5, 9, 17)) for _ in range(30)] + [33]:
@@ -552,8 +554,9 @@ def _check_duals(cost, a_ub, b_ub, res):
 def test_duals_certify_the_optimum():
     # The draws of the Fraction-reference tests above: the 2000 small LPs
     # (ratio-test ties and, as ints, the same LPs) and the LPs at the caps,
-    # MINIMAX_MAX_ROWS minimax rows among them.  The duals are read in the
-    # rows as given, each row's lcm scaling undone by lp_min.
+    # 64 minimax rows among them, then one minimax LP of MAX_CELL_PAIRS
+    # rows, the kernel's cap.  The duals are read in the rows as given,
+    # each row's lcm scaling undone by lp_min.
     rng = random.Random(20261018)
     optimal = degenerate = 0
     for _ in range(2000):
@@ -568,7 +571,7 @@ def test_duals_certify_the_optimum():
                 degenerate += _check_duals(cost, a_ub, b_ub, res)
     assert optimal >= 200 and degenerate >= 50, (optimal, degenerate)
     rng = random.Random(6401)
-    for p, m in ((MINIMAX_MAX_ROWS, 1), (16, 3), (12, 2), (8, 3), (6, 2), (4, 1)):
+    for p, m in ((64, 1), (16, 3), (12, 2), (8, 3), (6, 2), (4, 1), (MAX_CELL_PAIRS, 3)):
         rows = [tuple(_large(rng) for _ in range(m)) for _ in range(p)]
         rhs = [_large(rng) for _ in range(p)]
         cost = (Q(0),) * m + (Q(1),)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import operator
 import random
@@ -28,7 +29,7 @@ from coapprox import (
     verify_best_coapprox,
 )
 from coapprox import exact, norming, oracle
-from coapprox.cli import load_problem
+from coapprox.cli import load_problem, main
 from coapprox.exact import primitive_ints, rank, solve_linear, vec_sub
 from coapprox.instances import random_basis, random_vector
 from coapprox.norming import cell_pair_bound
@@ -100,16 +101,33 @@ class TestVerifyBestCoapprox:
             assert v1.confirmed == v2.confirmed
 
     @pytest.mark.parametrize("m, trials, admitted", [
-        (8, 200, True), (8, 10**6 - 5**8, True), (8, 10**6 - 5**8 + 1, False),
-        (9, 1, False), (1, 10**6, False),
+        (1, 200, True), (1, 10**6 - 5, True), (1, 10**6, False),
+        (4, 10**6 - 5, True), (9, 1, False),
     ])
-    def test_probe_cap(self, m, trials, admitted):
-        # solve's option cap: 5^m plus the trials may not exceed 10^6.
+    def test_probe_cap(self, tmp_path, capsys, monkeypatch, m, trials, admitted):
+        # One capacity rule bounds solve's verifier: the cell caps on the
+        # basis and the cap on trials, with no cap on m.  The rows are the m
+        # unit vectors and the m(m-1)/2 sums e_i + e_j, so m(m+1)/2 planes:
+        # 10 at m = 4 (at most 130 pairs), 45 at m = 9, over the 20-plane cap.
+        # The target is the member with all coefficients 1.
+        rows = [[int(k in pair) for k in range(m)]
+                for pair in [(i,) for i in range(m)] + list(itertools.combinations(range(m), 2))]
+        doc = {"n": len(rows), "basis": [[str(r[j]) for r in rows] for j in range(m)],
+               "targets": [[str(sum(r)) for r in rows]]}
+        f = tmp_path / "probes.json"
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        if not admitted:
+            monkeypatch.setattr("coapprox.cli.solve_general", None)
+        code = main(["solve", "--input", str(f), "--trials", str(trials)])
+        out, err = capsys.readouterr()
         if admitted:
-            oracle.check_probe_capacity(m, trials)
+            assert code == 0, err
+            report = json.loads(out)
+            assert report["trials"] == trials
+            assert [t["oracle"]["verdict"] for t in report["targets"]] == ["confirmed"]
         else:
-            with pytest.raises(CapacityError, match="probes"):
-                oracle.check_probe_capacity(m, trials)
+            assert (code, out) == (3, "")
+            assert ("options.trials" if m == 1 else "hyperplanes") in err
 
 
 class TestBruteForce:
@@ -952,21 +970,23 @@ def test_corrupted_certificates_are_rejected(monkeypatch, span3_l16):
         assert oracle.check_certificate(rows, [r, 0, 0], 1, lam) is (r > 3)
 
 
-def test_over_the_minimax_cap_the_grid_is_scanned(monkeypatch):
-    # Rows (1, k, k^2), k = 0..12, and a zero row: 79 tope pairs, over the
-    # minimax kernel's 64 rows, so no certificate is sought and the scan
+def test_79_tope_pairs_are_certified_as_the_forced_scan_decides(monkeypatch):
+    # Rows (1, k, k^2), k = 0..12, and a zero row: 79 tope pairs, within
+    # the cell caps.  The not-exists target (e1) gets one accepted
+    # certificate and the result of the scan forced by refusing it; the
+    # member's slabs meet, so its certificate is refused and the scan
     # decides, matching the pointwise scan.
     basis = validate_basis(mat([[1, k, k * k] for k in range(13)] + [[0, 0, 0]]))
     checks = list(oracle._sign_patterns(basis))
-    assert len(checks) == 79 > oracle.MINIMAX_MAX_ROWS
-
-    def refuse(*args):
-        raise AssertionError("a certificate was sought over the minimax cap")
-
-    monkeypatch.setattr(oracle, "check_certificate", refuse)
+    assert len(checks) == 79
     radius, step = Q(2), Q(1)
-    for b in ((Q(1),) + (Q(0),) * 13, basis.combine((Q(1), Q(-1), Q(0)))):
-        got = brute_force_existence(basis, b, radius, step)
-        assert got == _pointwise_scan(basis, b, radius, step, checks)
-    assert not brute_force_existence(basis, (Q(1),) + (Q(0),) * 13, radius, step).exists
+    e1 = (Q(1),) + (Q(0),) * 13
+    got, calls = _certified(monkeypatch, basis, e1, radius, step)
+    assert [c[-1] for c in calls] == [True] and len(calls[0][0]) == 79
+    assert got == _forced_scan(monkeypatch, basis, e1, radius, step)
+    assert got == BruteForceResult(False, (), 5**3)
+    member = basis.combine((Q(1), Q(-1), Q(0)))
+    got, calls = _certified(monkeypatch, basis, member, radius, step)
+    assert [c[-1] for c in calls] == [False]
+    assert got == _pointwise_scan(basis, member, radius, step, checks)
     assert got.exists
