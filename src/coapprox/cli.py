@@ -3,6 +3,10 @@
 All numeric payloads travel as exact rational strings ('13', '-3/7');
 coordinate indices in reports are 1-based.  Exit codes: 0 success,
 2 validation failure, 3 capacity guard, 4 violated precondition.
+
+Arguments take one argparse pass, through the named command's sub-parser
+(an argv it cannot finish goes to the full parser, which reports it), and
+reports are written by `_dump`, which matches `json.dumps(indent=2)`.
 """
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .classify import classify
@@ -45,15 +50,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_entry(value, where: str) -> Q:
-    if isinstance(value, str):
-        try:
+def _parse_entry(value, where: str, index: int | None = None) -> Q:
+    try:
+        if isinstance(value, str):
             return parse_rational(value)
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
-    if _is_int(value):
-        return Q(value)
-    raise ValidationError(f"{where}: expected a rational string, got {value!r}")
+        if _is_int(value):
+            return Q(value)
+        raise ValidationError(f"expected a rational string, got {value!r}")
+    except ValidationError as exc:
+        at = where if index is None else f"{where}[{index + 1}]"  # on this path alone
+        raise ValidationError(f"{at}: {exc}") from None
 
 
 def _parse_vector(raw, n: int, where: str) -> Vec:
@@ -61,7 +67,7 @@ def _parse_vector(raw, n: int, where: str) -> Vec:
         raise ValidationError(f"{where}: expected a list of rational strings")
     if len(raw) != n:
         raise ValidationError(f"{where}: expected length {n}, got {len(raw)}")
-    return tuple(_parse_entry(v, f"{where}[{i + 1}]") for i, v in enumerate(raw))
+    return tuple([_parse_entry(v, where, i) for i, v in enumerate(raw)])
 
 
 def load_problem(path: str) -> ProblemFile:
@@ -108,6 +114,27 @@ def load_problem(path: str) -> ProblemFile:
     if not isinstance(options, dict):
         raise ValidationError("options: expected an object")
     return ProblemFile(basis=basis, targets=tuple(targets), options=options)
+
+
+def _dump(x, pad: str = "\n") -> str:
+    """`json.dumps(x, indent=2)`, byte for byte, for the report shape alone:
+    dicts with str keys, lists, str, int, bool and None; else TypeError."""
+    kind = type(x)
+    if kind is str:
+        return encode_basestring_ascii(x)
+    if kind is int:
+        return str(x)
+    if kind is bool or x is None:
+        return "null" if x is None else "true" if x else "false"
+    inner = pad + "  "
+    if kind is list:
+        items = [_dump(v, inner) for v in x]
+    elif kind is dict:
+        items = [f"{encode_basestring_ascii(k)}: {_dump(v, inner)}" for k, v in x.items()]
+    else:
+        raise TypeError(f"not a report value: {kind.__name__}")
+    ends = "[]" if kind is list else "{}"
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
 
 
 def _fmt_vec(v: Vec) -> list[str]:
@@ -323,8 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> sub-parser, which main calls directly
     for name in ("analyze", "norming-set", "solve", "classify", "threshold"):
         p = sub.add_parser(name)
+        p.set_defaults(command=name)
         p.add_argument("--input", required=True, help="problem file (JSON)")
         p.add_argument("--output", help="write the report here instead of stdout")
         if name == "solve":
@@ -336,7 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, None)
+    if sub is None or rest:  # no command, or arguments left over: the full parser reports it
+        args = parser.parse_args(argv)
     try:
         problem = load_problem(args.input)
         if args.command == "analyze":
@@ -349,7 +383,7 @@ def main(argv=None) -> int:
             report = cmd_classify(problem)
         else:
             report = cmd_threshold(problem)
-        text = json.dumps(report, indent=2)
+        text = _dump(report)
         if args.output:
             try:
                 with open(args.output, "w", encoding="utf-8") as fh:

@@ -23,7 +23,7 @@ Q = Fraction
 Vec = tuple[Q, ...]
 Mat = tuple[Vec, ...]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)  # no other script's digits
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?", re.ASCII)  # no other script's digits
 
 
 def parse_rational(text: str) -> Q:
@@ -31,19 +31,21 @@ def parse_rational(text: str) -> Q:
 
     Rejects floats, exponents and zero denominators; this is the grammar
     used verbatim in all JSON I/O.  Only ASCII whitespace is stripped.
+    The value is built from the matched digits by `int()`, not `Fraction(str)`.
     """
     s = text.strip(" \t\n\r\f\v")
-    if not _RATIONAL_RE.match(s):
+    match = _RATIONAL_RE.fullmatch(s)
+    if match is None:
         raise ValidationError(f"not a rational literal: {text!r}")
+    p, q = match.groups()
     try:
-        value = Q(s)
+        return Q(int(p)) if q is None else Q(int(p), int(q))
     except ZeroDivisionError:
         raise ValidationError(f"zero denominator: {text!r}") from None
     except ValueError:  # Python's limit on int-string conversion
         raise ValidationError(
             f"rational literal of {len(s)} characters exceeds the integer digit limit"
         ) from None
-    return value
 
 
 def format_rational(x: Q) -> str:

@@ -112,8 +112,7 @@ def _sign_patterns(basis: SubspaceBasis) -> dict[tuple, tuple[int, ...]]:
     """
     planes: dict[tuple[int, ...], int] = {}
     where = []  # per row: (plane index, orientation), or None on a zero row
-    for row in basis.matrix:
-        v = tuple(primitive_ints(row))
+    for v in basis.int_rows:
         if not any(v):
             where.append(None)
             continue

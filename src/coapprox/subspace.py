@@ -35,6 +35,11 @@ class SubspaceBasis:
         return tuple(zip(*self.matrix))
 
     @cached_property
+    def int_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each row as coprime ints, built once for rank, profile and topes."""
+        return tuple(tuple(primitive_ints(row)) for row in self.matrix)
+
+    @cached_property
     def _int_matrix(self) -> tuple[int, list[list[int]]]:
         """(den, rows): matrix == rows / den, den the lcm of all denominators."""
         den, flat = scaled_ints([x for row in self.matrix for x in row])
@@ -89,9 +94,10 @@ def validate_basis(matrix: Mat) -> SubspaceBasis:
         raise DimensionError("ragged basis matrix")
     if m > n:
         raise DimensionError(f"more basis vectors ({m}) than ambient dimension ({n})")
-    if rank(matrix) != m:
+    basis = SubspaceBasis(n=n, m=m, matrix=matrix)
+    if rank(basis.int_rows) != m:  # rank is unchanged by positive row scaling
         raise RankDeficientError("basis vectors are linearly dependent")
-    return SubspaceBasis(n=n, m=m, matrix=matrix)
+    return basis
 
 
 def build_profile(basis: SubspaceBasis) -> ComponentProfile:
@@ -105,8 +111,7 @@ def build_profile(basis: SubspaceBasis) -> ComponentProfile:
     classes: dict[tuple[int, ...], tuple[int, list[tuple[int, Q]]]] = {}
     zero_set: list[int] = []
     rows = basis.matrix
-    for i, row in enumerate(rows):
-        v = tuple(primitive_ints(row))
+    for i, (row, v) in enumerate(zip(rows, basis.int_rows)):
         if not any(v):
             zero_set.append(i)
             continue

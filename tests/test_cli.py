@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coapprox import mat, norming, oracle, solver
+from coapprox import cli, mat, norming, oracle, solver
 from coapprox.cli import main
+from coapprox.errors import CoapproxError
 from coapprox.exact import rank
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -96,6 +97,22 @@ def test_solve_worked_fixture(capsys):
     assert b2["vector"] == ["2", "3", "0", "0", "-2", "6"]
     assert b2["projection_image"] == ["2", "3", "0", "0", "-2", "6"]
     assert b2["oracle"]["verdict"] == "confirmed"
+
+
+def test_solve_leaves_out_the_grid_above_m_3(tmp_path, capsys):
+    # The grid runs only for m <= 3; on a wider basis solve answers as
+    # usual, with no brute_force block, even when both grid flags are given.
+    rows = [(-1, 2, -2, 0), (-2, 1, 1, 1), (1, -1, -2, 1), (-2, 1, 1, 2), (-2, 1, 0, -1),
+            (0, 0, 0, 0)]
+    f = tmp_path / "m4.json"
+    f.write_text(json.dumps({
+        "n": 6, "basis": [[str(r[j]) for r in rows] for j in range(4)],
+        "targets": [["-3", "-3", "2", "1", "-3", "0"]],
+    }), encoding="utf-8")
+    report = run_json(capsys, "solve", "--input", str(f), "--grid-radius", "1", "--grid-step", "1")
+    (target,) = report["targets"]
+    assert report["m"] == 4 and target["outcome"] == "not-exists"
+    assert "brute_force" not in target
 
 
 def test_norming_set_single_pair(capsys):
@@ -343,6 +360,106 @@ def test_reports_match_golden_digest():
                 code = main([command, "--input", str(path)])
             overall.update(f"exit={code}\n{out.getvalue()}{err.getvalue()}".encode() + b"\0")
     assert overall.hexdigest() == GOLDEN_DIGEST
+
+
+COMMANDS = ("analyze", "norming-set", "solve", "classify", "threshold")
+
+
+def _sample_reports():
+    """The report of every command on every sample problem that gives one."""
+    run = {"analyze": cli.cmd_analyze, "norming-set": cli.cmd_norming_set,
+           "classify": cli.cmd_classify, "threshold": cli.cmd_threshold}
+    for path in sorted(PROBLEMS.glob("*.json")):
+        problem = cli.load_problem(str(path))
+        for command in COMMANDS:
+            try:
+                if command == "solve":
+                    args = cli.build_parser().parse_args(["solve", "--input", str(path)])
+                    yield cli.cmd_solve(problem, args)
+                else:
+                    yield run[command](problem)
+            except CoapproxError:  # threshold without a zero set, solve without targets
+                pass
+
+
+_ODD_NAMES = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "caf\u00e9",
+              "\u03b4\u2080 \U0001d4c1\u00b9", "\u2028\ufeff"]
+_HAND_BUILT = [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[{}]]], {"a": {"b": {"c": []}}},
+    [True, 1, False, 0, None, -7, 10**30], {"t": True, "one": 1, "f": False, "zero": 0},
+    None, True, 0, "", {"": ""},
+    {"targets": [{"name": name, "outcome": "unique", "vector": ["1", "-3/7"]} for name in _ODD_NAMES]},
+    {name: [name, {name: None}] for name in _ODD_NAMES},
+]
+
+
+def test_report_writer_matches_json_dumps_indent_2():
+    reports = list(_sample_reports())
+    assert len(reports) == 26
+    for x in reports + _HAND_BUILT:
+        assert cli._dump(x) == json.dumps(x, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, 0.0, Fraction(1, 2), Fraction(3)])
+def test_report_writer_refuses_other_types(value):
+    for x in (value, [value], {"a": [1, {"b": value}]}):
+        with pytest.raises(TypeError):
+            cli._dump(x)
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_SPAN3 = str(PROBLEMS / "span3_l16.json")
+_ARGVS = [
+    *([command, "--input", _SPAN3] for command in COMMANDS),
+    ["threshold", "--input", str(PROBLEMS / "pair_l17_coproximinal.json")],
+    ["solve", "--input", _SPAN3, "--trials", "5", "--seed", "-3", "--grid-radius", "5",
+     "--grid-step", "1/2"],
+    ["solve", "--input=" + _SPAN3, "--grid-radius=1", "--grid-step", "1"],
+    ["solve", "--inp", _SPAN3, "--tri", "7"],
+    ["solve", "--", "--input", _SPAN3],
+    ["solve", "--input", _SPAN3, "--grid-radius", "-1", "--grid-step", "1/2"],
+    ["solve", "--input", _SPAN3, "--grid"],
+    ["classify", "--input", str(PROBLEMS / "missing.json")],
+    ["solve"], ["classify", "--output", "x.json"], ["solve", "--trials", "5"],
+    ["frobnicate", "--input", _SPAN3], ["Solve", "--input", _SPAN3], ["norm", "--input", _SPAN3],
+    [], ["--input", _SPAN3], ["--input", _SPAN3, "solve"], ["--", "solve", "--input", _SPAN3],
+    *([command, "--input", _SPAN3, flag, "5"]
+      for command in ("analyze", "norming-set", "classify", "threshold")
+      for flag in ("--trials", "--seed", "--grid-radius", "--grid-step")),
+    ["classify", "--input", _SPAN3, "extra"], ["extra", "classify", "--input", _SPAN3],
+    ["solve", "--input", _SPAN3, "--trials", "abc"], ["solve", "--input", _SPAN3, "--seed", "1.5"],
+    ["solve", "--input", _SPAN3, "--version"], ["solve", "--input", _SPAN3, "--v"],
+    ["-h"], ["--help"], ["solve", "-h"], ["classify", "--input", _SPAN3, "-h"], ["--version"],
+]
+
+
+def _argv_id(argv):
+    return " ".join(argv).replace(str(PROBLEMS), "problems") or "(no arguments)"
+
+
+@pytest.mark.parametrize("argv", _ARGVS, ids=_argv_id)
+def test_argv_parity_with_the_full_parser(capsys, monkeypatch, argv):
+    # With no sub-parser to call directly, main falls back to the full
+    # parser's parse_args on every argv: the dispatch main had before.
+    fast = _outcome(capsys, argv)
+    monkeypatch.setattr(cli.build_parser(), "commands", {})
+    assert fast == _outcome(capsys, argv)
+
+
+def test_main_reads_sys_argv_without_an_argument(capsys, monkeypatch):
+    argv = ["classify", "--input", _SPAN3]
+    expected = _outcome(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["coapprox", *argv])
+    assert _outcome(capsys, None) == expected
+    assert expected[0] == 0 and json.loads(expected[1])["command"] == "classify"
 
 
 def _non_simple_rows(rng, m):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -54,6 +55,63 @@ class TestRationalText:
     @given(small_fraction)
     def test_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x
+
+
+_ASCII_SPACE = " \t\n\r\f\v"
+_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+def _literal_corpus(rng, count):
+    """Seeded literals, each with what parse_rational gives: a value, or
+    one of the three messages it has always raised, written out here."""
+    def digits(k):
+        return "".join(rng.choices("0123456789", k=k))
+
+    def part():  # Python's int-string limit is 4300 digits, leading zeros counted
+        k = rng.choice([0, 1, 2, 4300, 4301])
+        if k == 0:
+            return "0" * rng.randint(0, 3) + digits(rng.randint(1, 12))
+        return "0" * k if k < 3 else digits(k)
+
+    for fixed in ["", "1e3", "1.5", "-2.5e-1", "1/0", "-7/000", "+0/0", "\u0663", "1/\u0662"]:
+        yield fixed
+    for _ in range(count):
+        num = rng.choice(["", "+", "-"]) + part()
+        text = num + ("/" + part() if rng.random() < 0.6 else "")
+        shape = rng.random()
+        if shape < 0.1:
+            text = text.translate(_INDIC)
+        elif shape < 0.15:
+            text = rng.choice(["1e3", "1.5", "", "/2", "1/", "1//2", "--1", "1 /2"])
+        pad = "".join(rng.choice(_ASCII_SPACE) for _ in range(rng.randint(0, 2)))
+        yield pad + text + "".join(rng.choice(_ASCII_SPACE) for _ in range(rng.randint(0, 2)))
+
+
+def _expected(text):
+    s = text.strip(_ASCII_SPACE)
+    num, _, den = s.partition("/")
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s):
+        return f"not a rational literal: {text!r}"
+    if max(len(num.lstrip("+-")), len(den)) > 4300:
+        return f"rational literal of {len(s)} characters exceeds the integer digit limit"
+    if den and not int(den):
+        return f"zero denominator: {text!r}"
+    return Q(text.strip())
+
+
+def test_parse_rational_agrees_with_fraction_on_a_seeded_corpus():
+    kinds = set()
+    for text in _literal_corpus(random.Random(20261018), 600):
+        expected = _expected(text)
+        if isinstance(expected, Q):
+            assert parse_rational(text) == expected
+            kinds.add("value")
+        else:
+            with pytest.raises(ValidationError) as exc:
+                parse_rational(text)
+            assert str(exc.value) == expected
+            kinds.add(expected.split(":")[0].split(" of ")[0])
+    assert kinds == {"value", "not a rational literal", "zero denominator", "rational literal"}
 
 
 class TestL1Norm:
