@@ -1,13 +1,16 @@
-"""Minimal norming set of a zero-set-free subspace basis.
+"""Minimal norming set of a subspace basis, off its zero set.
 
 Each nonzero component class contributes one hyperplane through the
-origin of coefficient space R^m.  The open sign cells of that central
-arrangement are enumerated exactly, in ints and without an LP, by
-deletion-restriction (one representative per antipodal pair, each with
-an int interior point), and each cell is translated into a +-1 sign
-vector on the coordinates.  Those sign vectors, as +- pairs, form the
-unique minimal norming set; a subspace functional with coefficients
-strictly inside a cell attains its norm exactly at that cell's pair.
+origin of coefficient space R^m, its normal the class representative's
+row as coprime ints (`SubspaceBasis.int_rows`).  The open sign cells of
+that central arrangement are enumerated exactly, in ints and without an
+LP, by deletion-restriction (one representative per antipodal pair, each
+with an int interior point).  A cell with class signs s gives the +-1
+sign vector s_c * o_i on the coordinates i of class c off the zero set,
+o_i the sign of coordinate i's constant.  Those vectors, as +- pairs,
+form the unique minimal norming set: a subspace functional with
+coefficients strictly inside a cell attains its norm exactly at that
+cell's pair.
 
 The sign vectors span dimension q = r, the hyperplane count, since each
 hyperplane is a wall between two cells that differ in its sign alone;
@@ -28,7 +31,7 @@ from .errors import CapacityError, InternalInconsistencyError
 from .exact import Q, Vec, first_basis, primitive_ints
 from .exact import rank  # unused here; perfbench/tracer.py wraps coapprox.norming.rank
 from .lp import MAX_CELL_PAIRS, LpStatus, lp_max
-from .subspace import ComponentProfile, ReducedInstance
+from .subspace import ComponentProfile, SubspaceBasis
 
 MAX_HYPERPLANES = 20
 # MAX_CELL_PAIRS caps cell_pair_bound(r, m): it admits every m <= 3
@@ -39,14 +42,15 @@ SignVec = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Arrangement:
-    """Distinct row hyperplanes of a reduced (zero-set-free) basis.
+    """Distinct row hyperplanes of a basis, one per component class.
 
-    normals[t] is a tuple of coprime ints, a positive multiple of the
-    class representative's row, so the sign of `normals[t] . beta` equals
-    the sign the representative coordinate's functional takes at beta;
-    cell enumeration and the margin LPs take them as they are.
-    orientation[i] is the sign of coordinate i's proportionality
-    constant relative to its class representative.
+    normals[t] is class t's representative row as coprime ints, a
+    positive multiple of that row, so the sign of `normals[t] . beta`
+    equals the sign the representative coordinate's functional takes at
+    beta; cell enumeration and the margin LPs take them as they are.
+    class_of_coord[i] and orientation[i] are the class and the sign of
+    the proportionality constant of the i-th coordinate off the zero
+    set, in coordinate order.
     """
 
     normals: tuple[tuple[int, ...], ...]
@@ -74,8 +78,8 @@ class SignCell:
 
 @dataclass(frozen=True)
 class NormingSet:
-    """representatives[i] is the sign vector of cells[i] (reduced
-    coordinates, first entry +1); as +- pairs these are exactly the
+    """representatives[i] is the sign vector of cells[i] (coordinates
+    off the zero set, first entry +1); as +- pairs these are exactly the
     minimal norming set.  system_basis is the canonical ordered basis of
     their span (size span_dim)."""
 
@@ -90,27 +94,15 @@ class NormingSet:
         )
 
 
-def build_arrangement(reduced: ReducedInstance, profile: ComponentProfile) -> Arrangement:
-    """One hyperplane per component class, oriented along the class rows."""
-    if reduced.zero_set != profile.zero_set:
-        raise InternalInconsistencyError("profile does not match the reduced instance")
-    rows = reduced.basis.matrix
-    pos_of_original = {orig: p for p, orig in enumerate(reduced.kept_indices)}
-    normals = []
-    for cls in profile.classes:
-        rep_row = rows[pos_of_original[cls.representative]]
-        normals.append(tuple(primitive_ints(rep_row)))
-    class_of = []
-    orientation = []
-    for orig in reduced.kept_indices:
-        c_idx, const = profile.class_of[orig]
-        class_of.append(c_idx)
-        orientation.append(1 if const > 0 else -1)
+def build_arrangement(basis: SubspaceBasis, profile: ComponentProfile) -> Arrangement:
+    """One hyperplane per component class of the basis' row profile,
+    its normal the representative's int row."""
+    coords = [profile.class_of[i] for i in sorted(profile.class_of)]
     return Arrangement(
-        normals=tuple(normals),
-        class_of_coord=tuple(class_of),
-        orientation=tuple(orientation),
-        m=reduced.basis.m,
+        normals=tuple(basis.int_rows[cls.representative] for cls in profile.classes),
+        class_of_coord=tuple(c for c, _ in coords),
+        orientation=tuple(1 if const > 0 else -1 for _, const in coords),
+        m=basis.m,
     )
 
 
@@ -217,17 +209,14 @@ def _staircase_patterns(r: int):
         yield tuple([1] * (r - j) + [-1] * j)
 
 
-def minimal_norming_set(
-    arr: Arrangement, cells: tuple[SignCell, ...], reduced: ReducedInstance
-) -> NormingSet:
+def minimal_norming_set(arr: Arrangement, cells: tuple[SignCell, ...]) -> NormingSet:
     """Translate cells to coordinate sign vectors and pick the canonical
-    span basis (staircase-first)."""
-    k = reduced.basis.n
+    span basis (staircase-first).  The greedy runs on the class signs:
+    s -> x is linear and injective, as every class has a coordinate, so
+    it keeps the same cells as on the sign vectors."""
     reps: list[SignVec] = []
     for cell in cells:
-        x = tuple(
-            cell.signs[arr.class_of_coord[i]] * arr.orientation[i] for i in range(k)
-        )
+        x = tuple(cell.signs[c] * o for c, o in zip(arr.class_of_coord, arr.orientation))
         if x[0] != 1:  # pragma: no cover - coordinate 0 leads its own class
             raise InternalInconsistencyError("cell representative not canonical")
         reps.append(x)
@@ -235,7 +224,7 @@ def minimal_norming_set(
     by_signs = {cell.signs: idx for idx, cell in enumerate(cells)}
     staircase = [by_signs[p] for p in _staircase_patterns(arr.r) if p in by_signs]
     candidates = staircase + list(range(len(reps)))
-    basis = [reps[candidates[p]] for p in first_basis([reps[i] for i in candidates])]
+    basis = [reps[candidates[p]] for p in first_basis([cells[i].signs for i in candidates])]
     return NormingSet(
         representatives=tuple(reps),
         span_dim=len(basis),

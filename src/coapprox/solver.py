@@ -49,7 +49,6 @@ from .exact import (
     Q,
     SystemStatus,
     Vec,
-    primitive_ints,
     rank,  # unused here; perfbench/tracer.py wraps coapprox.solver.rank
     scaled_ints,
     solve_linear,
@@ -83,10 +82,11 @@ class PreparedBasis:
     arrangement, cells, norming set), so one instance can serve many
     targets; each artifact is built here, once, on first access.
 
-    `q` and the class-sum rows come from the profile alone.  Only
-    `cells`, `norming` and the rows built on them enumerate sign cells:
-    `norming-set` reports the cells, and the zero-set polytope needs one
-    inequality per cell.
+    `q` and the class-sum rows come from the profile alone.  Both solve
+    paths read the class-sum rows: the slack-0 path solves them, and the
+    zero-set polytope has one inequality per cell, the cell's signed sum
+    of them, so only `cells` is enumerated.  `norming`, the coordinate
+    sign vectors, is built for `norming-set` and for `system_rows`.
     `fiber_minimax` keeps the last fiber's minimax solve in one slot, so
     memory stays bounded and each new fiber is solved afresh.
     """
@@ -105,7 +105,7 @@ class PreparedBasis:
 
     @cached_property
     def arrangement(self) -> Arrangement:
-        return build_arrangement(self.reduced, self.profile)
+        return build_arrangement(self.basis, self.profile)
 
     @cached_property
     def cells(self) -> tuple[SignCell, ...]:
@@ -120,7 +120,7 @@ class PreparedBasis:
 
     @cached_property
     def norming(self) -> NormingSet:
-        norming = minimal_norming_set(self.arrangement, self.cells, self.reduced)
+        norming = minimal_norming_set(self.arrangement, self.cells)
         if norming.span_dim != self.profile.d:
             raise InternalInconsistencyError("norming span dimension q != d")
         return norming
@@ -135,20 +135,24 @@ class PreparedBasis:
             out.append(tuple(weight * x for x in self.basis.matrix[cls.representative]))
         return tuple(out)
 
+    def _class_sums(self, b: Vec) -> tuple[int, list[int]]:
+        """(den, sums): class_rhs(b) is sums / den, summed in ints."""
+        den, ints = scaled_ints(b)
+        return den, [sum(ints[i] if c > 0 else -ints[i] for i, c in cls.members)
+                     for cls in self.profile.classes]
+
     def class_rhs(self, b: Vec) -> Vec:
         """sum_{i in c} o_i b_i per class, o_i the sign of const_i."""
-        return tuple(
-            sum((b[i] if c > 0 else -b[i] for i, c in cls.members), Q(0))
-            for cls in self.profile.classes
-        )
+        den, sums = self._class_sums(b)
+        return tuple(Q(s, den) for s in sums)
 
     @cached_property
     def system_rows(self) -> Mat:
         """Equality rows, one per system-basis sign vector: the paper's
-        assembled system, equivalent to the class-sum rows.
-
-        Reduced coordinates throughout (identical to ambient ones when
-        the zero set is empty); same for the rhs helpers below.
+        assembled system, built literally from the reduced columns.  No
+        solve reads it; it is the reference the class-sum rows are
+        checked against.  Reduced coordinates (identical to ambient ones
+        when the zero set is empty); same for system_rhs.
         """
         cols = self.reduced.basis.columns
         return tuple(
@@ -156,30 +160,34 @@ class PreparedBasis:
             for x in self.norming.system_basis
         )
 
-    @cached_property
-    def feasibility_rows(self) -> Mat:
-        """Inequality rows, one per norming-set pair (all of them)."""
-        cols = self.reduced.basis.columns
-        return tuple(
-            tuple(norming_dot(x, col) for col in cols)
-            for x in self.norming.representatives
-        )
-
-    @cached_property
-    def lex_forms(self) -> tuple:
-        return lex_forms(self.feasibility_rows, self.basis.matrix)
-
     def system_rhs(self, b_reduced: Vec) -> Vec:
         return tuple(norming_dot(x, b_reduced) for x in self.norming.system_basis)
 
-    def feasibility_rhs(self, b_reduced: Vec) -> Vec:
-        return tuple(norming_dot(x, b_reduced) for x in self.norming.representatives)
+    @cached_property
+    def feasibility_rows(self) -> Mat:
+        """Inequality rows, one per norming-set pair (all of them).  The
+        cell's sign vector x is s_c * o_i on class c, so its pairing with
+        the reduced columns, sum_i x_i A_i, is sum_c s_c * class_rows[c]."""
+        cols = [scaled_ints(col) for col in zip(*self.class_rows)]
+        return tuple(
+            tuple(Q(sum(map(mul, cell.signs, ints)), den) for den, ints in cols)
+            for cell in self.cells
+        )
+
+    def feasibility_rhs(self, b: Vec) -> Vec:
+        """x . sigma(b) per cell, as feasibility_rows: sum_c s_c * class_rhs(b)[c]."""
+        den, sums = self._class_sums(b)
+        return tuple(Q(sum(map(mul, cell.signs, sums)), den) for cell in self.cells)
+
+    @cached_property
+    def lex_forms(self) -> tuple:
+        return lex_forms(self.feasibility_rows)
 
     def fiber_minimax(self, b: Vec) -> tuple[Vec, Q, Vec]:
         """(rhs, delta0, alpha) of the minimax LP on the fiber of b."""
         key, slot = self.reduced.sigma(b), self._fiber
         if slot[0] != key:  # a new fiber replaces the slot in one assignment
-            rhs = self.feasibility_rhs(key)
+            rhs = self.feasibility_rhs(b)
             slot = self._fiber = (key, rhs, *solve_minimax_lp(self.feasibility_rows, rhs))
         return slot[1:]
 
@@ -261,13 +269,13 @@ def solve_empty_zero_set(pb: PreparedBasis, b: Vec) -> CoapproxOutcome:
     return _unique(pb.basis, res.solution)
 
 
-def lex_forms(rows: Mat, matrix: Mat) -> tuple:
-    """(scales, a_ub, costs), the int rows of a lex search: a_ub[2i] is
-    row i times scales[i], the lcm of its denominators, a_ub[2i+1] its
-    negation, and costs are the matrix rows as coprime ints."""
+def lex_forms(rows: Mat) -> tuple:
+    """(scales, a_ub), the int rows of a lex search: a_ub[2i] is row i
+    times scales[i], the lcm of its denominators, a_ub[2i+1] its
+    negation."""
     scaled = [scaled_ints(row) for row in rows]
     a_ub = tuple(tuple(s * x for x in ints) for _, ints in scaled for s in (1, -1))
-    return [d for d, _ in scaled], a_ub, [tuple(primitive_ints(row)) for row in matrix]
+    return [d for d, _ in scaled], a_ub
 
 
 def lex_extreme_alpha(
@@ -285,11 +293,11 @@ def lex_extreme_alpha(
     The LP is posed in ints, in y = den * (alpha - start) for a feasible
     `start`, den a common denominator of start, rhs and slack, so every
     rhs is >= 0, as lp_min requires, and the simplex starts at y = 0.  No
-    positive scaling of a row or cost moves a pivot or the point.
-    `forms` is lex_forms(constraints.rows, basis.matrix), built once by
-    a PreparedBasis.
+    positive scaling of a row or cost moves a pivot or the point, so the
+    costs are the rows of A as coprime ints, `basis.int_rows`.
+    `forms` is lex_forms(constraints.rows), built once by a PreparedBasis.
     """
-    scales, a_ub, costs = forms or lex_forms(constraints.rows, basis.matrix)
+    scales, a_ub = forms or lex_forms(constraints.rows)
     k = len(constraints.rhs)
     den, ints = scaled_ints([constraints.slack, *constraints.rhs, *start])
     s0, x0 = ints[0], ints[k + 1:]
@@ -299,7 +307,7 @@ def lex_extreme_alpha(
         b_ub += [scale * s0 + gap, scale * s0 - gap]
     if any(v < 0 for v in b_ub):
         raise InternalInconsistencyError("lex search start is not feasible")
-    costs = [tuple(direction * x for x in c) for c in costs]
+    costs = [tuple(direction * x for x in c) for c in basis.int_rows]
     # `then` goes positionally: perfbench/tracer.py sizes this call by
     # binding its arguments to lp_min's old (cost, a_ub, b_ub, a_eq, b_eq).
     res = lp_min(costs[0], a_ub, tuple(b_ub), costs[1:])

@@ -509,7 +509,7 @@ def test_non_simple_norming_set_reports_match_digest(tmp_path):
 
 
 def test_norming_set_builds_each_artefact_once(capsys, monkeypatch):
-    calls = {"build_arrangement": 0, "enumerate_cells": 0}
+    calls = {"build_arrangement": 0, "enumerate_cells": 0, "minimal_norming_set": 0}
     for name in calls:
         original = getattr(norming, name)
 
@@ -520,7 +520,7 @@ def test_norming_set_builds_each_artefact_once(capsys, monkeypatch):
         monkeypatch.setattr(norming, name, counted)
         monkeypatch.setattr(solver, name, counted)
     run_json(capsys, "norming-set", "--input", str(PROBLEMS / "span3_l16.json"))
-    assert calls == {"build_arrangement": 1, "enumerate_cells": 1}
+    assert calls == {"build_arrangement": 1, "enumerate_cells": 1, "minimal_norming_set": 1}
 
 
 @pytest.mark.parametrize("name", ["line_l12_polytope.json", "pair_l15_cochebyshev.json"])
@@ -620,12 +620,14 @@ def test_margin_lp_counts(capsys, margin_lps, command, name, expected):
 
 @pytest.mark.parametrize(
     "name, expected",
-    [("pair_l17_coproximinal.json", (1, 1, 1)), ("line_l12_polytope.json", (1, 1, 1))],
+    [("pair_l17_coproximinal.json", (1, 1, 1, 0)), ("line_l12_polytope.json", (1, 1, 1, 0))],
 )
 def test_solve_work_counts(capsys, monkeypatch, name, expected):
     # Exact per-target solve work: minimax LPs, lex_extreme_alpha calls
     # and the lex LPs they run, counted at the names the solver calls.
-    calls = {"solve_minimax_lp": 0, "lex_extreme_alpha": 0, "lp_min": 0}
+    # The inequality rows are signed class sums, so no norming set is built.
+    calls = {"solve_minimax_lp": 0, "lex_extreme_alpha": 0, "lp_min": 0,
+             "minimal_norming_set": 0}
     for fn_name in calls:
 
         def counted(*args, _fn=getattr(solver, fn_name), _name=fn_name, **kwargs):

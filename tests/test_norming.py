@@ -15,7 +15,6 @@ from coapprox import (
     minimal_norming_set,
     norming,
     prepare,
-    reduce_sigma,
     validate_basis,
 )
 from coapprox.exact import rank
@@ -33,20 +32,19 @@ EXPECTED_SPAN_BASIS = (
 
 def arrangement_of(basis):
     profile = build_profile(basis)
-    return build_arrangement(reduce_sigma(basis, profile), profile)
+    return build_arrangement(basis, profile)
 
 
 def analyzed(basis):
     profile = build_profile(basis)
-    reduced = reduce_sigma(basis, profile)
-    arr = build_arrangement(reduced, profile)
+    arr = build_arrangement(basis, profile)
     cells = enumerate_cells(arr)
-    return profile, reduced, arr, cells, minimal_norming_set(arr, cells, reduced)
+    return profile, arr, cells, minimal_norming_set(arr, cells)
 
 
 class TestArrangement:
     def test_worked_fixture(self, span3_l16):
-        _, _, arr, _, _ = analyzed(span3_l16)
+        _, arr, _, _ = analyzed(span3_l16)
         assert arr.normals == mat(
             [(4, -1, 1), (2, 3, 4), (1, 5, 2), (-1, 2, 1)]
         )
@@ -55,13 +53,13 @@ class TestArrangement:
 
     def test_one_dimensional(self):
         basis = column_basis((2, -3))
-        _, _, arr, _, _ = analyzed(basis)
+        _, arr, _, _ = analyzed(basis)
         assert arr.r == 1
         assert arr.orientation == (1, -1)
 
     def test_equal_rows_single_class(self):
         basis = column_basis((3, 3, 3))
-        _, _, arr, _, _ = analyzed(basis)
+        _, arr, _, _ = analyzed(basis)
         assert arr.r == 1
 
     def test_normals_are_coprime_ints_along_class_rows(self):
@@ -83,8 +81,7 @@ class TestArrangement:
                                               for s, row in zip(scales, basis.matrix))))
         for basis in bases:
             profile = build_profile(basis)
-            reduced = reduce_sigma(basis, profile)
-            arr = build_arrangement(reduced, profile)
+            arr = build_arrangement(basis, profile)
             for cls, normal in zip(profile.classes, arr.normals):
                 assert all(type(x) is int for x in normal)
                 assert math.gcd(*normal) == 1
@@ -97,7 +94,7 @@ class TestArrangement:
 
 class TestEnumerateCells:
     def test_worked_fixture_cells(self, span3_l16):
-        _, _, arr, cells, _ = analyzed(span3_l16)
+        _, arr, cells, _ = analyzed(span3_l16)
         signs = {c.signs for c in cells}
         assert len(cells) == 7
         for expected in [
@@ -114,21 +111,20 @@ class TestEnumerateCells:
 
     def test_single_hyperplane(self):
         basis = column_basis((1, 1))
-        _, _, arr, cells, _ = analyzed(basis)
+        _, arr, cells, _ = analyzed(basis)
         assert len(cells) == 1
         assert cells[0].signs == (1,)
 
     def test_three_lines_in_plane(self):
         basis = column_basis((1, 0, 1), (0, 1, 1))
-        _, _, _, cells, _ = analyzed(basis)
+        _, _, cells, _ = analyzed(basis)
         assert len(cells) == 3
 
     def test_capacity_guard(self):
         rows = [(1, k) for k in range(21)]
         basis = validate_basis(mat(rows))
         profile = build_profile(basis)
-        reduced = reduce_sigma(basis, profile)
-        arr = build_arrangement(reduced, profile)
+        arr = build_arrangement(basis, profile)
         assert arr.r == 21
         with pytest.raises(CapacityError):
             enumerate_cells(arr)
@@ -136,7 +132,7 @@ class TestEnumerateCells:
     def test_twenty_hyperplanes_are_admitted(self):
         # MAX_HYPERPLANES is inclusive: r = 20 lines in the plane give 20 pairs.
         basis = validate_basis(mat([(1, k) for k in range(20)]))
-        _, _, arr, cells, _ = analyzed(basis)
+        _, arr, cells, _ = analyzed(basis)
         assert arr.r == MAX_HYPERPLANES == 20
         assert len(cells) == cell_pair_bound(20, 2) == 20
 
@@ -144,7 +140,7 @@ class TestEnumerateCells:
         assert [cell_pair_bound(7, 3), cell_pair_bound(20, 3)] == [22, 191]
         assert cell_pair_bound(9, 12) == 2**8  # m >= r: every sign pattern
         # Reached in general position, as by the worked fixture.
-        _, _, arr, cells, _ = analyzed(span3_l16)
+        _, arr, cells, _ = analyzed(span3_l16)
         assert len(cells) == cell_pair_bound(arr.r, arr.m) == 7
 
     @pytest.mark.parametrize("m, r", [(4, 13), (10, 12)])
@@ -168,7 +164,7 @@ class TestEnumerateCells:
             n = rng.randint(2, 6)
             m = rng.randint(1, min(3, n - 1))
             basis = random_basis(rng, n, m)
-            _, _, arr, cells, _ = analyzed(basis)
+            _, arr, cells, _ = analyzed(basis)
             found = {c.signs for c in cells}
             # Sampled sign patterns (canonicalized to +1 on hyperplane 0)
             # must all be realizable, i.e. discovered by the enumeration.
@@ -188,25 +184,25 @@ class TestEnumerateCells:
 
 class TestMinimalNormingSet:
     def test_worked_fixture_basis(self, span3_l16):
-        _, _, _, _, norming = analyzed(span3_l16)
+        _, _, _, norming = analyzed(span3_l16)
         assert norming.system_basis == EXPECTED_SPAN_BASIS
         assert norming.span_dim == 4
         assert len(norming.representatives) == 7
 
     def test_single_column_all_positive(self):
-        _, _, _, _, norming = analyzed(column_basis((1, 1)))
+        _, _, _, norming = analyzed(column_basis((1, 1)))
         assert norming.representatives == ((1, 1),)
         assert norming.span_dim == 1
 
     def test_single_column_orientation_flip(self):
-        _, _, _, _, norming = analyzed(column_basis((1, -2)))
+        _, _, _, norming = analyzed(column_basis((1, -2)))
         assert norming.representatives == ((1, -1),)
         assert norming.span_dim == 1
 
     def test_norm_attainment_certificate(self, span3_l16):
         """Each cell's functional attains its l1 mass exactly on the
         cell's sign vector, with every term strictly positive."""
-        _, _, arr, cells, norming = analyzed(span3_l16)
+        _, arr, cells, norming = analyzed(span3_l16)
         cols = span3_l16.columns
         for cell, x in zip(cells, norming.representatives):
             g = tuple(
@@ -224,8 +220,8 @@ class TestMinimalNormingSet:
             zero_rows = min(rng.choice((0, 0, 1)), n - m)
             basis = random_basis(rng, n, m, zero_rows=zero_rows)
             other = recombine(basis, random_invertible(rng, m))
-            _, _, _, _, n1 = analyzed(basis)
-            _, _, _, _, n2 = analyzed(other)
+            _, _, _, n1 = analyzed(basis)
+            _, _, _, n2 = analyzed(other)
             assert n1.pairs() == n2.pairs()
             assert n1.span_dim == n2.span_dim
 
@@ -235,7 +231,7 @@ class TestMinimalNormingSet:
             n = rng.randint(2, 7)
             m = rng.randint(1, min(3, n - 1))
             basis = random_basis(rng, n, m)
-            profile, _, _, _, norming = analyzed(basis)
+            profile, _, _, norming = analyzed(basis)
             assert basis.m <= norming.span_dim <= profile.d
 
     def test_representatives_distinct_as_pairs(self):
@@ -244,7 +240,7 @@ class TestMinimalNormingSet:
             n = rng.randint(2, 6)
             m = rng.randint(1, min(3, n - 1))
             basis = random_basis(rng, n, m)
-            _, _, _, _, norming = analyzed(basis)
+            _, _, _, norming = analyzed(basis)
             assert len(norming.pairs()) == len(norming.representatives)
 
 

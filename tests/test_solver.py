@@ -26,7 +26,7 @@ from coapprox import (
     vec,
 )
 from coapprox import norming, solver
-from coapprox.exact import rank, vec_sub
+from coapprox.exact import first_basis, rank, vec_sub
 from coapprox.instances import random_basis, random_invertible, random_vector, recombine
 from coapprox.lp import LpStatus, lp_max, lp_min, solve_minimax_lp
 from coapprox.solver import PolytopeConstraints, lex_extreme_alpha
@@ -122,6 +122,62 @@ class TestEmptyZeroSet:
         pb = prepare(span3_l16)
         assert pb.class_rows == ((8, -2, 2), (6, 9, 12), (1, 5, 2), (-1, 2, 1))
         assert pb.class_rhs(B1) == (Q(-4), Q(8), Q(3), Q(4))
+
+
+def test_feasibility_rows_are_cell_signs_times_class_sums():
+    # The zero-set rows are built as signed sums of the class-sum rows.
+    # Reference: the paper's construction, each norming sign vector x
+    # paired with the reduced columns and with sigma(b), and the span
+    # basis as greedy first_basis over the sign vectors, staircase first.
+    # Bases: random ones with 1-2 zero rows and scaled copies of their
+    # rows (classes of several members at non-unit constants), and the
+    # m = 9 basis at the cell caps (256 pairs).
+    rng = random.Random(2316)
+    bases = []
+    for _ in range(120):
+        m = rng.randint(1, 4)
+        zeros = rng.randint(1, 2)
+        basis = random_basis(rng, m + zeros + rng.randint(0, 1), m, lo=-3, hi=3, zero_rows=zeros)
+        rows = list(basis.matrix)
+        for _ in range(rng.randint(1, 3)):
+            source = rng.choice([r for r in basis.matrix if any(r)])
+            const = Q(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+            rows.insert(rng.randint(0, len(rows)), tuple(const * x for x in source))
+        bases.append(validate_basis(tuple(rows)))
+    n, m = 11, 9
+    bases.append(validate_basis(tuple(
+        tuple(Q(-3, 2) if i == n - 2 and j == 0 else Q(int(i == j)) for j in range(m))
+        for i in range(n)
+    )))
+    seen = Counter()
+    for basis in bases:
+        pb = prepare(basis)
+        reduced = pb.reduced
+        reps = pb.norming.representatives
+        coords = [pb.profile.class_of[i] for i in reduced.kept_indices]
+        assert reps == tuple(
+            tuple(cell.signs[c] * (1 if const > 0 else -1) for c, const in coords)
+            for cell in pb.cells
+        )
+        cols = reduced.basis.columns
+        assert pb.feasibility_rows == tuple(
+            tuple(norming.norming_dot(x, col) for col in cols) for x in reps
+        )
+        for b in (random_vector(rng, basis.n), random_vector(rng, basis.n, -9, 9)):
+            assert pb.feasibility_rhs(b) == tuple(
+                norming.norming_dot(x, reduced.sigma(b)) for x in reps
+            )
+        r = pb.arrangement.r
+        by_signs = {cell.signs: k for k, cell in enumerate(pb.cells)}
+        staircase = (tuple([1] * (r - j) + [-1] * j) for j in range(r))
+        candidates = [by_signs[p] for p in staircase if p in by_signs] + list(range(len(reps)))
+        picked = first_basis([reps[k] for k in candidates])
+        assert pb.norming.system_basis == tuple(reps[candidates[p]] for p in picked)
+        consts = [const for cls in pb.profile.classes for _, const in cls.members]
+        seen["shared class"] += len(consts) > pb.profile.d
+        seen["negative constant"] += any(c < 0 for c in consts)
+        seen["non-unit constant"] += any(abs(c) != 1 for c in consts)
+    assert len(bases) > 100 and min(seen.values()) >= 80, seen
 
 
 class TestSolveGeneral:
@@ -245,7 +301,7 @@ class TestExistenceThreshold:
         assert th.delta0 == Q(41, 21)
         assert th.delta0 <= l1_norm(b)
         rows = pb.feasibility_rows
-        rhs = pb.feasibility_rhs(pb.reduced.sigma(b))
+        rhs = pb.feasibility_rhs(b)
 
         def worst(alpha):
             return max(
@@ -441,7 +497,7 @@ def _reference_solve(pb, b):
         return ("unique", alpha, None, basis.combine(alpha), None)
     slack = sum((abs(b[i]) for i in pb.profile.zero_set), Q(0))
     rows = pb.feasibility_rows
-    rhs = pb.feasibility_rhs(pb.reduced.sigma(b))
+    rhs = pb.feasibility_rhs(b)
     t_star, _ = solve_minimax_lp(rows, rhs)
     if t_star > slack:
         return ("not-exists", None, None, None, None)
@@ -521,7 +577,7 @@ def _with_slack(rng, pb, b, slack):
 def _slack_cases(rng, pb, b):
     """(target, slack, delta0): slack in {0, delta0/2, delta0, 3/2 delta0}
     when delta0 > 0, else 0 and one positive mass."""
-    t_star, _ = solve_minimax_lp(pb.feasibility_rows, pb.feasibility_rhs(pb.reduced.sigma(b)))
+    t_star, _ = solve_minimax_lp(pb.feasibility_rows, pb.feasibility_rhs(b))
     if t_star:
         slacks = (Q(0), t_star / 2, t_star, 3 * t_star / 2)
     else:
@@ -580,7 +636,7 @@ def test_lex_extreme_alpha_matches_rank_loop_reference(direction):
     checked = 0
     for basis, b in _zero_set_instances(rng, 60):
         pb = prepare(basis)
-        rhs = pb.feasibility_rhs(pb.reduced.sigma(b))
+        rhs = pb.feasibility_rhs(b)
         t_star, alpha_star = solve_minimax_lp(pb.feasibility_rows, rhs)
         for slack in (t_star, t_star + Q(rng.randint(1, 4), 3)):
             constraints = PolytopeConstraints(pb.feasibility_rows, rhs, slack)
@@ -680,7 +736,7 @@ def test_lex_extreme_alpha_is_independent_of_its_start(direction):
     checked = 0
     for basis, b in _zero_set_instances(rng, 60):
         pb = prepare(basis)
-        rhs = pb.feasibility_rhs(pb.reduced.sigma(b))
+        rhs = pb.feasibility_rhs(b)
         t_star, alpha_star = solve_minimax_lp(pb.feasibility_rows, rhs)
         for slack in (t_star, t_star + Q(rng.randint(1, 4), 3)):
             constraints = PolytopeConstraints(pb.feasibility_rows, rhs, slack)
