@@ -4,9 +4,11 @@ All numeric payloads travel as exact rational strings ('13', '-3/7');
 coordinate indices in reports are 1-based.  Exit codes: 0 success,
 2 validation failure, 3 capacity guard, 4 violated precondition.
 
-Arguments take one argparse pass, through the named command's sub-parser
-(an argv it cannot finish goes to the full parser, which reports it), and
-reports are written by `_dump`, which matches `json.dumps(indent=2)`.
+`main` runs one pipeline for every command: one argparse pass, through
+the named command's sub-parser (an argv it cannot finish goes to the full
+parser, which reports it); `load_problem`; one `prepare`; the command's
+`cmd_*` body, which returns only its own fields; and `_dump` of the
+envelope followed by those fields, which matches `json.dumps(indent=2)`.
 """
 from __future__ import annotations
 
@@ -76,7 +78,7 @@ def load_problem(path: str) -> ProblemFile:
             doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # bad JSON, or an int literal over the digit limit
+    except (ValueError, RecursionError) as exc:  # bad, too deeply nested, or an over-long int
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError("problem file: top level must be an object")
@@ -145,14 +147,10 @@ def _one_based(indices) -> list[int]:
     return [i + 1 for i in indices]
 
 
-def _sign_list(x) -> list[int]:
-    return [int(s) for s in x]
-
-
 def _ambient_signs(pb: PreparedBasis, x) -> list[int]:
     out = [0] * pb.basis.n
     for pos, orig in enumerate(pb.reduced.kept_indices):
-        out[orig] = int(x[pos])
+        out[orig] = x[pos]
     return out
 
 
@@ -167,10 +165,8 @@ def _envelope(command: str, pb: PreparedBasis) -> dict:
     }
 
 
-def cmd_analyze(problem: ProblemFile) -> dict:
-    pb = prepare(problem.basis)
-    report = _envelope("analyze", pb)
-    report["component_classes"] = [
+def cmd_analyze(problem: ProblemFile, pb: PreparedBasis, args) -> dict:
+    classes = [
         {
             "representative": cls.representative + 1,
             "members": [
@@ -180,34 +176,28 @@ def cmd_analyze(problem: ProblemFile) -> dict:
         }
         for cls in pb.profile.classes
     ]
-    report["d"] = pb.profile.d
-    report["rationale"] = ["row-proportionality-classes"]
-    return report
+    return {"component_classes": classes, "d": pb.profile.d,
+            "rationale": ["row-proportionality-classes"]}
 
 
-def cmd_norming_set(problem: ProblemFile) -> dict:
-    pb = prepare(problem.basis)
+def cmd_norming_set(problem: ProblemFile, pb: PreparedBasis, args) -> dict:
     norming = pb.norming
-    report = _envelope("norming-set", pb)
-    report["reduced_dimension"] = pb.reduced.basis.n
-    report["hyperplanes"] = [_fmt_vec(nu) for nu in pb.arrangement.normals]
-    report["q"] = norming.span_dim
-    report["system_basis"] = [_ambient_signs(pb, x) for x in norming.system_basis]
-    report["representatives"] = [
-        _ambient_signs(pb, x) for x in norming.representatives
-    ]
-    report["representatives_reduced"] = [
-        _sign_list(x) for x in norming.representatives
-    ]
-    report["cells"] = [
-        {"signs": _sign_list(c.signs), "witness": _fmt_vec(margin_witness(pb.arrangement, c))}
-        for c in pb.cells
-    ]
     tags = ["sign-cell-enumeration", "staircase-span-basis"]
     if pb.profile.zero_set:
         tags.insert(0, "sigma-reduction")
-    report["rationale"] = tags
-    return report
+    return {
+        "reduced_dimension": pb.reduced.basis.n,
+        "hyperplanes": [_fmt_vec(nu) for nu in pb.arrangement.normals],
+        "q": norming.span_dim,
+        "system_basis": [_ambient_signs(pb, x) for x in norming.system_basis],
+        "representatives": [_ambient_signs(pb, x) for x in norming.representatives],
+        "representatives_reduced": [list(x) for x in norming.representatives],
+        "cells": [
+            {"signs": list(c.signs), "witness": _fmt_vec(margin_witness(pb.arrangement, c))}
+            for c in pb.cells
+        ],
+        "rationale": tags,
+    }
 
 
 def _solve_options(problem: ProblemFile, args) -> dict:
@@ -241,15 +231,11 @@ def _solve_options(problem: ProblemFile, args) -> dict:
     return out
 
 
-def cmd_solve(problem: ProblemFile, args) -> dict:
+def cmd_solve(problem: ProblemFile, pb: PreparedBasis, args) -> dict:
     if not problem.targets:
         raise ValidationError("targets: at least one target is required for solve")
     opts = _solve_options(problem, args)
-    pb = prepare(problem.basis)
-    report = _envelope("solve", pb)
-    report["q"] = pb.q
-    report["seed"] = opts["seed"]
-    report["trials"] = opts["trials"]
+    report = {"q": pb.q, "seed": opts["seed"], "trials": opts["trials"]}
     results = []
     for name, b in problem.targets:
         outcome = solve_general(problem.basis, pb.profile, b, prepared=pb)
@@ -303,28 +289,25 @@ def _existence_tags(pb: PreparedBasis) -> list[str]:
     return ["equality-system"]
 
 
-def cmd_classify(problem: ProblemFile) -> dict:
-    pb = prepare(problem.basis)
+def cmd_classify(problem: ProblemFile, pb: PreparedBasis, args) -> dict:
     result = classify(problem.basis, prepared=pb)
-    report = _envelope("classify", pb)
-    report["coproximinal"] = result.coproximinal
-    report["co_chebyshev"] = result.co_chebyshev
-    report["q"] = result.q
-    report["d"] = result.d
-    report["zero_set_size"] = result.zero_set_size
-    report["rationale"] = list(result.rationale)
-    return report
+    return {
+        "coproximinal": result.coproximinal,
+        "co_chebyshev": result.co_chebyshev,
+        "q": result.q,
+        "d": result.d,
+        "zero_set_size": result.zero_set_size,
+        "rationale": list(result.rationale),
+    }
 
 
-def cmd_threshold(problem: ProblemFile) -> dict:
-    pb = prepare(problem.basis)
+def cmd_threshold(problem: ProblemFile, pb: PreparedBasis, args) -> dict:
     if not pb.profile.zero_set:
         raise EmptyZeroSetError(
             "threshold requires a basis with a non-empty zero set"
         )
     if not problem.targets:
         raise ValidationError("targets: at least one target is required for threshold")
-    report = _envelope("threshold", pb)
     results = []
     for name, b in problem.targets:
         th = existence_threshold(problem.basis, pb.profile, b, prepared=pb)
@@ -337,9 +320,7 @@ def cmd_threshold(problem: ProblemFile) -> dict:
                 "bound_ok": th.delta0 <= th.rho_mass,
             }
         )
-    report["targets"] = results
-    report["rationale"] = ["sigma-reduction", "slack-minimax"]
-    return report
+    return {"targets": results, "rationale": ["sigma-reduction", "slack-minimax"]}
 
 
 @functools.cache  # one parser per process: parse_args leaves it unchanged
@@ -373,17 +354,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         problem = load_problem(args.input)
-        if args.command == "analyze":
-            report = cmd_analyze(problem)
-        elif args.command == "norming-set":
-            report = cmd_norming_set(problem)
-        elif args.command == "solve":
-            report = cmd_solve(problem, args)
-        elif args.command == "classify":
-            report = cmd_classify(problem)
-        else:
-            report = cmd_threshold(problem)
-        text = _dump(report)
+        pb = prepare(problem.basis)
+        # Built per call, so a cmd_* rebound on the module (a tracer's wrapper) is the one run.
+        run = {"analyze": cmd_analyze, "norming-set": cmd_norming_set, "solve": cmd_solve,
+               "classify": cmd_classify, "threshold": cmd_threshold}
+        body = run[args.command](problem, pb, args)
+        text = _dump({**_envelope(args.command, pb), **body})
         if args.output:
             try:
                 with open(args.output, "w", encoding="utf-8") as fh:

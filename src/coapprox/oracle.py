@@ -8,21 +8,23 @@ coapproximation to b iff A.beta is orthogonal to z = b - A.alpha for
 every beta; a failure is converted into an exact counterexample to the
 defining inequality.
 
-The test at beta depends on beta only through the sign pattern of
-A.beta, and the topes (open cells) of A's row arrangement decide every
-lower face too: around a face point the arrangement is central, so the
-topes next to it come in pairs that agree off the face's zero rows Z0
-and are opposite on Z0; if S is the face's signed sum and C the mass of
-z on A's zero rows, the two tope tests |S +- (signed sum on Z0)| <= C
-give |S| <= C, which implies the face's test.  So one int beta strictly
-inside each tope pair is a complete probe set, and a "confirmed"
-verdict is a proof.  The topes come from `norming.half_cells` run on
+The test at beta depends on beta only through the sign vector of
+A.beta, so `bj_orthogonal_l1` may take that vector as y.  The topes
+(open cells) of A's row arrangement decide every lower face too: around
+a face point the arrangement is central, so the topes next to it come
+in pairs that agree off the face's zero rows Z0 and are opposite on Z0;
+if S is the face's signed sum and C the mass of z on A's zero rows, the
+two tope tests |S +- (signed sum on Z0)| <= C give |S| <= C, which
+implies the face's test.  So one test per tope pair, on the tope's sign
+vector (0 exactly on A's zero rows), is complete, and a "confirmed"
+verdict is a proof; each tope keeps an int beta strictly inside it for
+the counterexample.  The topes come from `norming.half_cells` run on
 A's nonzero rows reduced to primitive ints and merged up to sign: no
 profile, sigma-reduction, class or LP.
 
-The brute-force grid takes the same patterns.  A tope pattern is zero
-only on A's zero rows, where the residual is b, so each test is a slab
-in alpha.  Disjoint slabs are proved so by an int-checked Farkas
+The brute-force grid takes the same sign vectors.  A tope's sign vector
+is zero only on A's zero rows, where the residual is b, so each test is
+a slab in alpha.  Disjoint slabs are proved so by an int-checked Farkas
 certificate from the minimax LP over them, with no grid point scanned;
 otherwise a grid line passes on one exact integer interval.
 """
@@ -48,13 +50,14 @@ def bj_orthogonal_l1(y: Vec, z: Vec) -> bool:
     """Exact l1 Birkhoff-James orthogonality test: y perp z.
 
     Equivalent to 0 lying in the minimizer interval of
-    t -> ||y + t*z||_1.  The oracle runs `_fails`; this is the library's
-    rational reference (perfbench/tracer.py counts its calls).
+    t -> ||y + t*z||_1.  The oracle's one tope test, with y a tope's
+    sign vector and z an int residual; int inputs stay ints
+    (perfbench/tracer.py counts its calls).
     """
     if len(y) != len(z):
         raise DimensionError("orthogonality test needs vectors of equal length")
-    signed = Q(0)
-    off_support = Q(0)
+    signed = 0
+    off_support = 0
     for yi, zi in zip(y, z):
         if yi > 0:
             signed += zi
@@ -99,10 +102,10 @@ def _refute_from_bj_failure(
     return Counterexample(beta=beta_hat, lhs=lhs, rhs=rhs)
 
 
-def _sign_patterns(basis: SubspaceBasis) -> dict[tuple, tuple[int, ...]]:
-    """The sign pattern of A.beta on each tope pair of A's row
-    arrangement, as the check `_fails` takes (the signs and the mask of
-    zero signs), mapped to an int beta strictly inside the tope.
+def _sign_patterns(basis: SubspaceBasis) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The sign vector of A.beta on each tope pair of A's row arrangement
+    (0 exactly on A's zero rows), mapped to an int beta strictly inside
+    the tope.
 
     The nonzero rows, reduced to primitive ints, are merged up to sign
     into the distinct row hyperplanes; each row takes its plane's tope
@@ -119,24 +122,18 @@ def _sign_patterns(basis: SubspaceBasis) -> dict[tuple, tuple[int, ...]]:
         normal = max(v, tuple(-x for x in v))
         where.append((planes.setdefault(normal, len(planes)), 1 if normal == v else -1))
     check_cell_capacity(len(planes), basis.m)
-    off = tuple(int(w is None) for w in where)
     return {
-        (tuple(w[1] * tope[w[0]] if w else 0 for w in where), off): witness
+        tuple(w[1] * tope[w[0]] if w else 0 for w in where): witness
         for tope, witness in half_cells(list(planes), basis.m)
     }
-
-
-def _fails(z: list[int], abs_z: list[int], check) -> bool:
-    """The l1 Birkhoff-James test of bj_orthogonal_l1, on one sign pattern."""
-    signs, off = check
-    return abs(sum(map(mul, signs, z))) > sum(map(mul, off, abs_z))
 
 
 def verify_best_coapprox(basis: SubspaceBasis, b: Vec, alpha: Vec) -> VerificationVerdict:
     """Confirm or refute that A.alpha is a best coapproximation to b.
 
-    Runs one exact integer test per tope pair of A's row arrangement, on
-    b - A.alpha scaled to ints; the topes decide every beta, so a
+    Runs `bj_orthogonal_l1` once per tope pair of A's row arrangement,
+    with the tope's sign vector as y and b - A.alpha scaled to ints as z,
+    so every test is exact in ints; the topes decide every beta, so a
     "confirmed" verdict is a proof.  The first failing tope's int
     witness beta is returned as an exact counterexample: scaling beta by
     c != 0 scales y and the minimizing interval of t -> ||y + t*z||_1 by
@@ -148,9 +145,8 @@ def verify_best_coapprox(basis: SubspaceBasis, b: Vec, alpha: Vec) -> Verificati
         raise DimensionError("verify_best_coapprox dimension mismatch")
     patterns = _sign_patterns(basis)
     z = primitive_ints(vec_sub(b, basis.combine(alpha)))
-    abs_z = list(map(abs, z))
-    for check, beta in patterns.items():
-        if _fails(z, abs_z, check):
+    for signs, beta in patterns.items():
+        if not bj_orthogonal_l1(signs, z):
             return VerificationVerdict(
                 False, _refute_from_bj_failure(basis, b, alpha, tuple(map(Q, beta)))
             )
@@ -194,7 +190,7 @@ def brute_force_existence(
     every beta: the candidates are exactly the grid's best
     coapproximations.
 
-    A tope pattern sigma is zero only on A's zero rows Z, where the
+    A tope's sign vector sigma is zero only on A's zero rows Z, where the
     residual is b.  So its test is the slab
     |sigma.b - (sigma.A).alpha| <= sum over Z of |b_i|, with sigma.A and
     the width constant over the grid.  The grid, b and A are scaled by
@@ -232,8 +228,8 @@ def brute_force_existence(
     int_cols = [[int(a * scale) for a in col] for col in zip(*basis.matrix)]
     int_b = [int(x * scale * scale) for x in b]  # residuals come out scaled by scale**2
     width = sum(abs(x) for x, row in zip(int_b, basis.matrix) if not any(row))
-    rows = [[sum(map(mul, signs, col)) for col in int_cols] for signs, _ in patterns]
-    rhs = [sum(map(mul, signs, int_b)) for signs, _ in patterns]
+    rows = [[sum(map(mul, signs, col)) for col in int_cols] for signs in patterns]
+    rhs = [sum(map(mul, signs, int_b)) for signs in patterns]
     lam = solve_minimax_lp(rows, rhs, multipliers=True)[2]
     if check_certificate(rows, rhs, width, lam):
         return BruteForceResult(exists=False, candidates=(), grid_points=per_axis**m)

@@ -346,6 +346,31 @@ def test_literal_over_int_digit_limit_exits_2(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+_TOO_DEEP = {
+    "array": "[" * 100_000 + "]" * 100_000,
+    "options": ('{"n": 1, "basis": [["1"]], "targets": [["1"]], "options": '
+                + '{"a": ' * 50_000 + "1" + "}" * 50_000 + "}"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_TOO_DEEP))
+def test_json_nested_too_deep_exits_2_naming_the_file(tmp_path, capsys, shape):
+    # The JSON parser gives up on the depth; that is invalid JSON, through
+    # the CLI and through the script that shares load_problem.
+    f = tmp_path / "deep.json"
+    f.write_text(_TOO_DEEP[shape], encoding="utf-8")
+    for command in ("analyze", "solve"):
+        code, out, err = run_cli(capsys, command, "--input", str(f))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"coapprox {command}: {f}: invalid JSON: ")
+        assert "Traceback" not in err
+    proc = _threshold_script("--input", str(f))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith(f"threshold_dichotomy: {f}: invalid JSON: ")
+
+
 # Digest of every command's exit code and output on every sample problem,
 # hashed exactly as perfbench/smoke.py does; any report change moves it.
 GOLDEN_DIGEST = "523caa7d753c7b94dc25c9031bc23c832daab6a24e3a8cbd3ef3cb865e6c20b3"
@@ -366,20 +391,20 @@ COMMANDS = ("analyze", "norming-set", "solve", "classify", "threshold")
 
 
 def _sample_reports():
-    """The report of every command on every sample problem that gives one."""
-    run = {"analyze": cli.cmd_analyze, "norming-set": cli.cmd_norming_set,
+    """The report of every command on every sample problem that gives one,
+    the envelope followed by the command's own fields, as `main` builds it."""
+    run = {"analyze": cli.cmd_analyze, "norming-set": cli.cmd_norming_set, "solve": cli.cmd_solve,
            "classify": cli.cmd_classify, "threshold": cli.cmd_threshold}
     for path in sorted(PROBLEMS.glob("*.json")):
         problem = cli.load_problem(str(path))
         for command in COMMANDS:
+            args = cli.build_parser().parse_args([command, "--input", str(path)])
+            pb = solver.prepare(problem.basis)
             try:
-                if command == "solve":
-                    args = cli.build_parser().parse_args(["solve", "--input", str(path)])
-                    yield cli.cmd_solve(problem, args)
-                else:
-                    yield run[command](problem)
+                body = run[command](problem, pb, args)
             except CoapproxError:  # threshold without a zero set, solve without targets
-                pass
+                continue
+            yield {**cli._envelope(command, pb), **body}
 
 
 _ODD_NAMES = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "caf\u00e9",

@@ -16,7 +16,13 @@ shift by gamma.  Scaling b by lambda != 0 scales every distance by
 stays, delta0 scales by |lambda|, the unique coefficients by lambda,
 and the oracle confirms lambda times each input's chosen coefficients
 on the other input.
+
+Through the CLI, P runs on problem files with m from 1 to 9: all five
+commands report the same class partition, zero set and norming pairs,
+moved by P, and the same flags, counts, outcomes, coefficients and
+thresholds.
 """
+import json
 import random
 from fractions import Fraction as Q
 
@@ -24,15 +30,19 @@ import pytest
 
 from coapprox import (OutcomeKind, existence_threshold, prepare, solve_general,
                       validate_basis, verify_best_coapprox)
-from coapprox.exact import vec_add, vec_scale
+from coapprox.cli import main
+from coapprox.exact import format_rational, vec_add, vec_scale
 from coapprox.instances import random_basis, random_vector
+from coapprox.lp import MAX_CELL_PAIRS
+from coapprox.norming import cell_pair_bound
 
 SEED = 1993
 
 
 def _signed_permutation(rng, n):
-    """P on a target and on a basis matrix's rows: entry i of P.x is
-    s_i x_{p(i)}, row i of P.A is s_i A_{p(i)}."""
+    """P on a target (or a coordinate sign vector) and on a basis
+    matrix's rows: entry i of P.x is s_i x_{p(i)}, row i of P.A is
+    s_i A_{p(i)}."""
     perm = rng.sample(range(n), n)
     signs = [rng.choice((1, -1)) for _ in range(n)]
 
@@ -153,3 +163,99 @@ def test_scalings_scale_every_outcome(solved):
             assert verify_best_coapprox(basis, scaled_b, vec_scale(lam, got.chosen_alpha)).confirmed
             assert verify_best_coapprox(basis, b, vec_scale(1 / lam, scaled.chosen_alpha)).confirmed
     assert min(kinds.values()) >= 20, kinds
+
+
+# ------------------------------------------------------ through the CLI
+
+
+def _cli_bases(rng):
+    """Seeded bases for m = 1..9 within the cell caps, each with a zero row
+    or not and a row proportional to another or not: for m <= 5 two bases
+    of up to m + 2 distinct rows, for m >= 6 one of m distinct rows (the
+    norming-set enumeration grows as 2^(m-1) there)."""
+    for m in range(1, 10):
+        for _ in range(2 if m <= 5 else 1):
+            r = m if m >= 6 else max(
+                k for k in range(m, m + 3) if cell_pair_bound(k, m) <= MAX_CELL_PAIRS)
+            zeros = rng.randint(0, 1)
+            rows = list(random_basis(rng, r + zeros, m, zero_rows=zeros).matrix)
+            if rng.random() < 0.5:
+                rows.insert(rng.randrange(len(rows) + 1),
+                            vec_scale(Q(rng.choice((-3, -1, 2)), 2), rng.choice(rows)))
+            yield validate_basis(tuple(rows))
+
+
+def _problem_file(path, matrix, targets):
+    doc = {
+        "n": len(matrix),
+        "basis": [[format_rational(x) for x in col] for col in zip(*matrix)],
+        "targets": [[format_rational(x) for x in b] for b in targets],
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _reports(capsys, path):
+    """command -> (exit code, report or None) for all five commands."""
+    out = {}
+    for command in ("analyze", "norming-set", "solve", "classify", "threshold"):
+        code = main([command, "--input", path])
+        text = capsys.readouterr().out
+        out[command] = (code, json.loads(text) if code == 0 else None)
+    return out
+
+
+def _classes(report, coordinate):
+    return {frozenset(coordinate(x["coordinate"]) for x in cls["members"])
+            for cls in report["component_classes"]}
+
+
+def _pairs(report, on_signs):
+    return {frozenset({on_signs(x), on_signs(tuple(-s for s in x))})
+            for x in map(tuple, report["representatives"])}
+
+
+def test_signed_permutations_preserve_every_cli_report(tmp_path, capsys):
+    rng = random.Random(SEED + 4)
+    kinds = dict.fromkeys(OutcomeKind, 0)
+    m_seen, thresholds = set(), 0
+    for case, basis in enumerate(_cli_bases(rng)):
+        n = basis.n
+        on_target, on_rows = _signed_permutation(rng, n)
+        # Coordinate j (1-based) of A is coordinate where[j] of P.A.
+        moved_at = on_target(tuple(range(1, n + 1)))  # entry i: +-(the coordinate it holds)
+        where = {abs(c): i + 1 for i, c in enumerate(moved_at)}
+        targets = _targets(rng, basis)
+        got = _reports(capsys, _problem_file(tmp_path / f"{case}.json", basis.matrix, targets))
+        moved = _reports(capsys, _problem_file(
+            tmp_path / f"{case}-moved.json", on_rows(basis.matrix), [on_target(b) for b in targets]))
+        for command in got:
+            assert got[command][0] == moved[command][0], (case, command)
+        m_seen.add(basis.m)
+
+        a, pa = got["analyze"][1], moved["analyze"][1]
+        assert _classes(pa, int) == _classes(a, where.get), case
+        assert sorted(pa["zero_set"]) == sorted(map(where.get, a["zero_set"])), case
+        assert pa["d"] == a["d"], case
+
+        ns, pns = got["norming-set"][1], moved["norming-set"][1]
+        assert (pns["q"], len(pns["cells"])) == (ns["q"], len(ns["cells"])), case
+        assert _pairs(pns, tuple) == _pairs(ns, on_target), case
+
+        c, pc = got["classify"][1], moved["classify"][1]
+        for key in ("coproximinal", "co_chebyshev", "q", "d", "zero_set_size"):
+            assert pc[key] == c[key], (case, key)
+
+        for t, pt in zip(got["solve"][1]["targets"], moved["solve"][1]["targets"]):
+            assert pt["outcome"] == t["outcome"], case
+            assert pt.get("coefficients") == t.get("coefficients"), case
+            kinds[OutcomeKind(t["outcome"])] += 1
+            if t["outcome"] != OutcomeKind.NOT_EXISTS.value:
+                assert t["oracle"]["verdict"] == pt["oracle"]["verdict"] == "confirmed", case
+
+        if got["threshold"][0] == 0:
+            for t, pt in zip(got["threshold"][1]["targets"], moved["threshold"][1]["targets"]):
+                assert (pt["delta0"], pt["rho_mass"]) == (t["delta0"], t["rho_mass"]), case
+            thresholds += 1
+    assert m_seen == set(range(1, 10))
+    assert min(kinds.values()) >= 3 and thresholds >= 4, (kinds, thresholds)

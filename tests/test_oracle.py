@@ -64,6 +64,21 @@ class TestBjOrthogonality:
             zero_is_minimizer = where is ALL_REALS or Q(0) in where
             assert bj_orthogonal_l1(y, z) == zero_is_minimizer
 
+    def test_matches_one_dimensional_minimization_on_int_sign_vectors(self):
+        # The oracle's inputs: a tope's int sign vector, 0 on A's zero
+        # rows, and an int residual.
+        rng = random.Random(56)
+        orthogonal = 0
+        for _ in range(500):
+            n = rng.randint(1, 7)
+            y = tuple(rng.choice((-1, 0, 0, 1)) for _ in range(n))
+            z = tuple(rng.randint(-9, 9) for _ in range(n))
+            _, where = minimize_1d_l1(vec(y), vec(z))
+            zero_is_minimizer = where is ALL_REALS or Q(0) in where
+            assert bj_orthogonal_l1(y, z) == zero_is_minimizer
+            orthogonal += zero_is_minimizer
+        assert 100 <= orthogonal <= 400
+
 
 class TestVerifyBestCoapprox:
     def test_confirms_true_solution(self, span3_l16):
@@ -265,7 +280,7 @@ def _random_betas(m, trials, seed, numerator, denominator):
 
 
 def _legacy_sign_patterns(int_rows, betas):
-    """Distinct sign patterns of A.beta over int betas, first nonzero
+    """Distinct sign vectors of A.beta over int betas, first nonzero
     sign +1, in first-seen order, each mapped to its first beta."""
     seen = {}
     for beta in betas:
@@ -274,7 +289,7 @@ def _legacy_sign_patterns(int_rows, betas):
         lead = next((s for s in signs if s), 0)
         if lead:
             signs = tuple(lead * s for s in signs)
-            seen.setdefault((signs, tuple(1 - abs(s) for s in signs)), beta)
+            seen.setdefault(signs, beta)
     return seen
 
 
@@ -284,17 +299,16 @@ def _legacy_verify(basis, b, alpha, trials=200, seed=0):
         basis.m, trials, seed, _RANDOM_NUMERATOR, _RANDOM_DENOMINATOR))
     patterns = _legacy_sign_patterns([primitive_ints(row) for row in basis.matrix], betas)
     z = primitive_ints(vec_sub(b, basis.combine(alpha)))
-    abs_z = list(map(abs, z))
-    for check, beta in patterns.items():
-        if oracle._fails(z, abs_z, check):
+    for signs, beta in patterns.items():
+        if not bj_orthogonal_l1(signs, z):
             return VerificationVerdict(
                 False, oracle._refute_from_bj_failure(basis, b, alpha, tuple(map(Q, beta))))
     return VerificationVerdict(True, None)
 
 
 def _pointwise_scan(basis, b, radius, step, checks):
-    """The grid scanned point by point in ints: a candidate passes every
-    check in `checks` (keys of a pattern map) at its residual."""
+    """The grid scanned point by point in ints: a candidate's residual is
+    orthogonal to every sign vector in `checks` (keys of a pattern map)."""
     m = basis.m
     per_axis = math.floor(2 * radius / step) + 1
     ticks = [-radius + k * step for k in range(per_axis)]
@@ -309,10 +323,9 @@ def _pointwise_scan(basis, b, radius, step, checks):
         z = list(int_b)
         for j, k in enumerate(alpha):
             z = [zi - a * int_ticks[k] for zi, a in zip(z, int_cols[j])]
-        abs_z = list(map(abs, z))
-        if oracle._fails(z, abs_z, checks[last]):
+        if not bj_orthogonal_l1(checks[last], z):
             continue
-        failing = next((i for i, c in enumerate(checks) if oracle._fails(z, abs_z, c)), None)
+        failing = next((i for i, c in enumerate(checks) if not bj_orthogonal_l1(c, z)), None)
         if failing is None:
             candidates.append(tuple(ticks[k] for k in alpha))
         else:
@@ -479,18 +492,18 @@ def test_brute_force_matches_pointwise_scan_on_long_lines(degenerate):
 def test_brute_force_tests_at_most_one_point_per_line(
     monkeypatch, span3_l16, radius, most_calls
 ):
-    # The pointwise scan calls _fails 9288 times at radius 5 and 531754
-    # times at radius 20.  Every tope test is a slab, so no grid point is
-    # tested on its own.
+    # The pointwise scan calls bj_orthogonal_l1 9288 times at radius 5
+    # and 531754 times at radius 20.  Every tope test is a slab, so no
+    # grid point is tested on its own.
     calls = 0
-    fails = oracle._fails
+    test = oracle.bj_orthogonal_l1
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return fails(*args)
+        return test(*args)
 
-    monkeypatch.setattr(oracle, "_fails", counted)
+    monkeypatch.setattr(oracle, "bj_orthogonal_l1", counted)
     res = brute_force_existence(span3_l16, B1, radius, Q(1, 2))
     assert not res.exists
     assert calls == 0 <= most_calls
@@ -532,21 +545,22 @@ def test_verify_matches_reference_verifier(degenerate):
 
 
 def test_sign_pattern_map_matches_fraction_map():
-    # Each pattern is the sign vector of A.beta at its own witness,
+    # Each key is the int sign vector of A.beta at its own witness,
     # computed in Fractions, with zero signs exactly on A's zero rows; no
-    # two patterns are equal up to sign.
+    # two keys are equal up to sign.
     rng = random.Random(5151)
     for case in range(240):
         m = 1 + case % 4
         basis = _awkward_basis(rng, m) if m < 4 else _basis_for(rng, m, False)
-        zero_rows = tuple(int(not any(row)) for row in basis.matrix)
+        zero_rows = tuple(not any(row) for row in basis.matrix)
         patterns = oracle._sign_patterns(basis)
         pairs = set()
-        for (signs, off), witness in patterns.items():
+        for signs, witness in patterns.items():
             assert all(type(x) is int for x in witness) and len(witness) == m, case
+            assert all(type(s) is int for s in signs), case
             image = basis.combine(tuple(map(Q, witness)))
             assert signs == tuple((y > 0) - (y < 0) for y in image), case
-            assert off == zero_rows, case
+            assert tuple(not s for s in signs) == zero_rows, case
             pairs.add(max(signs, tuple(-s for s in signs)))
         assert len(pairs) == len(patterns), case
 
@@ -649,7 +663,7 @@ def test_patterns_are_the_topes_of_the_lp_reference():
             basis = random_basis(rng, n, m, zero_rows=rng.randint(0, 1))
         patterns = oracle._sign_patterns(basis)
         reference = _lp_reference_topes(basis)
-        assert {_pair(s) for s, _ in patterns} == {_pair(s) for s, _ in reference}, case
+        assert {_pair(s) for s in patterns} == {_pair(s) for s, _ in reference}, case
         r = len(_planes(basis.matrix))
         assert len(patterns) == len(reference) <= cell_pair_bound(r, m), case
         pencils += _three_planes_through_a_flat(basis.matrix)

@@ -53,3 +53,6 @@ def test_traced_cli_runs_bind_every_lp_call(capsys):
         tr.uninstall()
     assert tr.calls["lp.lex"] == tr.calls["solver.lex_extreme_alpha"] > 0
     assert tr.counts["lp.tableau_entries"] > 0
+    assert tr.counts["oracle.bj_checks"] > 0  # the oracle's tope test is the counted name
+    # main looks each command up per call, so the tracer's cmd_* spans see it.
+    assert (tr.calls["cli.cmd_solve"], tr.calls["cli.cmd_norming_set"]) == (2, 1)
