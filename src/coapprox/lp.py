@@ -165,9 +165,8 @@ def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, multipliers: bool = False)
         raise ValidationError("minimax rhs length does not match row count")
     # Variables (x, t') with t = top + t', top = max|rhs|; minimize t'
     # subject to +-(rows.x - rhs) <= top + t'.  Every rhs top +- b is >= 0,
-    # so x = 0, t' = 0 is the feasible start.  The rows go in as given:
-    # lp_min scales each by its own denominators, where one common
-    # denominator would inflate every entry.
+    # so x = 0, t' = 0 is the feasible start.  The program's rows come as
+    # ints; lp_min scales a library caller's rational row by its own lcm.
     top = max(map(abs, rhs))
     cost, a_ub, b_ub = (0,) * m + (1,), [], []
     for row, b in zip(rows, rhs):

@@ -85,7 +85,8 @@ class PreparedBasis:
     `q` and the class-sum rows come from the profile alone.  Both solve
     paths read the class-sum rows: the slack-0 path solves them, and the
     zero-set polytope has one inequality per cell, the cell's signed sum
-    of them, so only `cells` is enumerated.  `norming`, the coordinate
+    of them, so only `cells` is enumerated; the minimax LP runs on those
+    rows in ints, `feasibility_ints`.  `norming`, the coordinate
     sign vectors, is built for `norming-set` and for `system_rows`.
     `fiber_minimax` keeps the last fiber's minimax solve in one slot, so
     memory stays bounded and each new fiber is solved afresh.
@@ -164,31 +165,39 @@ class PreparedBasis:
         return tuple(norming_dot(x, b_reduced) for x in self.norming.system_basis)
 
     @cached_property
+    def feasibility_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, rows): inequality rows / den, one per norming-set pair (all
+        of them).  The cell's sign vector x is s_c * o_i on class c, so its
+        pairing with the reduced columns is sum_c s_c * class_rows[c]."""
+        m = self.basis.m
+        den, flat = scaled_ints([x for row in self.class_rows for x in row])
+        cols = [flat[j::m] for j in range(m)]
+        return den, tuple(tuple(sum(map(mul, cell.signs, col)) for col in cols)
+                          for cell in self.cells)
+
+    @cached_property
     def feasibility_rows(self) -> Mat:
-        """Inequality rows, one per norming-set pair (all of them).  The
-        cell's sign vector x is s_c * o_i on class c, so its pairing with
-        the reduced columns, sum_i x_i A_i, is sum_c s_c * class_rows[c]."""
-        cols = [scaled_ints(col) for col in zip(*self.class_rows)]
-        return tuple(
-            tuple(Q(sum(map(mul, cell.signs, ints)), den) for den, ints in cols)
-            for cell in self.cells
-        )
+        """feasibility_ints as Fractions, which outcomes and reports read."""
+        den, rows = self.feasibility_ints
+        return tuple(tuple(Q(x, den) for x in row) for row in rows)
 
     def feasibility_rhs(self, b: Vec) -> Vec:
         """x . sigma(b) per cell, as feasibility_rows: sum_c s_c * class_rhs(b)[c]."""
         den, sums = self._class_sums(b)
         return tuple(Q(sum(map(mul, cell.signs, sums)), den) for cell in self.cells)
 
-    @cached_property
-    def lex_forms(self) -> tuple:
-        return lex_forms(self.feasibility_rows)
-
     def fiber_minimax(self, b: Vec) -> tuple[Vec, Q, Vec]:
-        """(rhs, delta0, alpha) of the minimax LP on the fiber of b."""
+        """(rhs, delta0, alpha) of the minimax LP on the fiber of b, posed
+        in ints: |sums - rows.x| <= bden t, x = (bden/den) alpha, is a
+        positive rescaling of rows and variables, which no pivot sees."""
         key, slot = self.reduced.sigma(b), self._fiber
         if slot[0] != key:  # a new fiber replaces the slot in one assignment
-            rhs = self.feasibility_rhs(b)
-            slot = self._fiber = (key, rhs, *solve_minimax_lp(self.feasibility_rows, rhs))
+            den, rows = self.feasibility_ints
+            bden, sums = self._class_sums(b)
+            sums = [sum(map(mul, cell.signs, sums)) for cell in self.cells]
+            t, x = solve_minimax_lp(rows, sums)
+            slot = self._fiber = (key, tuple(Q(s, bden) for s in sums), t / bden,
+                                  tuple(den * v / bden for v in x))
         return slot[1:]
 
 
@@ -269,18 +278,8 @@ def solve_empty_zero_set(pb: PreparedBasis, b: Vec) -> CoapproxOutcome:
     return _unique(pb.basis, res.solution)
 
 
-def lex_forms(rows: Mat) -> tuple:
-    """(scales, a_ub), the int rows of a lex search: a_ub[2i] is row i
-    times scales[i], the lcm of its denominators, a_ub[2i+1] its
-    negation."""
-    scaled = [scaled_ints(row) for row in rows]
-    a_ub = tuple(tuple(s * x for x in ints) for _, ints in scaled for s in (1, -1))
-    return [d for d, _ in scaled], a_ub
-
-
 def lex_extreme_alpha(
     basis: SubspaceBasis, constraints: PolytopeConstraints, direction: int, start: Vec,
-    forms: tuple | None = None,
 ) -> Vec:
     """Coefficients of the lexicographically extreme feasible vector.
 
@@ -292,25 +291,26 @@ def lex_extreme_alpha(
     of A span R^m, so the last face is one point, whatever the start.
     The LP is posed in ints, in y = den * (alpha - start) for a feasible
     `start`, den a common denominator of start, rhs and slack, so every
-    rhs is >= 0, as lp_min requires, and the simplex starts at y = 0.  No
-    positive scaling of a row or cost moves a pivot or the point, so the
-    costs are the rows of A as coprime ints, `basis.int_rows`.
-    `forms` is lex_forms(constraints.rows), built once by a PreparedBasis.
+    rhs is >= 0, as lp_min requires, and the simplex starts at y = 0; the
+    rows are scaled to ints by the lcm of their denominators.  No positive
+    scaling of a row or cost moves a pivot or the point, so the costs are
+    the rows of A as coprime ints, `basis.int_rows`.
     """
-    scales, a_ub = forms or lex_forms(constraints.rows)
     k = len(constraints.rhs)
+    rden, flat = scaled_ints([x for row in constraints.rows for x in row])
     den, ints = scaled_ints([constraints.slack, *constraints.rhs, *start])
-    s0, x0 = ints[0], ints[k + 1:]
-    b_ub = []
-    for scale, rv, row in zip(scales, ints[1:k + 1], a_ub[::2]):
-        gap = scale * rv - sum(map(mul, row, x0))
-        b_ub += [scale * s0 + gap, scale * s0 - gap]
+    s0, x0 = rden * ints[0], ints[k + 1:]
+    a_ub, b_ub = [], []
+    for row, rv in zip(zip(*[iter(flat)] * len(x0)), ints[1:k + 1]):  # flat, regrouped in rows
+        gap = rden * rv - sum(map(mul, row, x0))
+        a_ub += [row, [-x for x in row]]
+        b_ub += [s0 + gap, s0 - gap]
     if any(v < 0 for v in b_ub):
         raise InternalInconsistencyError("lex search start is not feasible")
     costs = [tuple(direction * x for x in c) for c in basis.int_rows]
     # `then` goes positionally: perfbench/tracer.py sizes this call by
     # binding its arguments to lp_min's old (cost, a_ub, b_ub, a_eq, b_eq).
-    res = lp_min(costs[0], a_ub, tuple(b_ub), costs[1:])
+    res = lp_min(costs[0], tuple(a_ub), tuple(b_ub), costs[1:])
     if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
         raise InternalInconsistencyError("lex support LP must be solvable")
     return tuple((a + y) / den for a, y in zip(x0, res.x))
@@ -340,8 +340,8 @@ def solve_general(
     if t_star > slack:
         return _not_exists()
     tight = PolytopeConstraints(rows=rows, rhs=rhs, slack=t_star)
-    witness = lex_extreme_alpha(basis, tight, +1, alpha, pb.lex_forms)
-    if slack == t_star and witness == lex_extreme_alpha(basis, tight, -1, alpha, pb.lex_forms):
+    witness = lex_extreme_alpha(basis, tight, +1, alpha)
+    if slack == t_star and witness == lex_extreme_alpha(basis, tight, -1, alpha):
         return _unique(basis, witness)
     return CoapproxOutcome(
         kind=OutcomeKind.POLYTOPE,

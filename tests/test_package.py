@@ -1,5 +1,9 @@
 import importlib
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -16,6 +20,17 @@ def test_public_names_resolve_and_exclude_submodules():
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_library_example_runs_on_the_package_alone(tmp_path):
+    # README's one python block, run outside the checkout with only the
+    # package's source on the path: it may import nothing but coapprox.
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ClassificationReport(coproximinal=True"), proc.stdout
 
 
 def _load_tracer():

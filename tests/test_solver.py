@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 
@@ -25,8 +26,8 @@ from coapprox import (
     validate_basis,
     vec,
 )
-from coapprox import norming, solver
-from coapprox.exact import first_basis, rank, vec_sub
+from coapprox import lp, norming, solver
+from coapprox.exact import first_basis, rank, scaled_ints, vec_sub
 from coapprox.instances import random_basis, random_invertible, random_vector, recombine
 from coapprox.lp import LpStatus, lp_max, lp_min, solve_minimax_lp
 from coapprox.solver import PolytopeConstraints, lex_extreme_alpha
@@ -667,9 +668,9 @@ def test_lex_lps_start_feasible_with_no_phase_1(monkeypatch):
 
 
 def test_lex_and_margin_lps_reach_the_kernel_in_ints(monkeypatch):
-    # The lex LPs (from PreparedBasis's int rows) and the margin LPs (from
-    # the int normals) are built in ints: every entry of every cost, row,
-    # rhs and `then` cost that lp_min and lp_max receive is an int.
+    # The lex LPs (on rows each search scales to ints) and the margin LPs
+    # (from the int normals) are built in ints: every entry of every cost,
+    # row, rhs and `then` cost that lp_min and lp_max receive is an int.
     seen = []
 
     def recorder(kernel):
@@ -698,6 +699,95 @@ def test_lex_and_margin_lps_reach_the_kernel_in_ints(monkeypatch):
             norming.margin_witness(pb.arrangement, cell)
     assert lex_lps >= 300 and len(seen) - lex_lps >= 100
     assert all(type(x) is int for entries in seen for x in entries)
+
+
+def test_minimax_lps_reach_the_kernel_in_ints(monkeypatch):
+    # solve_general and existence_threshold pose the minimax LP on
+    # PreparedBasis.feasibility_ints and the target's int per-cell sums:
+    # every cost, row and rhs entry lp_min receives from
+    # solve_minimax_lp is an int.  The slack cases are drawn first, as
+    # their own reference minimax LPs run on Fraction rows.
+    rng = random.Random(4141)
+    cases = [(basis, b, [t for t, _, _ in _slack_cases(rng, prepare(basis), b)])
+             for basis, b in _zero_set_instances(rng, 150)]
+    seen = []
+
+    def recorded(cost, a_ub, b_ub):
+        seen.append([*cost, *(x for row in a_ub for x in row), *b_ub])
+        return lp_min(cost, a_ub, b_ub)
+
+    monkeypatch.setattr(lp, "lp_min", recorded)
+    for basis, b, targets in cases:
+        pb = prepare(basis)
+        for target in targets:  # one fiber: one minimax LP
+            solve_general(basis, None, target, prepared=pb)
+        existence_threshold(basis, None, b)  # a fresh prepare: one more
+    assert len(seen) == 2 * len(cases) == 316
+    assert all(type(x) is int for entries in seen for x in entries)
+
+
+def _fraction_feasibility_rows(pb):
+    """The zero-set rows as Fractions, built per column as the solver
+    built them before it held them as ints over one denominator."""
+    cols = [scaled_ints(col) for col in zip(*pb.class_rows)]
+    return tuple(tuple(Q(sum(map(mul, cell.signs, ints)), den) for den, ints in cols)
+                 for cell in pb.cells)
+
+
+def test_int_minimax_and_lex_searches_match_the_fraction_construction():
+    # fiber_minimax solves in ints, in x = (bden/den) alpha and bden t,
+    # and each lex search scales its own rows: the results equal the
+    # minimax LP and the lex searches run on Fraction rows.  Bases carry
+    # class constants with denominators 2-7 (and the m = 9 basis at the
+    # cell caps, 256 pairs); targets carry entries off the zero set with
+    # denominators 3, 5 and 7.  The m = 9 basis has d = m classes, so
+    # delta0 = 0 on it and only a positive slack reaches its 256 rows.
+    rng = random.Random(2626)
+    bases = []
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        zeros = rng.randint(1, 2)
+        # At least m + 1 classes, so delta0 > 0 on most fibers.
+        basis = random_basis(rng, m + zeros + rng.randint(1, 2), m, lo=-3, hi=3, zero_rows=zeros)
+        rows = list(basis.matrix)
+        for _ in range(rng.randint(1, 3)):
+            source = rng.choice([r for r in basis.matrix if any(r)])
+            const = Q(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 7))
+            rows.insert(rng.randint(0, len(rows)), tuple(const * x for x in source))
+        bases.append(validate_basis(tuple(rows)))
+    n, m = 11, 9
+    bases.append(validate_basis(tuple(
+        tuple(Q(-3, 2) if i == n - 2 and j == 0 else Q(int(i == j)) for j in range(m))
+        for i in range(n)
+    )))
+    seen = Counter()
+    for basis in bases:
+        pb = prepare(basis)
+        rows = _fraction_feasibility_rows(pb)
+        assert pb.feasibility_rows == rows
+        for _ in range(1 if basis.m == 9 else 3):
+            b = [Q(0)] * basis.n
+            for pos, i in enumerate(pb.reduced.kept_indices):
+                d = (3, 5, 7)[pos % 3]
+                b[i] = Q(d * rng.randint(-3, 3) + rng.randint(1, d - 1), d)
+            b = tuple(b)
+            assert {x.denominator for x in pb.reduced.sigma(b)} == {3, 5, 7}
+            rhs = pb.feasibility_rhs(b)
+            t_star, alpha = solve_minimax_lp(rows, rhs)
+            assert pb.fiber_minimax(b) == (rhs, t_star, alpha)
+            tight = PolytopeConstraints(rows, rhs, t_star)
+            witness = lex_extreme_alpha(basis, tight, +1, alpha)
+            point = witness == lex_extreme_alpha(basis, tight, -1, alpha)
+            for slack in (t_star, t_star + Q(rng.randint(1, 4), 11)):
+                if not slack:
+                    continue
+                out = solve_general(basis, None, _with_slack(rng, pb, b, slack), prepared=pb)
+                kind = OutcomeKind.UNIQUE if slack == t_star and point else OutcomeKind.POLYTOPE
+                assert (out.kind, out.chosen_alpha) == (kind, witness)
+                seen[kind, slack == t_star, basis.m == 9] += 1
+    assert len(bases) == 61 and seen[OutcomeKind.POLYTOPE, False, True] == 1, seen
+    assert seen[OutcomeKind.UNIQUE, True, False] >= 100, seen
+    assert seen[OutcomeKind.POLYTOPE, False, False] >= 150, seen
 
 
 @pytest.mark.parametrize("direction", [+1, -1])
