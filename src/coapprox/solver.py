@@ -27,15 +27,15 @@ points (in subspace-vector order) tell these apart and pick a witness
 independent of the particular basis supplied; each search starts at
 the minimax optimizer, which is feasible, as the one-phase LP kernel
 needs.
-delta0 and its optimizer depend only on sigma(b), so all targets on one
-fiber (same entries off Z, any mass on Z) share one minimax solve,
-PreparedBasis.fiber_minimax.
+delta0, its optimizer and the optimal face depend only on sigma(b), so
+all targets on one fiber (same entries off Z, any mass on Z) share one
+minimax solve and one lex search per direction, PreparedBasis.fiber.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from operator import mul
 
 from .errors import (
@@ -88,8 +88,9 @@ class PreparedBasis:
     of them, so only `cells` is enumerated; the minimax LP runs on those
     rows in ints, `feasibility_ints`.  `norming`, the coordinate
     sign vectors, is built for `norming-set` and for `system_rows`.
-    `fiber_minimax` keeps the last fiber's minimax solve in one slot, so
-    memory stays bounded and each new fiber is solved afresh.
+    `fiber` keeps the last fiber's minimax solve, rho-mass and, once
+    asked for, its lex-min and lex-max points in one slot, so memory
+    stays bounded and each new fiber is solved afresh.
     """
 
     def __init__(self, basis: SubspaceBasis):
@@ -136,15 +137,15 @@ class PreparedBasis:
             out.append(tuple(weight * x for x in self.basis.matrix[cls.representative]))
         return tuple(out)
 
-    def _class_sums(self, b: Vec) -> tuple[int, list[int]]:
-        """(den, sums): class_rhs(b) is sums / den, summed in ints."""
+    def _class_sums(self, b: Vec) -> tuple[int, list[int], list[int]]:
+        """(den, b * den, sums): class_rhs(b) is sums / den, summed in ints."""
         den, ints = scaled_ints(b)
-        return den, [sum(ints[i] if c > 0 else -ints[i] for i, c in cls.members)
+        return den, ints, [sum(ints[i] if c > 0 else -ints[i] for i, c in cls.members)
                      for cls in self.profile.classes]
 
     def class_rhs(self, b: Vec) -> Vec:
         """sum_{i in c} o_i b_i per class, o_i the sign of const_i."""
-        den, sums = self._class_sums(b)
+        den, _, sums = self._class_sums(b)
         return tuple(Q(s, den) for s in sums)
 
     @cached_property
@@ -183,21 +184,28 @@ class PreparedBasis:
 
     def feasibility_rhs(self, b: Vec) -> Vec:
         """x . sigma(b) per cell, as feasibility_rows: sum_c s_c * class_rhs(b)[c]."""
-        den, sums = self._class_sums(b)
+        den, _, sums = self._class_sums(b)
         return tuple(Q(sum(map(mul, cell.signs, sums)), den) for cell in self.cells)
 
-    def fiber_minimax(self, b: Vec) -> tuple[Vec, Q, Vec]:
-        """(rhs, delta0, alpha) of the minimax LP on the fiber of b, posed
-        in ints: |sums - rows.x| <= bden t, x = (bden/den) alpha, is a
-        positive rescaling of rows and variables, which no pivot sees."""
+    def fiber(self, b: Vec) -> tuple:
+        """(rhs, delta0, alpha, rho_mass, lex) of b's fiber, kept in one slot
+        until another fiber replaces it; lex(direction) is the lex-extreme
+        point of the optimal face, searched on its first call.  Both LPs are
+        in ints, on rows and sums times positive scalars, which no pivot
+        sees: the minimax LP |sums - rows.x| <= t in x = (bden/den) alpha,
+        and the lex_lp of both searches |bden rows.alpha - den sums| <= den t."""
         key, slot = self.reduced.sigma(b), self._fiber
         if slot[0] != key:  # a new fiber replaces the slot in one assignment
             den, rows = self.feasibility_ints
-            bden, sums = self._class_sums(b)
+            bden, ints, sums = self._class_sums(b)
             sums = [sum(map(mul, cell.signs, sums)) for cell in self.cells]
             t, x = solve_minimax_lp(rows, sums)
-            slot = self._fiber = (key, tuple(Q(s, bden) for s in sums), t / bden,
-                                  tuple(den * v / bden for v in x))
+            basis, alpha = self.basis, tuple(den * v / bden for v in x)
+            tight = cache(lambda: lex_lp(PolytopeConstraints(
+                [[bden * v for v in r] for r in rows], [den * s for s in sums], den * t), alpha))
+            slot = self._fiber = (key, tuple(Q(s, bden) for s in sums), t / bden, alpha,
+                                  Q(sum(abs(ints[i]) for i in self.reduced.kept_indices), bden),
+                                  cache(lambda d: lex_extreme_alpha(basis, tight(), d)))
         return slot[1:]
 
 
@@ -278,23 +286,12 @@ def solve_empty_zero_set(pb: PreparedBasis, b: Vec) -> CoapproxOutcome:
     return _unique(pb.basis, res.solution)
 
 
-def lex_extreme_alpha(
-    basis: SubspaceBasis, constraints: PolytopeConstraints, direction: int, start: Vec,
-) -> Vec:
-    """Coefficients of the lexicographically extreme feasible vector.
-
-    Lexicographic order is taken on the subspace element A.alpha
-    coordinate by coordinate (direction +1 minimizes, -1 maximizes), so
-    the resulting point is a property of the subspace and target alone.
-    One LP minimizes direction * (row i of A) . alpha for every row in
-    order, each over the optimal face of the rows before it.  The rows
-    of A span R^m, so the last face is one point, whatever the start.
-    The LP is posed in ints, in y = den * (alpha - start) for a feasible
-    `start`, den a common denominator of start, rhs and slack, so every
-    rhs is >= 0, as lp_min requires, and the simplex starts at y = 0; the
-    rows are scaled to ints by the lcm of their denominators.  No positive
-    scaling of a row or cost moves a pivot or the point, so the costs are
-    the rows of A as coprime ints, `basis.int_rows`.
+def lex_lp(constraints: PolytopeConstraints, start: Vec) -> tuple:
+    """(a_ub, b_ub, x0, den): a lex search's LP over `constraints`, in ints,
+    in y = den * (alpha - start) = alpha * den - x0 for a feasible `start`,
+    den a common denominator of start, rhs and slack, so every rhs is >= 0,
+    as lp_min requires, and the simplex starts at y = 0; the rows are
+    scaled to ints by the lcm of their denominators (1 for int rows).
     """
     k = len(constraints.rhs)
     rden, flat = scaled_ints([x for row in constraints.rows for x in row])
@@ -307,10 +304,26 @@ def lex_extreme_alpha(
         b_ub += [s0 + gap, s0 - gap]
     if any(v < 0 for v in b_ub):
         raise InternalInconsistencyError("lex search start is not feasible")
-    costs = [tuple(direction * x for x in c) for c in basis.int_rows]
+    return tuple(a_ub), tuple(b_ub), x0, den
+
+
+def lex_extreme_alpha(basis: SubspaceBasis, tight: tuple, direction: int) -> Vec:
+    """Coefficients of the lexicographically extreme point of a lex_lp.
+
+    Lexicographic order is taken on the subspace element A.alpha
+    coordinate by coordinate (direction +1 minimizes, -1 maximizes), so
+    the resulting point is a property of the subspace and target alone.
+    One LP minimizes direction * (row i of A) . alpha, as coprime ints,
+    for the m independent rows `basis.lex_costs` in order, each over the
+    optimal face of those before it, so the last face is one point.  A
+    skipped row is in the span of earlier kept ones, so it is constant on
+    their face: its stage could neither enter a column nor move the point.
+    """
+    a_ub, b_ub, x0, den = tight
+    costs = [tuple(direction * x for x in c) for c in basis.lex_costs]
     # `then` goes positionally: perfbench/tracer.py sizes this call by
     # binding its arguments to lp_min's old (cost, a_ub, b_ub, a_eq, b_eq).
-    res = lp_min(costs[0], tuple(a_ub), tuple(b_ub), costs[1:])
+    res = lp_min(costs[0], a_ub, b_ub, costs[1:])
     if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
         raise InternalInconsistencyError("lex support LP must be solvable")
     return tuple((a + y) / den for a, y in zip(x0, res.x))
@@ -326,8 +339,8 @@ def solve_general(
     Otherwise the slack is compared with delta0: below it nothing exists;
     above it the polytope holds a ball around the minimax optimizer, so
     it is full-dimensional, and only its witness (the lex-smallest point
-    of the optimal face) is searched for; at it a second lex search, the
-    other way, tells a point from a polytope.
+    of the optimal face) is needed; at it the lex-largest point tells a
+    point from a polytope.  Each is searched once per fiber (pb.fiber).
     """
     pb = prepared_for(basis, prepared)
     if len(b) != basis.n:
@@ -335,17 +348,15 @@ def solve_general(
     slack = sum((abs(b[i]) for i in pb.profile.zero_set), Q(0))
     if not slack:
         return solve_empty_zero_set(pb, b)
-    rows = pb.feasibility_rows
-    rhs, t_star, alpha = pb.fiber_minimax(b)
+    rhs, t_star, _, _, lex = pb.fiber(b)
     if t_star > slack:
         return _not_exists()
-    tight = PolytopeConstraints(rows=rows, rhs=rhs, slack=t_star)
-    witness = lex_extreme_alpha(basis, tight, +1, alpha)
-    if slack == t_star and witness == lex_extreme_alpha(basis, tight, -1, alpha):
+    witness = lex(+1)
+    if slack == t_star and witness == lex(-1):
         return _unique(basis, witness)
     return CoapproxOutcome(
         kind=OutcomeKind.POLYTOPE,
-        constraints=PolytopeConstraints(rows=rows, rhs=rhs, slack=slack),
+        constraints=PolytopeConstraints(rows=pb.feasibility_rows, rhs=rhs, slack=slack),
         witness=witness,
         vector=basis.combine(witness),
     )
@@ -370,9 +381,7 @@ def existence_threshold(
         raise DimensionError("target length does not match ambient dimension")
     if not pb.profile.zero_set:
         raise EmptyZeroSetError("threshold is defined only for non-empty zero sets")
-    _, delta0, alpha = pb.fiber_minimax(b)
-    den, kept = scaled_ints(pb.reduced.sigma(b))
-    rho_mass = Q(sum(map(abs, kept)), den)
+    _, delta0, alpha, rho_mass, _ = pb.fiber(b)
     if delta0 > rho_mass:  # pragma: no cover
         raise InternalInconsistencyError("threshold exceeds the rho-mass upper bound")
     return ExistenceThreshold(delta0=delta0, minimizing_alpha=alpha, rho_mass=rho_mass)

@@ -13,7 +13,7 @@ from functools import cached_property
 from operator import mul
 
 from .errors import DimensionError, RankDeficientError, ZeroSubspaceError
-from .exact import Mat, Q, Vec, primitive_ints, rank, scaled_ints
+from .exact import Mat, Q, Vec, first_basis, primitive_ints, rank, scaled_ints
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,12 @@ class SubspaceBasis:
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
         """Each row as coprime ints, built once for rank, profile and topes."""
         return tuple(tuple(primitive_ints(row)) for row in self.matrix)
+
+    @cached_property
+    def lex_costs(self) -> tuple[tuple[int, ...], ...]:
+        """The m int_rows that greedy in-order independence keeps: the
+        costs of a lex search (solver.lex_extreme_alpha)."""
+        return tuple(self.int_rows[i] for i in first_basis(self.int_rows))
 
     @cached_property
     def _int_matrix(self) -> tuple[int, list[list[int]]]:

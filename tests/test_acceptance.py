@@ -22,7 +22,7 @@ from coapprox import (
     verify_best_coapprox,
 )
 from coapprox.instances import random_basis, random_invertible, random_vector, recombine
-from coapprox.solver import lex_extreme_alpha
+from coapprox.solver import lex_extreme_alpha, lex_lp
 from tests.conftest import column_basis
 
 EXPECTED_PAIRS = (
@@ -234,7 +234,7 @@ def test_criterion_8_zero_set_multiplicity():
         out = solve_general(basis, pb.profile, b, prepared=pb)
         ok = out.kind is OutcomeKind.POLYTOPE
         if ok:
-            second = lex_extreme_alpha(basis, out.constraints, -1, out.witness)
+            second = lex_extreme_alpha(basis, lex_lp(out.constraints, out.witness), -1)
             ok = second != out.witness
             for alpha in (out.witness, second):
                 verdict = verify_best_coapprox(basis, b, alpha)

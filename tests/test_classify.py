@@ -12,7 +12,7 @@ from coapprox import (
     verify_best_coapprox,
 )
 from coapprox.instances import random_basis, random_invertible, random_vector, recombine
-from coapprox.solver import lex_extreme_alpha
+from coapprox.solver import lex_extreme_alpha, lex_lp
 from tests.conftest import column_basis
 
 
@@ -128,7 +128,7 @@ def test_zero_set_coproximinal_has_multiple_solutions():
         b[pb.profile.zero_set[0]] = Q(rng.randint(1, 5))
         out = solve_general(basis, pb.profile, tuple(b), prepared=pb)
         assert out.kind is OutcomeKind.POLYTOPE
-        other = lex_extreme_alpha(basis, out.constraints, -1, out.witness)
+        other = lex_extreme_alpha(basis, lex_lp(out.constraints, out.witness), -1)
         assert other != out.witness
         for alpha in (out.witness, other):
             verdict = verify_best_coapprox(basis, tuple(b), alpha)

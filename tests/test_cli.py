@@ -967,18 +967,23 @@ def test_threshold_script_traces_the_dichotomy():
 
 
 def test_threshold_script_runs_one_minimax_lp_per_target(monkeypatch):
-    # The script's four calls per target share one fiber, so one LP.
+    # The script's four calls per target share one fiber, so one minimax
+    # LP, and one lex search per direction: the mass above delta0 reuses
+    # the witness the mass at delta0 found.
     script = Path(__file__).resolve().parent.parent / "scripts" / "threshold_dichotomy.py"
     spec = importlib.util.spec_from_file_location("threshold_dichotomy", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    calls = []
+    calls, searches = [], []
     lp = solver.solve_minimax_lp
     monkeypatch.setattr(solver, "solve_minimax_lp", lambda *args: calls.append(args) or lp(*args))
+    lex = solver.lex_extreme_alpha
+    monkeypatch.setattr(solver, "lex_extreme_alpha",
+                        lambda *args: searches.append(args[2]) or lex(*args))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert module.main(["--input", THRESHOLD_FILE]) == 0
-    assert (out.getvalue(), len(calls)) == (THRESHOLD_SCRIPT_OUTPUT, 1)
+    assert (out.getvalue(), len(calls), searches) == (THRESHOLD_SCRIPT_OUTPUT, 1, [+1, -1])
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from coapprox import lp, norming, solver
 from coapprox.exact import first_basis, rank, scaled_ints, vec_sub
 from coapprox.instances import random_basis, random_invertible, random_vector, recombine
 from coapprox.lp import LpStatus, lp_max, lp_min, solve_minimax_lp
-from coapprox.solver import PolytopeConstraints, lex_extreme_alpha
+from coapprox.solver import PolytopeConstraints, lex_extreme_alpha, lex_lp
 from tests.conftest import column_basis, general_lp_min
 
 B1 = vec((1, 2, 3, 4, 5, 6))
@@ -451,8 +451,8 @@ class TestProjection:
 def test_lex_extreme_points_bound_the_polytope():
     basis = column_basis((1, 0))
     out = solve_general(basis, None, vec((3, 1)))
-    lo = lex_extreme_alpha(basis, out.constraints, +1, out.witness)
-    hi = lex_extreme_alpha(basis, out.constraints, -1, out.witness)
+    lo = lex_extreme_alpha(basis, lex_lp(out.constraints, out.witness), +1)
+    hi = lex_extreme_alpha(basis, lex_lp(out.constraints, out.witness), -1)
     assert (lo, hi) == ((Q(2),), (Q(4),))
 
 
@@ -589,9 +589,10 @@ def _slack_cases(rng, pb, b):
 def test_zero_set_solve_matches_three_lex_reference(monkeypatch):
     # Against the solve that ignored delta0: equal fields on every
     # target, and the lex searches each case needs (none below delta0,
-    # one above it, two at it).  A target with no zero-set mass, members
-    # included, goes to the class-sum system: no minimax LP, no lex
-    # search, and no cell enumeration on a fresh prepare.
+    # one above it, two at it), each target on a fresh prepare, as a
+    # shared one answers a fiber's later targets from its slot.  A target
+    # with no zero-set mass, members included, goes to the class-sum
+    # system: no minimax LP, no lex search, and no cell enumeration.
     calls = Counter()
 
     def counted(name, fn):
@@ -609,7 +610,7 @@ def test_zero_set_solve_matches_three_lex_reference(monkeypatch):
         zero_reduced = not any(pb.reduced.sigma(b))
         for target, slack, t_star in _slack_cases(rng, pb, b):
             calls.clear()
-            used = prepare(basis) if slack == 0 else pb
+            used = prepare(basis)
             out = solve_general(basis, None, target, prepared=used)
             assert _fields(out) == _reference_solve(pb, target), (basis.matrix, target)
             member = solve_linear(basis.matrix, target).status is SystemStatus.UNIQUE
@@ -641,7 +642,7 @@ def test_lex_extreme_alpha_matches_rank_loop_reference(direction):
         t_star, alpha_star = solve_minimax_lp(pb.feasibility_rows, rhs)
         for slack in (t_star, t_star + Q(rng.randint(1, 4), 3)):
             constraints = PolytopeConstraints(pb.feasibility_rows, rhs, slack)
-            got = lex_extreme_alpha(basis, constraints, direction, alpha_star)
+            got = lex_extreme_alpha(basis, lex_lp(constraints, alpha_star), direction)
             assert got == _reference_lex_extreme_alpha(basis, constraints, direction)
             assert constraints.satisfied_by(got)
             checked += 1
@@ -650,7 +651,8 @@ def test_lex_extreme_alpha_matches_rank_loop_reference(direction):
 
 def test_lex_lps_start_feasible_with_no_phase_1(monkeypatch):
     # lp_min has no phase 1 and refuses a negative rhs; started at the
-    # minimax optimizer, no lex LP has one.
+    # minimax optimizer, no lex LP has one.  Each target gets a fresh
+    # prepare, so every lex search it needs runs.
     rhs_seen = []
 
     def recorded(cost, a_ub, b_ub, then=()):
@@ -662,15 +664,17 @@ def test_lex_lps_start_feasible_with_no_phase_1(monkeypatch):
     for basis, b in _zero_set_instances(rng, 500):
         pb = prepare(basis)
         for target, _, _ in _slack_cases(rng, pb, b):
-            solve_general(basis, None, target, prepared=pb)
+            solve_general(basis, None, target, prepared=prepare(basis))
     assert len(rhs_seen) >= 1000
     assert all(v >= 0 for b_ub in rhs_seen for v in b_ub)
 
 
 def test_lex_and_margin_lps_reach_the_kernel_in_ints(monkeypatch):
-    # The lex LPs (on rows each search scales to ints) and the margin LPs
-    # (from the int normals) are built in ints: every entry of every cost,
-    # row, rhs and `then` cost that lp_min and lp_max receive is an int.
+    # The lex LPs (on the int rows of each fiber's lex_lp) and the margin
+    # LPs (from the int normals) are built in ints: every entry of every
+    # cost, row, rhs and `then` cost that lp_min and lp_max receive is an
+    # int.  Each target gets a fresh prepare, so every lex search it needs
+    # runs.
     seen = []
 
     def recorder(kernel):
@@ -686,7 +690,7 @@ def test_lex_and_margin_lps_reach_the_kernel_in_ints(monkeypatch):
     for basis, b in _zero_set_instances(rng, 150):
         pb = prepare(basis)
         for target, _, _ in _slack_cases(rng, pb, b):
-            solve_general(basis, None, target, prepared=pb)
+            solve_general(basis, None, target, prepared=prepare(basis))
     lex_lps = len(seen)
     for _ in range(30):  # zero-set-free bases with rational rows: norming-set cells
         m = rng.randint(1, 3)
@@ -774,10 +778,10 @@ def test_int_minimax_and_lex_searches_match_the_fraction_construction():
             assert {x.denominator for x in pb.reduced.sigma(b)} == {3, 5, 7}
             rhs = pb.feasibility_rhs(b)
             t_star, alpha = solve_minimax_lp(rows, rhs)
-            assert pb.fiber_minimax(b) == (rhs, t_star, alpha)
+            assert pb.fiber(b)[:3] == (rhs, t_star, alpha)
             tight = PolytopeConstraints(rows, rhs, t_star)
-            witness = lex_extreme_alpha(basis, tight, +1, alpha)
-            point = witness == lex_extreme_alpha(basis, tight, -1, alpha)
+            witness = lex_extreme_alpha(basis, lex_lp(tight, alpha), +1)
+            point = witness == lex_extreme_alpha(basis, lex_lp(tight, alpha), -1)
             for slack in (t_star, t_star + Q(rng.randint(1, 4), 11)):
                 if not slack:
                     continue
@@ -812,7 +816,7 @@ def test_lex_extreme_alpha_over_coprime_denominators(direction):
         assert {a.denominator for a in start} == {7} and {v.denominator for v in rhs} == {3}
         assert slack.denominator == 5
         constraints = PolytopeConstraints(rows, rhs, slack)
-        got = lex_extreme_alpha(basis, constraints, direction, start)
+        got = lex_extreme_alpha(basis, lex_lp(constraints, start), direction)
         assert got == _reference_lex_extreme_alpha(basis, constraints, direction)
         assert constraints.satisfied_by(got)
         checked += 1
@@ -833,7 +837,7 @@ def test_lex_extreme_alpha_is_independent_of_its_start(direction):
             ref = _reference_lex_extreme_alpha(basis, constraints, direction)
             mid = tuple((a + r) / 2 for a, r in zip(alpha_star, ref))
             for start in (alpha_star, ref, mid):
-                assert lex_extreme_alpha(basis, constraints, direction, start) == ref
+                assert lex_extreme_alpha(basis, lex_lp(constraints, start), direction) == ref
             checked += 1
     assert checked >= 130
 
@@ -845,7 +849,7 @@ def test_lex_extreme_alpha_refuses_an_infeasible_start(monkeypatch):
     monkeypatch.setattr(solver, "lp_min", lambda *args: calls.append(args))
     for start in ((Q(1),), (Q(9, 2),)):
         with pytest.raises(InternalInconsistencyError, match="start is not feasible"):
-            lex_extreme_alpha(basis, out.constraints, +1, start)
+            lex_extreme_alpha(basis, lex_lp(out.constraints, start), +1)
     assert calls == []
 
 
@@ -882,3 +886,108 @@ def test_shared_fiber_slot_matches_fresh_prepare(monkeypatch):
             seen[out.kind] += 1
     assert seen["new fiber"] + seen["same fiber"] >= 1000
     assert min(seen.values()) >= 100, seen
+
+
+def test_fiber_slot_searches_each_direction_once_per_fiber(monkeypatch):
+    # A seeded stream on one shared prepared basis: three fibers per
+    # subspace, interleaved and revisited, at zero-set masses 0, below,
+    # at and above delta0, each target solved, asked for its threshold,
+    # or both in either order.  Every answer equals a fresh prepare's, and
+    # the searches are exactly those a one-slot model predicts: a new
+    # fiber costs one minimax LP and empties the slot, and each lex
+    # direction is searched at most once while the slot holds a fiber.
+    # A solve at zero mass leaves the slot as it is.
+    lex = []
+    monkeypatch.setattr(solver, "lex_extreme_alpha",
+                        lambda *args: lex.append(args[2]) or lex_extreme_alpha(*args))
+    minimax = _count_minimax(monkeypatch)
+    rng = random.Random(2727)
+    seen = Counter()
+    for basis, b in _zero_set_instances(rng, 60):
+        pb = prepare(basis)
+        off_z = [i for i in range(basis.n) if i not in pb.profile.zero_set]
+        fibers = [b]
+        for _ in range(2):
+            nudged = list(b)
+            nudged[rng.choice(off_z)] += rng.choice((-1, 1))
+            fibers.append(tuple(nudged))
+        cases = [case for f in fibers for case in _slack_cases(rng, pb, f)]
+        slot, searched = None, set()
+        for target, slack, t_star in [rng.choice(cases) for _ in range(3 * len(cases))]:
+            lex_before, minimax_before = len(lex), len(minimax)
+            ask = rng.choice(("solve", "solve, threshold", "threshold, solve"))
+            got = {}
+            for what in ask.split(", "):
+                if what == "solve":
+                    got[what] = solve_general(basis, None, target, prepared=pb)
+                else:
+                    got[what] = existence_threshold(basis, None, target, prepared=pb)
+            key = pb.reduced.sigma(target)
+            if slack or "threshold" in got:
+                assert len(minimax) - minimax_before == (key != slot)
+                seen["new fiber" if key != slot else "same fiber"] += 1
+                if key != slot:
+                    slot, searched = key, set()
+            else:
+                assert len(minimax) == minimax_before
+                seen["slot untouched"] += 1
+            needed = set() if not slack or slack < t_star else {+1, -1} if slack == t_star else {+1}
+            assert sorted(lex[lex_before:]) == sorted(needed - searched), (ask, slack, t_star)
+            seen["searches reused"] += bool(needed & searched)
+            searched |= needed
+            fresh = prepare(basis)
+            if "solve" in got:
+                assert got["solve"] == solve_general(basis, None, target, prepared=fresh)
+                seen[got["solve"].kind] += 1
+            if "threshold" in got:
+                assert got["threshold"] == existence_threshold(basis, None, target, prepared=fresh)
+    assert seen["new fiber"] + seen["same fiber"] >= 1000, seen
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_lex_search_over_the_m_independent_rows_matches_all_n_rows(monkeypatch, direction):
+    # basis.lex_costs keeps the m rows that greedy in-order independence
+    # keeps; a lex search over all n rows of A, zero rows and rows
+    # dependent on earlier ones included, reaches the same point with the
+    # same pivots, since a skipped row is constant on the face its
+    # predecessors leave.  On zero-set bases (every third with a row
+    # proportional to another) and on the m = 9 basis at the cell caps.
+    pivots = []
+    pivot = lp.bareiss_pivot
+    monkeypatch.setattr(lp, "bareiss_pivot", lambda *args: pivots.append(1) or pivot(*args))
+    rng = random.Random(9090 + direction)
+    n, m = 11, 9
+    capped = validate_basis(tuple(
+        tuple(Q(-3, 2) if i == n - 2 and j == 0 else Q(int(i == j)) for j in range(m))
+        for i in range(n)
+    ))
+    cases = _zero_set_instances(rng, 60) + [(capped, tuple(Q(k % 4 - 1, 3) for k in range(n)))]
+    seen = Counter()
+    for basis, b in cases:
+        pb = prepare(basis)
+        rows = pb.feasibility_rows
+        rhs = pb.feasibility_rhs(b)
+        t_star, alpha = solve_minimax_lp(rows, rhs)
+        kept = basis.lex_costs
+        assert len(kept) == basis.m and rank(kept) == basis.m
+        skipped = [r for r in basis.int_rows if r not in kept]
+        seen["zero rows"] += sum(not any(r) for r in skipped)
+        seen["dependent rows"] += sum(any(r) for r in skipped)
+        for slack in (t_star, t_star + Q(rng.randint(1, 4), 3)):
+            if not slack:
+                continue
+            tight = lex_lp(PolytopeConstraints(rows, rhs, slack), alpha)
+            start = len(pivots)
+            got = lex_extreme_alpha(basis, tight, direction)
+            mid = len(pivots)
+            costs = [tuple(direction * x for x in row) for row in basis.int_rows]
+            res = lp_min(costs[0], tight[0], tight[1], costs[1:])
+            a_ub, b_ub, x0, den = tight
+            assert got == tuple((a + y) / den for a, y in zip(x0, res.x))
+            assert mid - start == len(pivots) - mid
+            seen["searches", basis.m == 9] += 1
+            seen["pivots"] += mid - start
+    assert seen["searches", True] == 1 and seen["searches", False] >= 100, seen
+    assert seen["zero rows"] >= 60 and seen["dependent rows"] >= 60, seen
+    assert seen["pivots"] >= 200, seen
