@@ -9,7 +9,10 @@ at the minimax optimizer, a margin LP at the origin).  The tableau is
 fraction-free, ints over one common denominator (each row times the lcm
 of its denominators), and condensed: a basic variable's column is the
 denominator times a unit vector, so only the nonbasic columns are kept,
-at first the u and v columns (Edmonds 1967; Avis, lrs, 2000).  Every
+at first one column per free variable (Edmonds 1967; Avis, lrs, 2000):
+while u_j and v_j are both nonbasic one holds it and the other's is its
+negative; once one is basic the other's is -den e_i with reduced cost
+0 under every cost, so it never enters and needs no column.  Every
 pivot is `exact.bareiss_pivot`, the full tableau's pivot restricted to
 those columns, so every division stays exact; the entering column then
 takes the leaving variable's.  Pivot decisions are sign tests and
@@ -72,8 +75,8 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
     for r, b in zip(a_ub, b_ub):
         lcm, u = scaled_ints((*r, b))
         scales.append(lcm)
-        tableau.append(u[:n] + [-a for a in u[:n]] + [u[n]])
-    nonbasic = list(range(nsplit))
+        tableau.append(u)
+    nonbasic = list(range(n))
     basis = list(range(nsplit, nsplit + nrows))
     den = 1
 
@@ -83,10 +86,16 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
             obj = tableau[nrows]
             enter, label = -1, nsplit + nrows
             for k, j in enumerate(nonbasic):
-                if j < label and allowed[j] and obj[k] < 0:
+                c = obj[k] if allowed[j] else 0
+                if c > 0 and j < nsplit:  # the pair's other member, column negated
+                    c, j = -c, (j + n) % nsplit
+                if c < 0 and j < label:
                     enter, label = k, j
             if enter < 0:
                 return True
+            if label != nonbasic[enter]:
+                for row in tableau:
+                    row[enter] = -row[enter]
             leave = -1
             for i in range(nrows):
                 row = tableau[i]
@@ -97,7 +106,7 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
                         continue
                     # rhs/coef against the best ratio, cross-multiplied.
                     best = tableau[leave]
-                    diff = row[nsplit] * best[enter] - best[nsplit] * coef
+                    diff = row[n] * best[enter] - best[n] * coef
                     if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
@@ -126,7 +135,7 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
             if a:
                 allowed[j] = False
 
-    basic = dict(zip(basis, (row[nsplit] for row in tableau)))
+    basic = dict(zip(basis, (row[n] for row in tableau)))
     diffs = [basic.get(j, 0) - basic.get(n + j, 0) for j in range(n)]
     cden, c_ints = scaled_ints(cost)
     value = Q(sum(map(mul, c_ints, diffs)), cden * den)

@@ -26,10 +26,10 @@ is the optimal face, a point or a polytope.  Lexicographically extreme
 points (in subspace-vector order) tell these apart and pick a witness
 independent of the particular basis supplied; each search starts at
 the minimax optimizer, which is feasible, as the one-phase LP kernel
-needs.
+needs; none runs where the minimax LP proves the face one point.
 delta0, its optimizer and the optimal face depend only on sigma(b), so
 all targets on one fiber (same entries off Z, any mass on Z) share one
-minimax solve and one lex search per direction, PreparedBasis.fiber.
+minimax solve and at most one lex search per direction, PreparedBasis.fiber.
 """
 from __future__ import annotations
 
@@ -88,9 +88,10 @@ class PreparedBasis:
     of them, so only `cells` is enumerated; the minimax LP runs on those
     rows in ints, `feasibility_ints`.  `norming`, the coordinate
     sign vectors, is built for `norming-set` and for `system_rows`.
-    `fiber` keeps the last fiber's minimax solve, rho-mass and, once
-    asked for, its lex-min and lex-max points in one slot, so memory
-    stays bounded and each new fiber is solved afresh.
+    `fiber` keeps the last fiber's minimax solve, rho-mass and its
+    lex-min and lex-max points (the minimax optimizer on a certified
+    one-point face, else searched once asked for) in one slot, so
+    memory stays bounded and each new fiber is solved afresh.
     """
 
     def __init__(self, basis: SubspaceBasis):
@@ -190,22 +191,27 @@ class PreparedBasis:
     def fiber(self, b: Vec) -> tuple:
         """(rhs, delta0, alpha, rho_mass, lex) of b's fiber, kept in one slot
         until another fiber replaces it; lex(direction) is the lex-extreme
-        point of the optimal face, searched on its first call.  Both LPs are
-        in ints, on rows and sums times positive scalars, which no pivot
-        sees: the minimax LP |sums - rows.x| <= t in x = (bden/den) alpha,
-        and the lex_lp of both searches |bden rows.alpha - den sums| <= den t."""
+        point of the optimal face: alpha on a face certified one point,
+        by t = 0 (rows has rank m) or m + 1 nonzero multipliers (at t > 0
+        each is a nonbasic slack's positive reduced cost, so every free
+        variable is basic: a unique optimum, Mangasarian 1979), else
+        searched on its first call.  Both LPs are in ints, on rows and
+        sums times positive scalars, which no pivot sees: the minimax LP
+        |sums - rows.x| <= t in x = (bden/den) alpha, and the lex_lp of
+        both searches |bden rows.alpha - den sums| <= den t."""
         key, slot = self.reduced.sigma(b), self._fiber
         if slot[0] != key:  # a new fiber replaces the slot in one assignment
             den, rows = self.feasibility_ints
             bden, ints, sums = self._class_sums(b)
             sums = [sum(map(mul, cell.signs, sums)) for cell in self.cells]
-            t, x = solve_minimax_lp(rows, sums)
+            t, x, lam = solve_minimax_lp(rows, sums, multipliers=True)
             basis, alpha = self.basis, tuple(den * v / bden for v in x)
             tight = cache(lambda: lex_lp(PolytopeConstraints(
                 [[bden * v for v in r] for r in rows], [den * s for s in sums], den * t), alpha))
             slot = self._fiber = (key, tuple(Q(s, bden) for s in sums), t / bden, alpha,
                                   Q(sum(abs(ints[i]) for i in self.reduced.kept_indices), bden),
-                                  cache(lambda d: lex_extreme_alpha(basis, tight(), d)))
+                                  (lambda d: alpha) if not t or sum(map(bool, lam)) > basis.m
+                                  else cache(lambda d: lex_extreme_alpha(basis, tight(), d)))
         return slot[1:]
 
 

@@ -645,12 +645,14 @@ def test_margin_lp_counts(capsys, margin_lps, command, name, expected):
 
 @pytest.mark.parametrize(
     "name, expected",
-    [("pair_l17_coproximinal.json", (1, 1, 1, 0)), ("line_l12_polytope.json", (1, 1, 1, 0))],
+    [("pair_l17_coproximinal.json", (1, 0, 0, 0)), ("line_l12_polytope.json", (1, 0, 0, 0))],
 )
 def test_solve_work_counts(capsys, monkeypatch, name, expected):
     # Exact per-target solve work: minimax LPs, lex_extreme_alpha calls
     # and the lex LPs they run, counted at the names the solver calls.
-    # The inequality rows are signed class sums, so no norming set is built.
+    # Each fiber's minimax LP certifies a one-point optimal face, so no
+    # lex search runs.  The inequality rows are signed class sums, so no
+    # norming set is built.
     calls = {"solve_minimax_lp": 0, "lex_extreme_alpha": 0, "lp_min": 0,
              "minimal_norming_set": 0}
     for fn_name in calls:
@@ -968,22 +970,23 @@ def test_threshold_script_traces_the_dichotomy():
 
 def test_threshold_script_runs_one_minimax_lp_per_target(monkeypatch):
     # The script's four calls per target share one fiber, so one minimax
-    # LP, and one lex search per direction: the mass above delta0 reuses
-    # the witness the mass at delta0 found.
+    # LP, and its multipliers certify a one-point optimal face, so no lex
+    # search: the masses at and above delta0 both answer with its optimizer.
     script = Path(__file__).resolve().parent.parent / "scripts" / "threshold_dichotomy.py"
     spec = importlib.util.spec_from_file_location("threshold_dichotomy", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     calls, searches = [], []
     lp = solver.solve_minimax_lp
-    monkeypatch.setattr(solver, "solve_minimax_lp", lambda *args: calls.append(args) or lp(*args))
+    monkeypatch.setattr(solver, "solve_minimax_lp",
+                        lambda *args, **kw: calls.append(args) or lp(*args, **kw))
     lex = solver.lex_extreme_alpha
     monkeypatch.setattr(solver, "lex_extreme_alpha",
                         lambda *args: searches.append(args[2]) or lex(*args))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert module.main(["--input", THRESHOLD_FILE]) == 0
-    assert (out.getvalue(), len(calls), searches) == (THRESHOLD_SCRIPT_OUTPUT, 1, [+1, -1])
+    assert (out.getvalue(), len(calls), searches) == (THRESHOLD_SCRIPT_OUTPUT, 1, [])
 
 
 @pytest.mark.parametrize(

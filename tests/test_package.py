@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -50,24 +51,35 @@ def test_benchmark_tracer_names_resolve():
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr, name)
 
 
-def test_traced_cli_runs_bind_every_lp_call(capsys):
+def test_traced_cli_runs_bind_every_lp_call(capsys, tmp_path):
     # The tracer binds each LP call's arguments to size it; a call shape
-    # it cannot bind raises inside `perfbench/run.py --trace 1`.
+    # it cannot bind raises inside `perfbench/run.py --trace 1`.  The
+    # sample problems' fibers all certify a one-point optimal face, so a
+    # target whose face at delta0 is a segment (mass 2/3 on the zero row)
+    # brings the lex searches in.
+    segment = tmp_path / "segment_face.json"
+    segment.write_text(json.dumps({
+        "n": 5,
+        "basis": [["1", "0", "0", "0", "-1"], ["-1", "-1", "0", "1", "-1"],
+                  ["0", "0", "0", "-1", "-1"]],
+        "targets": [["0", "-1", "2/3", "1", "0"]],
+    }), encoding="utf-8")
     tracer = _load_tracer()
     cli = importlib.import_module("coapprox.cli")
     tr = tracer.Tracer()
     tr.install()
     try:
-        for command, name in (("solve", "line_l12_polytope.json"),
-                              ("solve", "pair_l17_coproximinal.json"),
-                              ("norming-set", "span3_l16.json"),
-                              ("threshold", "span3_l17_threshold.json")):
-            code = cli.main([command, "--input", str(ROOT / "problems" / name)])
-            assert code == 0, (command, name, capsys.readouterr().err)
+        for command, path in (("solve", ROOT / "problems" / "line_l12_polytope.json"),
+                              ("solve", ROOT / "problems" / "pair_l17_coproximinal.json"),
+                              ("solve", segment),
+                              ("norming-set", ROOT / "problems" / "span3_l16.json"),
+                              ("threshold", ROOT / "problems" / "span3_l17_threshold.json")):
+            code = cli.main([command, "--input", str(path)])
+            assert code == 0, (command, path, capsys.readouterr().err)
     finally:
         tr.uninstall()
     assert tr.calls["lp.lex"] == tr.calls["solver.lex_extreme_alpha"] > 0
     assert tr.counts["lp.tableau_entries"] > 0
     assert tr.counts["oracle.bj_checks"] > 0  # the oracle's tope test is the counted name
     # main looks each command up per call, so the tracer's cmd_* spans see it.
-    assert (tr.calls["cli.cmd_solve"], tr.calls["cli.cmd_norming_set"]) == (2, 1)
+    assert (tr.calls["cli.cmd_solve"], tr.calls["cli.cmd_norming_set"]) == (3, 1)

@@ -326,13 +326,13 @@ class TestExistenceThreshold:
 
     @pytest.mark.parametrize("offset, kind, lex_searches", [
         (Q(-1, 100), OutcomeKind.NOT_EXISTS, 0),
-        (Q(0), OutcomeKind.UNIQUE, 2),
-        (Q(1, 100), OutcomeKind.POLYTOPE, 1),
+        (Q(0), OutcomeKind.UNIQUE, 0),
+        (Q(1, 100), OutcomeKind.POLYTOPE, 0),
     ])
     def test_lex_searches_per_target(self, monkeypatch, offset, kind, lex_searches):
-        # None below delta0; at delta0 one each way tells a point from a
-        # polytope; above it the polytope is full-dimensional, and only
-        # the witness is searched for.
+        # None below delta0; at and above it the minimax LP's m + 1
+        # nonzero multipliers certify a one-point optimal face, so none
+        # there either.
         calls = []
         monkeypatch.setattr(solver, "lex_extreme_alpha",
                             lambda *args: calls.append(args) or lex_extreme_alpha(*args))
@@ -340,11 +340,29 @@ class TestExistenceThreshold:
         out = solve_general(basis, None, vec((1, 2, 3, 4, 5, 6)) + (Q(41, 21) + offset,))
         assert (out.kind, len(calls)) == (kind, lex_searches)
 
+    @pytest.mark.parametrize("offset, kind, lex_searches", [
+        (Q(-1, 100), OutcomeKind.NOT_EXISTS, 0),
+        (Q(0), OutcomeKind.POLYTOPE, 2),
+        (Q(1, 100), OutcomeKind.POLYTOPE, 1),
+    ])
+    def test_lex_searches_per_target_on_a_segment_face(self, monkeypatch, offset, kind,
+                                                       lex_searches):
+        # A face that is a segment leaves m multipliers nonzero: none below
+        # delta0; at it one search each way tells it from a point; above
+        # it only the witness is searched for.
+        calls = []
+        monkeypatch.setattr(solver, "lex_extreme_alpha",
+                            lambda *args: calls.append(args) or lex_extreme_alpha(*args))
+        rows, b = FACE_POLYTOPES[0]  # delta0 = 2/3, the mass on coordinate 2, the zero row
+        out = solve_general(validate_basis(mat(rows)), None,
+                            b[:2] + (b[2] + offset,) + b[3:])
+        assert (out.kind, len(calls)) == (kind, lex_searches)
+
 
 def _count_minimax(monkeypatch):
     calls = []
     monkeypatch.setattr(solver, "solve_minimax_lp",
-                        lambda *args: calls.append(args) or solve_minimax_lp(*args))
+                        lambda *args, **kw: calls.append(args) or solve_minimax_lp(*args, **kw))
     return calls
 
 
@@ -530,11 +548,12 @@ FACE_POLYTOPES = (
 )
 
 
-def _zero_set_instances(rng, count):
+def _zero_set_instances(rng, count, copies=4):
     """`count` (basis, target) pairs with a non-empty zero set: random
     bases with m = 1..4, every third with a row added proportional to
-    another, then each FACE_POLYTOPES instance under a random coordinate
-    permutation, change of basis, target scale and subspace shift."""
+    another, then `copies` of each FACE_POLYTOPES instance under a random
+    coordinate permutation, change of basis, target scale and subspace
+    shift."""
     out = []
     for k in range(count):
         # LP work grows fast with m and the reduced row count: keep both small.
@@ -550,7 +569,7 @@ def _zero_set_instances(rng, count):
         zero_target = rng.randrange(8) == 0
         out.append((basis, (Q(0),) * basis.n if zero_target else random_vector(rng, basis.n, -3, 3)))
     for rows, b in FACE_POLYTOPES:
-        for _ in range(4):
+        for _ in range(copies):
             perm = list(range(len(rows)))
             rng.shuffle(perm)
             basis = validate_basis(mat([rows[i] for i in perm]))
@@ -586,19 +605,28 @@ def _slack_cases(rng, pb, b):
     return [(_with_slack(rng, pb, b, slack), slack, t_star) for slack in slacks]
 
 
+def _certifies_one_point(pb, b):
+    """Whether b's fiber skips its lex searches: the minimax LP, on the
+    Fraction rows, has t* = 0 or m + 1 nonzero multipliers."""
+    t_star, _, lam = solve_minimax_lp(pb.feasibility_rows, pb.feasibility_rhs(b),
+                                      multipliers=True)
+    return not t_star or sum(map(bool, lam)) > pb.basis.m
+
+
 def test_zero_set_solve_matches_three_lex_reference(monkeypatch):
     # Against the solve that ignored delta0: equal fields on every
-    # target, and the lex searches each case needs (none below delta0,
-    # one above it, two at it), each target on a fresh prepare, as a
-    # shared one answers a fiber's later targets from its slot.  A target
-    # with no zero-set mass, members included, goes to the class-sum
-    # system: no minimax LP, no lex search, and no cell enumeration.
+    # target, and the lex searches each case needs (none below delta0 or
+    # on a certified one-point face, else one above it and two at it),
+    # each target on a fresh prepare, as a shared one answers a fiber's
+    # later targets from its slot.  A target with no zero-set mass,
+    # members included, goes to the class-sum system: no minimax LP, no
+    # lex search, and no cell enumeration.
     calls = Counter()
 
     def counted(name, fn):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(solver, "lex_extreme_alpha", counted("lex", lex_extreme_alpha))
@@ -608,6 +636,7 @@ def test_zero_set_solve_matches_three_lex_reference(monkeypatch):
     for basis, b in _zero_set_instances(rng, 400):
         pb = prepare(basis)
         zero_reduced = not any(pb.reduced.sigma(b))
+        certified = _certifies_one_point(pb, b)
         for target, slack, t_star in _slack_cases(rng, pb, b):
             calls.clear()
             used = prepare(basis)
@@ -617,19 +646,22 @@ def test_zero_set_solve_matches_three_lex_reference(monkeypatch):
             where = "member" if member else ("below", "at", "above")[(slack > t_star) - (slack < t_star) + 1]
             cases[out.kind.value, where] += 1
             cases["zero reduced target"] += zero_reduced
-            expected = 0 if slack == 0 else {"below": 0, "at": 2, "above": 1}[where]
+            expected = 0 if slack == 0 or certified else {"below": 0, "at": 2, "above": 1}[where]
             assert calls["lex"] == expected, (where, out.kind)
+            cases["lex searched"] += bool(expected)
             if slack == 0:
                 assert calls["minimax"] == 0, (where, out.kind)
                 assert "cells" not in used.__dict__
     assert sum(n for key, n in cases.items() if isinstance(key, tuple)) >= 1000
     assert set(cases) <= {("not-exists", "below"), ("unique", "at"), ("polytope", "at"),
-                          ("polytope", "above"), ("unique", "member"), "zero reduced target"}
+                          ("polytope", "above"), ("unique", "member"), "zero reduced target",
+                          "lex searched"}
     assert cases["not-exists", "below"] >= 200
     assert cases["unique", "at"] >= 200
     assert cases["polytope", "at"] >= 5
     assert cases["polytope", "above"] >= 200
     assert cases["zero reduced target"] >= 20
+    assert cases["lex searched"] >= 20
 
 
 @pytest.mark.parametrize("direction", [+1, -1])
@@ -649,10 +681,21 @@ def test_lex_extreme_alpha_matches_rank_loop_reference(direction):
     assert checked >= 130
 
 
+def _search_fiber(pb, b):
+    """Both lex searches of b's fiber, run directly from its minimax
+    optimizer, whether or not the solver would skip them."""
+    rhs = pb.feasibility_rhs(b)
+    t_star, alpha = solve_minimax_lp(pb.feasibility_rows, rhs)
+    tight = lex_lp(PolytopeConstraints(pb.feasibility_rows, rhs, t_star), alpha)
+    return [lex_extreme_alpha(pb.basis, tight, direction) for direction in (+1, -1)]
+
+
 def test_lex_lps_start_feasible_with_no_phase_1(monkeypatch):
     # lp_min has no phase 1 and refuses a negative rhs; started at the
     # minimax optimizer, no lex LP has one.  Each target gets a fresh
-    # prepare, so every lex search it needs runs.
+    # prepare, so every lex search it needs runs, and each fiber's two
+    # searches also run directly, as most fibers certify a point and skip
+    # them.
     rhs_seen = []
 
     def recorded(cost, a_ub, b_ub, then=()):
@@ -665,6 +708,7 @@ def test_lex_lps_start_feasible_with_no_phase_1(monkeypatch):
         pb = prepare(basis)
         for target, _, _ in _slack_cases(rng, pb, b):
             solve_general(basis, None, target, prepared=prepare(basis))
+        _search_fiber(pb, b)
     assert len(rhs_seen) >= 1000
     assert all(v >= 0 for b_ub in rhs_seen for v in b_ub)
 
@@ -674,7 +718,7 @@ def test_lex_and_margin_lps_reach_the_kernel_in_ints(monkeypatch):
     # LPs (from the int normals) are built in ints: every entry of every
     # cost, row, rhs and `then` cost that lp_min and lp_max receive is an
     # int.  Each target gets a fresh prepare, so every lex search it needs
-    # runs.
+    # runs, and each fiber's two searches also run directly.
     seen = []
 
     def recorder(kernel):
@@ -691,6 +735,7 @@ def test_lex_and_margin_lps_reach_the_kernel_in_ints(monkeypatch):
         pb = prepare(basis)
         for target, _, _ in _slack_cases(rng, pb, b):
             solve_general(basis, None, target, prepared=prepare(basis))
+        _search_fiber(pb, b)
     lex_lps = len(seen)
     for _ in range(30):  # zero-set-free bases with rational rows: norming-set cells
         m = rng.randint(1, 3)
@@ -895,7 +940,8 @@ def test_fiber_slot_searches_each_direction_once_per_fiber(monkeypatch):
     # or both in either order.  Every answer equals a fresh prepare's, and
     # the searches are exactly those a one-slot model predicts: a new
     # fiber costs one minimax LP and empties the slot, and each lex
-    # direction is searched at most once while the slot holds a fiber.
+    # direction is searched at most once while the slot holds a fiber,
+    # and never on a fiber whose minimax LP certifies a one-point face.
     # A solve at zero mass leaves the slot as it is.
     lex = []
     monkeypatch.setattr(solver, "lex_extreme_alpha",
@@ -903,7 +949,9 @@ def test_fiber_slot_searches_each_direction_once_per_fiber(monkeypatch):
     minimax = _count_minimax(monkeypatch)
     rng = random.Random(2727)
     seen = Counter()
-    for basis, b in _zero_set_instances(rng, 60):
+    # Most random fibers certify a point and search nothing: the face
+    # polytope copies keep the searches the slot reuses at their floor.
+    for basis, b in _zero_set_instances(rng, 60, copies=20):
         pb = prepare(basis)
         off_z = [i for i in range(basis.n) if i not in pb.profile.zero_set]
         fibers = [b]
@@ -912,6 +960,7 @@ def test_fiber_slot_searches_each_direction_once_per_fiber(monkeypatch):
             nudged[rng.choice(off_z)] += rng.choice((-1, 1))
             fibers.append(tuple(nudged))
         cases = [case for f in fibers for case in _slack_cases(rng, pb, f)]
+        point = {pb.reduced.sigma(f): _certifies_one_point(pb, f) for f in fibers}
         slot, searched = None, set()
         for target, slack, t_star in [rng.choice(cases) for _ in range(3 * len(cases))]:
             lex_before, minimax_before = len(lex), len(minimax)
@@ -931,7 +980,10 @@ def test_fiber_slot_searches_each_direction_once_per_fiber(monkeypatch):
             else:
                 assert len(minimax) == minimax_before
                 seen["slot untouched"] += 1
-            needed = set() if not slack or slack < t_star else {+1, -1} if slack == t_star else {+1}
+            if not slack or slack < t_star or point[key]:
+                needed = set()
+            else:
+                needed = {+1, -1} if slack == t_star else {+1}
             assert sorted(lex[lex_before:]) == sorted(needed - searched), (ask, slack, t_star)
             seen["searches reused"] += bool(needed & searched)
             searched |= needed
@@ -943,6 +995,41 @@ def test_fiber_slot_searches_each_direction_once_per_fiber(monkeypatch):
                 assert got["threshold"] == existence_threshold(basis, None, target, prepared=fresh)
     assert seen["new fiber"] + seen["same fiber"] >= 1000, seen
     assert min(seen.values()) >= 100, seen
+
+
+def test_one_point_rule_is_sound_where_it_fires(monkeypatch):
+    # The fiber slot skips both lex searches when its minimax LP
+    # certifies a one-point optimal face: t* = 0 (the face solves the
+    # class-sum rows, of rank m) or m + 1 nonzero multipliers (every free
+    # variable basic, every nonbasic slack with a positive reduced cost).
+    # On seeded zero-set fibers with m <= 3, the slot's two answers equal
+    # both lex searches run directly, so where the rule fires both reach
+    # alpha*; where it does not, both searches run, and faces that are
+    # segments are among those.
+    searched = []
+    monkeypatch.setattr(solver, "lex_extreme_alpha",
+                        lambda *args: searched.append(args) or lex_extreme_alpha(*args))
+    rng = random.Random(2886)
+    seen = Counter()
+    for _ in range(2400):
+        m, zeros = rng.choice((1, 2, 2, 3, 3)), rng.randint(1, 2)
+        basis = random_basis(rng, m + rng.randint(1, 2) + zeros, m, lo=-2, hi=2, zero_rows=zeros)
+        b = random_vector(rng, basis.n, -3, 3)
+        pb = prepare(basis)
+        _, t_star, alpha, _, lex = pb.fiber(b)
+        before = len(searched)
+        got = (lex(+1), lex(-1))
+        lo, hi = _search_fiber(pb, b)
+        assert got == (lo, hi), (basis.matrix, b)
+        if len(searched) == before:
+            assert lo == hi == alpha
+            seen["t* = 0" if not t_star else "multipliers"] += 1
+        else:
+            assert len(searched) - before == 2
+            seen["segment" if lo != hi else "uncertified point"] += 1
+    assert sum(seen.values()) >= 2000, seen
+    assert seen["t* = 0"] >= 500 and seen["multipliers"] >= 500, seen
+    assert seen["segment"] >= 20, seen
 
 
 @pytest.mark.parametrize("direction", [+1, -1])
