@@ -111,10 +111,10 @@ def bareiss_pivot(rows: list[list[int]], r: int, c: int, den: int) -> int:
     """One fraction-free (Bareiss) pivot on rows[r][c], in place: the rows
     are ints over one denominator `den` > 0, the determinant of the pivot
     block so far.  Row r is negated if its entry is negative; then, with
-    p = rows[r][c], every other row, a zero in column c or not, becomes
-    (p*row - row[c]*rows[r]) / den, which is exact since every entry is a
-    minor of the starting rows (Bareiss, Math. Comp. 22, 1968).  Returns
-    p, the new denominator, which each pivot row has in its pivot column.
+    p = rows[r][c], every other row becomes (p*row - row[c]*rows[r]) / den,
+    exact as every entry is a minor of the starting rows (Bareiss, Math.
+    Comp. 22, 1968), except entry c, left unchanged: the simplex passes
+    its columns as `rows` and keeps it.  Returns p, the new denominator.
     """
     prow = rows[r]
     if prow[c] < 0:
@@ -125,7 +125,8 @@ def bareiss_pivot(rows: list[list[int]], r: int, c: int, den: int) -> int:
             continue
         f = row[c]
         if f:
-            rows[i] = [(p * a - f * b) // den for a, b in zip(row, prow)]
+            rows[i] = row = [(p * a - f * b) // den for a, b in zip(row, prow)]
+            row[c] = f
         elif p != den:
             rows[i] = [p * a // den for a in row]
     return p
@@ -134,8 +135,9 @@ def bareiss_pivot(rows: list[list[int]], r: int, c: int, den: int) -> int:
 def _gauss_jordan(work: list[list[int]], ncols: int) -> list[int]:
     """Gauss-Jordan elimination in place on int rows by Bareiss pivots,
     over the first `ncols` columns (later columns ride along); return the
-    pivot columns.  Row i ends as the only row nonzero in pivot column i:
-    the reduced row echelon row times the final denominator, its entry."""
+    pivot columns, writing the zeros the pivot leaves out of its column.
+    Row i ends as the only row nonzero in pivot column i: the reduced row
+    echelon row times the final denominator, its entry."""
     nrows = len(work)
     pivots: list[int] = []
     den = 1
@@ -148,6 +150,8 @@ def _gauss_jordan(work: list[list[int]], ncols: int) -> list[int]:
             continue
         work[r], work[piv] = work[piv], work[r]
         den = bareiss_pivot(work, r, c, den)
+        for row in work[:r] + work[r + 1:]:
+            row[c] = 0
         pivots.append(c)
     return pivots
 

@@ -3,31 +3,33 @@
 Variables are free rationals, split into positive parts u - v; every
 constraint is `a . x <= b` with `b >= 0`, so the origin is feasible and
 the slacks are a starting basis: there is no phase 1, and a negative rhs
-is refused before any pivot.  Each caller poses its LP at a feasible
-point it knows (the minimax LP at alpha = 0 with t = max|rhs|, a lex LP
-at the minimax optimizer, a margin LP at the origin).  The tableau is
-fraction-free, ints over one common denominator (each row times the lcm
-of its denominators), and condensed: a basic variable's column is the
-denominator times a unit vector, so only the nonbasic columns are kept,
-at first one column per free variable (Edmonds 1967; Avis, lrs, 2000):
-while u_j and v_j are both nonbasic one holds it and the other's is its
-negative; once one is basic the other's is -den e_i with reduced cost
-0 under every cost, so it never enters and needs no column.  Every
-pivot is `exact.bareiss_pivot`, the full tableau's pivot restricted to
-those columns, so every division stays exact; the entering column then
+or a row not of len(cost) is refused before any pivot.  Each caller
+poses its LP at a feasible point it knows (the minimax LP at alpha = 0
+with t = max|rhs|, a lex LP at the minimax optimizer, a margin LP at the
+origin).  The tableau is fraction-free, ints over one common denominator
+(int rows as given, others each times its lcm), and condensed: a basic
+variable's column is the denominator times a unit vector, so only the
+nonbasic columns are kept, at first one per free variable (Edmonds 1967;
+Avis, lrs, 2000): while u_j and v_j are both nonbasic one holds it and
+the other's is its negative; once one is basic the other's is -den e_i
+with reduced cost 0 under every cost, so it never enters.  Every LP
+posed is tall and thin, so the tableau is kept by columns: an int list
+per nonbasic column and one for the rhs, each ending with its objective
+entry.  Every pivot is `exact.bareiss_pivot` with the columns as its
+rows, which keeps the leaving row's entries; the entering column then
 takes the leaving variable's.  Pivot decisions are sign tests and
 cross-multiplied comparisons, which no positive scaling of rows or
 variables changes; Bland's rule on the variable labels guarantees
-termination.  Fractions are built only for the reported optimum and
-optimizer.  The row duals are the final objective row's slack entries,
+termination.  The row duals are the slacks' final objective entries,
 read with no extra pivot.  `lp_min` also minimizes a sequence of costs
-lexicographically, face by face, in one tableau (Isermann 1982).
-`solve_minimax_lp` poses the exact l-infinity fit of a linear system on it.
+lexicographically, face by face, in one tableau (Isermann 1982), and
+`solve_minimax_lp` poses the exact l-infinity fit of a system on it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from operator import mul
 
 from .errors import CapacityError, ValidationError
@@ -56,7 +58,7 @@ class LpResult:
 def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
     """Minimize cost . x subject to a_ub . x <= b_ub, then each cost in
     `then` over the optimal face of those before it; value is cost . x.
-    Every b_ub must be >= 0: the simplex starts at x = 0.
+    One b_ub >= 0 per row, each row of len(cost): the simplex starts at x = 0.
 
     A later cost enters only columns whose reduced cost was zero at the
     previous optimum: one with a positive reduced cost is zero at every
@@ -66,16 +68,17 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
         raise ValidationError("lp_min needs every b_ub >= 0, so that x = 0 is feasible")
     n = len(cost)
     nrows = len(a_ub)
+    if len(b_ub) != nrows or {*map(len, a_ub)} - {n}:
+        raise ValidationError("lp_min needs one b_ub per row and len(cost) entries in each row")
     # Labels: u_0..u_{n-1}, v_0..v_{n-1} (x = u - v), a slack per row.  Column
     # k holds variable nonbasic[k], the last one the rhs; the true tableau
-    # is tableau / den, and row nrows holds the reduced costs.
+    # is cols / den, and entry nrows of each column is its reduced cost.
     nsplit = 2 * n
-    tableau: list[list[int]] = []
-    scales = []  # each row's lcm, which its dual is read in
-    for r, b in zip(a_ub, b_ub):
-        lcm, u = scaled_ints((*r, b))
-        scales.append(lcm)
-        tableau.append(u)
+    scales = (1,) * nrows  # each row's lcm, which its dual is read in
+    if not {*map(type, b_ub), *map(type, chain.from_iterable(a_ub))} <= {int}:
+        scales, a_ub = zip(*(scaled_ints((*r, b)) for r, b in zip(a_ub, b_ub)))
+        b_ub = [row.pop() for row in a_ub]
+    cols = [[*c, 0] for c in (*(zip(*a_ub) if nrows else [()] * n), b_ub)]
     nonbasic = list(range(n))
     basis = list(range(nsplit, nsplit + nrows))
     den = 1
@@ -83,10 +86,9 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
     def run_simplex(allowed):
         nonlocal den
         while True:
-            obj = tableau[nrows]
             enter, label = -1, nsplit + nrows
             for k, j in enumerate(nonbasic):
-                c = obj[k] if allowed[j] else 0
+                c = cols[k][nrows] if allowed[j] else 0
                 if c > 0 and j < nsplit:  # the pair's other member, column negated
                     c, j = -c, (j + n) % nsplit
                 if c < 0 and j < label:
@@ -94,54 +96,49 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
             if enter < 0:
                 return True
             if label != nonbasic[enter]:
-                for row in tableau:
-                    row[enter] = -row[enter]
+                cols[enter] = [-a for a in cols[enter]]
+            ecol, rhs = cols[enter], cols[n]
             leave = -1
             for i in range(nrows):
-                row = tableau[i]
-                coef = row[enter]
+                coef = ecol[i]
                 if coef > 0:
                     if leave < 0:
                         leave = i
                         continue
                     # rhs/coef against the best ratio, cross-multiplied.
-                    best = tableau[leave]
-                    diff = row[n] * best[enter] - best[n] * coef
+                    diff = rhs[i] * ecol[leave] - rhs[leave] * coef
                     if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
                 return False
             # The leaving variable's column: -old column, old den in row leave.
-            col = [-row[enter] for row in tableau]
+            col = [-a for a in ecol]
             col[leave] = den
-            den = bareiss_pivot(tableau, leave, enter, den)
-            for row, a in zip(tableau, col):
-                row[enter] = a
+            den = bareiss_pivot(cols, enter, leave, den)
+            cols[enter] = col
             nonbasic[enter], basis[leave] = basis[leave], label
 
     allowed = [True] * (nsplit + nrows)
     for c in (cost, *then):
         c_ints = primitive_ints(c)
         costvec = c_ints + [-a for a in c_ints] + [0] * nrows
+        fb = [costvec[j] for j in basis]
         obj = [den * costvec[j] for j in nonbasic] + [0]
-        for i, bcol in enumerate(basis):
-            f = costvec[bcol]
-            if f:
-                obj = [a - f * b for a, b in zip(obj, tableau[i])]
-        tableau[nrows:] = [obj]
+        for col, a in zip(cols, obj):
+            col[nrows] = a - sum(map(mul, fb, col))
         if not run_simplex(allowed):
             return LpResult(LpStatus.UNBOUNDED, None, None)
-        for j, a in zip(nonbasic, tableau[nrows]):
-            if a:
+        for j, col in zip(nonbasic, cols):
+            if col[nrows]:
                 allowed[j] = False
 
-    basic = dict(zip(basis, (row[n] for row in tableau)))
+    basic = dict(zip(basis, cols[n]))
     diffs = [basic.get(j, 0) - basic.get(n + j, 0) for j in range(n)]
     cden, c_ints = scaled_ints(cost)
     value = Q(sum(map(mul, c_ints, diffs)), cden * den)
     duals = None
     if not then:  # a basic slack's dual is 0
-        reduced = dict(zip(nonbasic, tableau[nrows]))
+        reduced = dict(zip(nonbasic, (col[nrows] for col in cols)))
         duals = tuple(reduced.get(nsplit + i, 0) * s for i, s in enumerate(scales))
     return LpResult(LpStatus.OPTIMAL, tuple(Q(d, den) for d in diffs), value, duals)
 

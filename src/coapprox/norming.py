@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, mul, sub
 
 from .errors import CapacityError, InternalInconsistencyError
@@ -61,6 +62,14 @@ class Arrangement:
     @property
     def r(self) -> int:
         return len(self.normals)
+
+    @cached_property
+    def margin_rows(self) -> tuple:
+        """The margin LPs' int rows in (beta, margin), built once: the rows
+        (-n_t, 1) and (n_t, 1) per normal, for sign +1 and -1, and the box."""
+        m = self.m
+        box = tuple(tuple(s * (i == j) for i in range(m + 1)) for j in range(m) for s in (1, -1))
+        return tuple(((*(-x for x in nu), 1), (*nu, 1)) for nu in self.normals), box
 
 
 @dataclass(frozen=True)
@@ -196,9 +205,9 @@ def margin_witness(arr: Arrangement, cell: SignCell) -> Vec:
     norming-set report prints.  One exact LP.
     """
     m = arr.m
-    a_ub = [(*(-s * x for x in nu), 1) for s, nu in zip(cell.signs, arr.normals)]
-    a_ub += [tuple(s * (i == j) for i in range(m + 1)) for j in range(m) for s in (1, -1)]
-    res = lp_max((0,) * m + (1,), tuple(a_ub), (0,) * arr.r + (1,) * (2 * m))
+    pairs, box = arr.margin_rows
+    a_ub = (*[pair[s < 0] for s, pair in zip(cell.signs, pairs)], *box)
+    res = lp_max((0,) * m + (1,), a_ub, (0,) * arr.r + (1,) * (2 * m))
     if res.status is not LpStatus.OPTIMAL or res.value <= 0:  # pragma: no cover
         raise InternalInconsistencyError("margin LP must find the cell nonempty")
     return res.x[:m]

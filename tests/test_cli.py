@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coapprox import cli, mat, norming, oracle, solver
+from coapprox import cli, lp, mat, norming, oracle, solver
 from coapprox.cli import main
 from coapprox.errors import CoapproxError
 from coapprox.exact import rank
@@ -606,13 +606,18 @@ def margin_lps(monkeypatch):
     return calls
 
 
-def test_norming_set_work_counts(capsys, margin_lps):
+def test_norming_set_work_counts(capsys, monkeypatch, margin_lps):
     # Exact work on the worked fixture: a kernel change that runs more
     # margin LPs, or finds other cells, fails here without any timing.
     # Cells are enumerated without an LP; each reported cell's margin
-    # witness costs one.
+    # witness costs one.  Bland's rule picks the witness where a cell's
+    # optimal face is not a point, so the 7 LPs' pivot count is pinned
+    # too: a kernel change that moves Bland's path fails here by name.
+    pivots = []
+    pivot = lp.bareiss_pivot
+    monkeypatch.setattr(lp, "bareiss_pivot", lambda *args: pivots.append(1) or pivot(*args))
     report = run_json(capsys, "norming-set", "--input", str(PROBLEMS / "span3_l16.json"))
-    assert (margin_lps["lp_max"], len(report["cells"])) == (7, 7)
+    assert (margin_lps["lp_max"], len(report["cells"]), len(pivots)) == (7, 7, 48)
 
 
 @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.name)

@@ -1,5 +1,6 @@
 import operator
 import random
+from operator import mul
 from fractions import Fraction as Q
 
 import pytest
@@ -7,8 +8,9 @@ from scipy.optimize import linprog
 
 from coapprox import lp
 from coapprox.errors import ValidationError
-from coapprox.exact import bareiss_pivot, rank
+from coapprox.exact import bareiss_pivot, primitive_ints, rank, scaled_ints
 from coapprox.lp import MAX_CELL_PAIRS, LpResult, LpStatus, lp_max, lp_min, solve_minimax_lp
+from coapprox.norming import Arrangement, enumerate_cells, margin_witness
 from tests.conftest import INFEASIBLE, dot, general_lp_min
 
 
@@ -278,7 +280,9 @@ def _folded(data):
 
 @pytest.fixture
 def lp_pivots(monkeypatch):
-    """The (row, column) of every bareiss_pivot that lp_min makes."""
+    """The (r, c) arguments of every bareiss_pivot called through `lp`.
+    lp_min keeps its tableau by columns, so each is its (column, row);
+    row_major_lp_min records (row, column)."""
     pivots = []
 
     def counted(*args):
@@ -588,3 +592,222 @@ def test_duals_certify_the_optimum():
         if p <= 16:  # the draws of the lex stage, kept in step
             [_large(rng) for _ in range(m * m)]
     assert lp_min((1, 1), ((1, 0), (0, 1)), (1, 1), [(1, 0)]).duals is None
+
+
+# The row-major lp_min that the column-major tableau replaced, copied as
+# it stood, as a reference and no code path: only its name, its pivot
+# looked up as `lp.bareiss_pivot`, so that `lp_pivots` records its
+# pivots, differ.  It reads no entry that bareiss_pivot leaves in the
+# pivot column, as it overwrites that column after each pivot.
+def row_major_lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
+    """Minimize cost . x subject to a_ub . x <= b_ub, then each cost in
+    `then` over the optimal face of those before it; value is cost . x.
+    Every b_ub must be >= 0: the simplex starts at x = 0.
+
+    A later cost enters only columns whose reduced cost was zero at the
+    previous optimum: one with a positive reduced cost is zero at every
+    optimal point, so the rest describe exactly the optimal face.
+    """
+    if any(b < 0 for b in b_ub):
+        raise ValidationError("lp_min needs every b_ub >= 0, so that x = 0 is feasible")
+    n = len(cost)
+    nrows = len(a_ub)
+    # Labels: u_0..u_{n-1}, v_0..v_{n-1} (x = u - v), a slack per row.  Column
+    # k holds variable nonbasic[k], the last one the rhs; the true tableau
+    # is tableau / den, and row nrows holds the reduced costs.
+    nsplit = 2 * n
+    tableau: list[list[int]] = []
+    scales = []  # each row's lcm, which its dual is read in
+    for r, b in zip(a_ub, b_ub):
+        lcm, u = scaled_ints((*r, b))
+        scales.append(lcm)
+        tableau.append(u)
+    nonbasic = list(range(n))
+    basis = list(range(nsplit, nsplit + nrows))
+    den = 1
+
+    def run_simplex(allowed):
+        nonlocal den
+        while True:
+            obj = tableau[nrows]
+            enter, label = -1, nsplit + nrows
+            for k, j in enumerate(nonbasic):
+                c = obj[k] if allowed[j] else 0
+                if c > 0 and j < nsplit:  # the pair's other member, column negated
+                    c, j = -c, (j + n) % nsplit
+                if c < 0 and j < label:
+                    enter, label = k, j
+            if enter < 0:
+                return True
+            if label != nonbasic[enter]:
+                for row in tableau:
+                    row[enter] = -row[enter]
+            leave = -1
+            for i in range(nrows):
+                row = tableau[i]
+                coef = row[enter]
+                if coef > 0:
+                    if leave < 0:
+                        leave = i
+                        continue
+                    # rhs/coef against the best ratio, cross-multiplied.
+                    best = tableau[leave]
+                    diff = row[n] * best[enter] - best[n] * coef
+                    if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                        leave = i
+            if leave < 0:
+                return False
+            # The leaving variable's column: -old column, old den in row leave.
+            col = [-row[enter] for row in tableau]
+            col[leave] = den
+            den = lp.bareiss_pivot(tableau, leave, enter, den)
+            for row, a in zip(tableau, col):
+                row[enter] = a
+            nonbasic[enter], basis[leave] = basis[leave], label
+
+    allowed = [True] * (nsplit + nrows)
+    for c in (cost, *then):
+        c_ints = primitive_ints(c)
+        costvec = c_ints + [-a for a in c_ints] + [0] * nrows
+        obj = [den * costvec[j] for j in nonbasic] + [0]
+        for i, bcol in enumerate(basis):
+            f = costvec[bcol]
+            if f:
+                obj = [a - f * b for a, b in zip(obj, tableau[i])]
+        tableau[nrows:] = [obj]
+        if not run_simplex(allowed):
+            return LpResult(LpStatus.UNBOUNDED, None, None)
+        for j, a in zip(nonbasic, tableau[nrows]):
+            if a:
+                allowed[j] = False
+
+    basic = dict(zip(basis, (row[n] for row in tableau)))
+    diffs = [basic.get(j, 0) - basic.get(n + j, 0) for j in range(n)]
+    cden, c_ints = scaled_ints(cost)
+    value = Q(sum(map(mul, c_ints, diffs)), cden * den)
+    duals = None
+    if not then:  # a basic slack's dual is 0
+        reduced = dict(zip(nonbasic, tableau[nrows]))
+        duals = tuple(reduced.get(nsplit + i, 0) * s for i, s in enumerate(scales))
+    return LpResult(LpStatus.OPTIMAL, tuple(Q(d, den) for d in diffs), value, duals)
+
+
+def _margin_lps(rng):
+    """Each cell's margin LP over random arrangements in R^2 and R^3,
+    posed row by row from the normals and checked against the witness
+    that margin_witness reads off the cached rows."""
+    for _ in range(40):
+        m = rng.choice((2, 3))
+        normals = {}
+        for _ in range(rng.randint(1, 7)):
+            v = tuple(primitive_ints([rng.randint(-4, 4) for _ in range(m)]))
+            if any(v):
+                normals[max(v, tuple(-x for x in v))] = None
+        r = len(normals)
+        arr = Arrangement(tuple(normals), tuple(range(r)), (1,) * r, m)
+        for cell in enumerate_cells(arr):
+            a_ub = [(*(-s * x for x in nu), 1) for s, nu in zip(cell.signs, arr.normals)]
+            a_ub += [tuple(s * (i == j) for i in range(m + 1)) for j in range(m) for s in (1, -1)]
+
+            def check(got, arr=arr, cell=cell):
+                return margin_witness(arr, cell) == got.x[:arr.m]
+
+            yield ((0,) * m + (-1,), tuple(a_ub), (0,) * r + (1,) * (2 * m)), check
+
+
+def _minimax_lps(rng):
+    """Minimax LPs on int rows, posed at t = top + t' as solve_minimax_lp
+    poses them, a zero column now and then, checked against its
+    multipliers."""
+    for _ in range(150):
+        p, m = rng.randint(1, 12), rng.randint(1, 3)
+        rows = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(p)]
+        if m > 1 and rng.random() < 0.3:
+            j = rng.randrange(m)
+            for row in rows:
+                row[j] = 0
+        rows = tuple(map(tuple, rows))
+        rhs = tuple(rng.randint(-6, 6) for _ in range(p))
+        a_ub, b_ub = _pairs(rows, rhs, -1)
+        top = max(map(abs, rhs))
+
+        def check(got, rows=rows, rhs=rhs, top=top, m=m):
+            y = got.duals
+            lam = tuple(q - p for q, p in zip(y[::2], y[1::2]))
+            return solve_minimax_lp(rows, rhs, multipliers=True) == (top + got.value, got.x[:m], lam)
+
+        yield ((0,) * m + (1,), a_ub, tuple(top + b for b in b_ub)), check
+
+
+def _lex_lps(rng):
+    """Lex LPs with `then` costs, half of them scaled to int rows and
+    costs; each negative rhs is flipped so that the origin is feasible."""
+    for _ in range(400):
+        costs, a_ub, b_ub = _random_lex_lp(rng)
+        b_ub = tuple(map(abs, b_ub))
+        if rng.random() < 0.5:
+            rows = [primitive_ints((*r, b)) for r, b in zip(a_ub, b_ub)]
+            a_ub, b_ub = tuple(tuple(r[:-1]) for r in rows), tuple(r[-1] for r in rows)
+            costs = [tuple(primitive_ints(c)) for c in costs]
+        yield (costs[0], a_ub, b_ub, tuple(costs[1:])), None
+
+
+def _fraction_lps(rng):
+    """The small rational LPs of the Fraction-reference test, each
+    negative rhs flipped, a third of them with one row of ints among the
+    Fraction rows."""
+    for _ in range(400):
+        cost, a_ub, b_ub = _folded(_random_lp(rng))
+        if a_ub and rng.random() < 0.3:
+            a_ub = (tuple(map(int, a_ub[0])), *a_ub[1:])
+        yield (cost, a_ub, tuple(map(abs, b_ub))), None
+
+
+def _row_free_lps(rng):
+    """LPs with no rows, optimal at 0 under zero costs, else unbounded."""
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        costs = [tuple(rng.choice((0, 1, -2, Q(1, 3))) if rng.random() < 0.4 else 0
+                       for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        yield (costs[0], (), (), tuple(costs[1:])), None
+
+
+@pytest.mark.parametrize(
+    "draw, unbounded",
+    [(_margin_lps, False), (_minimax_lps, False), (_lex_lps, True),
+     (_fraction_lps, True), (_row_free_lps, True)],
+    ids=["margin", "minimax", "lex", "fraction", "row_free"],
+)
+def test_column_major_tableau_pivots_as_the_row_major_one(lp_pivots, draw, unbounded):
+    # Every LP shape the program poses, and those of library callers:
+    # the same pivots, in (column, row) against the reference's (row,
+    # column), and an equal LpResult (status, x, value, duals).
+    rng = random.Random(2029)
+    statuses = {s: 0 for s in LpStatus}
+    for args, check in draw(rng):
+        lp_pivots.clear()
+        want = row_major_lp_min(*args)
+        want_pivots = [p[::-1] for p in lp_pivots]
+        lp_pivots.clear()
+        got = lp_min(*args)
+        assert (got, lp_pivots) == (want, want_pivots), args
+        assert check is None or check(got), args
+        statuses[got.status] += 1
+    assert statuses[LpStatus.OPTIMAL] >= 20, statuses
+    assert (statuses[LpStatus.UNBOUNDED] >= 5) is unbounded, statuses
+
+
+@pytest.mark.parametrize(
+    "solve, args",
+    [
+        (lp_max, ((1,), ((1, 5),), (3,))),
+        (solve_minimax_lp, (((1,), (3, 4)), (1, 1))),
+        (solve_minimax_lp, (((1, 2), (3,)), (1, 1))),
+        (lp_min, ((1,), ((1,), (-1,)), (1,))),
+    ],
+    ids=["long_row", "minimax_long_row", "minimax_short_row", "rhs_short"],
+)
+def test_malformed_lp_input_is_refused_before_any_pivot(lp_pivots, solve, args):
+    with pytest.raises(ValidationError, match="len"):
+        solve(*args)
+    assert lp_pivots == []
