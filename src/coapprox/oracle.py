@@ -25,8 +25,8 @@ profile, sigma-reduction, class or LP.
 The brute-force grid takes the same sign vectors.  A tope's sign vector
 is zero only on A's zero rows, where the residual is b, so each test is
 a slab in alpha.  Disjoint slabs are proved so by an int-checked Farkas
-certificate from the minimax LP over them, with no grid point scanned;
-otherwise a grid line passes on one exact integer interval.
+certificate, a null vector at width 0 and minimax multipliers otherwise,
+with no grid point scanned; else a grid line passes on one exact interval.
 """
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import CapacityError, DimensionError, ValidationError
-from .exact import (Q, Vec, l1_norm, minimize_1d_l1, primitive_ints,
-                    solve_linear, vec_sub)  # solve_linear: perfbench/tracer.py wraps it
+from .exact import (Q, Vec, _gauss_jordan, l1_norm, minimize_1d_l1, primitive_ints,
+                    scaled_ints, solve_linear, vec_sub)  # perfbench/tracer.py wraps solve_linear
 from .lp import solve_minimax_lp
 from .norming import check_cell_capacity, half_cells
 from .subspace import SubspaceBasis
@@ -144,7 +144,8 @@ def verify_best_coapprox(basis: SubspaceBasis, b: Vec, alpha: Vec) -> Verificati
     if len(b) != basis.n or len(alpha) != basis.m:
         raise DimensionError("verify_best_coapprox dimension mismatch")
     patterns = _sign_patterns(basis)
-    z = primitive_ints(vec_sub(b, basis.combine(alpha)))
+    (den, rows), (bden, ints), (aden, a) = basis.int_matrix, scaled_ints(b), scaled_ints(alpha)
+    z = primitive_ints([den * aden * x - bden * sum(map(mul, r, a)) for x, r in zip(ints, rows)])
     for signs, beta in patterns.items():
         if not bj_orthogonal_l1(signs, z):
             return VerificationVerdict(
@@ -177,6 +178,34 @@ def check_certificate(rows, rhs, width, lam) -> bool:
     ) and abs(sum(map(mul, lam, rhs))) > width * sum(map(abs, lam))
 
 
+def certify_not_exists(basis: SubspaceBasis, b: Vec) -> tuple:
+    """(rows, rhs, width, lam): b's tope slabs |rhs_p - rows_p . alpha| <= width
+    in ints (b - A.alpha times den * bden, for A = int_matrix / den and b =
+    ints / bden), and lam, a Farkas proof that no alpha lies in all of them,
+    or None when `check_certificate` rejects it.  At width 0 lam is sum_k
+    (y^k . rhs) y^k over the left null vectors y^k of rows (Fredholm), one
+    per non-pivot column k of a Gauss-Jordan pass over rows' m x p transpose;
+    at width > 0, the minimax LP's multipliers.  No profile, reduction, class or norming set."""
+    if len(b) != basis.n:
+        raise DimensionError("certify_not_exists dimension mismatch")
+    patterns = _sign_patterns(basis)
+    (den, mat), (bden, ints) = basis.int_matrix, scaled_ints(b)
+    width = den * sum(abs(x) for x, v in zip(ints, basis.int_rows) if not any(v))
+    rhs = [den * sum(map(mul, signs, ints)) for signs in patterns]
+    work = [[bden * sum(map(mul, signs, col)) for signs in patterns] for col in zip(*mat)]
+    rows = list(zip(*work))
+    if width:
+        lam = solve_minimax_lp(rows, rhs, multipliers=True)[2]
+    else:  # y^k_k = d, the final pivot, and y^k_(c_i) = -work[i][k]
+        pivots = _gauss_jordan(work, len(rhs))
+        d = work[0][pivots[0]]  # every slab row is nonzero, so rows has a pivot
+        s = [d * r - sum(w[k] * rhs[c] for w, c in zip(work, pivots)) for k, r in enumerate(rhs)]
+        lam = [d * x for x in s]  # s_k = y^k . rhs, 0 on pivot columns
+        for w, c in zip(work, pivots):
+            lam[c] = -sum(map(mul, w, s))
+    return rows, rhs, width, lam if check_certificate(rows, rhs, width, lam) else None
+
+
 def brute_force_existence(
     basis: SubspaceBasis, b: Vec, grid_radius: Q, grid_step: Q
 ) -> BruteForceResult:
@@ -193,16 +222,13 @@ def brute_force_existence(
     A tope's sign vector sigma is zero only on A's zero rows Z, where the
     residual is b.  So its test is the slab
     |sigma.b - (sigma.A).alpha| <= sum over Z of |b_i|, with sigma.A and
-    the width constant over the grid.  The grid, b and A are scaled by
-    one common denominator, which makes every quantity an int and each
-    decision exact.  First, a minimax LP over the slabs (one row per tope
-    pair, within the cell caps) gives multipliers; when
-    `check_certificate` accepts them, no alpha lies in every slab and no
-    grid is built.  Otherwise the slabs meet, and the grid is scanned one
-    line along the last axis at a time: on a line each slab holds one
-    integer interval of ticks, found with one (m-1)-term dot product and
-    floor divisions, and the line's candidates are the intersection, in
-    grid order.
+    the width constant over the grid: `certify_not_exists` builds them in
+    ints.  When it certifies that no alpha lies in every slab, no grid
+    is built.  Otherwise the slabs meet, and the grid, scaled by its
+    ticks' common denominator, is scanned one line along the last axis
+    at a time: on a line each slab holds one integer interval of ticks,
+    found with one (m-1)-term dot product and floor divisions, and the
+    line's candidates are the intersection, in grid order.
 
     Guarded at m <= 3, BRUTE_FORCE_MAX_POINTS grid points and the cell
     caps, all checked before any tope is enumerated; a negative radius or
@@ -211,29 +237,19 @@ def brute_force_existence(
     m = basis.m
     if m > BRUTE_FORCE_MAX_M:
         raise CapacityError(f"brute force capped at m <= {BRUTE_FORCE_MAX_M}")
-    radius = Q(grid_radius)
-    step = Q(grid_step)
+    radius, step = Q(grid_radius), Q(grid_step)
     check_grid(radius, step)
     per_axis = math.floor(2 * radius / step) + 1
     if per_axis**m > BRUTE_FORCE_MAX_POINTS:
         raise CapacityError(
             f"brute-force grid capped at {BRUTE_FORCE_MAX_POINTS} points"
         )
-    if len(b) != basis.n:
-        raise DimensionError("brute_force_existence dimension mismatch")
-    patterns = _sign_patterns(basis)
-
-    entries = itertools.chain((radius, step), b, *basis.matrix)
-    scale = math.lcm(*(x.denominator for x in entries))
-    int_cols = [[int(a * scale) for a in col] for col in zip(*basis.matrix)]
-    int_b = [int(x * scale * scale) for x in b]  # residuals come out scaled by scale**2
-    width = sum(abs(x) for x, row in zip(int_b, basis.matrix) if not any(row))
-    rows = [[sum(map(mul, signs, col)) for col in int_cols] for signs in patterns]
-    rhs = [sum(map(mul, signs, int_b)) for signs in patterns]
-    lam = solve_minimax_lp(rows, rhs, multipliers=True)[2]
-    if check_certificate(rows, rhs, width, lam):
+    rows, rhs, width, lam = certify_not_exists(basis, b)
+    if lam is not None:
         return BruteForceResult(exists=False, candidates=(), grid_points=per_axis**m)
 
+    scale = math.lcm(radius.denominator, step.denominator)
+    width *= scale
     ticks = [-radius + k * step for k in range(per_axis)]
     int_ticks = [int(t * scale) for t in ticks]
     # On the line through the outer ticks, sigma.z = s0 - k*s1 with
@@ -242,7 +258,7 @@ def brute_force_existence(
     slabs = []
     for g, c in zip(rows, rhs):
         s1 = g[-1] * int(step * scale)
-        c -= g[-1] * int_ticks[0]
+        c = c * scale - g[-1] * int_ticks[0]
         if s1 < 0:
             g, s1, c = [-x for x in g], -s1, -c
         slabs.append((g[:-1], c, s1))

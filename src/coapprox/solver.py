@@ -129,25 +129,18 @@ class PreparedBasis:
         return norming
 
     @cached_property
-    def class_rows(self) -> Mat:
-        """Class-sum rows, one per component class: sum_{i in c} o_i A_i,
-        which is (sum_{i in c} |const_i|) times the representative's row."""
-        out = []
-        for cls in self.profile.classes:
-            weight = sum(abs(c) for _, c in cls.members)
-            out.append(tuple(weight * x for x in self.basis.matrix[cls.representative]))
-        return tuple(out)
+    def class_ints(self) -> tuple[int, list[list[int]]]:
+        """(den, rows): class-sum rows / den over int_matrix's den, sum_{i in c} o_i A_i
+        for o_i the sign of const_i: (sum_{i in c} |const_i|) times the representative's row."""
+        den, ints = self.basis.int_matrix
+        return den, [[sum(ints[i][j] if c > 0 else -ints[i][j] for i, c in cls.members)
+                      for j in range(self.basis.m)] for cls in self.profile.classes]
 
     def _class_sums(self, b: Vec) -> tuple[int, list[int], list[int]]:
-        """(den, b * den, sums): class_rhs(b) is sums / den, summed in ints."""
+        """(den, b * den, sums): sum_{i in c} o_i b_i per class is sums / den."""
         den, ints = scaled_ints(b)
         return den, ints, [sum(ints[i] if c > 0 else -ints[i] for i, c in cls.members)
                      for cls in self.profile.classes]
-
-    def class_rhs(self, b: Vec) -> Vec:
-        """sum_{i in c} o_i b_i per class, o_i the sign of const_i."""
-        den, _, sums = self._class_sums(b)
-        return tuple(Q(s, den) for s in sums)
 
     @cached_property
     def system_rows(self) -> Mat:
@@ -170,10 +163,9 @@ class PreparedBasis:
     def feasibility_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(den, rows): inequality rows / den, one per norming-set pair (all
         of them).  The cell's sign vector x is s_c * o_i on class c, so its
-        pairing with the reduced columns is sum_c s_c * class_rows[c]."""
-        m = self.basis.m
-        den, flat = scaled_ints([x for row in self.class_rows for x in row])
-        cols = [flat[j::m] for j in range(m)]
+        pairing with the reduced columns is sum_c s_c * (class row c)."""
+        den, rows = self.class_ints
+        cols = list(zip(*rows))
         return den, tuple(tuple(sum(map(mul, cell.signs, col)) for col in cols)
                           for cell in self.cells)
 
@@ -184,7 +176,7 @@ class PreparedBasis:
         return tuple(tuple(Q(x, den) for x in row) for row in rows)
 
     def feasibility_rhs(self, b: Vec) -> Vec:
-        """x . sigma(b) per cell, as feasibility_rows: sum_c s_c * class_rhs(b)[c]."""
+        """x . sigma(b) per cell, as feasibility_rows: sum_c s_c * (class sum c)."""
         den, _, sums = self._class_sums(b)
         return tuple(Q(sum(map(mul, cell.signs, sums)), den) for cell in self.cells)
 
@@ -275,14 +267,15 @@ def _unique(basis: SubspaceBasis, alpha: Vec) -> CoapproxOutcome:
 
 
 def solve_empty_zero_set(pb: PreparedBasis, b: Vec) -> CoapproxOutcome:
-    """Class-sum equality solve for a target with no mass on the zero set
-    (every target when that set is empty): no cell enumeration."""
+    """Class-sum equality solve in ints for a target with no mass on the
+    zero set (every target when that set is empty): no cell enumeration."""
     if len(b) != pb.basis.n:
         raise DimensionError("target length does not match ambient dimension")
     if any(b[i] for i in pb.profile.zero_set):
         raise DimensionError("solve_empty_zero_set requires no target mass on the zero set")
     check_cell_capacity(pb.profile.d, pb.basis.m)  # the same caps as enumeration
-    res = solve_linear(pb.class_rows, pb.class_rhs(b))
+    (den, rows), (bden, _, sums) = pb.class_ints, pb._class_sums(b)
+    res = solve_linear([[bden * x for x in row] for row in rows], [den * s for s in sums])
     if res.status is SystemStatus.NO_SOLUTION:
         return _not_exists()
     if res.status is SystemStatus.AFFINE_FAMILY:

@@ -46,7 +46,7 @@ class SubspaceBasis:
         return tuple(self.int_rows[i] for i in first_basis(self.int_rows))
 
     @cached_property
-    def _int_matrix(self) -> tuple[int, list[list[int]]]:
+    def int_matrix(self) -> tuple[int, list[list[int]]]:
         """(den, rows): matrix == rows / den, den the lcm of all denominators."""
         den, flat = scaled_ints([x for row in self.matrix for x in row])
         return den, [flat[i:i + self.m] for i in range(0, len(flat), self.m)]
@@ -56,7 +56,7 @@ class SubspaceBasis:
         coefficients, summed in ints: one Fraction per entry."""
         if len(coeffs) != self.m:
             raise DimensionError("combine needs one coefficient per basis vector")
-        den, rows = self._int_matrix
+        den, rows = self.int_matrix
         cden, c = scaled_ints(coeffs)
         den *= cden
         return tuple(Q(sum(map(mul, row, c)), den) for row in rows)

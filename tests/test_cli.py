@@ -671,6 +671,28 @@ def test_solve_work_counts(capsys, monkeypatch, name, expected):
     assert tuple(calls.values()) == expected
 
 
+@pytest.mark.parametrize("mass, minimax_lps", [("0", 0), ("1", 1)])
+def test_grid_certificate_work_counts(tmp_path, capsys, monkeypatch, mass, minimax_lps):
+    # span3_l17_threshold's target with mass 0 or 1 on the zero row, both
+    # below delta0 = 41/21: not-exists, and the grid settles each by a
+    # certificate.  Slabs of width 0 are certified by a null vector, with
+    # no LP; at width 1 the oracle runs one minimax LP over the slabs.
+    doc = json.loads((PROBLEMS / "span3_l17_threshold.json").read_text(encoding="utf-8"))
+    doc["targets"][0]["vector"][-1] = mass
+    f = tmp_path / "mass.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    calls = []
+    minimax = oracle.solve_minimax_lp
+    monkeypatch.setattr(oracle, "solve_minimax_lp",
+                        lambda *args, **kw: calls.append(args) or minimax(*args, **kw))
+    report = run_json(capsys, "solve", "--input", str(f), "--grid-radius", "5",
+                      "--grid-step", "1/2")
+    (entry,) = report["targets"]
+    assert entry["outcome"] == "not-exists"
+    assert entry["brute_force"] == {"exists": False, "grid_points": 21**3}
+    assert len(calls) == minimax_lps
+
+
 @pytest.mark.parametrize("flags, echoed", [((), (7, 3)), (("--trials", "9", "--seed", "4"), (9, 4))])
 def test_solve_echoes_trials_and_seed(tmp_path, capsys, flags, echoed):
     # The file's options, or the flags over them, appear at the top and in

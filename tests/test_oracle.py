@@ -4,6 +4,7 @@ import math
 import operator
 import random
 import time
+from collections import Counter
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from coapprox import exact, norming, oracle
 from coapprox.cli import load_problem, main
 from coapprox.exact import primitive_ints, rank, solve_linear, vec_sub
 from coapprox.instances import random_basis, random_vector
+from coapprox.lp import solve_minimax_lp
 from coapprox.norming import cell_pair_bound
 from coapprox.subspace import validate_basis
 from tests.conftest import column_basis
@@ -544,6 +546,31 @@ def test_verify_matches_reference_verifier(degenerate):
     assert refuted >= 100 and confirmed >= 50 and from_solver >= 50
 
 
+def test_verifier_residual_in_ints_matches_the_fraction_residual(monkeypatch):
+    # verify_best_coapprox forms b - A.alpha in ints, from A's int matrix
+    # and the scaled ints of b and alpha: every tope test receives the
+    # coprime int form of the Fraction residual.  Bases with rational
+    # entries, zero and proportional rows (m = 1..3); rational targets
+    # and alphas, every fifth target a member (a zero residual).
+    rng = random.Random(1717)
+    seen = []
+    monkeypatch.setattr(oracle, "bj_orthogonal_l1",
+                        lambda y, z: seen.append(z) or bj_orthogonal_l1(y, z))
+    members = 0
+    for case in range(300):
+        m = 1 + case % 3
+        basis = _awkward_basis(rng, m)
+        alpha = tuple(Q(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(m))
+        b = basis.combine(alpha) if case % 5 == 0 else tuple(
+            Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(basis.n))
+        seen.clear()
+        verify_best_coapprox(basis, b, alpha)
+        expected = primitive_ints(vec_sub(b, basis.combine(alpha)))
+        assert seen and all(z == expected for z in seen), case
+        members += not any(expected)
+    assert members >= 60
+
+
 def test_sign_pattern_map_matches_fraction_map():
     # Each key is the int sign vector of A.beta at its own witness,
     # computed in Fractions, with zero signs exactly on A's zero rows; no
@@ -927,9 +954,14 @@ def _forced_scan(monkeypatch, basis, b, radius=Q(5), step=Q(1, 2)):
 def test_every_not_exists_of_the_criterion_5_stream_is_certified(monkeypatch):
     # The first 300 instances of criterion 5's stream: each not-exists
     # target's slabs get one accepted certificate, so no grid line is
-    # scanned, and the scan, forced, finds no candidate either.
+    # scanned, and the scan, forced, finds no candidate either.  A
+    # refused certificate would scan silently to the same result, so the
+    # zero-width ones are counted: each is a null vector, with no LP.
     rng = random.Random(505)
     by_m = {1: 0, 2: 0, 3: 0}
+    by_width, lps = Counter(), []
+    monkeypatch.setattr(oracle, "solve_minimax_lp",
+                        lambda *args, **kw: lps.append(args) or solve_minimax_lp(*args, **kw))
     for _ in range(300):
         n = rng.randint(2, 6)
         m = rng.randint(1, min(3, n - 1))
@@ -938,12 +970,16 @@ def test_every_not_exists_of_the_criterion_5_stream_is_certified(monkeypatch):
         b = random_vector(rng, n)
         if solve_general(basis, None, b).kind is not OutcomeKind.NOT_EXISTS:
             continue
+        lps.clear()
         got, calls = _certified(monkeypatch, basis, b)
         assert [c[-1] for c in calls] == [True]
+        assert len(lps) == (calls[0][2] > 0)
         assert got == BruteForceResult(False, (), 21**m)
         assert _forced_scan(monkeypatch, basis, b) == got
         by_m[m] += 1
+        by_width[calls[0][2] > 0] += 1
     assert by_m[2] >= 30 and by_m[3] >= 30, by_m
+    assert by_width[False] >= 80 and by_width[True] >= 5, by_width
 
 
 def test_corrupted_certificates_are_rejected(monkeypatch, span3_l16):
@@ -1004,3 +1040,109 @@ def test_79_tope_pairs_are_certified_as_the_forced_scan_decides(monkeypatch):
     assert [c[-1] for c in calls] == [False]
     assert got == _pointwise_scan(basis, member, radius, step, checks)
     assert got.exists
+
+
+def _parent_certificate(basis, b, radius, step):
+    """(rows, rhs, width, lam, accepted): the grid's slabs and minimax-LP
+    certificate as brute_force_existence built them before the null
+    vector, kept as the reference: one scale over the grid, b and A."""
+    patterns = oracle._sign_patterns(basis)
+    entries = itertools.chain((radius, step), b, *basis.matrix)
+    scale = math.lcm(*(x.denominator for x in entries))
+    int_cols = [[int(a * scale) for a in col] for col in zip(*basis.matrix)]
+    int_b = [int(x * scale * scale) for x in b]  # residuals come out scaled by scale**2
+    width = sum(abs(x) for x, row in zip(int_b, basis.matrix) if not any(row))
+    rows = [[sum(map(operator.mul, signs, col)) for col in int_cols] for signs in patterns]
+    rhs = [sum(map(operator.mul, signs, int_b)) for signs in patterns]
+    lam = solve_minimax_lp(rows, rhs, multipliers=True)[2]
+    return rows, rhs, width, lam, oracle.check_certificate(rows, rhs, width, lam)
+
+
+def _parent_brute_force_existence(basis, b, grid_radius, grid_step):
+    """brute_force_existence as it was before the null-vector certificate
+    and the int slabs (its guards left out): the reference."""
+    m = basis.m
+    radius, step = Q(grid_radius), Q(grid_step)
+    per_axis = math.floor(2 * radius / step) + 1
+    rows, rhs, width, _, accepted = _parent_certificate(basis, b, radius, step)
+    if accepted:
+        return BruteForceResult(exists=False, candidates=(), grid_points=per_axis**m)
+    scale = math.lcm(*(x.denominator for x in itertools.chain((radius, step), b, *basis.matrix)))
+    ticks = [-radius + k * step for k in range(per_axis)]
+    int_ticks = [int(t * scale) for t in ticks]
+    slabs = []
+    for g, c in zip(rows, rhs):
+        s1 = g[-1] * int(step * scale)
+        c -= g[-1] * int_ticks[0]
+        if s1 < 0:
+            g, s1, c = [-x for x in g], -s1, -c
+        slabs.append((g[:-1], c, s1))
+    candidates = []
+    for outer in itertools.product(range(per_axis), repeat=m - 1):
+        at = [int_ticks[k] for k in outer]
+        lo, hi = 0, per_axis - 1
+        for g, c, s1 in slabs:
+            s0 = c - sum(map(operator.mul, g, at))
+            if s1:
+                lo = max(lo, -((width - s0) // s1))
+                hi = min(hi, (s0 + width) // s1)
+            elif abs(s0) > width:
+                hi = -1
+            if lo > hi:
+                break
+        head = tuple(ticks[i] for i in outer)
+        candidates.extend(head + (ticks[k],) for k in range(lo, hi + 1))
+    return BruteForceResult(bool(candidates), tuple(candidates), per_axis**m)
+
+
+def test_certify_not_exists_accepts_where_the_minimax_certificate_does(monkeypatch):
+    # Seeded slab systems, m = 1..3, on bases with rational entries, zero,
+    # proportional and line-sharing rows: targets with no mass on A's zero
+    # rows (width 0) or with some (width > 0), each random (mostly
+    # inconsistent) or a subspace member plus that mass (consistent).
+    # certify_not_exists accepts exactly where the minimax-LP certificate
+    # of the reference does, runs that LP only at width > 0, and the grid
+    # returns the reference grid's result.  Each accepted certificate is
+    # rejected once corrupted: one multiplier's sign flipped, one row
+    # with a nonzero multiplier dropped, or b moved onto the slabs.
+    rng = random.Random(3131)
+    seen, lps = Counter(), []
+    monkeypatch.setattr(oracle, "solve_minimax_lp",
+                        lambda *args, **kw: lps.append(args) or solve_minimax_lp(*args, **kw))
+    for case in range(450):
+        m = 1 + case % 3
+        basis = _awkward_basis(rng, m)
+        if case % 2 and all(map(any, basis.matrix)):
+            basis = validate_basis(basis.matrix + ((Q(0),) * m,))
+        zero = [i for i, row in enumerate(basis.matrix) if not any(row)]
+        mass = [Q(rng.randint(1, 4), rng.randint(1, 3)) if i in zero and case % 2 else Q(0)
+                for i in range(basis.n)]
+        member = basis.combine(tuple(Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)))
+        moved = tuple(x + y for x, y in zip(member, mass))
+        noise = tuple(Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(basis.n))
+        for b in (tuple(y if i in zero else x for i, (x, y) in enumerate(zip(noise, mass))), moved):
+            lps.clear()
+            rows, rhs, width, lam = oracle.certify_not_exists(basis, b)
+            assert len(lps) == (width > 0), case
+            lps.clear()
+            *_, ref_width, _, accepted = _parent_certificate(basis, b, Q(1), Q(1, 2))
+            assert (width > 0) is (ref_width > 0) and (lam is not None) is accepted, case
+            assert all(type(x) is int for x in (*rhs, width, *itertools.chain(*rows)))
+            seen[width > 0, accepted] += 1
+            got = brute_force_existence(basis, b, Q(1), Q(1, 2))
+            assert got == _parent_brute_force_existence(basis, b, Q(1), Q(1, 2)), case
+            if lam is None:
+                continue
+            assert oracle.check_certificate(rows, rhs, width, lam) and not got.exists
+            p = next(q for q, x in enumerate(lam) if x)
+            flipped = [*lam[:p], -lam[p], *lam[p + 1:]]
+            assert not oracle.check_certificate(rows, rhs, width, flipped), case
+            keep = [q for q in range(len(lam)) if q != p]
+            assert not oracle.check_certificate(
+                [rows[q] for q in keep], [rhs[q] for q in keep], width, [lam[q] for q in keep])
+            # The moved target's slabs meet; its rows are a positive
+            # multiple of these, so lam still sums them to 0.
+            moved_rows, moved_rhs, moved_width, moved_lam = oracle.certify_not_exists(basis, moved)
+            assert moved_lam is None, case
+            assert not oracle.check_certificate(moved_rows, moved_rhs, moved_width, lam), case
+    assert min(seen[w, a] for w in (False, True) for a in (False, True)) >= 40, seen

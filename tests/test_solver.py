@@ -121,8 +121,87 @@ class TestEmptyZeroSet:
         # row: coordinates 1 and 5 form a class with constants 1 and -1,
         # coordinates 2 and 6 one with constants 1 and 2.
         pb = prepare(span3_l16)
-        assert pb.class_rows == ((8, -2, 2), (6, 9, 12), (1, 5, 2), (-1, 2, 1))
-        assert pb.class_rhs(B1) == (Q(-4), Q(8), Q(3), Q(4))
+        den, rows = pb.class_ints
+        assert all(type(x) is int for row in rows for x in row)
+        assert _fraction_rows(den, rows) == _fraction_class_rows(pb) == (
+            (8, -2, 2), (6, 9, 12), (1, 5, 2), (-1, 2, 1))
+        bden, _, sums = pb._class_sums(B1)
+        assert tuple(Q(s, bden) for s in sums) == _fraction_class_rhs(pb, B1) == (
+            Q(-4), Q(8), Q(3), Q(4))
+
+    def test_int_class_sum_solve_matches_the_fraction_solve(self):
+        # solve_empty_zero_set solves bden rows . alpha = den sums on the
+        # int class rows; the reference is the Fraction solve it replaced,
+        # solve_linear(class_rows, class_rhs(b)).  Bases carry rational
+        # entries, rows proportional to others at rational constants and
+        # zero rows; targets (no mass on the zero rows) are random with
+        # rational entries, subspace members, and members moved off by a
+        # vector whose signed class sums vanish.
+        rng = random.Random(3030)
+        statuses = Counter()
+        for basis in _rational_bases(rng, 200):
+            pb = prepare(basis)
+            den, rows = pb.class_ints
+            assert _fraction_rows(den, rows) == _fraction_class_rows(pb)
+            zero = set(pb.profile.zero_set)
+            member = basis.combine(tuple(Q(rng.randint(-4, 4), rng.randint(1, 5))
+                                         for _ in range(basis.m)))
+            off = list(member)
+            for cls in pb.profile.classes:
+                if len(cls.members) > 1:
+                    (i, ci), (j, cj) = cls.members[:2]
+                    t = Q(rng.randint(1, 5), rng.randint(1, 3))
+                    off[i] += t if ci > 0 else -t
+                    off[j] -= t if cj > 0 else -t
+            noise = tuple(Q(0) if i in zero else Q(rng.randint(-5, 5), rng.randint(1, 6))
+                          for i in range(basis.n))
+            for b in (noise, member, tuple(off)):
+                ref = solve_linear(_fraction_class_rows(pb), _fraction_class_rhs(pb, b))
+                out = solve_empty_zero_set(pb, b)
+                statuses[ref.status] += 1
+                if ref.status is SystemStatus.UNIQUE:
+                    assert out.kind is OutcomeKind.UNIQUE
+                    assert out.coefficients == ref.solution
+                else:
+                    assert ref.status is SystemStatus.NO_SOLUTION
+                    assert out.kind is OutcomeKind.NOT_EXISTS
+        assert statuses[SystemStatus.UNIQUE] >= 400
+        assert statuses[SystemStatus.NO_SOLUTION] >= 80
+
+
+def _fraction_rows(den, rows):
+    return tuple(tuple(Q(x, den) for x in row) for row in rows)
+
+
+def _fraction_class_rows(pb):
+    """The class-sum rows as Fractions, as the solver built them before it
+    held them as ints: (sum of |constants|) times the representative's row."""
+    return tuple(
+        tuple(sum(abs(c) for _, c in cls.members) * x for x in pb.basis.matrix[cls.representative])
+        for cls in pb.profile.classes
+    )
+
+
+def _fraction_class_rhs(pb, b):
+    """sum_{i in c} o_i b_i per class, o_i the sign of const_i, in Fractions."""
+    return tuple(sum((b[i] if c > 0 else -b[i] for i, c in cls.members), Q(0))
+                 for cls in pb.profile.classes)
+
+
+def _rational_bases(rng, count):
+    """Seeded bases, m = 1..4, with rational entries, 0-2 zero rows and
+    1-3 rows proportional to others at rational constants."""
+    for _ in range(count):
+        m = rng.randint(1, 4)
+        zeros = rng.randint(0, 2)
+        basis = random_basis(rng, m + zeros + rng.randint(0, 2), m, lo=-3, hi=3, zero_rows=zeros)
+        rows = [tuple(Q(rng.randint(1, 5), rng.randint(1, 7)) * x for x in row)
+                for row in basis.matrix]
+        for _ in range(rng.randint(1, 3)):
+            source = rng.choice([r for r in rows if any(r)])
+            const = Q(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+            rows.insert(rng.randint(0, len(rows)), tuple(const * x for x in source))
+        yield validate_basis(tuple(rows))
 
 
 def test_feasibility_rows_are_cell_signs_times_class_sums():
@@ -778,7 +857,7 @@ def test_minimax_lps_reach_the_kernel_in_ints(monkeypatch):
 def _fraction_feasibility_rows(pb):
     """The zero-set rows as Fractions, built per column as the solver
     built them before it held them as ints over one denominator."""
-    cols = [scaled_ints(col) for col in zip(*pb.class_rows)]
+    cols = [scaled_ints(col) for col in zip(*_fraction_class_rows(pb))]
     return tuple(tuple(Q(sum(map(mul, cell.signs, ints)), den) for den, ints in cols)
                  for cell in pb.cells)
 
