@@ -11,6 +11,7 @@ known positive denominator, which a Bareiss step divides out exactly.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -57,13 +58,16 @@ def format_rational(x: Q) -> str:
 
 
 def vec(items: Iterable) -> Vec:
-    """Coerce ints/strings/Fractions into an immutable rational vector."""
+    """Coerce ints, Fractions and `parse_rational` strings into an immutable
+    rational vector; bools, floats and every other non-rational are refused."""
     out = []
     for item in items:
         if isinstance(item, str):
             out.append(parse_rational(item))
-        else:
+        elif isinstance(item, numbers.Rational) and not isinstance(item, bool):
             out.append(Q(item))
+        else:
+            raise ValidationError(f"not an exact rational: {item!r}")
     return tuple(out)
 
 

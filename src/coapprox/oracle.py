@@ -22,22 +22,23 @@ the counterexample.  The topes come from `norming.half_cells` run on
 A's nonzero rows reduced to primitive ints and merged up to sign: no
 profile, sigma-reduction, class or LP.
 
-The brute-force grid takes the same sign vectors.  A tope's sign vector
+The brute-force check takes the same sign vectors.  A tope's sign vector
 is zero only on A's zero rows, where the residual is b, so each test is
-a slab in alpha.  Disjoint slabs are proved so by an int-checked Farkas
-certificate, a null vector at width 0 and minimax multipliers otherwise,
-with no grid point scanned; else a grid line passes on one exact interval.
+a slab in alpha, and b has a best coapproximation iff the slabs meet.
+Disjoint slabs are proved so by an int-checked Farkas certificate, a
+null vector at width 0 and minimax multipliers otherwise; meeting slabs
+by the minimax LP's alpha, which the tope tests must confirm.  Either
+verdict is a proof, and no grid point is scanned.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import CapacityError, DimensionError, ValidationError
+from .errors import CapacityError, DimensionError, InternalInconsistencyError, ValidationError
 from .exact import (Q, Vec, _gauss_jordan, l1_norm, minimize_1d_l1, primitive_ints,
-                    scaled_ints, solve_linear, vec_sub)  # perfbench/tracer.py wraps solve_linear
+                    scaled_ints, solve_linear, vec, vec_sub)  # perfbench/tracer.py wraps solve_linear
 from .lp import solve_minimax_lp
 from .norming import check_cell_capacity, half_cells
 from .subspace import SubspaceBasis
@@ -157,7 +158,6 @@ def verify_best_coapprox(basis: SubspaceBasis, b: Vec, alpha: Vec) -> Verificati
 @dataclass(frozen=True)
 class BruteForceResult:
     exists: bool
-    candidates: tuple[Vec, ...]
     grid_points: int
 
 
@@ -209,77 +209,36 @@ def certify_not_exists(basis: SubspaceBasis, b: Vec) -> tuple:
 def brute_force_existence(
     basis: SubspaceBasis, b: Vec, grid_radius: Q, grid_step: Q
 ) -> BruteForceResult:
-    """Grid scan for coefficient vectors passing the orthogonality checks.
-
-    Ground-truth corroboration at desk scale: when the solver reports
-    that no best coapproximation exists, no grid point may pass.  The
-    grid is every alpha with coordinates -r, -r + t, ... up to r.  A
-    grid point is a candidate when b - A.alpha passes the orthogonality
-    test at every tope pair of A's row arrangement, which decides it at
-    every beta: the candidates are exactly the grid's best
-    coapproximations.
+    """Decide whether b has a best coapproximation, with a proof either
+    way: the solver's corroboration at desk scale.
 
     A tope's sign vector sigma is zero only on A's zero rows Z, where the
-    residual is b.  So its test is the slab
-    |sigma.b - (sigma.A).alpha| <= sum over Z of |b_i|, with sigma.A and
-    the width constant over the grid: `certify_not_exists` builds them in
-    ints.  When it certifies that no alpha lies in every slab, no grid
-    is built.  Otherwise the slabs meet, and the grid, scaled by its
-    ticks' common denominator, is scanned one line along the last axis
-    at a time: on a line each slab holds one integer interval of ticks,
-    found with one (m-1)-term dot product and floor divisions, and the
-    line's candidates are the intersection, in grid order.
+    residual is b, so alpha passes its test iff it lies in the slab
+    |sigma.b - (sigma.A).alpha| <= sum over Z of |b_i|; `certify_not_exists`
+    builds the slabs in ints.  An accepted certificate proves them
+    disjoint (exists False).  Otherwise they meet, so the minimax LP's
+    alpha (t* <= width) lies in all of them, and `verify_best_coapprox`
+    must confirm it (exists True), else InternalInconsistencyError.
 
-    Guarded at m <= 3, BRUTE_FORCE_MAX_POINTS grid points and the cell
-    caps, all checked before any tope is enumerated; a negative radius or
-    a non-positive step is rejected.
+    No grid point is scanned: the grid (coordinates -r, -r + t, ... up to
+    r) bounds only the echoed grid_points.  Guarded at m <= 3,
+    BRUTE_FORCE_MAX_POINTS grid points and the cell caps, all checked
+    before any tope is enumerated; radius and step go through `vec`, and
+    a negative radius or a non-positive step is rejected.
     """
     m = basis.m
     if m > BRUTE_FORCE_MAX_M:
         raise CapacityError(f"brute force capped at m <= {BRUTE_FORCE_MAX_M}")
-    radius, step = Q(grid_radius), Q(grid_step)
+    radius, step = vec((grid_radius, grid_step))
     check_grid(radius, step)
     per_axis = math.floor(2 * radius / step) + 1
     if per_axis**m > BRUTE_FORCE_MAX_POINTS:
         raise CapacityError(
             f"brute-force grid capped at {BRUTE_FORCE_MAX_POINTS} points"
         )
-    rows, rhs, width, lam = certify_not_exists(basis, b)
-    if lam is not None:
-        return BruteForceResult(exists=False, candidates=(), grid_points=per_axis**m)
-
-    scale = math.lcm(radius.denominator, step.denominator)
-    width *= scale
-    ticks = [-radius + k * step for k in range(per_axis)]
-    int_ticks = [int(t * scale) for t in ticks]
-    # On the line through the outer ticks, sigma.z = s0 - k*s1 with
-    # s0 = c - g.(outer ticks); stored with s1 >= 0, as negating sigma
-    # leaves the test unchanged.
-    slabs = []
-    for g, c in zip(rows, rhs):
-        s1 = g[-1] * int(step * scale)
-        c = c * scale - g[-1] * int_ticks[0]
-        if s1 < 0:
-            g, s1, c = [-x for x in g], -s1, -c
-        slabs.append((g[:-1], c, s1))
-
-    candidates = []
-    for outer in itertools.product(range(per_axis), repeat=m - 1):
-        at = [int_ticks[k] for k in outer]
-        lo, hi = 0, per_axis - 1
-        for g, c, s1 in slabs:
-            s0 = c - sum(map(mul, g, at))
-            if s1:  # s0 - width <= k*s1 <= s0 + width
-                lo = max(lo, -((width - s0) // s1))
-                hi = min(hi, (s0 + width) // s1)
-            elif abs(s0) > width:
-                hi = -1
-            if lo > hi:
-                break
-        head = tuple(ticks[i] for i in outer)
-        candidates.extend(head + (ticks[k],) for k in range(lo, hi + 1))
-    return BruteForceResult(
-        exists=bool(candidates),
-        candidates=tuple(candidates),
-        grid_points=per_axis**m,
-    )
+    rows, rhs, _, lam = certify_not_exists(basis, b)
+    if lam is None:  # the slabs meet: the minimax alpha has t* <= width
+        alpha = solve_minimax_lp(rows, rhs)[1]
+        if not verify_best_coapprox(basis, b, alpha).confirmed:
+            raise InternalInconsistencyError("no certificate, yet the minimax alpha is refuted")
+    return BruteForceResult(exists=lam is None, grid_points=per_axis**m)

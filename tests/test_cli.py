@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coapprox import cli, lp, mat, norming, oracle, solver
+from coapprox import cli, lp, mat, norming, oracle, solver, vec
 from coapprox.cli import main
 from coapprox.errors import CoapproxError
 from coapprox.exact import rank
+from coapprox.instances import random_basis, random_vector
+from coapprox.subspace import validate_basis
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -691,6 +694,40 @@ def test_grid_certificate_work_counts(tmp_path, capsys, monkeypatch, mass, minim
     assert entry["outcome"] == "not-exists"
     assert entry["brute_force"] == {"exists": False, "grid_points": 21**3}
     assert len(calls) == minimax_lps
+
+
+def test_grid_catches_a_solver_that_always_answers_not_exists(tmp_path, capsys, monkeypatch):
+    # A mutant solver answers not-exists for every target, so the grid
+    # runs on all of them: on a seeded m <= 3 corpus it must say "exists"
+    # exactly for the targets the real solver answers.  A = (1, 2)^T,
+    # b = (1, 0) has the one solution alpha = 1/3, on no grid point.
+    rng = random.Random(1531)
+    files = [([(1,), (2,)], [(1, 0)])]
+    for k in range(18):
+        m = 1 + k % 3
+        n = rng.randint(m + 1, 6)
+        basis = random_basis(rng, n, m, zero_rows=min(k % 2, n - m))
+        members = [basis.combine(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                                       for _ in range(m))) for _ in range(2)]
+        files.append((basis.matrix, members + [random_vector(rng, n) for _ in range(3)]))
+    answers = []
+    for k, (rows, targets) in enumerate(files):
+        basis = validate_basis(mat(rows))
+        truth = [solver.solve_general(basis, None, vec(b)).kind
+                 is not solver.OutcomeKind.NOT_EXISTS for b in targets]
+        doc = {"n": len(rows), "basis": [[str(x) for x in col] for col in zip(*rows)],
+               "targets": [[str(x) for x in b] for b in targets]}
+        f = tmp_path / f"corpus{k}.json"
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "solve_general", lambda *args, **kw: types.SimpleNamespace(
+                kind=solver.OutcomeKind.NOT_EXISTS))
+            report = run_json(capsys, "solve", "--input", str(f), "--grid-radius", "5",
+                              "--grid-step", "1/2")
+        assert [t["brute_force"] for t in report["targets"]] == [
+            {"exists": answered, "grid_points": 21**basis.m} for answered in truth], k
+        answers += truth
+    assert answers[0] and sum(answers) >= 50 and answers.count(False) >= 20, answers
 
 
 @pytest.mark.parametrize("flags, echoed", [((), (7, 3)), (("--trials", "9", "--seed", "4"), (9, 4))])

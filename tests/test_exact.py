@@ -1,5 +1,6 @@
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction as Q
 
 import pytest
@@ -112,6 +113,23 @@ def test_parse_rational_agrees_with_fraction_on_a_seeded_corpus():
             assert str(exc.value) == expected
             kinds.add(expected.split(":")[0].split(" of ")[0])
     assert kinds == {"value", "not a rational literal", "zero denominator", "rational literal"}
+
+
+class TestExactCoercion:
+    @pytest.mark.parametrize("bad", [
+        0.1, 2.0, float("nan"), True, False, None, 1j, Decimal("1"), [1], "0.5", "1e1", "1/0", "",
+    ])
+    def test_vec_and_mat_refuse_inexact_and_malformed_values(self, bad):
+        with pytest.raises(ValidationError):
+            vec((1, bad))
+        with pytest.raises(ValidationError):
+            mat([(1, 2), (bad, 3)])
+
+    def test_vec_accepts_ints_fractions_and_rational_strings(self):
+        got = vec((3, -2, Q(1, 3), "1/2", " -3/7 ", "+4", 10**30))
+        assert got == (Q(3), Q(-2), Q(1, 3), Q(1, 2), Q(-3, 7), Q(4), Q(10**30))
+        assert all(type(x) is Q for x in got)
+        assert mat([(1, "2/4")]) == ((Q(1), Q(1, 2)),)
 
 
 class TestL1Norm:
