@@ -15,14 +15,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .classify import classify
-from .errors import CapacityError, CoapproxError, EmptyZeroSetError, ValidationError
-from .exact import Q, Vec, format_rational, parse_rational
+from .errors import CoapproxError, EmptyZeroSetError, ValidationError
+from .exact import Q, Vec, format_rational, rational
 from .norming import margin_witness
 from .oracle import BRUTE_FORCE_MAX_M, brute_force_existence, check_grid, verify_best_coapprox
 from .solver import (
@@ -35,11 +36,6 @@ from .solver import (
 )
 from .subspace import SubspaceBasis, validate_basis
 
-DEFAULT_TRIALS = 200
-MAX_TRIALS = 10**6 - 5  # trials drive no work; the cap only bounds the echoed value
-DEFAULT_SEED = 0
-
-
 @dataclass(frozen=True)
 class ProblemFile:
     basis: SubspaceBasis
@@ -47,18 +43,10 @@ class ProblemFile:
     options: dict
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; true and false are bools, not 1 and 0."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_entry(value, where: str, index: int | None = None) -> Q:
+    """`exact.rational`, with the JSON path of the entry in its error."""
     try:
-        if isinstance(value, str):
-            return parse_rational(value)
-        if _is_int(value):
-            return Q(value)
-        raise ValidationError(f"expected a rational string, got {value!r}")
+        return rational(value)
     except ValidationError as exc:
         at = where if index is None else f"{where}[{index + 1}]"  # on this path alone
         raise ValidationError(f"{at}: {exc}") from None
@@ -83,7 +71,7 @@ def load_problem(path: str) -> ProblemFile:
     if not isinstance(doc, dict):
         raise ValidationError("problem file: top level must be an object")
     n = doc.get("n")
-    if not _is_int(n) or n < 1:
+    if type(n) is not int or n < 1:  # true and false are bools, not 1 and 0
         raise ValidationError("n: expected a positive integer")
     raw_basis = doc.get("basis")
     if not isinstance(raw_basis, list) or not raw_basis:
@@ -201,33 +189,22 @@ def cmd_norming_set(problem: ProblemFile, pb: PreparedBasis, args) -> dict:
 
 
 def _solve_options(problem: ProblemFile, args) -> dict:
-    """The solve options, flags over the file.  `trials` and `seed` are
-    validated, capped and echoed here alone: the oracle takes neither.
-    The grid options come both or neither."""
+    """The grid options, flags over the file; they come both or neither."""
     opts = dict(problem.options)
-    for key in ("trials", "seed", "grid_radius", "grid_step"):  # flags override the file
-        if getattr(args, key) is not None:
+    out = {}
+    for key in ("grid_radius", "grid_step"):
+        if getattr(args, key) is not None:  # flags override the file
             opts[key] = getattr(args, key)
-    out = {
-        "trials": opts.get("trials", DEFAULT_TRIALS),
-        "seed": opts.get("seed", DEFAULT_SEED),
-        "grid_radius": None,
-        "grid_step": None,
-    }
-    if not _is_int(out["trials"]) or out["trials"] < 1:
-        raise ValidationError("options.trials: expected a positive integer")
-    if not _is_int(out["seed"]):
-        raise ValidationError("options.seed: expected an integer")
-    if "grid_radius" in opts:
-        out["grid_radius"] = _parse_entry(opts["grid_radius"], "options.grid_radius")
-    if "grid_step" in opts:
-        out["grid_step"] = _parse_entry(opts["grid_step"], "options.grid_step")
-    check_grid(out["grid_radius"], out["grid_step"])
+        out[key] = _parse_entry(opts[key], f"options.{key}") if key in opts else None
+    for key, grid in (("grid_step", (None, out["grid_step"])),
+                      ("grid_radius", (out["grid_radius"], None))):
+        try:
+            check_grid(*grid)
+        except ValidationError as exc:
+            raise ValidationError(f"options.{key}: {exc}") from None
     for have, missing in (("grid_radius", "grid_step"), ("grid_step", "grid_radius")):
         if out[missing] is None and out[have] is not None:
             raise ValidationError(f"options.{missing}: required with {have}")
-    if out["trials"] > MAX_TRIALS:
-        raise CapacityError(f"options.trials: capped at {MAX_TRIALS}, got {out['trials']}")
     return out
 
 
@@ -235,7 +212,7 @@ def cmd_solve(problem: ProblemFile, pb: PreparedBasis, args) -> dict:
     if not problem.targets:
         raise ValidationError("targets: at least one target is required for solve")
     opts = _solve_options(problem, args)
-    report = {"q": pb.q, "seed": opts["seed"], "trials": opts["trials"]}
+    report = {"q": pb.q}
     results = []
     for name, b in problem.targets:
         outcome = solve_general(problem.basis, pb.profile, b, prepared=pb)
@@ -265,11 +242,7 @@ def cmd_solve(problem: ProblemFile, pb: PreparedBasis, args) -> dict:
             projection = projection_map(problem.basis, b, outcome)
             entry["projection_image"] = _fmt_vec(projection.image_of_target)
             verdict = verify_best_coapprox(problem.basis, b, alpha)
-            oracle_entry = {
-                "verdict": "confirmed" if verdict.confirmed else "refuted",
-                "seed": opts["seed"],
-                "trials": opts["trials"],
-            }
+            oracle_entry = {"verdict": "confirmed" if verdict.confirmed else "refuted"}
             if verdict.counterexample is not None:  # pragma: no cover
                 oracle_entry["counterexample"] = {
                     "beta": _fmt_vec(verdict.counterexample.beta),
@@ -338,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="problem file (JSON)")
         p.add_argument("--output", help="write the report here instead of stdout")
         if name == "solve":
-            p.add_argument("--trials", type=int, default=None)
-            p.add_argument("--seed", type=int, default=None)
             p.add_argument("--grid-radius", dest="grid_radius", default=None)
             p.add_argument("--grid-step", dest="grid_step", default=None)
     return parser
@@ -367,7 +338,12 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ValidationError(f"cannot write {args.output}: {exc}") from None
         else:
-            print(text)
+            try:
+                print(text, flush=True)
+            except OSError as exc:  # a closed pipe, say
+                # Exit's own flush of what is left would fail again, loudly.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise ValidationError(f"cannot write stdout: {exc}") from None
     except CoapproxError as exc:
         print(f"coapprox {args.command}: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)

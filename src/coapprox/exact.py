@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 import numbers
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import CapacityError, ValidationError
 
@@ -57,22 +57,31 @@ def format_rational(x: Q) -> str:
         raise CapacityError("a report value exceeds the integer digit limit") from None
 
 
+def rational(value) -> Q:
+    """The one entry rule for an exact literal, in files and library calls alike:
+    an int (not a bool) or other `numbers.Rational`, or a `parse_rational` string."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
+        return Q(value)
+    raise ValidationError(f"not an exact rational: {value!r}")
+
+
+def _entries(items, what: str):
+    """`items`, if it is an iterable other than a str or bytes, whose
+    characters or bytes would otherwise pass for its entries."""
+    if isinstance(items, (str, bytes, bytearray)) or not isinstance(items, Iterable):
+        raise ValidationError(f"not a {what}: {items!r}")
+    return items
+
+
 def vec(items: Iterable) -> Vec:
-    """Coerce ints, Fractions and `parse_rational` strings into an immutable
-    rational vector; bools, floats and every other non-rational are refused."""
-    out = []
-    for item in items:
-        if isinstance(item, str):
-            out.append(parse_rational(item))
-        elif isinstance(item, numbers.Rational) and not isinstance(item, bool):
-            out.append(Q(item))
-        else:
-            raise ValidationError(f"not an exact rational: {item!r}")
-    return tuple(out)
+    """An immutable rational vector, each entry coerced by `rational`."""
+    return tuple(map(rational, _entries(items, "vector")))
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
+    return tuple(map(vec, _entries(rows, "matrix")))
 
 
 def l1_norm(v: Vec) -> Q:

@@ -125,6 +125,16 @@ class TestExactCoercion:
         with pytest.raises(ValidationError):
             mat([(1, 2), (bad, 3)])
 
+    @pytest.mark.parametrize("bad", ["12", b"12", bytearray(b"12"), 12, None, Q(1, 2)], ids=repr)
+    def test_vec_and_mat_refuse_a_str_bytes_or_non_iterable_vector(self, bad):
+        # A string's characters or a bytes object's ints would pass for entries.
+        with pytest.raises(ValidationError, match="not a vector"):
+            vec(bad)
+        with pytest.raises(ValidationError, match="not a vector"):
+            mat([(1, 2), bad])
+        with pytest.raises(ValidationError, match="not a matrix"):
+            mat(bad)
+
     def test_vec_accepts_ints_fractions_and_rational_strings(self):
         got = vec((3, -2, Q(1, 3), "1/2", " -3/7 ", "+4", 10**30))
         assert got == (Q(3), Q(-2), Q(1, 3), Q(1, 2), Q(-3, 7), Q(4), Q(10**30))

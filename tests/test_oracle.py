@@ -120,33 +120,34 @@ class TestVerifyBestCoapprox:
             assert v1.confirmed == v2.confirmed
 
     @pytest.mark.parametrize("m, trials, admitted", [
-        (1, 200, True), (1, 10**6 - 5, True), (1, 10**6, False),
+        (1, 200, True), (1, 10**6 - 5, True), (1, 10**6, True),
         (4, 10**6 - 5, True), (9, 1, False),
     ])
     def test_probe_cap(self, tmp_path, capsys, monkeypatch, m, trials, admitted):
         # One capacity rule bounds solve's verifier: the cell caps on the
-        # basis and the cap on trials, with no cap on m.  The rows are the m
-        # unit vectors and the m(m-1)/2 sums e_i + e_j, so m(m+1)/2 planes:
-        # 10 at m = 4 (at most 130 pairs), 45 at m = 9, over the 20-plane cap.
-        # The target is the member with all coefficients 1.
+        # basis, with no cap on m; a file's `trials` key, of any size, is
+        # ignored.  The rows are the m unit vectors and the m(m-1)/2 sums
+        # e_i + e_j, so m(m+1)/2 planes: 10 at m = 4 (at most 130 pairs),
+        # 45 at m = 9, over the 20-plane cap.  The target is the member
+        # with all coefficients 1.
         rows = [[int(k in pair) for k in range(m)]
                 for pair in [(i,) for i in range(m)] + list(itertools.combinations(range(m), 2))]
         doc = {"n": len(rows), "basis": [[str(r[j]) for r in rows] for j in range(m)],
-               "targets": [[str(sum(r)) for r in rows]]}
+               "targets": [[str(sum(r)) for r in rows]], "options": {"trials": trials}}
         f = tmp_path / "probes.json"
         f.write_text(json.dumps(doc), encoding="utf-8")
         if not admitted:
             monkeypatch.setattr("coapprox.cli.solve_general", None)
-        code = main(["solve", "--input", str(f), "--trials", str(trials)])
+        code = main(["solve", "--input", str(f)])
         out, err = capsys.readouterr()
         if admitted:
             assert code == 0, err
             report = json.loads(out)
-            assert report["trials"] == trials
+            assert "trials" not in report
             assert [t["oracle"]["verdict"] for t in report["targets"]] == ["confirmed"]
         else:
             assert (code, out) == (3, "")
-            assert ("options.trials" if m == 1 else "hyperplanes") in err
+            assert "hyperplanes" in err
 
 
 class TestBruteForce:
