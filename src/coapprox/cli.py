@@ -196,12 +196,10 @@ def _solve_options(problem: ProblemFile, args) -> dict:
         if getattr(args, key) is not None:  # flags override the file
             opts[key] = getattr(args, key)
         out[key] = _parse_entry(opts[key], f"options.{key}") if key in opts else None
-    for key, grid in (("grid_step", (None, out["grid_step"])),
-                      ("grid_radius", (out["grid_radius"], None))):
-        try:
-            check_grid(*grid)
-        except ValidationError as exc:
-            raise ValidationError(f"options.{key}: {exc}") from None
+    try:  # check_grid's message starts with the field at fault, the step first
+        check_grid(out["grid_radius"], out["grid_step"])
+    except ValidationError as exc:
+        raise ValidationError(f"options.{exc}") from None
     for have, missing in (("grid_radius", "grid_step"), ("grid_step", "grid_radius")):
         if out[missing] is None and out[have] is not None:
             raise ValidationError(f"options.{missing}: required with {have}")

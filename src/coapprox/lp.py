@@ -20,8 +20,9 @@ rows, which keeps the leaving row's entries; the entering column then
 takes the leaving variable's.  Pivot decisions are sign tests and
 cross-multiplied comparisons, which no positive scaling of rows or
 variables changes; Bland's rule on the variable labels guarantees
-termination.  The row duals are the slacks' final objective entries,
-read with no extra pivot.  `lp_min` also minimizes a sequence of costs
+termination.  The first objective row is the cost itself, as the
+starting basis is all slacks, of cost 0; the row duals are the slacks'
+final objective entries.  `lp_min` also minimizes a sequence of costs
 lexicographically, face by face, in one tableau (Isermann 1982), and
 `solve_minimax_lp` poses the exact l-infinity fit of a system on it.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from operator import mul
+from operator import mul, neg, sub
 
 from .errors import CapacityError, ValidationError
 from .exact import Q, Vec, bareiss_pivot, primitive_ints, scaled_ints
@@ -64,83 +65,80 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
     previous optimum: one with a positive reduced cost is zero at every
     optimal point, so the rest describe exactly the optimal face.
     """
-    if any(b < 0 for b in b_ub):
-        raise ValidationError("lp_min needs every b_ub >= 0, so that x = 0 is feasible")
     n = len(cost)
     nrows = len(a_ub)
+    if min(b_ub, default=0) < 0:
+        raise ValidationError("lp_min needs every b_ub >= 0, so that x = 0 is feasible")
     if len(b_ub) != nrows or {*map(len, a_ub)} - {n}:
         raise ValidationError("lp_min needs one b_ub per row and len(cost) entries in each row")
-    # Labels: u_0..u_{n-1}, v_0..v_{n-1} (x = u - v), a slack per row.  Column
-    # k holds variable nonbasic[k], the last one the rhs; the true tableau
-    # is cols / den, and entry nrows of each column is its reduced cost.
-    nsplit = 2 * n
-    scales = (1,) * nrows  # each row's lcm, which its dual is read in
-    if not {*map(type, b_ub), *map(type, chain.from_iterable(a_ub))} <= {int}:
+    scales = None  # each row's lcm, which its dual is read in; None for int rows
+    if type(sum(chain(b_ub, *a_ub))) is not int:  # one Fraction entry makes the sum one
         scales, a_ub = zip(*(scaled_ints((*r, b)) for r, b in zip(a_ub, b_ub)))
         b_ub = [row.pop() for row in a_ub]
-    cols = [[*c, 0] for c in (*(zip(*a_ub) if nrows else [()] * n), b_ub)]
+    # Labels: u_0..u_{n-1}, v_0..v_{n-1} (x = u - v), a slack per row.  Column
+    # k holds variable nonbasic[k], the last one the rhs; the true tableau
+    # is cols / den, and entry nrows of each column is its reduced cost:
+    # at first the cost's ints, as every basic variable is a slack, of cost 0.
+    cols = [[*c] for c in zip(*a_ub, primitive_ints(cost))] + [[*b_ub, 0]]
+    nsplit = 2 * n
     nonbasic = list(range(n))
     basis = list(range(nsplit, nsplit + nrows))
     den = 1
-
-    def run_simplex(allowed):
-        nonlocal den
+    barred = set()  # columns that left the optimal face of an earlier cost
+    for later in (None, *then):
+        if later is not None:  # bar what left the face; reduce the cost at the basis
+            barred.update(j for j, col in zip(nonbasic, cols) if col[nrows])
+            c_ints = primitive_ints(later)
+            costvec = c_ints + [-a for a in c_ints] + [0] * nrows
+            fb = [costvec[j] for j in basis]
+            for col, a in zip(cols, [den * costvec[j] for j in nonbasic] + [0]):
+                col[nrows] = a - sum(map(mul, fb, col))
         while True:
             enter, label = -1, nsplit + nrows
             for k, j in enumerate(nonbasic):
-                c = cols[k][nrows] if allowed[j] else 0
-                if c > 0 and j < nsplit:  # the pair's other member, column negated
-                    c, j = -c, (j + n) % nsplit
-                if c < 0 and j < label:
-                    enter, label = k, j
+                c = cols[k][nrows]
+                if c and j not in barred:
+                    if c > 0 and j < nsplit:  # the pair's other member, column negated
+                        c, j = -c, (j + n) % nsplit
+                    if c < 0 and j < label:
+                        enter, label = k, j
             if enter < 0:
-                return True
+                break
+            col = [-a for a in cols[enter]]  # the leaving variable's, once den is in row leave
             if label != nonbasic[enter]:
-                cols[enter] = [-a for a in cols[enter]]
-            ecol, rhs = cols[enter], cols[n]
+                cols[enter], col = col, cols[enter]
+            ecol = cols[enter]
+            rhs = cols[n]
             leave = -1
-            for i in range(nrows):
-                coef = ecol[i]
+            for i, coef in enumerate(ecol):  # its last entry, a reduced cost, is < 0
                 if coef > 0:
-                    if leave < 0:
-                        leave = i
-                        continue
-                    # rhs/coef against the best ratio, cross-multiplied.
-                    diff = rhs[i] * ecol[leave] - rhs[leave] * coef
-                    if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
-                        leave = i
+                    r = rhs[i]
+                    if leave >= 0:  # r/coef against the best ratio, cross-multiplied
+                        diff = r * best_coef - best_rhs * coef
+                        if diff > 0 or not diff and basis[i] > basis[leave]:
+                            continue
+                    leave = i
+                    best_coef, best_rhs = coef, r
             if leave < 0:
-                return False
-            # The leaving variable's column: -old column, old den in row leave.
-            col = [-a for a in ecol]
+                return LpResult(LpStatus.UNBOUNDED, None, None)
             col[leave] = den
             den = bareiss_pivot(cols, enter, leave, den)
             cols[enter] = col
             nonbasic[enter], basis[leave] = basis[leave], label
-
-    allowed = [True] * (nsplit + nrows)
-    for c in (cost, *then):
-        c_ints = primitive_ints(c)
-        costvec = c_ints + [-a for a in c_ints] + [0] * nrows
-        fb = [costvec[j] for j in basis]
-        obj = [den * costvec[j] for j in nonbasic] + [0]
-        for col, a in zip(cols, obj):
-            col[nrows] = a - sum(map(mul, fb, col))
-        if not run_simplex(allowed):
-            return LpResult(LpStatus.UNBOUNDED, None, None)
-        for j, col in zip(nonbasic, cols):
-            if col[nrows]:
-                allowed[j] = False
-
-    basic = dict(zip(basis, cols[n]))
-    diffs = [basic.get(j, 0) - basic.get(n + j, 0) for j in range(n)]
-    cden, c_ints = scaled_ints(cost)
-    value = Q(sum(map(mul, c_ints, diffs)), cden * den)
+    diffs = [0] * n  # x * den, from the basic u_j and v_j
+    for j, v in zip(basis, cols[n]):
+        if j < nsplit:
+            diffs[j % n] = v if j < n else -v
     duals = None
-    if not then:  # a basic slack's dual is 0
-        reduced = dict(zip(nonbasic, (col[nrows] for col in cols)))
-        duals = tuple(reduced.get(nsplit + i, 0) * s for i, s in enumerate(scales))
-    return LpResult(LpStatus.OPTIMAL, tuple(Q(d, den) for d in diffs), value, duals)
+    if not then:  # a slack's dual is its reduced cost, 0 where it is basic
+        duals = [0] * nrows
+        for j, col in zip(nonbasic, cols):
+            if j >= nsplit:
+                duals[j - nsplit] = col[nrows]
+        duals = tuple(duals if scales is None else map(mul, duals, scales))
+    cden, c_ints = scaled_ints(cost)
+    return LpResult(LpStatus.OPTIMAL, tuple(Q(d, den) for d in diffs),
+                    Q(sum(map(mul, c_ints, diffs)), cden * den), duals)
 
 
 def lp_max(cost, a_ub, b_ub) -> LpResult:
@@ -174,12 +172,10 @@ def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, multipliers: bool = False)
     # so x = 0, t' = 0 is the feasible start.  The program's rows come as
     # ints; lp_min scales a library caller's rational row by its own lcm.
     top = max(map(abs, rhs))
-    cost, a_ub, b_ub = (0,) * m + (1,), [], []
-    for row, b in zip(rows, rhs):
-        a_ub += [(*row, -1), (*(-x for x in row), -1)]
-        b_ub += [top + b, top - b]
-    res = lp_min(cost, tuple(a_ub), tuple(b_ub))
+    a_ub = [r for row in rows for r in ((*row, -1), (*map(neg, row), -1))]
+    b_ub = [r for b in rhs for r in (top + b, top - b)]
+    res = lp_min((0,) * m + (1,), a_ub, b_ub)
     if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
         raise ValidationError(f"minimax LP unexpectedly {res.status.value}")
     y, opt = res.duals, (top + res.value, res.x[:m])
-    return (*opt, tuple(q - p for q, p in zip(y[::2], y[1::2]))) if multipliers else opt
+    return (*opt, tuple(map(sub, y[::2], y[1::2]))) if multipliers else opt

@@ -223,19 +223,16 @@ def minimal_norming_set(arr: Arrangement, cells: tuple[SignCell, ...]) -> Normin
     span basis (staircase-first).  The greedy runs on the class signs:
     s -> x is linear and injective, as every class has a coordinate, so
     it keeps the same cells as on the sign vectors."""
-    reps: list[SignVec] = []
-    for cell in cells:
-        x = tuple(cell.signs[c] * o for c, o in zip(arr.class_of_coord, arr.orientation))
-        if x[0] != 1:  # pragma: no cover - coordinate 0 leads its own class
-            raise InternalInconsistencyError("cell representative not canonical")
-        reps.append(x)
-
+    reps = tuple(tuple(cell.signs[c] * o for c, o in zip(arr.class_of_coord, arr.orientation))
+                 for cell in cells)
+    if any(x[0] != 1 for x in reps):  # pragma: no cover - coordinate 0 leads its own class
+        raise InternalInconsistencyError("cell representative not canonical")
     by_signs = {cell.signs: idx for idx, cell in enumerate(cells)}
     staircase = [by_signs[p] for p in _staircase_patterns(arr.r) if p in by_signs]
     candidates = staircase + list(range(len(reps)))
     basis = [reps[candidates[p]] for p in first_basis([cells[i].signs for i in candidates])]
     return NormingSet(
-        representatives=tuple(reps),
+        representatives=reps,
         span_dim=len(basis),
         system_basis=tuple(basis),
     )

@@ -164,9 +164,9 @@ class BruteForceResult:
 def check_grid(radius: Q | None, step: Q | None) -> None:
     """Reject a negative grid radius or a non-positive step (None: unset)."""
     if step is not None and step <= 0:
-        raise ValidationError("grid_step must be positive")
+        raise ValidationError("grid_step: must be positive")
     if radius is not None and radius < 0:
-        raise ValidationError("grid_radius must be non-negative")
+        raise ValidationError("grid_radius: must be non-negative")
 
 
 def check_certificate(rows, rhs, width, lam) -> bool:

@@ -129,18 +129,23 @@ class PreparedBasis:
         return norming
 
     @cached_property
+    def member_signs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per class, its members (i, o_i), o_i = +-1 the sign of const_i."""
+        return tuple(tuple((i, 1 if c > 0 else -1) for i, c in cls.members)
+                     for cls in self.profile.classes)
+
+    @cached_property
     def class_ints(self) -> tuple[int, list[list[int]]]:
-        """(den, rows): class-sum rows / den over int_matrix's den, sum_{i in c} o_i A_i
-        for o_i the sign of const_i: (sum_{i in c} |const_i|) times the representative's row."""
+        """(den, rows): class-sum rows / den over int_matrix's den, sum_{i in c} o_i A_i:
+        (sum_{i in c} |const_i|) times the representative's row."""
         den, ints = self.basis.int_matrix
-        return den, [[sum(ints[i][j] if c > 0 else -ints[i][j] for i, c in cls.members)
-                      for j in range(self.basis.m)] for cls in self.profile.classes]
+        return den, [[sum(o * ints[i][j] for i, o in members) for j in range(self.basis.m)]
+                     for members in self.member_signs]
 
     def _class_sums(self, b: Vec) -> tuple[int, list[int], list[int]]:
         """(den, b * den, sums): sum_{i in c} o_i b_i per class is sums / den."""
         den, ints = scaled_ints(b)
-        return den, ints, [sum(ints[i] if c > 0 else -ints[i] for i, c in cls.members)
-                     for cls in self.profile.classes]
+        return den, ints, [sum(o * ints[i] for i, o in members) for members in self.member_signs]
 
     @cached_property
     def system_rows(self) -> Mat:
@@ -192,19 +197,22 @@ class PreparedBasis:
         |sums - rows.x| <= t in x = (bden/den) alpha, and the lex_lp of
         both searches |bden rows.alpha - den sums| <= den t."""
         key, slot = self.reduced.sigma(b), self._fiber
-        if slot[0] != key:  # a new fiber replaces the slot in one assignment
-            den, rows = self.feasibility_ints
-            bden, ints, sums = self._class_sums(b)
-            sums = [sum(map(mul, cell.signs, sums)) for cell in self.cells]
-            t, x, lam = solve_minimax_lp(rows, sums, multipliers=True)
-            basis, alpha = self.basis, tuple(den * v / bden for v in x)
+        if slot[0] == key:
+            return slot[1:]
+        den, rows = self.feasibility_ints
+        bden, ints, sums = self._class_sums(b)
+        sums = [sum(map(mul, cell.signs, sums)) for cell in self.cells]
+        t, x, lam = solve_minimax_lp(rows, sums, multipliers=True)
+        basis, alpha = self.basis, tuple(Q(den * v.numerator, bden * v.denominator) for v in x)
+        lex = lambda d: alpha
+        if t and sum(map(bool, lam)) <= basis.m:  # uncertified: lex state on first call
             tight = cache(lambda: lex_lp(PolytopeConstraints(
                 [[bden * v for v in r] for r in rows], [den * s for s in sums], den * t), alpha))
-            slot = self._fiber = (key, tuple(Q(s, bden) for s in sums), t / bden, alpha,
-                                  Q(sum(abs(ints[i]) for i in self.reduced.kept_indices), bden),
-                                  (lambda d: alpha) if not t or sum(map(bool, lam)) > basis.m
-                                  else cache(lambda d: lex_extreme_alpha(basis, tight(), d)))
-        return slot[1:]
+            lex = cache(lambda d: lex_extreme_alpha(basis, tight(), d))
+        # A new fiber replaces the slot in one assignment.
+        self._fiber = (key, tuple(Q(s, bden) for s in sums), t / bden, alpha,
+                       Q(sum(abs(ints[i]) for i in self.reduced.kept_indices), bden), lex)
+        return self._fiber[1:]
 
 
 def prepare(basis: SubspaceBasis) -> PreparedBasis:

@@ -1,17 +1,33 @@
 import operator
 import random
-from operator import mul
 from fractions import Fraction as Q
+from operator import mul
+from pathlib import Path
 
 import pytest
 from scipy.optimize import linprog
 
-from coapprox import lp
+from coapprox import (
+    OutcomeKind,
+    brute_force_existence,
+    existence_threshold,
+    lp,
+    mat,
+    prepare,
+    solve_general,
+    validate_basis,
+)
+from coapprox.cli import load_problem
 from coapprox.errors import ValidationError
 from coapprox.exact import bareiss_pivot, primitive_ints, rank, scaled_ints
+from coapprox.instances import random_basis, random_vector
 from coapprox.lp import MAX_CELL_PAIRS, LpResult, LpStatus, lp_max, lp_min, solve_minimax_lp
 from coapprox.norming import Arrangement, enumerate_cells, margin_witness
+from coapprox.solver import lex_extreme_alpha, lex_lp
 from tests.conftest import INFEASIBLE, dot, general_lp_min
+from tests.test_solver import FACE_POLYTOPES
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def test_box_maximum():
@@ -811,3 +827,54 @@ def test_malformed_lp_input_is_refused_before_any_pivot(lp_pivots, solve, args):
     with pytest.raises(ValidationError, match="len"):
         solve(*args)
     assert lp_pivots == []
+
+
+def _criterion_5_stream(count):
+    """The first `count` (basis, target) pairs of criterion 5's seeded
+    stream, drawn as tests/test_acceptance.py draws them."""
+    rng = random.Random(505)
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        m = rng.randint(1, min(3, n - 1))
+        zero_rows = min(rng.choice((0, 0, 0, 1, 2)), n - m)
+        basis = random_basis(rng, n, m, zero_rows=zero_rows)
+        yield basis, random_vector(rng, n)
+
+
+# Pivots are the LP kernel's work count: a change to the kernel's
+# per-call work keeps each total, and one that moves a total changes
+# which vertices the simplex visits.
+LP_PIVOT_PINS = {"margin": 122, "criterion_5": 674, "lex": 15}
+
+
+def test_lp_pivot_totals_are_pinned(lp_pivots):
+    totals = {}
+    # Every cell witness of every sample problem (norming-set's margin LPs).
+    for path in sorted(PROBLEMS.glob("*.json")):
+        pb = prepare(load_problem(str(path)).basis)
+        for cell in pb.cells:
+            margin_witness(pb.arrangement, cell)
+    totals["margin"] = len(lp_pivots)
+    # Criterion 5's first 500 instances: the solve, the threshold on a
+    # zero-set basis and the grid on not-exists (its certificate LPs).
+    lp_pivots.clear()
+    for basis, b in _criterion_5_stream(500):
+        pb = prepare(basis)
+        out = solve_general(basis, None, b, prepared=pb)
+        if pb.profile.zero_set:
+            existence_threshold(basis, None, b, prepared=pb)
+        if out.kind is OutcomeKind.NOT_EXISTS:
+            brute_force_existence(basis, b, Q(5), Q(1, 2))
+    totals["criterion_5"] = len(lp_pivots)
+    # Both lex searches on each optimal face that is not one point.
+    lex_pivots = 0
+    for rows, b in FACE_POLYTOPES:
+        basis = validate_basis(mat(rows))
+        out = solve_general(basis, None, b)
+        assert out.kind is OutcomeKind.POLYTOPE
+        lp_pivots.clear()
+        for direction in (+1, -1):
+            lex_extreme_alpha(basis, lex_lp(out.constraints, out.witness), direction)
+        lex_pivots += len(lp_pivots)
+    totals["lex"] = lex_pivots
+    assert totals == LP_PIVOT_PINS
