@@ -70,7 +70,6 @@ from .subspace import (
     ComponentProfile,
     ReducedInstance,
     SubspaceBasis,
-    apply_rho,
     build_profile,
     reduce_sigma,
     validate_basis,
@@ -92,6 +91,6 @@ __all__ = [
     "CoapproxOutcome", "ExistenceThreshold", "OutcomeKind",
     "PolytopeConstraints", "PreparedBasis", "Projection", "existence_threshold",
     "prepare", "projection_map", "solve_empty_zero_set", "solve_general",
-    "ComponentProfile", "ReducedInstance", "SubspaceBasis", "apply_rho",
-    "build_profile", "reduce_sigma", "validate_basis",
+    "ComponentProfile", "ReducedInstance", "SubspaceBasis", "build_profile",
+    "reduce_sigma", "validate_basis",
 ]

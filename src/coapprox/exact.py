@@ -88,16 +88,8 @@ def l1_norm(v: Vec) -> Q:
     return sum((abs(x) for x in v), Q(0))
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Q, v: Vec) -> Vec:
-    return tuple(c * x for x in v)
 
 
 def transpose(rows: Mat) -> Mat:

@@ -1,4 +1,4 @@
-"""Random-instance helpers for property suites and experiments.
+"""Random-instance generators for perfbench and tests.
 
 Everything takes an explicit random.Random so runs are reproducible;
 entries are small integers, which keeps the exact arithmetic fast while
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .exact import Mat, Q, Vec, rank
+from .exact import Q, Vec, rank
 from .subspace import SubspaceBasis, validate_basis
 
 
@@ -43,23 +43,3 @@ def random_basis(
         actual_zeros = sum(1 for row in matrix if all(x == 0 for x in row))
         if actual_zeros == zero_rows and rank(matrix) == m:
             return validate_basis(matrix)
-
-
-def random_invertible(rng: random.Random, m: int, lo: int = -3, hi: int = 3) -> Mat:
-    """Random invertible m x m rational matrix (integer entries)."""
-    while True:
-        c = tuple(tuple(Q(rng.randint(lo, hi)) for _ in range(m)) for _ in range(m))
-        if rank(c) == m:
-            return c
-
-
-def recombine(basis: SubspaceBasis, c: Mat) -> SubspaceBasis:
-    """Change of basis: new column j is sum_k c[k][j] * (old column k)."""
-    m = basis.m
-    new_matrix = tuple(
-        tuple(
-            sum((row[k] * c[k][j] for k in range(m)), Q(0)) for j in range(m)
-        )
-        for row in basis.matrix
-    )
-    return validate_basis(new_matrix)

@@ -3,10 +3,12 @@
 Variables are free rationals, split into positive parts u - v; every
 constraint is `a . x <= b` with `b >= 0`, so the origin is feasible and
 the slacks are a starting basis: there is no phase 1, and a negative rhs
-or a row not of len(cost) is refused before any pivot.  Each caller
-poses its LP at a feasible point it knows (the minimax LP at alpha = 0
-with t = max|rhs|, a lex LP at the minimax optimizer, a margin LP at the
-origin).  The tableau is fraction-free, ints over one common denominator
+or a row or later cost not of len(cost) is refused before any pivot.
+Each caller poses its LP at a feasible point it knows (the minimax LP
+at alpha = 0 with t = max|rhs|, a lex LP at the minimax optimizer, a
+margin LP at the origin).
+
+The tableau is fraction-free, ints over one common denominator
 (int rows as given, others each times its lcm), and condensed: a basic
 variable's column is the denominator times a unit vector, so only the
 nonbasic columns are kept, at first one per free variable (Edmonds 1967;
@@ -57,9 +59,10 @@ class LpResult:
 
 
 def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
-    """Minimize cost . x subject to a_ub . x <= b_ub, then each cost in
-    `then` over the optimal face of those before it; value is cost . x.
-    One b_ub >= 0 per row, each row of len(cost): the simplex starts at x = 0.
+    """Minimize cost . x subject to a_ub . x <= b_ub, then each cost of the
+    sequence `then` over the optimal face of those before it; value is cost . x.
+    One b_ub >= 0 per row, each row and each later cost of len(cost): the
+    simplex starts at x = 0.
 
     A later cost enters only columns whose reduced cost was zero at the
     previous optimum: one with a positive reduced cost is zero at every
@@ -69,8 +72,9 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
     nrows = len(a_ub)
     if min(b_ub, default=0) < 0:
         raise ValidationError("lp_min needs every b_ub >= 0, so that x = 0 is feasible")
-    if len(b_ub) != nrows or {*map(len, a_ub)} - {n}:
-        raise ValidationError("lp_min needs one b_ub per row and len(cost) entries in each row")
+    if len(b_ub) != nrows or {*map(len, a_ub), *map(len, then)} - {n}:
+        raise ValidationError(
+            "lp_min needs one b_ub per row and len(cost) entries in each row and later cost")
     scales = None  # each row's lcm, which its dual is read in; None for int rows
     if type(sum(chain(b_ub, *a_ub))) is not int:  # one Fraction entry makes the sum one
         scales, a_ub = zip(*(scaled_ints((*r, b)) for r, b in zip(a_ub, b_ub)))

@@ -29,7 +29,7 @@ from functools import cached_property
 from operator import add, mul, sub
 
 from .errors import CapacityError, InternalInconsistencyError
-from .exact import Q, Vec, first_basis, primitive_ints
+from .exact import Vec, first_basis, primitive_ints
 from .exact import rank  # unused here; perfbench/tracer.py wraps coapprox.norming.rank
 from .lp import MAX_CELL_PAIRS, LpStatus, lp_max
 from .subspace import ComponentProfile, SubspaceBasis
@@ -95,12 +95,6 @@ class NormingSet:
     representatives: tuple[SignVec, ...]
     span_dim: int
     system_basis: tuple[SignVec, ...]
-
-    def pairs(self) -> frozenset[frozenset[SignVec]]:
-        """Basis-invariant view: the set of antipodal pairs."""
-        return frozenset(
-            frozenset({x, tuple(-v for v in x)}) for x in self.representatives
-        )
 
 
 def build_arrangement(basis: SubspaceBasis, profile: ComponentProfile) -> Arrangement:
@@ -236,8 +230,3 @@ def minimal_norming_set(arr: Arrangement, cells: tuple[SignCell, ...]) -> Normin
         span_dim=len(basis),
         system_basis=tuple(basis),
     )
-
-
-def norming_dot(x: SignVec, v: Vec) -> Q:
-    """Pairing of a sign vector with a rational vector: a signed sum."""
-    return sum((vi if s > 0 else -vi for s, vi in zip(x, v, strict=True) if s), Q(0))

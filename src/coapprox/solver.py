@@ -52,8 +52,6 @@ from .exact import (
     rank,  # unused here; perfbench/tracer.py wraps coapprox.solver.rank
     scaled_ints,
     solve_linear,
-    vec_add,
-    vec_scale,
 )
 from .lp import LpStatus, lp_min, solve_minimax_lp
 from .norming import (
@@ -64,7 +62,6 @@ from .norming import (
     check_cell_capacity,
     enumerate_cells,
     minimal_norming_set,
-    norming_dot,
 )
 from .subspace import (
     ComponentProfile,
@@ -87,7 +84,7 @@ class PreparedBasis:
     zero-set polytope has one inequality per cell, the cell's signed sum
     of them, so only `cells` is enumerated; the minimax LP runs on those
     rows in ints, `feasibility_ints`.  `norming`, the coordinate
-    sign vectors, is built for `norming-set` and for `system_rows`.
+    sign vectors, is built for `norming-set`.
     `fiber` keeps the last fiber's minimax solve, rho-mass and its
     lex-min and lex-max points (the minimax optimizer on a certified
     one-point face, else searched once asked for) in one slot, so
@@ -148,23 +145,6 @@ class PreparedBasis:
         return den, ints, [sum(o * ints[i] for i, o in members) for members in self.member_signs]
 
     @cached_property
-    def system_rows(self) -> Mat:
-        """Equality rows, one per system-basis sign vector: the paper's
-        assembled system, built literally from the reduced columns.  No
-        solve reads it; it is the reference the class-sum rows are
-        checked against.  Reduced coordinates (identical to ambient ones
-        when the zero set is empty); same for system_rhs.
-        """
-        cols = self.reduced.basis.columns
-        return tuple(
-            tuple(norming_dot(x, col) for col in cols)
-            for x in self.norming.system_basis
-        )
-
-    def system_rhs(self, b_reduced: Vec) -> Vec:
-        return tuple(norming_dot(x, b_reduced) for x in self.norming.system_basis)
-
-    @cached_property
     def feasibility_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(den, rows): inequality rows / den, one per norming-set pair (all
         of them).  The cell's sign vector x is s_c * o_i on class c, so its
@@ -179,11 +159,6 @@ class PreparedBasis:
         """feasibility_ints as Fractions, which outcomes and reports read."""
         den, rows = self.feasibility_ints
         return tuple(tuple(Q(x, den) for x in row) for row in rows)
-
-    def feasibility_rhs(self, b: Vec) -> Vec:
-        """x . sigma(b) per cell, as feasibility_rows: sum_c s_c * (class sum c)."""
-        den, _, sums = self._class_sums(b)
-        return tuple(Q(sum(map(mul, cell.signs, sums)), den) for cell in self.cells)
 
     def fiber(self, b: Vec) -> tuple:
         """(rhs, delta0, alpha, rho_mass, lex) of b's fiber, kept in one slot
@@ -240,12 +215,6 @@ class PolytopeConstraints:
     rows: Mat
     rhs: Vec
     slack: Q
-
-    def satisfied_by(self, alpha: Vec) -> bool:
-        return all(
-            abs(sum((r[j] * alpha[j] for j in range(len(alpha))), Q(0)) - b) <= self.slack
-            for r, b in zip(self.rows, self.rhs)
-        )
 
 
 @dataclass(frozen=True)
@@ -399,20 +368,13 @@ class Projection:
     """The norm-one projection of span{b, Y} onto Y.
 
     Fixing Y pointwise and sending b to its best coapproximation
-    determines the map; apply() evaluates it at a + gamma*b for a given
-    by subspace coefficients.
+    determines the map: a + gamma*b goes to a + gamma*image_of_target.
     """
 
     basis: SubspaceBasis
     target: Vec
     alpha: Vec
     image_of_target: Vec
-
-    def apply(self, coeffs: Vec, gamma: Q) -> Vec:
-        return vec_add(self.basis.combine(coeffs), vec_scale(Q(gamma), self.image_of_target))
-
-    def input_vector(self, coeffs: Vec, gamma: Q) -> Vec:
-        return vec_add(self.basis.combine(coeffs), vec_scale(Q(gamma), self.target))
 
 
 def projection_map(basis: SubspaceBasis, b: Vec, outcome: CoapproxOutcome) -> Projection:

@@ -4,7 +4,7 @@ The n x m matrix whose columns are the basis vectors is examined row by
 row: rows that are exact scalar multiples of each other form one
 component class, identically-zero rows form the zero set.  Both are
 properties of the subspace itself, not of the chosen basis.  The sigma
-map drops the zero-set coordinates, the rho map zeroes them in place.
+map drops the zero-set coordinates.
 """
 from __future__ import annotations
 
@@ -29,10 +29,6 @@ class SubspaceBasis:
     n: int
     m: int
     matrix: Mat
-
-    @cached_property
-    def columns(self) -> tuple[Vec, ...]:
-        return tuple(zip(*self.matrix))
 
     @cached_property
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -82,12 +78,6 @@ class ComponentProfile:
             for coord, const in cls.members:
                 out[coord] = (c_idx, const)
         return out
-
-    def partition(self) -> frozenset[frozenset[int]]:
-        """The class structure as a bare partition, for invariance checks."""
-        return frozenset(
-            frozenset(coord for coord, _ in cls.members) for cls in self.classes
-        )
 
 
 def validate_basis(matrix: Mat) -> SubspaceBasis:
@@ -142,29 +132,17 @@ def build_profile(basis: SubspaceBasis) -> ComponentProfile:
 class ReducedInstance:
     """Zero-set-free image of a basis under the coordinate-dropping map.
 
-    kept_indices records, in order, which original coordinates survive;
-    it is enough to lift reduced vectors back (zeros on the dropped
-    coordinates) and to apply rho.
+    kept_indices records, in order, which original coordinates survive.
     """
 
     kept_indices: tuple[int, ...]
     basis: SubspaceBasis
-    zero_set: tuple[int, ...]
     original_n: int
 
     def sigma(self, v: Vec) -> Vec:
         if len(v) != self.original_n:
             raise DimensionError("sigma expects an ambient-length vector")
         return tuple(v[i] for i in self.kept_indices)
-
-    def lift(self, w: Vec) -> Vec:
-        """Embed a reduced vector back into l1^n with zeros on the zero set."""
-        if len(w) != len(self.kept_indices):
-            raise DimensionError("lift expects a reduced-length vector")
-        out = [Q(0)] * self.original_n
-        for pos, i in enumerate(self.kept_indices):
-            out[i] = w[pos]
-        return tuple(out)
 
 
 def reduce_sigma(basis: SubspaceBasis, profile: ComponentProfile) -> ReducedInstance:
@@ -178,12 +156,5 @@ def reduce_sigma(basis: SubspaceBasis, profile: ComponentProfile) -> ReducedInst
     return ReducedInstance(
         kept_indices=kept,
         basis=reduced,
-        zero_set=profile.zero_set,
         original_n=basis.n,
     )
-
-
-def apply_rho(v: Vec, profile: ComponentProfile) -> Vec:
-    """Zero exactly the zero-set coordinates of v."""
-    zero = set(profile.zero_set)
-    return tuple(Q(0) if i in zero else x for i, x in enumerate(v))

@@ -11,9 +11,9 @@ from coapprox import (
     solve_general,
     verify_best_coapprox,
 )
-from coapprox.instances import random_basis, random_invertible, random_vector, recombine
+from coapprox.instances import random_basis, random_vector
 from coapprox.solver import lex_extreme_alpha, lex_lp
-from tests.conftest import column_basis
+from tests.reference import column_basis, random_invertible, recombine
 
 
 def test_worked_fixture_not_coproximinal(span3_l16):

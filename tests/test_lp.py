@@ -24,8 +24,7 @@ from coapprox.instances import random_basis, random_vector
 from coapprox.lp import MAX_CELL_PAIRS, LpResult, LpStatus, lp_max, lp_min, solve_minimax_lp
 from coapprox.norming import Arrangement, enumerate_cells, margin_witness
 from coapprox.solver import lex_extreme_alpha, lex_lp
-from tests.conftest import INFEASIBLE, dot, general_lp_min
-from tests.test_solver import FACE_POLYTOPES
+from tests.reference import FACE_POLYTOPES, INFEASIBLE, dot, general_lp_min
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -820,8 +819,11 @@ def test_column_major_tableau_pivots_as_the_row_major_one(lp_pivots, draw, unbou
         (solve_minimax_lp, (((1,), (3, 4)), (1, 1))),
         (solve_minimax_lp, (((1, 2), (3,)), (1, 1))),
         (lp_min, ((1,), ((1,), (-1,)), (1,))),
+        (lp_min, ((1, 0), ((1, 0), (-1, 0), (0, 1), (0, -1)), (1, 1, 1, 1), [(0, -1, 7)])),
+        (lp_min, ((1, 0), ((1, 0), (-1, 0), (0, 1), (0, -1)), (1, 1, 1, 1), [(1,)])),
     ],
-    ids=["long_row", "minimax_long_row", "minimax_short_row", "rhs_short"],
+    ids=["long_row", "minimax_long_row", "minimax_short_row", "rhs_short",
+         "then_long", "then_short"],
 )
 def test_malformed_lp_input_is_refused_before_any_pivot(lp_pivots, solve, args):
     with pytest.raises(ValidationError, match="len"):

@@ -31,10 +31,11 @@ import pytest
 from coapprox import (OutcomeKind, existence_threshold, prepare, solve_general,
                       validate_basis, verify_best_coapprox)
 from coapprox.cli import main
-from coapprox.exact import format_rational, vec_add, vec_scale
+from coapprox.exact import format_rational
 from coapprox.instances import random_basis, random_vector
 from coapprox.lp import MAX_CELL_PAIRS
 from coapprox.norming import cell_pair_bound
+from tests.reference import pairs, vec_add, vec_scale
 
 SEED = 1993
 
@@ -211,8 +212,8 @@ def _classes(report, coordinate):
 
 
 def _pairs(report, on_signs):
-    return {frozenset({on_signs(x), on_signs(tuple(-s for s in x))})
-            for x in map(tuple, report["representatives"])}
+    # on_signs is linear, so it maps each antipodal pair to one.
+    return pairs(on_signs(tuple(x)) for x in report["representatives"])
 
 
 def test_signed_permutations_preserve_every_cli_report(tmp_path, capsys):

@@ -10,7 +10,6 @@ from coapprox import (
     build_arrangement,
     build_profile,
     enumerate_cells,
-    lp,
     mat,
     minimal_norming_set,
     norming,
@@ -18,9 +17,17 @@ from coapprox import (
     validate_basis,
 )
 from coapprox.exact import rank
-from coapprox.instances import random_basis, random_invertible, recombine
-from coapprox.norming import MAX_CELL_PAIRS, MAX_HYPERPLANES, cell_pair_bound, norming_dot
-from tests.conftest import column_basis
+from coapprox.instances import random_basis
+from coapprox.norming import MAX_CELL_PAIRS, MAX_HYPERPLANES, cell_pair_bound
+from tests.reference import (
+    column_basis,
+    columns,
+    lp_prefix_tree_cells,
+    norming_dot,
+    pairs,
+    random_invertible,
+    recombine,
+)
 
 EXPECTED_SPAN_BASIS = (
     (1, 1, 1, 1, -1, 1),
@@ -203,7 +210,7 @@ class TestMinimalNormingSet:
         """Each cell's functional attains its l1 mass exactly on the
         cell's sign vector, with every term strictly positive."""
         _, arr, cells, norming = analyzed(span3_l16)
-        cols = span3_l16.columns
+        cols = columns(span3_l16)
         for cell, x in zip(cells, norming.representatives):
             g = tuple(
                 sum(cell.witness[k] * cols[k][i] for k in range(len(cols)))
@@ -222,7 +229,7 @@ class TestMinimalNormingSet:
             other = recombine(basis, random_invertible(rng, m))
             _, _, _, n1 = analyzed(basis)
             _, _, _, n2 = analyzed(other)
-            assert n1.pairs() == n2.pairs()
+            assert pairs(n1.representatives) == pairs(n2.representatives)
             assert n1.span_dim == n2.span_dim
 
     def test_rank_sandwich(self):
@@ -241,7 +248,7 @@ class TestMinimalNormingSet:
             m = rng.randint(1, min(3, n - 1))
             basis = random_basis(rng, n, m)
             _, _, _, norming = analyzed(basis)
-            assert len(norming.pairs()) == len(norming.representatives)
+            assert len(pairs(norming.representatives)) == len(norming.representatives)
 
 
 def _through_one_line(rng):
@@ -297,44 +304,8 @@ def test_span_dim_equals_class_count(make):
 
 # ------------------------------------------- reference cell enumeration
 #
-# The LP prefix-tree enumerator that `enumerate_cells` replaced, kept as
-# the differential reference: depth first, +1 before -1, a prefix pruned
-# as soon as its max-min-margin LP reads <= 0, and each leaf's LP
-# optimizer kept as the witness.
-
-
-def _reference_max_min_margin(normals, signs, m):
-    a_ub = []
-    b_ub = []
-    for sign, normal in zip(signs, normals):
-        a_ub.append(tuple(-sign * x for x in normal) + (Q(1),))
-        b_ub.append(Q(0))
-    for j in range(m):
-        unit = [Q(0)] * (m + 1)
-        unit[j] = Q(1)
-        a_ub.append(tuple(unit))
-        b_ub.append(Q(1))
-        unit[j] = Q(-1)
-        a_ub.append(tuple(unit))
-        b_ub.append(Q(1))
-    res = lp.lp_max((Q(0),) * m + (Q(1),), tuple(a_ub), tuple(b_ub))
-    assert res.status is lp.LpStatus.OPTIMAL
-    return res.value, res.x[:m]
-
-
-def _reference_enumerate_cells(arr):
-    cells = []
-    stack = [[1]]
-    while stack:
-        signs = stack.pop()
-        margin, beta = _reference_max_min_margin(arr.normals[: len(signs)], signs, arr.m)
-        if margin <= 0:
-            continue
-        if len(signs) == arr.r:
-            cells.append((tuple(signs), beta))
-        else:
-            stack += (signs + [-1], signs + [1])
-    return cells
+# Against the LP prefix-tree enumerator that `enumerate_cells` replaced,
+# `lp_prefix_tree_cells` in tests/reference.py.
 
 
 def _largest_admitted_r(m):
@@ -392,7 +363,7 @@ def test_cells_match_the_lp_prefix_tree_reference():
     non_simple = 0
     for i in range(1000):
         arr = arrangement_of(_differential_basis(rng, i))
-        reference = _reference_enumerate_cells(arr)
+        reference = lp_prefix_tree_cells(arr)
         cells = enumerate_cells(arr)
         assert [c.signs for c in cells] == [signs for signs, _ in reference]
         for cell, (_, beta) in zip(cells, reference):
@@ -412,7 +383,7 @@ def test_repeated_plane_cuts_nothing():
     arr = norming.Arrangement(normals=normals, class_of_coord=(0, 1, 2, 3, 4),
                               orientation=(1,) * 5, m=3)
     cells = enumerate_cells(arr)
-    assert [c.signs for c in cells] == [signs for signs, _ in _reference_enumerate_cells(arr)]
+    assert [c.signs for c in cells] == [signs for signs, _ in lp_prefix_tree_cells(arr)]
     assert all(c.signs[3] == -c.signs[0] for c in cells)
 
 

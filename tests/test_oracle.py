@@ -38,8 +38,7 @@ from coapprox.instances import random_basis, random_vector
 from coapprox.lp import solve_minimax_lp
 from coapprox.norming import cell_pair_bound
 from coapprox.subspace import validate_basis
-from tests.conftest import column_basis
-from tests.test_norming import _reference_enumerate_cells
+from tests.reference import column_basis, lp_prefix_tree_cells
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -693,7 +692,7 @@ def _lp_reference_topes(basis):
     arr = Arrangement(normals=tuple(planes), class_of_coord=tuple(range(len(planes))),
                       orientation=(1,) * len(planes), m=basis.m)
     return [(tuple(w[1] * signs[w[0]] if w else 0 for w in where), beta)
-            for signs, beta in _reference_enumerate_cells(arr)]
+            for signs, beta in lp_prefix_tree_cells(arr)]
 
 
 def _pair(signs):

@@ -28,10 +28,24 @@ from coapprox import (
 )
 from coapprox import lp, norming, solver
 from coapprox.exact import first_basis, rank, scaled_ints, vec_sub
-from coapprox.instances import random_basis, random_invertible, random_vector, recombine
+from coapprox.instances import random_basis, random_vector
 from coapprox.lp import LpStatus, lp_max, lp_min, solve_minimax_lp
 from coapprox.solver import PolytopeConstraints, lex_extreme_alpha, lex_lp
-from tests.conftest import column_basis, general_lp_min
+from tests.reference import (
+    FACE_POLYTOPES,
+    apply_projection,
+    column_basis,
+    columns,
+    feasibility_rhs,
+    general_lp_min,
+    input_vector,
+    norming_dot,
+    random_invertible,
+    recombine,
+    satisfied_by,
+    system_rhs,
+    system_rows,
+)
 
 B1 = vec((1, 2, 3, 4, 5, 6))
 B2 = vec((5, 4, 0, 0, 1, 5))
@@ -40,14 +54,14 @@ B2 = vec((5, 4, 0, 0, 1, 5))
 class TestEmptyZeroSet:
     def test_assembled_system(self, span3_l16):
         pb = prepare(span3_l16)
-        assert pb.system_rows == (
+        assert system_rows(pb) == (
             (Q(14), Q(14), Q(17)),
             (Q(16), Q(10), Q(15)),
             (Q(14), Q(0), Q(11)),
             (Q(2), Q(-18), Q(-13)),
         )
-        assert pb.system_rhs(B1) == (Q(11), Q(3), Q(-3), Q(-19))
-        assert pb.system_rhs(B2) == (Q(13), Q(13), Q(13), Q(-5))
+        assert system_rhs(pb, B1) == (Q(11), Q(3), Q(-3), Q(-19))
+        assert system_rhs(pb, B2) == (Q(13), Q(13), Q(13), Q(-5))
 
     def test_unique_solution(self, span3_l16):
         pb = prepare(span3_l16)
@@ -63,7 +77,7 @@ class TestEmptyZeroSet:
 
     def test_subspace_member(self, span3_l16):
         pb = prepare(span3_l16)
-        out = solve_empty_zero_set(pb, span3_l16.columns[0])
+        out = solve_empty_zero_set(pb, columns(span3_l16)[0])
         assert out.kind is OutcomeKind.UNIQUE
         assert out.coefficients == (Q(1), Q(0), Q(0))
 
@@ -94,7 +108,7 @@ class TestEmptyZeroSet:
                     off[j] -= t if cj > 0 else -t
             targets = (random_vector(rng, n), random_vector(rng, n), member, tuple(off))
             for b in targets:
-                ref = solve_linear(pb.system_rows, pb.system_rhs(b))
+                ref = solve_linear(system_rows(pb), system_rhs(pb, b))
                 out = solve_empty_zero_set(pb, b)
                 statuses[ref.status] += 1
                 if ref.status is SystemStatus.UNIQUE:
@@ -239,13 +253,13 @@ def test_feasibility_rows_are_cell_signs_times_class_sums():
             tuple(cell.signs[c] * (1 if const > 0 else -1) for c, const in coords)
             for cell in pb.cells
         )
-        cols = reduced.basis.columns
+        cols = columns(reduced.basis)
         assert pb.feasibility_rows == tuple(
-            tuple(norming.norming_dot(x, col) for col in cols) for x in reps
+            tuple(norming_dot(x, col) for col in cols) for x in reps
         )
         for b in (random_vector(rng, basis.n), random_vector(rng, basis.n, -9, 9)):
-            assert pb.feasibility_rhs(b) == tuple(
-                norming.norming_dot(x, reduced.sigma(b)) for x in reps
+            assert feasibility_rhs(pb, b) == tuple(
+                norming_dot(x, reduced.sigma(b)) for x in reps
             )
         r = pb.arrangement.r
         by_signs = {cell.signs: k for k, cell in enumerate(pb.cells)}
@@ -282,9 +296,9 @@ class TestSolveGeneral:
         assert out.constraints.slack == 1
         assert out.witness == (Q(3),)
         # Feasible set is alpha in [2, 4], exactly.
-        assert out.constraints.satisfied_by((Q(2),))
-        assert out.constraints.satisfied_by((Q(4),))
-        assert not out.constraints.satisfied_by((Q(2) - Q(1, 100),))
+        assert satisfied_by(out.constraints, (Q(2),))
+        assert satisfied_by(out.constraints, (Q(4),))
+        assert not satisfied_by(out.constraints, (Q(2) - Q(1, 100),))
 
     def test_zero_reduced_target_polytope(self):
         basis = column_basis((1, 1, 0))
@@ -297,7 +311,7 @@ class TestSolveGeneral:
         for _ in range(50):
             alpha = (Q(rng.randint(-80, 80), 16),)
             inside = 2 * abs(alpha[0]) <= 5
-            assert out.constraints.satisfied_by(alpha) == inside
+            assert satisfied_by(out.constraints, alpha) == inside
 
     def test_member_short_circuit(self, pair_l17_coproximinal):
         target = pair_l17_coproximinal.combine((Q(2), Q(-1, 3)))
@@ -341,7 +355,7 @@ class TestSolveGeneral:
             if full.kind is OutcomeKind.UNIQUE:
                 assert full.coefficients == alpha
             else:
-                assert full.constraints.satisfied_by(alpha)
+                assert satisfied_by(full.constraints, alpha)
             found += 1
 
 
@@ -381,7 +395,7 @@ class TestExistenceThreshold:
         assert th.delta0 == Q(41, 21)
         assert th.delta0 <= l1_norm(b)
         rows = pb.feasibility_rows
-        rhs = pb.feasibility_rhs(b)
+        rhs = feasibility_rhs(pb, b)
 
         def worst(alpha):
             return max(
@@ -503,9 +517,9 @@ class TestProjection:
         assert proj.image_of_target == vec((2, 3, 0, 0, -2, 6))
         # P fixes the subspace (gamma = 0).
         coeffs = (Q(3), Q(-2), Q(1, 2))
-        assert proj.apply(coeffs, Q(0)) == span3_l16.combine(coeffs)
+        assert apply_projection(proj, coeffs, Q(0)) == span3_l16.combine(coeffs)
         # P(b2) itself.
-        assert proj.apply((Q(0), Q(0), Q(0)), Q(1)) == vec((2, 3, 0, 0, -2, 6))
+        assert apply_projection(proj, (Q(0), Q(0), Q(0)), Q(1)) == vec((2, 3, 0, 0, -2, 6))
 
     def test_member_projection_is_identity(self, span3_l16):
         b = span3_l16.combine((Q(1), Q(1), Q(1)))
@@ -515,7 +529,7 @@ class TestProjection:
         for _ in range(20):
             coeffs = tuple(Q(rng.randint(-5, 5)) for _ in range(3))
             gamma = Q(rng.randint(-3, 3))
-            assert proj.apply(coeffs, gamma) == proj.input_vector(coeffs, gamma)
+            assert apply_projection(proj, coeffs, gamma) == input_vector(proj, coeffs, gamma)
 
     def test_not_exists_raises(self, span3_l16):
         out = solve_general(span3_l16, None, B1)
@@ -540,8 +554,8 @@ class TestProjection:
         for _ in range(200):
             coeffs = tuple(Q(rng.randint(-40, 40), 8) for _ in range(3))
             gamma = Q(rng.randint(-40, 40), 8)
-            image = proj.apply(coeffs, gamma)
-            original = proj.input_vector(coeffs, gamma)
+            image = apply_projection(proj, coeffs, gamma)
+            original = input_vector(proj, coeffs, gamma)
             assert l1_norm(image) <= l1_norm(original)
 
 
@@ -595,7 +609,7 @@ def _reference_solve(pb, b):
         return ("unique", alpha, None, basis.combine(alpha), None)
     slack = sum((abs(b[i]) for i in pb.profile.zero_set), Q(0))
     rows = pb.feasibility_rows
-    rhs = pb.feasibility_rhs(b)
+    rhs = feasibility_rhs(pb, b)
     t_star, _ = solve_minimax_lp(rows, rhs)
     if t_star > slack:
         return ("not-exists", None, None, None, None)
@@ -614,17 +628,6 @@ def _fields(out):
     c = out.constraints
     return (out.kind.value, out.coefficients, out.witness, out.vector,
             None if c is None else (c.rows, c.rhs, c.slack))
-
-
-# Zero-set instances (basis rows, target) whose optimal face at slack =
-# delta0 is a polytope.  Random draws rarely give one (about 1 in 200
-# with entries in [-1, 1]), so transformed copies of these seed the case.
-FACE_POLYTOPES = (
-    (((1, -1, 0), (0, -1, 0), (0, 0, 0), (0, 1, -1), (-1, -1, -1)),
-     (0, -1, Q(2, 3), 1, 0)),
-    (((0, 0, 0), (0, 0, 0), (0, 1, -1), (1, -1, -1), (-1, 0, 1), (1, -1, -1), (1, 1, 0)),
-     (Q(2, 3), 0, -1, 0, -1, 1, 1)),
-)
 
 
 def _zero_set_instances(rng, count, copies=4):
@@ -676,7 +679,7 @@ def _with_slack(rng, pb, b, slack):
 def _slack_cases(rng, pb, b):
     """(target, slack, delta0): slack in {0, delta0/2, delta0, 3/2 delta0}
     when delta0 > 0, else 0 and one positive mass."""
-    t_star, _ = solve_minimax_lp(pb.feasibility_rows, pb.feasibility_rhs(b))
+    t_star, _ = solve_minimax_lp(pb.feasibility_rows, feasibility_rhs(pb, b))
     if t_star:
         slacks = (Q(0), t_star / 2, t_star, 3 * t_star / 2)
     else:
@@ -687,7 +690,7 @@ def _slack_cases(rng, pb, b):
 def _certifies_one_point(pb, b):
     """Whether b's fiber skips its lex searches: the minimax LP, on the
     Fraction rows, has t* = 0 or m + 1 nonzero multipliers."""
-    t_star, _, lam = solve_minimax_lp(pb.feasibility_rows, pb.feasibility_rhs(b),
+    t_star, _, lam = solve_minimax_lp(pb.feasibility_rows, feasibility_rhs(pb, b),
                                       multipliers=True)
     return not t_star or sum(map(bool, lam)) > pb.basis.m
 
@@ -749,13 +752,13 @@ def test_lex_extreme_alpha_matches_rank_loop_reference(direction):
     checked = 0
     for basis, b in _zero_set_instances(rng, 60):
         pb = prepare(basis)
-        rhs = pb.feasibility_rhs(b)
+        rhs = feasibility_rhs(pb, b)
         t_star, alpha_star = solve_minimax_lp(pb.feasibility_rows, rhs)
         for slack in (t_star, t_star + Q(rng.randint(1, 4), 3)):
             constraints = PolytopeConstraints(pb.feasibility_rows, rhs, slack)
             got = lex_extreme_alpha(basis, lex_lp(constraints, alpha_star), direction)
             assert got == _reference_lex_extreme_alpha(basis, constraints, direction)
-            assert constraints.satisfied_by(got)
+            assert satisfied_by(constraints, got)
             checked += 1
     assert checked >= 130
 
@@ -763,7 +766,7 @@ def test_lex_extreme_alpha_matches_rank_loop_reference(direction):
 def _search_fiber(pb, b):
     """Both lex searches of b's fiber, run directly from its minimax
     optimizer, whether or not the solver would skip them."""
-    rhs = pb.feasibility_rhs(b)
+    rhs = feasibility_rhs(pb, b)
     t_star, alpha = solve_minimax_lp(pb.feasibility_rows, rhs)
     tight = lex_lp(PolytopeConstraints(pb.feasibility_rows, rhs, t_star), alpha)
     return [lex_extreme_alpha(pb.basis, tight, direction) for direction in (+1, -1)]
@@ -900,7 +903,7 @@ def test_int_minimax_and_lex_searches_match_the_fraction_construction():
                 b[i] = Q(d * rng.randint(-3, 3) + rng.randint(1, d - 1), d)
             b = tuple(b)
             assert {x.denominator for x in pb.reduced.sigma(b)} == {3, 5, 7}
-            rhs = pb.feasibility_rhs(b)
+            rhs = feasibility_rhs(pb, b)
             t_star, alpha = solve_minimax_lp(rows, rhs)
             assert pb.fiber(b)[:3] == (rhs, t_star, alpha)
             tight = PolytopeConstraints(rows, rhs, t_star)
@@ -942,7 +945,7 @@ def test_lex_extreme_alpha_over_coprime_denominators(direction):
         constraints = PolytopeConstraints(rows, rhs, slack)
         got = lex_extreme_alpha(basis, lex_lp(constraints, start), direction)
         assert got == _reference_lex_extreme_alpha(basis, constraints, direction)
-        assert constraints.satisfied_by(got)
+        assert satisfied_by(constraints, got)
         checked += 1
 
 
@@ -954,7 +957,7 @@ def test_lex_extreme_alpha_is_independent_of_its_start(direction):
     checked = 0
     for basis, b in _zero_set_instances(rng, 60):
         pb = prepare(basis)
-        rhs = pb.feasibility_rhs(b)
+        rhs = feasibility_rhs(pb, b)
         t_star, alpha_star = solve_minimax_lp(pb.feasibility_rows, rhs)
         for slack in (t_star, t_star + Q(rng.randint(1, 4), 3)):
             constraints = PolytopeConstraints(pb.feasibility_rows, rhs, slack)
@@ -1133,7 +1136,7 @@ def test_lex_search_over_the_m_independent_rows_matches_all_n_rows(monkeypatch, 
     for basis, b in cases:
         pb = prepare(basis)
         rows = pb.feasibility_rows
-        rhs = pb.feasibility_rhs(b)
+        rhs = feasibility_rhs(pb, b)
         t_star, alpha = solve_minimax_lp(rows, rhs)
         kept = basis.lex_costs
         assert len(kept) == basis.m and rank(kept) == basis.m
