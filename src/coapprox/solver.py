@@ -29,7 +29,7 @@ the minimax optimizer, which is feasible, as the one-phase LP kernel
 needs; none runs where the minimax LP proves the face one point.
 delta0, its optimizer and the optimal face depend only on sigma(b), so
 all targets on one fiber (same entries off Z, any mass on Z) share one
-minimax solve and at most one lex search per direction, PreparedBasis.fiber.
+Fiber: its minimax solve, lex searches, witness vector and threshold.
 """
 from __future__ import annotations
 
@@ -72,6 +72,38 @@ from .subspace import (
 )
 
 
+class Fiber:
+    """One fiber's solve (PreparedBasis.fiber); rhs, vector and threshold are kept once read."""
+
+    __slots__ = ("key", "delta0", "alpha", "rho_mass", "lex",
+                 "_basis", "_sums", "_bden", "_rhs", "_vector", "_threshold")
+
+    def __init__(self, key, delta0, alpha, rho_mass, lex, basis, sums, bden):
+        self.key, self.delta0, self.alpha, self.rho_mass = key, delta0, alpha, rho_mass
+        self.lex, self._basis, self._sums, self._bden = lex, basis, sums, bden
+        self._rhs = self._vector = self._threshold = None
+
+    @property
+    def rhs(self) -> Vec:
+        if self._rhs is None:
+            self._rhs = tuple(Q(s, self._bden) for s in self._sums)
+        return self._rhs
+
+    @property
+    def vector(self) -> Vec:
+        if self._vector is None:
+            self._vector = self._basis.combine(self.lex(+1))
+        return self._vector
+
+    @property
+    def threshold(self) -> ExistenceThreshold:
+        if self._threshold is None:
+            if self.delta0 > self.rho_mass:  # pragma: no cover
+                raise InternalInconsistencyError("threshold exceeds the rho-mass upper bound")
+            self._threshold = ExistenceThreshold(self.delta0, self.alpha, self.rho_mass)
+        return self._threshold
+
+
 class PreparedBasis:
     """A validated basis plus lazily-built analysis artifacts.
 
@@ -85,15 +117,13 @@ class PreparedBasis:
     of them, so only `cells` is enumerated; the minimax LP runs on those
     rows in ints, `feasibility_ints`.  `norming`, the coordinate
     sign vectors, is built for `norming-set`.
-    `fiber` keeps the last fiber's minimax solve, rho-mass and its
-    lex-min and lex-max points (the minimax optimizer on a certified
-    one-point face, else searched once asked for) in one slot, so
-    memory stays bounded and each new fiber is solved afresh.
+    `fiber` keeps the last fiber's Fiber in one slot, so memory stays
+    bounded and each new fiber is solved afresh.
     """
 
     def __init__(self, basis: SubspaceBasis):
         self.basis = basis
-        self._fiber: tuple = (None,)
+        self._fiber: Fiber | None = None
 
     @cached_property
     def profile(self) -> ComponentProfile:
@@ -160,20 +190,19 @@ class PreparedBasis:
         den, rows = self.feasibility_ints
         return tuple(tuple(Q(x, den) for x in row) for row in rows)
 
-    def fiber(self, b: Vec) -> tuple:
-        """(rhs, delta0, alpha, rho_mass, lex) of b's fiber, kept in one slot
-        until another fiber replaces it; lex(direction) is the lex-extreme
-        point of the optimal face: alpha on a face certified one point,
-        by t = 0 (rows has rank m) or m + 1 nonzero multipliers (at t > 0
-        each is a nonbasic slack's positive reduced cost, so every free
-        variable is basic: a unique optimum, Mangasarian 1979), else
-        searched on its first call.  Both LPs are in ints, on rows and
-        sums times positive scalars, which no pivot sees: the minimax LP
-        |sums - rows.x| <= t in x = (bden/den) alpha, and the lex_lp of
-        both searches |bden rows.alpha - den sums| <= den t."""
+    def fiber(self, b: Vec) -> Fiber:
+        """b's Fiber, kept in one slot until another fiber replaces it;
+        lex(direction) is the lex-extreme point of the optimal face: alpha
+        on a face certified one point, by t = 0 (rows has rank m) or m + 1
+        nonzero multipliers (at t > 0 each is a nonbasic slack's positive
+        reduced cost, so every free variable is basic: a unique optimum,
+        Mangasarian 1979), else searched on its first call.  Both LPs are
+        in ints, on rows and sums times positive scalars, which no pivot
+        sees: the minimax LP |sums - rows.x| <= t in x = (bden/den) alpha,
+        and the lex_lp of both searches |bden rows.alpha - den sums| <= den t."""
         key, slot = self.reduced.sigma(b), self._fiber
-        if slot[0] == key:
-            return slot[1:]
+        if slot is not None and slot.key == key:
+            return slot
         den, rows = self.feasibility_ints
         bden, ints, sums = self._class_sums(b)
         sums = [sum(map(mul, cell.signs, sums)) for cell in self.cells]
@@ -185,9 +214,10 @@ class PreparedBasis:
                 [[bden * v for v in r] for r in rows], [den * s for s in sums], den * t), alpha))
             lex = cache(lambda d: lex_extreme_alpha(basis, tight(), d))
         # A new fiber replaces the slot in one assignment.
-        self._fiber = (key, tuple(Q(s, bden) for s in sums), t / bden, alpha,
-                       Q(sum(abs(ints[i]) for i in self.reduced.kept_indices), bden), lex)
-        return self._fiber[1:]
+        self._fiber = Fiber(key, Q(t.numerator, t.denominator * bden), alpha,
+                            Q(sum(abs(ints[i]) for i in self.reduced.kept_indices), bden),
+                            lex, basis, sums, bden)
+        return self._fiber
 
 
 def prepare(basis: SubspaceBasis) -> PreparedBasis:
@@ -233,14 +263,7 @@ class CoapproxOutcome:
         return alpha
 
 
-def _not_exists() -> CoapproxOutcome:
-    return CoapproxOutcome(kind=OutcomeKind.NOT_EXISTS)
-
-
-def _unique(basis: SubspaceBasis, alpha: Vec) -> CoapproxOutcome:
-    return CoapproxOutcome(
-        kind=OutcomeKind.UNIQUE, coefficients=alpha, vector=basis.combine(alpha)
-    )
+NOT_EXISTS = CoapproxOutcome(kind=OutcomeKind.NOT_EXISTS)
 
 
 def solve_empty_zero_set(pb: PreparedBasis, b: Vec) -> CoapproxOutcome:
@@ -254,12 +277,12 @@ def solve_empty_zero_set(pb: PreparedBasis, b: Vec) -> CoapproxOutcome:
     (den, rows), (bden, _, sums) = pb.class_ints, pb._class_sums(b)
     res = solve_linear([[bden * x for x in row] for row in rows], [den * s for s in sums])
     if res.status is SystemStatus.NO_SOLUTION:
-        return _not_exists()
+        return NOT_EXISTS
     if res.status is SystemStatus.AFFINE_FAMILY:
         raise InternalInconsistencyError(
             "underdetermined system contradicts uniqueness on empty zero set"
         )
-    return _unique(pb.basis, res.solution)
+    return CoapproxOutcome(OutcomeKind.UNIQUE, res.solution, pb.basis.combine(res.solution))
 
 
 def lex_lp(constraints: PolytopeConstraints, start: Vec) -> tuple:
@@ -312,30 +335,29 @@ def solve_general(
     """Decide existence and compute best coapproximation(s) to b.
 
     At slack 0 (no mass of b on the zero set) the equality system decides.
-    Otherwise the slack is compared with delta0: below it nothing exists;
-    above it the polytope holds a ball around the minimax optimizer, so
-    it is full-dimensional, and only its witness (the lex-smallest point
-    of the optimal face) is needed; at it the lex-largest point tells a
-    point from a polytope.  Each is searched once per fiber (pb.fiber).
+    Otherwise the slack, in ints, is compared with delta0: below it nothing
+    exists; above it the polytope holds a ball around the minimax optimizer,
+    so it is full-dimensional, and only its witness (the lex-smallest point
+    of the optimal face) is needed; at it the lex-largest point tells a point
+    from a polytope.  Each search and the witness's vector run once per fiber.
     """
     pb = prepared_for(basis, prepared)
     if len(b) != basis.n:
         raise DimensionError("target length does not match ambient dimension")
-    slack = sum((abs(b[i]) for i in pb.profile.zero_set), Q(0))
-    if not slack:
+    zden, z = scaled_ints([b[i] for i in pb.profile.zero_set])
+    mass = sum(map(abs, z))
+    if not mass:
         return solve_empty_zero_set(pb, b)
-    rhs, t_star, _, _, lex = pb.fiber(b)
-    if t_star > slack:
-        return _not_exists()
-    witness = lex(+1)
-    if slack == t_star and witness == lex(-1):
-        return _unique(basis, witness)
-    return CoapproxOutcome(
-        kind=OutcomeKind.POLYTOPE,
-        constraints=PolytopeConstraints(rows=pb.feasibility_rows, rhs=rhs, slack=slack),
-        witness=witness,
-        vector=basis.combine(witness),
-    )
+    fiber = pb.fiber(b)
+    gap = mass * fiber.delta0.denominator - fiber.delta0.numerator * zden  # sign of slack - delta0
+    if gap < 0:
+        return NOT_EXISTS
+    witness = fiber.lex(+1)
+    if not gap and witness == fiber.lex(-1):
+        return CoapproxOutcome(kind=OutcomeKind.UNIQUE, coefficients=witness, vector=fiber.vector)
+    constraints = PolytopeConstraints(rows=pb.feasibility_rows, rhs=fiber.rhs, slack=Q(mass, zden))
+    return CoapproxOutcome(kind=OutcomeKind.POLYTOPE, constraints=constraints, witness=witness,
+                           vector=fiber.vector)
 
 
 @dataclass(frozen=True)
@@ -352,15 +374,13 @@ def existence_threshold(
     basis: SubspaceBasis, profile: ComponentProfile | None, b: Vec, *,
     prepared: PreparedBasis | None = None,
 ) -> ExistenceThreshold:
+    """The ExistenceThreshold of b's fiber, one per fiber (pb.fiber)."""
     pb = prepared_for(basis, prepared)
     if len(b) != basis.n:
         raise DimensionError("target length does not match ambient dimension")
     if not pb.profile.zero_set:
         raise EmptyZeroSetError("threshold is defined only for non-empty zero sets")
-    _, delta0, alpha, rho_mass, _ = pb.fiber(b)
-    if delta0 > rho_mass:  # pragma: no cover
-        raise InternalInconsistencyError("threshold exceeds the rho-mass upper bound")
-    return ExistenceThreshold(delta0=delta0, minimizing_alpha=alpha, rho_mass=rho_mass)
+    return pb.fiber(b).threshold
 
 
 @dataclass(frozen=True)

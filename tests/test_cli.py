@@ -23,7 +23,7 @@ from coapprox.cli import main
 from coapprox.errors import CoapproxError, ValidationError
 from coapprox.exact import rank
 from coapprox.instances import random_basis, random_vector
-from coapprox.subspace import validate_basis
+from coapprox.subspace import SubspaceBasis, validate_basis
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -1045,21 +1045,31 @@ def test_threshold_script_runs_one_minimax_lp_per_target(monkeypatch):
     # The script's four calls per target share one fiber, so one minimax
     # LP, and its multipliers certify a one-point optimal face, so no lex
     # search: the masses at and above delta0 both answer with its optimizer.
+    # The fiber also keeps what its answers share: the unique and the
+    # polytope answer read one combine between them, and the threshold is
+    # built once.
     script = Path(__file__).resolve().parent.parent / "scripts" / "threshold_dichotomy.py"
     spec = importlib.util.spec_from_file_location("threshold_dichotomy", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    calls, searches = [], []
+    calls, searches, combines, thresholds = [], [], [], []
     lp = solver.solve_minimax_lp
     monkeypatch.setattr(solver, "solve_minimax_lp",
                         lambda *args, **kw: calls.append(args) or lp(*args, **kw))
     lex = solver.lex_extreme_alpha
     monkeypatch.setattr(solver, "lex_extreme_alpha",
                         lambda *args: searches.append(args[2]) or lex(*args))
+    combine = SubspaceBasis.combine
+    monkeypatch.setattr(SubspaceBasis, "combine",
+                        lambda self, coeffs: combines.append(coeffs) or combine(self, coeffs))
+    threshold = solver.ExistenceThreshold
+    monkeypatch.setattr(solver, "ExistenceThreshold",
+                        lambda *args: thresholds.append(args) or threshold(*args))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert module.main(["--input", THRESHOLD_FILE]) == 0
     assert (out.getvalue(), len(calls), searches) == (THRESHOLD_SCRIPT_OUTPUT, 1, [])
+    assert (len(combines), len(thresholds)) == (1, 1)
 
 
 @pytest.mark.parametrize(

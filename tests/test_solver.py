@@ -905,7 +905,8 @@ def test_int_minimax_and_lex_searches_match_the_fraction_construction():
             assert {x.denominator for x in pb.reduced.sigma(b)} == {3, 5, 7}
             rhs = feasibility_rhs(pb, b)
             t_star, alpha = solve_minimax_lp(rows, rhs)
-            assert pb.fiber(b)[:3] == (rhs, t_star, alpha)
+            fiber = pb.fiber(b)
+            assert (fiber.rhs, fiber.delta0, fiber.alpha) == (rhs, t_star, alpha)
             tight = PolytopeConstraints(rows, rhs, t_star)
             witness = lex_extreme_alpha(basis, lex_lp(tight, alpha), +1)
             point = witness == lex_extreme_alpha(basis, lex_lp(tight, alpha), -1)
@@ -1015,6 +1016,103 @@ def test_shared_fiber_slot_matches_fresh_prepare(monkeypatch):
     assert min(seen.values()) >= 100, seen
 
 
+def test_shared_slot_answers_fibers_a_a_b_a_as_a_fresh_prepare(monkeypatch):
+    # One shared prepared basis visits fiber A, A again, B (A moved on one
+    # coordinate off Z) and A once more; A's three zero-set masses are
+    # below, at and above its delta0, in a seeded order.  Bases have m 1-3
+    # and |Z| 1-2, with one or two rows added proportional to others, so
+    # that classes have several coordinates, plus the FACE_POLYTOPES
+    # segment faces.  Each solve_general and existence_threshold equals
+    # (==) the same call on a fresh prepare, and only A's repeat is
+    # answered from the slot: one minimax LP and one ExistenceThreshold
+    # per new fiber, none on the repeat.
+    calls, built = _count_minimax(monkeypatch), []
+    threshold = solver.ExistenceThreshold
+    monkeypatch.setattr(solver, "ExistenceThreshold",
+                        lambda *args: built.append(args) or threshold(*args))
+    rng = random.Random(3535)
+    instances = _zero_set_instances(rng, 0, copies=20)  # the face polytopes alone
+    while len(instances) < 200:
+        m, zeros = rng.randint(1, 3), rng.randint(1, 2)
+        basis = random_basis(rng, m + rng.randint(1, 2) + zeros, m, lo=-2, hi=2, zero_rows=zeros)
+        rows = list(basis.matrix)
+        for _ in range(rng.randint(1, 2)):
+            source = rng.choice([r for r in rows if any(r)])
+            const = Q(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+            rows.insert(rng.randint(0, len(rows)), tuple(const * x for x in source))
+        instances.append((validate_basis(tuple(rows)), random_vector(rng, len(rows), -3, 3)))
+    seen = Counter()
+    for basis, a in instances:
+        pb = prepare(basis)
+        t_a = existence_threshold(basis, None, a).delta0
+        if not t_a:
+            continue
+        b = list(a)
+        b[rng.choice([i for i in range(basis.n) if i not in pb.profile.zero_set])] += 1
+        t_b = existence_threshold(basis, None, tuple(b)).delta0 or Q(1)
+        masses = [t_a / 2, t_a, 3 * t_a / 2]
+        rng.shuffle(masses)
+        visits = [(a, masses[0]), (a, masses[1]), (tuple(b), rng.choice((t_b / 2, t_b, 2 * t_b))),
+                  (a, masses[2])]
+        for (fiber, mass), lps in zip(visits, (1, 0, 1, 1)):
+            target, before, built_before = _with_slack(rng, pb, fiber, mass), len(calls), len(built)
+            if rng.random() < 0.5:
+                out = solve_general(basis, None, target, prepared=pb)
+                th = existence_threshold(basis, None, target, prepared=pb)
+            else:
+                th = existence_threshold(basis, None, target, prepared=pb)
+                out = solve_general(basis, None, target, prepared=pb)
+            assert (len(calls) - before, len(built) - built_before) == (lps, lps)
+            assert out == solve_general(basis, None, target, prepared=prepare(basis))
+            assert th == existence_threshold(basis, None, target, prepared=prepare(basis))
+            seen[out.kind] += 1
+            seen["segment face"] += mass == th.delta0 and out.kind is OutcomeKind.POLYTOPE
+        kept = basis.n - len(pb.profile.zero_set)
+        seen["several-coordinate classes"] += len(pb.profile.classes) < kept
+    assert min(seen.values()) >= 40, seen
+
+
+def test_zero_set_mass_is_compared_with_delta0_exactly():
+    # delta0 = 41/42 split over two zero-set coordinates as delta0/3 +
+    # 2 delta0/3, with denominators 126 and 63, is unique; moving either
+    # share by 1/(126 * 63) flips it to polytope or not-exists.  A polytope's
+    # slack is the Fraction sum of the masses, and a target given as ints
+    # answers as its Fraction form does.
+    basis = column_basis(*(c[:-1] + (0, 0) for c in THRESHOLD_BASIS_COLUMNS))
+    pb = prepare(basis)
+    off_z = tuple(Q(k, 2) for k in range(1, 7))
+    first, second = Q(41, 42) / 3, 2 * Q(41, 42) / 3
+    assert (first.denominator, second.denominator) == (126, 63)
+    eps = Q(1, 126 * 63)
+    cases = [
+        ((first, second), OutcomeKind.UNIQUE),
+        ((-first, second), OutcomeKind.UNIQUE),
+        ((first + eps, second), OutcomeKind.POLYTOPE),
+        ((first, -second - eps), OutcomeKind.POLYTOPE),
+        ((first - eps, second), OutcomeKind.NOT_EXISTS),
+        ((-first, second - eps), OutcomeKind.NOT_EXISTS),
+    ]
+    for z, kind in cases:
+        b = off_z + z
+        out = solve_general(basis, None, b, prepared=pb)
+        assert out.kind is kind
+        assert out == solve_general(basis, None, b, prepared=prepare(basis))
+        assert existence_threshold(basis, None, b, prepared=pb).delta0 == Q(41, 42)
+        if kind is OutcomeKind.POLYTOPE:
+            assert out.constraints.slack == abs(z[0]) + abs(z[1])
+            assert type(out.constraints.slack) is Q
+    ints = tuple(range(21, 127, 21))  # 21 times (1..6): delta0 = 41
+    for z, kind in [((14, -27), OutcomeKind.UNIQUE), ((14, 28), OutcomeKind.POLYTOPE),
+                    ((-13, 27), OutcomeKind.NOT_EXISTS)]:
+        b = ints + z
+        out = solve_general(basis, None, b, prepared=pb)
+        assert (out.kind, existence_threshold(basis, None, b, prepared=pb).delta0) == (kind, 41)
+        assert out == solve_general(basis, None, tuple(map(Q, b)), prepared=pb)
+        assert out == solve_general(basis, None, tuple(map(Q, b)), prepared=prepare(basis))
+        if kind is OutcomeKind.POLYTOPE:
+            assert (out.constraints.slack, type(out.constraints.slack)) == (42, Q)
+
+
 def test_fiber_slot_searches_each_direction_once_per_fiber(monkeypatch):
     # A seeded stream on one shared prepared basis: three fibers per
     # subspace, interleaved and revisited, at zero-set masses 0, below,
@@ -1098,7 +1196,8 @@ def test_one_point_rule_is_sound_where_it_fires(monkeypatch):
         basis = random_basis(rng, m + rng.randint(1, 2) + zeros, m, lo=-2, hi=2, zero_rows=zeros)
         b = random_vector(rng, basis.n, -3, 3)
         pb = prepare(basis)
-        _, t_star, alpha, _, lex = pb.fiber(b)
+        fiber = pb.fiber(b)
+        t_star, alpha, lex = fiber.delta0, fiber.alpha, fiber.lex
         before = len(searched)
         got = (lex(+1), lex(-1))
         lo, hi = _search_fiber(pb, b)
