@@ -12,14 +12,13 @@ and no LP: coproximinal iff d == m.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .solver import PreparedBasis, prepared_for
 from .subspace import SubspaceBasis
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     coproximinal: bool
     co_chebyshev: bool
     m: int

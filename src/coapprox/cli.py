@@ -17,8 +17,8 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import __version__
 from .classify import classify
@@ -36,8 +36,7 @@ from .solver import (
 )
 from .subspace import SubspaceBasis, validate_basis
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(NamedTuple):
     basis: SubspaceBasis
     targets: tuple[tuple[str, Vec], ...]
     options: dict

@@ -14,9 +14,9 @@ import math
 import numbers
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CapacityError, ValidationError
 
@@ -186,8 +186,7 @@ class SystemStatus(Enum):
     AFFINE_FAMILY = "affine-family"
 
 
-@dataclass(frozen=True)
-class LinearSystemResult:
+class LinearSystemResult(NamedTuple):
     status: SystemStatus
     solution: Vec | None
     nullspace_basis: tuple[Vec, ...]
@@ -237,8 +236,7 @@ class _AllReals:
 ALL_REALS = _AllReals()
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """Closed rational interval [lo, hi] (lo == hi for a single point)."""
 
     lo: Q

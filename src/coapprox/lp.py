@@ -30,10 +30,10 @@ lexicographically, face by face, in one tableau (Isermann 1982), and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from operator import mul, neg, sub
+from typing import NamedTuple
 
 from .errors import CapacityError, ValidationError
 from .exact import Q, Vec, bareiss_pivot, primitive_ints, scaled_ints
@@ -47,8 +47,7 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     status: LpStatus
     x: Vec | None
     value: Q | None

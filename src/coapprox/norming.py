@@ -24,9 +24,9 @@ for a cell is its max-min-margin point, one LP per reported cell
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .errors import CapacityError, InternalInconsistencyError
 from .exact import Vec, first_basis, primitive_ints
@@ -41,8 +41,9 @@ MAX_HYPERPLANES = 20
 SignVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(NamedTuple("Arrangement", [
+        ("normals", tuple[tuple[int, ...], ...]), ("class_of_coord", tuple[int, ...]),
+        ("orientation", tuple[int, ...]), ("m", int)])):
     """Distinct row hyperplanes of a basis, one per component class.
 
     normals[t] is class t's representative row as coprime ints, a
@@ -53,11 +54,6 @@ class Arrangement:
     the proportionality constant of the i-th coordinate off the zero
     set, in coordinate order.
     """
-
-    normals: tuple[tuple[int, ...], ...]
-    class_of_coord: tuple[int, ...]
-    orientation: tuple[int, ...]
-    m: int
 
     @property
     def r(self) -> int:
@@ -72,8 +68,7 @@ class Arrangement:
         return tuple(((*(-x for x in nu), 1), (*nu, 1)) for nu in self.normals), box
 
 
-@dataclass(frozen=True)
-class SignCell:
+class SignCell(NamedTuple):
     """One antipodal pair of nonempty open cells, sign +1 on hyperplane 0.
 
     The witness is an int point strictly inside the cell:
@@ -85,8 +80,7 @@ class SignCell:
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class NormingSet:
+class NormingSet(NamedTuple):
     """representatives[i] is the sign vector of cells[i] (coordinates
     off the zero set, first entry +1); as +- pairs these are exactly the
     minimal norming set.  system_basis is the canonical ordered basis of

@@ -33,8 +33,8 @@ verdict is a proof, and no grid point is scanned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .errors import CapacityError, DimensionError, InternalInconsistencyError, ValidationError
 from .exact import (Q, Vec, _gauss_jordan, l1_norm, minimize_1d_l1, primitive_ints,
@@ -69,8 +69,7 @@ def bj_orthogonal_l1(y: Vec, z: Vec) -> bool:
     return abs(signed) <= off_support
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """A subspace coefficient vector beta with
     ||A.beta - A.alpha||_1 > ||A.beta - b||_1, both sides exact."""
 
@@ -79,8 +78,7 @@ class Counterexample:
     rhs: Q
 
 
-@dataclass(frozen=True)
-class VerificationVerdict:
+class VerificationVerdict(NamedTuple):
     confirmed: bool
     counterexample: Counterexample | None
 
@@ -155,8 +153,7 @@ def verify_best_coapprox(basis: SubspaceBasis, b: Vec, alpha: Vec) -> Verificati
     return VerificationVerdict(True, None)
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(NamedTuple):
     exists: bool
     grid_points: int
 

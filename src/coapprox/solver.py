@@ -33,10 +33,10 @@ Fiber: its minimax solve, lex searches, witness vector and threshold.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     DimensionError,
@@ -227,7 +227,9 @@ def prepare(basis: SubspaceBasis) -> PreparedBasis:
 def prepared_for(basis: SubspaceBasis, prepared: PreparedBasis | None) -> PreparedBasis:
     """`prepared`, or a fresh prepare(basis); refused if built for another basis."""
     pb = prepared if prepared is not None else prepare(basis)
-    if pb.basis is not basis and pb.basis != basis:  # identity first: the common case
+    # Identity first, the common case; records are tuples, so a plain
+    # tuple can equal pb.basis, and only a SubspaceBasis passes.
+    if pb.basis is not basis and not (isinstance(basis, SubspaceBasis) and pb.basis == basis):
         raise DimensionError("prepared basis does not match the basis")
     return pb
 
@@ -238,8 +240,7 @@ class OutcomeKind(Enum):
     POLYTOPE = "polytope"
 
 
-@dataclass(frozen=True)
-class PolytopeConstraints:
+class PolytopeConstraints(NamedTuple):
     """The feasible coefficient set {alpha : |rows.alpha - rhs| <= slack}."""
 
     rows: Mat
@@ -247,8 +248,7 @@ class PolytopeConstraints:
     slack: Q
 
 
-@dataclass(frozen=True)
-class CoapproxOutcome:
+class CoapproxOutcome(NamedTuple):
     kind: OutcomeKind
     coefficients: Vec | None = None
     vector: Vec | None = None
@@ -360,8 +360,7 @@ def solve_general(
                            vector=fiber.vector)
 
 
-@dataclass(frozen=True)
-class ExistenceThreshold:
+class ExistenceThreshold(NamedTuple):
     """Critical zero-set mass: targets on the fiber with less mass have
     no best coapproximation, with at least this much always do."""
 
@@ -383,8 +382,7 @@ def existence_threshold(
     return pb.fiber(b).threshold
 
 
-@dataclass(frozen=True)
-class Projection:
+class Projection(NamedTuple):
     """The norm-one projection of span{b, Y} onto Y.
 
     Fixing Y pointwise and sending b to its best coapproximation

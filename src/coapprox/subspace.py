@@ -8,16 +8,18 @@ map drops the zero-set coordinates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
+from typing import NamedTuple
 
 from .errors import DimensionError, RankDeficientError, ZeroSubspaceError
 from .exact import Mat, Q, Vec, first_basis, primitive_ints, rank, scaled_ints
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+# Records with cached properties (SubspaceBasis, ComponentProfile and
+# norming.Arrangement) subclass a functional NamedTuple: unlike the class
+# syntax's, the subclass has an instance __dict__ to hold the values.
+class SubspaceBasis(NamedTuple("SubspaceBasis", [("n", int), ("m", int), ("matrix", Mat)])):
     """Basis of an m-dimensional subspace of l1^n.
 
     `matrix` is row-major n x m; column k is the k-th basis vector.
@@ -25,10 +27,6 @@ class SubspaceBasis:
     rank.  All indices in this package are 0-based; the CLI converts to
     1-based coordinates on output.
     """
-
-    n: int
-    m: int
-    matrix: Mat
 
     @cached_property
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -58,18 +56,13 @@ class SubspaceBasis:
         return tuple(Q(sum(map(mul, row, c)), den) for row in rows)
 
 
-@dataclass(frozen=True)
-class ComponentClass:
+class ComponentClass(NamedTuple):
     representative: int
     members: tuple[tuple[int, Q], ...]  # (coordinate, constant vs representative)
 
 
-@dataclass(frozen=True)
-class ComponentProfile:
-    classes: tuple[ComponentClass, ...]
-    zero_set: tuple[int, ...]
-    d: int
-
+class ComponentProfile(NamedTuple("ComponentProfile", [
+        ("classes", tuple[ComponentClass, ...]), ("zero_set", tuple[int, ...]), ("d", int)])):
     @cached_property
     def class_of(self) -> dict[int, tuple[int, Q]]:
         """coordinate -> (class index, proportionality constant)."""
@@ -128,8 +121,7 @@ def build_profile(basis: SubspaceBasis) -> ComponentProfile:
     )
 
 
-@dataclass(frozen=True)
-class ReducedInstance:
+class ReducedInstance(NamedTuple):
     """Zero-set-free image of a basis under the coordinate-dropping map.
 
     kept_indices records, in order, which original coordinates survive.

@@ -222,6 +222,8 @@ class TestBruteForce:
         assert 101**3 > oracle.BRUTE_FORCE_MAX_POINTS  # 101 ticks per axis below
         with pytest.raises(CapacityError):
             brute_force_existence(span3_l16, B1, Q(100), Q(2))
+        # 100 ticks per axis: exactly the cap, which is accepted.
+        assert brute_force_existence(span3_l16, B1, Q(99, 2), Q(1)).grid_points == 10**6
 
 
 # ------------------------------------------------- legacy probe reference

@@ -55,6 +55,18 @@ def test_readme_library_example_runs_on_the_package_alone(tmp_path):
     assert proc.stdout.startswith("ClassificationReport(coproximinal=True"), proc.stdout
 
 
+def test_cli_import_builds_no_dataclass_machinery():
+    # Records are NamedTuples: `dataclasses`, and the `inspect` it pulls
+    # in, cost a CLI process more start-up than the solve it runs.  -S
+    # keeps site's own imports out of the check.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = "import coapprox.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n", proc.stdout
+
+
 def _load_tracer():
     path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
@@ -116,7 +128,7 @@ UNREACHED = {
 def _library_functions() -> dict:
     """name -> code of every function whose code lives in src/coapprox:
     module functions and the methods, properties and cached properties
-    of its classes.  A dataclass's generated methods have no file there."""
+    of its classes.  A NamedTuple's generated methods have no file there."""
     src = Path(coapprox.__file__).resolve().parent
     out = {}
     for info in pkgutil.iter_modules([str(src)]):

@@ -504,6 +504,9 @@ class TestFiberMinimax:
         b = self.B + (Q(3),)
         with pytest.raises(DimensionError, match="prepared basis"):
             call(basis, None, b, prepared=prepare(other))
+        # A plain tuple equals the record it copies, but is not a basis.
+        with pytest.raises(DimensionError, match="prepared basis"):
+            call((basis.n, basis.m, basis.matrix), None, b, prepared=prepare(basis))
         # An equal basis built separately is the same subspace.
         same = column_basis(*THRESHOLD_BASIS_COLUMNS)
         assert call(basis, None, b, prepared=prepare(same)) == call(basis, None, b)
@@ -624,10 +627,11 @@ def _reference_solve(pb, b):
 
 
 def _fields(out):
-    # Fields, not outcomes: dataclass == is false across module copies.
-    c = out.constraints
-    return (out.kind.value, out.coefficients, out.witness, out.vector,
-            None if c is None else (c.rows, c.rhs, c.slack))
+    # A record equals any tuple of the same values, so the constraints
+    # compare with the reference's bare (rows, rhs, slack) as they are;
+    # the outcome itself does not, as the reference's tuple has the kind's
+    # value and another field order.
+    return (out.kind.value, out.coefficients, out.witness, out.vector, out.constraints)
 
 
 def _zero_set_instances(rng, count, copies=4):
