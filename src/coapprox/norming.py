@@ -1,16 +1,16 @@
 """Minimal norming set of a subspace basis, off its zero set.
 
-Each nonzero component class contributes one hyperplane through the
-origin of coefficient space R^m, its normal the class representative's
-row as coprime ints (`SubspaceBasis.int_rows`).  The open sign cells of
-that central arrangement are enumerated exactly, in ints and without an
-LP, by deletion-restriction (one representative per antipodal pair, each
-with an int interior point).  A cell with class signs s gives the +-1
-sign vector s_c * o_i on the coordinates i of class c off the zero set,
-o_i the sign of coordinate i's constant.  Those vectors, as +- pairs,
-form the unique minimal norming set: a subspace functional with
-coefficients strictly inside a cell attains its norm exactly at that
-cell's pair.
+Each nonzero component class contributes one hyperplane through the origin
+of coefficient space R^m, its normal the class representative's row as
+coprime ints (`SubspaceBasis.int_rows`).  The open sign cells of that
+central arrangement are enumerated exactly, in ints and without an LP, by
+deletion-restriction (one representative per antipodal pair, each with an
+int interior point; a lifted cell's signs are read off its restricted
+cell, not by dot products).  A cell with class signs s gives the +-1 sign
+vector s_c * o_i on the coordinates i of class c off the zero set, o_i the
+sign of coordinate i's constant.  Those vectors, as +- pairs, form the
+unique minimal norming set: a subspace functional with coefficients
+strictly inside a cell attains its norm exactly at that cell's pair.
 
 The sign vectors span dimension q = r, the hyperplane count, since each
 hyperplane is a wall between two cells that differ in its sign alone;
@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
-from .errors import CapacityError, InternalInconsistencyError
-from .exact import Vec, first_basis, primitive_ints
+from .errors import CapacityError, DimensionError, InternalInconsistencyError, ValidationError
+from .exact import Q, Vec, first_basis
 from .exact import rank  # unused here; perfbench/tracer.py wraps coapprox.norming.rank
 from .lp import MAX_CELL_PAIRS, LpStatus, lp_max
 from .subspace import ComponentProfile, SubspaceBasis
@@ -123,10 +123,6 @@ def check_cell_capacity(r: int, m: int) -> None:
         )
 
 
-def _dot(u, v) -> int:
-    return sum(map(mul, u, v))
-
-
 def half_cells(normals: list[tuple[int, ...]], m: int) -> list[tuple[SignVec, tuple]]:
     """Open cells of pairwise non-proportional nonzero int normals in
     Z^m, those with sign +1 on normals[0] (one per antipodal pair), each
@@ -135,12 +131,16 @@ def half_cells(normals: list[tuple[int, ...]], m: int) -> list[tuple[SignVec, tu
     Deletion-restriction: H_k cuts exactly the cells whose signs are
     topes of the restriction {H_j cap H_k : j < k}, an arrangement in
     R^(m-1) enumerated recursively in the int kernel basis
-    h_p.e_j - h_j.e_p of H_k.  A cut cell with interior point x on H_k
-    becomes K.x + h and K.x - h, K = 1 + max_j |n_j . h|: since
-    |n_j . x| >= 1, the earlier signs survive.  An uncut cell keeps its
-    point w and takes the sign of h . w, which is nonzero.  The
-    restriction has fewer hyperplanes in a lower dimension, so its cells
-    stay within the caller's cell_pair_bound.
+    h_p.e_j - h_j.e_p of H_k (in R^1 its one half-cell is ((1,), (1,))).
+    Restricted normal j, over its gcd, is o_j = +-1 times distinct
+    restricted plane t_j.  A restricted cell (s, y) lifts to x on H_k,
+    flipped by o_0 onto plane 0's positive side, and x's signs on the
+    earlier planes are read off s as o_j * o_0 * s[t_j]: no dot product
+    is taken per lifted cell.  A cut cell becomes K.x + h and K.x - h,
+    K = 1 + max_j |n_j . h|: since |n_j . x| >= 1, the earlier signs
+    survive.  An uncut cell keeps its point w and takes the sign of
+    h . w, which is nonzero.  The restriction has fewer hyperplanes in a
+    lower dimension, so its cells stay within the caller's cell_pair_bound.
     """
     if not normals:
         return [((), (0,) * m)]
@@ -148,27 +148,31 @@ def half_cells(normals: list[tuple[int, ...]], m: int) -> list[tuple[SignVec, tu
     for k in range(1, len(normals)):
         h, earlier = normals[k], normals[:k]
         p = next(j for j, x in enumerate(h) if x)
-        others = [j for j in range(m) if j != p]
-        restricted = [tuple(h[p] * n[j] - h[j] * n[p] for j in others) for n in earlier]
+        hp, hs = h[p], h[:p] + h[p + 1:]
+        restricted = [[hp * n[j] - h[j] * n[p] for j in range(m) if j != p] for n in earlier]
         cut = {}
         if all(map(any, restricted)):  # else H_k repeats an earlier plane
-            canon = (tuple(primitive_ints(v)) for v in restricted)
-            distinct = list(dict.fromkeys(max(v, tuple(-x for x in v)) for v in canon))
-            scale = 1 + max(abs(_dot(n, h)) for n in earlier)
-            for _, y in half_cells(distinct, m - 1):
-                x = [0] * m
-                for j, yj in zip(others, y):
-                    x[j] = h[p] * yj
-                x[p] = -_dot((h[j] for j in others), y)
-                if _dot(earlier[0], x) < 0:
-                    x = [-xj for xj in x]
-                signs = tuple(1 if _dot(n, x) > 0 else -1 for n in earlier)
-                cut[signs] = tuple(scale * xj for xj in x)
+            o0 = 1 if next(filter(None, restricted[0])) > 0 else -1
+            slots, lifts = {}, []  # lifts[j] = (t_j, o_j * o_0)
+            for v in restricted:
+                try:
+                    g = math.gcd(*v)
+                except TypeError:  # Fraction normals, from a hand-built Arrangement
+                    g = Q(math.gcd(*[x.numerator for x in v]),
+                          math.lcm(*[x.denominator for x in v]))
+                g = g if next(filter(None, v)) > 0 else -g
+                t = slots.setdefault(tuple([x // g for x in v]), len(slots))
+                lifts.append((t, o0 if g > 0 else -o0))
+            scale = o0 * (1 + max(abs(sum(map(mul, n, h))) for n in earlier))
+            for s, y in half_cells(list(slots), m - 1) if m > 2 else [((1,), (1,))]:
+                x = [scale * hp * yj for yj in y]
+                x.insert(p, -scale * sum(map(mul, hs, y)))
+                cut[tuple([o * s[t] for t, o in lifts])] = tuple(x)
         grown = []
         for signs, w in cells:
             x = cut.get(signs)
             if x is None:
-                grown.append((signs + (1 if _dot(h, w) > 0 else -1,), w))
+                grown.append((signs + (1 if sum(map(mul, h, w)) > 0 else -1,), w))
             else:
                 grown.append((signs + (1,), tuple(map(add, x, h))))
                 grown.append((signs + (-1,), tuple(map(sub, x, h))))
@@ -180,10 +184,16 @@ def enumerate_cells(arr: Arrangement) -> tuple[SignCell, ...]:
     """All nonempty open cells, one per antipodal pair, in lexicographic
     sign order (+1 before -1, hyperplane 0 fixed to +1), each with an int
     point strictly inside.  Exact, in ints, with no LP: the work grows
-    with the cells found, not with 2^r.
+    with the cells found, not with 2^r.  A hand-built arrangement with no
+    normals, one not of length m (DimensionError) or a zero one
+    (ValidationError) is refused first.
     """
+    if not arr.normals or any(len(nu) != arr.m for nu in arr.normals):
+        raise DimensionError(f"an arrangement needs one or more normals of length m = {arr.m}")
+    if not all(map(any, arr.normals)):
+        raise ValidationError("an arrangement's normals must be nonzero")
     check_cell_capacity(arr.r, arr.m)
-    cells = sorted(half_cells(list(arr.normals), arr.m), key=lambda c: [-s for s in c[0]])
+    cells = sorted(half_cells(list(arr.normals), arr.m), key=itemgetter(0), reverse=True)
     return tuple(SignCell(signs=signs, witness=w) for signs, w in cells)
 
 

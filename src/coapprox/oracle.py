@@ -113,16 +113,16 @@ def _sign_patterns(basis: SubspaceBasis) -> dict[tuple[int, ...], tuple[int, ...
     enumeration.
     """
     planes: dict[tuple[int, ...], int] = {}
-    where = []  # per row: (plane index, orientation), or None on a zero row
+    where = []  # per row: (plane index, orientation), orientation 0 on a zero row
     for v in basis.int_rows:
         if not any(v):
-            where.append(None)
+            where.append((0, 0))
             continue
         normal = max(v, tuple(-x for x in v))
         where.append((planes.setdefault(normal, len(planes)), 1 if normal == v else -1))
     check_cell_capacity(len(planes), basis.m)
     return {
-        tuple(w[1] * tope[w[0]] if w else 0 for w in where): witness
+        tuple([o * tope[t] for t, o in where]): witness
         for tope, witness in half_cells(list(planes), basis.m)
     }
 

@@ -2,15 +2,16 @@
 construction the class-sum rows are checked against (`system_rows`),
 conveniences on the library's objects as plain functions, basis changes
 for the invariance checks, and test helpers (`general_lp_min`, the LP
-prefix-tree cell enumerator that `enumerate_cells` replaced)."""
+prefix-tree cell enumerator that `enumerate_cells` replaced, and the
+dot-product kernel that `norming.half_cells` replaced)."""
 from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
-from operator import mul
+from operator import add, mul, sub
 
 from coapprox import DimensionError, lp, mat, validate_basis
-from coapprox.exact import Mat, Vec, rank
+from coapprox.exact import Mat, Vec, primitive_ints, rank
 from coapprox.lp import LpResult, LpStatus, lp_min
 from coapprox.norming import SignVec
 from coapprox.solver import PolytopeConstraints, PreparedBasis, Projection
@@ -212,4 +213,63 @@ def lp_prefix_tree_cells(arr):
             cells.append((tuple(signs), beta))
         else:
             stack += (signs + [-1], signs + [1])
+    return cells
+
+
+# The deletion-restriction kernel before `norming.half_cells` read a lifted
+# cell's signs off its restricted cell: each lifted point's signs on the
+# earlier planes come from fresh dot products.  Kept verbatim as the
+# reference the kernel must match cell for cell, witnesses and order included.
+
+
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def dot_product_half_cells(normals: list[tuple[int, ...]], m: int) -> list[tuple[SignVec, tuple]]:
+    """Open cells of pairwise non-proportional nonzero int normals in
+    Z^m, those with sign +1 on normals[0] (one per antipodal pair), each
+    with an int point strictly inside.
+
+    Deletion-restriction: H_k cuts exactly the cells whose signs are
+    topes of the restriction {H_j cap H_k : j < k}, an arrangement in
+    R^(m-1) enumerated recursively in the int kernel basis
+    h_p.e_j - h_j.e_p of H_k.  A cut cell with interior point x on H_k
+    becomes K.x + h and K.x - h, K = 1 + max_j |n_j . h|: since
+    |n_j . x| >= 1, the earlier signs survive.  An uncut cell keeps its
+    point w and takes the sign of h . w, which is nonzero.  The
+    restriction has fewer hyperplanes in a lower dimension, so its cells
+    stay within the caller's cell_pair_bound.
+    """
+    if not normals:
+        return [((), (0,) * m)]
+    cells = [((1,), normals[0])]
+    for k in range(1, len(normals)):
+        h, earlier = normals[k], normals[:k]
+        p = next(j for j, x in enumerate(h) if x)
+        others = [j for j in range(m) if j != p]
+        restricted = [tuple(h[p] * n[j] - h[j] * n[p] for j in others) for n in earlier]
+        cut = {}
+        if all(map(any, restricted)):  # else H_k repeats an earlier plane
+            canon = (tuple(primitive_ints(v)) for v in restricted)
+            distinct = list(dict.fromkeys(max(v, tuple(-x for x in v)) for v in canon))
+            scale = 1 + max(abs(_dot(n, h)) for n in earlier)
+            for _, y in dot_product_half_cells(distinct, m - 1):
+                x = [0] * m
+                for j, yj in zip(others, y):
+                    x[j] = h[p] * yj
+                x[p] = -_dot((h[j] for j in others), y)
+                if _dot(earlier[0], x) < 0:
+                    x = [-xj for xj in x]
+                signs = tuple(1 if _dot(n, x) > 0 else -1 for n in earlier)
+                cut[signs] = tuple(scale * xj for xj in x)
+        grown = []
+        for signs, w in cells:
+            x = cut.get(signs)
+            if x is None:
+                grown.append((signs + (1 if _dot(h, w) > 0 else -1,), w))
+            else:
+                grown.append((signs + (1,), tuple(map(add, x, h))))
+                grown.append((signs + (-1,), tuple(map(sub, x, h))))
+        cells = grown
     return cells

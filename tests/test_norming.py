@@ -2,26 +2,33 @@ import itertools
 import math
 import random
 from fractions import Fraction as Q
+from operator import add, mul
+from pathlib import Path
 
 import pytest
 
 from coapprox import (
     CapacityError,
+    DimensionError,
+    ValidationError,
     build_arrangement,
     build_profile,
     enumerate_cells,
     mat,
     minimal_norming_set,
     norming,
+    oracle,
     prepare,
     validate_basis,
 )
+from coapprox.cli import load_problem
 from coapprox.exact import rank
-from coapprox.instances import random_basis
+from coapprox.instances import random_basis, random_vector
 from coapprox.norming import MAX_CELL_PAIRS, MAX_HYPERPLANES, cell_pair_bound
 from tests.reference import (
     column_basis,
     columns,
+    dot_product_half_cells,
     lp_prefix_tree_cells,
     norming_dot,
     pairs,
@@ -397,3 +404,112 @@ def test_enumerate_cells_runs_no_lp(monkeypatch, span3_l16):
         for _ in range(10):
             assert enumerate_cells(arrangement_of(make(rng)))
     assert len(enumerate_cells(arrangement_of(span3_l16))) == 7
+
+
+@pytest.mark.parametrize("normals, m, error", [
+    ((), 2, DimensionError),
+    (((1, 0), (1,)), 2, DimensionError),
+    (((1, 0), (0, 1, 1)), 2, DimensionError),
+    (((0, 0), (1, 0)), 2, ValidationError),
+    (((1, 0), (0, 1), (0, 0)), 2, ValidationError),
+])
+def test_malformed_arrangement_is_refused_before_enumeration(monkeypatch, normals, m, error):
+    # A hand-built Arrangement (build_arrangement makes none of these)
+    # with no normals, a normal not of length m or a zero normal.
+    def no_work(*args):
+        raise AssertionError("cells enumerated before the arrangement was checked")
+
+    monkeypatch.setattr(norming, "half_cells", no_work)
+    arr = norming.Arrangement(normals=normals, class_of_coord=tuple(range(len(normals))),
+                              orientation=(1,) * len(normals), m=m)
+    with pytest.raises(error) as raised:
+        enumerate_cells(arr)
+    assert type(raised.value) is error
+
+
+# ------------------------------------------ dot-product kernel reference
+#
+# `norming.half_cells` reads a lifted cell's signs off its restricted
+# cell; `dot_product_half_cells` in tests/reference.py, the kernel before,
+# takes dot products.  They must agree exactly: signs, witnesses (types
+# included) and order.
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def _assert_same_half_cells(planes, m):
+    got, want = norming.half_cells(list(planes), m), dot_product_half_cells(list(planes), m)
+    assert got == want, (planes, m)
+    assert [type(x) for _, w in got for x in w] == [type(x) for _, w in want for x in w]
+
+
+def _drawn_normals(rng, i):
+    """Normals in Z^m, m = 1..4 by turns, entries in -3..3, oriented as
+    drawn.  In every third set one plane is the sum of two others (m = 3:
+    three planes through a line); in every third one plane is repeated,
+    negated half the time.  A zero normal is kept only in first place,
+    where both kernels give witness 0 and sign -1 on every later plane
+    (an uncut cell's sign is strict only there); a later one makes both
+    raise.  Every fifth set is divided plane by plane into Fractions."""
+    m = 1 + i % 4
+    while True:
+        r = rng.randint(3, m + 4)
+        normals = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(r)]
+        normals[1:] = [v for v in normals[1:] if any(v)]
+        if len(normals) < 3:
+            continue
+        u, v = normals[-2:]
+        if i % 3 == 1:
+            w = tuple(map(add, u, v))
+            if not any(w) or max(map(abs, w)) > 3:
+                continue
+            normals.insert(rng.randint(1, len(normals)), w)
+        elif i % 3 == 2:
+            normals.insert(rng.randint(1, len(normals)), tuple(rng.choice((1, -1)) * x for x in u))
+        if i % 5 == 4:
+            dens = rng.choices(range(1, 5), k=len(normals))
+            normals = [tuple(Q(x, d) for x in nu) for nu, d in zip(normals, dens)]
+        return normals, m, m == 3 and i % 3 == 1 and rank([u, v]) == 2
+
+
+def test_half_cells_match_the_dot_product_reference(monkeypatch):
+    # The sample problems' arrangements.
+    for path in sorted(PROBLEMS.glob("*.json")):
+        arr = arrangement_of(load_problem(str(path)).basis)
+        _assert_same_half_cells(arr.normals, arr.m)
+
+    # Seeded draws, degenerate ones included.
+    rng = random.Random(1975)
+    lines = zero_first = 0
+    for i in range(480):
+        normals, m, through_a_line = _drawn_normals(rng, i)
+        _assert_same_half_cells(normals, m)
+        lines += through_a_line
+        zero_first += not any(normals[0])
+    assert lines >= 30 and zero_first >= 10
+
+    # The oracle's planes on the first 500 criterion-5 bases, and its
+    # topes: keyed by the signs of A . beta at the witness beta, in the
+    # reference's order.
+    seen = []
+
+    def recorded(planes, m):
+        seen.append((planes, m))
+        return norming.half_cells(planes, m)
+
+    monkeypatch.setattr(oracle, "half_cells", recorded)
+    rng = random.Random(505)
+    for _ in range(500):
+        n = rng.randint(2, 6)
+        m = rng.randint(1, min(3, n - 1))
+        zero_rows = min(rng.choice((0, 0, 0, 1, 2)), n - m)
+        basis = random_basis(rng, n, m, zero_rows=zero_rows)
+        random_vector(rng, n)  # the target, drawn to keep the stream in step
+        topes = oracle._sign_patterns(basis)
+        planes, _ = seen[-1]
+        _assert_same_half_cells(planes, m)
+        expected = {}
+        for _, beta in dot_product_half_cells(list(planes), m):
+            dots = [sum(map(mul, row, beta)) for row in basis.int_rows]
+            expected[tuple((d > 0) - (d < 0) for d in dots)] = beta
+        assert list(topes.items()) == list(expected.items())
