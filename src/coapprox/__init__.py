@@ -23,15 +23,12 @@ from .errors import (
     ZeroSubspaceError,
 )
 from .exact import (
-    ALL_REALS,
-    Interval,
     LinearSystemResult,
     Q,
     SystemStatus,
     format_rational,
     l1_norm,
     mat,
-    minimize_1d_l1,
     parse_rational,
     solve_linear,
     vec,
@@ -80,9 +77,8 @@ __all__ = [
     "CapacityError", "CoapproxError", "DimensionError", "EmptyZeroSetError",
     "InternalInconsistencyError", "NoCoapproximationError", "PreconditionError",
     "RankDeficientError", "ValidationError", "ZeroSubspaceError",
-    "ALL_REALS", "Interval", "LinearSystemResult", "Q", "SystemStatus",
-    "format_rational", "l1_norm", "mat", "minimize_1d_l1", "parse_rational",
-    "solve_linear", "vec",
+    "LinearSystemResult", "Q", "SystemStatus", "format_rational", "l1_norm",
+    "mat", "parse_rational", "solve_linear", "vec",
     "solve_minimax_lp",
     "Arrangement", "NormingSet", "SignCell", "build_arrangement",
     "enumerate_cells", "margin_witness", "minimal_norming_set",

@@ -240,7 +240,7 @@ def cmd_solve(problem: ProblemFile, pb: PreparedBasis, args) -> dict:
             entry["projection_image"] = _fmt_vec(projection.image_of_target)
             verdict = verify_best_coapprox(problem.basis, b, alpha)
             oracle_entry = {"verdict": "confirmed" if verdict.confirmed else "refuted"}
-            if verdict.counterexample is not None:  # pragma: no cover
+            if verdict.counterexample is not None:
                 oracle_entry["counterexample"] = {
                     "beta": _fmt_vec(verdict.counterexample.beta),
                     "lhs": format_rational(verdict.counterexample.lhs),

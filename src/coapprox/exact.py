@@ -1,7 +1,7 @@
 """Exact rational scalars, vectors and matrices, the scaling of rational
 rows to ints, the one fraction-free elimination step (`bareiss_pivot`)
 that both Gauss-Jordan elimination and the simplex tableau in `lp.py`
-are built on, and the 1-d l1 minimizer.
+are built on.
 
 No floating point is used anywhere: existence decisions downstream
 (sign cells, ranks, system consistency) are discontinuous in the data,
@@ -97,10 +97,15 @@ def transpose(rows: Mat) -> Mat:
 
 
 def scaled_ints(values: Sequence) -> tuple[int, list[int]]:
-    """(d, values * d), d the lcm of the denominators: 1 for a row of ints."""
+    """(d, values * d), d the lcm of the denominators: 1 for a row of ints.
+    An inexact entry (a float, str or None, say) is a ValidationError."""
     if all(type(x) is int for x in values):
         return 1, list(values)
-    d = math.lcm(*[x.denominator for x in values])
+    try:
+        d = math.lcm(*[x.denominator for x in values])
+    except AttributeError:
+        bad = next(x for x in values if not hasattr(x, "denominator"))
+        raise ValidationError(f"not an exact rational: {bad!r}") from None
     return d, [x.numerator * (d // x.denominator) for x in values]
 
 
@@ -223,55 +228,3 @@ def solve_linear(rows: Mat, rhs: Vec) -> LinearSystemResult:
             v[c] = Q(-aug[i][fc], aug[i][c])
         null_basis.append(tuple(v))
     return LinearSystemResult(SystemStatus.AFFINE_FAMILY, tuple(solution), tuple(null_basis))
-
-
-class _AllReals:
-    def __contains__(self, _x) -> bool:
-        return True
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "AllReals"
-
-
-ALL_REALS = _AllReals()
-
-
-class Interval(NamedTuple):
-    """Closed rational interval [lo, hi] (lo == hi for a single point)."""
-
-    lo: Q
-    hi: Q
-
-    def __contains__(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
-
-def minimize_1d_l1(y: Vec, z: Vec):
-    """Exact global minimum of the convex map t -> ||y + t*z||_1.
-
-    Returns (min_value, minimizer) where the minimizer is a closed
-    Interval, or ALL_REALS when z is the zero vector.  Works by weighted
-    median over the breakpoints -y_i/z_i with weights |z_i|.
-    """
-    if len(y) != len(z):
-        raise ValidationError("minimize_1d_l1 needs vectors of equal length")
-    weights: dict[Q, Q] = {}
-    for yi, zi in zip(y, z):
-        if zi != 0:
-            t = -yi / zi
-            weights[t] = weights.get(t, Q(0)) + abs(zi)
-    if not weights:
-        return l1_norm(y), ALL_REALS
-    breakpoints = sorted(weights)
-    total = sum(weights.values())
-    acc = Q(0)
-    for j, t in enumerate(breakpoints):
-        acc += weights[t]
-        if 2 * acc >= total:
-            if 2 * acc == total:
-                lo, hi = t, breakpoints[j + 1]
-            else:
-                lo = hi = t
-            break
-    value = sum((abs(yi + lo * zi) for yi, zi in zip(y, z)), Q(0))
-    return value, Interval(lo, hi)

@@ -29,7 +29,7 @@ from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .errors import CapacityError, DimensionError, InternalInconsistencyError, ValidationError
-from .exact import Q, Vec, first_basis
+from .exact import Vec, first_basis, scaled_ints
 from .exact import rank  # unused here; perfbench/tracer.py wraps coapprox.norming.rank
 from .lp import MAX_CELL_PAIRS, LpStatus, lp_max
 from .subspace import ComponentProfile, SubspaceBasis
@@ -155,11 +155,7 @@ def half_cells(normals: list[tuple[int, ...]], m: int) -> list[tuple[SignVec, tu
             o0 = 1 if next(filter(None, restricted[0])) > 0 else -1
             slots, lifts = {}, []  # lifts[j] = (t_j, o_j * o_0)
             for v in restricted:
-                try:
-                    g = math.gcd(*v)
-                except TypeError:  # Fraction normals, from a hand-built Arrangement
-                    g = Q(math.gcd(*[x.numerator for x in v]),
-                          math.lcm(*[x.denominator for x in v]))
+                g = math.gcd(*v)
                 g = g if next(filter(None, v)) > 0 else -g
                 t = slots.setdefault(tuple([x // g for x in v]), len(slots))
                 lifts.append((t, o0 if g > 0 else -o0))
@@ -186,14 +182,16 @@ def enumerate_cells(arr: Arrangement) -> tuple[SignCell, ...]:
     point strictly inside.  Exact, in ints, with no LP: the work grows
     with the cells found, not with 2^r.  A hand-built arrangement with no
     normals, one not of length m (DimensionError) or a zero one
-    (ValidationError) is refused first.
+    (ValidationError) is refused first; Fraction normals are scaled to
+    ints, which moves no sign, so every witness is an int point.
     """
     if not arr.normals or any(len(nu) != arr.m for nu in arr.normals):
         raise DimensionError(f"an arrangement needs one or more normals of length m = {arr.m}")
     if not all(map(any, arr.normals)):
         raise ValidationError("an arrangement's normals must be nonzero")
     check_cell_capacity(arr.r, arr.m)
-    cells = sorted(half_cells(list(arr.normals), arr.m), key=itemgetter(0), reverse=True)
+    normals = [tuple(scaled_ints(nu)[1]) for nu in arr.normals]  # ints pass through
+    cells = sorted(half_cells(normals, arr.m), key=itemgetter(0), reverse=True)
     return tuple(SignCell(signs=signs, witness=w) for signs, w in cells)
 
 

@@ -37,8 +37,8 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import CapacityError, DimensionError, InternalInconsistencyError, ValidationError
-from .exact import (Q, Vec, _gauss_jordan, l1_norm, minimize_1d_l1, primitive_ints,
-                    scaled_ints, solve_linear, vec, vec_sub)  # perfbench/tracer.py wraps solve_linear
+from .exact import (Q, Vec, _gauss_jordan, l1_norm, primitive_ints, scaled_ints, solve_linear,
+                    vec, vec_sub)  # perfbench/tracer.py wraps solve_linear
 from .lp import solve_minimax_lp
 from .norming import check_cell_capacity, half_cells
 from .subspace import SubspaceBasis
@@ -87,12 +87,20 @@ def _refute_from_bj_failure(
     basis: SubspaceBasis, b: Vec, alpha: Vec, beta: Vec
 ) -> Counterexample:
     """Turn a failed orthogonality check at beta into a definitional
-    counterexample: scale beta by the minimizing step and recenter."""
-    y = basis.combine(beta)
-    z = vec_sub(b, basis.combine(alpha))
-    _, interval = minimize_1d_l1(y, z)
-    step = interval.lo if interval.lo > 0 else interval.hi
-    beta_hat = tuple(a - bb / step for a, bb in zip(alpha, beta))
+    counterexample: scale beta by the minimizing step and recenter.  With
+    y = A.beta, z = b - A.alpha, S the signed sum of z on supp(y) and C its
+    mass off it, f(t) = ||y + t*z||_1 falls with slope C - |S| < 0 on the
+    side s = -sign(S).  f is convex, and each breakpoint -y_i/z_i there adds
+    2|z_i| to the slope: the first where it is >= 0 is f's minimizer end nearest 0."""
+    y, z = basis.combine(beta), vec_sub(b, basis.combine(alpha))
+    signed = sum((zi if yi > 0 else -zi for yi, zi in zip(y, z) if yi), Q(0))
+    slope = sum((abs(zi) for yi, zi in zip(y, z) if not yi), Q(0)) - abs(signed)
+    s = -1 if signed > 0 else 1
+    for u, w in sorted((-yi / (s * zi), abs(zi)) for yi, zi in zip(y, z) if yi * zi * s < 0):
+        slope += 2 * w
+        if slope >= 0:
+            break
+    beta_hat = tuple(a - s * bb / u for a, bb in zip(alpha, beta))
     point = basis.combine(beta_hat)
     lhs = l1_norm(vec_sub(point, basis.combine(alpha)))
     rhs = l1_norm(vec_sub(point, b))

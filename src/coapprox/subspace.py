@@ -95,7 +95,7 @@ def build_profile(basis: SubspaceBasis) -> ComponentProfile:
     Each row is keyed by its primitive int form, merged up to sign, so a
     row finds its class in one dict lookup.  The representative of each
     class is its smallest row index and has constant 1; the constant
-    stored for any member is exact.
+    stored for any member is an exact Fraction, for int or Fraction entries.
     """
     classes: dict[tuple[int, ...], tuple[int, list[tuple[int, Q]]]] = {}
     zero_set: list[int] = []
@@ -110,7 +110,7 @@ def build_profile(basis: SubspaceBasis) -> ComponentProfile:
             classes[key] = (next(j for j, x in enumerate(v) if x), [(i, Q(1))])
         else:
             j0, members = found
-            members.append((i, row[j0] / rows[members[0][0]][j0]))
+            members.append((i, Q(row[j0], rows[members[0][0]][j0])))
     return ComponentProfile(
         classes=tuple(
             ComponentClass(representative=members[0][0], members=tuple(members))

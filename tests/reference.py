@@ -2,8 +2,9 @@
 construction the class-sum rows are checked against (`system_rows`),
 conveniences on the library's objects as plain functions, basis changes
 for the invariance checks, and test helpers (`general_lp_min`, the LP
-prefix-tree cell enumerator that `enumerate_cells` replaced, and the
-dot-product kernel that `norming.half_cells` replaced)."""
+prefix-tree cell enumerator that `enumerate_cells` replaced, the
+dot-product kernel that `norming.half_cells` replaced, and the breakpoint
+test that 0 minimizes t -> ||y + t*z||_1)."""
 from __future__ import annotations
 
 import random
@@ -273,3 +274,11 @@ def dot_product_half_cells(normals: list[tuple[int, ...]], m: int) -> list[tuple
                 grown.append((signs + (-1,), tuple(map(sub, x, h))))
         cells = grown
     return cells
+
+
+def zero_minimizes_l1(y, z) -> bool:
+    """Whether 0 minimizes the convex, piecewise linear f(t) = ||y + t*z||_1:
+    iff f(0) <= f(t) at every breakpoint t = -y_i/z_i."""
+    def f(t):
+        return sum(abs(a + t * b) for a, b in zip(y, z))
+    return all(f(0) <= f(-Q(a) / b) for a, b in zip(y, z) if b)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from coapprox import cli, lp, mat, norming, oracle, solver, vec
 from coapprox.cli import main
 from coapprox.errors import CoapproxError, ValidationError
-from coapprox.exact import rank
+from coapprox.exact import l1_norm, rank, vec_sub
 from coapprox.instances import random_basis, random_vector
 from coapprox.subspace import SubspaceBasis, validate_basis
 
@@ -784,6 +784,52 @@ def test_grid_catches_a_solver_that_always_answers_not_exists(tmp_path, capsys, 
             {"exists": answered, "grid_points": 21**basis.m} for answered in truth], k
         answers += truth
     assert answers[0] and sum(answers) >= 50 and answers.count(False) >= 20, answers
+
+
+# sha256 over the `solve` reports of every problem file under a solver
+# that answers wrongly (below), pinned with the step taken from a general
+# 1-d l1 minimizer: a counterexample that moves changes it.
+REFUTED_REPORTS_SHA256 = "26866a761520045df7e049c6e8368d22b7bb8cbf65c77e6b8e2c2719c8d1483f"
+
+
+def test_a_wrong_solver_is_refuted_with_an_exact_counterexample(capsys, monkeypatch):
+    # Each unique answer's coefficients +1 and each polytope witness +3:
+    # the oracle must refute every shifted answer, and the printed beta,
+    # lhs = ||A.beta - A.alpha||_1 and rhs = ||A.beta - b||_1 must
+    # recompute exactly from the file's basis and target, with lhs > rhs.
+    real = cli.solve_general
+
+    def wrong(basis, *args, **kwargs):
+        outcome = real(basis, *args, **kwargs)
+        shift, field = {solver.OutcomeKind.UNIQUE: (1, "coefficients"),
+                        solver.OutcomeKind.POLYTOPE: (3, "witness")}.get(outcome.kind, (0, None))
+        if field is None:
+            return outcome
+        alpha = tuple(x + shift for x in getattr(outcome, field))
+        return outcome._replace(**{field: alpha}, vector=basis.combine(alpha))
+
+    monkeypatch.setattr(cli, "solve_general", wrong)
+    overall = hashlib.sha256()
+    refuted = 0
+    for path in sorted(PROBLEMS.glob("*.json")):
+        code, out, err = run_cli(capsys, "solve", "--input", str(path))
+        overall.update(f"exit={code}\n{out}{err}".encode() + b"\0")
+        if code:
+            continue
+        problem = cli.load_problem(str(path))
+        for entry, (_, b) in zip(json.loads(out)["targets"], problem.targets, strict=True):
+            if entry["outcome"] == "not-exists":
+                continue
+            assert entry["oracle"]["verdict"] == "refuted", (path.name, entry["name"])
+            example = entry["oracle"]["counterexample"]
+            alpha = vec(entry.get("coefficients") or entry["witness"])
+            point = problem.basis.combine(vec(example["beta"]))
+            lhs = l1_norm(vec_sub(point, problem.basis.combine(alpha)))
+            rhs = l1_norm(vec_sub(point, b))
+            assert (vec((example["lhs"], example["rhs"])) == (lhs, rhs)) and lhs > rhs
+            refuted += 1
+    assert refuted == 4
+    assert overall.hexdigest() == REFUTED_REPORTS_SHA256
 
 
 def test_m_9_within_the_cell_caps_is_answered_and_confirmed(tmp_path, capsys):

@@ -8,21 +8,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coapprox import (
-    ALL_REALS,
     CapacityError,
     LinearSystemResult,
     SystemStatus,
     ValidationError,
+    existence_threshold,
     format_rational,
     l1_norm,
     mat,
-    minimize_1d_l1,
     parse_rational,
+    prepare,
+    solve_empty_zero_set,
+    solve_general,
     solve_linear,
     solve_minimax_lp,
+    validate_basis,
     vec,
+    verify_best_coapprox,
 )
 from coapprox.exact import first_basis, rank, transpose
+from coapprox.oracle import certify_not_exists
 
 small_fraction = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -115,6 +120,26 @@ def test_parse_rational_agrees_with_fraction_on_a_seeded_corpus():
     assert kinds == {"value", "not a rational literal", "zero denominator", "rational literal"}
 
 
+# Each entry point on a fresh basis and prepare of pair_l17_coproximinal
+# (zero rows 4 and 7), given one inexact entry x: in A's first row, the
+# target (mass on the zero rows where the zero-set path is meant) or the
+# coefficients.
+_ROWS = ((1, 1), (1, 2), (2, 2), (0, 0), (4, 4), (-2, -4), (0, 0))
+_ENTRY_POINTS = {
+    "validate_basis": lambda x: validate_basis(((x, 1),) + _ROWS[1:]),
+    "combine": lambda x: validate_basis(_ROWS).combine((x, 1)),
+    "solve_general": lambda x: solve_general(
+        validate_basis(_ROWS), None, (x, 0, 0, 3, 0, 0, -2), prepared=prepare(validate_basis(_ROWS))),
+    "solve_empty_zero_set": lambda x: solve_empty_zero_set(
+        prepare(validate_basis(_ROWS)), (x, 0, 0, 0, 0, 0, 0)),
+    "existence_threshold": lambda x: existence_threshold(
+        validate_basis(_ROWS), None, (x, 0, 0, 3, 0, 0, -2), prepared=prepare(validate_basis(_ROWS))),
+    "verify_best_coapprox": lambda x: verify_best_coapprox(
+        validate_basis(_ROWS), (x, 0, 0, 0, 0, 0, 0), (0, 0)),
+    "certify_not_exists": lambda x: certify_not_exists(validate_basis(_ROWS), (x, 0, 0, 3, 0, 0, -2)),
+}
+
+
 class TestExactCoercion:
     @pytest.mark.parametrize("bad", [
         0.1, 2.0, float("nan"), True, False, None, 1j, Decimal("1"), [1], "0.5", "1e1", "1/0", "",
@@ -140,6 +165,14 @@ class TestExactCoercion:
         assert got == (Q(3), Q(-2), Q(1, 3), Q(1, 2), Q(-3, 7), Q(4), Q(10**30))
         assert all(type(x) is Q for x in got)
         assert mat([(1, "2/4")]) == ((Q(1), Q(1, 2)),)
+
+    @pytest.mark.parametrize("bad", [0.5, "1", None], ids=repr)
+    @pytest.mark.parametrize("entry_point", sorted(_ENTRY_POINTS))
+    def test_library_entry_points_refuse_an_inexact_entry(self, entry_point, bad):
+        # Refused where the entry is scaled to ints; a bool is exact and passes.
+        with pytest.raises(ValidationError, match="not an exact rational"):
+            _ENTRY_POINTS[entry_point](bad)
+        _ENTRY_POINTS[entry_point](True)
 
 
 class TestL1Norm:
@@ -204,41 +237,6 @@ class TestSolveLinear:
                 assert all(
                     sum(r[j] * null_vec[j] for j in range(m)) == 0 for r in rows
                 )
-
-
-class TestMinimize1dL1:
-    def test_zero_direction(self):
-        value, where = minimize_1d_l1(vec((1, -2)), vec((0, 0)))
-        assert value == 3 and where is ALL_REALS
-
-    def test_interval_two_breakpoints(self):
-        value, where = minimize_1d_l1(vec((1, -2)), vec((1, 1)))
-        assert value == 3
-        assert (where.lo, where.hi) == (Q(-1), Q(2))
-
-    def test_interval_symmetric(self):
-        value, where = minimize_1d_l1(vec((1, 1)), vec((1, -1)))
-        assert value == 2
-        assert (where.lo, where.hi) == (Q(-1), Q(1))
-
-    def test_random_global_minimum(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            n = rng.randint(1, 5)
-            y = vec([rng.randint(-5, 5) for _ in range(n)])
-            z = vec([rng.randint(-5, 5) for _ in range(n)])
-            value, where = minimize_1d_l1(y, z)
-
-            def f(t):
-                return sum(abs(yi + t * zi) for yi, zi in zip(y, z))
-
-            for _ in range(100):
-                t = Q(rng.randint(-1000, 1000), 100)
-                assert f(t) >= value
-            if where is not ALL_REALS:
-                mid = (where.lo + where.hi) / 2
-                for t in (where.lo, where.hi, mid):
-                    assert f(t) == value
 
 
 class TestMinimaxLp:

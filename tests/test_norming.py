@@ -450,7 +450,7 @@ def _drawn_normals(rng, i):
     negated half the time.  A zero normal is kept only in first place,
     where both kernels give witness 0 and sign -1 on every later plane
     (an uncut cell's sign is strict only there); a later one makes both
-    raise.  Every fifth set is divided plane by plane into Fractions."""
+    raise."""
     m = 1 + i % 4
     while True:
         r = rng.randint(3, m + 4)
@@ -466,10 +466,29 @@ def _drawn_normals(rng, i):
             normals.insert(rng.randint(1, len(normals)), w)
         elif i % 3 == 2:
             normals.insert(rng.randint(1, len(normals)), tuple(rng.choice((1, -1)) * x for x in u))
-        if i % 5 == 4:
-            dens = rng.choices(range(1, 5), k=len(normals))
-            normals = [tuple(Q(x, d) for x in nu) for nu, d in zip(normals, dens)]
         return normals, m, m == 3 and i % 3 == 1 and rank([u, v]) == 2
+
+
+def _assert_fraction_normals_give_the_int_cells(ints, dens, m):
+    """The int normals divided plane by plane into Fractions, as a
+    hand-built Arrangement: enumerate_cells gives the signs of the int
+    arrangement in the same order, each with an int point strictly
+    inside, or refuses a zero normal as it does there."""
+    def cells(normals):
+        r = len(normals)
+        return enumerate_cells(norming.Arrangement(normals, tuple(range(r)), (1,) * r, m))
+
+    fractions = tuple(tuple(Q(x, d) for x in nu) for nu, d in zip(ints, dens))
+    if not all(map(any, ints)):
+        for normals in (fractions, tuple(ints)):
+            with pytest.raises(ValidationError):
+                cells(normals)
+        return
+    got = cells(fractions)
+    assert [c.signs for c in got] == [c.signs for c in cells(tuple(ints))], (ints, dens, m)
+    for c in got:
+        assert all(type(x) is int for x in c.witness)
+        assert all(s * sum(map(mul, nu, c.witness)) > 0 for s, nu in zip(c.signs, fractions))
 
 
 def test_half_cells_match_the_dot_product_reference(monkeypatch):
@@ -483,6 +502,9 @@ def test_half_cells_match_the_dot_product_reference(monkeypatch):
     lines = zero_first = 0
     for i in range(480):
         normals, m, through_a_line = _drawn_normals(rng, i)
+        if i % 5 == 4:  # every fifth set, also in Fractions
+            dens = rng.choices(range(1, 5), k=len(normals))
+            _assert_fraction_normals_give_the_int_cells(normals, dens, m)
         _assert_same_half_cells(normals, m)
         lines += through_a_line
         zero_first += not any(normals[0])

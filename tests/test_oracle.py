@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from coapprox import (
-    ALL_REALS,
     Arrangement,
     BruteForceResult,
     CapacityError,
@@ -25,7 +24,6 @@ from coapprox import (
     brute_force_existence,
     l1_norm,
     mat,
-    minimize_1d_l1,
     prepare,
     solve_general,
     vec,
@@ -38,7 +36,7 @@ from coapprox.instances import random_basis, random_vector
 from coapprox.lp import solve_minimax_lp
 from coapprox.norming import cell_pair_bound
 from coapprox.subspace import validate_basis
-from tests.reference import column_basis, lp_prefix_tree_cells
+from tests.reference import column_basis, lp_prefix_tree_cells, zero_minimizes_l1
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -63,8 +61,7 @@ class TestBjOrthogonality:
             n = rng.randint(1, 6)
             y = vec([Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)])
             z = vec([Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)])
-            _, where = minimize_1d_l1(y, z)
-            zero_is_minimizer = where is ALL_REALS or Q(0) in where
+            zero_is_minimizer = zero_minimizes_l1(y, z)
             assert bj_orthogonal_l1(y, z) == zero_is_minimizer
 
     def test_matches_one_dimensional_minimization_on_int_sign_vectors(self):
@@ -76,8 +73,7 @@ class TestBjOrthogonality:
             n = rng.randint(1, 7)
             y = tuple(rng.choice((-1, 0, 0, 1)) for _ in range(n))
             z = tuple(rng.randint(-9, 9) for _ in range(n))
-            _, where = minimize_1d_l1(vec(y), vec(z))
-            zero_is_minimizer = where is ALL_REALS or Q(0) in where
+            zero_is_minimizer = zero_minimizes_l1(y, z)
             assert bj_orthogonal_l1(y, z) == zero_is_minimizer
             orthogonal += zero_is_minimizer
         assert 100 <= orthogonal <= 400
@@ -950,6 +946,17 @@ def test_counterexample_invariant_under_rescaled_beta():
             assert oracle._refute_from_bj_failure(basis, b, alpha, scaled) == expected, case
         checked += 1
     assert checked >= 200
+
+
+@pytest.mark.parametrize("b, step", [((0, 0), 1), ((2, 2), -1)])
+def test_refutation_steps_to_the_minimizer_end_nearest_0(b, step):
+    # y = (1, 3) and z = b - alpha = -+(1, 1): t -> ||y + t*z||_1 is least
+    # on [1, 3] or [-3, -1], where the walk reaches slope 0 at the first
+    # breakpoint; the step is that end, not the far one.
+    basis, alpha, beta = validate_basis(((1, 0), (0, 1))), vec((1, 1)), vec((1, 3))
+    example = oracle._refute_from_bj_failure(basis, vec(b), alpha, beta)
+    assert example.beta == tuple(a - x / step for a, x in zip(alpha, beta))
+    assert example.lhs > example.rhs
 
 
 def test_oracle_builds_probes_without_a_fraction_solve(monkeypatch):

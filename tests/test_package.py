@@ -114,12 +114,8 @@ def test_traced_cli_runs_bind_every_lp_call(capsys, tmp_path):
 # with the reason it stays in the package.
 UNREACHED = {
     "coapprox.oracle._refute_from_bj_failure": "refutation path: only a wrong answer reaches it",
-    "coapprox.exact.minimize_1d_l1": "refutation path",
     "coapprox.exact.l1_norm": "refutation path",
     "coapprox.exact.vec_sub": "refutation path",
-    "coapprox.exact.Interval.__contains__": "refutation path: minimize_1d_l1's minimizer set",
-    "coapprox.exact._AllReals.__contains__": "refutation path: minimize_1d_l1's minimizer set",
-    "coapprox.exact._AllReals.__repr__": "refutation path: minimize_1d_l1's minimizer set",
     "coapprox.instances.random_basis": "perfbench draws its criterion-5 corpus with it",
     "coapprox.instances.random_vector": "perfbench draws its criterion-5 corpus with it",
 }

@@ -71,6 +71,19 @@ class TestBuildProfile:
         assert profile.d == 1
         assert partition(profile) == frozenset({frozenset({0, 2})})
 
+    @pytest.mark.parametrize("rows", [
+        ((1,), (3,), (10**17 + 1,), (0,)),
+        ((Q(1, 2),), (Q(3, 2),), (Q(10**17 + 1, 2),), (Q(0),)),
+    ], ids=["ints", "fractions"])
+    def test_constants_are_exact_fractions(self, rows):
+        # Int entries divide exactly too; true division would give the
+        # 10**17 + 1 row the float 1e+17.
+        profile = build_profile(validate_basis(rows))
+        (cls,) = profile.classes
+        assert cls.members == ((0, 1), (1, 3), (2, 10**17 + 1))
+        assert all(type(c) is Q for _, c in cls.members)
+        assert profile.zero_set == (3,)
+
 
 class TestReduceSigma:
     def test_drops_zero_rows(self, pair_l17_coproximinal):
