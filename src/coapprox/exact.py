@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, DimensionError, ValidationError
 
 Q = Fraction
 Vec = tuple[Q, ...]
@@ -206,10 +206,11 @@ def solve_linear(rows: Mat, rhs: Vec) -> LinearSystemResult:
     """
     if not rows or not rows[0]:
         raise ValidationError("empty linear system")
-    nrows = len(rows)
-    ncols = len(rows[0])
+    nrows, ncols = len(rows), len(rows[0])
     if len(rhs) != nrows:
         raise ValidationError("right-hand side length does not match row count")
+    if any(len(r) != ncols for r in rows):
+        raise DimensionError("ragged linear system: rows of different lengths")
     aug = [primitive_ints((*r, b)) for r, b in zip(rows, rhs)]
     pivot_cols = _gauss_jordan(aug, ncols)
     if any(aug[i][ncols] != 0 for i in range(len(pivot_cols), nrows)):

@@ -4,9 +4,9 @@ Variables are free rationals, split into positive parts u - v; every
 constraint is `a . x <= b` with `b >= 0`, so the origin is feasible and
 the slacks are a starting basis: there is no phase 1, and a negative rhs
 or a row or later cost not of len(cost) is refused before any pivot.
-Each caller poses its LP at a feasible point it knows (the minimax LP
-at alpha = 0 with t = max|rhs|, a lex LP at the minimax optimizer, a
-margin LP at the origin).
+Each caller poses its LP at a feasible point it knows (the minimax LP,
+and each lex search on it, at x = 0 with t = max|rhs|, a margin LP at
+the origin).
 
 The tableau is fraction-free, ints over one common denominator
 (int rows as given, others each times its lcm), and condensed: a basic
@@ -26,7 +26,7 @@ termination.  The first objective row is the cost itself, as the
 starting basis is all slacks, of cost 0; the row duals are the slacks'
 final objective entries.  `lp_min` also minimizes a sequence of costs
 lexicographically, face by face, in one tableau (Isermann 1982), and
-`solve_minimax_lp` poses the exact l-infinity fit of a system on it.
+`minimax_rows` poses the exact l-infinity fit of a system on it.
 """
 from __future__ import annotations
 
@@ -151,34 +151,38 @@ def lp_max(cost, a_ub, b_ub) -> LpResult:
     return LpResult(LpStatus.OPTIMAL, res.x, -res.value)
 
 
-def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, multipliers: bool = False) -> tuple:
-    """min over x of max_p |rhs_p - rows_p . x|, exactly.
-
-    Returns (t_star, x_star) with x_star attaining t_star.  The problem
-    is always feasible and bounded below by 0.  Guarded at
-    MAX_CELL_PAIRS rows: every caller passes one row per cell pair.
-
-    With `multipliers`, also the ints lam_p = q_p - p_p, the duals of the
-    rows +-(rows_p . x - rhs_p) <= t times one d > 0: sum lam_p rows_p = 0
-    and -sum lam_p rhs_p = d t_star >= t_star sum |lam_p|.
+def minimax_rows(rows: tuple[Vec, ...], rhs: Vec) -> tuple:
+    """(cost, a_ub, b_ub, top): min over x of max_p |rhs_p - rows_p . x| as
+    an lp_min LP in (x, t'), t = top + t', top = max|rhs|: minimize t'
+    subject to +-(rows.x - rhs) <= top + t'.  Every rhs top +- b is >= 0,
+    so x = 0, t' = 0 is the feasible start.  Guarded at MAX_CELL_PAIRS
+    rows: every caller passes one row per cell pair.
     """
     nrows = len(rows)
     if nrows == 0 or not rows[0]:
         raise ValidationError("minimax needs at least one row and one column")
     if nrows > MAX_CELL_PAIRS:
         raise CapacityError(f"minimax kernel capped at {MAX_CELL_PAIRS} rows, got {nrows}")
-    m = len(rows[0])
     if len(rhs) != nrows:
         raise ValidationError("minimax rhs length does not match row count")
-    # Variables (x, t') with t = top + t', top = max|rhs|; minimize t'
-    # subject to +-(rows.x - rhs) <= top + t'.  Every rhs top +- b is >= 0,
-    # so x = 0, t' = 0 is the feasible start.  The program's rows come as
-    # ints; lp_min scales a library caller's rational row by its own lcm.
     top = max(map(abs, rhs))
-    a_ub = [r for row in rows for r in ((*row, -1), (*map(neg, row), -1))]
-    b_ub = [r for b in rhs for r in (top + b, top - b)]
-    res = lp_min((0,) * m + (1,), a_ub, b_ub)
+    return ((0,) * len(rows[0]) + (1,),
+            [r for row in rows for r in ((*row, -1), (*map(neg, row), -1))],
+            [r for b in rhs for r in (top + b, top - b)], top)
+
+
+def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, multipliers: bool = False) -> tuple:
+    """min over x of max_p |rhs_p - rows_p . x|, exactly: (t_star, x_star)
+    with x_star attaining t_star.  The program's rows come as ints;
+    lp_min scales a library caller's rational row by its own lcm.
+
+    With `multipliers`, also the ints lam_p = q_p - p_p, the duals of the
+    rows +-(rows_p . x - rhs_p) <= t times one d > 0: sum lam_p rows_p = 0
+    and -sum lam_p rhs_p = d t_star >= t_star sum |lam_p|.
+    """
+    cost, a_ub, b_ub, top = minimax_rows(rows, rhs)
+    res = lp_min(cost, a_ub, b_ub)
     if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
         raise ValidationError(f"minimax LP unexpectedly {res.status.value}")
-    y, opt = res.duals, (top + res.value, res.x[:m])
+    y, opt = res.duals, (top + res.value, res.x[:-1])
     return (*opt, tuple(map(sub, y[::2], y[1::2]))) if multipliers else opt

@@ -24,9 +24,9 @@ below it the set is empty; above it the set holds a ball around the
 minimax optimizer, so it is a full-dimensional polytope; at it the set
 is the optimal face, a point or a polytope.  Lexicographically extreme
 points (in subspace-vector order) tell these apart and pick a witness
-independent of the particular basis supplied; each search starts at
-the minimax optimizer, which is feasible, as the one-phase LP kernel
-needs; none runs where the minimax LP proves the face one point.
+independent of the particular basis supplied; each search is the
+minimax LP, then m `then` costs over its optimal face, in one tableau;
+none runs where the minimax LP proves the face one point.
 delta0, its optimizer and the optimal face depend only on sigma(b), so
 all targets on one fiber (same entries off Z, any mass on Z) share one
 Fiber: its minimax solve, lex searches, witness vector and threshold.
@@ -53,7 +53,7 @@ from .exact import (
     scaled_ints,
     solve_linear,
 )
-from .lp import LpStatus, lp_min, solve_minimax_lp
+from .lp import LpStatus, lp_min, minimax_rows, solve_minimax_lp
 from .norming import (
     Arrangement,
     NormingSet,
@@ -196,10 +196,10 @@ class PreparedBasis:
         on a face certified one point, by t = 0 (rows has rank m) or m + 1
         nonzero multipliers (at t > 0 each is a nonbasic slack's positive
         reduced cost, so every free variable is basic: a unique optimum,
-        Mangasarian 1979), else searched on its first call.  Both LPs are
-        in ints, on rows and sums times positive scalars, which no pivot
-        sees: the minimax LP |sums - rows.x| <= t in x = (bden/den) alpha,
-        and the lex_lp of both searches |bden rows.alpha - den sums| <= den t."""
+        Mangasarian 1979), else searched on its first call.  Every LP is
+        the minimax LP |sums - rows.x| <= t in ints, x = (bden/den) alpha,
+        a positive rescaling that moves no pivot; a search then takes m
+        `then` costs over its optimal face."""
         key, slot = self.reduced.sigma(b), self._fiber
         if slot is not None and slot.key == key:
             return slot
@@ -207,12 +207,11 @@ class PreparedBasis:
         bden, ints, sums = self._class_sums(b)
         sums = [sum(map(mul, cell.signs, sums)) for cell in self.cells]
         t, x, lam = solve_minimax_lp(rows, sums, multipliers=True)
-        basis, alpha = self.basis, tuple(Q(den * v.numerator, bden * v.denominator) for v in x)
+        to_alpha = lambda x: tuple(Q(den * v.numerator, bden * v.denominator) for v in x)
+        basis, alpha = self.basis, to_alpha(x)
         lex = lambda d: alpha
-        if t and sum(map(bool, lam)) <= basis.m:  # uncertified: lex state on first call
-            tight = cache(lambda: lex_lp(PolytopeConstraints(
-                [[bden * v for v in r] for r in rows], [den * s for s in sums], den * t), alpha))
-            lex = cache(lambda d: lex_extreme_alpha(basis, tight(), d))
+        if t and sum(map(bool, lam)) <= basis.m:  # uncertified: searched on first call
+            lex = cache(lambda d: to_alpha(lex_extreme_alpha(basis, rows, sums, d)))
         # A new fiber replaces the slot in one assignment.
         self._fiber = Fiber(key, Q(t.numerator, t.denominator * bden), alpha,
                             Q(sum(abs(ints[i]) for i in self.reduced.kept_indices), bden),
@@ -285,47 +284,25 @@ def solve_empty_zero_set(pb: PreparedBasis, b: Vec) -> CoapproxOutcome:
     return CoapproxOutcome(OutcomeKind.UNIQUE, res.solution, pb.basis.combine(res.solution))
 
 
-def lex_lp(constraints: PolytopeConstraints, start: Vec) -> tuple:
-    """(a_ub, b_ub, x0, den): a lex search's LP over `constraints`, in ints,
-    in y = den * (alpha - start) = alpha * den - x0 for a feasible `start`,
-    den a common denominator of start, rhs and slack, so every rhs is >= 0,
-    as lp_min requires, and the simplex starts at y = 0; the rows are
-    scaled to ints by the lcm of their denominators (1 for int rows).
+def lex_extreme_alpha(basis: SubspaceBasis, rows: Mat, rhs: Vec, direction: int) -> Vec:
+    """The lexicographically extreme point of the minimax LP's optimal face
+    {x : |rows.x - rhs| <= t*}: one LP, the minimax LP (minimax_rows), then
+    direction * (row i of A) . x as `then` costs for the m independent rows
+    `basis.lex_costs` in order, each over the optimal face of those before
+    it, so the last face is one point.  The order is thus taken on the
+    subspace element A.x (direction +1 minimizes, -1 maximizes), a property
+    of the subspace and target alone.  A skipped row is in the span of
+    earlier kept ones, so it is constant on their face: its stage could
+    neither enter a column nor move the point.
     """
-    k = len(constraints.rhs)
-    rden, flat = scaled_ints([x for row in constraints.rows for x in row])
-    den, ints = scaled_ints([constraints.slack, *constraints.rhs, *start])
-    s0, x0 = rden * ints[0], ints[k + 1:]
-    a_ub, b_ub = [], []
-    for row, rv in zip(zip(*[iter(flat)] * len(x0)), ints[1:k + 1]):  # flat, regrouped in rows
-        gap = rden * rv - sum(map(mul, row, x0))
-        a_ub += [row, [-x for x in row]]
-        b_ub += [s0 + gap, s0 - gap]
-    if any(v < 0 for v in b_ub):
-        raise InternalInconsistencyError("lex search start is not feasible")
-    return tuple(a_ub), tuple(b_ub), x0, den
-
-
-def lex_extreme_alpha(basis: SubspaceBasis, tight: tuple, direction: int) -> Vec:
-    """Coefficients of the lexicographically extreme point of a lex_lp.
-
-    Lexicographic order is taken on the subspace element A.alpha
-    coordinate by coordinate (direction +1 minimizes, -1 maximizes), so
-    the resulting point is a property of the subspace and target alone.
-    One LP minimizes direction * (row i of A) . alpha, as coprime ints,
-    for the m independent rows `basis.lex_costs` in order, each over the
-    optimal face of those before it, so the last face is one point.  A
-    skipped row is in the span of earlier kept ones, so it is constant on
-    their face: its stage could neither enter a column nor move the point.
-    """
-    a_ub, b_ub, x0, den = tight
-    costs = [tuple(direction * x for x in c) for c in basis.lex_costs]
+    cost, a_ub, b_ub, _ = minimax_rows(rows, rhs)
+    then = [(*(direction * x for x in c), 0) for c in basis.lex_costs]  # 0 for t'
     # `then` goes positionally: perfbench/tracer.py sizes this call by
     # binding its arguments to lp_min's old (cost, a_ub, b_ub, a_eq, b_eq).
-    res = lp_min(costs[0], a_ub, b_ub, costs[1:])
+    res = lp_min(cost, a_ub, b_ub, then)
     if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
         raise InternalInconsistencyError("lex support LP must be solvable")
-    return tuple((a + y) / den for a, y in zip(x0, res.x))
+    return res.x[:-1]
 
 
 def solve_general(

@@ -74,11 +74,12 @@ class ComponentProfile(NamedTuple("ComponentProfile", [
 
 
 def validate_basis(matrix: Mat) -> SubspaceBasis:
-    """Check shape and full column rank; return the usable basis."""
+    """Check shape and full column rank; return the basis, its rows as
+    tuples: hashable, and apart from the caller's lists."""
     if not matrix or not matrix[0]:
         raise DimensionError("basis matrix must have at least one row and one column")
-    n = len(matrix)
-    m = len(matrix[0])
+    matrix = tuple(map(tuple, matrix))
+    n, m = len(matrix), len(matrix[0])
     if any(len(row) != m for row in matrix):
         raise DimensionError("ragged basis matrix")
     if m > n:

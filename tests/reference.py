@@ -1,8 +1,9 @@
 """What the tests share and no program path runs: the paper's literal
 construction the class-sum rows are checked against (`system_rows`),
 conveniences on the library's objects as plain functions, basis changes
-for the invariance checks, and test helpers (`general_lp_min`, the LP
-prefix-tree cell enumerator that `enumerate_cells` replaced, the
+for the invariance checks, and test helpers (`general_lp_min`, the
+rank-loop lex search `reference_lex_extreme_alpha`, the LP prefix-tree
+cell enumerator that `enumerate_cells` replaced, the
 dot-product kernel that `norming.half_cells` replaced, and the breakpoint
 test that 0 minimizes t -> ||y + t*z||_1)."""
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction as Q
 from operator import add, mul, sub
 
 from coapprox import DimensionError, lp, mat, validate_basis
-from coapprox.exact import Mat, Vec, primitive_ints, rank
+from coapprox.exact import Mat, SystemStatus, Vec, primitive_ints, rank, solve_linear
 from coapprox.lp import LpResult, LpStatus, lp_min
 from coapprox.norming import SignVec
 from coapprox.solver import PolytopeConstraints, PreparedBasis, Projection
@@ -164,6 +165,34 @@ def general_lp_min(cost, a_ub, b_ub, then=()):
         return res
     x = tuple(a + y for a, y in zip(x0, res.x))
     return LpResult(LpStatus.OPTIMAL, x, dot(cost, x))
+
+
+def reference_lex_extreme_alpha(basis, constraints, direction):
+    """The lexicographically extreme point of `constraints` (at any slack)
+    in A.alpha order, as the lex search found it before pinned rows came
+    from one elimination: a rank test per row of A, an LP per kept row
+    with the rows before it pinned, then a closing solve on those rows."""
+    a_ub, b_ub = [], []
+    for row, rv in zip(constraints.rows, constraints.rhs):
+        a_ub += [row, tuple(-x for x in row)]
+        b_ub += [rv + constraints.slack, constraints.slack - rv]
+    pinned, values = [], []
+    for arow in basis.matrix:
+        if not any(arow) or rank(pinned + [arow]) == len(pinned):
+            continue
+        cost = tuple(Q(direction) * x for x in arow)
+        # Each pinned row r . alpha == v as the pair r . alpha <= v, -r . alpha <= -v.
+        pin_a = [tuple(s * x for x in r) for r in pinned for s in (1, -1)]
+        pin_b = [s * v for v in values for s in (1, -1)]
+        res = general_lp_min(cost, tuple(a_ub + pin_a), tuple(b_ub + pin_b))
+        assert res.status is LpStatus.OPTIMAL
+        pinned.append(arow)
+        values.append(sum((ar * x for ar, x in zip(arow, res.x)), Q(0)))
+        if len(pinned) == basis.m:
+            break
+    res = solve_linear(tuple(pinned), tuple(values))
+    assert res.status is SystemStatus.UNIQUE
+    return res.solution
 
 
 # Zero-set instances (basis rows, target) whose optimal face at slack =

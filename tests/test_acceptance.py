@@ -22,13 +22,13 @@ from coapprox import (
     verify_best_coapprox,
 )
 from coapprox.instances import random_basis, random_vector
-from coapprox.solver import lex_extreme_alpha, lex_lp
 from tests.reference import (
     column_basis,
     pairs,
     partition,
     random_invertible,
     recombine,
+    reference_lex_extreme_alpha,
     system_rhs,
     system_rows,
 )
@@ -242,7 +242,7 @@ def test_criterion_8_zero_set_multiplicity():
         out = solve_general(basis, pb.profile, b, prepared=pb)
         ok = out.kind is OutcomeKind.POLYTOPE
         if ok:
-            second = lex_extreme_alpha(basis, lex_lp(out.constraints, out.witness), -1)
+            second = reference_lex_extreme_alpha(basis, out.constraints, -1)
             ok = second != out.witness
             for alpha in (out.witness, second):
                 verdict = verify_best_coapprox(basis, b, alpha)

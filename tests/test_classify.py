@@ -12,8 +12,12 @@ from coapprox import (
     verify_best_coapprox,
 )
 from coapprox.instances import random_basis, random_vector
-from coapprox.solver import lex_extreme_alpha, lex_lp
-from tests.reference import column_basis, random_invertible, recombine
+from tests.reference import (
+    column_basis,
+    random_invertible,
+    recombine,
+    reference_lex_extreme_alpha,
+)
 
 
 def test_worked_fixture_not_coproximinal(span3_l16):
@@ -128,7 +132,7 @@ def test_zero_set_coproximinal_has_multiple_solutions():
         b[pb.profile.zero_set[0]] = Q(rng.randint(1, 5))
         out = solve_general(basis, pb.profile, tuple(b), prepared=pb)
         assert out.kind is OutcomeKind.POLYTOPE
-        other = lex_extreme_alpha(basis, lex_lp(out.constraints, out.witness), -1)
+        other = reference_lex_extreme_alpha(basis, out.constraints, -1)
         assert other != out.witness
         for alpha in (out.witness, other):
             verdict = verify_best_coapprox(basis, tuple(b), alpha)

@@ -1104,7 +1104,7 @@ def test_threshold_script_runs_one_minimax_lp_per_target(monkeypatch):
                         lambda *args, **kw: calls.append(args) or lp(*args, **kw))
     lex = solver.lex_extreme_alpha
     monkeypatch.setattr(solver, "lex_extreme_alpha",
-                        lambda *args: searches.append(args[2]) or lex(*args))
+                        lambda *args: searches.append(args[3]) or lex(*args))
     combine = SubspaceBasis.combine
     monkeypatch.setattr(SubspaceBasis, "combine",
                         lambda self, coeffs: combines.append(coeffs) or combine(self, coeffs))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coapprox import (
     CapacityError,
+    DimensionError,
     LinearSystemResult,
     SystemStatus,
     ValidationError,
@@ -218,6 +219,13 @@ class TestSolveLinear:
         assert sum(res.solution) == 3
         (null_vec,) = res.nullspace_basis
         assert sum(null_vec) == 0 and null_vec != (0, 0)
+
+    @pytest.mark.parametrize("rows", [((1, 2), (1,)), ((1, 2), (1, 0, 5))])
+    def test_ragged_rows_are_refused(self, rows):
+        # Unchecked, a short row is indexed past its end, and elimination
+        # cuts a long one to the first row's length: a wrong UNIQUE.
+        with pytest.raises(DimensionError, match="ragged"):
+            solve_linear(rows, (1, 2))
 
     def test_random_solutions_substitute_exactly(self):
         rng = random.Random(7)

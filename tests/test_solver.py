@@ -1,4 +1,3 @@
-import math
 import random
 from collections import Counter
 from fractions import Fraction as Q
@@ -10,7 +9,6 @@ from coapprox import (
     CapacityError,
     DimensionError,
     EmptyZeroSetError,
-    InternalInconsistencyError,
     NoCoapproximationError,
     OutcomeKind,
     SystemStatus,
@@ -29,19 +27,19 @@ from coapprox import (
 from coapprox import lp, norming, solver
 from coapprox.exact import first_basis, rank, scaled_ints, vec_sub
 from coapprox.instances import random_basis, random_vector
-from coapprox.lp import LpStatus, lp_max, lp_min, solve_minimax_lp
-from coapprox.solver import PolytopeConstraints, lex_extreme_alpha, lex_lp
+from coapprox.lp import lp_max, lp_min, solve_minimax_lp
+from coapprox.solver import PolytopeConstraints, lex_extreme_alpha
 from tests.reference import (
     FACE_POLYTOPES,
     apply_projection,
     column_basis,
     columns,
     feasibility_rhs,
-    general_lp_min,
     input_vector,
     norming_dot,
     random_invertible,
     recombine,
+    reference_lex_extreme_alpha,
     satisfied_by,
     system_rhs,
     system_rows,
@@ -564,41 +562,15 @@ class TestProjection:
 
 def test_lex_extreme_points_bound_the_polytope():
     basis = column_basis((1, 0))
-    out = solve_general(basis, None, vec((3, 1)))
-    lo = lex_extreme_alpha(basis, lex_lp(out.constraints, out.witness), +1)
-    hi = lex_extreme_alpha(basis, lex_lp(out.constraints, out.witness), -1)
-    assert (lo, hi) == ((Q(2),), (Q(4),))
+    out = solve_general(basis, None, vec((3, 1)))  # delta0 = 0 < slack 1
+    lo = reference_lex_extreme_alpha(basis, out.constraints, +1)
+    hi = reference_lex_extreme_alpha(basis, out.constraints, -1)
+    assert (out.witness, lo, hi) == ((Q(3),), (Q(2),), (Q(4),))
 
 
 def test_membership_solver_consistency(span3_l16):
     res = solve_linear(span3_l16.matrix, B2)
     assert res.status is SystemStatus.NO_SOLUTION
-
-
-def _reference_lex_extreme_alpha(basis, constraints, direction):
-    """The lex search before pinned rows came from one elimination: a
-    rank test per row of A, then a closing solve on the pinned rows."""
-    a_ub, b_ub = [], []
-    for row, rv in zip(constraints.rows, constraints.rhs):
-        a_ub += [row, tuple(-x for x in row)]
-        b_ub += [rv + constraints.slack, constraints.slack - rv]
-    pinned, values = [], []
-    for arow in basis.matrix:
-        if not any(arow) or rank(pinned + [arow]) == len(pinned):
-            continue
-        cost = tuple(Q(direction) * x for x in arow)
-        # Each pinned row r . alpha == v as the pair r . alpha <= v, -r . alpha <= -v.
-        pin_a = [tuple(s * x for x in r) for r in pinned for s in (1, -1)]
-        pin_b = [s * v for v in values for s in (1, -1)]
-        res = general_lp_min(cost, tuple(a_ub + pin_a), tuple(b_ub + pin_b))
-        assert res.status is LpStatus.OPTIMAL
-        pinned.append(arow)
-        values.append(sum((ar * x for ar, x in zip(arow, res.x)), Q(0)))
-        if len(pinned) == basis.m:
-            break
-    res = solve_linear(tuple(pinned), tuple(values))
-    assert res.status is SystemStatus.UNIQUE
-    return res.solution
 
 
 def _reference_solve(pb, b):
@@ -617,12 +589,12 @@ def _reference_solve(pb, b):
     if t_star > slack:
         return ("not-exists", None, None, None, None)
     constraints = PolytopeConstraints(rows=rows, rhs=rhs, slack=slack)
-    lo = _reference_lex_extreme_alpha(basis, constraints, +1)
-    hi = _reference_lex_extreme_alpha(basis, constraints, -1)
+    lo = reference_lex_extreme_alpha(basis, constraints, +1)
+    hi = reference_lex_extreme_alpha(basis, constraints, -1)
     if lo == hi:
         return ("unique", lo, None, basis.combine(lo), None)
     tight = PolytopeConstraints(rows=rows, rhs=rhs, slack=t_star)
-    witness = _reference_lex_extreme_alpha(basis, tight, +1)
+    witness = reference_lex_extreme_alpha(basis, tight, +1)
     return ("polytope", None, witness, basis.combine(witness), (rows, rhs, slack))
 
 
@@ -752,36 +724,45 @@ def test_zero_set_solve_matches_three_lex_reference(monkeypatch):
 
 @pytest.mark.parametrize("direction", [+1, -1])
 def test_lex_extreme_alpha_matches_rank_loop_reference(direction):
+    # At slack = delta0 the polytope is the minimax LP's optimal face: the
+    # search on the Fraction rows and the fiber's lex, on its int rows in
+    # x = (bden/den) alpha, both reach the reference's point, whether or
+    # not the fiber skips its search; FACE_POLYTOPES, as given (the first
+    # is the segment-face problem) and in copies, are faces that are not
+    # one point, where the fiber searches.
     rng = random.Random(731 + direction)
-    checked = 0
-    for basis, b in _zero_set_instances(rng, 60):
+    checked = uncertified = 0
+    faces = [(validate_basis(mat(rows)), b) for rows, b in FACE_POLYTOPES]
+    for basis, b in _zero_set_instances(rng, 60) + faces:
         pb = prepare(basis)
         rhs = feasibility_rhs(pb, b)
-        t_star, alpha_star = solve_minimax_lp(pb.feasibility_rows, rhs)
-        for slack in (t_star, t_star + Q(rng.randint(1, 4), 3)):
-            constraints = PolytopeConstraints(pb.feasibility_rows, rhs, slack)
-            got = lex_extreme_alpha(basis, lex_lp(constraints, alpha_star), direction)
-            assert got == _reference_lex_extreme_alpha(basis, constraints, direction)
-            assert satisfied_by(constraints, got)
-            checked += 1
-    assert checked >= 130
+        t_star, _ = solve_minimax_lp(pb.feasibility_rows, rhs)
+        constraints = PolytopeConstraints(pb.feasibility_rows, rhs, t_star)
+        want = reference_lex_extreme_alpha(basis, constraints, direction)
+        assert lex_extreme_alpha(basis, pb.feasibility_rows, rhs, direction) == want
+        assert pb.fiber(b).lex(direction) == want
+        assert satisfied_by(constraints, want)
+        checked += 1
+        uncertified += not _certifies_one_point(pb, b)
+    assert checked == 70 and uncertified >= 10
 
 
 def _search_fiber(pb, b):
-    """Both lex searches of b's fiber, run directly from its minimax
-    optimizer, whether or not the solver would skip them."""
-    rhs = feasibility_rhs(pb, b)
-    t_star, alpha = solve_minimax_lp(pb.feasibility_rows, rhs)
-    tight = lex_lp(PolytopeConstraints(pb.feasibility_rows, rhs, t_star), alpha)
-    return [lex_extreme_alpha(pb.basis, tight, direction) for direction in (+1, -1)]
+    """Both lex searches of b's fiber as alpha, run directly on int rows
+    and sums, as the fiber poses them, whether or not the solver would
+    skip them: x = (sden/den) alpha for rows / den and sums / sden."""
+    den, rows = pb.feasibility_ints
+    sden, sums = scaled_ints(feasibility_rhs(pb, b))
+    return [tuple(den * v / sden for v in lex_extreme_alpha(pb.basis, rows, sums, direction))
+            for direction in (+1, -1)]
 
 
 def test_lex_lps_start_feasible_with_no_phase_1(monkeypatch):
-    # lp_min has no phase 1 and refuses a negative rhs; started at the
-    # minimax optimizer, no lex LP has one.  Each target gets a fresh
-    # prepare, so every lex search it needs runs, and each fiber's two
-    # searches also run directly, as most fibers certify a point and skip
-    # them.
+    # lp_min has no phase 1 and refuses a negative rhs; posed as the
+    # minimax LP, at x = 0 and t = max|rhs|, no lex LP has one.  Each
+    # target gets a fresh prepare, so every lex search it needs runs, and
+    # each fiber's two searches also run directly, as most fibers certify
+    # a point and skip them.
     rhs_seen = []
 
     def recorded(cost, a_ub, b_ub, then=()):
@@ -800,10 +781,10 @@ def test_lex_lps_start_feasible_with_no_phase_1(monkeypatch):
 
 
 def test_lex_and_margin_lps_reach_the_kernel_in_ints(monkeypatch):
-    # The lex LPs (on the int rows of each fiber's lex_lp) and the margin
-    # LPs (from the int normals) are built in ints: every entry of every
-    # cost, row, rhs and `then` cost that lp_min and lp_max receive is an
-    # int.  Each target gets a fresh prepare, so every lex search it needs
+    # The lex LPs (each fiber's minimax LP on its int rows and sums, then
+    # its `then` costs) and the margin LPs (from the int normals) are
+    # built in ints: every entry of every cost, row, rhs and `then` cost
+    # that lp_min and lp_max receive is an int.  Each target gets a fresh prepare, so every lex search it needs
     # runs, and each fiber's two searches also run directly.
     seen = []
 
@@ -911,9 +892,8 @@ def test_int_minimax_and_lex_searches_match_the_fraction_construction():
             t_star, alpha = solve_minimax_lp(rows, rhs)
             fiber = pb.fiber(b)
             assert (fiber.rhs, fiber.delta0, fiber.alpha) == (rhs, t_star, alpha)
-            tight = PolytopeConstraints(rows, rhs, t_star)
-            witness = lex_extreme_alpha(basis, lex_lp(tight, alpha), +1)
-            point = witness == lex_extreme_alpha(basis, lex_lp(tight, alpha), -1)
+            witness = lex_extreme_alpha(basis, rows, rhs, +1)
+            point = witness == lex_extreme_alpha(basis, rows, rhs, -1)
             for slack in (t_star, t_star + Q(rng.randint(1, 4), 11)):
                 if not slack:
                     continue
@@ -924,65 +904,6 @@ def test_int_minimax_and_lex_searches_match_the_fraction_construction():
     assert len(bases) == 61 and seen[OutcomeKind.POLYTOPE, False, True] == 1, seen
     assert seen[OutcomeKind.UNIQUE, True, False] >= 100, seen
     assert seen[OutcomeKind.POLYTOPE, False, False] >= 150, seen
-
-
-@pytest.mark.parametrize("direction", [+1, -1])
-def test_lex_extreme_alpha_over_coprime_denominators(direction):
-    # start, rhs and slack with pairwise coprime denominators 7, 3 and 5,
-    # on rows with denominator 2: the LP in y = den * (alpha - start)
-    # clears them all and returns the reference point.
-    rng = random.Random(7350 + direction)
-    checked = 0
-    while checked < 30:
-        m = rng.randint(1, 3)
-        basis = random_basis(rng, m + 2, m, lo=-3, hi=3)
-        rows = tuple(tuple(Q(rng.randint(-5, 5), 2) for _ in range(m)) for _ in range(m + 2))
-        if rank(rows) < m:
-            continue
-        start = tuple(Q(7 * rng.randint(-3, 3) + rng.randint(1, 6), 7) for _ in range(m))
-        at_start = [sum((r * a for r, a in zip(row, start)), Q(0)) for row in rows]
-        rhs = tuple(Q(3 * (math.floor(v) + rng.randint(-1, 1)) + rng.randint(1, 2), 3)
-                    for v in at_start)
-        gap = max(abs(rv - v) for rv, v in zip(rhs, at_start))
-        slack = Q(5 * math.ceil(gap) + rng.randint(1, 4), 5)
-        assert {a.denominator for a in start} == {7} and {v.denominator for v in rhs} == {3}
-        assert slack.denominator == 5
-        constraints = PolytopeConstraints(rows, rhs, slack)
-        got = lex_extreme_alpha(basis, lex_lp(constraints, start), direction)
-        assert got == _reference_lex_extreme_alpha(basis, constraints, direction)
-        assert satisfied_by(constraints, got)
-        checked += 1
-
-
-@pytest.mark.parametrize("direction", [+1, -1])
-def test_lex_extreme_alpha_is_independent_of_its_start(direction):
-    # The rows of A span R^m, so the lex-extreme point is unique: the
-    # minimax optimizer, the point itself and their midpoint all reach it.
-    rng = random.Random(5150 + direction)
-    checked = 0
-    for basis, b in _zero_set_instances(rng, 60):
-        pb = prepare(basis)
-        rhs = feasibility_rhs(pb, b)
-        t_star, alpha_star = solve_minimax_lp(pb.feasibility_rows, rhs)
-        for slack in (t_star, t_star + Q(rng.randint(1, 4), 3)):
-            constraints = PolytopeConstraints(pb.feasibility_rows, rhs, slack)
-            ref = _reference_lex_extreme_alpha(basis, constraints, direction)
-            mid = tuple((a + r) / 2 for a, r in zip(alpha_star, ref))
-            for start in (alpha_star, ref, mid):
-                assert lex_extreme_alpha(basis, lex_lp(constraints, start), direction) == ref
-            checked += 1
-    assert checked >= 130
-
-
-def test_lex_extreme_alpha_refuses_an_infeasible_start(monkeypatch):
-    basis = column_basis((1, 0))
-    out = solve_general(basis, None, vec((3, 1)))  # feasible alpha: [2, 4]
-    calls = []
-    monkeypatch.setattr(solver, "lp_min", lambda *args: calls.append(args))
-    for start in ((Q(1),), (Q(9, 2),)):
-        with pytest.raises(InternalInconsistencyError, match="start is not feasible"):
-            lex_extreme_alpha(basis, lex_lp(out.constraints, start), +1)
-    assert calls == []
 
 
 def test_shared_fiber_slot_matches_fresh_prepare(monkeypatch):
@@ -1129,7 +1050,7 @@ def test_fiber_slot_searches_each_direction_once_per_fiber(monkeypatch):
     # A solve at zero mass leaves the slot as it is.
     lex = []
     monkeypatch.setattr(solver, "lex_extreme_alpha",
-                        lambda *args: lex.append(args[2]) or lex_extreme_alpha(*args))
+                        lambda *args: lex.append(args[3]) or lex_extreme_alpha(*args))
     minimax = _count_minimax(monkeypatch)
     rng = random.Random(2727)
     seen = Counter()
@@ -1234,32 +1155,26 @@ def test_lex_search_over_the_m_independent_rows_matches_all_n_rows(monkeypatch, 
         tuple(Q(-3, 2) if i == n - 2 and j == 0 else Q(int(i == j)) for j in range(m))
         for i in range(n)
     ))
-    cases = _zero_set_instances(rng, 60) + [(capped, tuple(Q(k % 4 - 1, 3) for k in range(n)))]
+    cases = _zero_set_instances(rng, 100) + [(capped, tuple(Q(k % 4 - 1, 3) for k in range(n)))]
     seen = Counter()
     for basis, b in cases:
         pb = prepare(basis)
         rows = pb.feasibility_rows
         rhs = feasibility_rhs(pb, b)
-        t_star, alpha = solve_minimax_lp(rows, rhs)
         kept = basis.lex_costs
         assert len(kept) == basis.m and rank(kept) == basis.m
         skipped = [r for r in basis.int_rows if r not in kept]
         seen["zero rows"] += sum(not any(r) for r in skipped)
         seen["dependent rows"] += sum(any(r) for r in skipped)
-        for slack in (t_star, t_star + Q(rng.randint(1, 4), 3)):
-            if not slack:
-                continue
-            tight = lex_lp(PolytopeConstraints(rows, rhs, slack), alpha)
-            start = len(pivots)
-            got = lex_extreme_alpha(basis, tight, direction)
-            mid = len(pivots)
-            costs = [tuple(direction * x for x in row) for row in basis.int_rows]
-            res = lp_min(costs[0], tight[0], tight[1], costs[1:])
-            a_ub, b_ub, x0, den = tight
-            assert got == tuple((a + y) / den for a, y in zip(x0, res.x))
-            assert mid - start == len(pivots) - mid
-            seen["searches", basis.m == 9] += 1
-            seen["pivots"] += mid - start
+        start = len(pivots)
+        got = lex_extreme_alpha(basis, rows, rhs, direction)
+        mid = len(pivots)
+        cost, a_ub, b_ub, _ = lp.minimax_rows(rows, rhs)
+        res = lp_min(cost, a_ub, b_ub, [(*(direction * x for x in row), 0) for row in basis.int_rows])
+        assert got == res.x[:-1]
+        assert mid - start == len(pivots) - mid
+        seen["searches", basis.m == 9] += 1
+        seen["pivots"] += mid - start
     assert seen["searches", True] == 1 and seen["searches", False] >= 100, seen
     assert seen["zero rows"] >= 60 and seen["dependent rows"] >= 60, seen
     assert seen["pivots"] >= 200, seen

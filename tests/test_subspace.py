@@ -49,6 +49,15 @@ class TestValidateBasis:
         with pytest.raises(DimensionError):
             validate_basis(())
 
+    def test_list_rows_are_stored_as_tuples(self):
+        rows = [[1], [1]]
+        basis = validate_basis(rows)
+        assert hash(basis) == hash(validate_basis(((1,), (1,))))
+        assert basis == validate_basis(((1,), (1,)))
+        rows[0][0] = 5
+        rows.append([0])
+        assert basis.matrix == basis.int_rows == ((1,), (1,))
+
 
 class TestBuildProfile:
     def test_worked_fixture(self, span3_l16):
