@@ -906,6 +906,37 @@ def test_int_minimax_and_lex_searches_match_the_fraction_construction():
     assert seen[OutcomeKind.POLYTOPE, False, False] >= 150, seen
 
 
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_lex_extreme_alpha_over_coprime_denominators(direction):
+    # Rational rows with denominator 2 and rhs with denominator 3, against
+    # int `then` costs from A: lp_min clears each row by its own lcm, and
+    # the search reaches the reference point at slack = t*.  The last row
+    # negates the first with its rhs moved by 2k, so t* >= k and the
+    # optimal face is often not one point.
+    rng = random.Random(7350 + direction)
+    checked = faces = 0
+    while checked < 30:
+        m = rng.randint(1, 3)
+        basis = random_basis(rng, m + 2, m, lo=-3, hi=3)
+        rows = tuple(tuple(Q(2 * rng.randint(-3, 2) + 1, 2) for _ in range(m))
+                     for _ in range(m + 1))
+        if rank(rows) < m:
+            continue
+        rhs = tuple(Q(3 * rng.randint(-3, 3) + rng.randint(1, 2), 3) for _ in rows)
+        rows += (tuple(-x for x in rows[0]),)
+        rhs += (-rhs[0] - 2 * rng.randint(1, 3),)
+        assert {x.denominator for row in rows for x in row} == {2}
+        assert {v.denominator for v in rhs} == {3}
+        t_star, _ = solve_minimax_lp(rows, rhs)
+        constraints = PolytopeConstraints(rows, rhs, t_star)
+        got = lex_extreme_alpha(basis, rows, rhs, direction)
+        assert got == reference_lex_extreme_alpha(basis, constraints, direction)
+        assert satisfied_by(constraints, got)
+        faces += got != lex_extreme_alpha(basis, rows, rhs, -direction)
+        checked += 1
+    assert faces >= 10
+
+
 def test_shared_fiber_slot_matches_fresh_prepare(monkeypatch):
     # One prepared basis per subspace, its fibers interleaved: targets
     # equal off Z with different Z mass, and targets one off-Z coordinate
