@@ -135,7 +135,8 @@ def bareiss_pivot(rows: list[list[int]], r: int, c: int, den: int) -> int:
             continue
         f = row[c]
         if f:
-            rows[i] = row = [(p * a - f * b) // den for a, b in zip(row, prow)]
+            rows[i] = row = ([(p * a - f * b) // den for a, b in zip(row, prow)] if den > 1
+                             else [p * a - f * b for a, b in zip(row, prow)])  # nothing to divide
             row[c] = f
         elif p != den:
             rows[i] = [p * a // den for a in row]

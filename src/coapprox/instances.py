@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import random
 
-from .exact import Q, Vec, rank
+from .errors import RankDeficientError
+from .exact import Q, Vec
 from .subspace import SubspaceBasis, validate_basis
 
 
@@ -40,6 +41,8 @@ def random_basis(
             else tuple(Q(rng.randint(lo, hi)) for _ in range(m))
             for i in range(n)
         )
-        actual_zeros = sum(1 for row in matrix if all(x == 0 for x in row))
-        if actual_zeros == zero_rows and rank(matrix) == m:
-            return validate_basis(matrix)
+        if sum(1 for row in matrix if all(x == 0 for x in row)) == zero_rows:
+            try:
+                return validate_basis(matrix)
+            except RankDeficientError:  # validate_basis ranks the draw
+                continue

@@ -30,6 +30,7 @@ lexicographically, face by face, in one tableau (Isermann 1982), and
 """
 from __future__ import annotations
 
+import math
 from enum import Enum
 from itertools import chain
 from operator import mul, neg, sub
@@ -82,7 +83,9 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
     # k holds variable nonbasic[k], the last one the rhs; the true tableau
     # is cols / den, and entry nrows of each column is its reduced cost:
     # at first the cost's ints, as every basic variable is a slack, of cost 0.
-    cols = [[*c] for c in zip(*a_ub, primitive_ints(cost))] + [[*b_ub, 0]]
+    cden, cost_ints = scaled_ints(cost)  # once, for the objective row and the value
+    g = math.gcd(*cost_ints) or 1
+    cols = [[*c] for c in zip(*a_ub, [k // g for k in cost_ints])] + [[*b_ub, 0]]
     nsplit = 2 * n
     nonbasic = list(range(n))
     basis = list(range(nsplit, nsplit + nrows))
@@ -139,9 +142,8 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
             if j >= nsplit:
                 duals[j - nsplit] = col[nrows]
         duals = tuple(duals if scales is None else map(mul, duals, scales))
-    cden, c_ints = scaled_ints(cost)
-    return LpResult(LpStatus.OPTIMAL, tuple(Q(d, den) for d in diffs),
-                    Q(sum(map(mul, c_ints, diffs)), cden * den), duals)
+    return LpResult(LpStatus.OPTIMAL, tuple([Q(d, den) for d in diffs]),
+                    Q(sum(map(mul, cost_ints, diffs)), cden * den), duals)
 
 
 def lp_max(cost, a_ub, b_ub) -> LpResult:

@@ -115,8 +115,9 @@ class PreparedBasis:
     paths read the class-sum rows: the slack-0 path solves them, and the
     zero-set polytope has one inequality per cell, the cell's signed sum
     of them, so only `cells` is enumerated; the minimax LP runs on those
-    rows in ints, `feasibility_ints`.  `norming`, the coordinate
-    sign vectors, is built for `norming-set`.
+    rows in ints, `feasibility_ints`, and its right-hand side is each
+    cell's sign vector over the n coordinates (`sign_vectors`) times b.
+    `norming`, those vectors off the zero set, is built for `norming-set`.
     `fiber` keeps the last fiber's Fiber in one slot, so memory stays
     bounded and each new fiber is solved afresh.
     """
@@ -185,6 +186,17 @@ class PreparedBasis:
                           for cell in self.cells)
 
     @cached_property
+    def sign_vectors(self) -> tuple[list[int], ...]:
+        """Per cell, its sign vector x over the n coordinates, the paper's
+        norming vector: s_c * o_i on class c, 0 on the zero set.  x . b is
+        the cell's right-hand side, and |x_i| = 1 off the zero set."""
+        coords = [(0, 0)] * self.basis.n  # (class c, o_i), o_i = 0 on the zero set
+        for c, members in enumerate(self.member_signs):
+            for i, o in members:
+                coords[i] = (c, o)
+        return tuple([cell.signs[c] * o for c, o in coords] for cell in self.cells)
+
+    @cached_property
     def feasibility_rows(self) -> Mat:
         """feasibility_ints as Fractions, which outcomes and reports read."""
         den, rows = self.feasibility_ints
@@ -198,23 +210,24 @@ class PreparedBasis:
         reduced cost, so every free variable is basic: a unique optimum,
         Mangasarian 1979), else searched on its first call.  Every LP is
         the minimax LP |sums - rows.x| <= t in ints, x = (bden/den) alpha,
-        a positive rescaling that moves no pivot; a search then takes m
+        a positive rescaling that moves no pivot; sums is, per cell, one
+        product of its sign vector with b * bden; a search then takes m
         `then` costs over its optimal face."""
         key, slot = self.reduced.sigma(b), self._fiber
         if slot is not None and slot.key == key:
             return slot
         den, rows = self.feasibility_ints
-        bden, ints, sums = self._class_sums(b)
-        sums = [sum(map(mul, cell.signs, sums)) for cell in self.cells]
+        vectors, (bden, ints) = self.sign_vectors, scaled_ints(b)
+        sums = [sum(map(mul, x, ints)) for x in vectors]
         t, x, lam = solve_minimax_lp(rows, sums, multipliers=True)
-        to_alpha = lambda x: tuple(Q(den * v.numerator, bden * v.denominator) for v in x)
+        to_alpha = lambda x: tuple([Q(den * v.numerator, bden * v.denominator) for v in x])
         basis, alpha = self.basis, to_alpha(x)
         lex = lambda d: alpha
-        if t and sum(map(bool, lam)) <= basis.m:  # uncertified: searched on first call
+        if t and len(lam) - lam.count(0) <= basis.m:  # uncertified: searched on first call
             lex = cache(lambda d: to_alpha(lex_extreme_alpha(basis, rows, sums, d)))
         # A new fiber replaces the slot in one assignment.
         self._fiber = Fiber(key, Q(t.numerator, t.denominator * bden), alpha,
-                            Q(sum(abs(ints[i]) for i in self.reduced.kept_indices), bden),
+                            Q(sum(map(abs, map(mul, vectors[0], ints))), bden),
                             lex, basis, sums, bden)
         return self._fiber
 

@@ -135,7 +135,7 @@ class ReducedInstance(NamedTuple):
     def sigma(self, v: Vec) -> Vec:
         if len(v) != self.original_n:
             raise DimensionError("sigma expects an ambient-length vector")
-        return tuple(v[i] for i in self.kept_indices)
+        return tuple([v[i] for i in self.kept_indices])
 
 
 def reduce_sigma(basis: SubspaceBasis, profile: ComponentProfile) -> ReducedInstance:

@@ -1,5 +1,6 @@
 """What the tests share and no program path runs: the paper's literal
-construction the class-sum rows are checked against (`system_rows`),
+construction the class-sum rows are checked against (`system_rows`), the
+class-sum route to a fiber's right-hand side (`class_sum_fiber`),
 conveniences on the library's objects as plain functions, basis changes
 for the invariance checks, and test helpers (`general_lp_min`, the
 rank-loop lex search `reference_lex_extreme_alpha`, the LP prefix-tree
@@ -13,10 +14,10 @@ from fractions import Fraction as Q
 from operator import add, mul, sub
 
 from coapprox import DimensionError, lp, mat, validate_basis
-from coapprox.exact import Mat, SystemStatus, Vec, primitive_ints, rank, solve_linear
-from coapprox.lp import LpResult, LpStatus, lp_min
+from coapprox.exact import Mat, SystemStatus, Vec, primitive_ints, rank, scaled_ints, solve_linear
+from coapprox.lp import LpResult, LpStatus, lp_min, solve_minimax_lp
 from coapprox.norming import SignVec
-from coapprox.solver import PolytopeConstraints, PreparedBasis, Projection
+from coapprox.solver import PolytopeConstraints, PreparedBasis, Projection, lex_extreme_alpha
 from coapprox.subspace import ComponentProfile, ReducedInstance, SubspaceBasis
 
 
@@ -88,6 +89,23 @@ def feasibility_rhs(pb: PreparedBasis, b: Vec) -> Vec:
     """x . sigma(b) per cell, as feasibility_rows: sum_c s_c * (class sum c)."""
     den, _, sums = pb._class_sums(b)
     return tuple(Q(sum(map(mul, cell.signs, sums)), den) for cell in pb.cells)
+
+
+def class_sum_fiber(pb: PreparedBasis, b: Vec) -> tuple:
+    """(rhs, delta0, alpha, {direction: lex point}) of b's fiber by the
+    class-sum route: per class c the sum of o_i b_i over its members, then
+    per cell the sum of those signed by the cell's class signs.  The
+    minimax LP and both lex searches run on those sums (the searches
+    whether or not the face is certified one point)."""
+    den, rows = pb.feasibility_ints
+    bden, ints = scaled_ints(b)
+    class_sums = [sum(ints[i] if c > 0 else -ints[i] for i, c in cls.members)
+                  for cls in pb.profile.classes]
+    sums = [sum(map(mul, cell.signs, class_sums)) for cell in pb.cells]
+    t, x = solve_minimax_lp(rows, sums)
+    scale = Q(den, bden)
+    lex = {d: tuple(v * scale for v in lex_extreme_alpha(pb.basis, rows, sums, d)) for d in (1, -1)}
+    return tuple(Q(s, bden) for s in sums), t / bden, tuple(v * scale for v in x), lex
 
 
 def satisfied_by(constraints: PolytopeConstraints, alpha: Vec) -> bool:

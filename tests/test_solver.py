@@ -32,6 +32,7 @@ from coapprox.solver import PolytopeConstraints, lex_extreme_alpha
 from tests.reference import (
     FACE_POLYTOPES,
     apply_projection,
+    class_sum_fiber,
     column_basis,
     columns,
     feasibility_rhs,
@@ -214,6 +215,53 @@ def _rational_bases(rng, count):
             const = Q(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
             rows.insert(rng.randint(0, len(rows)), tuple(const * x for x in source))
         yield validate_basis(tuple(rows))
+
+
+def _repeated_row_bases(rng, count):
+    """Seeded zero-set bases whose classes have several coordinates: the
+    rows of a random m x (m..m+2) basis, m = 2 or 3, each repeated 1-5
+    times at random nonzero rational constants, and 1-2 zero rows,
+    shuffled."""
+    for _ in range(count):
+        m = rng.randint(2, 3)
+        rows = [(Q(0),) * m] * rng.randint(1, 2)
+        for row in random_basis(rng, m + rng.randint(0, 2), m, lo=-3, hi=3).matrix:
+            for _ in range(rng.randint(1, 5)):
+                const = Q(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+                rows.append(tuple(const * x for x in row))
+        rng.shuffle(rows)
+        yield validate_basis(tuple(rows))
+
+
+def test_fiber_rhs_over_classes_of_several_coordinates_matches_the_class_sum_route():
+    # PreparedBasis.fiber takes each cell's right-hand side as one product
+    # of the cell's sign vector over the n coordinates with b; the
+    # reference sums b per class, then the class sums per cell.  Per new
+    # fiber, the rhs, delta0, alpha and both lex points agree (the
+    # reference searches every face, certified or not), and so do the
+    # fiber's key (sigma(b)) and rho mass.  Targets: random rationals, and
+    # subspace members (delta0 = 0), each with random mass on the zero set.
+    rng = random.Random(4040)
+    big_classes = fibers = 0
+    for basis in _repeated_row_bases(rng, 40):
+        pb = prepare(basis)
+        zero = set(pb.profile.zero_set)
+        big_classes += sum(len(cls.members) >= 3 for cls in pb.profile.classes)
+        member = basis.combine(tuple(Q(rng.randint(-3, 3)) for _ in range(basis.m)))
+        offs = [tuple(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(basis.n))
+                for _ in range(3)]
+        for off in (member, *offs):
+            b = tuple(Q(rng.randint(1, 5), rng.randint(1, 3)) if i in zero else x
+                      for i, x in enumerate(off))
+            fiber = pb.fiber(b)
+            rhs, delta0, alpha, lex = class_sum_fiber(pb, b)
+            assert (fiber.rhs, fiber.delta0, fiber.alpha) == (rhs, delta0, alpha), basis.matrix
+            assert (fiber.lex(+1), fiber.lex(-1)) == (lex[1], lex[-1]), basis.matrix
+            assert fiber.key == pb.reduced.sigma(b)
+            assert fiber.rho_mass == sum(abs(x) for i, x in enumerate(b) if i not in zero)
+            fibers += 1
+    assert fibers == 160
+    assert big_classes >= 60, big_classes
 
 
 def test_feasibility_rows_are_cell_signs_times_class_sums():
@@ -494,6 +542,34 @@ class TestFiberMinimax:
                   for b in (fiber_a, fiber_b, fiber_a)]
         assert deltas[0] == deltas[2] == Q(41, 21) != deltas[1]
         assert len(calls) == 3
+
+    def test_a_new_fiber_makes_one_minimax_call_and_one_kernel_call(self, monkeypatch):
+        # The calls perfbench/tracer.py counts and sizes on `fiber`
+        # (exact.solve_minimax_lp, lp.minimax, lp.tableau_entries): one
+        # solver.solve_minimax_lp and one lp.lp_min per new fiber, the
+        # latter on 2 rows of length m + 1 per cell; none for a repeat
+        # target or another mass on the zero set of the same fiber.
+        minimax, kernel = _count_minimax(monkeypatch), []
+        monkeypatch.setattr(lp, "lp_min", lambda *args, **kw: kernel.append(args) or lp_min(*args, **kw))
+        rng = random.Random(4141)
+        bases = [column_basis(*THRESHOLD_BASIS_COLUMNS)]
+        bases += [random_basis(rng, 6, m, lo=-3, hi=3, zero_rows=2) for m in (1, 2, 2, 3)]
+        for basis in bases:
+            pb = prepare(basis)
+            zero = set(pb.profile.zero_set)
+            b = tuple(Q(1) if i in zero else Q(rng.randint(-5, 5)) for i in range(basis.n))
+            minimax.clear()
+            kernel.clear()
+            pb.fiber(b)
+            assert (len(minimax), len(kernel)) == (1, 1)
+            cost, a_ub, b_ub = kernel[0]
+            assert len(cost) == basis.m + 1 and len(a_ub) == len(b_ub) == 2 * len(pb.cells)
+            assert {len(row) for row in a_ub} == {basis.m + 1}
+            other_mass = tuple(Q(3) if i in zero else x for i, x in enumerate(b))
+            for repeat in (b, other_mass):
+                solve_general(basis, None, repeat, prepared=pb)
+                existence_threshold(basis, None, repeat, prepared=pb)
+            assert (len(minimax), len(kernel)) == (1, 1)
 
     @pytest.mark.parametrize("call", [solve_general, existence_threshold])
     def test_refuses_a_basis_prepared_for_another_subspace(self, call):
