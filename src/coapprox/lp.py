@@ -26,21 +26,23 @@ termination.  The first objective row is the cost itself, as the
 starting basis is all slacks, of cost 0; the row duals are the slacks'
 final objective entries.  `lp_min` also minimizes a sequence of costs
 lexicographically, face by face, in one tableau (Isermann 1982), and
-`minimax_rows` poses the exact l-infinity fit of a system on it.
+`minimax_rows` poses the exact l-infinity fit of a system on it, whose
+dual vertices `minimax_circuits` lists once per row set.
 """
 from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import chain
+from itertools import chain, combinations
 from operator import mul, neg, sub
 from typing import NamedTuple
 
 from .errors import CapacityError, ValidationError
-from .exact import Q, Vec, bareiss_pivot, primitive_ints, scaled_ints
+from .exact import Q, Vec, _gauss_jordan, bareiss_pivot, primitive_ints, scaled_ints
 
 # The cell-pair cap, shared with norming: a minimax LP has one row per pair.
 MAX_CELL_PAIRS = 256
+MAX_CIRCUIT_SUBSETS = 64  # subsets of m + 1 rows; one LP wins past ~200 circuits
 
 
 class LpStatus(Enum):
@@ -173,7 +175,27 @@ def minimax_rows(rows: tuple[Vec, ...], rhs: Vec) -> tuple:
             [r for b in rhs for r in (top + b, top - b)], top)
 
 
-def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, multipliers: bool = False) -> tuple:
+def minimax_circuits(rows) -> tuple | None:
+    """(support, lam, sum |lam|) per circuit of the int rows, lam primitive,
+    sum lam_p rows_p = 0: the minimax LP's dual vertices (Rockafellar 1969),
+    each the left null vector of some m + 1 rows of rank m, with zeros where
+    a circuit has fewer rows (one Gauss-Jordan pass).  None over MAX_CIRCUIT_SUBSETS."""
+    m = len(rows[0])
+    if math.comb(len(rows), m + 1) > MAX_CIRCUIT_SUBSETS:
+        return None
+    found = {}  # a circuit is fixed, up to scale, by its support
+    for subset in combinations(range(len(rows)), m + 1):
+        work = [[rows[p][j] for p in subset] for j in range(m)]
+        if len(pivots := _gauss_jordan(work, m + 1)) == m:
+            k = m * (m + 1) // 2 - sum(pivots)  # the one non-pivot column
+            lam = [-w[k] for w in work]  # y_(c_i) = -work[i][k], pivots in order,
+            lam.insert(k, work[0][pivots[0]])  # and y_k = d, the final pivot
+            found.setdefault(tuple(p for p, a in zip(subset, lam) if a),
+                             tuple([a for a in primitive_ints(lam) if a]))
+    return tuple((s, lam, sum(map(abs, lam))) for s, lam in found.items())
+
+
+def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, multipliers=False, circuits=None) -> tuple:
     """min over x of max_p |rhs_p - rows_p . x|, exactly: (t_star, x_star)
     with x_star attaining t_star.  The program's rows come as ints;
     lp_min scales a library caller's rational row by its own lcm.
@@ -181,7 +203,24 @@ def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, multipliers: bool = False)
     With `multipliers`, also the ints lam_p = q_p - p_p, the duals of the
     rows +-(rows_p . x - rhs_p) <= t times one d > 0: sum lam_p rows_p = 0
     and -sum lam_p rhs_p = d t_star >= t_star sum |lam_p|.
+    `circuits` (minimax_circuits of int rows) go first: t_star is the top
+    |lam . rhs| / sum |lam| (Stiefel, Numer. Math. 1, 1959).  If > 0 on m + 1
+    rows, their slabs are tight at every optimum, and any m of them pin x_star:
+    rows_p . x = rhs_p - sign(lam_p) (lam . rhs) / sum |lam|; multipliers -sign(lam . rhs) lam.
     """
+    t, best = (0, 1), ((),)
+    for support, lam, size in circuits or ():
+        v = sum(map(mul, lam, map(rhs.__getitem__, support)))
+        d = abs(v) * t[1] - t[0] * size  # cross-multiplied; a tie goes to more rows
+        if d > 0 or not d and len(support) > len(best[0]):
+            t, best = (abs(v), size), (support, lam, v)
+    if t[0] and len(best[0]) > len(rows[0]):
+        (support, lam, v), m = best, len(rows[0])  # any m rows of a circuit are independent
+        work = [[*rows[p], t[1] * rhs[p] - (v if a > 0 else -v)] for p, a in zip(support[:m], lam)]
+        _gauss_jordan(work, m)
+        y, sign = dict(zip(support, lam)), -1 if v > 0 else 1
+        opt = (Q(*t), tuple([Q(w[m], t[1] * w[j]) for j, w in enumerate(work)]))
+        return (*opt, tuple([sign * y.get(p, 0) for p in range(len(rhs))])) if multipliers else opt
     cost, a_ub, b_ub, top = minimax_rows(rows, rhs)
     res = lp_min(cost, a_ub, b_ub)
     if res.status is not LpStatus.OPTIMAL:  # pragma: no cover

@@ -53,7 +53,7 @@ from .exact import (
     scaled_ints,
     solve_linear,
 )
-from .lp import LpStatus, lp_min, minimax_rows, solve_minimax_lp
+from .lp import LpStatus, lp_min, minimax_circuits, minimax_rows, solve_minimax_lp
 from .norming import (
     Arrangement,
     NormingSet,
@@ -119,7 +119,7 @@ class PreparedBasis:
     cell's sign vector over the n coordinates (`sign_vectors`) times b.
     `norming`, those vectors off the zero set, is built for `norming-set`.
     `fiber` keeps the last fiber's Fiber in one slot, so memory stays
-    bounded and each new fiber is solved afresh.
+    bounded and each new fiber is solved afresh, off `circuits` once the slot is full.
     """
 
     def __init__(self, basis: SubspaceBasis):
@@ -197,6 +197,11 @@ class PreparedBasis:
         return tuple([cell.signs[c] * o for c, o in coords] for cell in self.cells)
 
     @cached_property
+    def circuits(self) -> tuple | None:
+        """minimax_circuits(feasibility_ints), None over the cap: built on a second fiber."""
+        return minimax_circuits(self.feasibility_ints[1])
+
+    @cached_property
     def feasibility_rows(self) -> Mat:
         """feasibility_ints as Fractions, which outcomes and reports read."""
         den, rows = self.feasibility_ints
@@ -206,20 +211,21 @@ class PreparedBasis:
         """b's Fiber, kept in one slot until another fiber replaces it;
         lex(direction) is the lex-extreme point of the optimal face: alpha
         on a face certified one point, by t = 0 (rows has rank m) or m + 1
-        nonzero multipliers (at t > 0 each is a nonbasic slack's positive
-        reduced cost, so every free variable is basic: a unique optimum,
+        nonzero multipliers (a circuit's, or at t > 0 an LP's nonbasic
+        slacks' positive reduced costs: every free variable is basic,
         Mangasarian 1979), else searched on its first call.  Every LP is
         the minimax LP |sums - rows.x| <= t in ints, x = (bden/den) alpha,
         a positive rescaling that moves no pivot; sums is, per cell, one
         product of its sign vector with b * bden; a search then takes m
-        `then` costs over its optimal face."""
+        `then` costs over its optimal face; circuits first, once the slot is full."""
         key, slot = self.reduced.sigma(b), self._fiber
         if slot is not None and slot.key == key:
             return slot
         den, rows = self.feasibility_ints
         vectors, (bden, ints) = self.sign_vectors, scaled_ints(b)
         sums = [sum(map(mul, x, ints)) for x in vectors]
-        t, x, lam = solve_minimax_lp(rows, sums, multipliers=True)
+        t, x, lam = solve_minimax_lp(rows, sums, multipliers=True,
+                                     circuits=None if slot is None else self.circuits)
         to_alpha = lambda x: tuple([Q(den * v.numerator, bden * v.denominator) for v in x])
         basis, alpha = self.basis, to_alpha(x)
         lex = lambda d: alpha

@@ -21,7 +21,8 @@ from coapprox.cli import load_problem
 from coapprox.errors import ValidationError
 from coapprox.exact import bareiss_pivot, primitive_ints, rank, scaled_ints
 from coapprox.instances import random_basis, random_vector
-from coapprox.lp import MAX_CELL_PAIRS, LpResult, LpStatus, lp_max, lp_min, solve_minimax_lp
+from coapprox.lp import (MAX_CELL_PAIRS, LpResult, LpStatus, lp_max, lp_min, minimax_circuits,
+                         solve_minimax_lp)
 from coapprox.norming import Arrangement, enumerate_cells, margin_witness
 from tests.reference import FACE_POLYTOPES, INFEASIBLE, dot, general_lp_min
 
@@ -878,3 +879,75 @@ def test_lp_pivot_totals_are_pinned(lp_pivots):
         lex_pivots += len(lp_pivots)
     totals["lex"] = lex_pivots
     assert totals == LP_PIVOT_PINS
+
+
+def test_circuits_are_the_minimal_dependent_row_sets_under_the_cap():
+    # Rows 0 and 2 are parallel: a circuit of 2 rows, listed once though
+    # two subsets of 3 rows hold it; each lam is primitive, up to sign.
+    got = minimax_circuits(((1, 0), (0, 1), (2, 0), (1, 1)))
+    assert {s: (size, lam if lam[0] > 0 else tuple(-a for a in lam)) for s, lam, size in got} == {
+        (0, 2): (3, (2, -1)), (0, 1, 3): (3, (1, 1, -1)), (1, 2, 3): (5, (2, 1, -2))}
+    # C(8, 3) = 56 subsets of 3 rows are under the cap, C(9, 3) = 84 are not.
+    rows = tuple((1, k) for k in range(9))
+    assert minimax_circuits(rows[:8]) and minimax_circuits(rows) is None
+
+
+def _fiber_style_stream(seed, targets=20):
+    """(pb, b) pairs in the shape of perfbench's `fiber` subspaces: m = 2,
+    4 or 5 pairwise non-proportional rows in [-4, 4] with 1 or 2 zero
+    rows, and `targets` int targets per subspace, in [-5, 5] off the zero set."""
+    rng = random.Random(seed)
+    for r, zr in ((4, 1),) * 6 + ((5, 2),) * 6:
+        rows = []
+        while len(rows) < r:
+            v = (rng.randint(-4, 4), rng.randint(-4, 4))
+            if any(v) and all(v[0] * w[1] != v[1] * w[0] for w in rows):
+                rows.append(v)
+        rows += [(0, 0)] * zr
+        rng.shuffle(rows)
+        pb = prepare(validate_basis(mat(rows)))
+        zero = set(pb.profile.zero_set)
+        for _ in range(targets):
+            yield pb, [0 if i in zero else rng.randint(-5, 5) for i in range(len(rows))]
+
+
+def _circuits_agree_with_the_lp(pb, b, kernel) -> bool:
+    """pb's fiber LP for b solved with pb.circuits against the LP alone:
+    the same t* and x.  Where no lp_min ran, the multipliers have m + 1
+    nonzero entries, sum lam_p rows_p = 0 and -sum lam_p rhs_p =
+    (sum |lam_p|) t* > 0; where the LP ran, they are its own.  True iff
+    the circuits answered."""
+    rows, ints = pb.feasibility_ints[1], scaled_ints(b)[1]
+    rhs = [sum(map(mul, x, ints)) for x in pb.sign_vectors]
+    want = solve_minimax_lp(rows, rhs, multipliers=True)
+    kernel.clear()
+    t, x, lam = solve_minimax_lp(rows, rhs, multipliers=True, circuits=pb.circuits)
+    assert (t, x) == want[:2]
+    if kernel:
+        assert lam == want[2]
+        return False
+    assert len(lam) - lam.count(0) == len(rows[0]) + 1
+    assert not any(sum(map(mul, lam, col)) for col in zip(*rows))
+    assert -sum(map(mul, lam, rhs)) == sum(map(abs, lam)) * t > 0
+    return True
+
+
+def test_circuits_give_the_minimax_lp_answer(monkeypatch):
+    # delta0 is the largest |lam . rhs| / sum |lam| over the circuits of
+    # the cell rows; a maximizing circuit of m + 1 rows pins the point.
+    # Pinned: how many answers the circuits gave without the LP.
+    kernel = []
+    monkeypatch.setattr(lp, "lp_min", lambda *args: kernel.append(args) or lp_min(*args))
+    answered = {}
+    for seed in (505, 11):
+        answered[seed] = sum(_circuits_agree_with_the_lp(pb, b, kernel)
+                             for pb, b in _fiber_style_stream(seed))
+    fibers = [(pb, b) for pb, b in ((prepare(basis), b) for basis, b in _criterion_5_stream(500))
+              if pb.profile.zero_set and pb.circuits is not None]
+    answered["criterion_5"] = sum(_circuits_agree_with_the_lp(pb, b, kernel) for pb, b in fibers)
+    # Circuits of fewer than m + 1 rows, or ties, at every optimum of
+    # these faces: each falls back to the LP.
+    for rows, b in FACE_POLYTOPES:
+        pb = prepare(validate_basis(mat(rows)))
+        assert pb.circuits and not _circuits_agree_with_the_lp(pb, b, kernel)
+    assert (len(fibers), answered) == (169, {505: 240, 11: 239, "criterion_5": 38})

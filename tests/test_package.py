@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -166,3 +167,63 @@ def test_every_library_function_runs_on_a_caller_path(tmp_path, capsys):
     missed, allowed = {name for name, code in functions.items() if code not in ran}, set(UNREACHED)
     assert not missed - allowed, f"run by no caller path: {sorted(missed - allowed)}"
     assert missed == allowed, f"in UNREACHED but run or gone: {sorted(allowed - missed)}"
+
+
+# The true divisions src/coapprox holds, by (module, function, source
+# text), each with the reason both of its operands are exact.
+EXACT_DIVISIONS = {
+    ("oracle", "_refute_from_bj_failure", "-yi / (s * zi)"):
+        "y = A.beta and z = b - A.alpha are Fraction vectors (combine, vec_sub); s is +-1",
+    ("oracle", "_refute_from_bj_failure", "s * bb / u"):
+        "u is one of the Fraction breakpoints above, beta's entries are Fractions",
+    ("oracle", "brute_force_existence", "2 * radius / step"):
+        "radius and step have just come through vec, so both are Fractions",
+}
+# math functions whose value is a float whatever their argument.
+FLOAT_MATH = {"sqrt", "exp", "log", "log2", "log10", "pow", "fsum", "hypot", "fmod", "ldexp"}
+
+
+def _inexact_nodes(source: str, module: str, divisions: set) -> list[str]:
+    """'module.function:line: text' for each float literal, call to
+    float, round or a FLOAT_MATH function, and `/` or `/=` not in
+    EXACT_DIVISIONS in `source`; every division's key goes to `divisions`."""
+    faults = []
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Constant):
+            bad = isinstance(node.value, (float, complex))
+        elif isinstance(node, ast.Call):
+            bad = (isinstance(func, ast.Name) and func.id in ("float", "round")
+                   or isinstance(func, ast.Attribute) and func.attr in FLOAT_MATH
+                   and isinstance(func.value, ast.Name) and func.value.id == "math")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            divisions.add(key := (module, scope, ast.get_source_segment(source, node)))
+            bad = key not in EXACT_DIVISIONS
+        else:
+            bad = False
+        if bad:
+            faults.append(f"{module}.{scope}:{node.lineno}: {ast.get_source_segment(source, node)}")
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    walk(ast.parse(source), "<module>")
+    return faults
+
+
+def test_no_float_can_enter_the_package_source():
+    # Exactness by construction, not only on the values the tests feed:
+    # an int / int is a float, and so is every float literal or call.
+    divisions, faults = set(), []
+    for path in sorted((ROOT / "src" / "coapprox").glob("*.py")):
+        faults += _inexact_nodes(path.read_text(encoding="utf-8"), path.stem, divisions)
+    assert faults == []
+    assert divisions == set(EXACT_DIVISIONS), "an allowed division is gone"
+    # The scan rejects a class constant taken as int / int (build_profile
+    # once gave the float 1e+17 so) and a float in a report path.
+    assert _inexact_nodes("def build_profile(row, rep, j0):\n    return row[j0] / rep[j0]\n",
+                          "subspace", set()) == ["subspace.build_profile:2: row[j0] / rep[j0]"]
+    assert _inexact_nodes("def cmd_threshold(th):\n    return {'delta0': float(th.delta0)}\n",
+                          "cli", set()) == ["cli.cmd_threshold:2: float(th.delta0)"]

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction as Q
@@ -570,6 +571,35 @@ class TestFiberMinimax:
                 solve_general(basis, None, repeat, prepared=pb)
                 existence_threshold(basis, None, repeat, prepared=pb)
             assert (len(minimax), len(kernel)) == (1, 1)
+
+    def test_circuits_answer_new_fibers_once_the_slot_holds_one(self, monkeypatch):
+        # The first new fiber on a basis runs the LP and builds no
+        # circuits, so a basis that serves one fiber never pays for them;
+        # a second, certified by a circuit of m + 1 = 3 rows, runs none.
+        minimax, kernel = _count_minimax(monkeypatch), []
+        monkeypatch.setattr(lp, "lp_min", lambda *args: kernel.append(args) or lp_min(*args))
+        basis = validate_basis(mat([(1, 0), (0, 1), (1, 1), (0, 0)]))
+        pb = prepare(basis)
+        first = pb.fiber(vec((1, 0, 0, 1)))
+        assert (len(minimax), len(kernel), "circuits" in vars(pb)) == (1, 1, False)
+        second = pb.fiber(vec((2, 1, 0, 1)))
+        assert (len(minimax), len(kernel), len(pb.circuits)) == (2, 1, 1)
+        assert (first.delta0, second.delta0, second.alpha) == (Q(1, 3), 1, (1, 0))
+
+    def test_a_basis_over_the_circuit_cap_builds_none_and_runs_the_lp(self, monkeypatch):
+        # Five generic planes in R^3 make 11 cell rows, and C(11, 4) = 330
+        # subsets of m + 1 rows are over the cap: no Gauss-Jordan pass
+        # runs, and every new fiber is one LP.
+        kernel, eliminations = [], []
+        monkeypatch.setattr(lp, "lp_min", lambda *args: kernel.append(args) or lp_min(*args))
+        monkeypatch.setattr(lp, "_gauss_jordan", lambda *args: eliminations.append(args))
+        basis = validate_basis(mat([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 4),
+                                    (0, 0, 0)]))
+        pb = prepare(basis)
+        assert math.comb(len(pb.cells), basis.m + 1) > lp.MAX_CIRCUIT_SUBSETS
+        for k in (3, 1, 2):
+            existence_threshold(basis, None, vec((1, 2, 3, 4, k, 1)), prepared=pb)
+        assert (len(kernel), pb.circuits, eliminations) == (3, None, [])
 
     @pytest.mark.parametrize("call", [solve_general, existence_threshold])
     def test_refuses_a_basis_prepared_for_another_subspace(self, call):
