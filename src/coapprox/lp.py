@@ -27,14 +27,15 @@ starting basis is all slacks, of cost 0; the row duals are the slacks'
 final objective entries.  `lp_min` also minimizes a sequence of costs
 lexicographically, face by face, in one tableau (Isermann 1982), and
 `minimax_rows` poses the exact l-infinity fit of a system on it, whose
-dual vertices `minimax_circuits` lists once per row set.
+dual vertices `minimax_circuits` lists once per row set, a circuit of
+m + 1 rows with the int inverse of m of them: a new rhs then needs no pivot.
 """
 from __future__ import annotations
 
 import math
 from enum import Enum
 from itertools import chain, combinations
-from operator import mul, neg, sub
+from operator import itemgetter, mul, neg, sub
 from typing import NamedTuple
 
 from .errors import CapacityError, ValidationError
@@ -155,20 +156,23 @@ def lp_max(cost, a_ub, b_ub) -> LpResult:
     return LpResult(LpStatus.OPTIMAL, res.x, -res.value)
 
 
+def _check_minimax(rows, rhs) -> None:
+    """The minimax kernel's refusals, before any row or circuit is read:
+    capped at MAX_CELL_PAIRS rows, as every caller passes one per cell pair."""
+    if not rows or not rows[0]:
+        raise ValidationError("minimax needs at least one row and one column")
+    if len(rows) > MAX_CELL_PAIRS:
+        raise CapacityError(f"minimax kernel capped at {MAX_CELL_PAIRS} rows, got {len(rows)}")
+    if len(rhs) != len(rows):
+        raise ValidationError("minimax rhs length does not match row count")
+
+
 def minimax_rows(rows: tuple[Vec, ...], rhs: Vec) -> tuple:
     """(cost, a_ub, b_ub, top): min over x of max_p |rhs_p - rows_p . x| as
     an lp_min LP in (x, t'), t = top + t', top = max|rhs|: minimize t'
     subject to +-(rows.x - rhs) <= top + t'.  Every rhs top +- b is >= 0,
-    so x = 0, t' = 0 is the feasible start.  Guarded at MAX_CELL_PAIRS
-    rows: every caller passes one row per cell pair.
-    """
-    nrows = len(rows)
-    if nrows == 0 or not rows[0]:
-        raise ValidationError("minimax needs at least one row and one column")
-    if nrows > MAX_CELL_PAIRS:
-        raise CapacityError(f"minimax kernel capped at {MAX_CELL_PAIRS} rows, got {nrows}")
-    if len(rhs) != nrows:
-        raise ValidationError("minimax rhs length does not match row count")
+    so x = 0, t' = 0 is the feasible start."""
+    _check_minimax(rows, rhs)
     top = max(map(abs, rhs))
     return ((0,) * len(rows[0]) + (1,),
             [r for row in rows for r in ((*row, -1), (*map(neg, row), -1))],
@@ -176,23 +180,33 @@ def minimax_rows(rows: tuple[Vec, ...], rhs: Vec) -> tuple:
 
 
 def minimax_circuits(rows) -> tuple | None:
-    """(support, lam, sum |lam|) per circuit of the int rows, lam primitive,
-    sum lam_p rows_p = 0: the minimax LP's dual vertices (Rockafellar 1969),
-    each the left null vector of some m + 1 rows of rank m, with zeros where
-    a circuit has fewer rows (one Gauss-Jordan pass).  None over MAX_CIRCUIT_SUBSETS."""
-    m = len(rows[0])
+    """(support, lam, sum |lam|, table, get) per circuit of the int rows, lam
+    primitive, sum lam_p rows_p = 0: the minimax LP's dual vertices
+    (Rockafellar 1969), each the left null vector of some m + 1 rows of rank
+    m.  One Gauss-Jordan pass per subset, on its transpose with the identity
+    appended: on m + 1 rows the pivots are the first m, B, any m being
+    independent, and the appended block ends as den (B^-1)^T, den the final
+    pivot, so table = (B's (row, sign of lam), den, den B^-1); None on fewer
+    rows.  Refuses empty, ragged or non-int rows; None over MAX_CIRCUIT_SUBSETS."""
+    m = len(rows[0]) if rows else 0
+    if not m or {*map(len, rows)} != {m} or type(sum(chain(*rows))) is not int:
+        raise ValidationError("minimax_circuits needs int rows, all of one nonzero length")
     if math.comb(len(rows), m + 1) > MAX_CIRCUIT_SUBSETS:
         return None
     found = {}  # a circuit is fixed, up to scale, by its support
     for subset in combinations(range(len(rows)), m + 1):
-        work = [[rows[p][j] for p in subset] for j in range(m)]
+        work = [[rows[p][j] for p in subset] + [int(i == j) for i in range(m)] for j in range(m)]
         if len(pivots := _gauss_jordan(work, m + 1)) == m:
             k = m * (m + 1) // 2 - sum(pivots)  # the one non-pivot column
             lam = [-w[k] for w in work]  # y_(c_i) = -work[i][k], pivots in order,
             lam.insert(k, work[0][pivots[0]])  # and y_k = d, the final pivot
-            found.setdefault(tuple(p for p, a in zip(subset, lam) if a),
-                             tuple([a for a in primitive_ints(lam) if a]))
-    return tuple((s, lam, sum(map(abs, lam))) for s, lam in found.items())
+            table = None if 0 in lam else (
+                tuple([(p, 1 if a > 0 else -1) for p, a in zip(subset, lam[:m])]),
+                lam[k], tuple(zip(*[w[m + 1:] for w in work])))
+            found.setdefault(tuple([p for p, a in zip(subset, lam) if a]),
+                             (tuple([a for a in primitive_ints(lam) if a]), table))
+    # get(rhs) is rhs on the support, then rhs[0] past lam's end: a tuple even on one row.
+    return tuple((s, y, sum(map(abs, y)), tb, itemgetter(*s, 0)) for s, (y, tb) in found.items())
 
 
 def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, multipliers=False, circuits=None) -> tuple:
@@ -203,23 +217,24 @@ def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, multipliers=False, circuit
     With `multipliers`, also the ints lam_p = q_p - p_p, the duals of the
     rows +-(rows_p . x - rhs_p) <= t times one d > 0: sum lam_p rows_p = 0
     and -sum lam_p rhs_p = d t_star >= t_star sum |lam_p|.
-    `circuits` (minimax_circuits of int rows) go first: t_star is the top
+    `circuits` (minimax_circuits of the int rows) go first: t_star is the top
     |lam . rhs| / sum |lam| (Stiefel, Numer. Math. 1, 1959).  If > 0 on m + 1
-    rows, their slabs are tight at every optimum, and any m of them pin x_star:
-    rows_p . x = rhs_p - sign(lam_p) (lam . rhs) / sum |lam|; multipliers -sign(lam . rhs) lam.
+    rows, their slabs are tight at every optimum, and the table's m pin x_star:
+    rows_p . x = rhs_p - sign(lam_p) (lam . rhs) / sum |lam|, one int product
+    with their inverse, exact for a rational rhs too; multipliers -sign(lam . rhs) lam.
     """
-    t, best = (0, 1), ((),)
-    for support, lam, size in circuits or ():
-        v = sum(map(mul, lam, map(rhs.__getitem__, support)))
+    _check_minimax(rows, rhs)
+    t, best = (0, 1), ((), (), 0, None)
+    for support, lam, size, table, get in circuits or ():
+        v = sum(map(mul, lam, get(rhs)))
         d = abs(v) * t[1] - t[0] * size  # cross-multiplied; a tie goes to more rows
         if d > 0 or not d and len(support) > len(best[0]):
-            t, best = (abs(v), size), (support, lam, v)
-    if t[0] and len(best[0]) > len(rows[0]):
-        (support, lam, v), m = best, len(rows[0])  # any m rows of a circuit are independent
-        work = [[*rows[p], t[1] * rhs[p] - (v if a > 0 else -v)] for p, a in zip(support[:m], lam)]
-        _gauss_jordan(work, m)
+            t, best = (abs(v), size), (support, lam, v, table)
+    if t[0] and best[3]:
+        (support, lam, v, (picks, den, inv)), size = best, t[1]
+        w = [size * rhs[p] - s * v for p, s in picks]
+        opt = (Q(*t), tuple([Q(sum(map(mul, row, w)), den * size) for row in inv]))
         y, sign = dict(zip(support, lam)), -1 if v > 0 else 1
-        opt = (Q(*t), tuple([Q(w[m], t[1] * w[j]) for j, w in enumerate(work)]))
         return (*opt, tuple([sign * y.get(p, 0) for p in range(len(rhs))])) if multipliers else opt
     cost, a_ub, b_ub, top = minimax_rows(rows, rhs)
     res = lp_min(cost, a_ub, b_ub)

@@ -29,7 +29,8 @@ minimax LP, then m `then` costs over its optimal face, in one tableau;
 none runs where the minimax LP proves the face one point.
 delta0, its optimizer and the optimal face depend only on sigma(b), so
 all targets on one fiber (same entries off Z, any mass on Z) share one
-Fiber: its minimax solve, lex searches, witness vector and threshold.
+Fiber: its minimax solve, lex searches, witness vector and threshold;
+later new fibers on a basis are read off its circuits where they can be.
 """
 from __future__ import annotations
 
@@ -116,8 +117,8 @@ class PreparedBasis:
     zero-set polytope has one inequality per cell, the cell's signed sum
     of them, so only `cells` is enumerated; the minimax LP runs on those
     rows in ints, `feasibility_ints`, and its right-hand side is each
-    cell's sign vector over the n coordinates (`sign_vectors`) times b.
-    `norming`, those vectors off the zero set, is built for `norming-set`.
+    cell's sign vector (`sign_vectors`) times sigma(b).  `norming`, whose
+    representatives are those vectors, is built for `norming-set`.
     `fiber` keeps the last fiber's Fiber in one slot, so memory stays
     bounded and each new fiber is solved afresh, off `circuits` once the slot is full.
     """
@@ -187,14 +188,12 @@ class PreparedBasis:
 
     @cached_property
     def sign_vectors(self) -> tuple[list[int], ...]:
-        """Per cell, its sign vector x over the n coordinates, the paper's
-        norming vector: s_c * o_i on class c, 0 on the zero set.  x . b is
-        the cell's right-hand side, and |x_i| = 1 off the zero set."""
-        coords = [(0, 0)] * self.basis.n  # (class c, o_i), o_i = 0 on the zero set
-        for c, members in enumerate(self.member_signs):
-            for i, o in members:
-                coords[i] = (c, o)
-        return tuple([cell.signs[c] * o for c, o in coords] for cell in self.cells)
+        """Per cell, its sign vector x over the coordinates off the zero set,
+        the reduced basis's norming vector: s_c * o_i on class c.  x . sigma(b)
+        is the cell's right-hand side, and |x_i| = 1."""
+        coords = [self.profile.class_of[i] for i in self.reduced.kept_indices]  # (c, const_i)
+        return tuple([cell.signs[c] if k > 0 else -cell.signs[c] for c, k in coords]
+                     for cell in self.cells)
 
     @cached_property
     def circuits(self) -> tuple | None:
@@ -214,27 +213,28 @@ class PreparedBasis:
         nonzero multipliers (a circuit's, or at t > 0 an LP's nonbasic
         slacks' positive reduced costs: every free variable is basic,
         Mangasarian 1979), else searched on its first call.  Every LP is
-        the minimax LP |sums - rows.x| <= t in ints, x = (bden/den) alpha,
-        a positive rescaling that moves no pivot; sums is, per cell, one
-        product of its sign vector with b * bden; a search then takes m
-        `then` costs over its optimal face; circuits first, once the slot is full."""
+        the minimax LP |sums - rows.x| <= t in ints, x = (bden/den) alpha (x
+        itself where den = bden), a positive rescaling that moves no pivot;
+        sums is, per cell, its sign vector times sigma(b) * bden; a search
+        then takes m `then` costs over its optimal face; circuits first, once
+        the slot is full, whose solve tables give x with no elimination."""
         key, slot = self.reduced.sigma(b), self._fiber
         if slot is not None and slot.key == key:
             return slot
         den, rows = self.feasibility_ints
-        vectors, (bden, ints) = self.sign_vectors, scaled_ints(b)
+        vectors, (bden, ints) = self.sign_vectors, scaled_ints(key)
         sums = [sum(map(mul, x, ints)) for x in vectors]
         t, x, lam = solve_minimax_lp(rows, sums, multipliers=True,
                                      circuits=None if slot is None else self.circuits)
-        to_alpha = lambda x: tuple([Q(den * v.numerator, bden * v.denominator) for v in x])
+        to_alpha = lambda x: x if den == bden else tuple(
+            [Q(den * v.numerator, bden * v.denominator) for v in x])
         basis, alpha = self.basis, to_alpha(x)
         lex = lambda d: alpha
         if t and len(lam) - lam.count(0) <= basis.m:  # uncertified: searched on first call
             lex = cache(lambda d: to_alpha(lex_extreme_alpha(basis, rows, sums, d)))
         # A new fiber replaces the slot in one assignment.
-        self._fiber = Fiber(key, Q(t.numerator, t.denominator * bden), alpha,
-                            Q(sum(map(abs, map(mul, vectors[0], ints))), bden),
-                            lex, basis, sums, bden)
+        self._fiber = Fiber(key, t if bden == 1 else Q(t.numerator, t.denominator * bden),
+                            alpha, Q(sum(map(abs, ints)), bden), lex, basis, sums, bden)
         return self._fiber
 
 

@@ -881,15 +881,59 @@ def test_lp_pivot_totals_are_pinned(lp_pivots):
     assert totals == LP_PIVOT_PINS
 
 
+def _tables_invert_their_rows(rows, circuits) -> bool:
+    """Each circuit of m + 1 rows carries den B^-1 for m of its rows B,
+    each with the sign of its lam; a smaller circuit carries no table."""
+    m = len(rows[0])
+    for support, lam, size, table, get in circuits:
+        assert size == sum(map(abs, lam)) and (table is None) == (len(support) <= m)
+        if table is not None:
+            picks, den, inv = table
+            y = dict(zip(support, lam))
+            assert len({p for p, _ in picks}) == m and all(y[p] * s > 0 for p, s in picks)
+            assert [[sum(map(mul, rows[p], col)) for col in zip(*inv)] for p, _ in picks] == [
+                [den * (i == j) for j in range(m)] for i in range(m)]
+    return True
+
+
 def test_circuits_are_the_minimal_dependent_row_sets_under_the_cap():
     # Rows 0 and 2 are parallel: a circuit of 2 rows, listed once though
     # two subsets of 3 rows hold it; each lam is primitive, up to sign.
-    got = minimax_circuits(((1, 0), (0, 1), (2, 0), (1, 1)))
-    assert {s: (size, lam if lam[0] > 0 else tuple(-a for a in lam)) for s, lam, size in got} == {
+    rows = ((1, 0), (0, 1), (2, 0), (1, 1))
+    got = minimax_circuits(rows)
+    assert {s: (size, lam if lam[0] > 0 else tuple(-a for a in lam)) for s, lam, size, *_ in got} == {
         (0, 2): (3, (2, -1)), (0, 1, 3): (3, (1, 1, -1)), (1, 2, 3): (5, (2, 1, -2))}
+    # Rows 1 and 2 are the pivots of (1, 2, 3): the table is 2 [[0, 1], [2, 0]]^-1.
+    assert _tables_invert_their_rows(rows, got)
+    assert got[2][3][1:] == (2, ((0, 1), (2, 0))) and [p for p, _ in got[2][3][0]] == [1, 2]
+    # Every table on the fiber-style bases (m = 2) and criterion 5's (m <= 3).
+    bases = {pb.feasibility_ints[1] for pb, _ in _fiber_style_stream(505, targets=1)}
+    bases |= {pb.feasibility_ints[1] for pb in map(prepare, (a for a, _ in _criterion_5_stream(500)))
+              if pb.profile.zero_set and pb.circuits is not None}
+    assert all(_tables_invert_their_rows(r, minimax_circuits(r)) for r in bases)
     # C(8, 3) = 56 subsets of 3 rows are under the cap, C(9, 3) = 84 are not.
     rows = tuple((1, k) for k in range(9))
     assert minimax_circuits(rows[:8]) and minimax_circuits(rows) is None
+
+
+def test_the_circuit_branch_is_exact_on_rational_rhs_and_checks_its_input():
+    # An int rhs times a Fraction rhs's entries once went through a
+    # floored elimination: x = (17/33, 49/66), off t* = 283/231.
+    rows, rhs = ((3, 0), (0, 2), (1, 1)), (Q(1, 3), Q(2, 7), Q(5, 2))
+    assert solve_minimax_lp(rows, rhs, circuits=minimax_circuits(rows)) == (
+        Q(283, 231), (Q(40, 77), Q(349, 462))) == solve_minimax_lp(rows, rhs)
+    # Fraction rows once gave no circuit at all, and empty or ragged rows
+    # an IndexError or a circuit: each is refused before any elimination.
+    for bad in (((Q(1, 2), 0), (0, Q(1, 3)), (1, 1)), (), ((),), ((1, 2), (3, 4), (5, 6, 7)),
+                ((1, 2), (3,))):
+        with pytest.raises(ValidationError, match="minimax_circuits needs int rows"):
+            minimax_circuits(bad)
+    # The LP branch's refusals hold with circuits too, before one is read.
+    circuits = minimax_circuits(rows)
+    with pytest.raises(ValidationError, match="minimax rhs length"):
+        solve_minimax_lp(rows, (1, 2), circuits=circuits)
+    with pytest.raises(ValidationError, match="at least one row"):
+        solve_minimax_lp((), (), circuits=circuits)
 
 
 def _fiber_style_stream(seed, targets=20):
@@ -911,14 +955,18 @@ def _fiber_style_stream(seed, targets=20):
             yield pb, [0 if i in zero else rng.randint(-5, 5) for i in range(len(rows))]
 
 
-def _circuits_agree_with_the_lp(pb, b, kernel) -> bool:
-    """pb's fiber LP for b solved with pb.circuits against the LP alone:
+def _fiber_rhs(pb, b) -> list[int]:
+    ints = scaled_ints(pb.reduced.sigma(b))[1]
+    return [sum(map(mul, x, ints)) for x in pb.sign_vectors]
+
+
+def _circuits_agree_with_the_lp(pb, rhs, kernel) -> bool:
+    """pb's fiber LP for rhs solved with pb.circuits against the LP alone:
     the same t* and x.  Where no lp_min ran, the multipliers have m + 1
     nonzero entries, sum lam_p rows_p = 0 and -sum lam_p rhs_p =
     (sum |lam_p|) t* > 0; where the LP ran, they are its own.  True iff
     the circuits answered."""
-    rows, ints = pb.feasibility_ints[1], scaled_ints(b)[1]
-    rhs = [sum(map(mul, x, ints)) for x in pb.sign_vectors]
+    rows = pb.feasibility_ints[1]
     want = solve_minimax_lp(rows, rhs, multipliers=True)
     kernel.clear()
     t, x, lam = solve_minimax_lp(rows, rhs, multipliers=True, circuits=pb.circuits)
@@ -940,14 +988,21 @@ def test_circuits_give_the_minimax_lp_answer(monkeypatch):
     monkeypatch.setattr(lp, "lp_min", lambda *args: kernel.append(args) or lp_min(*args))
     answered = {}
     for seed in (505, 11):
-        answered[seed] = sum(_circuits_agree_with_the_lp(pb, b, kernel)
+        answered[seed] = sum(_circuits_agree_with_the_lp(pb, _fiber_rhs(pb, b), kernel)
                              for pb, b in _fiber_style_stream(seed))
     fibers = [(pb, b) for pb, b in ((prepare(basis), b) for basis, b in _criterion_5_stream(500))
               if pb.profile.zero_set and pb.circuits is not None]
-    answered["criterion_5"] = sum(_circuits_agree_with_the_lp(pb, b, kernel) for pb, b in fibers)
+    answered["criterion_5"] = sum(_circuits_agree_with_the_lp(pb, _fiber_rhs(pb, b), kernel)
+                                  for pb, b in fibers)
+    # A Fraction rhs, each entry over its own denominator: the table's
+    # product is exact where an int elimination would floor.
+    rng = random.Random(7)
+    answered["rational"] = sum(
+        _circuits_agree_with_the_lp(pb, [Q(s, rng.randint(1, 9)) for s in _fiber_rhs(pb, b)], kernel)
+        for pb, b in _fiber_style_stream(505))
     # Circuits of fewer than m + 1 rows, or ties, at every optimum of
     # these faces: each falls back to the LP.
     for rows, b in FACE_POLYTOPES:
         pb = prepare(validate_basis(mat(rows)))
-        assert pb.circuits and not _circuits_agree_with_the_lp(pb, b, kernel)
-    assert (len(fibers), answered) == (169, {505: 240, 11: 239, "criterion_5": 38})
+        assert pb.circuits and not _circuits_agree_with_the_lp(pb, _fiber_rhs(pb, b), kernel)
+    assert (len(fibers), answered) == (169, {505: 240, 11: 239, "criterion_5": 38, "rational": 240})

@@ -179,14 +179,56 @@ EXACT_DIVISIONS = {
     ("oracle", "brute_force_existence", "2 * radius / step"):
         "radius and step have just come through vec, so both are Fractions",
 }
+# The floor divisions src/coapprox holds, keyed as EXACT_DIVISIONS, each
+# with the reason both operands are ints: a `//` on a Fraction floors it
+# silently (the minimax circuits once did, on rational rows and rhs).
+INT_DIVISIONS = {
+    ("exact", "scaled_ints", "d // x.denominator"):
+        "d is the int lcm of the entries' int denominators, so each divides it",
+    ("exact", "primitive_ints", "k // g"):
+        "k are scaled_ints' ints and g their int gcd, so each divides exactly",
+    ("exact", "bareiss_pivot", "(p * a - f * b) // den"):
+        "int rows: every caller passes scaled or primitive ints, an LP's int columns, or "
+        "minimax_circuits' rows, which it checks are ints; den divides a minor (Bareiss)",
+    ("exact", "bareiss_pivot", "p * a // den"):
+        "the same int rows; p * a / den is a minor of the starting rows",
+    ("lp", "lp_min", "k // g"):
+        "cost_ints come from scaled_ints and g is their int gcd",
+    ("lp", "minimax_circuits", "m * (m + 1) // 2"):
+        "m is a row length, an int, and m (m + 1) is even",
+    ("norming", "half_cells", "x // g"):
+        "v is a list of int products of int normals and g its signed int gcd",
+}
+# The stdlib modules and package modules ("." the package itself) that
+# each module imports, anywhere in it: a new dependency is a reviewed change.
+IMPORTS = {
+    "__init__": {".classify", ".errors", ".exact", ".lp", ".norming", ".oracle", ".solver",
+                 ".subspace"},
+    "classify": {"__future__", "typing", ".solver", ".subspace"},
+    "cli": {"__future__", "argparse", "functools", "json", "os", "sys", "typing", ".",
+            ".classify", ".errors", ".exact", ".norming", ".oracle", ".solver", ".subspace"},
+    "errors": set(),
+    "exact": {"__future__", "collections", "enum", "fractions", "math", "numbers", "re",
+              "typing", ".errors"},
+    "instances": {"__future__", "random", ".errors", ".exact", ".subspace"},
+    "lp": {"__future__", "enum", "itertools", "math", "operator", "typing", ".errors", ".exact"},
+    "norming": {"__future__", "functools", "math", "operator", "typing", ".errors", ".exact",
+                ".lp", ".subspace"},
+    "oracle": {"__future__", "math", "operator", "typing", ".errors", ".exact", ".lp",
+               ".norming", ".subspace"},
+    "solver": {"__future__", "enum", "functools", "operator", "typing", ".errors", ".exact",
+               ".lp", ".norming", ".subspace"},
+    "subspace": {"__future__", "functools", "operator", "typing", ".errors", ".exact"},
+}
 # math functions whose value is a float whatever their argument.
 FLOAT_MATH = {"sqrt", "exp", "log", "log2", "log10", "pow", "fsum", "hypot", "fmod", "ldexp"}
 
 
 def _inexact_nodes(source: str, module: str, divisions: set) -> list[str]:
     """'module.function:line: text' for each float literal, call to
-    float, round or a FLOAT_MATH function, and `/` or `/=` not in
-    EXACT_DIVISIONS in `source`; every division's key goes to `divisions`."""
+    float, round or a FLOAT_MATH function, `/` or `/=` not in
+    EXACT_DIVISIONS and `//` or `//=` not in INT_DIVISIONS in `source`;
+    every division's key goes to `divisions`."""
     faults = []
 
     def walk(node, scope):
@@ -202,6 +244,9 @@ def _inexact_nodes(source: str, module: str, divisions: set) -> list[str]:
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             divisions.add(key := (module, scope, ast.get_source_segment(source, node)))
             bad = key not in EXACT_DIVISIONS
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.FloorDiv):
+            divisions.add(key := (module, scope, ast.get_source_segment(source, node)))
+            bad = key not in INT_DIVISIONS
         else:
             bad = False
         if bad:
@@ -220,10 +265,43 @@ def test_no_float_can_enter_the_package_source():
     for path in sorted((ROOT / "src" / "coapprox").glob("*.py")):
         faults += _inexact_nodes(path.read_text(encoding="utf-8"), path.stem, divisions)
     assert faults == []
-    assert divisions == set(EXACT_DIVISIONS), "an allowed division is gone"
+    assert divisions == set(EXACT_DIVISIONS) | set(INT_DIVISIONS), "an allowed division is gone"
     # The scan rejects a class constant taken as int / int (build_profile
     # once gave the float 1e+17 so) and a float in a report path.
     assert _inexact_nodes("def build_profile(row, rep, j0):\n    return row[j0] / rep[j0]\n",
                           "subspace", set()) == ["subspace.build_profile:2: row[j0] / rep[j0]"]
     assert _inexact_nodes("def cmd_threshold(th):\n    return {'delta0': float(th.delta0)}\n",
                           "cli", set()) == ["cli.cmd_threshold:2: float(th.delta0)"]
+    # A floor division on a value that may be a Fraction: minimax_circuits'
+    # elimination once floored rational rows so.
+    assert _inexact_nodes("def solve(w, t, v):\n    return (t * w - v) // t\n", "lp", set()) == [
+        "lp.solve:2: (t * w - v) // t"]
+    assert _inexact_nodes("def f(x, g):\n    x //= g\n", "lp", set()) == ["lp.f:2: x //= g"]
+
+
+def _imports(source: str) -> set[str]:
+    """The top-level names of the modules `source` imports, anywhere in
+    it, and its relative imports as "." plus the module name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or "") if node.level
+                      else node.module.split(".")[0])
+    return names
+
+
+def test_every_package_import_is_the_stdlib_or_the_package_on_its_list():
+    # No third-party dependency, and no new import unreviewed: each
+    # module's imports are exactly its IMPORTS entry, every entry of
+    # which is a stdlib module or a module of the package.
+    modules = {path.stem: _imports(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "src" / "coapprox").glob("*.py"))}
+    assert modules == IMPORTS
+    package = {"."} | {"." + name for name in IMPORTS if name != "__init__"}
+    assert all(name in sys.stdlib_module_names or name in package
+               for names in IMPORTS.values() for name in names)
+    # A third-party import, even inside a function, is off every list.
+    mutant = "import math\ndef solve(rows):\n    import numpy.linalg\n    return rows\n"
+    assert _imports(mutant) - IMPORTS["lp"] == {"numpy"} and "numpy" not in sys.stdlib_module_names

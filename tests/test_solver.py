@@ -300,6 +300,7 @@ def test_feasibility_rows_are_cell_signs_times_class_sums():
             tuple(cell.signs[c] * (1 if const > 0 else -1) for c, const in coords)
             for cell in pb.cells
         )
+        assert tuple(map(tuple, pb.sign_vectors)) == reps  # the fiber's rhs vectors
         cols = columns(reduced.basis)
         assert pb.feasibility_rows == tuple(
             tuple(norming_dot(x, col) for col in cols) for x in reps
