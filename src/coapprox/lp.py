@@ -156,23 +156,11 @@ def lp_max(cost, a_ub, b_ub) -> LpResult:
     return LpResult(LpStatus.OPTIMAL, res.x, -res.value)
 
 
-def _check_minimax(rows, rhs) -> None:
-    """The minimax kernel's refusals, before any row or circuit is read:
-    capped at MAX_CELL_PAIRS rows, as every caller passes one per cell pair."""
-    if not rows or not rows[0]:
-        raise ValidationError("minimax needs at least one row and one column")
-    if len(rows) > MAX_CELL_PAIRS:
-        raise CapacityError(f"minimax kernel capped at {MAX_CELL_PAIRS} rows, got {len(rows)}")
-    if len(rhs) != len(rows):
-        raise ValidationError("minimax rhs length does not match row count")
-
-
 def minimax_rows(rows: tuple[Vec, ...], rhs: Vec) -> tuple:
     """(cost, a_ub, b_ub, top): min over x of max_p |rhs_p - rows_p . x| as
     an lp_min LP in (x, t'), t = top + t', top = max|rhs|: minimize t'
     subject to +-(rows.x - rhs) <= top + t'.  Every rhs top +- b is >= 0,
-    so x = 0, t' = 0 is the feasible start."""
-    _check_minimax(rows, rhs)
+    so x = 0, t' = 0 is the feasible start.  solve_minimax_lp checks the input."""
     top = max(map(abs, rhs))
     return ((0,) * len(rows[0]) + (1,),
             [r for row in rows for r in ((*row, -1), (*map(neg, row), -1))],
@@ -180,14 +168,14 @@ def minimax_rows(rows: tuple[Vec, ...], rhs: Vec) -> tuple:
 
 
 def minimax_circuits(rows) -> tuple | None:
-    """(support, lam, sum |lam|, table, get) per circuit of the int rows, lam
-    primitive, sum lam_p rows_p = 0: the minimax LP's dual vertices
-    (Rockafellar 1969), each the left null vector of some m + 1 rows of rank
-    m.  One Gauss-Jordan pass per subset, on its transpose with the identity
-    appended: on m + 1 rows the pivots are the first m, B, any m being
-    independent, and the appended block ends as den (B^-1)^T, den the final
-    pivot, so table = (B's (row, sign of lam), den, den B^-1); None on fewer
-    rows.  Refuses empty, ragged or non-int rows; None over MAX_CIRCUIT_SUBSETS."""
+    """(rows, circuits): (support, lam, sum |lam|, table, get) per circuit of
+    the int rows, lam primitive, sum lam_p rows_p = 0: the minimax LP's dual
+    vertices (Rockafellar 1969), each the left null vector of some m + 1 rows
+    of rank m.  One Gauss-Jordan pass per subset, on its transpose with the
+    identity appended: on m + 1 rows the pivots are the first m, B, any m
+    being independent, and the appended block ends as den (B^-1)^T, den the
+    final pivot, so table = (B's (row, sign of lam), den, den B^-1); None on
+    fewer rows.  Refuses empty, ragged or non-int rows; None over MAX_CIRCUIT_SUBSETS."""
     m = len(rows[0]) if rows else 0
     if not m or {*map(len, rows)} != {m} or type(sum(chain(*rows))) is not int:
         raise ValidationError("minimax_circuits needs int rows, all of one nonzero length")
@@ -206,26 +194,36 @@ def minimax_circuits(rows) -> tuple | None:
             found.setdefault(tuple([p for p, a in zip(subset, lam) if a]),
                              (tuple([a for a in primitive_ints(lam) if a]), table))
     # get(rhs) is rhs on the support, then rhs[0] past lam's end: a tuple even on one row.
-    return tuple((s, y, sum(map(abs, y)), tb, itemgetter(*s, 0)) for s, (y, tb) in found.items())
+    return rows, tuple((s, y, sum(map(abs, y)), tb, itemgetter(*s, 0))
+                       for s, (y, tb) in found.items())
 
 
-def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, multipliers=False, circuits=None) -> tuple:
-    """min over x of max_p |rhs_p - rows_p . x|, exactly: (t_star, x_star)
-    with x_star attaining t_star.  The program's rows come as ints;
-    lp_min scales a library caller's rational row by its own lcm.
-
-    With `multipliers`, also the ints lam_p = q_p - p_p, the duals of the
-    rows +-(rows_p . x - rhs_p) <= t times one d > 0: sum lam_p rows_p = 0
-    and -sum lam_p rhs_p = d t_star >= t_star sum |lam_p|.
-    `circuits` (minimax_circuits of the int rows) go first: t_star is the top
-    |lam . rhs| / sum |lam| (Stiefel, Numer. Math. 1, 1959).  If > 0 on m + 1
-    rows, their slabs are tight at every optimum, and the table's m pin x_star:
-    rows_p . x = rhs_p - sign(lam_p) (lam . rhs) / sum |lam|, one int product
-    with their inverse, exact for a rational rhs too; multipliers -sign(lam . rhs) lam.
+def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, circuits=None) -> tuple:
+    """min over x of max_p |rhs_p - rows_p . x|, exactly: (t_star, x_star, lam),
+    x_star attaining t_star and lam the ints q_p - p_p, the duals of the rows
+    +-(rows_p . x - rhs_p) <= t times one d > 0: sum lam_p rows_p = 0 and
+    -sum lam_p rhs_p = d t_star >= t_star sum |lam_p|.  lp_min scales a
+    rational row by its own lcm.  Refused before any arithmetic: no row or
+    column, over MAX_CELL_PAIRS rows (one per cell pair), an rhs of another
+    length or with an inexact entry, circuits not minimax_circuits(rows).
+    `circuits` go first: t_star is the top |lam . rhs| / sum |lam| (Stiefel,
+    Numer. Math. 1, 1959).  If > 0 on m + 1 rows, their slabs are tight at
+    every optimum, and the table's m pin x_star: rows_p . x = rhs_p -
+    sign(lam_p) (lam . rhs) / sum |lam|, one int product with their inverse,
+    exact for a rational rhs too; lam is then -sign(lam . rhs) lam.
     """
-    _check_minimax(rows, rhs)
+    if not rows or not rows[0]:
+        raise ValidationError("minimax needs at least one row and one column")
+    if len(rows) > MAX_CELL_PAIRS:
+        raise CapacityError(f"minimax kernel capped at {MAX_CELL_PAIRS} rows, got {len(rows)}")
+    if len(rhs) != len(rows):
+        raise ValidationError("minimax rhs length does not match row count")
+    scaled_ints(rhs)  # names an inexact entry
+    if circuits is not None and (len(circuits) != 2 or circuits[0] is not rows
+                                 and circuits[0] != rows):
+        raise ValidationError("minimax circuits must be minimax_circuits(rows) of these rows")
     t, best = (0, 1), ((), (), 0, None)
-    for support, lam, size, table, get in circuits or ():
+    for support, lam, size, table, get in circuits[1] if circuits else ():
         v = sum(map(mul, lam, get(rhs)))
         d = abs(v) * t[1] - t[0] * size  # cross-multiplied; a tie goes to more rows
         if d > 0 or not d and len(support) > len(best[0]):
@@ -233,12 +231,12 @@ def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, multipliers=False, circuit
     if t[0] and best[3]:
         (support, lam, v, (picks, den, inv)), size = best, t[1]
         w = [size * rhs[p] - s * v for p, s in picks]
-        opt = (Q(*t), tuple([Q(sum(map(mul, row, w)), den * size) for row in inv]))
         y, sign = dict(zip(support, lam)), -1 if v > 0 else 1
-        return (*opt, tuple([sign * y.get(p, 0) for p in range(len(rhs))])) if multipliers else opt
+        return (Q(*t), tuple([Q(sum(map(mul, row, w)), den * size) for row in inv]),
+                tuple([sign * y.get(p, 0) for p in range(len(rhs))]))
     cost, a_ub, b_ub, top = minimax_rows(rows, rhs)
     res = lp_min(cost, a_ub, b_ub)
     if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
         raise ValidationError(f"minimax LP unexpectedly {res.status.value}")
-    y, opt = res.duals, (top + res.value, res.x[:-1])
-    return (*opt, tuple(map(sub, y[::2], y[1::2]))) if multipliers else opt
+    y = res.duals
+    return top + res.value, res.x[:-1], tuple(map(sub, y[::2], y[1::2]))

@@ -8,7 +8,8 @@ deletion-restriction (one representative per antipodal pair, each with an
 int interior point; a lifted cell's signs are read off its restricted
 cell, not by dot products).  A cell with class signs s gives the +-1 sign
 vector s_c * o_i on the coordinates i of class c off the zero set, o_i the
-sign of coordinate i's constant.  Those vectors, as +- pairs, form the
+sign of coordinate i's constant (`PreparedBasis.sign_vectors`, which
+`minimal_norming_set` reads).  Those vectors, as +- pairs, form the
 unique minimal norming set: a subspace functional with coefficients
 strictly inside a cell attains its norm exactly at that cell's pair.
 
@@ -42,17 +43,13 @@ SignVec = tuple[int, ...]
 
 
 class Arrangement(NamedTuple("Arrangement", [
-        ("normals", tuple[tuple[int, ...], ...]), ("class_of_coord", tuple[int, ...]),
-        ("orientation", tuple[int, ...]), ("m", int)])):
+        ("normals", tuple[tuple[int, ...], ...]), ("m", int)])):
     """Distinct row hyperplanes of a basis, one per component class.
 
     normals[t] is class t's representative row as coprime ints, a
     positive multiple of that row, so the sign of `normals[t] . beta`
     equals the sign the representative coordinate's functional takes at
     beta; cell enumeration and the margin LPs take them as they are.
-    class_of_coord[i] and orientation[i] are the class and the sign of
-    the proportionality constant of the i-th coordinate off the zero
-    set, in coordinate order.
     """
 
     @property
@@ -94,13 +91,8 @@ class NormingSet(NamedTuple):
 def build_arrangement(basis: SubspaceBasis, profile: ComponentProfile) -> Arrangement:
     """One hyperplane per component class of the basis' row profile,
     its normal the representative's int row."""
-    coords = [profile.class_of[i] for i in sorted(profile.class_of)]
-    return Arrangement(
-        normals=tuple(basis.int_rows[cls.representative] for cls in profile.classes),
-        class_of_coord=tuple(c for c, _ in coords),
-        orientation=tuple(1 if const > 0 else -1 for _, const in coords),
-        m=basis.m,
-    )
+    return Arrangement(tuple(basis.int_rows[cls.representative] for cls in profile.classes),
+                       basis.m)
 
 
 def cell_pair_bound(r: int, m: int) -> int:
@@ -214,17 +206,19 @@ def _staircase_patterns(r: int):
         yield tuple([1] * (r - j) + [-1] * j)
 
 
-def minimal_norming_set(arr: Arrangement, cells: tuple[SignCell, ...]) -> NormingSet:
-    """Translate cells to coordinate sign vectors and pick the canonical
-    span basis (staircase-first).  The greedy runs on the class signs:
-    s -> x is linear and injective, as every class has a coordinate, so
-    it keeps the same cells as on the sign vectors."""
-    reps = tuple(tuple(cell.signs[c] * o for c, o in zip(arr.class_of_coord, arr.orientation))
-                 for cell in cells)
+def minimal_norming_set(cells: tuple[SignCell, ...],
+                        sign_vectors: tuple[SignVec, ...]) -> NormingSet:
+    """The cells' sign vectors, one per cell (PreparedBasis.sign_vectors),
+    with the canonical span basis (staircase-first).  The greedy runs on
+    the class signs: s -> x is linear and injective, as every class has a
+    coordinate, so it keeps the same cells as on the sign vectors."""
+    reps = tuple(sign_vectors)
+    if len(reps) != len(cells) or not cells:
+        raise ValidationError("minimal_norming_set needs one sign vector per cell, and a cell")
     if any(x[0] != 1 for x in reps):  # pragma: no cover - coordinate 0 leads its own class
         raise InternalInconsistencyError("cell representative not canonical")
     by_signs = {cell.signs: idx for idx, cell in enumerate(cells)}
-    staircase = [by_signs[p] for p in _staircase_patterns(arr.r) if p in by_signs]
+    staircase = [by_signs[p] for p in _staircase_patterns(len(cells[0].signs)) if p in by_signs]
     candidates = staircase + list(range(len(reps)))
     basis = [reps[candidates[p]] for p in first_basis([cells[i].signs for i in candidates])]
     return NormingSet(

@@ -200,7 +200,7 @@ def certify_not_exists(basis: SubspaceBasis, b: Vec) -> tuple:
     work = [[bden * sum(map(mul, signs, col)) for signs in patterns] for col in zip(*mat)]
     rows = list(zip(*work))
     if width:
-        lam = solve_minimax_lp(rows, rhs, multipliers=True)[2]
+        lam = solve_minimax_lp(rows, rhs)[2]
     else:  # y^k_k = d, the final pivot, and y^k_(c_i) = -work[i][k]
         pivots = _gauss_jordan(work, len(rhs))
         d = work[0][pivots[0]]  # every slab row is nonzero, so rows has a pivot

@@ -44,6 +44,7 @@ from .errors import (
     EmptyZeroSetError,
     InternalInconsistencyError,
     NoCoapproximationError,
+    ValidationError,
 )
 from .exact import (
     Mat,
@@ -152,7 +153,7 @@ class PreparedBasis:
 
     @cached_property
     def norming(self) -> NormingSet:
-        norming = minimal_norming_set(self.arrangement, self.cells)
+        norming = minimal_norming_set(self.cells, self.sign_vectors)
         if norming.span_dim != self.profile.d:
             raise InternalInconsistencyError("norming span dimension q != d")
         return norming
@@ -187,17 +188,17 @@ class PreparedBasis:
                           for cell in self.cells)
 
     @cached_property
-    def sign_vectors(self) -> tuple[list[int], ...]:
+    def sign_vectors(self) -> tuple[tuple[int, ...], ...]:
         """Per cell, its sign vector x over the coordinates off the zero set,
         the reduced basis's norming vector: s_c * o_i on class c.  x . sigma(b)
-        is the cell's right-hand side, and |x_i| = 1."""
+        is the cell's right-hand side, |x_i| = 1, and `norming` lists them."""
         coords = [self.profile.class_of[i] for i in self.reduced.kept_indices]  # (c, const_i)
-        return tuple([cell.signs[c] if k > 0 else -cell.signs[c] for c, k in coords]
+        return tuple(tuple([cell.signs[c] if k > 0 else -cell.signs[c] for c, k in coords])
                      for cell in self.cells)
 
     @cached_property
     def circuits(self) -> tuple | None:
-        """minimax_circuits(feasibility_ints), None over the cap: built on a second fiber."""
+        """minimax_circuits(feasibility_ints): (rows, circuits), None over the cap."""
         return minimax_circuits(self.feasibility_ints[1])
 
     @cached_property
@@ -224,8 +225,7 @@ class PreparedBasis:
         den, rows = self.feasibility_ints
         vectors, (bden, ints) = self.sign_vectors, scaled_ints(key)
         sums = [sum(map(mul, x, ints)) for x in vectors]
-        t, x, lam = solve_minimax_lp(rows, sums, multipliers=True,
-                                     circuits=None if slot is None else self.circuits)
+        t, x, lam = solve_minimax_lp(rows, sums, circuits=None if slot is None else self.circuits)
         to_alpha = lambda x: x if den == bden else tuple(
             [Q(den * v.numerator, bden * v.denominator) for v in x])
         basis, alpha = self.basis, to_alpha(x)
@@ -243,13 +243,17 @@ def prepare(basis: SubspaceBasis) -> PreparedBasis:
 
 
 def prepared_for(basis: SubspaceBasis, prepared: PreparedBasis | None) -> PreparedBasis:
-    """`prepared`, or a fresh prepare(basis); refused if built for another basis."""
-    pb = prepared if prepared is not None else prepare(basis)
-    # Identity first, the common case; records are tuples, so a plain
-    # tuple can equal pb.basis, and only a SubspaceBasis passes.
-    if pb.basis is not basis and not (isinstance(basis, SubspaceBasis) and pb.basis == basis):
+    """`prepared`, or a fresh prepare(basis); refused if built for another basis.
+    Records are tuples, so a plain tuple could equal a SubspaceBasis: refused first."""
+    if not isinstance(basis, SubspaceBasis):
+        raise ValidationError(f"basis must be a SubspaceBasis, not {type(basis).__name__}")
+    if prepared is None:
+        return prepare(basis)
+    if not isinstance(prepared, PreparedBasis):
+        raise ValidationError(f"prepared must be a PreparedBasis, not {type(prepared).__name__}")
+    if prepared.basis is not basis and prepared.basis != basis:  # identity first, the common case
         raise DimensionError("prepared basis does not match the basis")
-    return pb
+    return prepared
 
 
 class OutcomeKind(Enum):

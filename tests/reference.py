@@ -102,7 +102,7 @@ def class_sum_fiber(pb: PreparedBasis, b: Vec) -> tuple:
     class_sums = [sum(ints[i] if c > 0 else -ints[i] for i, c in cls.members)
                   for cls in pb.profile.classes]
     sums = [sum(map(mul, cell.signs, class_sums)) for cell in pb.cells]
-    t, x = solve_minimax_lp(rows, sums)
+    t, x, _ = solve_minimax_lp(rows, sums)
     scale = Q(den, bden)
     lex = {d: tuple(v * scale for v in lex_extreme_alpha(pb.basis, rows, sums, d)) for d in (1, -1)}
     return tuple(Q(s, bden) for s in sums), t / bden, tuple(v * scale for v in x), lex

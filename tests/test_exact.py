@@ -249,22 +249,22 @@ class TestSolveLinear:
 
 class TestMinimaxLp:
     def test_exactly_solvable(self):
-        t, alpha = solve_minimax_lp(mat([(1, 0), (0, 1)]), vec((4, -6)))
+        t, alpha, _ = solve_minimax_lp(mat([(1, 0), (0, 1)]), vec((4, -6)))
         assert t == 0 and alpha == (Q(4), Q(-6))
 
     def test_balanced_residuals(self):
-        t, alpha = solve_minimax_lp(mat([(1,), (1,)]), vec((0, 2)))
+        t, alpha, _ = solve_minimax_lp(mat([(1,), (1,)]), vec((0, 2)))
         assert t == 1 and alpha == (Q(1),)
 
     def test_symmetry_forces_zero(self):
-        t, alpha = solve_minimax_lp(mat([(1,), (-1,)]), vec((1, 1)))
+        t, alpha, _ = solve_minimax_lp(mat([(1,), (-1,)]), vec((1, 1)))
         assert t == 1 and alpha == (Q(0),)
 
     def test_capacity_guard(self):
         # The cell-pair cap: no caller passes more rows than cell pairs.
         with pytest.raises(CapacityError, match="capped at 256 rows, got 257"):
             solve_minimax_lp(mat([(1,)] * 257), vec([0] * 257))
-        t, alpha = solve_minimax_lp(mat([(1,)] * 256), vec(range(256)))
+        t, alpha, _ = solve_minimax_lp(mat([(1,)] * 256), vec(range(256)))
         assert t == Q(255, 2) and alpha == (Q(255, 2),)
 
     def test_random_optimality(self):
@@ -273,7 +273,7 @@ class TestMinimaxLp:
             q, m = rng.randint(1, 5), rng.randint(1, 3)
             rows = mat([[rng.randint(-4, 4) for _ in range(m)] for _ in range(q)])
             rhs = vec([rng.randint(-4, 4) for _ in range(q)])
-            t_star, alpha = solve_minimax_lp(rows, rhs)
+            t_star, alpha, _ = solve_minimax_lp(rows, rhs)
             residuals = [
                 abs(rhs[p] - sum(rows[p][j] * alpha[j] for j in range(m)))
                 for p in range(q)

@@ -1,4 +1,5 @@
 import operator
+import re
 import random
 from fractions import Fraction as Q
 from operator import mul
@@ -467,7 +468,7 @@ def test_integer_tableau_matches_fraction_reference_at_the_caps(lp_pivots):
         want = reference_lp_min(cost, a_ub, b_ub)
         got = general_lp_min(cost, a_ub, b_ub)
         assert (got.status, got.x, got.value) == (want.status, want.x, want.value), (p, m)
-        assert solve_minimax_lp(rows, rhs) == (want.value, want.x[:m])
+        assert solve_minimax_lp(rows, rhs)[:2] == (want.value, want.x[:m])
         top = max(map(abs, rhs))
         shifted = tuple(top + b for b in b_ub)
         pivots = []
@@ -541,7 +542,7 @@ def test_minimax_matches_two_phase_reference_on_the_unshifted_lp():
         rhs = [_large(rng) for _ in range(p)]
         a_ub, b_ub = _pairs(rows, rhs, Q(-1))
         want = reference_lp_min((Q(0),) * m + (Q(1),), a_ub, b_ub)
-        t_star, alpha = solve_minimax_lp(rows, rhs)
+        t_star, alpha, _ = solve_minimax_lp(rows, rhs)
         assert t_star == want.value, (p, m)
         assert max(abs(b - dot(row, alpha)) for row, b in zip(rows, rhs)) == t_star
         if _face_is_a_point(rows, rhs, t_star, want.x[:m]):
@@ -600,8 +601,7 @@ def test_duals_certify_the_optimum():
         _check_duals(cost, a_ub, shifted, lp_min(cost, a_ub, shifted))
         # The minimax multipliers: sum lam_p rows_p = 0 and, as t_star is
         # attained, -sum lam_p rhs_p = t_star * sum |lam_p| exactly.
-        t_star, alpha, lam = solve_minimax_lp(rows, rhs, multipliers=True)
-        assert (t_star, alpha) == solve_minimax_lp(rows, rhs)
+        t_star, alpha, lam = solve_minimax_lp(rows, rhs)
         assert all(sum(x * row[j] for x, row in zip(lam, rows)) == 0 for j in range(m))
         assert -sum(map(operator.mul, lam, rhs)) == t_star * sum(map(abs, lam)) > 0
         if p <= 16:  # the draws of the lex stage, kept in step
@@ -719,7 +719,7 @@ def _margin_lps(rng):
             if any(v):
                 normals[max(v, tuple(-x for x in v))] = None
         r = len(normals)
-        arr = Arrangement(tuple(normals), tuple(range(r)), (1,) * r, m)
+        arr = Arrangement(tuple(normals), m)
         for cell in enumerate_cells(arr):
             a_ub = [(*(-s * x for x in nu), 1) for s, nu in zip(cell.signs, arr.normals)]
             a_ub += [tuple(s * (i == j) for i in range(m + 1)) for j in range(m) for s in (1, -1)]
@@ -749,7 +749,7 @@ def _minimax_lps(rng):
         def check(got, rows=rows, rhs=rhs, top=top, m=m):
             y = got.duals
             lam = tuple(q - p for q, p in zip(y[::2], y[1::2]))
-            return solve_minimax_lp(rows, rhs, multipliers=True) == (top + got.value, got.x[:m], lam)
+            return solve_minimax_lp(rows, rhs) == (top + got.value, got.x[:m], lam)
 
         yield ((0,) * m + (1,), a_ub, tuple(top + b for b in b_ub)), check
 
@@ -828,6 +828,18 @@ def test_column_major_tableau_pivots_as_the_row_major_one(lp_pivots, draw, unbou
 def test_malformed_lp_input_is_refused_before_any_pivot(lp_pivots, solve, args):
     with pytest.raises(ValidationError, match="len"):
         solve(*args)
+
+
+@pytest.mark.parametrize("entry", ["1", None, 1.5], ids=["str", "none", "float"])
+@pytest.mark.parametrize("with_circuits", [False, True], ids=["lp", "circuits"])
+def test_inexact_minimax_rhs_is_refused_naming_the_entry(lp_pivots, entry, with_circuits):
+    # Once a bare TypeError (a str or None on both branches, a float with
+    # circuits), or without circuits a ValidationError naming top + 1.5.
+    rows = ((2, 0), (0, 1), (1, 1))
+    with pytest.raises(ValidationError, match=re.escape(repr(entry))) as raised:
+        solve_minimax_lp(rows, (entry, 2, 3), circuits=minimax_circuits(rows) if with_circuits else None)
+    assert "4.5" not in str(raised.value)
+    assert lp_pivots == []
     assert lp_pivots == []
 
 
@@ -885,7 +897,8 @@ def _tables_invert_their_rows(rows, circuits) -> bool:
     """Each circuit of m + 1 rows carries den B^-1 for m of its rows B,
     each with the sign of its lam; a smaller circuit carries no table."""
     m = len(rows[0])
-    for support, lam, size, table, get in circuits:
+    assert circuits[0] is rows
+    for support, lam, size, table, get in circuits[1]:
         assert size == sum(map(abs, lam)) and (table is None) == (len(support) <= m)
         if table is not None:
             picks, den, inv = table
@@ -900,11 +913,11 @@ def test_circuits_are_the_minimal_dependent_row_sets_under_the_cap():
     # Rows 0 and 2 are parallel: a circuit of 2 rows, listed once though
     # two subsets of 3 rows hold it; each lam is primitive, up to sign.
     rows = ((1, 0), (0, 1), (2, 0), (1, 1))
-    got = minimax_circuits(rows)
+    got = minimax_circuits(rows)[1]
     assert {s: (size, lam if lam[0] > 0 else tuple(-a for a in lam)) for s, lam, size, *_ in got} == {
         (0, 2): (3, (2, -1)), (0, 1, 3): (3, (1, 1, -1)), (1, 2, 3): (5, (2, 1, -2))}
     # Rows 1 and 2 are the pivots of (1, 2, 3): the table is 2 [[0, 1], [2, 0]]^-1.
-    assert _tables_invert_their_rows(rows, got)
+    assert _tables_invert_their_rows(rows, minimax_circuits(rows))
     assert got[2][3][1:] == (2, ((0, 1), (2, 0))) and [p for p, _ in got[2][3][0]] == [1, 2]
     # Every table on the fiber-style bases (m = 2) and criterion 5's (m <= 3).
     bases = {pb.feasibility_ints[1] for pb, _ in _fiber_style_stream(505, targets=1)}
@@ -920,8 +933,8 @@ def test_the_circuit_branch_is_exact_on_rational_rhs_and_checks_its_input():
     # An int rhs times a Fraction rhs's entries once went through a
     # floored elimination: x = (17/33, 49/66), off t* = 283/231.
     rows, rhs = ((3, 0), (0, 2), (1, 1)), (Q(1, 3), Q(2, 7), Q(5, 2))
-    assert solve_minimax_lp(rows, rhs, circuits=minimax_circuits(rows)) == (
-        Q(283, 231), (Q(40, 77), Q(349, 462))) == solve_minimax_lp(rows, rhs)
+    assert solve_minimax_lp(rows, rhs, circuits=minimax_circuits(rows))[:2] == (
+        Q(283, 231), (Q(40, 77), Q(349, 462))) == solve_minimax_lp(rows, rhs)[:2]
     # Fraction rows once gave no circuit at all, and empty or ragged rows
     # an IndexError or a circuit: each is refused before any elimination.
     for bad in (((Q(1, 2), 0), (0, Q(1, 3)), (1, 1)), (), ((),), ((1, 2), (3, 4), (5, 6, 7)),
@@ -934,6 +947,25 @@ def test_the_circuit_branch_is_exact_on_rational_rhs_and_checks_its_input():
         solve_minimax_lp(rows, (1, 2), circuits=circuits)
     with pytest.raises(ValidationError, match="at least one row"):
         solve_minimax_lp((), (), circuits=circuits)
+
+
+def test_circuits_of_other_rows_are_refused():
+    # Circuits carry the rows they came from.  Those of other rows once
+    # answered with no error: t* = 2/3 where the LP gives 1, and with a
+    # fourth row (1, -1), rhs 7, 2/3 where the LP gives 11/3.  A list
+    # minimax_circuits did not return was a bare ValueError.
+    unit, rows = ((1, 0), (0, 1), (1, 1)), ((2, 0), (0, 1), (1, 1))
+    assert solve_minimax_lp(rows, (1, 2, 5))[0] == 1
+    assert solve_minimax_lp((*rows, (1, -1)), (1, 2, 5, 7))[0] == Q(11, 3)
+    for rows, rhs, circuits in ((rows, (1, 2, 5), minimax_circuits(unit)),
+                                ((*rows, (1, -1)), (1, 2, 5, 7), minimax_circuits((*unit, (1, -1)))),
+                                (rows, (1, 2, 5), ((1, 2),)),
+                                (rows, (1, 2, 5), minimax_circuits(rows)[1])):
+        with pytest.raises(ValidationError, match="minimax_circuits\\(rows\\)"):
+            solve_minimax_lp(rows, rhs, circuits=circuits)
+    # Equal rows built apart are the same rows.
+    assert solve_minimax_lp(rows, (1, 2, 5), circuits=minimax_circuits(tuple(map(tuple, rows)))) == (
+        solve_minimax_lp(rows, (1, 2, 5)))
 
 
 def _fiber_style_stream(seed, targets=20):
@@ -967,9 +999,9 @@ def _circuits_agree_with_the_lp(pb, rhs, kernel) -> bool:
     (sum |lam_p|) t* > 0; where the LP ran, they are its own.  True iff
     the circuits answered."""
     rows = pb.feasibility_ints[1]
-    want = solve_minimax_lp(rows, rhs, multipliers=True)
+    want = solve_minimax_lp(rows, rhs)
     kernel.clear()
-    t, x, lam = solve_minimax_lp(rows, rhs, multipliers=True, circuits=pb.circuits)
+    t, x, lam = solve_minimax_lp(rows, rhs, circuits=pb.circuits)
     assert (t, x) == want[:2]
     if kernel:
         assert lam == want[2]

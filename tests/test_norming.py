@@ -50,26 +50,26 @@ def arrangement_of(basis):
 
 
 def analyzed(basis):
-    profile = build_profile(basis)
-    arr = build_arrangement(basis, profile)
-    cells = enumerate_cells(arr)
-    return profile, arr, cells, minimal_norming_set(arr, cells)
+    pb = prepare(basis)
+    return pb.profile, pb.arrangement, pb.cells, minimal_norming_set(pb.cells, pb.sign_vectors)
 
 
 class TestArrangement:
     def test_worked_fixture(self, span3_l16):
-        _, arr, _, _ = analyzed(span3_l16)
+        _, arr, cells, ns = analyzed(span3_l16)
         assert arr.normals == mat(
             [(4, -1, 1), (2, 3, 4), (1, 5, 2), (-1, 2, 1)]
         )
-        assert arr.class_of_coord == (0, 1, 2, 3, 0, 1)
-        assert arr.orientation == (1, 1, 1, 1, -1, 1)
+        # Coordinate i's class and orientation: x_i = s_(class) * o_i.
+        coord_class, orientation = (0, 1, 2, 3, 0, 1), (1, 1, 1, 1, -1, 1)
+        assert ns.representatives == tuple(
+            tuple(cell.signs[c] * o for c, o in zip(coord_class, orientation)) for cell in cells)
 
     def test_one_dimensional(self):
         basis = column_basis((2, -3))
-        _, arr, _, _ = analyzed(basis)
+        _, arr, _, ns = analyzed(basis)
         assert arr.r == 1
-        assert arr.orientation == (1, -1)
+        assert ns.representatives == ((1, -1),)
 
     def test_equal_rows_single_class(self):
         basis = column_basis((3, 3, 3))
@@ -387,11 +387,22 @@ def test_repeated_plane_cuts_nothing():
     # An Arrangement built by hand may repeat a plane (build_arrangement
     # never does): the repeat cuts no cell, as in the reference.
     normals = mat([(1, -1, 0), (0, 1, 1), (1, 1, 1), (-2, 2, 0), (2, 1, 1)])
-    arr = norming.Arrangement(normals=normals, class_of_coord=(0, 1, 2, 3, 4),
-                              orientation=(1,) * 5, m=3)
+    arr = norming.Arrangement(normals=normals, m=3)
     cells = enumerate_cells(arr)
     assert [c.signs for c in cells] == [signs for signs, _ in lp_prefix_tree_cells(arr)]
     assert all(c.signs[3] == -c.signs[0] for c in cells)
+
+
+def test_minimal_norming_set_needs_one_sign_vector_per_cell(span3_l16):
+    # The vectors come from PreparedBasis.sign_vectors (a hand-built
+    # arrangement whose coordinate map disagreed with its cells was a bare
+    # IndexError); a count that does not match the cells, or no cell, is refused.
+    pb = prepare(span3_l16)
+    for cells, vectors in ((pb.cells, pb.sign_vectors[:-1]), (pb.cells[:-1], pb.sign_vectors),
+                           ((), ())):
+        with pytest.raises(ValidationError, match="one sign vector per cell"):
+            minimal_norming_set(cells, vectors)
+    assert minimal_norming_set(pb.cells, pb.sign_vectors) == pb.norming
 
 
 def test_enumerate_cells_runs_no_lp(monkeypatch, span3_l16):
@@ -420,8 +431,7 @@ def test_malformed_arrangement_is_refused_before_enumeration(monkeypatch, normal
         raise AssertionError("cells enumerated before the arrangement was checked")
 
     monkeypatch.setattr(norming, "half_cells", no_work)
-    arr = norming.Arrangement(normals=normals, class_of_coord=tuple(range(len(normals))),
-                              orientation=(1,) * len(normals), m=m)
+    arr = norming.Arrangement(normals=normals, m=m)
     with pytest.raises(error) as raised:
         enumerate_cells(arr)
     assert type(raised.value) is error
@@ -475,8 +485,7 @@ def _assert_fraction_normals_give_the_int_cells(ints, dens, m):
     arrangement in the same order, each with an int point strictly
     inside, or refuses a zero normal as it does there."""
     def cells(normals):
-        r = len(normals)
-        return enumerate_cells(norming.Arrangement(normals, tuple(range(r)), (1,) * r, m))
+        return enumerate_cells(norming.Arrangement(normals, m))
 
     fractions = tuple(tuple(Q(x, d) for x in nu) for nu, d in zip(ints, dens))
     if not all(map(any, ints)):

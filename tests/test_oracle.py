@@ -687,8 +687,7 @@ def _lp_reference_topes(basis):
         if plane not in planes:
             planes.append(plane)
         where.append((planes.index(plane), orientation))
-    arr = Arrangement(normals=tuple(planes), class_of_coord=tuple(range(len(planes))),
-                      orientation=(1,) * len(planes), m=basis.m)
+    arr = Arrangement(normals=tuple(planes), m=basis.m)
     return [(tuple(w[1] * signs[w[0]] if w else 0 for w in where), beta)
             for signs, beta in lp_prefix_tree_cells(arr)]
 
@@ -1135,7 +1134,7 @@ def _parent_certificate(basis, b, radius, step):
     width = sum(abs(x) for x, row in zip(int_b, basis.matrix) if not any(row))
     rows = [[sum(map(operator.mul, signs, col)) for col in int_cols] for signs in patterns]
     rhs = [sum(map(operator.mul, signs, int_b)) for signs in patterns]
-    lam = solve_minimax_lp(rows, rhs, multipliers=True)[2]
+    lam = solve_minimax_lp(rows, rhs)[2]
     return rows, rhs, width, lam, oracle.check_certificate(rows, rhs, width, lam)
 
 

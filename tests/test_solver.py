@@ -13,7 +13,9 @@ from coapprox import (
     NoCoapproximationError,
     OutcomeKind,
     SystemStatus,
+    ValidationError,
     build_profile,
+    classify,
     existence_threshold,
     l1_norm,
     mat,
@@ -584,7 +586,7 @@ class TestFiberMinimax:
         first = pb.fiber(vec((1, 0, 0, 1)))
         assert (len(minimax), len(kernel), "circuits" in vars(pb)) == (1, 1, False)
         second = pb.fiber(vec((2, 1, 0, 1)))
-        assert (len(minimax), len(kernel), len(pb.circuits)) == (2, 1, 1)
+        assert (len(minimax), len(kernel), len(pb.circuits[1])) == (2, 1, 1)
         assert (first.delta0, second.delta0, second.alpha) == (Q(1, 3), 1, (1, 0))
 
     def test_a_basis_over_the_circuit_cap_builds_none_and_runs_the_lp(self, monkeypatch):
@@ -610,11 +612,27 @@ class TestFiberMinimax:
         with pytest.raises(DimensionError, match="prepared basis"):
             call(basis, None, b, prepared=prepare(other))
         # A plain tuple equals the record it copies, but is not a basis.
-        with pytest.raises(DimensionError, match="prepared basis"):
+        with pytest.raises(ValidationError, match="SubspaceBasis") as raised:
             call((basis.n, basis.m, basis.matrix), None, b, prepared=prepare(basis))
+        assert type(raised.value) is ValidationError
         # An equal basis built separately is the same subspace.
         same = column_basis(*THRESHOLD_BASIS_COLUMNS)
         assert call(basis, None, b, prepared=prepare(same)) == call(basis, None, b)
+
+    @pytest.mark.parametrize("call", [solve_general, existence_threshold,
+                                      lambda basis, _, b, **kw: classify(basis, **kw)])
+    def test_refuses_arguments_of_the_wrong_type(self, call):
+        # Each was a bare AttributeError: a matrix for the basis, with or
+        # without a PreparedBasis, and any other object for `prepared`.
+        basis = column_basis(*THRESHOLD_BASIS_COLUMNS)
+        b = self.B + (Q(3),)
+        for args, kw, what in (((basis.matrix, None, b), {}, "SubspaceBasis"),
+                               ((((1, 0), (0, 1)), None, (1, 0)), {}, "SubspaceBasis"),
+                               ((basis.matrix, None, b), {"prepared": prepare(basis)}, "SubspaceBasis"),
+                               ((basis, None, b), {"prepared": object()}, "PreparedBasis")):
+            with pytest.raises(ValidationError, match=what) as raised:
+                call(*args, **kw)
+            assert type(raised.value) is ValidationError
 
 
 class TestProjection:
@@ -692,7 +710,7 @@ def _reference_solve(pb, b):
     slack = sum((abs(b[i]) for i in pb.profile.zero_set), Q(0))
     rows = pb.feasibility_rows
     rhs = feasibility_rhs(pb, b)
-    t_star, _ = solve_minimax_lp(rows, rhs)
+    t_star, _, _ = solve_minimax_lp(rows, rhs)
     if t_star > slack:
         return ("not-exists", None, None, None, None)
     constraints = PolytopeConstraints(rows=rows, rhs=rhs, slack=slack)
@@ -762,7 +780,7 @@ def _with_slack(rng, pb, b, slack):
 def _slack_cases(rng, pb, b):
     """(target, slack, delta0): slack in {0, delta0/2, delta0, 3/2 delta0}
     when delta0 > 0, else 0 and one positive mass."""
-    t_star, _ = solve_minimax_lp(pb.feasibility_rows, feasibility_rhs(pb, b))
+    t_star, _, _ = solve_minimax_lp(pb.feasibility_rows, feasibility_rhs(pb, b))
     if t_star:
         slacks = (Q(0), t_star / 2, t_star, 3 * t_star / 2)
     else:
@@ -773,8 +791,7 @@ def _slack_cases(rng, pb, b):
 def _certifies_one_point(pb, b):
     """Whether b's fiber skips its lex searches: the minimax LP, on the
     Fraction rows, has t* = 0 or m + 1 nonzero multipliers."""
-    t_star, _, lam = solve_minimax_lp(pb.feasibility_rows, feasibility_rhs(pb, b),
-                                      multipliers=True)
+    t_star, _, lam = solve_minimax_lp(pb.feasibility_rows, feasibility_rhs(pb, b))
     return not t_star or sum(map(bool, lam)) > pb.basis.m
 
 
@@ -843,7 +860,7 @@ def test_lex_extreme_alpha_matches_rank_loop_reference(direction):
     for basis, b in _zero_set_instances(rng, 60) + faces:
         pb = prepare(basis)
         rhs = feasibility_rhs(pb, b)
-        t_star, _ = solve_minimax_lp(pb.feasibility_rows, rhs)
+        t_star, _, _ = solve_minimax_lp(pb.feasibility_rows, rhs)
         constraints = PolytopeConstraints(pb.feasibility_rows, rhs, t_star)
         want = reference_lex_extreme_alpha(basis, constraints, direction)
         assert lex_extreme_alpha(basis, pb.feasibility_rows, rhs, direction) == want
@@ -996,7 +1013,7 @@ def test_int_minimax_and_lex_searches_match_the_fraction_construction():
             b = tuple(b)
             assert {x.denominator for x in pb.reduced.sigma(b)} == {3, 5, 7}
             rhs = feasibility_rhs(pb, b)
-            t_star, alpha = solve_minimax_lp(rows, rhs)
+            t_star, alpha, _ = solve_minimax_lp(rows, rhs)
             fiber = pb.fiber(b)
             assert (fiber.rhs, fiber.delta0, fiber.alpha) == (rhs, t_star, alpha)
             witness = lex_extreme_alpha(basis, rows, rhs, +1)
@@ -1034,7 +1051,7 @@ def test_lex_extreme_alpha_over_coprime_denominators(direction):
         rhs += (-rhs[0] - 2 * rng.randint(1, 3),)
         assert {x.denominator for row in rows for x in row} == {2}
         assert {v.denominator for v in rhs} == {3}
-        t_star, _ = solve_minimax_lp(rows, rhs)
+        t_star, _, _ = solve_minimax_lp(rows, rhs)
         constraints = PolytopeConstraints(rows, rhs, t_star)
         got = lex_extreme_alpha(basis, rows, rhs, direction)
         assert got == reference_lex_extreme_alpha(basis, constraints, direction)
