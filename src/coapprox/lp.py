@@ -167,6 +167,10 @@ def minimax_rows(rows: tuple[Vec, ...], rhs: Vec) -> tuple:
             [r for b in rhs for r in (top + b, top - b)], top)
 
 
+class _Circuits(tuple):
+    """minimax_circuits' (rows, circuits), the one pair solve_minimax_lp reads."""
+
+
 def minimax_circuits(rows) -> tuple | None:
     """(rows, circuits): (support, lam, sum |lam|, table, get) per circuit of
     the int rows, lam primitive, sum lam_p rows_p = 0: the minimax LP's dual
@@ -194,8 +198,8 @@ def minimax_circuits(rows) -> tuple | None:
             found.setdefault(tuple([p for p, a in zip(subset, lam) if a]),
                              (tuple([a for a in primitive_ints(lam) if a]), table))
     # get(rhs) is rhs on the support, then rhs[0] past lam's end: a tuple even on one row.
-    return rows, tuple((s, y, sum(map(abs, y)), tb, itemgetter(*s, 0))
-                       for s, (y, tb) in found.items())
+    return _Circuits((rows, tuple((s, y, sum(map(abs, y)), tb, itemgetter(*s, 0))
+                                  for s, (y, tb) in found.items())))
 
 
 def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, circuits=None) -> tuple:
@@ -219,7 +223,7 @@ def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, circuits=None) -> tuple:
     if len(rhs) != len(rows):
         raise ValidationError("minimax rhs length does not match row count")
     scaled_ints(rhs)  # names an inexact entry
-    if circuits is not None and (len(circuits) != 2 or circuits[0] is not rows
+    if circuits is not None and (type(circuits) is not _Circuits or circuits[0] is not rows
                                  and circuits[0] != rows):
         raise ValidationError("minimax circuits must be minimax_circuits(rows) of these rows")
     t, best = (0, 1), ((), (), 0, None)

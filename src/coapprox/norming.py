@@ -208,15 +208,14 @@ def _staircase_patterns(r: int):
 
 def minimal_norming_set(cells: tuple[SignCell, ...],
                         sign_vectors: tuple[SignVec, ...]) -> NormingSet:
-    """The cells' sign vectors, one per cell (PreparedBasis.sign_vectors),
-    with the canonical span basis (staircase-first).  The greedy runs on
-    the class signs: s -> x is linear and injective, as every class has a
+    """The cells' sign vectors with the canonical span basis (staircase-first).
+    `sign_vectors` must be PreparedBasis.sign_vectors of these cells, in cell
+    order; only their count and leading +1 are checked.  The greedy runs on the
+    class signs: s -> x is linear and injective, as every class has a
     coordinate, so it keeps the same cells as on the sign vectors."""
     reps = tuple(sign_vectors)
-    if len(reps) != len(cells) or not cells:
-        raise ValidationError("minimal_norming_set needs one sign vector per cell, and a cell")
-    if any(x[0] != 1 for x in reps):  # pragma: no cover - coordinate 0 leads its own class
-        raise InternalInconsistencyError("cell representative not canonical")
+    if len(reps) != len(cells) or not cells or any(x[0] != 1 for x in reps):
+        raise ValidationError("norming set needs one sign vector per cell, led by +1, and a cell")
     by_signs = {cell.signs: idx for idx, cell in enumerate(cells)}
     staircase = [by_signs[p] for p in _staircase_patterns(len(cells[0].signs)) if p in by_signs]
     candidates = staircase + list(range(len(reps)))

@@ -828,6 +828,7 @@ def test_column_major_tableau_pivots_as_the_row_major_one(lp_pivots, draw, unbou
 def test_malformed_lp_input_is_refused_before_any_pivot(lp_pivots, solve, args):
     with pytest.raises(ValidationError, match="len"):
         solve(*args)
+    assert lp_pivots == []
 
 
 @pytest.mark.parametrize("entry", ["1", None, 1.5], ids=["str", "none", "float"])
@@ -839,7 +840,6 @@ def test_inexact_minimax_rhs_is_refused_naming_the_entry(lp_pivots, entry, with_
     with pytest.raises(ValidationError, match=re.escape(repr(entry))) as raised:
         solve_minimax_lp(rows, (entry, 2, 3), circuits=minimax_circuits(rows) if with_circuits else None)
     assert "4.5" not in str(raised.value)
-    assert lp_pivots == []
     assert lp_pivots == []
 
 
@@ -953,13 +953,15 @@ def test_circuits_of_other_rows_are_refused():
     # Circuits carry the rows they came from.  Those of other rows once
     # answered with no error: t* = 2/3 where the LP gives 1, and with a
     # fourth row (1, -1), rhs 7, 2/3 where the LP gives 11/3.  A list
-    # minimax_circuits did not return was a bare ValueError.
+    # minimax_circuits did not return was a bare ValueError, and so is
+    # its rows paired with a hand-built list.
     unit, rows = ((1, 0), (0, 1), (1, 1)), ((2, 0), (0, 1), (1, 1))
     assert solve_minimax_lp(rows, (1, 2, 5))[0] == 1
     assert solve_minimax_lp((*rows, (1, -1)), (1, 2, 5, 7))[0] == Q(11, 3)
     for rows, rhs, circuits in ((rows, (1, 2, 5), minimax_circuits(unit)),
                                 ((*rows, (1, -1)), (1, 2, 5, 7), minimax_circuits((*unit, (1, -1)))),
                                 (rows, (1, 2, 5), ((1, 2),)),
+                                (rows, (1, 2, 5), (rows, ((1, 2),))),
                                 (rows, (1, 2, 5), minimax_circuits(rows)[1])):
         with pytest.raises(ValidationError, match="minimax_circuits\\(rows\\)"):
             solve_minimax_lp(rows, rhs, circuits=circuits)

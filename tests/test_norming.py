@@ -396,10 +396,12 @@ def test_repeated_plane_cuts_nothing():
 def test_minimal_norming_set_needs_one_sign_vector_per_cell(span3_l16):
     # The vectors come from PreparedBasis.sign_vectors (a hand-built
     # arrangement whose coordinate map disagreed with its cells was a bare
-    # IndexError); a count that does not match the cells, or no cell, is refused.
+    # IndexError); a count that does not match the cells, no cell, or a
+    # vector not led by +1 (once an internal error) is refused.
     pb = prepare(span3_l16)
+    flipped = tuple(tuple(-x for x in v) for v in pb.sign_vectors)
     for cells, vectors in ((pb.cells, pb.sign_vectors[:-1]), (pb.cells[:-1], pb.sign_vectors),
-                           ((), ())):
+                           ((), ()), (pb.cells, flipped)):
         with pytest.raises(ValidationError, match="one sign vector per cell"):
             minimal_norming_set(cells, vectors)
     assert minimal_norming_set(pb.cells, pb.sign_vectors) == pb.norming
