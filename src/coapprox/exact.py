@@ -1,7 +1,7 @@
 """Exact rational scalars, vectors and matrices, the scaling of rational
 rows to ints, the one fraction-free elimination step (`bareiss_pivot`)
 that both Gauss-Jordan elimination and the simplex tableau in `lp.py`
-are built on.
+are built on, and the one read-out of the kernel vectors it leaves.
 
 No floating point is used anywhere: existence decisions downstream
 (sign cells, ranks, system consistency) are discontinuous in the data,
@@ -198,35 +198,39 @@ class LinearSystemResult(NamedTuple):
     nullspace_basis: tuple[Vec, ...]
 
 
+def kernel_vectors(work: list[list[int]], ncols: int) -> list[list[int]]:
+    """The kernel of the first `ncols` columns of the int rows `work`, read
+    off `_gauss_jordan(work, ncols)` (in place): per non-pivot column k, in
+    order, y with y_k = d, the final pivot, y_(c_i) = -work[i][k] on pivot
+    column c_i and 0 elsewhere, so sum_j y_j (column j) = 0.  Its support,
+    inside the pivots and k, is minimal: a circuit of at most rank + 1 columns."""
+    pivots = _gauss_jordan(work, ncols)
+    d = work[0][pivots[0]] if pivots else 1
+    row_of = dict(zip(pivots, work))  # pivot column -> its row
+    return [[-row_of[j][k] if j in row_of else d * (j == k) for j in range(ncols)]
+            for k in range(ncols) if k not in row_of]
+
+
 def solve_linear(rows: Mat, rhs: Vec) -> LinearSystemResult:
     """Solve rows·x = rhs exactly by fraction-free Gauss-Jordan elimination.
 
     Inconsistency is a status, not an error.  For AFFINE_FAMILY the
     particular solution has zeros on the free coordinates and the
-    nullspace basis has one vector per free coordinate.
+    nullspace basis has one vector per free coordinate.  Both are kernel
+    vectors of (rows | rhs), x the one of the rhs column, scaled to -1 there.
     """
     if not rows or not rows[0]:
         raise ValidationError("empty linear system")
-    nrows, ncols = len(rows), len(rows[0])
-    if len(rhs) != nrows:
+    ncols = len(rows[0])
+    if len(rhs) != len(rows):
         raise ValidationError("right-hand side length does not match row count")
     if any(len(r) != ncols for r in rows):
         raise DimensionError("ragged linear system: rows of different lengths")
-    aug = [primitive_ints((*r, b)) for r, b in zip(rows, rhs)]
-    pivot_cols = _gauss_jordan(aug, ncols)
-    if any(aug[i][ncols] != 0 for i in range(len(pivot_cols), nrows)):
+    kernel = kernel_vectors([primitive_ints((*r, b)) for r, b in zip(rows, rhs)], ncols + 1)
+    if not kernel or not kernel[-1][ncols]:  # the rhs column is a pivot
         return LinearSystemResult(SystemStatus.NO_SOLUTION, None, ())
-    solution = [Q(0)] * ncols
-    for i, c in enumerate(pivot_cols):
-        solution[c] = Q(aug[i][ncols], aug[i][c])
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    if not free_cols:
-        return LinearSystemResult(SystemStatus.UNIQUE, tuple(solution), ())
-    null_basis = []
-    for fc in free_cols:
-        v = [Q(0)] * ncols
-        v[fc] = Q(1)
-        for i, c in enumerate(pivot_cols):
-            v[c] = Q(-aug[i][fc], aug[i][c])
-        null_basis.append(tuple(v))
-    return LinearSystemResult(SystemStatus.AFFINE_FAMILY, tuple(solution), tuple(null_basis))
+    *free, last = kernel
+    d = last[ncols]
+    return LinearSystemResult(SystemStatus.AFFINE_FAMILY if free else SystemStatus.UNIQUE,
+                              tuple([Q(-x, d) for x in last[:ncols]]),
+                              tuple(tuple([Q(x, d) for x in y[:ncols]]) for y in free))

@@ -39,7 +39,7 @@ from operator import itemgetter, mul, neg, sub
 from typing import NamedTuple
 
 from .errors import CapacityError, ValidationError
-from .exact import Q, Vec, _gauss_jordan, bareiss_pivot, primitive_ints, scaled_ints
+from .exact import Q, Vec, bareiss_pivot, kernel_vectors, primitive_ints, scaled_ints
 
 # The cell-pair cap, shared with norming: a minimax LP has one row per pair.
 MAX_CELL_PAIRS = 256
@@ -175,11 +175,11 @@ def minimax_circuits(rows) -> tuple | None:
     """(rows, circuits): (support, lam, sum |lam|, table, get) per circuit of
     the int rows, lam primitive, sum lam_p rows_p = 0: the minimax LP's dual
     vertices (Rockafellar 1969), each the left null vector of some m + 1 rows
-    of rank m.  One Gauss-Jordan pass per subset, on its transpose with the
-    identity appended: on m + 1 rows the pivots are the first m, B, any m
-    being independent, and the appended block ends as den (B^-1)^T, den the
-    final pivot, so table = (B's (row, sign of lam), den, den B^-1); None on
-    fewer rows.  Refuses empty, ragged or non-int rows; None over MAX_CIRCUIT_SUBSETS."""
+    of rank m: the one kernel vector of a Gauss-Jordan pass per subset, on its
+    transpose with the identity appended.  On m + 1 rows the pivots are the first
+    m, B, any m being independent, and the appended block ends as den (B^-1)^T,
+    den the final pivot, so table = (B's (row, sign of lam), den, den B^-1); None
+    on fewer rows.  Refuses empty, ragged or non-int rows; None over MAX_CIRCUIT_SUBSETS."""
     m = len(rows[0]) if rows else 0
     if not m or {*map(len, rows)} != {m} or type(sum(chain(*rows))) is not int:
         raise ValidationError("minimax_circuits needs int rows, all of one nonzero length")
@@ -188,13 +188,11 @@ def minimax_circuits(rows) -> tuple | None:
     found = {}  # a circuit is fixed, up to scale, by its support
     for subset in combinations(range(len(rows)), m + 1):
         work = [[rows[p][j] for p in subset] + [int(i == j) for i in range(m)] for j in range(m)]
-        if len(pivots := _gauss_jordan(work, m + 1)) == m:
-            k = m * (m + 1) // 2 - sum(pivots)  # the one non-pivot column
-            lam = [-w[k] for w in work]  # y_(c_i) = -work[i][k], pivots in order,
-            lam.insert(k, work[0][pivots[0]])  # and y_k = d, the final pivot
+        if len(kernel := kernel_vectors(work, m + 1)) == 1:  # rank m
+            lam = kernel[0]  # with no 0 in it, the non-pivot column is m: lam[m] = den
             table = None if 0 in lam else (
                 tuple([(p, 1 if a > 0 else -1) for p, a in zip(subset, lam[:m])]),
-                lam[k], tuple(zip(*[w[m + 1:] for w in work])))
+                lam[m], tuple(zip(*[w[m + 1:] for w in work])))
             found.setdefault(tuple([p for p, a in zip(subset, lam) if a]),
                              (tuple([a for a in primitive_ints(lam) if a]), table))
     # get(rhs) is rhs on the support, then rhs[0] past lam's end: a tuple even on one row.
@@ -209,7 +207,8 @@ def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, circuits=None) -> tuple:
     -sum lam_p rhs_p = d t_star >= t_star sum |lam_p|.  lp_min scales a
     rational row by its own lcm.  Refused before any arithmetic: no row or
     column, over MAX_CELL_PAIRS rows (one per cell pair), an rhs of another
-    length or with an inexact entry, circuits not minimax_circuits(rows).
+    length or with an inexact entry, circuits not minimax_circuits(rows),
+    and, before the LP, rows with an inexact entry.
     `circuits` go first: t_star is the top |lam . rhs| / sum |lam| (Stiefel,
     Numer. Math. 1, 1959).  If > 0 on m + 1 rows, their slabs are tight at
     every optimum, and the table's m pin x_star: rows_p . x = rhs_p -
@@ -238,6 +237,7 @@ def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, circuits=None) -> tuple:
         y, sign = dict(zip(support, lam)), -1 if v > 0 else 1
         return (Q(*t), tuple([Q(sum(map(mul, row, w)), den * size) for row in inv]),
                 tuple([sign * y.get(p, 0) for p in range(len(rhs))]))
+    scaled_ints([*chain(*rows)])  # names an inexact row entry; circuits' rows are ints
     cost, a_ub, b_ub, top = minimax_rows(rows, rhs)
     res = lp_min(cost, a_ub, b_ub)
     if res.status is not LpStatus.OPTIMAL:  # pragma: no cover

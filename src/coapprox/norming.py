@@ -29,10 +29,10 @@ from functools import cached_property
 from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
-from .errors import CapacityError, DimensionError, InternalInconsistencyError, ValidationError
+from .errors import CapacityError, DimensionError, ValidationError
 from .exact import Vec, first_basis, scaled_ints
 from .exact import rank  # unused here; perfbench/tracer.py wraps coapprox.norming.rank
-from .lp import MAX_CELL_PAIRS, LpStatus, lp_max
+from .lp import MAX_CELL_PAIRS, lp_max
 from .subspace import ComponentProfile, SubspaceBasis
 
 MAX_HYPERPLANES = 20
@@ -190,14 +190,16 @@ def enumerate_cells(arr: Arrangement) -> tuple[SignCell, ...]:
 def margin_witness(arr: Arrangement, cell: SignCell) -> Vec:
     """The point of the cell maximizing its smallest signed margin
     signs[t] * (normals[t] . beta) over the unit box: the witness the
-    norming-set report prints.  One exact LP.
+    norming-set report prints.  One exact LP, bounded by the box.  Signs
+    that are not +-1 per normal or that no point takes are refused by name.
     """
     m = arr.m
     pairs, box = arr.margin_rows
     a_ub = (*[pair[s < 0] for s, pair in zip(cell.signs, pairs)], *box)
-    res = lp_max((0,) * m + (1,), a_ub, (0,) * arr.r + (1,) * (2 * m))
-    if res.status is not LpStatus.OPTIMAL or res.value <= 0:  # pragma: no cover
-        raise InternalInconsistencyError("margin LP must find the cell nonempty")
+    res = (lp_max((0,) * m + (1,), a_ub, (0,) * arr.r + (1,) * (2 * m))
+           if len(cell.signs) == arr.r and {*cell.signs} <= {1, -1} else None)
+    if res is None or res.value <= 0:
+        raise ValidationError(f"signs {cell.signs} are not a nonempty cell of the arrangement")
     return res.x[:m]
 
 

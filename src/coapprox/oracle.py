@@ -25,8 +25,9 @@ profile, sigma-reduction, class or LP.
 The brute-force check takes the same sign vectors.  A tope's sign vector
 is zero only on A's zero rows, where the residual is b, so each test is
 a slab in alpha, and b has a best coapproximation iff the slabs meet.
-Disjoint slabs are proved so by an int-checked Farkas certificate, a
-null vector at width 0 and minimax multipliers otherwise; meeting slabs
+Disjoint slabs are proved so by an int-checked Farkas certificate on at
+most m + 1 of them, a circuit: a kernel vector of one Gauss-Jordan pass
+at width 0, the minimax LP's basic multipliers otherwise; meeting slabs
 by the minimax LP's alpha, which the tope tests must confirm.  Either
 verdict is a proof, and no grid point is scanned.
 """
@@ -37,7 +38,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import CapacityError, DimensionError, InternalInconsistencyError, ValidationError
-from .exact import (Q, Vec, _gauss_jordan, l1_norm, primitive_ints, scaled_ints, solve_linear,
+from .exact import (Q, Vec, kernel_vectors, l1_norm, primitive_ints, scaled_ints, solve_linear,
                     vec, vec_sub)  # perfbench/tracer.py wraps solve_linear
 from .lp import solve_minimax_lp
 from .norming import check_cell_capacity, half_cells
@@ -187,10 +188,12 @@ def certify_not_exists(basis: SubspaceBasis, b: Vec) -> tuple:
     """(rows, rhs, width, lam): b's tope slabs |rhs_p - rows_p . alpha| <= width
     in ints (b - A.alpha times den * bden, for A = int_matrix / den and b =
     ints / bden), and lam, a Farkas proof that no alpha lies in all of them,
-    or None when `check_certificate` rejects it.  At width 0 lam is sum_k
-    (y^k . rhs) y^k over the left null vectors y^k of rows (Fredholm), one
-    per non-pivot column k of a Gauss-Jordan pass over rows' m x p transpose;
-    at width > 0, the minimax LP's multipliers.  No profile, reduction, class or norming set."""
+    or None when `check_certificate` rejects it.  Either way lam is a
+    circuit of at most m + 1 slabs: at width 0 the first left null vector of
+    rows that `exact.kernel_vectors` reads off a Gauss-Jordan pass over their
+    m x p transpose with lam . rhs != 0, one existing iff the slabs are
+    disjoint (Fredholm); at width > 0 the minimax LP's multipliers, nonzero
+    only on its nonbasic slacks.  No profile, reduction, class or norming set."""
     if len(b) != basis.n:
         raise DimensionError("certify_not_exists dimension mismatch")
     patterns = _sign_patterns(basis)
@@ -201,13 +204,9 @@ def certify_not_exists(basis: SubspaceBasis, b: Vec) -> tuple:
     rows = list(zip(*work))
     if width:
         lam = solve_minimax_lp(rows, rhs)[2]
-    else:  # y^k_k = d, the final pivot, and y^k_(c_i) = -work[i][k]
-        pivots = _gauss_jordan(work, len(rhs))
-        d = work[0][pivots[0]]  # every slab row is nonzero, so rows has a pivot
-        s = [d * r - sum(w[k] * rhs[c] for w, c in zip(work, pivots)) for k, r in enumerate(rhs)]
-        lam = [d * x for x in s]  # s_k = y^k . rhs, 0 on pivot columns
-        for w, c in zip(work, pivots):
-            lam[c] = -sum(map(mul, w, s))
+    else:  # all 0 (rejected) when rhs is orthogonal to every kernel vector
+        lam = next((y for y in kernel_vectors(work, len(rhs)) if sum(map(mul, y, rhs))),
+                   [0] * len(rhs))
     return rows, rhs, width, lam if check_certificate(rows, rhs, width, lam) else None
 
 

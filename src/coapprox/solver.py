@@ -192,9 +192,9 @@ class PreparedBasis:
         """Per cell, its sign vector x over the coordinates off the zero set,
         the reduced basis's norming vector: s_c * o_i on class c.  x . sigma(b)
         is the cell's right-hand side, |x_i| = 1, and `norming` lists them."""
-        coords = [self.profile.class_of[i] for i in self.reduced.kept_indices]  # (c, const_i)
-        return tuple(tuple([cell.signs[c] if k > 0 else -cell.signs[c] for c, k in coords])
-                     for cell in self.cells)
+        coords = sorted((i, c, o) for c, members in enumerate(self.member_signs)
+                        for i, o in members)  # the reduced coordinates, in order
+        return tuple(tuple([o * cell.signs[c] for _, c, o in coords]) for cell in self.cells)
 
     @cached_property
     def circuits(self) -> tuple | None:

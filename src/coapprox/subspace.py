@@ -16,9 +16,9 @@ from .errors import DimensionError, RankDeficientError, ZeroSubspaceError
 from .exact import Mat, Q, Vec, first_basis, primitive_ints, rank, scaled_ints
 
 
-# Records with cached properties (SubspaceBasis, ComponentProfile and
-# norming.Arrangement) subclass a functional NamedTuple: unlike the class
-# syntax's, the subclass has an instance __dict__ to hold the values.
+# Records with cached properties (SubspaceBasis and norming.Arrangement)
+# subclass a functional NamedTuple: unlike the class syntax's, the
+# subclass has an instance __dict__ to hold the values.
 class SubspaceBasis(NamedTuple("SubspaceBasis", [("n", int), ("m", int), ("matrix", Mat)])):
     """Basis of an m-dimensional subspace of l1^n.
 
@@ -61,16 +61,10 @@ class ComponentClass(NamedTuple):
     members: tuple[tuple[int, Q], ...]  # (coordinate, constant vs representative)
 
 
-class ComponentProfile(NamedTuple("ComponentProfile", [
-        ("classes", tuple[ComponentClass, ...]), ("zero_set", tuple[int, ...]), ("d", int)])):
-    @cached_property
-    def class_of(self) -> dict[int, tuple[int, Q]]:
-        """coordinate -> (class index, proportionality constant)."""
-        out = {}
-        for c_idx, cls in enumerate(self.classes):
-            for coord, const in cls.members:
-                out[coord] = (c_idx, const)
-        return out
+class ComponentProfile(NamedTuple):
+    classes: tuple[ComponentClass, ...]
+    zero_set: tuple[int, ...]
+    d: int
 
 
 def validate_basis(matrix: Mat) -> SubspaceBasis:

@@ -124,7 +124,7 @@ def test_parse_rational_agrees_with_fraction_on_a_seeded_corpus():
 # Each entry point on a fresh basis and prepare of pair_l17_coproximinal
 # (zero rows 4 and 7), given one inexact entry x: in A's first row, the
 # target (mass on the zero rows where the zero-set path is meant) or the
-# coefficients.
+# coefficients; and the minimax kernel with x in a row, which reaches its LP.
 _ROWS = ((1, 1), (1, 2), (2, 2), (0, 0), (4, 4), (-2, -4), (0, 0))
 _ENTRY_POINTS = {
     "validate_basis": lambda x: validate_basis(((x, 1),) + _ROWS[1:]),
@@ -138,6 +138,7 @@ _ENTRY_POINTS = {
     "verify_best_coapprox": lambda x: verify_best_coapprox(
         validate_basis(_ROWS), (x, 0, 0, 0, 0, 0, 0), (0, 0)),
     "certify_not_exists": lambda x: certify_not_exists(validate_basis(_ROWS), (x, 0, 0, 3, 0, 0, -2)),
+    "solve_minimax_lp": lambda x: solve_minimax_lp(((x, 2), (1, 0), (0, 1)), (1, 2, 3)),
 }
 
 

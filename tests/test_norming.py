@@ -381,6 +381,12 @@ def test_cells_match_the_lp_prefix_tree_reference():
             assert norming.margin_witness(arr, cell) == beta
         non_simple += _has_three_planes_through_a_flat(arr)
     assert non_simple >= 100
+    # Signs that no point takes are caller input (once an internal error),
+    # as are signs other than one +-1 per normal (a 0 once read as +1).
+    arr = norming.Arrangement(normals=((1, 0), (0, 1), (1, 1)), m=2)
+    for signs in ((1, 1, -1), (1, 0, 1), (1, 1)):
+        with pytest.raises(ValidationError, match=rf"signs \({', '.join(map(str, signs))}\) are not"):
+            norming.margin_witness(arr, norming.SignCell(signs=signs, witness=(1, 1)))
 
 
 def test_repeated_plane_cuts_nothing():

@@ -1008,7 +1008,8 @@ def test_every_not_exists_of_the_criterion_5_stream_is_certified(monkeypatch):
     # The first 300 instances of criterion 5's stream: each not-exists
     # target's slabs get one accepted certificate; refused, the minimax
     # alpha is refuted, an internal inconsistency.  The zero-width ones
-    # are counted: each is a null vector, with no LP.
+    # are counted: each is a null vector, with no LP.  At both widths the
+    # certificate is a circuit, of at most m + 1 slabs.
     rng = random.Random(505)
     by_m = {1: 0, 2: 0, 3: 0}
     by_width, lps = Counter(), []
@@ -1026,6 +1027,7 @@ def test_every_not_exists_of_the_criterion_5_stream_is_certified(monkeypatch):
         got, calls = _certified(monkeypatch, basis, b)
         assert [c[-1] for c in calls] == [True]
         assert len(lps) == (calls[0][2] > 0)
+        assert len(calls[0][3]) - list(calls[0][3]).count(0) <= m + 1
         assert got == BruteForceResult(False, 21**m)
         with pytest.raises(InternalInconsistencyError):
             _uncertified(monkeypatch, basis, b)
@@ -1146,9 +1148,9 @@ def test_certify_not_exists_accepts_where_the_minimax_certificate_does(monkeypat
     # certify_not_exists accepts exactly where the minimax-LP certificate
     # of the reference does and runs that LP only at width > 0; the grid
     # says "exists" exactly where it is refused, as the solver does.  Each
-    # accepted certificate is rejected once corrupted: one multiplier's
-    # sign flipped, one row with a nonzero multiplier dropped, or b moved
-    # onto the slabs.
+    # accepted certificate has at most m + 1 nonzero multipliers, and is
+    # rejected once corrupted: one multiplier's sign flipped, one row with
+    # a nonzero multiplier dropped, or b moved onto the slabs.
     rng = random.Random(3131)
     seen, lps = Counter(), []
     monkeypatch.setattr(oracle, "solve_minimax_lp",
@@ -1179,6 +1181,7 @@ def test_certify_not_exists_accepts_where_the_minimax_certificate_does(monkeypat
             if lam is None:
                 continue
             assert oracle.check_certificate(rows, rhs, width, lam) and not got.exists
+            assert len(lam) - list(lam).count(0) <= m + 1, case
             p = next(q for q, x in enumerate(lam) if x)
             flipped = [*lam[:p], -lam[p], *lam[p + 1:]]
             assert not oracle.check_certificate(rows, rhs, width, flipped), case

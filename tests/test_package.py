@@ -194,8 +194,6 @@ INT_DIVISIONS = {
         "the same int rows; p * a / den is a minor of the starting rows",
     ("lp", "lp_min", "k // g"):
         "cost_ints come from scaled_ints and g is their int gcd",
-    ("lp", "minimax_circuits", "m * (m + 1) // 2"):
-        "m is a row length, an int, and m (m + 1) is even",
     ("norming", "half_cells", "x // g"):
         "v is a list of int products of int normals and g its signed int gcd",
 }
@@ -292,13 +290,28 @@ def _imports(source: str) -> set[str]:
     return names
 
 
+def _private_imports(source: str) -> list[str]:
+    """".module.name" for each `_`-prefixed name, other than a dunder,
+    that `source` imports from a package module."""
+    return [f"{'.' * node.level}{node.module or ''}.{alias.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
+
+
 def test_every_package_import_is_the_stdlib_or_the_package_on_its_list():
     # No third-party dependency, and no new import unreviewed: each
     # module's imports are exactly its IMPORTS entry, every entry of
-    # which is a stdlib module or a module of the package.
-    modules = {path.stem: _imports(path.read_text(encoding="utf-8"))
+    # which is a stdlib module or a module of the package.  No module
+    # imports another's private name; a dunder such as __version__ is public.
+    sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src" / "coapprox").glob("*.py"))}
+    modules = {stem: _imports(source) for stem, source in sources.items()}
     assert modules == IMPORTS
+    assert [name for source in sources.values() for name in _private_imports(source)] == []
+    assert _private_imports("from .exact import Q, _gauss_jordan\nfrom . import __version__\n") == [
+        ".exact._gauss_jordan"]
     package = {"."} | {"." + name for name in IMPORTS if name != "__init__"}
     assert all(name in sys.stdlib_module_names or name in package
                for names in IMPORTS.values() for name in names)

@@ -297,7 +297,9 @@ def test_feasibility_rows_are_cell_signs_times_class_sums():
         pb = prepare(basis)
         reduced = pb.reduced
         reps = pb.norming.representatives
-        coords = [pb.profile.class_of[i] for i in reduced.kept_indices]
+        class_of = {i: (c, const) for c, cls in enumerate(pb.profile.classes)
+                    for i, const in cls.members}
+        coords = [class_of[i] for i in reduced.kept_indices]
         assert reps == tuple(
             tuple(cell.signs[c] * (1 if const > 0 else -1) for c, const in coords)
             for cell in pb.cells
@@ -592,10 +594,10 @@ class TestFiberMinimax:
     def test_a_basis_over_the_circuit_cap_builds_none_and_runs_the_lp(self, monkeypatch):
         # Five generic planes in R^3 make 11 cell rows, and C(11, 4) = 330
         # subsets of m + 1 rows are over the cap: no Gauss-Jordan pass
-        # runs, and every new fiber is one LP.
+        # runs (none reads a kernel vector), and every new fiber is one LP.
         kernel, eliminations = [], []
         monkeypatch.setattr(lp, "lp_min", lambda *args: kernel.append(args) or lp_min(*args))
-        monkeypatch.setattr(lp, "_gauss_jordan", lambda *args: eliminations.append(args))
+        monkeypatch.setattr(lp, "kernel_vectors", lambda *args: eliminations.append(args))
         basis = validate_basis(mat([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 4),
                                     (0, 0, 0)]))
         pb = prepare(basis)

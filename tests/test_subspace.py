@@ -67,8 +67,8 @@ class TestBuildProfile:
         assert partition(profile) == frozenset(
             {frozenset({0, 4}), frozenset({1, 5}), frozenset({2}), frozenset({3})}
         )
-        assert profile.class_of[4] == (0, Q(-1))
-        assert profile.class_of[5] == (1, Q(2))
+        assert (4, Q(-1)) in profile.classes[0].members
+        assert (5, Q(2)) in profile.classes[1].members
 
     def test_zero_set_read_off(self, pair_l17_coproximinal):
         profile = build_profile(pair_l17_coproximinal)
