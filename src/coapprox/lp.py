@@ -4,9 +4,9 @@ Variables are free rationals, split into positive parts u - v; every
 constraint is `a . x <= b` with `b >= 0`, so the origin is feasible and
 the slacks are a starting basis: there is no phase 1, and a negative rhs
 or a row or later cost not of len(cost) is refused before any pivot.
-Each caller poses its LP at a feasible point it knows (the minimax LP,
-and each lex search on it, at x = 0 with t = max|rhs|, a margin LP at
-the origin).
+Every LP is posed by `lp_columns` at a feasible point its caller knows and
+run by the one pivot loop `simplex`: in `lp_min` the minimax LP and each lex
+search at x = 0, t = max|rhs|; in norming each cell's margin LP at the origin.
 
 The tableau is fraction-free, ints over one common denominator
 (int rows as given, others each times its lcm), and condensed: a basic
@@ -61,6 +61,67 @@ class LpResult(NamedTuple):
     duals: tuple[int, ...] | None = None
 
 
+def lp_columns(cost, a_ub, b_ub, then=()) -> tuple:
+    """(cols, scales, cden, cost_ints): lp_min's input checked and posed for
+    `simplex` at the all-slack basis, a column per variable and the rhs, each
+    ending with its objective entry; cost_ints / cden is the cost."""
+    if min(b_ub, default=0) < 0:
+        raise ValidationError("lp_min needs every b_ub >= 0, so that x = 0 is feasible")
+    if len(b_ub) != len(a_ub) or {*map(len, a_ub), *map(len, then)} - {len(cost)}:
+        raise ValidationError(
+            "lp_min needs one b_ub per row and len(cost) entries in each row and later cost")
+    scales = None  # the Fraction rows' lcms, which their duals are read in
+    if type(sum(chain(b_ub, *a_ub))) is not int:  # one Fraction entry makes the sum one
+        scales, a_ub = zip(*(scaled_ints((*r, b)) for r, b in zip(a_ub, b_ub)))
+        b_ub = [row.pop() for row in a_ub]
+    cden, cost_ints = scaled_ints(cost)  # once, for the objective row and the value
+    # The cost's coprime ints, a positive multiple of it: the same pivots.
+    cols = [[*c] for c in zip(*a_ub, primitive_ints(cost_ints))] + [[*b_ub, 0]]
+    return cols, scales, cden, cost_ints
+
+
+def simplex(cols, nonbasic, basis, den=1, barred=()) -> tuple:
+    """The one pivot loop of every LP: Bland's rule, in place, until no column
+    may enter.  (den, x * den), or (0, None) if unbounded.  cols[k] holds
+    label nonbasic[k], the last column the rhs, basis[i] row i's; u_j, v_j
+    of the n free variables are labels j, n + j, the slacks from 2n on."""
+    n, nrows, nsplit = len(nonbasic), len(basis), 2 * len(nonbasic)
+    while True:
+        enter, label = -1, nsplit + nrows
+        for k, j in enumerate(nonbasic):
+            c = cols[k][nrows]
+            if c and j not in barred:
+                if c > 0 and j < nsplit:  # the pair's other member, column negated
+                    c, j = -c, (j + n) % nsplit
+                if c < 0 and j < label:
+                    enter, label = k, j
+        if enter < 0:
+            x = [0] * n  # the basic u_j minus the basic v_j
+            for j, v in zip(basis, cols[n]):
+                if j < nsplit:
+                    x[j % n] = v if j < n else -v
+            return den, x
+        col = [-a for a in cols[enter]]  # the leaving variable's, once den is in row leave
+        if label != nonbasic[enter]:
+            cols[enter], col = col, cols[enter]
+        ecol, rhs, leave = cols[enter], cols[n], -1
+        for i, coef in enumerate(ecol):  # its last entry, a reduced cost, is < 0
+            if coef > 0:
+                r = rhs[i]
+                if leave >= 0:  # r/coef against the best ratio, cross-multiplied
+                    diff = r * best_coef - best_rhs * coef
+                    if diff > 0 or not diff and basis[i] > basis[leave]:
+                        continue
+                leave = i
+                best_coef, best_rhs = coef, r
+        if leave < 0:
+            return 0, None
+        col[leave] = den
+        den = bareiss_pivot(cols, enter, leave, den)
+        cols[enter] = col
+        nonbasic[enter], basis[leave] = basis[leave], label
+
+
 def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
     """Minimize cost . x subject to a_ub . x <= b_ub, then each cost of the
     sequence `then` over the optimal face of those before it; value is cost . x.
@@ -71,29 +132,10 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
     previous optimum: one with a positive reduced cost is zero at every
     optimal point, so the rest describe exactly the optimal face.
     """
-    n = len(cost)
-    nrows = len(a_ub)
-    if min(b_ub, default=0) < 0:
-        raise ValidationError("lp_min needs every b_ub >= 0, so that x = 0 is feasible")
-    if len(b_ub) != nrows or {*map(len, a_ub), *map(len, then)} - {n}:
-        raise ValidationError(
-            "lp_min needs one b_ub per row and len(cost) entries in each row and later cost")
-    scales = None  # each row's lcm, which its dual is read in; None for int rows
-    if type(sum(chain(b_ub, *a_ub))) is not int:  # one Fraction entry makes the sum one
-        scales, a_ub = zip(*(scaled_ints((*r, b)) for r, b in zip(a_ub, b_ub)))
-        b_ub = [row.pop() for row in a_ub]
-    # Labels: u_0..u_{n-1}, v_0..v_{n-1} (x = u - v), a slack per row.  Column
-    # k holds variable nonbasic[k], the last one the rhs; the true tableau
-    # is cols / den, and entry nrows of each column is its reduced cost:
-    # at first the cost's ints, as every basic variable is a slack, of cost 0.
-    cden, cost_ints = scaled_ints(cost)  # once, for the objective row and the value
-    g = math.gcd(*cost_ints) or 1
-    cols = [[*c] for c in zip(*a_ub, [k // g for k in cost_ints])] + [[*b_ub, 0]]
-    nsplit = 2 * n
-    nonbasic = list(range(n))
-    basis = list(range(nsplit, nsplit + nrows))
-    den = 1
-    barred = set()  # columns that left the optimal face of an earlier cost
+    cols, scales, cden, cost_ints = lp_columns(cost, a_ub, b_ub, then)
+    n, nrows, nsplit = len(cost), len(a_ub), 2 * len(cost)
+    nonbasic, basis = list(range(n)), list(range(nsplit, nsplit + nrows))
+    den, barred = 1, set()  # barred: columns that left the optimal face of an earlier cost
     for later in (None, *then):
         if later is not None:  # bar what left the face; reduce the cost at the basis
             barred.update(j for j, col in zip(nonbasic, cols) if col[nrows])
@@ -102,42 +144,9 @@ def lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
             fb = [costvec[j] for j in basis]
             for col, a in zip(cols, [den * costvec[j] for j in nonbasic] + [0]):
                 col[nrows] = a - sum(map(mul, fb, col))
-        while True:
-            enter, label = -1, nsplit + nrows
-            for k, j in enumerate(nonbasic):
-                c = cols[k][nrows]
-                if c and j not in barred:
-                    if c > 0 and j < nsplit:  # the pair's other member, column negated
-                        c, j = -c, (j + n) % nsplit
-                    if c < 0 and j < label:
-                        enter, label = k, j
-            if enter < 0:
-                break
-            col = [-a for a in cols[enter]]  # the leaving variable's, once den is in row leave
-            if label != nonbasic[enter]:
-                cols[enter], col = col, cols[enter]
-            ecol = cols[enter]
-            rhs = cols[n]
-            leave = -1
-            for i, coef in enumerate(ecol):  # its last entry, a reduced cost, is < 0
-                if coef > 0:
-                    r = rhs[i]
-                    if leave >= 0:  # r/coef against the best ratio, cross-multiplied
-                        diff = r * best_coef - best_rhs * coef
-                        if diff > 0 or not diff and basis[i] > basis[leave]:
-                            continue
-                    leave = i
-                    best_coef, best_rhs = coef, r
-            if leave < 0:
-                return LpResult(LpStatus.UNBOUNDED, None, None)
-            col[leave] = den
-            den = bareiss_pivot(cols, enter, leave, den)
-            cols[enter] = col
-            nonbasic[enter], basis[leave] = basis[leave], label
-    diffs = [0] * n  # x * den, from the basic u_j and v_j
-    for j, v in zip(basis, cols[n]):
-        if j < nsplit:
-            diffs[j % n] = v if j < n else -v
+        den, diffs = simplex(cols, nonbasic, basis, den, barred)
+        if not den:
+            return LpResult(LpStatus.UNBOUNDED, None, None)
     duals = None
     if not then:  # a slack's dual is its reduced cost, 0 where it is basic
         duals = [0] * nrows

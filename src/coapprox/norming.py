@@ -30,9 +30,9 @@ from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .errors import CapacityError, DimensionError, ValidationError
-from .exact import Vec, first_basis, scaled_ints
-from .exact import rank  # unused here; perfbench/tracer.py wraps coapprox.norming.rank
-from .lp import MAX_CELL_PAIRS, lp_max
+from .exact import Q, Vec, first_basis, rank, scaled_ints
+from .lp import MAX_CELL_PAIRS, lp_columns, lp_max, simplex
+# rank and lp_max are unused here: perfbench/tracer.py wraps coapprox.norming.rank and .lp_max
 from .subspace import ComponentProfile, SubspaceBasis
 
 MAX_HYPERPLANES = 20
@@ -57,12 +57,13 @@ class Arrangement(NamedTuple("Arrangement", [
         return len(self.normals)
 
     @cached_property
-    def margin_rows(self) -> tuple:
-        """The margin LPs' int rows in (beta, margin), built once: the rows
-        (-n_t, 1) and (n_t, 1) per normal, for sign +1 and -1, and the box."""
+    def margin_columns(self) -> list:
+        """By lp_columns: the all-+1 cell's margin LP, max t s.t. |beta_j| <= 1 and
+        (-n_t, 1) . (beta, t) <= 0; a cell's signs[t] flips row t of beta's columns."""
         m = self.m
-        box = tuple(tuple(s * (i == j) for i in range(m + 1)) for j in range(m) for s in (1, -1))
-        return tuple(((*(-x for x in nu), 1), (*nu, 1)) for nu in self.normals), box
+        box = [tuple(s * (i == j) for i in range(m + 1)) for j in range(m) for s in (1, -1)]
+        return lp_columns((0,) * m + (-1,), [(*(-x for x in nu), 1) for nu in self.normals] + box,
+                          (0,) * self.r + (1,) * (2 * m))[0]
 
 
 class SignCell(NamedTuple):
@@ -189,18 +190,18 @@ def enumerate_cells(arr: Arrangement) -> tuple[SignCell, ...]:
 
 def margin_witness(arr: Arrangement, cell: SignCell) -> Vec:
     """The point of the cell maximizing its smallest signed margin
-    signs[t] * (normals[t] . beta) over the unit box: the witness the
-    norming-set report prints.  One exact LP, bounded by the box.  Signs
-    that are not +-1 per normal or that no point takes are refused by name.
-    """
-    m = arr.m
-    pairs, box = arr.margin_rows
-    a_ub = (*[pair[s < 0] for s, pair in zip(cell.signs, pairs)], *box)
-    res = (lp_max((0,) * m + (1,), a_ub, (0,) * arr.r + (1,) * (2 * m))
-           if len(cell.signs) == arr.r and {*cell.signs} <= {1, -1} else None)
-    if res is None or res.value <= 0:
+    signs[t] * (normals[t] . beta) over the unit box, by one exact LP on
+    margin_columns: the witness the norming-set report prints.  Signs that
+    are not +-1 per normal or that no point takes are refused by name."""
+    m, r, signs = arr.m, arr.r, cell.signs
+    den = 0
+    if len(signs) == r and {*signs} <= {1, -1}:  # True or 1.0 pass; as ints, the columns stay ints
+        cols = [[*map(mul, map(int, signs), c[:r]), *c[r:]] for c in arr.margin_columns[:m]]
+        den, x = simplex(cols + [[*c] for c in arr.margin_columns[m:]], [*range(m + 1)],
+                         [*range(2 * m + 2, 4 * m + 2 + r)])
+    if not den or x[m] <= 0:  # x[m] = t * den, the largest smallest margin
         raise ValidationError(f"signs {cell.signs} are not a nonempty cell of the arrangement")
-    return res.x[:m]
+    return tuple([Q(v, den) for v in x[:m]])
 
 
 def _staircase_patterns(r: int):

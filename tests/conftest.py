@@ -2,7 +2,24 @@ from __future__ import annotations
 
 import pytest
 
+from coapprox import lp
+from coapprox.exact import bareiss_pivot
 from tests.reference import column_basis
+
+
+@pytest.fixture
+def lp_pivots(monkeypatch):
+    """The (r, c) arguments of every bareiss_pivot called through `lp`.
+    The simplex keeps its tableau by columns, so each is its (column, row);
+    tests/test_lp.py's row_major_lp_min records (row, column)."""
+    pivots = []
+
+    def counted(*args):
+        pivots.append(args[1:3])
+        return bareiss_pivot(*args)
+
+    monkeypatch.setattr(lp, "bareiss_pivot", counted)
+    return pivots
 
 
 @pytest.fixture

@@ -653,15 +653,16 @@ def test_report_value_over_int_digit_limit_exits_3(tmp_path):
 
 @pytest.fixture
 def margin_lps(monkeypatch):
-    """Calls through coapprox.norming.lp_max: the cell margin LPs."""
-    calls = {"lp_max": 0}
-    original = norming.lp_max
+    """Calls through coapprox.norming.simplex: the cell margin LPs, each
+    one run of the pivot loop on the arrangement's posed columns."""
+    calls = {"margin": 0}
+    original = norming.simplex
 
     def counted(*args):
-        calls["lp_max"] += 1
+        calls["margin"] += 1
         return original(*args)
 
-    monkeypatch.setattr(norming, "lp_max", counted)
+    monkeypatch.setattr(norming, "simplex", counted)
     return calls
 
 
@@ -676,14 +677,14 @@ def test_norming_set_work_counts(capsys, monkeypatch, margin_lps):
     pivot = lp.bareiss_pivot
     monkeypatch.setattr(lp, "bareiss_pivot", lambda *args: pivots.append(1) or pivot(*args))
     report = run_json(capsys, "norming-set", "--input", str(PROBLEMS / "span3_l16.json"))
-    assert (margin_lps["lp_max"], len(report["cells"]), len(pivots)) == (7, 7, 48)
+    assert (margin_lps["margin"], len(report["cells"]), len(pivots)) == (7, 7, 48)
 
 
 @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.name)
 def test_classify_runs_no_margin_lp(capsys, margin_lps, path):
     # q = d is read from the row profile: no sign cell is enumerated.
     run_json(capsys, "classify", "--input", str(path))
-    assert margin_lps["lp_max"] == 0
+    assert margin_lps["margin"] == 0
 
 
 @pytest.mark.parametrize(
@@ -704,7 +705,7 @@ def test_classify_runs_no_margin_lp(capsys, margin_lps, path):
 )
 def test_margin_lp_counts(capsys, margin_lps, command, name, expected):
     run_json(capsys, command, "--input", str(PROBLEMS / name))
-    assert margin_lps["lp_max"] == expected
+    assert margin_lps["margin"] == expected
 
 
 @pytest.mark.parametrize(
@@ -875,7 +876,7 @@ def test_cell_pair_cap_exits_3_for_every_cell_reader(tmp_path, capsys, margin_lp
     f = tmp_path / "wide.json"
     f.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run_cli(capsys, command, "--input", str(f))
-    assert (code, out, margin_lps["lp_max"]) == (3, "", 0)
+    assert (code, out, margin_lps["margin"]) == (3, "", 0)
     assert "cell pairs" in err
 
 

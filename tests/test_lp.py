@@ -20,7 +20,7 @@ from coapprox import (
 )
 from coapprox.cli import load_problem
 from coapprox.errors import ValidationError
-from coapprox.exact import bareiss_pivot, primitive_ints, rank, scaled_ints
+from coapprox.exact import primitive_ints, rank, scaled_ints
 from coapprox.instances import random_basis, random_vector
 from coapprox.lp import (MAX_CELL_PAIRS, LpResult, LpStatus, lp_max, lp_min, minimax_circuits,
                          solve_minimax_lp)
@@ -292,21 +292,6 @@ def _folded(data):
     a_pairs = tuple(tuple(s * x for x in r) for r in a_eq for s in (1, -1))
     b_pairs = tuple(s * b for b in b_eq for s in (1, -1))
     return cost, a_ub + a_pairs, b_ub + b_pairs
-
-
-@pytest.fixture
-def lp_pivots(monkeypatch):
-    """The (r, c) arguments of every bareiss_pivot called through `lp`.
-    lp_min keeps its tableau by columns, so each is its (column, row);
-    row_major_lp_min records (row, column)."""
-    pivots = []
-
-    def counted(*args):
-        pivots.append(args[1:3])
-        return bareiss_pivot(*args)
-
-    monkeypatch.setattr(lp, "bareiss_pivot", counted)
-    return pivots
 
 
 def _matches_reference(cost, a_ub, b_ub, want, want_pivots, lp_pivots):
@@ -710,7 +695,7 @@ def row_major_lp_min(cost, a_ub, b_ub, then=()) -> LpResult:
 def _margin_lps(rng):
     """Each cell's margin LP over random arrangements in R^2 and R^3,
     posed row by row from the normals and checked against the witness
-    that margin_witness reads off the cached rows."""
+    that margin_witness reads off the arrangement's posed columns."""
     for _ in range(40):
         m = rng.choice((2, 3))
         normals = {}

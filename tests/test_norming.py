@@ -30,6 +30,7 @@ from tests.reference import (
     columns,
     dot_product_half_cells,
     lp_prefix_tree_cells,
+    max_min_margin,
     norming_dot,
     pairs,
     random_invertible,
@@ -167,7 +168,7 @@ class TestEnumerateCells:
         def no_work(*args):
             raise AssertionError("cells enumerated before the capacity check")
 
-        monkeypatch.setattr(norming, "lp_max", no_work)
+        monkeypatch.setattr(norming, "simplex", no_work)
         monkeypatch.setattr(norming, "half_cells", no_work)
         with pytest.raises(CapacityError, match="cell pairs"):
             enumerate_cells(arr)
@@ -365,7 +366,21 @@ def _has_three_planes_through_a_flat(arr):
     )
 
 
-def test_cells_match_the_lp_prefix_tree_reference():
+def _posed_and_row_form(arr, cell, pivots):
+    """(witness, pivots) of margin_witness on the arrangement's posed
+    columns, then of the reference's LP, posed row by row from the cell."""
+    out = []
+    for solve in (lambda: norming.margin_witness(arr, cell),
+                  lambda: max_min_margin(arr.normals, cell.signs, arr.m)[1]):
+        pivots.clear()
+        out.append((solve(), [*pivots]))
+    return out
+
+
+def test_cells_match_the_lp_prefix_tree_reference(lp_pivots):
+    # Each cell's margin LP is the reference's LP at its leaf: the same
+    # witness by the same pivots, so the posed columns flip each normal
+    # row by the cell's sign and hold the box rows as lp_min poses them.
     rng = random.Random(1975)
     non_simple = 0
     for i in range(1000):
@@ -378,7 +393,8 @@ def test_cells_match_the_lp_prefix_tree_reference():
             assert all(type(x) is int for x in cell.witness)
             for sign, normal in zip(cell.signs, arr.normals):
                 assert sign * sum(nu * w for nu, w in zip(normal, cell.witness)) > 0
-            assert norming.margin_witness(arr, cell) == beta
+            posed, row_form = _posed_and_row_form(arr, cell, lp_pivots)
+            assert posed == row_form and posed[0] == beta, (arr, cell)
         non_simple += _has_three_planes_through_a_flat(arr)
     assert non_simple >= 100
     # Signs that no point takes are caller input (once an internal error),
@@ -387,16 +403,44 @@ def test_cells_match_the_lp_prefix_tree_reference():
     for signs in ((1, 1, -1), (1, 0, 1), (1, 1)):
         with pytest.raises(ValidationError, match=rf"signs \({', '.join(map(str, signs))}\) are not"):
             norming.margin_witness(arr, norming.SignCell(signs=signs, witness=(1, 1)))
+    # With no normal the margin is unbounded: no cell (once a bare TypeError).
+    with pytest.raises(ValidationError, match=r"signs \(\) are not"):
+        norming.margin_witness(norming.Arrangement(normals=(), m=2), norming.SignCell((), (1, 1)))
 
 
-def test_repeated_plane_cuts_nothing():
+def test_repeated_plane_cuts_nothing(lp_pivots):
     # An Arrangement built by hand may repeat a plane (build_arrangement
-    # never does): the repeat cuts no cell, as in the reference.
+    # never does): the repeat cuts no cell, as in the reference, and each
+    # margin LP is the reference's, degenerate in the repeated row.
     normals = mat([(1, -1, 0), (0, 1, 1), (1, 1, 1), (-2, 2, 0), (2, 1, 1)])
     arr = norming.Arrangement(normals=normals, m=3)
     cells = enumerate_cells(arr)
     assert [c.signs for c in cells] == [signs for signs, _ in lp_prefix_tree_cells(arr)]
     assert all(c.signs[3] == -c.signs[0] for c in cells)
+    for cell in cells:
+        posed, row_form = _posed_and_row_form(arr, cell, lp_pivots)
+        assert posed == row_form, cell
+
+
+@pytest.mark.parametrize("normals", [
+    ((Q(1, 2), Q(-1, 3)), (Q(2, 5), 1), (Q(-3, 7), Q(5, 4)), (0, Q(7, 6))),
+    ((Q(1, 2), 0, Q(-1, 3)), (Q(2, 5), 1, Q(3)), (Q(-3, 7), Q(5, 4), Q(1, 9)),
+     (1, -1, 1), (Q(6, 5), Q(1, 10), Q(-2, 3))),
+], ids=["m2", "m3"])
+def test_fraction_normals_pose_the_reference_margin_lp(lp_pivots, normals):
+    # lp_min scales each Fraction row by its own lcm, and the posed columns
+    # are scaled so too: all ints (a `//` on a Fraction would floor it
+    # silently), with the reference's witness and pivots in every cell.
+    arr = norming.Arrangement(normals=normals, m=len(normals[0]))
+    assert all(type(x) is int for col in arr.margin_columns for x in col)
+    cells = enumerate_cells(arr)
+    assert [c.signs for c in cells] == [signs for signs, _ in lp_prefix_tree_cells(arr)]
+    pivots = 0
+    for cell in cells:
+        posed, row_form = _posed_and_row_form(arr, cell, lp_pivots)
+        assert posed == row_form, cell
+        pivots += len(posed[1])
+    assert pivots > len(cells)
 
 
 def test_minimal_norming_set_needs_one_sign_vector_per_cell(span3_l16):
@@ -417,7 +461,7 @@ def test_enumerate_cells_runs_no_lp(monkeypatch, span3_l16):
     def no_lp(*args):
         raise AssertionError("margin LP run by the cell enumeration")
 
-    monkeypatch.setattr(norming, "lp_max", no_lp)
+    monkeypatch.setattr(norming, "simplex", no_lp)
     rng = random.Random(11)
     for make in (_through_one_line, _lines_in_plane, _with_duplicates, _generic):
         for _ in range(10):

@@ -119,6 +119,8 @@ UNREACHED = {
     "coapprox.exact.vec_sub": "refutation path",
     "coapprox.instances.random_basis": "perfbench draws its criterion-5 corpus with it",
     "coapprox.instances.random_vector": "perfbench draws its criterion-5 corpus with it",
+    "coapprox.lp.lp_max": "perfbench/tracer.py wraps it as norming.lp_max, its lp.margin span; "
+                          "tests/reference.py poses the row-form margin LP on it",
 }
 
 
@@ -192,8 +194,6 @@ INT_DIVISIONS = {
         "minimax_circuits' rows, which it checks are ints; den divides a minor (Bareiss)",
     ("exact", "bareiss_pivot", "p * a // den"):
         "the same int rows; p * a / den is a minor of the starting rows",
-    ("lp", "lp_min", "k // g"):
-        "cost_ints come from scaled_ints and g is their int gcd",
     ("norming", "half_cells", "x // g"):
         "v is a list of int products of int normals and g its signed int gcd",
 }

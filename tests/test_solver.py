@@ -30,7 +30,7 @@ from coapprox import (
 from coapprox import lp, norming, solver
 from coapprox.exact import first_basis, rank, scaled_ints, vec_sub
 from coapprox.instances import random_basis, random_vector
-from coapprox.lp import lp_max, lp_min, solve_minimax_lp
+from coapprox.lp import lp_min, simplex, solve_minimax_lp
 from coapprox.solver import PolytopeConstraints, lex_extreme_alpha
 from tests.reference import (
     FACE_POLYTOPES,
@@ -910,19 +910,22 @@ def test_lex_and_margin_lps_reach_the_kernel_in_ints(monkeypatch):
     # The lex LPs (each fiber's minimax LP on its int rows and sums, then
     # its `then` costs) and the margin LPs (from the int normals) are
     # built in ints: every entry of every cost, row, rhs and `then` cost
-    # that lp_min and lp_max receive is an int.  Each target gets a fresh prepare, so every lex search it needs
-    # runs, and each fiber's two searches also run directly.
+    # that lp_min receives, and of every column a margin LP hands the
+    # pivot loop, is an int.  Each target gets a fresh prepare, so every
+    # lex search it needs runs, and each fiber's two searches also run directly.
     seen = []
 
-    def recorder(kernel):
-        def recorded(cost, a_ub, b_ub, *then):
-            seen.append([*cost, *(x for row in a_ub for x in row), *b_ub,
-                         *(x for c in (then[0] if then else ()) for x in c)])
-            return kernel(cost, a_ub, b_ub, *then)
-        return recorded
+    def recorded(cost, a_ub, b_ub, *then):
+        seen.append([*cost, *(x for row in a_ub for x in row), *b_ub,
+                     *(x for c in (then[0] if then else ()) for x in c)])
+        return lp_min(cost, a_ub, b_ub, *then)
 
-    monkeypatch.setattr(solver, "lp_min", recorder(lp_min))
-    monkeypatch.setattr(norming, "lp_max", recorder(lp_max))
+    def posed(cols, *rest):
+        seen.append([x for col in cols for x in col])
+        return simplex(cols, *rest)
+
+    monkeypatch.setattr(solver, "lp_min", recorded)
+    monkeypatch.setattr(norming, "simplex", posed)
     rng = random.Random(4040)
     for basis, b in _zero_set_instances(rng, 150):
         pb = prepare(basis)
