@@ -168,12 +168,8 @@ def _gauss_jordan(work: list[list[int]], ncols: int) -> list[int]:
 
 
 def rank(rows: Sequence[Vec]) -> int:
-    """Exact rank (int or Fraction entries), eliminated along the
-    shorter side: a tall matrix is reduced as its transpose."""
-    if rows and len(rows) > len(rows[0]):
-        rows = transpose(rows)
-    work = [primitive_ints(r) for r in rows]
-    return len(_gauss_jordan(work, len(work[0]) if work else 0))
+    """Exact rank (int or Fraction entries): the pivots of first_basis."""
+    return len(first_basis(rows))
 
 
 def first_basis(vectors: Sequence[Vec]) -> list[int]:

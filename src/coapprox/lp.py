@@ -219,10 +219,11 @@ def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, circuits=None) -> tuple:
     length or with an inexact entry, circuits not minimax_circuits(rows),
     and, before the LP, rows with an inexact entry.
     `circuits` go first: t_star is the top |lam . rhs| / sum |lam| (Stiefel,
-    Numer. Math. 1, 1959).  If > 0 on m + 1 rows, their slabs are tight at
-    every optimum, and the table's m pin x_star: rows_p . x = rhs_p -
-    sign(lam_p) (lam . rhs) / sum |lam|, one int product with their inverse,
-    exact for a rational rhs too; lam is then -sign(lam . rhs) lam.
+    Numer. Math. 1, 1959).  On a top circuit of m + 1 rows, their slabs are
+    tight at every optimum (all slabs are at t_star = 0), and the table's m
+    pin x_star: rows_p . x = rhs_p - sign(lam_p) (lam . rhs) / sum |lam|, one
+    int product with their inverse, exact for a rational rhs too; lam is then
+    -sign(lam . rhs) lam, or lam itself where lam . rhs = 0.
     """
     if not rows or not rows[0]:
         raise ValidationError("minimax needs at least one row and one column")
@@ -240,7 +241,7 @@ def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, circuits=None) -> tuple:
         d = abs(v) * t[1] - t[0] * size  # cross-multiplied; a tie goes to more rows
         if d > 0 or not d and len(support) > len(best[0]):
             t, best = (abs(v), size), (support, lam, v, table)
-    if t[0] and best[3]:
+    if best[3]:
         (support, lam, v, (picks, den, inv)), size = best, t[1]
         w = [size * rhs[p] - s * v for p, s in picks]
         y, sign = dict(zip(support, lam)), -1 if v > 0 else 1

@@ -25,12 +25,13 @@ minimax optimizer, so it is a full-dimensional polytope; at it the set
 is the optimal face, a point or a polytope.  Lexicographically extreme
 points (in subspace-vector order) tell these apart and pick a witness
 independent of the particular basis supplied; each search is the
-minimax LP, then m `then` costs over its optimal face, in one tableau;
-none runs where the minimax LP proves the face one point.
+minimax LP, then A's rows as `then` costs over its optimal face, in one
+tableau; none runs where the minimax LP proves the face one point.
 delta0, its optimizer and the optimal face depend only on sigma(b), so
 all targets on one fiber (same entries off Z, any mass on Z) share one
-Fiber: its minimax solve, lex searches, witness vector and threshold;
-later new fibers on a basis are read off its circuits where they can be.
+Fiber: its minimax solve, lex searches, witness vector and threshold,
+which is built with it; later new fibers on a basis are read off its
+circuits where they can be.
 """
 from __future__ import annotations
 
@@ -75,15 +76,18 @@ from .subspace import (
 
 
 class Fiber:
-    """One fiber's solve (PreparedBasis.fiber); rhs, vector and threshold are kept once read."""
+    """One fiber's solve (PreparedBasis.fiber) and threshold; rhs and vector are kept once read."""
 
-    __slots__ = ("key", "delta0", "alpha", "rho_mass", "lex",
-                 "_basis", "_sums", "_bden", "_rhs", "_vector", "_threshold")
+    __slots__ = ("key", "delta0", "alpha", "rho_mass", "lex", "threshold",
+                 "_basis", "_sums", "_bden", "_rhs", "_vector")
 
     def __init__(self, key, delta0, alpha, rho_mass, lex, basis, sums, bden):
+        if delta0 > rho_mass:  # pragma: no cover
+            raise InternalInconsistencyError("threshold exceeds the rho-mass upper bound")
         self.key, self.delta0, self.alpha, self.rho_mass = key, delta0, alpha, rho_mass
         self.lex, self._basis, self._sums, self._bden = lex, basis, sums, bden
-        self._rhs = self._vector = self._threshold = None
+        self.threshold = ExistenceThreshold(delta0, alpha, rho_mass)
+        self._rhs = self._vector = None
 
     @property
     def rhs(self) -> Vec:
@@ -96,14 +100,6 @@ class Fiber:
         if self._vector is None:
             self._vector = self._basis.combine(self.lex(+1))
         return self._vector
-
-    @property
-    def threshold(self) -> ExistenceThreshold:
-        if self._threshold is None:
-            if self.delta0 > self.rho_mass:  # pragma: no cover
-                raise InternalInconsistencyError("threshold exceeds the rho-mass upper bound")
-            self._threshold = ExistenceThreshold(self.delta0, self.alpha, self.rho_mass)
-        return self._threshold
 
 
 class PreparedBasis:
@@ -217,8 +213,9 @@ class PreparedBasis:
         the minimax LP |sums - rows.x| <= t in ints, x = (bden/den) alpha (x
         itself where den = bden), a positive rescaling that moves no pivot;
         sums is, per cell, its sign vector times sigma(b) * bden; a search
-        then takes m `then` costs over its optimal face; circuits first, once
-        the slot is full, whose solve tables give x with no elimination."""
+        then takes A's rows as `then` costs over its optimal face; circuits
+        first, once the slot is full, whose solve tables give x with no
+        elimination.  The fiber's threshold is built with it."""
         key, slot = self.reduced.sigma(b), self._fiber
         if slot is not None and slot.key == key:
             return slot
@@ -310,16 +307,15 @@ def solve_empty_zero_set(pb: PreparedBasis, b: Vec) -> CoapproxOutcome:
 def lex_extreme_alpha(basis: SubspaceBasis, rows: Mat, rhs: Vec, direction: int) -> Vec:
     """The lexicographically extreme point of the minimax LP's optimal face
     {x : |rows.x - rhs| <= t*}: one LP, the minimax LP (minimax_rows), then
-    direction * (row i of A) . x as `then` costs for the m independent rows
-    `basis.lex_costs` in order, each over the optimal face of those before
-    it, so the last face is one point.  The order is thus taken on the
-    subspace element A.x (direction +1 minimizes, -1 maximizes), a property
-    of the subspace and target alone.  A skipped row is in the span of
-    earlier kept ones, so it is constant on their face: its stage could
-    neither enter a column nor move the point.
+    direction * (row i of A) . x as `then` costs for the rows of A in
+    coordinate order, each over the optimal face of those before it, so
+    the last face is one point.  The order is thus taken on the subspace
+    element A.x (direction +1 minimizes, -1 maximizes), a property of the
+    subspace and target alone.  A row in the span of earlier rows is
+    constant on their face, so its stage enters no column.
     """
     cost, a_ub, b_ub, _ = minimax_rows(rows, rhs)
-    then = [(*(direction * x for x in c), 0) for c in basis.lex_costs]  # 0 for t'
+    then = [(*(direction * x for x in c), 0) for c in basis.int_rows]  # 0 for t'
     # `then` goes positionally: perfbench/tracer.py sizes this call by
     # binding its arguments to lp_min's old (cost, a_ub, b_ub, a_eq, b_eq).
     res = lp_min(cost, a_ub, b_ub, then)

@@ -13,7 +13,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import DimensionError, RankDeficientError, ZeroSubspaceError
-from .exact import Mat, Q, Vec, first_basis, primitive_ints, rank, scaled_ints
+from .exact import Mat, Q, Vec, primitive_ints, rank, scaled_ints
 
 
 # Records with cached properties (SubspaceBasis and norming.Arrangement)
@@ -30,14 +30,8 @@ class SubspaceBasis(NamedTuple("SubspaceBasis", [("n", int), ("m", int), ("matri
 
     @cached_property
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each row as coprime ints, built once for rank, profile and topes."""
+        """Each row as coprime ints, built once for rank, profile, topes and lex costs."""
         return tuple(tuple(primitive_ints(row)) for row in self.matrix)
-
-    @cached_property
-    def lex_costs(self) -> tuple[tuple[int, ...], ...]:
-        """The m int_rows that greedy in-order independence keeps: the
-        costs of a lex search (solver.lex_extreme_alpha)."""
-        return tuple(self.int_rows[i] for i in first_basis(self.int_rows))
 
     @cached_property
     def int_matrix(self) -> tuple[int, list[list[int]]]:

@@ -3,8 +3,9 @@ construction the class-sum rows are checked against (`system_rows`), the
 class-sum route to a fiber's right-hand side (`class_sum_fiber`),
 conveniences on the library's objects as plain functions, basis changes
 for the invariance checks, and test helpers (`general_lp_min`, the
-rank-loop lex search `reference_lex_extreme_alpha`, the LP prefix-tree
-cell enumerator that `enumerate_cells` replaced, the
+rank-loop lex search `reference_lex_extreme_alpha`, the lex search over
+the m independent rows of A alone `independent_rows_lex_extreme_alpha`,
+the LP prefix-tree cell enumerator that `enumerate_cells` replaced, the
 dot-product kernel that `norming.half_cells` replaced, and the breakpoint
 test that 0 minimizes t -> ||y + t*z||_1)."""
 from __future__ import annotations
@@ -14,7 +15,8 @@ from fractions import Fraction as Q
 from operator import add, mul, sub
 
 from coapprox import DimensionError, lp, mat, validate_basis
-from coapprox.exact import Mat, SystemStatus, Vec, primitive_ints, rank, scaled_ints, solve_linear
+from coapprox.exact import (
+    Mat, SystemStatus, Vec, first_basis, primitive_ints, rank, scaled_ints, solve_linear)
 from coapprox.lp import LpResult, LpStatus, lp_min, solve_minimax_lp
 from coapprox.norming import SignVec
 from coapprox.solver import PolytopeConstraints, PreparedBasis, Projection, lex_extreme_alpha
@@ -211,6 +213,21 @@ def reference_lex_extreme_alpha(basis, constraints, direction):
     res = solve_linear(tuple(pinned), tuple(values))
     assert res.status is SystemStatus.UNIQUE
     return res.solution
+
+
+def independent_rows(basis: SubspaceBasis) -> tuple[tuple[int, ...], ...]:
+    """The m int rows of A that greedy in-order independence keeps."""
+    return tuple(basis.int_rows[i] for i in first_basis(basis.int_rows))
+
+
+def independent_rows_lex_extreme_alpha(basis, rows, rhs, direction):
+    """lex_extreme_alpha with `then` costs on independent_rows(basis) alone,
+    in order, where the library passes all n rows of A."""
+    cost, a_ub, b_ub, _ = lp.minimax_rows(rows, rhs)
+    then = [(*(direction * x for x in row), 0) for row in independent_rows(basis)]
+    res = lp_min(cost, a_ub, b_ub, then)
+    assert res.status is LpStatus.OPTIMAL
+    return res.x[:-1]
 
 
 # Zero-set instances (basis rows, target) whose optimal face at slack =

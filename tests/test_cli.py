@@ -334,6 +334,32 @@ def test_non_ascii_digits_exit_2(tmp_path, capsys, patch, field):
     assert "not a rational literal" in err
 
 
+@pytest.mark.parametrize("patch, message", [
+    ({"basis": ["1"]}, "basis[1]: expected a list of rational strings"),
+    ({"targets": ["1"]}, "targets[1]: expected a list of rational strings"),
+    ({"targets": [{"vector": "1"}]}, "targets[1].vector: expected a list of rational strings"),
+    ({"basis": []}, "basis: expected a non-empty list of vectors"),
+    ({"basis": {"1": "0"}}, "basis: expected a non-empty list of vectors"),
+    ({"targets": [{"name": 3, "vector": ["1", "1"]}]}, "targets[1].name: expected a string"),
+    ({"options": []}, "options: expected an object"),
+], ids=["basis vector", "target", "target vector", "empty basis", "basis object",
+        "target name", "options list"])
+def test_malformed_problem_fields_exit_2_with_one_line(tmp_path, capsys, patch, message):
+    doc = {"n": 2, "basis": [["1", "0"]], "targets": [["1", "1"]]}
+    doc.update(patch)
+    f = tmp_path / "malformed.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(capsys, "analyze", "--input", str(f)) == (2, "", f"coapprox analyze: {message}\n")
+
+
+def test_null_targets_and_options_read_as_empty(tmp_path):
+    f = tmp_path / "nulls.json"
+    f.write_text(json.dumps({"n": 2, "basis": [["1", "0"]], "targets": None, "options": None}),
+                 encoding="utf-8")
+    problem = cli.load_problem(str(f))
+    assert (problem.targets, problem.options) == ((), {})
+
+
 @pytest.mark.parametrize("value", [3, True, 1.5, None, "0.5", "1e1", "3/7"], ids=repr)
 def test_files_and_vec_share_one_entry_rule(tmp_path, capsys, value):
     # A basis entry is accepted, or refused with vec's own message behind

@@ -416,3 +416,15 @@ def test_elimination_matches_fraction_reference_on_large_entries():
             rng.randint(1, 8), rng.randint(1, 6)),
         lambda: Q(0) if rng.random() < 0.25 else Q(rng.randint(-10**12, 10**12),
                                                   rng.randint(10**10, 10**11)))
+
+
+@pytest.mark.parametrize("rows, rhs, message", [
+    ((), (), "empty linear system"),
+    (((),), (1,), "empty linear system"),
+    (((1, 0), (0, 1)), (1,), "right-hand side length does not match row count"),
+    (((1, 0),), (1, 2), "right-hand side length does not match row count"),
+], ids=["no rows", "no columns", "short rhs", "long rhs"])
+def test_solve_linear_refuses_a_malformed_system(rows, rhs, message):
+    with pytest.raises(ValidationError) as raised:
+        solve_linear(rows, rhs)
+    assert (type(raised.value), str(raised.value)) == (ValidationError, message)

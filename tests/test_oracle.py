@@ -1194,3 +1194,19 @@ def test_certify_not_exists_accepts_where_the_minimax_certificate_does(monkeypat
             assert moved_lam is None, case
             assert not oracle.check_certificate(moved_rows, moved_rhs, moved_width, lam), case
     assert min(seen[w, a] for w in (False, True) for a in (False, True)) >= 40, seen
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda basis: bj_orthogonal_l1((1, 0), (1,)),
+     "orthogonality test needs vectors of equal length"),
+    (lambda basis: bj_orthogonal_l1((1,), (1, 0)),
+     "orthogonality test needs vectors of equal length"),
+    (lambda basis: verify_best_coapprox(basis, (1,) * 5, (0, 0, 0)),
+     "verify_best_coapprox dimension mismatch"),
+    (lambda basis: verify_best_coapprox(basis, (1,) * 6, (0, 0)),
+     "verify_best_coapprox dimension mismatch"),
+], ids=["short z", "short y", "target length", "alpha length"])
+def test_oracle_refuses_vectors_of_the_wrong_length(span3_l16, call, message):
+    with pytest.raises(DimensionError) as raised:
+        call(span3_l16)
+    assert (type(raised.value), str(raised.value)) == (DimensionError, message)

@@ -39,6 +39,8 @@ from tests.reference import (
     column_basis,
     columns,
     feasibility_rhs,
+    independent_rows,
+    independent_rows_lex_extreme_alpha,
     input_vector,
     norming_dot,
     random_invertible,
@@ -590,6 +592,21 @@ class TestFiberMinimax:
         second = pb.fiber(vec((2, 1, 0, 1)))
         assert (len(minimax), len(kernel), len(pb.circuits[1])) == (2, 1, 1)
         assert (first.delta0, second.delta0, second.alpha) == (Q(1, 3), 1, (1, 0))
+
+    def test_circuits_answer_a_coproximinal_fiber_at_delta0_zero(self, monkeypatch):
+        # Every fiber of a coproximinal basis has delta0 = 0, where every
+        # slab is tight: the table of a circuit of m + 1 = 4 cell rows
+        # pins the point, so the second new fiber runs no LP at all.
+        kernel = []
+        monkeypatch.setattr(lp, "lp_min", lambda *args: kernel.append(args) or lp_min(*args))
+        basis = validate_basis(mat([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]))
+        pb = prepare(basis)
+        pb.fiber(vec((1, 2, 3, 1)))
+        assert len(kernel) == 1
+        fiber = pb.fiber(vec((2, -1, 5, 1)))
+        assert (len(kernel), fiber.delta0, fiber.alpha) == (1, 0, (2, -1, 5))
+        assert fiber.lex(+1) == fiber.lex(-1) == fiber.alpha
+        assert len(kernel) == 1
 
     def test_a_basis_over_the_circuit_cap_builds_none_and_runs_the_lp(self, monkeypatch):
         # Five generic planes in R^3 make 11 cell rows, and C(11, 4) = 330
@@ -1300,10 +1317,10 @@ def test_one_point_rule_is_sound_where_it_fires(monkeypatch):
 
 @pytest.mark.parametrize("direction", [+1, -1])
 def test_lex_search_over_the_m_independent_rows_matches_all_n_rows(monkeypatch, direction):
-    # basis.lex_costs keeps the m rows that greedy in-order independence
-    # keeps; a lex search over all n rows of A, zero rows and rows
-    # dependent on earlier ones included, reaches the same point with the
-    # same pivots, since a skipped row is constant on the face its
+    # lex_extreme_alpha passes all n rows of A, zero rows and rows
+    # dependent on earlier ones included; a search over only the m rows
+    # that greedy in-order independence keeps reaches the same point with
+    # the same pivots, since a skipped row is constant on the face its
     # predecessors leave.  On zero-set bases (every third with a row
     # proportional to another) and on the m = 9 basis at the cell caps.
     pivots = []
@@ -1321,7 +1338,7 @@ def test_lex_search_over_the_m_independent_rows_matches_all_n_rows(monkeypatch, 
         pb = prepare(basis)
         rows = pb.feasibility_rows
         rhs = feasibility_rhs(pb, b)
-        kept = basis.lex_costs
+        kept = independent_rows(basis)
         assert len(kept) == basis.m and rank(kept) == basis.m
         skipped = [r for r in basis.int_rows if r not in kept]
         seen["zero rows"] += sum(not any(r) for r in skipped)
@@ -1329,12 +1346,25 @@ def test_lex_search_over_the_m_independent_rows_matches_all_n_rows(monkeypatch, 
         start = len(pivots)
         got = lex_extreme_alpha(basis, rows, rhs, direction)
         mid = len(pivots)
-        cost, a_ub, b_ub, _ = lp.minimax_rows(rows, rhs)
-        res = lp_min(cost, a_ub, b_ub, [(*(direction * x for x in row), 0) for row in basis.int_rows])
-        assert got == res.x[:-1]
+        assert got == independent_rows_lex_extreme_alpha(basis, rows, rhs, direction)
         assert mid - start == len(pivots) - mid
         seen["searches", basis.m == 9] += 1
         seen["pivots"] += mid - start
     assert seen["searches", True] == 1 and seen["searches", False] >= 100, seen
     assert seen["zero rows"] >= 60 and seen["dependent rows"] >= 60, seen
     assert seen["pivots"] >= 200, seen
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda pb: solver.NOT_EXISTS.chosen_alpha,
+     NoCoapproximationError, "outcome carries no coefficient vector"),
+    (lambda pb: solve_empty_zero_set(pb, (1,) * 6),
+     DimensionError, "target length does not match ambient dimension"),
+    (lambda pb: existence_threshold(pb.basis, None, (1,) * 8, prepared=pb),
+     DimensionError, "target length does not match ambient dimension"),
+], ids=["chosen_alpha on not-exists", "solve_empty_zero_set", "existence_threshold"])
+def test_solver_refusals(call, error, message):
+    pb = prepare(column_basis(*THRESHOLD_BASIS_COLUMNS))  # n = 7, one zero row
+    with pytest.raises(error) as raised:
+        call(pb)
+    assert (type(raised.value), str(raised.value)) == (error, message)

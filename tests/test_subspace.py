@@ -7,6 +7,7 @@ from coapprox import (
     DimensionError,
     RankDeficientError,
     SubspaceBasis,
+    ZeroSubspaceError,
     build_profile,
     existence_threshold,
     l1_norm,
@@ -261,3 +262,23 @@ def test_threshold_rho_mass_is_the_l1_norm_of_rho():
         th = existence_threshold(basis, None, b)
         assert th.rho_mass == l1_norm(apply_rho(b, build_profile(basis)))
         assert th.delta0 <= th.rho_mass
+
+
+def _with_profile(basis):
+    return basis, build_profile(basis)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: validate_basis(((1, 0), (1,))), DimensionError, "ragged basis matrix"),
+    (lambda: validate_basis(((1, 0), (0, 1), (1, 2, 3))), DimensionError, "ragged basis matrix"),
+    (lambda: reduce_sigma(*_with_profile(column_basis((1, 0, 2)))).sigma((1, 2)),
+     DimensionError, "sigma expects an ambient-length vector"),
+    # validate_basis refuses a zero basis as rank-deficient, so only a
+    # hand-built one reaches reduce_sigma.
+    (lambda: reduce_sigma(*_with_profile(SubspaceBasis(n=2, m=1, matrix=((Q(0),), (Q(0),))))),
+     ZeroSubspaceError, "all coordinate rows are zero"),
+], ids=["short row", "long row", "sigma length", "all-zero basis"])
+def test_subspace_refusals(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert (type(raised.value), str(raised.value)) == (error, message)
