@@ -29,9 +29,9 @@ minimax LP, then A's rows as `then` costs over its optimal face, in one
 tableau; none runs where the minimax LP proves the face one point.
 delta0, its optimizer and the optimal face depend only on sigma(b), so
 all targets on one fiber (same entries off Z, any mass on Z) share one
-Fiber: its minimax solve, lex searches, witness vector and threshold,
-which is built with it; later new fibers on a basis are read off its
-circuits where they can be.
+Fiber: its threshold, lex searches and witness vector; later new fibers
+on a basis are read off its circuits where they can be.  A coproximinal
+basis (d = m) has delta0 = 0 on every fiber, at the class-sum solve.
 """
 from __future__ import annotations
 
@@ -76,17 +76,15 @@ from .subspace import (
 
 
 class Fiber:
-    """One fiber's solve (PreparedBasis.fiber) and threshold; rhs and vector are kept once read."""
+    """One fiber's solve (PreparedBasis.fiber): key, threshold, lex; rhs and vector kept once read."""
 
-    __slots__ = ("key", "delta0", "alpha", "rho_mass", "lex", "threshold",
-                 "_basis", "_sums", "_bden", "_rhs", "_vector")
+    __slots__ = ("key", "threshold", "lex", "_basis", "_sums", "_bden", "_rhs", "_vector")
 
-    def __init__(self, key, delta0, alpha, rho_mass, lex, basis, sums, bden):
-        if delta0 > rho_mass:  # pragma: no cover
+    def __init__(self, key, threshold, lex, basis, sums, bden):
+        if threshold.delta0 > threshold.rho_mass:  # pragma: no cover
             raise InternalInconsistencyError("threshold exceeds the rho-mass upper bound")
-        self.key, self.delta0, self.alpha, self.rho_mass = key, delta0, alpha, rho_mass
-        self.lex, self._basis, self._sums, self._bden = lex, basis, sums, bden
-        self.threshold = ExistenceThreshold(delta0, alpha, rho_mass)
+        self.key, self.threshold, self.lex = key, threshold, lex
+        self._basis, self._sums, self._bden = basis, sums, bden
         self._rhs = self._vector = None
 
     @property
@@ -117,7 +115,7 @@ class PreparedBasis:
     cell's sign vector (`sign_vectors`) times sigma(b).  `norming`, whose
     representatives are those vectors, is built for `norming-set`.
     `fiber` keeps the last fiber's Fiber in one slot, so memory stays
-    bounded and each new fiber is solved afresh, off `circuits` once the slot is full.
+    bounded and each new fiber is solved afresh, off `circuits` once the slot is full (d > m).
     """
 
     def __init__(self, basis: SubspaceBasis):
@@ -168,10 +166,16 @@ class PreparedBasis:
         return den, [[sum(o * ints[i][j] for i, o in members) for j in range(self.basis.m)]
                      for members in self.member_signs]
 
-    def _class_sums(self, b: Vec) -> tuple[int, list[int], list[int]]:
-        """(den, b * den, sums): sum_{i in c} o_i b_i per class is sums / den."""
-        den, ints = scaled_ints(b)
-        return den, ints, [sum(o * ints[i] for i, o in members) for members in self.member_signs]
+    def _class_solution(self, b: Vec) -> Vec | None:
+        """The alpha at which every class sum of o_i (b - A alpha)_i vanishes, in ints
+        (class_ints rows times b's den, b's class sums times theirs); None if none does."""
+        (den, rows), (bden, ints) = self.class_ints, scaled_ints(b)
+        res = solve_linear([[bden * x for x in row] for row in rows],
+                           [den * sum(o * ints[i] for i, o in c) for c in self.member_signs])
+        if res.status is SystemStatus.AFFINE_FAMILY:
+            raise InternalInconsistencyError(
+                "underdetermined system contradicts uniqueness on empty zero set")
+        return res.solution  # None when inconsistent
 
     @cached_property
     def feasibility_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -204,34 +208,39 @@ class PreparedBasis:
         return tuple(tuple(Q(x, den) for x in row) for row in rows)
 
     def fiber(self, b: Vec) -> Fiber:
-        """b's Fiber, kept in one slot until another fiber replaces it;
-        lex(direction) is the lex-extreme point of the optimal face: alpha
-        on a face certified one point, by t = 0 (rows has rank m) or m + 1
+        """b's Fiber, kept in one slot until another fiber replaces it.  On a
+        coproximinal basis (d = m) each cell's sum vanishes at the class-sum
+        solve, so that is alpha at delta0 = 0, with no LP.  Elsewhere it is
+        the minimax LP |sums - rows.x| <= t in ints, x = (bden/den) alpha (x
+        itself where den = bden), a positive rescaling that moves no pivot,
+        sums per cell its sign vector times sigma(b) * bden; circuits first,
+        once the slot is full, whose solve tables give x with no elimination.
+        lex(direction) is the lex-extreme point of the optimal face: alpha on
+        a face certified one point, by t = 0 (rows has rank m) or m + 1
         nonzero multipliers (a circuit's, or at t > 0 an LP's nonbasic
         slacks' positive reduced costs: every free variable is basic,
-        Mangasarian 1979), else searched on its first call.  Every LP is
-        the minimax LP |sums - rows.x| <= t in ints, x = (bden/den) alpha (x
-        itself where den = bden), a positive rescaling that moves no pivot;
-        sums is, per cell, its sign vector times sigma(b) * bden; a search
-        then takes A's rows as `then` costs over its optimal face; circuits
-        first, once the slot is full, whose solve tables give x with no
-        elimination.  The fiber's threshold is built with it."""
+        Mangasarian 1979), else searched on first call with A's rows as `then` costs."""
         key, slot = self.reduced.sigma(b), self._fiber
         if slot is not None and slot.key == key:
             return slot
-        den, rows = self.feasibility_ints
         vectors, (bden, ints) = self.sign_vectors, scaled_ints(key)
         sums = [sum(map(mul, x, ints)) for x in vectors]
-        t, x, lam = solve_minimax_lp(rows, sums, circuits=None if slot is None else self.circuits)
-        to_alpha = lambda x: x if den == bden else tuple(
-            [Q(den * v.numerator, bden * v.denominator) for v in x])
-        basis, alpha = self.basis, to_alpha(x)
-        lex = lambda d: alpha
-        if t and len(lam) - lam.count(0) <= basis.m:  # uncertified: searched on first call
-            lex = cache(lambda d: to_alpha(lex_extreme_alpha(basis, rows, sums, d)))
+        basis, lex = self.basis, None
+        if self.profile.d == basis.m:  # coproximinal: every class sum vanishes at one alpha
+            t, alpha = Q(0), self._class_solution(b)
+        else:
+            den, rows = self.feasibility_ints
+            circuits = None if slot is None else self.circuits
+            t, x, lam = solve_minimax_lp(rows, sums, circuits=circuits)
+            to_alpha = lambda x: x if den == bden else tuple(
+                [Q(den * v.numerator, bden * v.denominator) for v in x])
+            alpha = to_alpha(x)
+            if t and len(lam) - lam.count(0) <= basis.m:  # uncertified: searched on first call
+                lex = cache(lambda d: to_alpha(lex_extreme_alpha(basis, rows, sums, d)))
+            t = t if bden == 1 else Q(t.numerator, t.denominator * bden)
         # A new fiber replaces the slot in one assignment.
-        self._fiber = Fiber(key, t if bden == 1 else Q(t.numerator, t.denominator * bden),
-                            alpha, Q(sum(map(abs, ints)), bden), lex, basis, sums, bden)
+        self._fiber = Fiber(key, ExistenceThreshold(t, alpha, Q(sum(map(abs, ints)), bden)),
+                            lex or (lambda d: alpha), basis, sums, bden)
         return self._fiber
 
 
@@ -293,15 +302,10 @@ def solve_empty_zero_set(pb: PreparedBasis, b: Vec) -> CoapproxOutcome:
     if any(b[i] for i in pb.profile.zero_set):
         raise DimensionError("solve_empty_zero_set requires no target mass on the zero set")
     check_cell_capacity(pb.profile.d, pb.basis.m)  # the same caps as enumeration
-    (den, rows), (bden, _, sums) = pb.class_ints, pb._class_sums(b)
-    res = solve_linear([[bden * x for x in row] for row in rows], [den * s for s in sums])
-    if res.status is SystemStatus.NO_SOLUTION:
+    alpha = pb._class_solution(b)
+    if alpha is None:
         return NOT_EXISTS
-    if res.status is SystemStatus.AFFINE_FAMILY:
-        raise InternalInconsistencyError(
-            "underdetermined system contradicts uniqueness on empty zero set"
-        )
-    return CoapproxOutcome(OutcomeKind.UNIQUE, res.solution, pb.basis.combine(res.solution))
+    return CoapproxOutcome(OutcomeKind.UNIQUE, alpha, pb.basis.combine(alpha))
 
 
 def lex_extreme_alpha(basis: SubspaceBasis, rows: Mat, rhs: Vec, direction: int) -> Vec:
@@ -345,7 +349,8 @@ def solve_general(
     if not mass:
         return solve_empty_zero_set(pb, b)
     fiber = pb.fiber(b)
-    gap = mass * fiber.delta0.denominator - fiber.delta0.numerator * zden  # sign of slack - delta0
+    delta0 = fiber.threshold.delta0
+    gap = mass * delta0.denominator - delta0.numerator * zden  # sign of slack - delta0
     if gap < 0:
         return NOT_EXISTS
     witness = fiber.lex(+1)

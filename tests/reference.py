@@ -2,7 +2,8 @@
 construction the class-sum rows are checked against (`system_rows`), the
 class-sum route to a fiber's right-hand side (`class_sum_fiber`),
 conveniences on the library's objects as plain functions, basis changes
-for the invariance checks, and test helpers (`general_lp_min`, the
+for the invariance checks, criterion 5's seeded stream
+(`criterion_5_stream`), and test helpers (`general_lp_min`, the
 rank-loop lex search `reference_lex_extreme_alpha`, the lex search over
 the m independent rows of A alone `independent_rows_lex_extreme_alpha`,
 the LP prefix-tree cell enumerator that `enumerate_cells` replaced, the
@@ -17,6 +18,7 @@ from operator import add, mul, sub
 from coapprox import DimensionError, lp, mat, validate_basis
 from coapprox.exact import (
     Mat, SystemStatus, Vec, first_basis, primitive_ints, rank, scaled_ints, solve_linear)
+from coapprox.instances import random_basis, random_vector
 from coapprox.lp import LpResult, LpStatus, lp_min, solve_minimax_lp
 from coapprox.norming import SignVec
 from coapprox.solver import PolytopeConstraints, PreparedBasis, Projection, lex_extreme_alpha
@@ -87,9 +89,17 @@ def system_rhs(pb: PreparedBasis, b_reduced: Vec) -> Vec:
     return tuple(norming_dot(x, b_reduced) for x in pb.norming.system_basis)
 
 
+def class_sums(pb: PreparedBasis, b: Vec) -> tuple[int, list[int]]:
+    """(den, sums): per class c, sum_{i in c} o_i b_i is its sum / den,
+    o_i the sign of coordinate i's constant."""
+    den, ints = scaled_ints(b)
+    return den, [sum(ints[i] if c > 0 else -ints[i] for i, c in cls.members)
+                 for cls in pb.profile.classes]
+
+
 def feasibility_rhs(pb: PreparedBasis, b: Vec) -> Vec:
     """x . sigma(b) per cell, as feasibility_rows: sum_c s_c * (class sum c)."""
-    den, _, sums = pb._class_sums(b)
+    den, sums = class_sums(pb, b)
     return tuple(Q(sum(map(mul, cell.signs, sums)), den) for cell in pb.cells)
 
 
@@ -100,14 +110,24 @@ def class_sum_fiber(pb: PreparedBasis, b: Vec) -> tuple:
     minimax LP and both lex searches run on those sums (the searches
     whether or not the face is certified one point)."""
     den, rows = pb.feasibility_ints
-    bden, ints = scaled_ints(b)
-    class_sums = [sum(ints[i] if c > 0 else -ints[i] for i, c in cls.members)
-                  for cls in pb.profile.classes]
-    sums = [sum(map(mul, cell.signs, class_sums)) for cell in pb.cells]
+    bden, by_class = class_sums(pb, b)
+    sums = [sum(map(mul, cell.signs, by_class)) for cell in pb.cells]
     t, x, _ = solve_minimax_lp(rows, sums)
     scale = Q(den, bden)
     lex = {d: tuple(v * scale for v in lex_extreme_alpha(pb.basis, rows, sums, d)) for d in (1, -1)}
     return tuple(Q(s, bden) for s in sums), t / bden, tuple(v * scale for v in x), lex
+
+
+def criterion_5_stream(count: int):
+    """The first `count` (basis, target) pairs of criterion 5's seeded
+    stream, each instance drawn in one order: n, m, zero rows, basis, target."""
+    rng = random.Random(505)
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        m = rng.randint(1, min(3, n - 1))
+        zero_rows = min(rng.choice((0, 0, 0, 1, 2)), n - m)
+        basis = random_basis(rng, n, m, zero_rows=zero_rows)
+        yield basis, random_vector(rng, n)
 
 
 def satisfied_by(constraints: PolytopeConstraints, alpha: Vec) -> bool:

@@ -24,6 +24,7 @@ from coapprox import (
 from coapprox.instances import random_basis, random_vector
 from tests.reference import (
     column_basis,
+    criterion_5_stream,
     pairs,
     partition,
     random_invertible,
@@ -141,15 +142,9 @@ def test_criterion_4_basis_invariance():
 
 def test_criterion_5_oracle_agreement():
     start = time.perf_counter()
-    rng = random.Random(505)
     disagreements = 0
-    for _ in range(500):
-        n = rng.randint(2, 6)
-        m = rng.randint(1, min(3, n - 1))
-        zero_rows = min(rng.choice((0, 0, 0, 1, 2)), n - m)
-        basis = random_basis(rng, n, m, zero_rows=zero_rows)
+    for basis, b in criterion_5_stream(500):
         pb = prepare(basis)
-        b = random_vector(rng, n)
         out = solve_general(basis, pb.profile, b, prepared=pb)
         if out.kind is OutcomeKind.NOT_EXISTS:
             if brute_force_existence(basis, b, Q(5), Q(1, 2)).exists:

@@ -735,15 +735,26 @@ def test_margin_lp_counts(capsys, margin_lps, command, name, expected):
 
 
 @pytest.mark.parametrize(
-    "name, expected",
-    [("pair_l17_coproximinal.json", (1, 0, 0, 0)), ("line_l12_polytope.json", (1, 0, 0, 0))],
+    "name, mass, expected",
+    [("pair_l17_coproximinal.json", None, (0, 0, 0, 0)),
+     ("line_l12_polytope.json", None, (0, 0, 0, 0)),
+     ("span3_l17_threshold.json", "2", (1, 0, 0, 0))],
 )
-def test_solve_work_counts(capsys, monkeypatch, name, expected):
+def test_solve_work_counts(tmp_path, capsys, monkeypatch, name, mass, expected):
     # Exact per-target solve work: minimax LPs, lex_extreme_alpha calls
     # and the lex LPs they run, counted at the names the solver calls.
-    # Each fiber's minimax LP certifies a one-point optimal face, so no
-    # lex search runs.  The inequality rows are signed class sums, so no
-    # norming set is built.
+    # Both sample files with zero-set mass are coproximinal (d = m), so
+    # their fibers take the class-sum solve at delta0 = 0, with no LP.
+    # span3_l17_threshold (d > m) with mass 2 >= delta0 = 41/21 on its
+    # zero row runs one minimax LP, which certifies a one-point optimal
+    # face, so no lex search runs.  The inequality rows are signed class
+    # sums, so no norming set is built.
+    path = PROBLEMS / name
+    if mass is not None:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["targets"][0]["vector"][-1] = mass
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
     calls = {"solve_minimax_lp": 0, "lex_extreme_alpha": 0, "lp_min": 0,
              "minimal_norming_set": 0}
     for fn_name in calls:
@@ -753,7 +764,7 @@ def test_solve_work_counts(capsys, monkeypatch, name, expected):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(solver, fn_name, counted)
-    run_json(capsys, "solve", "--input", str(PROBLEMS / name))
+    run_json(capsys, "solve", "--input", str(path))
     assert tuple(calls.values()) == expected
 
 

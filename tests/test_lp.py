@@ -21,11 +21,10 @@ from coapprox import (
 from coapprox.cli import load_problem
 from coapprox.errors import ValidationError
 from coapprox.exact import primitive_ints, rank, scaled_ints
-from coapprox.instances import random_basis, random_vector
 from coapprox.lp import (MAX_CELL_PAIRS, LpResult, LpStatus, lp_max, lp_min, minimax_circuits,
                          solve_minimax_lp)
 from coapprox.norming import Arrangement, enumerate_cells, margin_witness
-from tests.reference import FACE_POLYTOPES, INFEASIBLE, dot, general_lp_min
+from tests.reference import FACE_POLYTOPES, INFEASIBLE, criterion_5_stream, dot, general_lp_min
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -828,23 +827,11 @@ def test_inexact_minimax_rhs_is_refused_naming_the_entry(lp_pivots, entry, with_
     assert lp_pivots == []
 
 
-def _criterion_5_stream(count):
-    """The first `count` (basis, target) pairs of criterion 5's seeded
-    stream, drawn as tests/test_acceptance.py draws them."""
-    rng = random.Random(505)
-    for _ in range(count):
-        n = rng.randint(2, 6)
-        m = rng.randint(1, min(3, n - 1))
-        zero_rows = min(rng.choice((0, 0, 0, 1, 2)), n - m)
-        basis = random_basis(rng, n, m, zero_rows=zero_rows)
-        yield basis, random_vector(rng, n)
-
-
 # Pivots are the LP kernel's work count: a change to the kernel's
 # per-call work keeps each total, and one that moves a total changes
 # which vertices the simplex visits.  Each "lex" search counts its
 # minimax stage too.
-LP_PIVOT_PINS = {"margin": 122, "criterion_5": 674, "lex": 31}
+LP_PIVOT_PINS = {"margin": 122, "criterion_5": 325, "lex": 31}
 
 
 def test_lp_pivot_totals_are_pinned(lp_pivots):
@@ -858,7 +845,7 @@ def test_lp_pivot_totals_are_pinned(lp_pivots):
     # Criterion 5's first 500 instances: the solve, the threshold on a
     # zero-set basis and the grid on not-exists (its certificate LPs).
     lp_pivots.clear()
-    for basis, b in _criterion_5_stream(500):
+    for basis, b in criterion_5_stream(500):
         pb = prepare(basis)
         out = solve_general(basis, None, b, prepared=pb)
         if pb.profile.zero_set:
@@ -906,7 +893,7 @@ def test_circuits_are_the_minimal_dependent_row_sets_under_the_cap():
     assert got[2][3][1:] == (2, ((0, 1), (2, 0))) and [p for p, _ in got[2][3][0]] == [1, 2]
     # Every table on the fiber-style bases (m = 2) and criterion 5's (m <= 3).
     bases = {pb.feasibility_ints[1] for pb, _ in _fiber_style_stream(505, targets=1)}
-    bases |= {pb.feasibility_ints[1] for pb in map(prepare, (a for a, _ in _criterion_5_stream(500)))
+    bases |= {pb.feasibility_ints[1] for pb in map(prepare, (a for a, _ in criterion_5_stream(500)))
               if pb.profile.zero_set and pb.circuits is not None}
     assert all(_tables_invert_their_rows(r, minimax_circuits(r)) for r in bases)
     # C(8, 3) = 56 subsets of 3 rows are under the cap, C(9, 3) = 84 are not.
@@ -1010,7 +997,7 @@ def test_circuits_give_the_minimax_lp_answer(monkeypatch):
     for seed in (505, 11):
         answered[seed] = sum(_circuits_agree_with_the_lp(pb, _fiber_rhs(pb, b), kernel)
                              for pb, b in _fiber_style_stream(seed))
-    fibers = [(pb, b) for pb, b in ((prepare(basis), b) for basis, b in _criterion_5_stream(500))
+    fibers = [(pb, b) for pb, b in ((prepare(basis), b) for basis, b in criterion_5_stream(500))
               if pb.profile.zero_set and pb.circuits is not None]
     answered["criterion_5"] = sum(_circuits_agree_with_the_lp(pb, _fiber_rhs(pb, b), kernel)
                                   for pb, b in fibers)

@@ -23,11 +23,12 @@ from coapprox import (
 )
 from coapprox.cli import load_problem
 from coapprox.exact import rank
-from coapprox.instances import random_basis, random_vector
+from coapprox.instances import random_basis
 from coapprox.norming import MAX_CELL_PAIRS, MAX_HYPERPLANES, cell_pair_bound
 from tests.reference import (
     column_basis,
     columns,
+    criterion_5_stream,
     dot_product_half_cells,
     lp_prefix_tree_cells,
     max_min_margin,
@@ -581,18 +582,12 @@ def test_half_cells_match_the_dot_product_reference(monkeypatch):
         return norming.half_cells(planes, m)
 
     monkeypatch.setattr(oracle, "half_cells", recorded)
-    rng = random.Random(505)
-    for _ in range(500):
-        n = rng.randint(2, 6)
-        m = rng.randint(1, min(3, n - 1))
-        zero_rows = min(rng.choice((0, 0, 0, 1, 2)), n - m)
-        basis = random_basis(rng, n, m, zero_rows=zero_rows)
-        random_vector(rng, n)  # the target, drawn to keep the stream in step
+    for basis, _ in criterion_5_stream(500):
         topes = oracle._sign_patterns(basis)
         planes, _ = seen[-1]
-        _assert_same_half_cells(planes, m)
+        _assert_same_half_cells(planes, basis.m)
         expected = {}
-        for _, beta in dot_product_half_cells(list(planes), m):
+        for _, beta in dot_product_half_cells(list(planes), basis.m):
             dots = [sum(map(mul, row, beta)) for row in basis.int_rows]
             expected[tuple((d > 0) - (d < 0) for d in dots)] = beta
         assert list(topes.items()) == list(expected.items())

@@ -36,7 +36,8 @@ from coapprox.instances import random_basis, random_vector
 from coapprox.lp import solve_minimax_lp
 from coapprox.norming import cell_pair_bound
 from coapprox.subspace import validate_basis
-from tests.reference import column_basis, lp_prefix_tree_cells, zero_minimizes_l1
+from tests.reference import (
+    column_basis, criterion_5_stream, lp_prefix_tree_cells, zero_minimizes_l1)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -1010,17 +1011,12 @@ def test_every_not_exists_of_the_criterion_5_stream_is_certified(monkeypatch):
     # alpha is refuted, an internal inconsistency.  The zero-width ones
     # are counted: each is a null vector, with no LP.  At both widths the
     # certificate is a circuit, of at most m + 1 slabs.
-    rng = random.Random(505)
     by_m = {1: 0, 2: 0, 3: 0}
     by_width, lps = Counter(), []
     monkeypatch.setattr(oracle, "solve_minimax_lp",
                         lambda *args, **kw: lps.append(args) or solve_minimax_lp(*args, **kw))
-    for _ in range(300):
-        n = rng.randint(2, 6)
-        m = rng.randint(1, min(3, n - 1))
-        zero_rows = min(rng.choice((0, 0, 0, 1, 2)), n - m)
-        basis = random_basis(rng, n, m, zero_rows=zero_rows)
-        b = random_vector(rng, n)
+    for basis, b in criterion_5_stream(300):
+        m = basis.m
         if solve_general(basis, None, b).kind is not OutcomeKind.NOT_EXISTS:
             continue
         lps.clear()
@@ -1043,17 +1039,11 @@ def test_grid_decides_existence_as_the_solver_does_on_the_criterion_5_stream():
     # point is a solution.  The pointwise scan finds none for 152
     # solvable targets (alpha = 1/3 and the like), where a scan alone
     # would have said no.
-    rng = random.Random(505)
     seen = Counter()
-    for case in range(500):
-        n = rng.randint(2, 6)
-        m = rng.randint(1, min(3, n - 1))
-        zero_rows = min(rng.choice((0, 0, 0, 1, 2)), n - m)
-        basis = random_basis(rng, n, m, zero_rows=zero_rows)
-        b = random_vector(rng, n)
+    for case, (basis, b) in enumerate(criterion_5_stream(500)):
         got = brute_force_existence(basis, b, Q(5), Q(1, 2))
         answers = _solver_answers(basis, b)
-        assert got == BruteForceResult(answers, 21**m), case
+        assert got == BruteForceResult(answers, 21**basis.m), case
         if answers:
             checks = list(oracle._sign_patterns(basis))
             seen["on grid" if _pointwise_scan(basis, b, Q(5), Q(1, 2), checks).exists

@@ -38,6 +38,7 @@ from tests.reference import (
     class_sum_fiber,
     column_basis,
     columns,
+    criterion_5_stream,
     feasibility_rhs,
     independent_rows,
     independent_rows_lex_extreme_alpha,
@@ -143,7 +144,8 @@ class TestEmptyZeroSet:
         assert all(type(x) is int for row in rows for x in row)
         assert _fraction_rows(den, rows) == _fraction_class_rows(pb) == (
             (8, -2, 2), (6, 9, 12), (1, 5, 2), (-1, 2, 1))
-        bden, _, sums = pb._class_sums(B1)
+        bden, ints = scaled_ints(B1)
+        sums = [sum(o * ints[i] for i, o in members) for members in pb.member_signs]
         assert tuple(Q(s, bden) for s in sums) == _fraction_class_rhs(pb, B1) == (
             Q(-4), Q(8), Q(3), Q(4))
 
@@ -259,11 +261,12 @@ def test_fiber_rhs_over_classes_of_several_coordinates_matches_the_class_sum_rou
             b = tuple(Q(rng.randint(1, 5), rng.randint(1, 3)) if i in zero else x
                       for i, x in enumerate(off))
             fiber = pb.fiber(b)
+            th = fiber.threshold
             rhs, delta0, alpha, lex = class_sum_fiber(pb, b)
-            assert (fiber.rhs, fiber.delta0, fiber.alpha) == (rhs, delta0, alpha), basis.matrix
+            assert (fiber.rhs, th.delta0, th.minimizing_alpha) == (rhs, delta0, alpha), basis.matrix
             assert (fiber.lex(+1), fiber.lex(-1)) == (lex[1], lex[-1]), basis.matrix
             assert fiber.key == pb.reduced.sigma(b)
-            assert fiber.rho_mass == sum(abs(x) for i, x in enumerate(b) if i not in zero)
+            assert th.rho_mass == sum(abs(x) for i, x in enumerate(b) if i not in zero)
             fibers += 1
     assert fibers == 160
     assert big_classes >= 60, big_classes
@@ -556,12 +559,14 @@ class TestFiberMinimax:
         # (exact.solve_minimax_lp, lp.minimax, lp.tableau_entries): one
         # solver.solve_minimax_lp and one lp.lp_min per new fiber, the
         # latter on 2 rows of length m + 1 per cell; none for a repeat
-        # target or another mass on the zero set of the same fiber.
+        # target or another mass on the zero set of the same fiber, and
+        # none at all on a coproximinal basis (here m = 1).
         minimax, kernel = _count_minimax(monkeypatch), []
         monkeypatch.setattr(lp, "lp_min", lambda *args, **kw: kernel.append(args) or lp_min(*args, **kw))
         rng = random.Random(4141)
         bases = [column_basis(*THRESHOLD_BASIS_COLUMNS)]
         bases += [random_basis(rng, 6, m, lo=-3, hi=3, zero_rows=2) for m in (1, 2, 2, 3)]
+        calls = []
         for basis in bases:
             pb = prepare(basis)
             zero = set(pb.profile.zero_set)
@@ -569,15 +574,18 @@ class TestFiberMinimax:
             minimax.clear()
             kernel.clear()
             pb.fiber(b)
-            assert (len(minimax), len(kernel)) == (1, 1)
-            cost, a_ub, b_ub = kernel[0]
-            assert len(cost) == basis.m + 1 and len(a_ub) == len(b_ub) == 2 * len(pb.cells)
-            assert {len(row) for row in a_ub} == {basis.m + 1}
+            calls.append((len(minimax), len(kernel)))
+            if kernel:
+                cost, a_ub, b_ub = kernel[0]
+                assert len(cost) == basis.m + 1 and len(a_ub) == len(b_ub) == 2 * len(pb.cells)
+                assert {len(row) for row in a_ub} == {basis.m + 1}
+            assert calls[-1] == ((0, 0) if pb.profile.d == basis.m else (1, 1))
             other_mass = tuple(Q(3) if i in zero else x for i, x in enumerate(b))
             for repeat in (b, other_mass):
                 solve_general(basis, None, repeat, prepared=pb)
                 existence_threshold(basis, None, repeat, prepared=pb)
-            assert (len(minimax), len(kernel)) == (1, 1)
+            assert (len(minimax), len(kernel)) == calls[-1]
+        assert calls == [(1, 1), (0, 0), (1, 1), (1, 1), (1, 1)]
 
     def test_circuits_answer_new_fibers_once_the_slot_holds_one(self, monkeypatch):
         # The first new fiber on a basis runs the LP and builds no
@@ -591,22 +599,30 @@ class TestFiberMinimax:
         assert (len(minimax), len(kernel), "circuits" in vars(pb)) == (1, 1, False)
         second = pb.fiber(vec((2, 1, 0, 1)))
         assert (len(minimax), len(kernel), len(pb.circuits[1])) == (2, 1, 1)
-        assert (first.delta0, second.delta0, second.alpha) == (Q(1, 3), 1, (1, 0))
+        assert (first.threshold.delta0, *second.threshold[:2]) == (Q(1, 3), 1, (1, 0))
 
     def test_circuits_answer_a_coproximinal_fiber_at_delta0_zero(self, monkeypatch):
-        # Every fiber of a coproximinal basis has delta0 = 0, where every
-        # slab is tight: the table of a circuit of m + 1 = 4 cell rows
-        # pins the point, so the second new fiber runs no LP at all.
+        # A fiber whose target is a subspace member off the zero set has
+        # delta0 = 0, where every slab is tight: on a basis that is not
+        # coproximinal (d = 3 > m = 2), the table of a circuit of m + 1 = 3
+        # cell rows pins the point, so the second new fiber runs no LP.
         kernel = []
         monkeypatch.setattr(lp, "lp_min", lambda *args: kernel.append(args) or lp_min(*args))
-        basis = validate_basis(mat([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]))
-        pb = prepare(basis)
-        pb.fiber(vec((1, 2, 3, 1)))
+        pb = prepare(validate_basis(mat([(1, 0), (0, 1), (1, 1), (0, 0)])))
+        pb.fiber(vec((1, 0, 0, 1)))
         assert len(kernel) == 1
-        fiber = pb.fiber(vec((2, -1, 5, 1)))
-        assert (len(kernel), fiber.delta0, fiber.alpha) == (1, 0, (2, -1, 5))
-        assert fiber.lex(+1) == fiber.lex(-1) == fiber.alpha
+        fiber = pb.fiber(vec((1, 2, 3, 1)))
+        assert (len(kernel), *fiber.threshold[:2]) == (1, 0, (1, 2))
+        assert fiber.lex(+1) == fiber.lex(-1) == fiber.threshold.minimizing_alpha
         assert len(kernel) == 1
+        # Every fiber of a coproximinal basis (d = m = 3) has delta0 = 0 at
+        # the class-sum solve: no minimax solve, no circuits, no LP.
+        minimax = _count_minimax(monkeypatch)
+        pb = prepare(validate_basis(mat([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)])))
+        for b, alpha in (((1, 2, 3, 1), (1, 2, 3)), ((2, -1, 5, 1), (2, -1, 5))):
+            fiber = pb.fiber(vec(b))
+            assert (*fiber.threshold[:2], fiber.lex(+1), fiber.lex(-1)) == (0, alpha, alpha, alpha)
+        assert (len(kernel), minimax, "circuits" in vars(pb)) == (1, [], False)
 
     def test_a_basis_over_the_circuit_cap_builds_none_and_runs_the_lp(self, monkeypatch):
         # Five generic planes in R^3 make 11 cell rows, and C(11, 4) = 330
@@ -652,6 +668,27 @@ class TestFiberMinimax:
             with pytest.raises(ValidationError, match=what) as raised:
                 call(*args, **kw)
             assert type(raised.value) is ValidationError
+
+
+def test_coproximinal_fibers_of_the_criterion_5_stream_take_the_class_sum_solve(monkeypatch):
+    # On a coproximinal basis (d = m) every fiber has delta0 = 0 at the
+    # one solution of the class-sum system: on the first 500 instances of
+    # criterion 5's stream, each such zero-set fiber runs no minimax solve
+    # and no LP, builds no circuits, and gives the minimax LP's point.
+    minimax, kernel = _count_minimax(monkeypatch), []
+    for module in (lp, solver):
+        monkeypatch.setattr(module, "lp_min", lambda *args: kernel.append(args) or lp_min(*args))
+    fibers = []
+    for basis, b in criterion_5_stream(500):
+        pb = prepare(basis)
+        if pb.profile.zero_set and pb.profile.d == basis.m:
+            fiber = pb.fiber(b)
+            assert fiber.lex(+1) == fiber.lex(-1) == fiber.threshold.minimizing_alpha
+            assert (minimax, kernel, "circuits" in vars(pb)) == ([], [], False)
+            fibers.append((pb, b, fiber.threshold))
+    for pb, b, (delta0, alpha, _) in fibers:
+        assert (delta0, alpha) == (0, solve_minimax_lp(pb.feasibility_rows, feasibility_rhs(pb, b))[1])
+    assert len(fibers) >= 100, len(fibers)
 
 
 class TestProjection:
@@ -967,8 +1004,9 @@ def test_minimax_lps_reach_the_kernel_in_ints(monkeypatch):
     # solve_general and existence_threshold pose the minimax LP on
     # PreparedBasis.feasibility_ints and the target's int per-cell sums:
     # every cost, row and rhs entry lp_min receives from
-    # solve_minimax_lp is an int.  The slack cases are drawn first, as
-    # their own reference minimax LPs run on Fraction rows.
+    # solve_minimax_lp is an int.  A coproximinal basis poses none.  The
+    # slack cases are drawn first, as their own reference minimax LPs run
+    # on Fraction rows.
     rng = random.Random(4141)
     cases = [(basis, b, [t for t, _, _ in _slack_cases(rng, prepare(basis), b)])
              for basis, b in _zero_set_instances(rng, 150)]
@@ -984,7 +1022,8 @@ def test_minimax_lps_reach_the_kernel_in_ints(monkeypatch):
         for target in targets:  # one fiber: one minimax LP
             solve_general(basis, None, target, prepared=pb)
         existence_threshold(basis, None, b)  # a fresh prepare: one more
-    assert len(seen) == 2 * len(cases) == 316
+    lp_bases = sum(prepare(basis).profile.d > basis.m for basis, _, _ in cases)
+    assert (len(seen), len(cases)) == (2 * lp_bases, 158) == (188, 158)
     assert all(type(x) is int for entries in seen for x in entries)
 
 
@@ -1037,7 +1076,7 @@ def test_int_minimax_and_lex_searches_match_the_fraction_construction():
             rhs = feasibility_rhs(pb, b)
             t_star, alpha, _ = solve_minimax_lp(rows, rhs)
             fiber = pb.fiber(b)
-            assert (fiber.rhs, fiber.delta0, fiber.alpha) == (rhs, t_star, alpha)
+            assert (fiber.rhs, *fiber.threshold[:2]) == (rhs, t_star, alpha)
             witness = lex_extreme_alpha(basis, rows, rhs, +1)
             point = witness == lex_extreme_alpha(basis, rows, rhs, -1)
             for slack in (t_star, t_star + Q(rng.randint(1, 4), 11)):
@@ -1087,7 +1126,8 @@ def test_shared_fiber_slot_matches_fresh_prepare(monkeypatch):
     # One prepared basis per subspace, its fibers interleaved: targets
     # equal off Z with different Z mass, and targets one off-Z coordinate
     # apart.  Every call equals the same call on a fresh prepare(basis),
-    # and the shared basis solves one LP per change of fiber.
+    # and the shared basis solves one LP per change of fiber, none on a
+    # coproximinal basis.
     calls = _count_minimax(monkeypatch)
     rng = random.Random(1414)
     seen = Counter()
@@ -1108,7 +1148,7 @@ def test_shared_fiber_slot_matches_fresh_prepare(monkeypatch):
                 th = existence_threshold(basis, None, target, prepared=pb)
                 out = solve_general(basis, None, target, prepared=pb)
             fiber = pb.reduced.sigma(target)
-            assert len(calls) - before == (fiber != previous)
+            assert len(calls) - before == (fiber != previous and pb.profile.d > basis.m)
             seen["new fiber" if fiber != previous else "same fiber"] += 1
             previous = fiber
             assert out == solve_general(basis, None, target, prepared=prepare(basis))
@@ -1221,10 +1261,10 @@ def test_fiber_slot_searches_each_direction_once_per_fiber(monkeypatch):
     # at and above delta0, each target solved, asked for its threshold,
     # or both in either order.  Every answer equals a fresh prepare's, and
     # the searches are exactly those a one-slot model predicts: a new
-    # fiber costs one minimax LP and empties the slot, and each lex
-    # direction is searched at most once while the slot holds a fiber,
-    # and never on a fiber whose minimax LP certifies a one-point face.
-    # A solve at zero mass leaves the slot as it is.
+    # fiber costs one minimax LP (none on a coproximinal basis) and
+    # empties the slot, and each lex direction is searched at most once
+    # while the slot holds a fiber, and never on a fiber whose minimax LP
+    # certifies a one-point face.  A solve at zero mass leaves the slot as it is.
     lex = []
     monkeypatch.setattr(solver, "lex_extreme_alpha",
                         lambda *args: lex.append(args[3]) or lex_extreme_alpha(*args))
@@ -1235,6 +1275,7 @@ def test_fiber_slot_searches_each_direction_once_per_fiber(monkeypatch):
     # polytope copies keep the searches the slot reuses at their floor.
     for basis, b in _zero_set_instances(rng, 60, copies=20):
         pb = prepare(basis)
+        lp_basis = pb.profile.d > basis.m  # not coproximinal
         off_z = [i for i in range(basis.n) if i not in pb.profile.zero_set]
         fibers = [b]
         for _ in range(2):
@@ -1255,7 +1296,7 @@ def test_fiber_slot_searches_each_direction_once_per_fiber(monkeypatch):
                     got[what] = existence_threshold(basis, None, target, prepared=pb)
             key = pb.reduced.sigma(target)
             if slack or "threshold" in got:
-                assert len(minimax) - minimax_before == (key != slot)
+                assert len(minimax) - minimax_before == (key != slot and lp_basis)
                 seen["new fiber" if key != slot else "same fiber"] += 1
                 if key != slot:
                     slot, searched = key, set()
@@ -1299,7 +1340,7 @@ def test_one_point_rule_is_sound_where_it_fires(monkeypatch):
         b = random_vector(rng, basis.n, -3, 3)
         pb = prepare(basis)
         fiber = pb.fiber(b)
-        t_star, alpha, lex = fiber.delta0, fiber.alpha, fiber.lex
+        (t_star, alpha, _), lex = fiber.threshold, fiber.lex
         before = len(searched)
         got = (lex(+1), lex(-1))
         lo, hi = _search_fiber(pb, b)
