@@ -4,11 +4,12 @@ All numeric payloads travel as exact rational strings ('13', '-3/7');
 coordinate indices in reports are 1-based.  Exit codes: 0 success,
 2 validation failure, 3 capacity guard, 4 violated precondition.
 
-`main` runs one pipeline for every command: one argparse pass, through
-the named command's sub-parser (an argv it cannot finish goes to the full
-parser, which reports it); `load_problem`; one `prepare`; the command's
-`cmd_*` body, which returns only its own fields; and `_dump` of the
-envelope followed by those fields, which matches `json.dumps(indent=2)`.
+`main` runs one pipeline for every command: the canonical argv,
+`COMMAND (--option VALUE)*`, read off the parser's option table (any
+other spelling goes to argparse, which reads or reports it);
+`load_problem`; one `prepare`; the command's `cmd_*` body, which returns
+only its own fields; and `_dump` of the envelope followed by those
+fields, which matches `json.dumps(indent=2)`.
 """
 from __future__ import annotations
 
@@ -56,7 +57,10 @@ def _parse_vector(raw, n: int, where: str) -> Vec:
         raise ValidationError(f"{where}: expected a list of rational strings")
     if len(raw) != n:
         raise ValidationError(f"{where}: expected length {n}, got {len(raw)}")
-    return tuple([_parse_entry(v, where, i) for i, v in enumerate(raw)])
+    try:
+        return tuple(map(rational, raw))
+    except ValidationError:  # again entry by entry, to name the first bad entry's path
+        return tuple([_parse_entry(v, where, i) for i, v in enumerate(raw)])
 
 
 def load_problem(path: str) -> ProblemFile:
@@ -301,25 +305,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # name -> sub-parser, which main calls directly
+    parser.commands = {}  # name -> {option: dest}, the table _read_canonical reads
     for name in ("analyze", "norming-set", "solve", "classify", "threshold"):
         p = sub.add_parser(name)
         p.set_defaults(command=name)
-        p.add_argument("--input", required=True, help="problem file (JSON)")
-        p.add_argument("--output", help="write the report here instead of stdout")
+        table = {"--input": {"required": True, "help": "problem file (JSON)"},
+                 "--output": {"help": "write the report here instead of stdout"}}
         if name == "solve":
-            p.add_argument("--grid-radius", dest="grid_radius", default=None)
-            p.add_argument("--grid-step", dest="grid_step", default=None)
+            table.update({"--grid-radius": {}, "--grid-step": {}})
+        parser.commands[name] = {f: p.add_argument(f, **kw).dest for f, kw in table.items()}
     return parser
+
+
+def _read_canonical(parser: argparse.ArgumentParser, argv) -> argparse.Namespace | None:
+    """parse_args(argv) without argparse, for the canonical spelling
+    COMMAND (--option VALUE)*: each option in full from COMMAND's table,
+    no VALUE starting with '-', --input given, the last of a repeated
+    option winning.  None for any other argv, which the parser reads."""
+    dests = parser.commands.get(argv[0]) if argv else None
+    if dests is None or len(argv) % 2 == 0:
+        return None
+    args = dict.fromkeys(dests.values())  # every option's default is None
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in dests or value.startswith("-"):
+            return None
+        args[dests[flag]] = value
+    return argparse.Namespace(command=argv[0], **args) if args["input"] is not None else None
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    sub = parser.commands.get(argv[0]) if argv else None
-    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, None)
-    if sub is None or rest:  # no command, or arguments left over: the full parser reports it
-        args = parser.parse_args(argv)
+    # Any other spelling than the canonical one: the full parser reads or reports it.
+    args = _read_canonical(parser, argv) or parser.parse_args(argv)
     try:
         problem = load_problem(args.input)
         pb = prepare(problem.basis)

@@ -155,7 +155,7 @@ class PreparedBasis:
     @cached_property
     def member_signs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per class, its members (i, o_i), o_i = +-1 the sign of const_i."""
-        return tuple(tuple((i, 1 if c > 0 else -1) for i, c in cls.members)
+        return tuple(tuple((i, 1 if c.numerator > 0 else -1) for i, c in cls.members)
                      for cls in self.profile.classes)
 
     @cached_property

@@ -30,8 +30,8 @@ class SubspaceBasis(NamedTuple("SubspaceBasis", [("n", int), ("m", int), ("matri
 
     @cached_property
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each row as coprime ints, built once for rank, profile, topes and lex costs."""
-        return tuple(tuple(primitive_ints(row)) for row in self.matrix)
+        """int_matrix's rows as coprime ints, built once for rank, profile, topes and lex costs."""
+        return tuple(tuple(primitive_ints(row)) for row in self.int_matrix[1])
 
     @cached_property
     def int_matrix(self) -> tuple[int, list[list[int]]]:
@@ -83,12 +83,12 @@ def build_profile(basis: SubspaceBasis) -> ComponentProfile:
 
     Each row is keyed by its primitive int form, merged up to sign, so a
     row finds its class in one dict lookup.  The representative of each
-    class is its smallest row index and has constant 1; the constant
-    stored for any member is an exact Fraction, for int or Fraction entries.
+    class is its smallest row index and has constant 1; any member's is
+    an exact Fraction, the ratio of two ints over int_matrix's one den.
     """
     classes: dict[tuple[int, ...], tuple[int, list[tuple[int, Q]]]] = {}
     zero_set: list[int] = []
-    rows = basis.matrix
+    rows = basis.int_matrix[1]
     for i, (row, v) in enumerate(zip(rows, basis.int_rows)):
         if not any(v):
             zero_set.append(i)

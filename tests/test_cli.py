@@ -486,6 +486,21 @@ def _outcome(capsys, argv):
 
 
 _SPAN3 = str(PROBLEMS / "span3_l16.json")
+# Spellings at the edge of the canonical one, COMMAND (--option VALUE)*:
+# a value starting with "-", a lone trailing token, no --input, and no
+# command.  main's reader hands each to the full parser.
+_HANDED_ON = [
+    ["solve", "--grid-radius", "-1", "--grid-step", "1", "--input", _SPAN3],
+    ["classify", "--input", "-h"],
+    ["classify", "--input", _SPAN3, "--output"],
+    ["norming-set", "--output", "x.json"],
+    ["--input", _SPAN3, "--input", _SPAN3],
+]
+# Canonical all the same: one grid option alone, a repeated --input.
+_CANONICAL_EDGES = [
+    ["solve", "--grid-step", "1/2", "--input", _SPAN3],
+    ["solve", "--input", str(PROBLEMS / "missing.json"), "--input", _SPAN3],
+]
 _ARGVS = [
     *([command, "--input", _SPAN3] for command in COMMANDS),
     ["threshold", "--input", str(PROBLEMS / "pair_l17_coproximinal.json")],
@@ -507,6 +522,7 @@ _ARGVS = [
     ["solve", "--input", _SPAN3, "--trials", "abc"], ["solve", "--input", _SPAN3, "--seed", "1.5"],
     ["solve", "--input", _SPAN3, "--version"], ["solve", "--input", _SPAN3, "--v"],
     ["-h"], ["--help"], ["solve", "-h"], ["classify", "--input", _SPAN3, "-h"], ["--version"],
+    *_HANDED_ON, *_CANONICAL_EDGES,
 ]
 
 
@@ -516,11 +532,51 @@ def _argv_id(argv):
 
 @pytest.mark.parametrize("argv", _ARGVS, ids=_argv_id)
 def test_argv_parity_with_the_full_parser(capsys, monkeypatch, argv):
-    # With no sub-parser to call directly, main falls back to the full
-    # parser's parse_args on every argv: the dispatch main had before.
+    # With no command table to read, main's reader hands every argv to the
+    # full parser's parse_args: the one argparse path.
     fast = _outcome(capsys, argv)
     monkeypatch.setattr(cli.build_parser(), "commands", {})
     assert fast == _outcome(capsys, argv)
+
+
+def _canonical_argvs(rng):
+    """Every command with every order of every option set holding --input,
+    each once as is and once with two options repeated in shuffled places;
+    the values hold spaces, '=', '/' or nothing."""
+    values = ["p.json", "", "dir/sub dir/p.json", "a=b", "input=x", "1/2", "5", " ",
+              "solve", "caf\u00e9 x"]
+    for command in COMMANDS:
+        options = ["--input", "--output"]
+        if command == "solve":
+            options += ["--grid-radius", "--grid-step"]
+        for r in range(1, len(options) + 1):
+            for order in itertools.permutations(options, r):
+                if "--input" not in order:
+                    continue
+                pairs = [(flag, rng.choice(values)) for flag in order]
+                yield [command, *itertools.chain(*pairs)]
+                pairs += [(rng.choice(order), rng.choice(values)) for _ in range(2)]
+                rng.shuffle(pairs)
+                yield [command, *itertools.chain(*pairs)]
+
+
+def test_reader_gives_the_full_parsers_namespace_on_canonical_argvs():
+    parser = cli.build_parser()
+    argvs = list(_canonical_argvs(random.Random(51)))
+    assert len(argvs) == 2 * (4 * 3 + 49)
+    for argv in argvs + _CANONICAL_EDGES:
+        fast = cli._read_canonical(parser, argv)
+        assert fast is not None, argv
+        assert vars(fast) == vars(parser.parse_args(argv)), argv
+
+
+def test_reader_hands_every_other_spelling_to_argparse():
+    parser = cli.build_parser()
+    for argv in _HANDED_ON:
+        assert cli._read_canonical(parser, argv) is None, argv
+    read = [argv for argv in _ARGVS if cli._read_canonical(parser, argv) is not None]
+    assert read == [*([command, "--input", _SPAN3] for command in COMMANDS), *_ARGVS[5:6],
+                    ["classify", "--input", str(PROBLEMS / "missing.json")], *_CANONICAL_EDGES]
 
 
 def test_main_reads_sys_argv_without_an_argument(capsys, monkeypatch):
