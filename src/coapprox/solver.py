@@ -30,8 +30,9 @@ tableau; none runs where the minimax LP proves the face one point.
 delta0, its optimizer and the optimal face depend only on sigma(b), so
 all targets on one fiber (same entries off Z, any mass on Z) share one
 Fiber: its threshold, lex searches and witness vector; later new fibers
-on a basis are read off its circuits where they can be.  A coproximinal
-basis (d = m) has delta0 = 0 on every fiber, at the class-sum solve.
+are read off the basis's circuits where they can be.  delta0 = 0 iff
+K . sigma(b) = 0, K the class rows' left kernel (d - m vectors, none iff
+coproximinal): alpha is then the class-sum solve, with no LP and no cell.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ from .exact import (
     Q,
     SystemStatus,
     Vec,
+    kernel_vectors,
     rank,  # unused here; perfbench/tracer.py wraps coapprox.solver.rank
     scaled_ints,
     solve_linear,
@@ -76,21 +78,22 @@ from .subspace import (
 
 
 class Fiber:
-    """One fiber's solve (PreparedBasis.fiber): key, threshold, lex; rhs and vector kept once read."""
+    """PreparedBasis.fiber's record: key, threshold, lex; rhs(pb) and vector kept once read."""
 
-    __slots__ = ("key", "threshold", "lex", "_basis", "_sums", "_bden", "_rhs", "_vector")
+    __slots__ = ("key", "threshold", "lex", "_basis", "_ints", "_bden", "_sums", "_rhs", "_vector")
 
-    def __init__(self, key, threshold, lex, basis, sums, bden):
+    def __init__(self, key, threshold, lex, basis, ints, bden, sums):
         if threshold.delta0 > threshold.rho_mass:  # pragma: no cover
             raise InternalInconsistencyError("threshold exceeds the rho-mass upper bound")
         self.key, self.threshold, self.lex = key, threshold, lex
-        self._basis, self._sums, self._bden = basis, sums, bden
+        self._basis, self._ints, self._bden, self._sums = basis, ints, bden, sums
         self._rhs = self._vector = None
 
-    @property
-    def rhs(self) -> Vec:
-        if self._rhs is None:
-            self._rhs = tuple(Q(s, self._bden) for s in self._sums)
+    def rhs(self, pb: PreparedBasis) -> Vec:
+        """Per cell of pb, its sign vector times sigma(b), kept once formed."""
+        if self._rhs is None:  # the minimax LP formed the sums if it ran
+            sums = self._sums or [sum(map(mul, x, self._ints)) for x in pb.sign_vectors]
+            self._rhs = tuple(Q(s, self._bden) for s in sums)
         return self._rhs
 
     @property
@@ -107,15 +110,13 @@ class PreparedBasis:
     arrangement, cells, norming set), so one instance can serve many
     targets; each artifact is built here, once, on first access.
 
-    `q` and the class-sum rows come from the profile alone.  Both solve
-    paths read the class-sum rows: the slack-0 path solves them, and the
-    zero-set polytope has one inequality per cell, the cell's signed sum
-    of them, so only `cells` is enumerated; the minimax LP runs on those
-    rows in ints, `feasibility_ints`, and its right-hand side is each
-    cell's sign vector (`sign_vectors`) times sigma(b).  `norming`, whose
-    representatives are those vectors, is built for `norming-set`.
-    `fiber` keeps the last fiber's Fiber in one slot, so memory stays
-    bounded and each new fiber is solved afresh, off `circuits` once the slot is full (d > m).
+    `q`, the class-sum rows and their left kernel come from the profile
+    alone, and the class-sum solve answers every target with no zero-set
+    mass and every fiber with delta0 = 0.  Elsewhere the minimax LP runs on
+    one row per cell in ints, `feasibility_ints`, the cell's signed sum of
+    the class rows, with its sign vector (`sign_vectors`) times sigma(b) as
+    rhs.  `norming`, whose representatives are those vectors, is built for
+    `norming-set`.  `fiber` keeps the last Fiber in one slot.
     """
 
     def __init__(self, basis: SubspaceBasis):
@@ -167,8 +168,9 @@ class PreparedBasis:
                      for members in self.member_signs]
 
     def _class_solution(self, b: Vec) -> Vec | None:
-        """The alpha at which every class sum of o_i (b - A alpha)_i vanishes, in ints
-        (class_ints rows times b's den, b's class sums times theirs); None if none does."""
+        """The alpha at which every class sum of o_i (b - A alpha)_i vanishes, in ints (class_ints
+        rows times b's den, b's class sums times theirs); None if none does.  Refused, as q is."""
+        check_cell_capacity(self.profile.d, self.basis.m)
         (den, rows), (bden, ints) = self.class_ints, scaled_ints(b)
         res = solve_linear([[bden * x for x in row] for row in rows],
                            [den * sum(o * ints[i] for i, o in c) for c in self.member_signs])
@@ -188,13 +190,25 @@ class PreparedBasis:
                           for cell in self.cells)
 
     @cached_property
+    def coordinate_signs(self) -> tuple[tuple[int, int], ...]:
+        """Per reduced coordinate i, (c, o_i): a per-class v lifts to v_c * o_i there."""
+        return tuple((c, o) for _, c, o in sorted(
+            (i, c, o) for c, members in enumerate(self.member_signs) for i, o in members))
+
+    @cached_property
     def sign_vectors(self) -> tuple[tuple[int, ...], ...]:
-        """Per cell, its sign vector x over the coordinates off the zero set,
-        the reduced basis's norming vector: s_c * o_i on class c.  x . sigma(b)
-        is the cell's right-hand side, |x_i| = 1, and `norming` lists them."""
-        coords = sorted((i, c, o) for c, members in enumerate(self.member_signs)
-                        for i, o in members)  # the reduced coordinates, in order
-        return tuple(tuple([o * cell.signs[c] for _, c, o in coords]) for cell in self.cells)
+        """Per cell, its sign vector x off the zero set, the reduced basis's norming
+        vector: its class signs lifted.  x . sigma(b) is the cell's right-hand side."""
+        return tuple(tuple([o * cell.signs[c] for c, o in self.coordinate_signs])
+                     for cell in self.cells)
+
+    @cached_property
+    def class_kernel(self) -> tuple[tuple[int, ...], ...]:
+        """K, an int basis of the class rows' left kernel lifted: d - m vectors, none iff
+        coproximinal.  delta0(b) = 0 iff b's class sums lie in the rows' column space
+        (the cell signs span R^d), iff K . sigma(b) = 0 (Fredholm)."""
+        return tuple(tuple([k[c] * o for c, o in self.coordinate_signs]) for k in kernel_vectors(
+            [list(col) for col in zip(*self.class_ints[1])], self.profile.d))
 
     @cached_property
     def circuits(self) -> tuple | None:
@@ -208,39 +222,36 @@ class PreparedBasis:
         return tuple(tuple(Q(x, den) for x in row) for row in rows)
 
     def fiber(self, b: Vec) -> Fiber:
-        """b's Fiber, kept in one slot until another fiber replaces it.  On a
-        coproximinal basis (d = m) each cell's sum vanishes at the class-sum
-        solve, so that is alpha at delta0 = 0, with no LP.  Elsewhere it is
-        the minimax LP |sums - rows.x| <= t in ints, x = (bden/den) alpha (x
-        itself where den = bden), a positive rescaling that moves no pivot,
-        sums per cell its sign vector times sigma(b) * bden; circuits first,
-        once the slot is full, whose solve tables give x with no elimination.
-        lex(direction) is the lex-extreme point of the optimal face: alpha on
-        a face certified one point, by t = 0 (rows has rank m) or m + 1
-        nonzero multipliers (a circuit's, or at t > 0 an LP's nonbasic
-        slacks' positive reduced costs: every free variable is basic,
-        Mangasarian 1979), else searched on first call with A's rows as `then` costs."""
+        """b's Fiber, kept in one slot until another fiber replaces it.  Where
+        K . sigma(b) = 0 (K = class_kernel, empty if coproximinal) every cell's
+        sum vanishes at the class-sum solve: alpha at delta0 = 0, no LP, no cell.
+        Elsewhere delta0 > 0 is the minimax LP |sums - rows.x| <= t in ints,
+        x = (bden/den) alpha, a positive rescaling that moves no pivot, sums per
+        cell its sign vector times sigma(b) * bden; circuits first, once the slot
+        is full, whose tables give x with no elimination.  lex(direction) is the
+        lex-extreme point of the optimal face: alpha on a face certified one
+        point, by t = 0 (the class rows have rank m) or m + 1 nonzero multipliers
+        (a circuit's, or an LP's nonbasic slacks' positive reduced costs: every
+        free variable is basic, Mangasarian 1979), else searched on first call."""
         key, slot = self.reduced.sigma(b), self._fiber
         if slot is not None and slot.key == key:
             return slot
-        vectors, (bden, ints) = self.sign_vectors, scaled_ints(key)
-        sums = [sum(map(mul, x, ints)) for x in vectors]
-        basis, lex = self.basis, None
-        if self.profile.d == basis.m:  # coproximinal: every class sum vanishes at one alpha
+        (bden, ints), basis, sums, lex = scaled_ints(key), self.basis, None, None
+        if not any(sum(map(mul, k, ints)) for k in self.class_kernel):
             t, alpha = Q(0), self._class_solution(b)
         else:
             den, rows = self.feasibility_ints
-            circuits = None if slot is None else self.circuits
-            t, x, lam = solve_minimax_lp(rows, sums, circuits=circuits)
+            sums = [sum(map(mul, x, ints)) for x in self.sign_vectors]
+            t, x, lam = solve_minimax_lp(rows, sums, circuits=slot and self.circuits)
             to_alpha = lambda x: x if den == bden else tuple(
                 [Q(den * v.numerator, bden * v.denominator) for v in x])
             alpha = to_alpha(x)
-            if t and len(lam) - lam.count(0) <= basis.m:  # uncertified: searched on first call
+            if len(lam) - lam.count(0) <= basis.m:  # uncertified: searched on first call
                 lex = cache(lambda d: to_alpha(lex_extreme_alpha(basis, rows, sums, d)))
             t = t if bden == 1 else Q(t.numerator, t.denominator * bden)
         # A new fiber replaces the slot in one assignment.
         self._fiber = Fiber(key, ExistenceThreshold(t, alpha, Q(sum(map(abs, ints)), bden)),
-                            lex or (lambda d: alpha), basis, sums, bden)
+                            lex or (lambda d: alpha), basis, ints, bden, sums)
         return self._fiber
 
 
@@ -301,7 +312,6 @@ def solve_empty_zero_set(pb: PreparedBasis, b: Vec) -> CoapproxOutcome:
         raise DimensionError("target length does not match ambient dimension")
     if any(b[i] for i in pb.profile.zero_set):
         raise DimensionError("solve_empty_zero_set requires no target mass on the zero set")
-    check_cell_capacity(pb.profile.d, pb.basis.m)  # the same caps as enumeration
     alpha = pb._class_solution(b)
     if alpha is None:
         return NOT_EXISTS
@@ -356,7 +366,7 @@ def solve_general(
     witness = fiber.lex(+1)
     if not gap and witness == fiber.lex(-1):
         return CoapproxOutcome(kind=OutcomeKind.UNIQUE, coefficients=witness, vector=fiber.vector)
-    constraints = PolytopeConstraints(rows=pb.feasibility_rows, rhs=fiber.rhs, slack=Q(mass, zden))
+    constraints = PolytopeConstraints(pb.feasibility_rows, fiber.rhs(pb), Q(mass, zden))
     return CoapproxOutcome(kind=OutcomeKind.POLYTOPE, constraints=constraints, witness=witness,
                            vector=fiber.vector)
 

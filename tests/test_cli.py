@@ -170,6 +170,23 @@ def test_threshold(capsys):
     assert target["bound_ok"] is True
 
 
+def test_threshold_on_a_coproximinal_basis_enumerates_no_cell(tmp_path, capsys, monkeypatch):
+    # On a coproximinal basis every fiber has delta0 = 0 at the class-sum
+    # solve (class_kernel is empty), so threshold reads no cell; solve's
+    # polytope constraints on the same targets enumerate them once.
+    calls, enumerate_cells = [], solver.enumerate_cells
+    monkeypatch.setattr(solver, "enumerate_cells",
+                        lambda arr: calls.append(arr) or enumerate_cells(arr))
+    doc = json.loads((PROBLEMS / "pair_l17_coproximinal.json").read_text(encoding="utf-8"))
+    doc["targets"].append({"name": "off", "vector": ["1", "2", "3", "1", "5", "-1", "1/2"]})
+    f = tmp_path / "coproximinal.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    report = run_json(capsys, "threshold", "--input", str(f))
+    assert ([t["delta0"] for t in report["targets"]], calls) == (["0", "0"], [])
+    report = run_json(capsys, "solve", "--input", str(f))
+    assert ([t["outcome"] for t in report["targets"]], len(calls)) == (["polytope"] * 2, 1)
+
+
 def test_threshold_requires_zero_set(capsys):
     code, _, err = run_cli(
         capsys, "threshold", "--input", str(PROBLEMS / "span3_l16.json")
@@ -957,6 +974,22 @@ def test_cell_pair_cap_exits_3_at_once(tmp_path, capsys, m):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert "cell pairs" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "threshold", "solve"])
+def test_cell_pair_cap_exits_3_on_a_coproximinal_basis(tmp_path, capsys, command):
+    # 10 unit rows and one zero row: d = m = 10, so every fiber has
+    # delta0 = 0 and no answer reads a cell, yet 10 planes in R^10 may cut
+    # 512 cell pairs, over the cap, and every command refuses the basis.
+    n, m = 11, 10
+    doc = {"n": n, "basis": [["1" if i == j else "0" for i in range(n)] for j in range(m)],
+           "targets": [[str(k) for k in range(1, n + 1)]]}
+    f = tmp_path / "units.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--input", str(f))
+    assert (code, out) == (3, "")
+    assert err == (f"coapprox {command}: cell enumeration capped at 256 cell pairs; "
+                   "10 hyperplanes in R^10 may cut 512\n")
 
 
 @pytest.mark.parametrize("command", ["solve", "norming-set"])

@@ -30,12 +30,13 @@ from coapprox import (
 from coapprox import lp, norming, solver
 from coapprox.exact import first_basis, rank, scaled_ints, vec_sub
 from coapprox.instances import random_basis, random_vector
-from coapprox.lp import lp_min, simplex, solve_minimax_lp
+from coapprox.lp import lp_min, minimax_circuits, simplex, solve_minimax_lp
 from coapprox.solver import PolytopeConstraints, lex_extreme_alpha
 from tests.reference import (
     FACE_POLYTOPES,
     apply_projection,
     class_sum_fiber,
+    class_sums,
     column_basis,
     columns,
     criterion_5_stream,
@@ -263,7 +264,8 @@ def test_fiber_rhs_over_classes_of_several_coordinates_matches_the_class_sum_rou
             fiber = pb.fiber(b)
             th = fiber.threshold
             rhs, delta0, alpha, lex = class_sum_fiber(pb, b)
-            assert (fiber.rhs, th.delta0, th.minimizing_alpha) == (rhs, delta0, alpha), basis.matrix
+            got = (fiber.rhs(pb), th.delta0, th.minimizing_alpha)
+            assert got == (rhs, delta0, alpha), basis.matrix
             assert (fiber.lex(+1), fiber.lex(-1)) == (lex[1], lex[-1]), basis.matrix
             assert fiber.key == pb.reduced.sigma(b)
             assert th.rho_mass == sum(abs(x) for i, x in enumerate(b) if i not in zero)
@@ -516,6 +518,13 @@ def _count_minimax(monkeypatch):
     return calls
 
 
+def _poses_the_lp(pb, b):
+    """Whether b's fiber, when new, poses the minimax LP: K . sigma(b) != 0
+    for K = pb.class_kernel, so never on a coproximinal basis (K = ())."""
+    ints = scaled_ints(pb.reduced.sigma(b))[1]
+    return any(sum(map(mul, k, ints)) for k in pb.class_kernel)
+
+
 class TestFiberMinimax:
     """One minimax LP per fiber: the prepared basis keeps the last
     fiber's delta0, optimizer and rhs, and only the last."""
@@ -560,7 +569,7 @@ class TestFiberMinimax:
         # solver.solve_minimax_lp and one lp.lp_min per new fiber, the
         # latter on 2 rows of length m + 1 per cell; none for a repeat
         # target or another mass on the zero set of the same fiber, and
-        # none at all on a coproximinal basis (here m = 1).
+        # none at all where K . sigma(b) = 0 (here a coproximinal m = 1 basis).
         minimax, kernel = _count_minimax(monkeypatch), []
         monkeypatch.setattr(lp, "lp_min", lambda *args, **kw: kernel.append(args) or lp_min(*args, **kw))
         rng = random.Random(4141)
@@ -579,7 +588,7 @@ class TestFiberMinimax:
                 cost, a_ub, b_ub = kernel[0]
                 assert len(cost) == basis.m + 1 and len(a_ub) == len(b_ub) == 2 * len(pb.cells)
                 assert {len(row) for row in a_ub} == {basis.m + 1}
-            assert calls[-1] == ((0, 0) if pb.profile.d == basis.m else (1, 1))
+            assert calls[-1] == ((1, 1) if _poses_the_lp(pb, b) else (0, 0))
             other_mass = tuple(Q(3) if i in zero else x for i, x in enumerate(b))
             for repeat in (b, other_mass):
                 solve_general(basis, None, repeat, prepared=pb)
@@ -601,28 +610,36 @@ class TestFiberMinimax:
         assert (len(minimax), len(kernel), len(pb.circuits[1])) == (2, 1, 1)
         assert (first.threshold.delta0, *second.threshold[:2]) == (Q(1, 3), 1, (1, 0))
 
-    def test_circuits_answer_a_coproximinal_fiber_at_delta0_zero(self, monkeypatch):
+    def test_a_delta0_zero_fiber_runs_no_lp_and_enumerates_no_cell(self, monkeypatch):
         # A fiber whose target is a subspace member off the zero set has
-        # delta0 = 0, where every slab is tight: on a basis that is not
-        # coproximinal (d = 3 > m = 2), the table of a circuit of m + 1 = 3
-        # cell rows pins the point, so the second new fiber runs no LP.
-        kernel = []
+        # delta0 = 0.  On a basis that is not coproximinal (d = 3 > m = 2),
+        # class_kernel is one vector, orthogonal to sigma(b) there, so even
+        # the basis's first fiber runs no minimax solve and no LP, builds no
+        # circuits and enumerates no cell: alpha is the class-sum solve.
+        kernel, cells = [], []
         monkeypatch.setattr(lp, "lp_min", lambda *args: kernel.append(args) or lp_min(*args))
-        pb = prepare(validate_basis(mat([(1, 0), (0, 1), (1, 1), (0, 0)])))
-        pb.fiber(vec((1, 0, 0, 1)))
-        assert len(kernel) == 1
-        fiber = pb.fiber(vec((1, 2, 3, 1)))
-        assert (len(kernel), *fiber.threshold[:2]) == (1, 0, (1, 2))
-        assert fiber.lex(+1) == fiber.lex(-1) == fiber.threshold.minimizing_alpha
-        assert len(kernel) == 1
-        # Every fiber of a coproximinal basis (d = m = 3) has delta0 = 0 at
-        # the class-sum solve: no minimax solve, no circuits, no LP.
+        monkeypatch.setattr(solver, "enumerate_cells",
+                            lambda arr: cells.append(arr) or norming.enumerate_cells(arr))
         minimax = _count_minimax(monkeypatch)
+        pb = prepare(validate_basis(mat([(1, 0), (0, 1), (1, 1), (0, 0)])))
+        assert len(pb.class_kernel) == pb.profile.d - pb.basis.m == 1
+        fiber = pb.fiber(vec((1, 2, 3, 1)))
+        assert (*fiber.threshold[:2], fiber.lex(+1), fiber.lex(-1)) == (0, (1, 2), (1, 2), (1, 2))
+        assert (kernel, minimax, cells, "circuits" in vars(pb)) == ([], [], [], False)
+        # A fiber off the rows' column space takes the minimax solve, here
+        # off the circuits, as the slot is full; a member's after it, none.
+        assert pb.fiber(vec((1, 0, 0, 1))).threshold.delta0 == Q(1, 3)
+        assert (kernel, len(minimax), len(cells), len(pb.circuits[1])) == ([], 1, 1, 1)
+        assert pb.fiber(vec((2, -1, 1, 5))).threshold[:2] == (0, (2, -1))
+        assert (kernel, len(minimax), len(cells)) == ([], 1, 1)
+        # On a coproximinal basis (d = m = 3) K = (): every fiber has delta0 = 0.
+        del kernel[:], minimax[:], cells[:]
         pb = prepare(validate_basis(mat([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)])))
+        assert pb.class_kernel == ()
         for b, alpha in (((1, 2, 3, 1), (1, 2, 3)), ((2, -1, 5, 1), (2, -1, 5))):
             fiber = pb.fiber(vec(b))
             assert (*fiber.threshold[:2], fiber.lex(+1), fiber.lex(-1)) == (0, alpha, alpha, alpha)
-        assert (len(kernel), minimax, "circuits" in vars(pb)) == (1, [], False)
+        assert (kernel, minimax, cells, "circuits" in vars(pb)) == ([], [], [], False)
 
     def test_a_basis_over_the_circuit_cap_builds_none_and_runs_the_lp(self, monkeypatch):
         # Five generic planes in R^3 make 11 cell rows, and C(11, 4) = 330
@@ -670,25 +687,72 @@ class TestFiberMinimax:
             assert type(raised.value) is ValidationError
 
 
-def test_coproximinal_fibers_of_the_criterion_5_stream_take_the_class_sum_solve(monkeypatch):
-    # On a coproximinal basis (d = m) every fiber has delta0 = 0 at the
-    # one solution of the class-sum system: on the first 500 instances of
-    # criterion 5's stream, each such zero-set fiber runs no minimax solve
-    # and no LP, builds no circuits, and gives the minimax LP's point.
-    minimax, kernel = _count_minimax(monkeypatch), []
+def test_delta0_is_zero_exactly_where_the_class_kernel_vanishes_on_sigma_b(monkeypatch):
+    # delta0(b) = 0 iff b's class sums lie in the class rows' column space,
+    # iff K . sigma(b) = 0 for K = class_kernel, d - m vectors lifted to the
+    # reduced coordinates (Fredholm).  On the zero-set bases of criterion
+    # 5's first 500 instances, each with its stream target, two subspace
+    # members given zero-set mass and two random targets on one shared
+    # prepare: K's test agrees with the minimax LP posed on
+    # feasibility_ints without K, and a delta0 = 0 fiber calls neither
+    # lp_min nor minimax_circuits, at the LP's one optimal point.
+    rng = random.Random(5252)
+    lps, built = [], []
     for module in (lp, solver):
-        monkeypatch.setattr(module, "lp_min", lambda *args: kernel.append(args) or lp_min(*args))
-    fibers = []
+        monkeypatch.setattr(module, "lp_min", lambda *args: lps.append(args) or lp_min(*args))
+    monkeypatch.setattr(solver, "minimax_circuits",
+                        lambda rows: built.append(rows) or minimax_circuits(rows))
+    seen = Counter()
     for basis, b in criterion_5_stream(500):
         pb = prepare(basis)
-        if pb.profile.zero_set and pb.profile.d == basis.m:
-            fiber = pb.fiber(b)
+        zero = pb.profile.zero_set
+        if not zero:
+            continue
+        assert len(pb.class_kernel) == pb.profile.d - basis.m
+        reduced = pb.reduced.basis.matrix
+        assert all(sum(k[i] * row[j] for i, row in enumerate(reduced)) == 0
+                   for k in pb.class_kernel for j in range(basis.m))
+        members = [basis.combine(random_vector(rng, basis.m)) for _ in range(2)]
+        targets = [b, *(tuple(Q(rng.randint(1, 3)) if i in zero else x for i, x in enumerate(v))
+                        for v in members), *(random_vector(rng, basis.n) for _ in range(2))]
+        for target in targets:
+            den, rows = pb.feasibility_ints
+            bden, by_class = class_sums(pb, target)
+            t, x, _ = solve_minimax_lp(rows, [sum(map(mul, c.signs, by_class)) for c in pb.cells])
+            before = (len(lps), len(built))
+            fiber = pb.fiber(target)
+            assert (t == 0) is (fiber.threshold.delta0 == 0) is (not _poses_the_lp(pb, target))
+            if t:
+                seen["delta0 > 0"] += 1
+                continue
             assert fiber.lex(+1) == fiber.lex(-1) == fiber.threshold.minimizing_alpha
-            assert (minimax, kernel, "circuits" in vars(pb)) == ([], [], False)
-            fibers.append((pb, b, fiber.threshold))
-    for pb, b, (delta0, alpha, _) in fibers:
-        assert (delta0, alpha) == (0, solve_minimax_lp(pb.feasibility_rows, feasibility_rhs(pb, b))[1])
-    assert len(fibers) >= 100, len(fibers)
+            assert fiber.threshold.minimizing_alpha == tuple(v * Q(den, bden) for v in x)
+            assert (len(lps), len(built)) == before
+            seen["delta0 = 0, d > m" if pb.profile.d > basis.m else "delta0 = 0, d = m"] += 1
+    assert len(seen) == 3 and min(seen.values()) >= 90, seen
+
+
+def test_a_delta0_zero_threshold_leaves_the_cells_to_the_polytope_rhs(monkeypatch):
+    # existence_threshold at delta0 = 0 enumerates no cell, on a
+    # coproximinal basis and on a member's fiber of a d > m one: Fiber.rhs
+    # forms the per-cell sums on first read, so a later polytope solve on
+    # the same fiber, answered from the slot, gives a fresh prepare's
+    # constraints, whose rhs is each cell's signed class sums.
+    calls = []
+    monkeypatch.setattr(solver, "enumerate_cells",
+                        lambda arr: calls.append(arr) or norming.enumerate_cells(arr))
+    coproximinal = [(1, 1), (1, 2), (2, 2), (0, 0), (4, 4), (-2, -4), (0, 0)]
+    for rows, b in ((coproximinal, (1, 2, 3, 1, 5, -1, Q(1, 2))),
+                    ([(1, 0), (0, 1), (1, 1), (0, 0)], (1, 2, 3, 1))):
+        basis, b = validate_basis(mat(rows)), vec(b)
+        pb = prepare(basis)
+        assert existence_threshold(basis, None, b, prepared=pb).delta0 == 0
+        assert (calls, "cells" in vars(pb)) == ([], False)
+        out = solve_general(basis, None, b, prepared=pb)
+        assert out.kind is OutcomeKind.POLYTOPE and len(calls) == 1
+        assert out == solve_general(basis, None, b, prepared=prepare(basis))
+        assert out.constraints.rhs == feasibility_rhs(pb, b)
+        calls.clear()
 
 
 class TestProjection:
@@ -1004,7 +1068,7 @@ def test_minimax_lps_reach_the_kernel_in_ints(monkeypatch):
     # solve_general and existence_threshold pose the minimax LP on
     # PreparedBasis.feasibility_ints and the target's int per-cell sums:
     # every cost, row and rhs entry lp_min receives from
-    # solve_minimax_lp is an int.  A coproximinal basis poses none.  The
+    # solve_minimax_lp is an int.  A fiber with K . sigma(b) = 0 poses none.  The
     # slack cases are drawn first, as their own reference minimax LPs run
     # on Fraction rows.
     rng = random.Random(4141)
@@ -1022,8 +1086,8 @@ def test_minimax_lps_reach_the_kernel_in_ints(monkeypatch):
         for target in targets:  # one fiber: one minimax LP
             solve_general(basis, None, target, prepared=pb)
         existence_threshold(basis, None, b)  # a fresh prepare: one more
-    lp_bases = sum(prepare(basis).profile.d > basis.m for basis, _, _ in cases)
-    assert (len(seen), len(cases)) == (2 * lp_bases, 158) == (188, 158)
+    lp_fibers = sum(_poses_the_lp(prepare(basis), b) for basis, b, _ in cases)
+    assert (len(seen), len(cases)) == (2 * lp_fibers, 158) == (148, 158)
     assert all(type(x) is int for entries in seen for x in entries)
 
 
@@ -1076,7 +1140,7 @@ def test_int_minimax_and_lex_searches_match_the_fraction_construction():
             rhs = feasibility_rhs(pb, b)
             t_star, alpha, _ = solve_minimax_lp(rows, rhs)
             fiber = pb.fiber(b)
-            assert (fiber.rhs, *fiber.threshold[:2]) == (rhs, t_star, alpha)
+            assert (fiber.rhs(pb), *fiber.threshold[:2]) == (rhs, t_star, alpha)
             witness = lex_extreme_alpha(basis, rows, rhs, +1)
             point = witness == lex_extreme_alpha(basis, rows, rhs, -1)
             for slack in (t_star, t_star + Q(rng.randint(1, 4), 11)):
@@ -1127,7 +1191,7 @@ def test_shared_fiber_slot_matches_fresh_prepare(monkeypatch):
     # equal off Z with different Z mass, and targets one off-Z coordinate
     # apart.  Every call equals the same call on a fresh prepare(basis),
     # and the shared basis solves one LP per change of fiber, none on a
-    # coproximinal basis.
+    # fiber with K . sigma(b) = 0.
     calls = _count_minimax(monkeypatch)
     rng = random.Random(1414)
     seen = Counter()
@@ -1148,7 +1212,7 @@ def test_shared_fiber_slot_matches_fresh_prepare(monkeypatch):
                 th = existence_threshold(basis, None, target, prepared=pb)
                 out = solve_general(basis, None, target, prepared=pb)
             fiber = pb.reduced.sigma(target)
-            assert len(calls) - before == (fiber != previous and pb.profile.d > basis.m)
+            assert len(calls) - before == (fiber != previous and _poses_the_lp(pb, target))
             seen["new fiber" if fiber != previous else "same fiber"] += 1
             previous = fiber
             assert out == solve_general(basis, None, target, prepared=prepare(basis))
@@ -1166,8 +1230,8 @@ def test_shared_slot_answers_fibers_a_a_b_a_as_a_fresh_prepare(monkeypatch):
     # that classes have several coordinates, plus the FACE_POLYTOPES
     # segment faces.  Each solve_general and existence_threshold equals
     # (==) the same call on a fresh prepare, and only A's repeat is
-    # answered from the slot: one minimax LP and one ExistenceThreshold
-    # per new fiber, none on the repeat.
+    # answered from the slot: one ExistenceThreshold per new fiber, and one
+    # minimax LP unless K . sigma(b) = 0 (B's may be 0), none on the repeat.
     calls, built = _count_minimax(monkeypatch), []
     threshold = solver.ExistenceThreshold
     monkeypatch.setattr(solver, "ExistenceThreshold",
@@ -1196,7 +1260,7 @@ def test_shared_slot_answers_fibers_a_a_b_a_as_a_fresh_prepare(monkeypatch):
         rng.shuffle(masses)
         visits = [(a, masses[0]), (a, masses[1]), (tuple(b), rng.choice((t_b / 2, t_b, 2 * t_b))),
                   (a, masses[2])]
-        for (fiber, mass), lps in zip(visits, (1, 0, 1, 1)):
+        for (fiber, mass), new in zip(visits, (1, 0, 1, 1)):
             target, before, built_before = _with_slack(rng, pb, fiber, mass), len(calls), len(built)
             if rng.random() < 0.5:
                 out = solve_general(basis, None, target, prepared=pb)
@@ -1204,7 +1268,8 @@ def test_shared_slot_answers_fibers_a_a_b_a_as_a_fresh_prepare(monkeypatch):
             else:
                 th = existence_threshold(basis, None, target, prepared=pb)
                 out = solve_general(basis, None, target, prepared=pb)
-            assert (len(calls) - before, len(built) - built_before) == (lps, lps)
+            lps = new * _poses_the_lp(pb, fiber)
+            assert (len(calls) - before, len(built) - built_before) == (lps, new)
             assert out == solve_general(basis, None, target, prepared=prepare(basis))
             assert th == existence_threshold(basis, None, target, prepared=prepare(basis))
             seen[out.kind] += 1
@@ -1261,7 +1326,7 @@ def test_fiber_slot_searches_each_direction_once_per_fiber(monkeypatch):
     # at and above delta0, each target solved, asked for its threshold,
     # or both in either order.  Every answer equals a fresh prepare's, and
     # the searches are exactly those a one-slot model predicts: a new
-    # fiber costs one minimax LP (none on a coproximinal basis) and
+    # fiber costs one minimax LP (none where K . sigma(b) = 0) and
     # empties the slot, and each lex direction is searched at most once
     # while the slot holds a fiber, and never on a fiber whose minimax LP
     # certifies a one-point face.  A solve at zero mass leaves the slot as it is.
@@ -1275,7 +1340,6 @@ def test_fiber_slot_searches_each_direction_once_per_fiber(monkeypatch):
     # polytope copies keep the searches the slot reuses at their floor.
     for basis, b in _zero_set_instances(rng, 60, copies=20):
         pb = prepare(basis)
-        lp_basis = pb.profile.d > basis.m  # not coproximinal
         off_z = [i for i in range(basis.n) if i not in pb.profile.zero_set]
         fibers = [b]
         for _ in range(2):
@@ -1296,7 +1360,7 @@ def test_fiber_slot_searches_each_direction_once_per_fiber(monkeypatch):
                     got[what] = existence_threshold(basis, None, target, prepared=pb)
             key = pb.reduced.sigma(target)
             if slack or "threshold" in got:
-                assert len(minimax) - minimax_before == (key != slot and lp_basis)
+                assert len(minimax) - minimax_before == (key != slot and _poses_the_lp(pb, target))
                 seen["new fiber" if key != slot else "same fiber"] += 1
                 if key != slot:
                     slot, searched = key, set()
