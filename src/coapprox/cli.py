@@ -7,9 +7,10 @@ coordinate indices in reports are 1-based.  Exit codes: 0 success,
 `main` runs one pipeline for every command: the canonical argv,
 `COMMAND (--option VALUE)*`, read off the parser's option table (any
 other spelling goes to argparse, which reads or reports it);
-`load_problem`; one `prepare`; the command's `cmd_*` body, which returns
-only its own fields; and `_dump` of the envelope followed by those
-fields, which matches `json.dumps(indent=2)`.
+`load_problem` (the file's UTF-8 bytes with text mode's newlines, each
+integral entry kept an int); one `prepare`; the command's `cmd_*` body,
+which returns only its own fields; and `_dump` of the envelope followed
+by those fields, which matches `json.dumps(indent=2)`.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import NamedTuple
 from . import __version__
 from .classify import classify
 from .errors import CoapproxError, EmptyZeroSetError, ValidationError
-from .exact import Q, Vec, format_rational, rational
+from .exact import Q, Vec, format_rational, parse_literal, rational
 from .norming import margin_witness
 from .oracle import BRUTE_FORCE_MAX_M, brute_force_existence, check_grid, verify_best_coapprox
 from .solver import (
@@ -43,12 +44,11 @@ class ProblemFile(NamedTuple):
     options: dict
 
 
-def _parse_entry(value, where: str, index: int | None = None) -> Q:
-    """`exact.rational`, with the JSON path of the entry in its error."""
+def _parse_entry(value, at: str) -> Q:
+    """`exact.rational`, with the entry's JSON path `at` in its error."""
     try:
         return rational(value)
     except ValidationError as exc:
-        at = where if index is None else f"{where}[{index + 1}]"  # on this path alone
         raise ValidationError(f"{at}: {exc}") from None
 
 
@@ -57,16 +57,17 @@ def _parse_vector(raw, n: int, where: str) -> Vec:
         raise ValidationError(f"{where}: expected a list of rational strings")
     if len(raw) != n:
         raise ValidationError(f"{where}: expected length {n}, got {len(raw)}")
-    try:
-        return tuple(map(rational, raw))
+    try:  # rational's rule, but a JSON int, or a string with no '/den', stays an int
+        return tuple([v if type(v) is int else parse_literal(v) if type(v) is str
+                      else rational(v) for v in raw])
     except ValidationError:  # again entry by entry, to name the first bad entry's path
-        return tuple([_parse_entry(v, where, i) for i, v in enumerate(raw)])
+        return tuple([_parse_entry(v, f"{where}[{i + 1}]") for i, v in enumerate(raw)])
 
 
 def load_problem(path: str) -> ProblemFile:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:  # text mode's decoding and newlines, without its wrapper
+            doc = json.loads(fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # bad, too deeply nested, or an over-long int
@@ -79,15 +80,10 @@ def load_problem(path: str) -> ProblemFile:
     raw_basis = doc.get("basis")
     if not isinstance(raw_basis, list) or not raw_basis:
         raise ValidationError("basis: expected a non-empty list of vectors")
-    vectors = [
-        _parse_vector(v, n, f"basis[{k + 1}]") for k, v in enumerate(raw_basis)
-    ]
-    matrix = tuple(zip(*vectors))  # columns are the basis vectors
-    basis = validate_basis(matrix)
+    vectors = [_parse_vector(v, n, f"basis[{k + 1}]") for k, v in enumerate(raw_basis)]
+    basis = validate_basis(tuple(zip(*vectors)))  # columns are the basis vectors
     targets: list[tuple[str, Vec]] = []
-    raw_targets = doc.get("targets", [])
-    if raw_targets is None:
-        raw_targets = []
+    raw_targets = [] if doc.get("targets") is None else doc["targets"]
     if not isinstance(raw_targets, list):
         raise ValidationError("targets: expected a list")
     for k, item in enumerate(raw_targets):
@@ -101,9 +97,7 @@ def load_problem(path: str) -> ProblemFile:
             name = f"t{k + 1}"
             vector = _parse_vector(item, n, where)
         targets.append((name, vector))
-    options = doc.get("options", {})
-    if options is None:
-        options = {}
+    options = {} if doc.get("options") is None else doc["options"]
     if not isinstance(options, dict):
         raise ValidationError("options: expected an object")
     return ProblemFile(basis=basis, targets=tuple(targets), options=options)
@@ -119,11 +113,14 @@ def _dump(x, pad: str = "\n") -> str:
         return str(x)
     if kind is bool or x is None:
         return "null" if x is None else "true" if x else "false"
-    inner = pad + "  "
+    inner = pad + "  "  # str and int leaves inline, with no call of _dump
     if kind is list:
-        items = [_dump(v, inner) for v in x]
+        items = [encode_basestring_ascii(v) if type(v) is str else str(v) if type(v) is int
+                 else _dump(v, inner) for v in x]
     elif kind is dict:
-        items = [f"{encode_basestring_ascii(k)}: {_dump(v, inner)}" for k, v in x.items()]
+        items = [encode_basestring_ascii(k) + ": " + (
+            encode_basestring_ascii(v) if type(v) is str else str(v) if type(v) is int
+            else _dump(v, inner)) for k, v in x.items()]
     else:
         raise TypeError(f"not a report value: {kind.__name__}")
     ends = "[]" if kind is list else "{}"
@@ -132,10 +129,6 @@ def _dump(x, pad: str = "\n") -> str:
 
 def _fmt_vec(v: Vec) -> list[str]:
     return [format_rational(x) for x in v]
-
-
-def _one_based(indices) -> list[int]:
-    return [i + 1 for i in indices]
 
 
 def _ambient_signs(pb: PreparedBasis, x) -> list[int]:
@@ -152,7 +145,7 @@ def _envelope(command: str, pb: PreparedBasis) -> dict:
         "command": command,
         "n": pb.basis.n,
         "m": pb.basis.m,
-        "zero_set": _one_based(pb.profile.zero_set),
+        "zero_set": [i + 1 for i in pb.profile.zero_set],
     }
 
 
@@ -239,9 +232,9 @@ def cmd_solve(problem: ProblemFile, pb: PreparedBasis, args) -> dict:
                     "rhs": _fmt_vec(outcome.constraints.rhs),
                     "slack": format_rational(outcome.constraints.slack),
                 }
-            entry["vector"] = _fmt_vec(outcome.vector)
-            projection = projection_map(problem.basis, b, outcome)
-            entry["projection_image"] = _fmt_vec(projection.image_of_target)
+            # The projection's image of b is outcome.vector itself: one list, written twice.
+            image = projection_map(problem.basis, b, outcome).image_of_target
+            entry["vector"] = entry["projection_image"] = _fmt_vec(image)
             verdict = verify_best_coapprox(problem.basis, b, alpha)
             oracle_entry = {"verdict": "confirmed" if verdict.confirmed else "refuted"}
             if verdict.counterexample is not None:

@@ -27,8 +27,8 @@ Mat = tuple[Vec, ...]
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?", re.ASCII)  # no other script's digits
 
 
-def parse_rational(text: str) -> Q:
-    """Parse the strict text form: optional sign, integer, optional '/den'.
+def parse_literal(text: str) -> int | Q:
+    """Parse the strict text form, optional sign, integer, optional '/den': an int, or a Fraction.
 
     Rejects floats, exponents and zero denominators; this is the grammar
     used verbatim in all JSON I/O.  Only ASCII whitespace is stripped.
@@ -40,13 +40,18 @@ def parse_rational(text: str) -> Q:
         raise ValidationError(f"not a rational literal: {text!r}")
     p, q = match.groups()
     try:
-        return Q(int(p)) if q is None else Q(int(p), int(q))
+        return int(p) if q is None else Q(int(p), int(q))
     except ZeroDivisionError:
         raise ValidationError(f"zero denominator: {text!r}") from None
     except ValueError:  # Python's limit on int-string conversion
         raise ValidationError(
             f"rational literal of {len(s)} characters exceeds the integer digit limit"
         ) from None
+
+
+def parse_rational(text: str) -> Q:
+    """parse_literal's value, always a Fraction (built once)."""
+    return Q(x) if type(x := parse_literal(text)) is int else x
 
 
 def format_rational(x: Q) -> str:

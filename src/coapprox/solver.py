@@ -205,10 +205,11 @@ class PreparedBasis:
     @cached_property
     def class_kernel(self) -> tuple[tuple[int, ...], ...]:
         """K, an int basis of the class rows' left kernel lifted: d - m vectors, none iff
-        coproximinal.  delta0(b) = 0 iff b's class sums lie in the rows' column space
-        (the cell signs span R^d), iff K . sigma(b) = 0 (Fredholm)."""
-        return tuple(tuple([k[c] * o for c, o in self.coordinate_signs]) for k in kernel_vectors(
-            [list(col) for col in zip(*self.class_ints[1])], self.profile.d))
+        coproximinal (d = m: the rows have rank m, so no elimination).  delta0(b) = 0 iff b's
+        class sums lie in the rows' column space (the cell signs span R^d), iff K . sigma(b) = 0."""
+        return () if self.profile.d == self.basis.m else tuple(
+            tuple([k[c] * o for c, o in self.coordinate_signs]) for k in kernel_vectors(
+                [list(col) for col in zip(*self.class_ints[1])], self.profile.d))
 
     @cached_property
     def circuits(self) -> tuple | None:

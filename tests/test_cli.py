@@ -23,7 +23,7 @@ from coapprox.cli import main
 from coapprox.errors import CoapproxError, ValidationError
 from coapprox.exact import l1_norm, rank, vec_sub
 from coapprox.instances import random_basis, random_vector
-from coapprox.subspace import SubspaceBasis, validate_basis
+from coapprox.subspace import SubspaceBasis, build_profile, validate_basis
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -392,6 +392,82 @@ def test_files_and_vec_share_one_entry_rule(tmp_path, capsys, value):
         assert cli.load_problem(str(f)).basis.matrix == tuple(zip(expected))
 
 
+_BAD_ENTRIES = ["1.5", "1e3", "1/0", "--1", "", " ", "١", "1/-2", "0x1", True, None, 2.5,
+                [1], "1" * (sys.get_int_max_str_digits() + 1)]
+
+
+def _entry(rng, limit):
+    """A JSON entry and its value: an int, a signed or padded string, a
+    fraction not in lowest terms, a zero, or an int near the digit limit."""
+    v = rng.randint(-9, 9)
+    form = rng.randrange(7)
+    if form == 0:
+        return v, v
+    if form == 1:
+        pad = lambda: "".join(rng.choices(" \t\n\r\f\v", k=rng.randrange(3)))
+        return pad() + ("+" if v >= 0 and rng.random() < 0.5 else "") + str(v) + pad(), v
+    if form == 2:
+        k = rng.randint(1, 6)
+        return f"{v * k}/{k}", v
+    if form == 3:
+        q = rng.randint(2, 9)
+        return f"{v}/{q}", Fraction(v, q)
+    if form == 4:
+        return rng.choice([("-0", 0), ("+0/5", 0), ("0/7", 0), ("-4/2", -2), ("2/4", Fraction(1, 2))])
+    big = rng.choice("123456789") + "".join(rng.choices("0123456789", k=limit - rng.randint(1, 8)))
+    sign = rng.choice(["", "-"])
+    return (int(sign + big), int(sign + big)) if form == 5 else (sign + big, int(sign + big))
+
+
+def test_parsed_files_equal_the_library_entry_rule(tmp_path, capsys):
+    # Seeded documents mixing every entry form: the CLI's basis equals
+    # validate_basis(mat(...)) in values and in every int form and profile,
+    # its targets equal vec(...), and an entry is an int exactly when it is
+    # a JSON int or a string with no '/den', so int_matrix takes its all-int
+    # path.  A refused entry gives vec's message behind its JSON path.
+    limit = sys.get_int_max_str_digits()
+    f = tmp_path / "entries.json"
+    refused = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        m = rng.randint(1, min(n, 3))
+        while True:
+            cols = [[_entry(rng, limit) for _ in range(n)] for _ in range(m)]
+            try:
+                expected = validate_basis(mat(zip(*[[v for v, _ in c] for c in cols])))
+                break
+            except CoapproxError:
+                continue
+        targets = [[_entry(rng, limit) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        doc = {"n": n, "basis": [[v for v, _ in c] for c in cols],
+               "targets": [[v for v, _ in t] for t in targets]}
+        if seed % 3 == 0:  # one refused entry, in the basis or a target
+            where = "basis" if not targets or rng.random() < 0.5 else "targets"
+            k = rng.randrange(len(doc[where]))
+            i = rng.randrange(n)
+            doc[where][k][i] = bad = rng.choice(_BAD_ENTRIES)
+            with pytest.raises(ValidationError) as exc:
+                vec([bad])
+            f.write_text(json.dumps(doc), encoding="utf-8")
+            assert run_cli(capsys, "analyze", "--input", str(f)) == (
+                2, "", f"coapprox analyze: {where}[{k + 1}][{i + 1}]: {exc.value}\n")
+            refused += 1
+            continue
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        problem = cli.load_problem(str(f))
+        basis = problem.basis
+        assert basis.matrix == expected.matrix == tuple(zip(*[[x for _, x in c] for c in cols]))
+        assert basis.int_matrix == expected.int_matrix
+        assert basis.int_rows == expected.int_rows
+        assert build_profile(basis) == build_profile(expected)
+        assert [v for _, v in problem.targets] == [vec([v for v, _ in t]) for t in targets]
+        raw = list(zip(*doc["basis"]))
+        assert [[type(x) is int for x in row] for row in basis.matrix] == [
+            [type(v) is int or "/" not in v for v in row] for row in raw]
+    assert refused == 50
+
+
 def test_literal_over_int_digit_limit_exits_2(tmp_path, capsys):
     f = tmp_path / "long.json"
     f.write_text(
@@ -429,6 +505,54 @@ def test_json_nested_too_deep_exits_2_naming_the_file(tmp_path, capsys, shape):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith(f"threshold_dichotomy: {f}: invalid JSON: ")
+
+
+# A problem file is read as UTF-8 text with universal newlines: "\r\n" and
+# a lone "\r" count as one "\n" in a JSON error's offset, a BOM is refused,
+# and so is a byte that is not UTF-8.  Each message is pinned in full.
+_LOAD_ERRORS = {
+    "crlf": (b'{\r\n "n": 2,\r\n  "basis": [["1", "0"],]\r\n}\r\n',
+             "invalid JSON: Expecting value: line 3 column 24 (char 34)"),
+    "cr": (b'{\r "n": 2,\r  "basis": [["1", "0"],]\r}\r',
+           "invalid JSON: Expecting value: line 3 column 24 (char 34)"),
+    "bom": (b'\xef\xbb\xbf{"n": 1, "basis": [["1"]]}',
+            "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "non-utf8": (b'{"n": 1, "basis": [["1\xff"]]}',
+                 "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 22: "
+                 "invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOAD_ERRORS))
+def test_load_errors_are_pinned_byte_for_byte(tmp_path, capsys, name):
+    data, message = _LOAD_ERRORS[name]
+    f = tmp_path / "problem.json"
+    f.write_bytes(data)
+    assert run_cli(capsys, "analyze", "--input", str(f)) == (
+        2, "", f"coapprox analyze: {f}: {message}\n")
+
+
+def test_an_unreadable_path_exits_2_naming_it(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run_cli(capsys, "classify", "--input", str(missing)) == (
+        2, "", f"coapprox classify: cannot read {missing}: "
+               f"[Errno 2] No such file or directory: '{missing}'\n")
+    assert run_cli(capsys, "classify", "--input", str(tmp_path)) == (
+        2, "", f"coapprox classify: cannot read {tmp_path}: "
+               f"[Errno 21] Is a directory: '{tmp_path}'\n")
+
+
+def test_a_crlf_problem_reads_as_its_lf_form(tmp_path, capsys):
+    # The same document with "\n", "\r\n" or "\r" line ends gives one report.
+    text = (PROBLEMS / "span3_l17_threshold.json").read_text(encoding="utf-8")
+    reports = set()
+    for end in ("\n", "\r\n", "\r"):
+        f = tmp_path / "problem.json"
+        f.write_bytes(text.replace("\n", end).encode("utf-8"))
+        code, out, err = run_cli(capsys, "threshold", "--input", str(f))
+        assert (code, err) == (0, "")
+        reports.add(out)
+    assert len(reports) == 1
 
 
 # Digest of every command's exit code and output on every sample problem,

@@ -28,7 +28,7 @@ from coapprox import (
     vec,
 )
 from coapprox import lp, norming, solver
-from coapprox.exact import first_basis, rank, scaled_ints, vec_sub
+from coapprox.exact import first_basis, kernel_vectors, rank, scaled_ints, vec_sub
 from coapprox.instances import random_basis, random_vector
 from coapprox.lp import lp_min, minimax_circuits, simplex, solve_minimax_lp
 from coapprox.solver import PolytopeConstraints, lex_extreme_alpha
@@ -640,6 +640,24 @@ class TestFiberMinimax:
             fiber = pb.fiber(vec(b))
             assert (*fiber.threshold[:2], fiber.lex(+1), fiber.lex(-1)) == (0, alpha, alpha, alpha)
         assert (kernel, minimax, cells, "circuits" in vars(pb)) == ([], [], [], False)
+
+    def test_a_coproximinal_basis_finds_its_empty_class_kernel_with_no_elimination(
+            self, monkeypatch):
+        # d = m: the d class rows have rank m, so their left kernel is
+        # empty, and the basis's first fiber reads K = () with no
+        # Gauss-Jordan pass.  On d > m the one pass gives d - m vectors.
+        passes = []
+        monkeypatch.setattr(solver, "kernel_vectors",
+                            lambda *args: passes.append(args) or kernel_vectors(*args))
+        for rows, b, d in ((((1, 0), (2, 0), (0, 1), (0, 0)), (1, 2, 3, 1), 2),
+                           (((1, 0, 0), (0, 1, 0), (0, 0, -3), (0, 0, 0)), (1, 2, 3, 4), 3),
+                           (((1, 0), (0, 1), (1, 1), (0, 0)), (1, 2, 3, 1), 3)):
+            pb = prepare(validate_basis(mat(rows)))
+            fiber = pb.fiber(vec(b))
+            assert fiber.threshold.delta0 == 0 and pb.profile.zero_set == (3,)
+            assert (pb.profile.d, len(pb.class_kernel)) == (d, d - pb.basis.m)
+            assert len(passes) == (d > pb.basis.m)
+            del passes[:]
 
     def test_a_basis_over_the_circuit_cap_builds_none_and_runs_the_lp(self, monkeypatch):
         # Five generic planes in R^3 make 11 cell rows, and C(11, 4) = 330
