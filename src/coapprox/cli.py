@@ -80,10 +80,15 @@ def load_problem(path: str) -> ProblemFile:
     raw_basis = doc.get("basis")
     if not isinstance(raw_basis, list) or not raw_basis:
         raise ValidationError("basis: expected a non-empty list of vectors")
-    vectors = [_parse_vector(v, n, f"basis[{k + 1}]") for k, v in enumerate(raw_basis)]
-    basis = validate_basis(tuple(zip(*vectors)))  # columns are the basis vectors
+    vectors = [
+        _parse_vector(v, n, f"basis[{k + 1}]") for k, v in enumerate(raw_basis)
+    ]
+    matrix = tuple(zip(*vectors))  # columns are the basis vectors
+    basis = validate_basis(matrix)
     targets: list[tuple[str, Vec]] = []
-    raw_targets = [] if doc.get("targets") is None else doc["targets"]
+    raw_targets = doc.get("targets", [])
+    if raw_targets is None:
+        raw_targets = []
     if not isinstance(raw_targets, list):
         raise ValidationError("targets: expected a list")
     for k, item in enumerate(raw_targets):
@@ -97,7 +102,9 @@ def load_problem(path: str) -> ProblemFile:
             name = f"t{k + 1}"
             vector = _parse_vector(item, n, where)
         targets.append((name, vector))
-    options = {} if doc.get("options") is None else doc["options"]
+    options = doc.get("options", {})
+    if options is None:
+        options = {}
     if not isinstance(options, dict):
         raise ValidationError("options: expected an object")
     return ProblemFile(basis=basis, targets=tuple(targets), options=options)
@@ -113,14 +120,11 @@ def _dump(x, pad: str = "\n") -> str:
         return str(x)
     if kind is bool or x is None:
         return "null" if x is None else "true" if x else "false"
-    inner = pad + "  "  # str and int leaves inline, with no call of _dump
+    inner = pad + "  "
     if kind is list:
-        items = [encode_basestring_ascii(v) if type(v) is str else str(v) if type(v) is int
-                 else _dump(v, inner) for v in x]
+        items = [_dump(v, inner) for v in x]
     elif kind is dict:
-        items = [encode_basestring_ascii(k) + ": " + (
-            encode_basestring_ascii(v) if type(v) is str else str(v) if type(v) is int
-            else _dump(v, inner)) for k, v in x.items()]
+        items = [f"{encode_basestring_ascii(k)}: {_dump(v, inner)}" for k, v in x.items()]
     else:
         raise TypeError(f"not a report value: {kind.__name__}")
     ends = "[]" if kind is list else "{}"
@@ -129,6 +133,10 @@ def _dump(x, pad: str = "\n") -> str:
 
 def _fmt_vec(v: Vec) -> list[str]:
     return [format_rational(x) for x in v]
+
+
+def _one_based(indices) -> list[int]:
+    return [i + 1 for i in indices]
 
 
 def _ambient_signs(pb: PreparedBasis, x) -> list[int]:
@@ -145,7 +153,7 @@ def _envelope(command: str, pb: PreparedBasis) -> dict:
         "command": command,
         "n": pb.basis.n,
         "m": pb.basis.m,
-        "zero_set": [i + 1 for i in pb.profile.zero_set],
+        "zero_set": _one_based(pb.profile.zero_set),
     }
 
 
@@ -232,7 +240,6 @@ def cmd_solve(problem: ProblemFile, pb: PreparedBasis, args) -> dict:
                     "rhs": _fmt_vec(outcome.constraints.rhs),
                     "slack": format_rational(outcome.constraints.slack),
                 }
-            # The projection's image of b is outcome.vector itself: one list, written twice.
             image = projection_map(problem.basis, b, outcome).image_of_target
             entry["vector"] = entry["projection_image"] = _fmt_vec(image)
             verdict = verify_best_coapprox(problem.basis, b, alpha)

@@ -88,7 +88,6 @@ def build_profile(basis: SubspaceBasis) -> ComponentProfile:
     """
     classes: dict[tuple[int, ...], tuple[int, list[tuple[int, Q]]]] = {}
     zero_set: list[int] = []
-    one = Q(1)  # every representative's constant, one Fraction shared
     rows = basis.int_matrix[1]
     for i, (row, v) in enumerate(zip(rows, basis.int_rows)):
         if not any(v):
@@ -97,7 +96,7 @@ def build_profile(basis: SubspaceBasis) -> ComponentProfile:
         key = max(v, tuple(-x for x in v))
         found = classes.get(key)
         if found is None:  # a new class; members divide at its first nonzero column
-            classes[key] = (next(j for j, x in enumerate(v) if x), [(i, one)])
+            classes[key] = (next(j for j, x in enumerate(v) if x), [(i, Q(1))])
         else:
             j0, members = found
             members.append((i, Q(row[j0], rows[members[0][0]][j0])))
