@@ -5,11 +5,12 @@ package decides whether a best coapproximation to b out of Y exists,
 computes it (or the polytope of all of them), produces the induced
 norm-one projection, and classifies Y as coproximinal / co-Chebyshev.
 All arithmetic is exact rational.
+
+__all__ is the public surface; every other name lives in its own module.
 """
 
 __version__ = "0.1.0"
 
-from .classify import ClassificationReport, classify
 from .errors import (
     CapacityError,
     CoapproxError,
@@ -22,71 +23,36 @@ from .errors import (
     ValidationError,
     ZeroSubspaceError,
 )
-from .exact import (
-    LinearSystemResult,
-    Q,
-    SystemStatus,
-    format_rational,
-    l1_norm,
-    mat,
-    parse_rational,
-    solve_linear,
-    vec,
-)
-from .lp import solve_minimax_lp
-from .norming import (
-    Arrangement,
-    NormingSet,
-    SignCell,
-    build_arrangement,
-    enumerate_cells,
-    margin_witness,
-    minimal_norming_set,
-)
+from .exact import format_rational, mat, parse_rational, vec
 from .oracle import (
-    BruteForceResult,
     VerificationVerdict,
     bj_orthogonal_l1,
-    brute_force_existence,
+    certify_not_exists,
+    check_certificate,
     verify_best_coapprox,
 )
 from .solver import (
+    ClassificationReport,
     CoapproxOutcome,
     ExistenceThreshold,
     OutcomeKind,
     PolytopeConstraints,
     PreparedBasis,
-    Projection,
+    classify,
     existence_threshold,
     prepare,
-    projection_map,
-    solve_empty_zero_set,
     solve_general,
 )
-from .subspace import (
-    ComponentProfile,
-    ReducedInstance,
-    SubspaceBasis,
-    build_profile,
-    reduce_sigma,
-    validate_basis,
-)
+from .subspace import SubspaceBasis, validate_basis
 
 __all__ = [
-    "ClassificationReport", "classify",
+    "validate_basis", "SubspaceBasis", "prepare", "PreparedBasis", "solve_general",
+    "existence_threshold", "classify",
+    "CoapproxOutcome", "OutcomeKind", "PolytopeConstraints", "ExistenceThreshold",
+    "ClassificationReport", "VerificationVerdict",
     "CapacityError", "CoapproxError", "DimensionError", "EmptyZeroSetError",
     "InternalInconsistencyError", "NoCoapproximationError", "PreconditionError",
     "RankDeficientError", "ValidationError", "ZeroSubspaceError",
-    "LinearSystemResult", "Q", "SystemStatus", "format_rational", "l1_norm",
-    "mat", "parse_rational", "solve_linear", "vec",
-    "solve_minimax_lp",
-    "Arrangement", "NormingSet", "SignCell", "build_arrangement",
-    "enumerate_cells", "margin_witness", "minimal_norming_set",
-    "BruteForceResult", "VerificationVerdict", "bj_orthogonal_l1",
-    "brute_force_existence", "verify_best_coapprox",
-    "CoapproxOutcome", "ExistenceThreshold", "OutcomeKind",
-    "PolytopeConstraints", "PreparedBasis", "Projection", "existence_threshold",
-    "prepare", "projection_map", "solve_empty_zero_set", "solve_general",
-    "ComponentProfile", "ReducedInstance", "SubspaceBasis", "build_profile",
-    "reduce_sigma", "validate_basis",
+    "vec", "mat", "parse_rational", "format_rational",
+    "verify_best_coapprox", "bj_orthogonal_l1", "certify_not_exists", "check_certificate",
 ]

@@ -23,7 +23,6 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import __version__
-from .classify import classify
 from .errors import CoapproxError, EmptyZeroSetError, ValidationError
 from .exact import Q, Vec, format_rational, parse_literal, rational
 from .norming import margin_witness
@@ -31,6 +30,7 @@ from .oracle import BRUTE_FORCE_MAX_M, brute_force_existence, check_grid, verify
 from .solver import (
     OutcomeKind,
     PreparedBasis,
+    classify,
     existence_threshold,
     prepare,
     projection_map,

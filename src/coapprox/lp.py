@@ -38,7 +38,7 @@ from itertools import chain, combinations
 from operator import itemgetter, mul, neg, sub
 from typing import NamedTuple
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, InternalInconsistencyError, ValidationError
 from .exact import Q, Vec, bareiss_pivot, kernel_vectors, primitive_ints, scaled_ints
 
 # The cell-pair cap, shared with norming: a minimax LP has one row per pair.
@@ -250,7 +250,7 @@ def solve_minimax_lp(rows: tuple[Vec, ...], rhs: Vec, circuits=None) -> tuple:
     scaled_ints([*chain(*rows)])  # names an inexact row entry; circuits' rows are ints
     cost, a_ub, b_ub, top = minimax_rows(rows, rhs)
     res = lp_min(cost, a_ub, b_ub)
-    if res.status is not LpStatus.OPTIMAL:  # pragma: no cover
-        raise ValidationError(f"minimax LP unexpectedly {res.status.value}")
+    if res.status is not LpStatus.OPTIMAL:
+        raise InternalInconsistencyError(f"minimax LP unexpectedly {res.status.value}")
     y = res.duals
     return top + res.value, res.x[:-1], tuple(map(sub, y[::2], y[1::2]))

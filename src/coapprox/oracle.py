@@ -105,8 +105,8 @@ def _refute_from_bj_failure(
     point = basis.combine(beta_hat)
     lhs = l1_norm(vec_sub(point, basis.combine(alpha)))
     rhs = l1_norm(vec_sub(point, b))
-    if lhs <= rhs:  # pragma: no cover
-        raise ValidationError("constructed counterexample does not violate")
+    if lhs <= rhs:
+        raise InternalInconsistencyError("constructed counterexample does not violate")
     return Counterexample(beta=beta_hat, lhs=lhs, rhs=rhs)
 
 

@@ -229,11 +229,12 @@ class PreparedBasis:
         Elsewhere delta0 > 0 is the minimax LP |sums - rows.x| <= t in ints,
         x = (bden/den) alpha, a positive rescaling that moves no pivot, sums per
         cell its sign vector times sigma(b) * bden; circuits first, once the slot
-        is full, whose tables give x with no elimination.  lex(direction) is the
-        lex-extreme point of the optimal face: alpha on a face certified one
-        point, by t = 0 (the class rows have rank m) or m + 1 nonzero multipliers
-        (a circuit's, or an LP's nonbasic slacks' positive reduced costs: every
-        free variable is basic, Mangasarian 1979), else searched on first call."""
+        holds a fiber that ran this solve, whose tables give x with no
+        elimination.  lex(direction) is the lex-extreme point of the optimal
+        face: alpha on a face certified one point, by t = 0 (the class rows
+        have rank m) or m + 1 nonzero multipliers (a circuit's, or an LP's
+        nonbasic slacks' positive reduced costs: every free variable is basic,
+        Mangasarian 1979), else searched on first call."""
         key, slot = self.reduced.sigma(b), self._fiber
         if slot is not None and slot.key == key:
             return slot
@@ -243,7 +244,8 @@ class PreparedBasis:
         else:
             den, rows = self.feasibility_ints
             sums = [sum(map(mul, x, ints)) for x in self.sign_vectors]
-            t, x, lam = solve_minimax_lp(rows, sums, circuits=slot and self.circuits)
+            ran = slot is not None and slot._sums is not None  # sums are formed for the LP alone
+            t, x, lam = solve_minimax_lp(rows, sums, circuits=self.circuits if ran else None)
             to_alpha = lambda x: x if den == bden else tuple(
                 [Q(den * v.numerator, bden * v.denominator) for v in x])
             alpha = to_alpha(x)
@@ -392,6 +394,58 @@ def existence_threshold(
     if not pb.profile.zero_set:
         raise EmptyZeroSetError("threshold is defined only for non-empty zero sets")
     return pb.fiber(b).threshold
+
+
+class ClassificationReport(NamedTuple):
+    coproximinal: bool
+    co_chebyshev: bool
+    m: int
+    q: int
+    d: int
+    zero_set_size: int
+    rationale: tuple[str, ...]
+
+
+def classify(basis: SubspaceBasis, *, prepared: PreparedBasis | None = None) -> ClassificationReport:
+    """Classify the subspace spanned by the basis columns.
+
+    The subspace admits a best coapproximation for every target exactly
+    when the span of its (reduced) norming set has dimension m, and
+    solutions are always unique exactly when in addition the zero set is
+    empty: any zero coordinate lets targets supported there have either no
+    solution or a whole polytope of them.  That span dimension q always
+    equals d, the number of component classes, so the row profile alone
+    decides, with no sign cell and no LP: coproximinal iff d == m.
+
+    Rationale tags, in order of application:
+      full-space                 m == n, every target is its own solution
+      sigma-reduction            zero-set coordinates dropped first
+      q-equals-m / q-exceeds-m   q = d, the class count, against m
+      empty-zero-set-uniqueness  solutions are unique when they exist
+      zero-fiber-multiplicity    some target has many solutions
+    """
+    pb = prepared_for(basis, prepared)
+    zero_set = pb.profile.zero_set
+    if basis.m == basis.n:
+        q, tags = basis.m, ["full-space"]
+    else:
+        q = pb.q
+        tags = ["sigma-reduction"] if zero_set else []
+        if q == basis.m:
+            tags.append("q-equals-m")
+            tags.append("zero-fiber-multiplicity" if zero_set else "empty-zero-set-uniqueness")
+        else:
+            tags.append("q-exceeds-m")
+    coproximinal = q == basis.m
+    return ClassificationReport(
+        coproximinal=coproximinal,
+        co_chebyshev=coproximinal and not zero_set,
+        m=basis.m,
+        q=q,
+        d=pb.profile.d,
+        zero_set_size=len(zero_set),
+        rationale=tuple(tags),
+    )
 
 
 class Projection(NamedTuple):

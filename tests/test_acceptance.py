@@ -11,17 +11,17 @@ from fractions import Fraction as Q
 
 from coapprox import (
     OutcomeKind,
-    brute_force_existence,
     classify,
     existence_threshold,
-    l1_norm,
     prepare,
-    projection_map,
     solve_general,
     vec,
     verify_best_coapprox,
 )
+from coapprox.exact import l1_norm
 from coapprox.instances import random_basis, random_vector
+from coapprox.oracle import brute_force_existence
+from coapprox.solver import projection_map
 from tests.reference import (
     column_basis,
     criterion_5_stream,

@@ -10,25 +10,22 @@ from hypothesis import strategies as st
 from coapprox import (
     CapacityError,
     DimensionError,
-    LinearSystemResult,
-    SystemStatus,
     ValidationError,
     existence_threshold,
     format_rational,
-    l1_norm,
     mat,
     parse_rational,
     prepare,
-    solve_empty_zero_set,
     solve_general,
-    solve_linear,
-    solve_minimax_lp,
     validate_basis,
     vec,
     verify_best_coapprox,
 )
-from coapprox.exact import first_basis, rank, transpose
+from coapprox.exact import (LinearSystemResult, SystemStatus, first_basis, l1_norm, rank,
+                            solve_linear, transpose)
+from coapprox.lp import solve_minimax_lp
 from coapprox.oracle import certify_not_exists
+from coapprox.solver import solve_empty_zero_set
 
 small_fraction = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 

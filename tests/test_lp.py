@@ -10,7 +10,6 @@ from scipy.optimize import linprog
 
 from coapprox import (
     OutcomeKind,
-    brute_force_existence,
     existence_threshold,
     lp,
     mat,
@@ -18,12 +17,13 @@ from coapprox import (
     solve_general,
     validate_basis,
 )
-from coapprox.cli import load_problem
-from coapprox.errors import ValidationError
+from coapprox.cli import load_problem, main
+from coapprox.errors import InternalInconsistencyError, ValidationError
 from coapprox.exact import primitive_ints, rank, scaled_ints
 from coapprox.lp import (MAX_CELL_PAIRS, LpResult, LpStatus, lp_max, lp_min, minimax_circuits,
                          solve_minimax_lp)
 from coapprox.norming import Arrangement, enumerate_cells, margin_witness
+from coapprox.oracle import brute_force_existence
 from tests.reference import FACE_POLYTOPES, INFEASIBLE, criterion_5_stream, dot, general_lp_min
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -919,6 +919,17 @@ def test_the_circuit_branch_is_exact_on_rational_rhs_and_checks_its_input():
         solve_minimax_lp(rows, (1, 2), circuits=circuits)
     with pytest.raises(ValidationError, match="at least one row"):
         solve_minimax_lp((), (), circuits=circuits)
+
+
+def test_a_minimax_lp_with_no_optimum_is_an_internal_fault(monkeypatch, capsys):
+    # The minimax LP is feasible at x = 0 and its t is bounded below, so
+    # an lp_min that finds no optimum is the package's fault, not the
+    # input's.  The CLI still exits 2, with the same line on stderr.
+    monkeypatch.setattr(lp, "lp_min", lambda *args: LpResult(LpStatus.UNBOUNDED, None, None))
+    with pytest.raises(InternalInconsistencyError, match="^minimax LP unexpectedly unbounded$"):
+        solve_minimax_lp(((1, 0), (0, 1), (1, 1)), (1, 2, 5))
+    assert main(["threshold", "--input", str(PROBLEMS / "span3_l17_threshold.json")]) == 2
+    assert capsys.readouterr() == ("", "coapprox threshold: minimax LP unexpectedly unbounded\n")
 
 
 def test_circuits_of_other_rows_are_refused():

@@ -11,11 +11,7 @@ from coapprox import (
     CapacityError,
     DimensionError,
     ValidationError,
-    build_arrangement,
-    build_profile,
-    enumerate_cells,
     mat,
-    minimal_norming_set,
     norming,
     oracle,
     prepare,
@@ -24,7 +20,9 @@ from coapprox import (
 from coapprox.cli import load_problem
 from coapprox.exact import rank
 from coapprox.instances import random_basis
-from coapprox.norming import MAX_CELL_PAIRS, MAX_HYPERPLANES, cell_pair_bound
+from coapprox.norming import (MAX_CELL_PAIRS, MAX_HYPERPLANES, build_arrangement, cell_pair_bound,
+                              enumerate_cells, minimal_norming_set)
+from coapprox.subspace import build_profile
 from tests.reference import (
     column_basis,
     columns,

@@ -12,8 +12,6 @@ from pathlib import Path
 import pytest
 
 from coapprox import (
-    Arrangement,
-    BruteForceResult,
     CapacityError,
     DimensionError,
     InternalInconsistencyError,
@@ -21,8 +19,6 @@ from coapprox import (
     ValidationError,
     VerificationVerdict,
     bj_orthogonal_l1,
-    brute_force_existence,
-    l1_norm,
     mat,
     prepare,
     solve_general,
@@ -31,10 +27,11 @@ from coapprox import (
 )
 from coapprox import exact, norming, oracle
 from coapprox.cli import load_problem, main
-from coapprox.exact import primitive_ints, rank, solve_linear, vec_sub
+from coapprox.exact import l1_norm, primitive_ints, rank, solve_linear, vec_sub
 from coapprox.instances import random_basis, random_vector
 from coapprox.lp import solve_minimax_lp
-from coapprox.norming import cell_pair_bound
+from coapprox.norming import Arrangement, cell_pair_bound
+from coapprox.oracle import BruteForceResult, brute_force_existence
 from coapprox.subspace import validate_basis
 from tests.reference import (
     column_basis, criterion_5_stream, lp_prefix_tree_cells, zero_minimizes_l1)
@@ -95,6 +92,15 @@ class TestVerifyBestCoapprox:
         point = span3_l16.combine(ce.beta)
         assert l1_norm(vec_sub(point, span3_l16.combine((Q(0),) * 3))) == ce.lhs
         assert l1_norm(vec_sub(point, B2)) == ce.rhs
+
+    def test_a_counterexample_that_does_not_violate_is_an_internal_fault(
+            self, span3_l16, monkeypatch):
+        # The refutation builds beta so that the definition fails at it; a
+        # beta at which it holds is the oracle's fault, not the input's.
+        monkeypatch.setattr(oracle, "l1_norm", lambda v: Q(0))
+        with pytest.raises(InternalInconsistencyError,
+                           match="^constructed counterexample does not violate$"):
+            verify_best_coapprox(span3_l16, B2, (Q(0), Q(0), Q(0)))
 
     def test_member_confirmed(self, span3_l16):
         b = span3_l16.combine((Q(2), Q(0), Q(-1)))

@@ -11,6 +11,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import coapprox
 
 
@@ -21,6 +23,44 @@ def test_public_names_resolve_and_exclude_submodules():
     namespace = {}
     exec("from coapprox import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(coapprox.__all__)
+
+
+# The public surface, by group: the entry functions on one PreparedBasis,
+# their results, the errors, the exact literal helpers and the oracle's
+# checks.  A name joins it by a reviewed change to this list.
+SURFACE = [
+    "validate_basis", "SubspaceBasis", "prepare", "PreparedBasis", "solve_general",
+    "existence_threshold", "classify",
+    "CoapproxOutcome", "OutcomeKind", "PolytopeConstraints", "ExistenceThreshold",
+    "ClassificationReport", "VerificationVerdict",
+    "CapacityError", "CoapproxError", "DimensionError", "EmptyZeroSetError",
+    "InternalInconsistencyError", "NoCoapproximationError", "PreconditionError",
+    "RankDeficientError", "ValidationError", "ZeroSubspaceError",
+    "vec", "mat", "parse_rational", "format_rational",
+    "verify_best_coapprox", "bj_orthogonal_l1", "certify_not_exists", "check_certificate",
+]
+# Names the package once exported, each importable from its own module.
+INTERNAL = {
+    "exact": ("Q", "LinearSystemResult", "SystemStatus", "l1_norm", "solve_linear"),
+    "lp": ("solve_minimax_lp",),
+    "norming": ("Arrangement", "NormingSet", "SignCell", "build_arrangement", "enumerate_cells",
+                "margin_witness", "minimal_norming_set"),
+    "oracle": ("BruteForceResult", "brute_force_existence"),
+    "solver": ("Projection", "projection_map", "solve_empty_zero_set"),
+    "subspace": ("ComponentProfile", "ReducedInstance", "build_profile", "reduce_sigma"),
+}
+
+
+def test_the_public_surface_is_what_callers_use():
+    assert coapprox.__all__ == SURFACE and len(SURFACE) == 31
+    for module, names in INTERNAL.items():
+        for name in names:
+            assert hasattr(importlib.import_module(f"coapprox.{module}"), name), name
+    # classify is an entry function of solver, and its old module is gone.
+    assert coapprox.classify is coapprox.solver.classify
+    assert coapprox.ClassificationReport is coapprox.solver.ClassificationReport
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("coapprox.classify")
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -200,11 +240,9 @@ INT_DIVISIONS = {
 # The stdlib modules and package modules ("." the package itself) that
 # each module imports, anywhere in it: a new dependency is a reviewed change.
 IMPORTS = {
-    "__init__": {".classify", ".errors", ".exact", ".lp", ".norming", ".oracle", ".solver",
-                 ".subspace"},
-    "classify": {"__future__", "typing", ".solver", ".subspace"},
+    "__init__": {".errors", ".exact", ".oracle", ".solver", ".subspace"},
     "cli": {"__future__", "argparse", "functools", "json", "os", "sys", "typing", ".",
-            ".classify", ".errors", ".exact", ".norming", ".oracle", ".solver", ".subspace"},
+            ".errors", ".exact", ".norming", ".oracle", ".solver", ".subspace"},
     "errors": set(),
     "exact": {"__future__", "collections", "enum", "fractions", "math", "numbers", "re",
               "typing", ".errors"},

@@ -12,26 +12,23 @@ from coapprox import (
     EmptyZeroSetError,
     NoCoapproximationError,
     OutcomeKind,
-    SystemStatus,
     ValidationError,
-    build_profile,
     classify,
     existence_threshold,
-    l1_norm,
     mat,
     prepare,
-    projection_map,
-    solve_empty_zero_set,
     solve_general,
-    solve_linear,
     validate_basis,
     vec,
 )
 from coapprox import lp, norming, solver
-from coapprox.exact import first_basis, kernel_vectors, rank, scaled_ints, vec_sub
+from coapprox.exact import (SystemStatus, first_basis, kernel_vectors, l1_norm, rank, scaled_ints,
+                            solve_linear, vec_sub)
 from coapprox.instances import random_basis, random_vector
 from coapprox.lp import lp_min, minimax_circuits, simplex, solve_minimax_lp
-from coapprox.solver import PolytopeConstraints, lex_extreme_alpha
+from coapprox.solver import (PolytopeConstraints, lex_extreme_alpha, projection_map,
+                             solve_empty_zero_set)
+from coapprox.subspace import build_profile, reduce_sigma
 from tests.reference import (
     FACE_POLYTOPES,
     apply_projection,
@@ -401,8 +398,6 @@ class TestSolveGeneral:
             m = rng.randint(1, min(3, n - 2))
             basis = random_basis(rng, n, m, zero_rows=rng.randint(1, n - m - 1))
             profile = build_profile(basis)
-            from coapprox import reduce_sigma
-
             reduced = reduce_sigma(basis, profile)
             b = random_vector(rng, n)
             reduced_out = solve_general(reduced.basis, None, reduced.sigma(b))
@@ -627,11 +622,12 @@ class TestFiberMinimax:
         assert (*fiber.threshold[:2], fiber.lex(+1), fiber.lex(-1)) == (0, (1, 2), (1, 2), (1, 2))
         assert (kernel, minimax, cells, "circuits" in vars(pb)) == ([], [], [], False)
         # A fiber off the rows' column space takes the minimax solve, here
-        # off the circuits, as the slot is full; a member's after it, none.
+        # by one LP and no circuits, as the slot's fiber ran no minimax
+        # solve; a member's after it, none.
         assert pb.fiber(vec((1, 0, 0, 1))).threshold.delta0 == Q(1, 3)
-        assert (kernel, len(minimax), len(cells), len(pb.circuits[1])) == ([], 1, 1, 1)
+        assert (len(kernel), len(minimax), len(cells), "circuits" in vars(pb)) == (1, 1, 1, False)
         assert pb.fiber(vec((2, -1, 1, 5))).threshold[:2] == (0, (2, -1))
-        assert (kernel, len(minimax), len(cells)) == ([], 1, 1)
+        assert (len(kernel), len(minimax), len(cells)) == (1, 1, 1)
         # On a coproximinal basis (d = m = 3) K = (): every fiber has delta0 = 0.
         del kernel[:], minimax[:], cells[:]
         pb = prepare(validate_basis(mat([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)])))

@@ -8,16 +8,14 @@ from coapprox import (
     RankDeficientError,
     SubspaceBasis,
     ZeroSubspaceError,
-    build_profile,
     existence_threshold,
-    l1_norm,
     mat,
-    reduce_sigma,
     validate_basis,
     vec,
 )
-from coapprox.exact import rank
+from coapprox.exact import l1_norm, rank
 from coapprox.instances import random_basis, random_vector
+from coapprox.subspace import build_profile, reduce_sigma
 from tests.reference import (
     apply_rho,
     column_basis,
