@@ -1,31 +1,28 @@
 #!/usr/bin/env python3
-"""Record a benchmark baseline, or an A/B against a commit: BENCH_<label>.json
-at the repository root.
+"""Record an A/B benchmark of this checkout against a commit.
 
-    python3 scripts/bench_record.py --label NAME
     python3 scripts/bench_record.py --against REV --label NAME
 
-Runs perfbench/run.py, unedited, as a subprocess: for each seed (505 and
-11) and each workload, RUNS untraced runs of --seconds SECONDS and one
-traced run.  The file keeps every run's result line (the last stdout
-line) and per metric the median and quartiles over the untraced runs
-(statistics.quantiles, inclusive method), the traced run's result line and
-its counts, each run's report_sha256, and the run metadata: the commit
-run.py reads, a sha256 over src/coapprox/*.py (the commit alone does not
-name an uncommitted tree), the Python version, nproc, SECONDS and RUNS.
-Every committed BENCH_*.json is recorded with these RUNS and SECONDS, so
-that any two compare.
+REV is checked out into a temporary git worktree, and the two trees,
+"against" (REV) and "change" (this checkout), each run their own
+perfbench/run.py, unedited, as a subprocess: for each seed (505 and 11)
+and each workload, RUNS pairs of untraced runs of --seconds SECONDS, the
+side that runs first swapping each pair so that the host's drift falls
+on both sides alike, then one traced run per side.  To record one tree,
+run --against HEAD on a clean checkout: that A/A record's pairs won and
+median gap against the IQR show the host's noise.
 
-With --against, REV is checked out into a temporary git worktree, and the
-two trees, "against" (REV) and "change" (this checkout), run in RUNS
-pairs per workload and seed, the side that runs first swapping each pair,
-so that the host's drift falls on both sides alike; each tree runs its
-own perfbench/run.py.  The file then holds both sides' records and their
-src_sha256 and git_commit, and per end-to-end metric of BENCHMARK.json:
-both medians and quartiles, the pairs the change won, the median gap
-against the REV side's interquartile range, and the relative move against
-the metric's bound.  It names any report_sha256 or traced count that
-differs between the sides.
+BENCH_<label>.json, at the repository root, keeps per side, workload and
+seed every run's result line (the last stdout line), per metric the
+median and quartiles over the untraced runs (statistics.quantiles,
+inclusive method), the traced run's result line and counts, and every
+report_sha256; per side the commit and a sha256 over src/coapprox/*.py
+(the commit alone does not name an uncommitted tree); the Python version,
+nproc, SECONDS and RUNS, which every committed BENCH_*.json shares so that
+any two compare; and per end-to-end metric of BENCHMARK.json both medians
+and quartiles, the pairs the change won, the median gap against the REV
+side's interquartile range and the relative move against the metric's
+bound.  It names any report_sha256 or traced count the sides differ in.
 Standard library only; the runs are sequential, one process at a time.
 """
 from __future__ import annotations
@@ -64,7 +61,7 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def src_sha256(tree: Path = ROOT) -> str:
+def src_sha256(tree: Path) -> str:
     h = hashlib.sha256()
     for path in sorted((tree / "src" / "coapprox").glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
@@ -162,29 +159,14 @@ def record_against(rev: str, label: str) -> dict:
     return out
 
 
-def record_one(label: str) -> dict:
-    out = {"label": label, "src_sha256": src_sha256(), "seconds": SECONDS,
-           "runs": RUNS, "workloads": {}}
-    for seed in SEEDS:
-        for workload in WORKLOADS:
-            runs = [run(ROOT, workload, seed, SECONDS, 0) for _ in range(RUNS)]
-            traced = run(ROOT, workload, seed, SECONDS, 1)
-            for key in ("git_commit", "python", "nproc", "src_coapprox_lines"):
-                out.setdefault(key, traced[0][key])
-            out["workloads"][f"{workload}@{seed}"] = record(workload, seed, runs, traced)
-            row = out["workloads"][f"{workload}@{seed}"]["metrics"]["op_p90_ms"]
-            print(f"{workload}@{seed}: op_p90_ms median {row['median']:.4f} "
-                  f"(IQR {row['q1']:.4f}-{row['q3']:.4f})", file=sys.stderr)
-    return out
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
-    parser.add_argument("--against", metavar="REV", help="A/B pairs against this commit")
+    parser.add_argument("--against", metavar="REV", required=True,
+                        help="A/B pairs against this commit (HEAD for an A/A record)")
     args = parser.parse_args(argv)
 
-    out = record_against(args.against, args.label) if args.against else record_one(args.label)
+    out = record_against(args.against, args.label)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(path)

@@ -54,8 +54,10 @@ def parse_rational(text: str) -> Q:
     return Q(x) if type(x := parse_literal(text)) is int else x
 
 
-def format_rational(x: Q) -> str:
-    """Inverse of parse_rational; '13' or '-3/7', always lowest terms."""
+def format_rational(x: int | Q) -> str:
+    """Inverse of parse_rational on an int or a Fraction; '13' or '-3/7', lowest terms."""
+    if type(x) is not int and not isinstance(x, Q):
+        raise ValidationError(f"not an exact rational: {x!r}")
     try:
         return str(x)
     except ValueError:  # Python's limit on int-string conversion

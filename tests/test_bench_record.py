@@ -80,3 +80,13 @@ def test_a_lower_is_better_metric_counts_a_fall_as_a_win():
                                END_TO_END[1:])["metrics"]["op_p50_ms"]
     assert got["pairs_won"] == 3
     assert got["relative_move"] == pytest.approx(-0.5)
+
+
+def test_a_record_needs_a_revision_to_pair_against(monkeypatch):
+    def run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_record, "run", run)
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--label", "x"])
+    assert exc.value.code == 2

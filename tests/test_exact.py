@@ -11,6 +11,8 @@ from coapprox import (
     CapacityError,
     DimensionError,
     ValidationError,
+    bj_orthogonal_l1,
+    check_certificate,
     existence_threshold,
     format_rational,
     mat,
@@ -59,6 +61,12 @@ class TestRationalText:
     @given(small_fraction)
     def test_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x
+
+    def test_format_refuses_all_but_an_int_or_a_fraction(self):
+        # "0.5", "True" and "None" would be written, and parse_rational refuses them.
+        for bad in (0.5, True, None, "1"):
+            with pytest.raises(ValidationError, match="not an exact rational"):
+                format_rational(bad)
 
 
 _ASCII_SPACE = " \t\n\r\f\v"
@@ -121,7 +129,8 @@ def test_parse_rational_agrees_with_fraction_on_a_seeded_corpus():
 # Each entry point on a fresh basis and prepare of pair_l17_coproximinal
 # (zero rows 4 and 7), given one inexact entry x: in A's first row, the
 # target (mass on the zero rows where the zero-set path is meant) or the
-# coefficients; and the minimax kernel with x in a row, which reaches its LP.
+# coefficients; the minimax kernel with x in a row, which reaches its LP; and
+# the two oracle checks, with x in a certificate row and in the residual z.
 _ROWS = ((1, 1), (1, 2), (2, 2), (0, 0), (4, 4), (-2, -4), (0, 0))
 _ENTRY_POINTS = {
     "validate_basis": lambda x: validate_basis(((x, 1),) + _ROWS[1:]),
@@ -136,6 +145,8 @@ _ENTRY_POINTS = {
         validate_basis(_ROWS), (x, 0, 0, 0, 0, 0, 0), (0, 0)),
     "certify_not_exists": lambda x: certify_not_exists(validate_basis(_ROWS), (x, 0, 0, 3, 0, 0, -2)),
     "solve_minimax_lp": lambda x: solve_minimax_lp(((x, 2), (1, 0), (0, 1)), (1, 2, 3)),
+    "check_certificate": lambda x: check_certificate(((x,), (2,), (-3,)), (1, 1, 1), 0, (1, 1, 1)),
+    "bj_orthogonal_l1": lambda x: bj_orthogonal_l1((1, 1, 0), (1, x, 3)),
 }
 
 
