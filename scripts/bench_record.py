@@ -8,9 +8,11 @@ REV is checked out into a temporary git worktree, and the two trees,
 perfbench/run.py, unedited, as a subprocess: for each seed (505 and 11)
 and each workload, RUNS pairs of untraced runs of --seconds SECONDS, the
 side that runs first swapping each pair so that the host's drift falls
-on both sides alike, then one traced run per side.  To record one tree,
-run --against HEAD on a clean checkout: that A/A record's pairs won and
-median gap against the IQR show the host's noise.
+on both sides alike, then one traced run per side.  Each side's bytecode
+lives under its own PYTHONPYCACHEPREFIX, empty at first, so neither starts
+from the checkout's __pycache__.  To record one tree, run --against HEAD
+on a clean checkout: that A/A record's pairs won and median gap against
+the IQR show the host's noise.
 
 BENCH_<label>.json, at the repository root, keeps per side, workload and
 seed every run's result line (the last stdout line), per metric the
@@ -46,12 +48,13 @@ SECONDS = 20  # perfbench/run.py --seconds, as BENCHMARK.json's run_seconds
 SIDES = ("against", "change")
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
-    """(detail line, result line) of one perfbench/run.py run in `tree`."""
+def run(tree: Path, pycache: Path, workload: str, seed: int, seconds: float, trace: int):
+    """(detail, result) lines of one perfbench/run.py run in `tree`, bytecode in `pycache`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True)
+        cwd=tree, env={**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)},
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True)
     *_, detail, result = proc.stdout.splitlines()
     return json.loads(detail), json.loads(result)
 
@@ -142,7 +145,8 @@ def record_against(rev: str, label: str) -> dict:
         git(ROOT, "worktree", "add", "--detach", str(base), rev)
         try:
             trees = {"against": base, "change": ROOT}
-            pairs = ab_pairs(lambda side, *a: run(trees[side], *a), WORKLOADS, SEEDS, RUNS, SECONDS)
+            pairs = ab_pairs(lambda side, *a: run(trees[side], Path(tmp) / side, *a),
+                             WORKLOADS, SEEDS, RUNS, SECONDS)
             sides = {side: {"git_commit": git(tree, "rev-parse", "HEAD"),
                             "src_sha256": src_sha256(tree)} for side, tree in trees.items()}
         finally:

@@ -54,23 +54,20 @@ def bj_orthogonal_l1(y: Vec, z: Vec) -> bool:
     Equivalent to 0 lying in the minimizer interval of t -> ||y + t*z||_1.
     The oracle's one tope test, with y a tope's sign vector and z an int
     residual; int inputs stay ints (perfbench/tracer.py counts its calls).
-    An inexact z entry (a float, str or None) is refused, found from the sums.
+    An inexact entry of y or z (a float, str or None) is refused.
     """
     if len(y) != len(z):
         raise DimensionError("orthogonality test needs vectors of equal length")
-    signed = off_support = 0
-    try:
-        for yi, zi in zip(y, z):
-            if yi > 0:
-                signed += zi
-            elif yi < 0:
-                signed -= zi
-            else:
-                off_support += abs(zi)
-    except TypeError:  # a str or None entry
-        signed = None
-    if not isinstance(signed, (int, Q)) or not isinstance(off_support, (int, Q)):
-        scaled_ints([*y, *z])  # names the inexact entry
+    scaled_ints([*y, *z])  # a ValidationError names the inexact entry
+    signed = 0
+    off_support = 0
+    for yi, zi in zip(y, z):
+        if yi > 0:
+            signed += zi
+        elif yi < 0:
+            signed -= zi
+        else:
+            off_support += abs(zi)
     return abs(signed) <= off_support
 
 
@@ -182,7 +179,10 @@ def check_grid(radius: Q | None, step: Q | None) -> None:
 def check_certificate(rows, rhs, width, lam) -> bool:
     """True iff lam proves that no alpha has |rhs_p - rows_p . alpha| <=
     width for all p: sum lam_p rows_p = 0 and |sum lam_p rhs_p| > width *
-    sum |lam_p| (Farkas), by int dot products alone; an inexact entry is refused."""
+    sum |lam_p| (Farkas), by int dot products alone; an inexact entry or
+    rows of different lengths are refused."""
+    if len({len(r) for r in rows}) > 1:
+        raise DimensionError("ragged certificate rows: rows of different lengths")
     for v in (*rows, rhs, lam, (width,)):
         scaled_ints(v)  # a ValidationError names the inexact entry
     return len(lam) == len(rows) == len(rhs) and not any(

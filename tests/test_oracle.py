@@ -53,6 +53,11 @@ class TestBjOrthogonality:
     def test_aligned(self):
         assert not bj_orthogonal_l1(vec((1, 0)), vec((1, 0)))
 
+    def test_an_inexact_sign_vector_is_refused(self):
+        # In floats the sums would balance and the test would answer True.
+        with pytest.raises(ValidationError, match="not an exact rational: 0.5"):
+            bj_orthogonal_l1((0.5, -0.5, 0), (1, 1, 3))
+
     def test_matches_one_dimensional_minimization(self):
         rng = random.Random(55)
         for _ in range(500):
@@ -1201,7 +1206,10 @@ def test_certify_not_exists_accepts_where_the_minimax_certificate_does(monkeypat
      "verify_best_coapprox dimension mismatch"),
     (lambda basis: verify_best_coapprox(basis, (1,) * 6, (0, 0)),
      "verify_best_coapprox dimension mismatch"),
-], ids=["short z", "short y", "target length", "alpha length"])
+    # zip(*rows) would stop at the shortest row and accept a false proof.
+    (lambda basis: oracle.check_certificate([[1, 5], [1], [-2]], [1, 1, 1], 0, [1, 1, 1]),
+     "ragged certificate rows: rows of different lengths"),
+], ids=["short z", "short y", "target length", "alpha length", "ragged certificate rows"])
 def test_oracle_refuses_vectors_of_the_wrong_length(span3_l16, call, message):
     with pytest.raises(DimensionError) as raised:
         call(span3_l16)
